@@ -34,6 +34,7 @@ from .evaluation import (
 from .nn.gradcheck import run_standard_suite
 from .nn.networks import NetworkConfig, PolicyNetwork
 from .nn.params import load_checkpoint
+from .observations import OBS_LAYOUTS
 from .scripted import ScriptedController
 from .train import (
     CommanderVariant,
@@ -175,6 +176,19 @@ def _make_opponents(spec: str, scenario: ScenarioConfig, script: ScriptConfig,
     raise ValueError(f"unknown opponent spec {spec!r}")
 
 
+def _commander_options(commander: PolicyNetwork) -> dict:
+    """`senses` and `opt` of a shared commander, read from its network
+    config: the observation width fixes the sensed-opponent count, and the
+    option head is one wider than that count when it picks a target."""
+    inst = commander.config.instance("cmd")
+    widths = {OBS_LAYOUTS[f"commander-n{n}"]: n for n in (2, 3)}
+    if inst.obs_width not in widths:
+        raise ValueError(f"commander observation width {inst.obs_width} "
+                         f"fits no sensed-opponent count")
+    senses = widths[inst.obs_width]
+    return {"senses": senses, "opt": inst.head_arities[0] == senses + 1}
+
+
 def _make_actor(args, scenario: ScenarioConfig, seed: int):
     rng = np.random.default_rng(seed)
     if args.agent == "random":
@@ -191,12 +205,9 @@ def _make_actor(args, scenario: ScenarioConfig, seed: int):
         commander = _load_policy(args.commander_ckpt)
         fight = _load_policy(args.fight_ckpt)
         escape = _load_policy(args.escape_ckpt)
-        senses = commander.config.instance("cmd").obs_width
-        senses = 3 if senses == 44 else 2
-        arity = commander.config.instance("cmd").head_arities[0]
-        return HierarchyEvalActor(commander, fight, escape, rng, senses=senses,
-                                  opt=(arity == senses + 1),
-                                  greedy=not args.stochastic)
+        return HierarchyEvalActor(commander, fight, escape, rng,
+                                  greedy=not args.stochastic,
+                                  **_commander_options(commander))
     raise ValueError(f"unknown agent kind {args.agent!r}")
 
 
@@ -230,6 +241,7 @@ def cmd_sweep(args) -> int:
     commander = _load_policy(args.commander_ckpt)
     fight = _load_policy(args.fight_ckpt)
     escape = _load_policy(args.escape_ckpt)
+    options = _commander_options(commander)
     cells = [c for c in standard_sweep_cells()
              if not args.cells or c["name"] in args.cells.split(",")]
     if not cells:
@@ -237,7 +249,7 @@ def cmd_sweep(args) -> int:
 
     def actor_factory(scenario, seed):
         rng = np.random.default_rng(seed)
-        return HierarchyEvalActor(commander, fight, escape, rng)
+        return HierarchyEvalActor(commander, fight, escape, rng, **options)
 
     def opponent_factory(scenario, seed):
         return SnapshotController(

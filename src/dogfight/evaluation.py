@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .env import CombatEnv, LowLevelAction, OUTCOME_DRAW, OUTCOME_LOSS, OUTCOME_WIN
-from .nn.networks import PolicyNetwork, sample_action
+from .nn.networks import PolicyNetwork, sample_action, sample_slots
 from .observations import build_obs_commander, closest_opponents
 from .rewards import option_terminated
 from .simcore import (
@@ -39,7 +39,13 @@ from .simcore import (
     TEAM_OPPONENT,
     World,
 )
-from .train.policies import LowLevelActor, SnapshotController, pad_to
+from .train.policies import (
+    LowLevelActor,
+    SnapshotController,
+    low_level_actions,
+    option_rows,
+    pad_to,
+)
 
 KILL_EVENTS = (CannonKill, RocketKill)
 
@@ -169,8 +175,7 @@ class LowLevelEvalActor:
         pass
 
     def actions(self, env: CombatEnv) -> dict[int, LowLevelAction]:
-        return {aid: self.actor.action_for(env.world, aid, scenario=env.scenario)
-                for aid in env.agent_ids()}
+        return self.actor.actions(env.world, env.agent_ids(), env.scenario)
 
     def observe_step(self, env: CombatEnv, result):
         pass
@@ -201,13 +206,11 @@ class CTCEEvalActor:
                 slots.append(pad_to(env.observe(aid, self.kind), self.slot_obs))
             else:
                 slots.append(np.zeros(self.slot_obs))
-        out = self.policy.forward_actor("joint", np.concatenate(slots))
-        actions = {}
-        for aid in env.agent_ids():
-            logits = [lg.data[0] for lg in out.logits[aid * 4:(aid + 1) * 4]]
-            samples, _, _ = sample_action(logits, self.rng, greedy=self.greedy)
-            actions[aid] = LowLevelAction.from_heads(samples)
-        return actions
+        out = self.policy.forward_actor("joint", np.concatenate(slots), grad=False)
+        alive = env.agent_ids()
+        samples, _, _ = sample_slots(out.logits, alive, 4, self.rng, self.greedy)
+        return {aid: LowLevelAction.from_heads(picked)
+                for aid, picked in zip(alive, samples)}
 
     def observe_step(self, env: CombatEnv, result):
         pass
@@ -257,16 +260,21 @@ class HierarchyEvalActor:
         world = env.world
         self._decisions = {}
         self._steps_in_option = 0
-        for aid in env.agent_ids():
-            obs = build_obs_commander(world, aid, env.scenario, senses=self.senses)
+        alive = env.agent_ids()
+        obs = np.stack([build_obs_commander(world, aid, env.scenario,
+                                            senses=self.senses)
+                        for aid in alive])
+        hidden = np.concatenate([
+            self._hiddens.get(aid, self.commander.initial_hidden())
+            for aid in alive])
+        out = self.commander.forward_actor("cmd", obs, hidden, grad=False)
+        samples, _, _ = sample_action(out.logits, self.rng, greedy=self.greedy)
+        for i, aid in enumerate(alive):
             sensed = [o.id for o in closest_opponents(world, world.get(aid),
                                                       self.senses)]
-            hidden = self._hiddens.get(aid, self.commander.initial_hidden())
-            out = self.commander.forward_actor("cmd", obs, hidden)
-            samples, _, _ = sample_action([lg.data[0] for lg in out.logits],
-                                          self.rng, greedy=self.greedy)
-            self._hiddens[aid] = out.hidden.data if out.hidden is not None else hidden
-            a_c = samples[0]
+            if out.hidden is not None:
+                self._hiddens[aid] = out.hidden[i:i + 1]
+            a_c = int(samples[i, 0])
             target_idx = a_c if self.opt else (1 if a_c > 0 else 0)
             if target_idx == 0:
                 self.escape_commands += 1
@@ -280,27 +288,9 @@ class HierarchyEvalActor:
     def actions(self, env: CombatEnv) -> dict[int, LowLevelAction]:
         if self._needs_decision(env):
             self._decide(env)
-        world = env.world
-        actions = {}
-        for aid in env.agent_ids():
-            decision = self._decisions.get(aid)
-            if decision is None:
-                continue
-            if decision["target_idx"] == 0:
-                env.set_attack_target(aid, None)
-                actions[aid] = self.escape_actor.action_for(
-                    world, aid, scenario=env.scenario)
-            else:
-                sensed = decision["sensed"]
-                target = None
-                if decision["target_idx"] - 1 < len(sensed):
-                    cand = sensed[decision["target_idx"] - 1]
-                    if world.get(cand).alive:
-                        target = cand
-                env.set_attack_target(aid, target)
-                actions[aid] = self.fight_actor.action_for(
-                    world, aid, target_id=target, scenario=env.scenario)
-        return actions
+        rows = option_rows(env, self._decisions, self.fight_actor,
+                           self.escape_actor)
+        return low_level_actions(rows, self.rng, self.greedy)
 
     def observe_step(self, env: CombatEnv, result):
         self._steps_in_option += 1
@@ -410,6 +400,9 @@ def scenario_sweep(cells: list[dict], actor_factory, opponent_factory,
         scenario = dataclasses.replace(base_scenario, **overrides)
         actor = actor_factory(scenario, seed + i)
         controller = opponent_factory(scenario, seed + 1000 + i)
+        if (isinstance(actor, HierarchyEvalActor)
+                and isinstance(controller, SnapshotController)):
+            actor.opponents = controller  # rerolled at option boundaries
         report = evaluate(actor, controller, scenario, episodes, seed=seed + i)
         results.append((cell["name"], report))
     return results

@@ -5,6 +5,10 @@ maps (with broadcasting and batched matmul), tanh/sigmoid, softmax and
 log-softmax, reductions, stacking/slicing, and the clipped-minimum used by
 the PPO objective. Gradients are exact analytic expressions; the finite
 difference suite in gradcheck.py verifies every op in situ.
+
+An op none of whose operands is a Tensor returns a plain ndarray and
+records nothing, so a network body run on raw parameter arrays is a
+graph-free forward with the same arithmetic as the recorded one.
 """
 
 from __future__ import annotations
@@ -63,21 +67,28 @@ class Tensor:
         return mul(self, -1.0)
 
     def __sub__(self, other):
-        return add(self, -_wrap(other))
+        return add(self, mul(other, -1.0))
 
     def __rsub__(self, other):
-        return add(_wrap(other), -self)
+        return add(other, -self)
 
     def __matmul__(self, other):
         return matmul(self, other)
 
 
-def _wrap(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(np.asarray(value))
+def _data(value) -> np.ndarray:
+    """An operand's array. Python scalars become 0-d float64 arrays, which
+    promote float32 operands to float64 as a Tensor-wrapped scalar does."""
+    return value.data if isinstance(value, Tensor) else np.asarray(value)
 
 
-def _accumulate(tensor: Tensor, grad: np.ndarray):
-    if not tensor.requires_grad and tensor._backward is None:
+def _tracks_grad(value) -> bool:
+    return isinstance(value, Tensor) and (
+        value.requires_grad or value._backward is not None)
+
+
+def _accumulate(tensor, grad: np.ndarray):
+    if not _tracks_grad(tensor):
         return
     if tensor.grad is None:
         tensor.grad = grad.copy()
@@ -124,55 +135,73 @@ def backward_from(outputs: list[Tensor], output_grads: list[np.ndarray]):
             node._backward(node.grad)
 
 
-def _make(data, parents, backward_fn) -> Tensor:
+def _make(data, parents, backward_fn):
+    """The op's result: a plain ndarray when no operand is a Tensor (the
+    graph-free forward), else a Tensor that records `backward_fn` when some
+    operand carries gradient."""
+    for p in parents:
+        if isinstance(p, Tensor):
+            break
+    else:
+        return data
     out = Tensor(data)
-    if any(p.requires_grad or p._backward is not None for p in parents):
-        out._parents = tuple(parents)
+    if any(_tracks_grad(p) for p in parents):
+        out._parents = tuple(p for p in parents if _tracks_grad(p))
         out._backward = backward_fn
         out.requires_grad = False  # only leaves mark requires_grad
     return out
 
 
 # --- primitive operations --------------------------------------------------
+#
+# Operands may be Tensors, ndarrays or Python scalars; see `_make` for what
+# each op returns.
 
-def add(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    data = a.data + b.data
+def add(a, b):
+    da, db = _data(a), _data(b)
+    data = da + db
 
     def backward(grad):
-        _accumulate(a, _unbroadcast(grad, a.data.shape))
-        _accumulate(b, _unbroadcast(grad, b.data.shape))
+        _accumulate(a, _unbroadcast(grad, da.shape))
+        _accumulate(b, _unbroadcast(grad, db.shape))
 
     return _make(data, (a, b), backward)
 
 
-def mul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    data = a.data * b.data
+def mul(a, b):
+    da, db = _data(a), _data(b)
+    data = da * db
 
     def backward(grad):
-        _accumulate(a, _unbroadcast(grad * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(grad * a.data, b.data.shape))
+        _accumulate(a, _unbroadcast(grad * db, da.shape))
+        _accumulate(b, _unbroadcast(grad * da, db.shape))
 
     return _make(data, (a, b), backward)
 
 
-def matmul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    data = a.data @ b.data
+def matmul(a, b):
+    da, db = _data(a), _data(b)
+    data = da @ db
 
     def backward(grad):
-        ga = grad @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ grad
-        _accumulate(a, _unbroadcast(ga, a.data.shape))
-        _accumulate(b, _unbroadcast(gb, b.data.shape))
+        if _tracks_grad(a):
+            _accumulate(a, _unbroadcast(grad @ np.swapaxes(db, -1, -2), da.shape))
+        if not _tracks_grad(b):
+            return
+        if db.ndim == 2 and da.ndim > 2:
+            # batched input against a 2-D weight: fold the batch axes into
+            # rows rather than form one [K, N] product per batch entry
+            gb = (da.reshape(-1, da.shape[-1]).T
+                  @ grad.reshape(-1, grad.shape[-1]))
+        else:
+            gb = _unbroadcast(np.swapaxes(da, -1, -2) @ grad, db.shape)
+        _accumulate(b, gb)
 
     return _make(data, (a, b), backward)
 
 
-def transpose_last2(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    data = np.swapaxes(a.data, -1, -2)
+def transpose_last2(a):
+    data = np.swapaxes(_data(a), -1, -2)
 
     def backward(grad):
         _accumulate(a, np.swapaxes(grad, -1, -2))
@@ -180,9 +209,8 @@ def transpose_last2(a: Tensor) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def tanh(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    data = np.tanh(a.data)
+def tanh(a):
+    data = np.tanh(_data(a))
 
     def backward(grad):
         _accumulate(a, grad * (1.0 - data * data))
@@ -190,9 +218,8 @@ def tanh(a: Tensor) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    data = 1.0 / (1.0 + np.exp(-a.data))
+def sigmoid(a):
+    data = 1.0 / (1.0 + np.exp(-_data(a)))
 
     def backward(grad):
         _accumulate(a, grad * data * (1.0 - data))
@@ -200,9 +227,8 @@ def sigmoid(a: Tensor) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def exp(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    data = np.exp(a.data)
+def exp(a):
+    data = np.exp(_data(a))
 
     def backward(grad):
         _accumulate(a, grad * data)
@@ -210,19 +236,19 @@ def exp(a: Tensor) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def log(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    data = np.log(a.data)
+def log(a):
+    da = _data(a)
+    data = np.log(da)
 
     def backward(grad):
-        _accumulate(a, grad / a.data)
+        _accumulate(a, grad / da)
 
     return _make(data, (a,), backward)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    a = _wrap(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+def softmax(a, axis: int = -1):
+    da = _data(a)
+    shifted = da - da.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     data = e / e.sum(axis=axis, keepdims=True)
 
@@ -233,9 +259,9 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    a = _wrap(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+def log_softmax(a, axis: int = -1):
+    da = _data(a)
+    shifted = da - da.max(axis=axis, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     data = shifted - log_z
     soft = np.exp(data)
@@ -246,36 +272,35 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = _wrap(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+def tsum(a, axis=None, keepdims: bool = False):
+    da = _data(a)
+    data = da.sum(axis=axis, keepdims=keepdims)
 
     def backward(grad):
         g = grad
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
+        _accumulate(a, np.broadcast_to(g, da.shape).copy())
 
     return _make(data, (a,), backward)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = _wrap(a)
-    data = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size if axis is None else a.data.shape[axis]
+def tmean(a, axis=None, keepdims: bool = False):
+    da = _data(a)
+    data = da.mean(axis=axis, keepdims=keepdims)
+    count = da.size if axis is None else da.shape[axis]
 
     def backward(grad):
         g = grad
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.data.shape) / count)
+        _accumulate(a, np.broadcast_to(g, da.shape) / count)
 
     return _make(data, (a,), backward)
 
 
-def stack(tensors: list[Tensor], axis: int = 1) -> Tensor:
-    tensors = [_wrap(t) for t in tensors]
-    data = np.stack([t.data for t in tensors], axis=axis)
+def stack(tensors: list, axis: int = 1):
+    data = np.stack([_data(t) for t in tensors], axis=axis)
 
     def backward(grad):
         pieces = np.split(grad, len(tensors), axis=axis)
@@ -285,10 +310,10 @@ def stack(tensors: list[Tensor], axis: int = 1) -> Tensor:
     return _make(data, tuple(tensors), backward)
 
 
-def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
-    tensors = [_wrap(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    widths = [t.data.shape[axis] for t in tensors]
+def concat(tensors: list, axis: int = -1):
+    arrays = [_data(t) for t in tensors]
+    data = np.concatenate(arrays, axis=axis)
+    widths = [x.shape[axis] for x in arrays]
 
     def backward(grad):
         offsets = np.cumsum(widths)[:-1]
@@ -298,22 +323,22 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
     return _make(data, tuple(tensors), backward)
 
 
-def minimum(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    take_a = a.data <= b.data
-    data = np.where(take_a, a.data, b.data)
+def minimum(a, b):
+    da, db = _data(a), _data(b)
+    take_a = da <= db
+    data = np.where(take_a, da, db)
 
     def backward(grad):
-        _accumulate(a, _unbroadcast(grad * take_a, a.data.shape))
-        _accumulate(b, _unbroadcast(grad * ~take_a, b.data.shape))
+        _accumulate(a, _unbroadcast(grad * take_a, da.shape))
+        _accumulate(b, _unbroadcast(grad * ~take_a, db.shape))
 
     return _make(data, (a, b), backward)
 
 
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    a = _wrap(a)
-    inside = (a.data >= lo) & (a.data <= hi)
-    data = np.clip(a.data, lo, hi)
+def clip(a, lo: float, hi: float):
+    da = _data(a)
+    inside = (da >= lo) & (da <= hi)
+    data = np.clip(da, lo, hi)
 
     def backward(grad):
         _accumulate(a, grad * inside)

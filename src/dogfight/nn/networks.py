@@ -8,12 +8,18 @@ move all of them (the parameter-sharing mechanism the architectures rely
 on). The fight actor tokenizes its observation into entity blocks and runs
 single-head scaled dot-product self-attention over them; the commander actor
 carries a GRU hidden state across its invocations.
+
+Every architecture's layers are written once, in terms of the autodiff
+ops. `grad=True` runs them on the store's Tensors and records the graph
+that PPO and the gradient check differentiate; `grad=False` runs the same
+body on the store's raw arrays, which is how rollouts and evaluation make
+their decisions: batched, and without building a single Tensor.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +31,10 @@ from ..observations import (
 )
 from .autodiff import (
     Tensor,
-    concat,
+    add,
     log_softmax,
     matmul,
+    mul,
     sigmoid,
     softmax,
     stack,
@@ -167,9 +174,8 @@ def ctce_config(kind: str, obs_width: int, head_arities: tuple[int, ...],
 
 @dataclass
 class ActorOutput:
-    logits: list[Tensor]  # one [B, arity] tensor per head
-    hidden: Tensor | None  # [B, H] for recurrent actors
-    trace: list[Tensor] = field(default_factory=list)  # graph roots for backward
+    logits: list  # one [B, arity] Tensor (ndarray when graph-free) per head
+    hidden: Tensor | np.ndarray | None  # [B, H] for recurrent actors
 
 
 class PolicyNetwork:
@@ -233,100 +239,96 @@ class PolicyNetwork:
 
     # -- forward helpers ------------------------------------------------------
 
-    def _affine(self, name: str, x: Tensor) -> Tensor:
-        return matmul(x, self.store[f"{name}.W"]) + self.store[f"{name}.b"]
+    def _params(self, grad: bool) -> dict:
+        """Parameter name -> Tensor (graph recorded) or its array."""
+        return self.store.params if grad else self.store.state_arrays()
 
-    def _embed(self, inst: InstanceSpec, obs: np.ndarray) -> Tensor:
-        cfg = self.config
+    @staticmethod
+    def _affine(p: dict, name: str, x):
+        return matmul(x, p[f"{name}.W"]) + p[f"{name}.b"]
+
+    def _input(self, obs: np.ndarray, width: int, what: str) -> np.ndarray:
         x = np.asarray(obs, dtype=self.store.dtype)
         if x.ndim == 1:
             x = x[None, :]
-        if x.shape[-1] != inst.obs_width:
-            raise ValueError(
-                f"{cfg.kind}/{inst.name} expects obs width {inst.obs_width}, "
-                f"got {x.shape[-1]}")
-        if cfg.fc_baseline:
-            return tanh(self._affine(f"{inst.name}.embed", Tensor(x)))
-        if inst.token_splits:
-            tokens = []
-            offset = 0
-            for i, width in enumerate(inst.token_splits):
-                block = Tensor(x[:, offset:offset + width])
-                tokens.append(tanh(self._affine(f"{inst.name}.embed{i}", block)))
-                offset += width
-            seq = stack(tokens, axis=1)  # [B, T, E]
-            q = matmul(seq, self.store[f"{inst.name}.attn.q"])
-            k = matmul(seq, self.store[f"{inst.name}.attn.k"])
-            v = matmul(seq, self.store[f"{inst.name}.attn.v"])
-            scores = matmul(q, transpose_last2(k)) * (1.0 / math.sqrt(cfg.embed_width))
-            attended = matmul(softmax(scores, axis=-1), v)  # [B, T, E]
-            return tmean(attended, axis=1)  # pool over entity tokens
-        return tanh(self._affine(f"{inst.name}.embed", Tensor(x)))
+        if x.shape[-1] != width:
+            raise ValueError(f"{self.config.kind}/{what} expects width {width}, "
+                             f"got {x.shape[-1]}")
+        return x
 
-    def _gru_step(self, prefix: str, x: Tensor, h: Tensor) -> Tensor:
-        s = self.store
-        z = sigmoid(matmul(x, s[f"{prefix}.gru.Wz"]) + matmul(h, s[f"{prefix}.gru.Uz"])
-                    + s[f"{prefix}.gru.bz"])
-        r = sigmoid(matmul(x, s[f"{prefix}.gru.Wr"]) + matmul(h, s[f"{prefix}.gru.Ur"])
-                    + s[f"{prefix}.gru.br"])
-        n = tanh(matmul(x, s[f"{prefix}.gru.Wn"])
-                 + mul_t(r, matmul(h, s[f"{prefix}.gru.Un"]))
-                 + s[f"{prefix}.gru.bn"])
-        one_minus_z = 1.0 + (-1.0) * z
-        return mul_t(one_minus_z, n) + mul_t(z, h)
+    def _embed(self, p: dict, inst: InstanceSpec, x: np.ndarray):
+        cfg = self.config
+        if cfg.fc_baseline or not inst.token_splits:
+            return tanh(self._affine(p, f"{inst.name}.embed", x))
+        tokens = []
+        offset = 0
+        for i, width in enumerate(inst.token_splits):
+            block = x[:, offset:offset + width]
+            tokens.append(tanh(self._affine(p, f"{inst.name}.embed{i}", block)))
+            offset += width
+        seq = stack(tokens, axis=1)  # [B, T, E]
+        q = matmul(seq, p[f"{inst.name}.attn.q"])
+        k = matmul(seq, p[f"{inst.name}.attn.k"])
+        v = matmul(seq, p[f"{inst.name}.attn.v"])
+        # mul/add rather than operators wherever a Python scalar meets an
+        # array: the ops wrap it as a float64 array in both modes, so both
+        # promote float32 alike
+        scores = mul(matmul(q, transpose_last2(k)), 1.0 / math.sqrt(cfg.embed_width))
+        attended = matmul(softmax(scores, axis=-1), v)  # [B, T, E]
+        return tmean(attended, axis=1)  # pool over entity tokens
+
+    @staticmethod
+    def _gru_step(p: dict, prefix: str, x, h):
+        z = sigmoid(matmul(x, p[f"{prefix}.gru.Wz"]) + matmul(h, p[f"{prefix}.gru.Uz"])
+                    + p[f"{prefix}.gru.bz"])
+        r = sigmoid(matmul(x, p[f"{prefix}.gru.Wr"]) + matmul(h, p[f"{prefix}.gru.Ur"])
+                    + p[f"{prefix}.gru.br"])
+        n = tanh(matmul(x, p[f"{prefix}.gru.Wn"])
+                 + mul(r, matmul(h, p[f"{prefix}.gru.Un"]))
+                 + p[f"{prefix}.gru.bn"])
+        one_minus_z = add(1.0, mul(-1.0, z))
+        return add(mul(one_minus_z, n), mul(z, h))
 
     def initial_hidden(self, batch: int = 1) -> np.ndarray:
         return np.zeros((batch, self.config.hidden_width), dtype=self.store.dtype)
 
     def forward_actor(self, instance: str, obs: np.ndarray,
-                      hidden: np.ndarray | Tensor | None = None) -> ActorOutput:
+                      hidden: np.ndarray | Tensor | None = None, *,
+                      grad: bool = True) -> ActorOutput:
         """Head logits for a batch of observations. Recurrent actors consume
-        and return a hidden state; others ignore it."""
+        and return a hidden state; others ignore it. With `grad=False` the
+        logits and hidden state are plain arrays and no graph is built."""
         inst = self.config.instance(instance)
-        features = self._embed(inst, obs)
+        p = self._params(grad)
+        features = self._embed(p, inst, self._input(obs, inst.obs_width, inst.name))
         new_hidden = None
         if self.config.recurrent:
             if hidden is None:
                 hidden = self.initial_hidden(features.shape[0])
-            h = hidden if isinstance(hidden, Tensor) else Tensor(
-                np.asarray(hidden, dtype=self.store.dtype))
-            new_hidden = self._gru_step(inst.name, features, h)
+            if not isinstance(hidden, Tensor):
+                hidden = np.asarray(hidden, dtype=self.store.dtype)
+            new_hidden = self._gru_step(p, inst.name, features, hidden)
             features = new_hidden
-        core = tanh(self._affine("shared.core", features))
-        logits = [self._affine(f"{inst.name}.head{j}", core)
+        core = tanh(self._affine(p, "shared.core", features))
+        logits = [self._affine(p, f"{inst.name}.head{j}", core)
                   for j in range(len(inst.head_arities))]
-        bad = [lg for lg in logits if not np.all(np.isfinite(lg.data))]
-        if bad:
+        values = [lg.data for lg in logits] if grad else logits
+        if not all(np.isfinite(lg).all() for lg in values):
             raise FloatingPointError("non-finite actor logits")
-        return ActorOutput(logits=logits, hidden=new_hidden,
-                           trace=logits + ([new_hidden] if new_hidden is not None else []))
+        return ActorOutput(logits=logits, hidden=new_hidden)
 
-    def forward_critic(self, instance: str, critic_input: np.ndarray) -> Tensor:
-        """Scalar state value from the global (observations + actions)
-        concatenation."""
+    def forward_critic(self, instance: str, critic_input: np.ndarray, *,
+                       grad: bool = True):
+        """State value [B, 1] from the global (observations + actions)
+        concatenation; a plain array with `grad=False`."""
         inst = self.config.instance(instance)
-        x = np.asarray(critic_input, dtype=self.store.dtype)
-        if x.ndim == 1:
-            x = x[None, :]
-        if x.shape[-1] != inst.critic_width:
-            raise ValueError(
-                f"{self.config.kind}/{instance} critic expects width "
-                f"{inst.critic_width}, got {x.shape[-1]}")
-        features = tanh(self._affine(f"{inst.name}.critic.embed", Tensor(x)))
-        core = tanh(self._affine("shared.core", features))
-        return self._affine(f"{inst.name}.critic.value", core)
+        p = self._params(grad)
+        x = self._input(critic_input, inst.critic_width, f"{instance} critic")
+        features = tanh(self._affine(p, f"{inst.name}.critic.embed", x))
+        core = tanh(self._affine(p, "shared.core", features))
+        return self._affine(p, f"{inst.name}.critic.value", core)
 
     # -- action selection ------------------------------------------------------
-
-    def act(self, instance: str, obs: np.ndarray, rng: np.random.Generator,
-            hidden: np.ndarray | None = None, greedy: bool = False):
-        """Sample one action tuple; returns (head samples, log_prob, entropy,
-        new hidden array or None)."""
-        out = self.forward_actor(instance, obs, hidden)
-        logits = [lg.data[0] for lg in out.logits]
-        samples, log_prob, entropy = sample_action(logits, rng, greedy=greedy)
-        new_hidden = out.hidden.data if out.hidden is not None else None
-        return samples, log_prob, entropy, new_hidden
 
     def log_prob_entropy(self, instance: str, obs_batch: np.ndarray,
                          action_batch: np.ndarray,
@@ -364,40 +366,84 @@ class PolicyNetwork:
         return total_lp, total_ent
 
 
-def mul_t(a: Tensor, b: Tensor) -> Tensor:
-    return a * b
-
-
 def sample_action(logits_per_head: list[np.ndarray], rng: np.random.Generator,
-                  greedy: bool = False) -> tuple[tuple[int, ...], float, float]:
-    """Sample one categorical action per head from raw logits.
+                  greedy: bool = False
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample one categorical action per row and head from raw logits.
 
-    Returns the per-head indices, the summed log-probability of the sample,
-    and the summed entropy of the head distributions.
+    `logits_per_head` holds one [B, arity] array per head. Sampling inverts
+    each row's CDF at `rng.random((B, heads))`: the arithmetic of
+    `Generator.choice(arity, p=probs)`, so the draws and the generator state
+    equal those of per-head `choice` calls made row by row. Greedy takes the
+    argmax and draws nothing.
+
+    Returns the samples [B, heads], the summed log-probabilities [B] of the
+    samples, and the summed entropies [B] of the head distributions.
     """
-    samples = []
-    log_prob = 0.0
-    entropy = 0.0
-    for logits in logits_per_head:
-        logits = np.asarray(logits, dtype=np.float64)
-        if not np.all(np.isfinite(logits)):
+    rows = len(logits_per_head[0])
+    # heads padded to the widest with -inf logits: a padded entry has
+    # probability 0, so it adds exact zeros to every sum below, and its CDF
+    # value is 1, above every draw
+    logits = np.full((rows, len(logits_per_head),
+                      max(np.shape(lg)[-1] for lg in logits_per_head)), -np.inf)
+    for j, head in enumerate(logits_per_head):
+        head = np.asarray(head, dtype=np.float64)
+        if not np.isfinite(head).all():
             raise FloatingPointError("non-finite logits in sample_action")
-        shifted = logits - logits.max()
-        probs = np.exp(shifted)
-        probs /= probs.sum()
-        if greedy:
-            idx = int(np.argmax(probs))
-        else:
-            idx = int(rng.choice(len(probs), p=probs))
-        samples.append(idx)
-        log_prob += float(np.log(probs[idx]))
-        entropy += float(-(probs * np.log(np.maximum(probs, 1e-12))).sum())
-    return tuple(samples), log_prob, entropy
+        logits[:, j, :head.shape[-1]] = head
+    probs = np.exp(logits - logits.max(axis=2, keepdims=True))
+    probs /= probs.sum(axis=2, keepdims=True)
+    if greedy:
+        samples = probs.argmax(axis=2)
+    else:
+        u = rng.random((rows, len(logits_per_head)))
+        cdf = probs.cumsum(axis=2)
+        cdf /= cdf[:, :, -1:]
+        samples = (cdf <= u[:, :, None]).sum(axis=2)  # searchsorted "right"
+    picked = np.log(np.take_along_axis(probs, samples[:, :, None], axis=2)[:, :, 0])
+    spread = -(probs * np.log(np.maximum(probs, 1e-12))).sum(axis=2)
+    log_prob = np.zeros(rows)
+    entropy = np.zeros(rows)
+    for j in range(len(logits_per_head)):  # heads summed in order
+        log_prob += picked[:, j]
+        entropy += spread[:, j]
+    return samples, log_prob, entropy
 
 
-def backward(trace: list[Tensor], output_grads: list[np.ndarray]):
-    """Seed the forward trace's outputs with gradients and propagate them to
-    every parameter; gradients land on the ParamStore tensors."""
-    from .autodiff import backward_from
+def sample_slots(logits: list[np.ndarray], slots: list[int], width: int,
+                 rng: np.random.Generator, greedy: bool = False):
+    """`sample_action` over the listed agent slots of a one-row joint
+    network whose head list gives each slot `width` consecutive heads;
+    rows follow `slots`."""
+    heads = [np.concatenate([logits[slot * width + j] for slot in slots])
+             for j in range(width)]
+    return sample_action(heads, rng, greedy)
 
-    backward_from(trace, output_grads)
+
+def sample_rows(rows: list[tuple[PolicyNetwork, str, np.ndarray]],
+                rng: np.random.Generator, greedy: bool = False
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Sample one action per `(policy, instance, observation)` row.
+
+    Runs one graph-free forward per distinct (policy, instance) over its
+    rows, then samples every row in one `sample_action` call in the given
+    order, so the generator draws as it would row by row. All rows' heads
+    must have equal arities. Returns samples [B, heads] and summed
+    log-probabilities [B]."""
+    groups: dict[tuple[int, str], list[int]] = {}
+    for i, (policy, instance, _) in enumerate(rows):
+        groups.setdefault((id(policy), instance), []).append(i)
+    outputs = []
+    for idx in groups.values():
+        policy, instance, _ = rows[idx[0]]
+        obs = np.stack([rows[i][2] for i in idx])
+        outputs.append((idx, policy.forward_actor(instance, obs, grad=False).logits))
+    if len(outputs) == 1:  # one group holds every row, in order
+        logits = outputs[0][1]
+    else:
+        logits = [np.empty((len(rows), lg.shape[-1])) for lg in outputs[0][1]]
+        for idx, group_logits in outputs:
+            for head, lg in zip(logits, group_logits):
+                head[idx] = lg
+    samples, log_prob, _ = sample_action(logits, rng, greedy)
+    return samples, log_prob

@@ -25,6 +25,7 @@ from ..nn.networks import (
     commander_config,
     ctce_config,
     sample_action,
+    sample_slots,
 )
 from ..observations import (
     OBS_LAYOUTS,
@@ -40,7 +41,13 @@ from ..rewards import (
 )
 from ..simcore import SimConfig
 from .buffer import RolloutBuffer, Transition
-from .policies import LowLevelActor, SnapshotController, pad_to
+from .policies import (
+    LowLevelActor,
+    SnapshotController,
+    low_level_actions,
+    option_rows,
+    pad_to,
+)
 from .ppo import PPOConfig, ppo_update
 from .runs import RunDir
 from .trainer import _spawn_seeds
@@ -151,29 +158,9 @@ class CommanderTrainer:
 
     def _agent_actions(self, decisions: dict[int, dict]
                        ) -> dict[int, LowLevelAction]:
-        env = self.env
-        world = env.world
-        actions = {}
-        for aid in env.agent_ids():
-            decision = decisions.get(aid)
-            if decision is None:
-                continue
-            target_idx = decision["target_idx"]
-            if target_idx == 0:
-                env.set_attack_target(aid, None)
-                actions[aid] = self.escape_actor.action_for(
-                    world, aid, scenario=self.scenario)
-            else:
-                sensed = decision["sensed"]
-                target = None
-                if target_idx - 1 < len(sensed):
-                    cand = sensed[target_idx - 1]
-                    if world.get(cand).alive:
-                        target = cand
-                env.set_attack_target(aid, target)
-                actions[aid] = self.fight_actor.action_for(
-                    world, aid, target_id=target, scenario=self.scenario)
-        return actions
+        rows = option_rows(self.env, decisions, self.fight_actor,
+                           self.escape_actor)
+        return low_level_actions(rows, self.lowlevel_rng)
 
     def run_episode(self) -> dict:
         env = self.env
@@ -200,27 +187,31 @@ class CommanderTrainer:
                 scenario.n_agents, scenario.n_opponents)
             decisions: dict[int, dict] = {}
             if shared:
-                for aid in alive:
-                    obs = build_obs_commander(world, aid, scenario,
-                                              senses=variant.senses)
+                obs = np.stack([build_obs_commander(world, aid, scenario,
+                                                    senses=variant.senses)
+                                for aid in alive])
+                out = self.policy.forward_actor(
+                    "cmd", obs, np.concatenate([hiddens[aid] for aid in alive]),
+                    grad=False)
+                samples, log_probs, _ = sample_action(out.logits, self.action_rng)
+                value = self.policy.forward_critic("cmd", critic_in,
+                                                   grad=False).item()
+                for i, aid in enumerate(alive):
                     sensed = [o.id for o in closest_opponents(
                         world, world.get(aid), variant.senses)]
-                    out = self.policy.forward_actor("cmd", obs, hiddens[aid])
-                    samples, log_prob, _ = sample_action(
-                        [lg.data[0] for lg in out.logits], self.action_rng)
-                    value = self.policy.forward_critic("cmd", critic_in).item()
-                    a_c = samples[0]
+                    a_c = int(samples[i, 0])
                     target_idx = self._map_target_index(a_c)
                     assess = assess_commander_action(
                         world, aid, target_idx, sensed, scenario
                     ) if variant.assess else 0.0
                     decisions[aid] = {
-                        "obs": obs, "sensed": sensed, "a_c": a_c,
-                        "target_idx": target_idx, "log_prob": log_prob,
+                        "obs": obs[i], "sensed": sensed, "a_c": a_c,
+                        "target_idx": target_idx, "log_prob": float(log_probs[i]),
                         "value": value, "hidden": hiddens[aid],
                         "reward": assess, "critic_input": critic_in,
                     }
-                    hiddens[aid] = out.hidden.data
+                    if out.hidden is not None:  # gru; sa and fc keep none
+                        hiddens[aid] = out.hidden[i:i + 1]
                     prev_cmd[aid] = [a_c / max(1, variant.n_options - 1)]
             else:
                 joint_obs, mask, samples, log_prob, value, joint_hidden_in = (
@@ -255,8 +246,7 @@ class CommanderTrainer:
             result = None
             while True:
                 actions = self._agent_actions(decisions)
-                opp_actions = {oid: self.opponents(world, oid)
-                               for oid in env.opponent_ids()}
+                opp_actions = self.opponents.actions(world, env.opponent_ids())
                 result = env.step(actions, opponent_actions=opp_actions)
                 option_steps += 1
                 option_events.extend(result.events)
@@ -319,18 +309,17 @@ class CommanderTrainer:
             else:
                 slots.append(np.zeros(obs_w))
         joint_obs = np.concatenate(slots)
-        out = self.policy.forward_actor("joint", joint_obs, joint_hidden)
+        out = self.policy.forward_actor("joint", joint_obs, joint_hidden,
+                                        grad=False)
+        alive = [slot for slot in range(scenario.n_agents) if mask[slot]]
+        picked, log_probs, _ = sample_slots(out.logits, alive, 1, self.action_rng)
         samples = np.zeros(scenario.n_agents, dtype=int)
+        samples[alive] = picked[:, 0]
         log_prob = 0.0
-        for slot in range(scenario.n_agents):
-            if mask[slot] == 0.0:
-                continue
-            picked, lp, _ = sample_action([out.logits[slot].data[0]],
-                                          self.action_rng)
-            samples[slot] = picked[0]
-            log_prob += lp
-        value = self.policy.forward_critic("joint", critic_in).item()
-        new_hidden = out.hidden.data if out.hidden is not None else joint_hidden
+        for lp in log_probs:
+            log_prob += float(lp)
+        value = self.policy.forward_critic("joint", critic_in, grad=False).item()
+        new_hidden = out.hidden if out.hidden is not None else joint_hidden
         return joint_obs, mask, samples, log_prob, value, {
             "old": joint_hidden, "new": new_hidden}
 

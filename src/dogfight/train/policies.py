@@ -5,6 +5,11 @@ CTDE keeps one network instance per aircraft type shared by all same-type
 agents. DTDE gives every agent id its own parameter store with a local
 critic. CTCE drives the whole team through a single joint network whose head
 list concatenates every agent slot's four control heads.
+
+Decisions are graph-free and batched: each env step runs one actor forward
+per (network, instance) over the agents it drives and samples all agents
+in one call, in agent-id order, so the action generator draws exactly what
+one-agent-at-a-time sampling would.
 """
 
 from __future__ import annotations
@@ -16,11 +21,12 @@ import numpy as np
 from ..config import ScenarioConfig
 from ..env import CombatEnv, LowLevelAction
 from ..nn.networks import (
-    NetworkConfig,
     PolicyNetwork,
     ctce_config,
     escape_config,
     fight_config,
+    sample_rows,
+    sample_slots,
 )
 from ..observations import (
     FIGHT_HEADS,
@@ -97,6 +103,17 @@ def pad_to(vec: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
+def low_level_actions(rows: dict[int, tuple[PolicyNetwork, str, np.ndarray]],
+                      rng: np.random.Generator, greedy: bool = False
+                      ) -> dict[int, LowLevelAction]:
+    """One action per aircraft id from its `(policy, instance, obs)` row,
+    sampled in the dict's order (see `sample_rows`)."""
+    if not rows:
+        return {}
+    samples, _ = sample_rows(list(rows.values()), rng, greedy)
+    return {aid: LowLevelAction.from_heads(s) for aid, s in zip(rows, samples)}
+
+
 @dataclass
 class LowLevelActor:
     """Execution-time action selection for a frozen or training policy."""
@@ -106,14 +123,47 @@ class LowLevelActor:
     rng: np.random.Generator
     greedy: bool = False
 
-    def action_for(self, world: World, agent_id: int,
-                   target_id: int | None = None,
-                   scenario: ScenarioConfig | None = None) -> LowLevelAction:
+    def row(self, world: World, agent_id: int, target_id: int | None = None,
+            scenario: ScenarioConfig | None = None
+            ) -> tuple[PolicyNetwork, str, np.ndarray]:
+        """The decision row of one aircraft (see `low_level_actions`)."""
         obs = build_obs(self.kind, world, agent_id, scenario, target_id=target_id)
-        instance = instance_for(world, agent_id)
-        samples, _, _, _ = self.policy.act(instance, obs, self.rng,
-                                           greedy=self.greedy)
-        return LowLevelAction.from_heads(samples)
+        return self.policy, instance_for(world, agent_id), obs
+
+    def actions(self, world: World, agent_ids: list[int],
+                scenario: ScenarioConfig | None = None
+                ) -> dict[int, LowLevelAction]:
+        return low_level_actions(
+            {aid: self.row(world, aid, scenario=scenario) for aid in agent_ids},
+            self.rng, self.greedy)
+
+
+def option_rows(env: CombatEnv, decisions: dict[int, dict],
+                fight: LowLevelActor, escape: LowLevelActor
+                ) -> dict[int, tuple[PolicyNetwork, str, np.ndarray]]:
+    """Decision rows of the living agents that fly a commander option.
+
+    A decision's `target_idx` 0 flies `escape`; i >= 1 flies `fight` against
+    sensed opponent i, with no target once that opponent is gone. Each
+    agent's rocket target is set on `env` as its row is built."""
+    world = env.world
+    rows = {}
+    for aid in env.agent_ids():
+        decision = decisions.get(aid)
+        if decision is None:
+            continue
+        target_idx = decision["target_idx"]
+        if target_idx == 0:
+            env.set_attack_target(aid, None)
+            rows[aid] = escape.row(world, aid, scenario=env.scenario)
+            continue
+        sensed = decision["sensed"]
+        target = None
+        if target_idx - 1 < len(sensed) and world.get(sensed[target_idx - 1]).alive:
+            target = sensed[target_idx - 1]
+        env.set_attack_target(aid, target)
+        rows[aid] = fight.row(world, aid, target_id=target, scenario=env.scenario)
+    return rows
 
 
 @dataclass
@@ -140,24 +190,50 @@ class SnapshotController:
             fight = self.rng.random() < self.fight_prob
             self.assignments[opp.id] = "fight" if fight and self.fight else "escape"
 
+    def actions(self, world: World, opponent_ids: list[int]
+                ) -> dict[int, tuple[LowLevelAction, int | None]]:
+        """Actions and rocket targets (closest enemy) of the given opponents,
+        decided together."""
+        rows = {}
+        for oid in opponent_ids:
+            mode = self.assignments.get(oid, "fight" if self.fight else "escape")
+            policy = self.fight if mode == "fight" else self.escape
+            if policy is None:
+                raise RuntimeError(f"no {mode} checkpoint loaded for opponents")
+            rows[oid] = (policy, instance_for(world, oid),
+                         build_obs(mode, world, oid, self.scenario))
+        out = {}
+        for oid, action in low_level_actions(rows, self.rng, self.greedy).items():
+            targets = closest_opponents(world, world.get(oid), 1)
+            out[oid] = (action, targets[0].id if targets else None)
+        return out
+
     def __call__(self, world: World, opponent_id: int
                  ) -> tuple[LowLevelAction, int | None]:
-        mode = self.assignments.get(opponent_id,
-                                    "fight" if self.fight else "escape")
-        policy = self.fight if mode == "fight" else self.escape
-        if policy is None:
-            raise RuntimeError(f"no {mode} checkpoint loaded for opponents")
-        obs = build_obs(mode, world, opponent_id, self.scenario)
-        instance = instance_for(world, opponent_id)
-        samples, _, _, _ = policy.act(instance, obs, self.rng, greedy=self.greedy)
-        action = LowLevelAction.from_heads(samples)
-        targets = closest_opponents(world, world.get(opponent_id), 1)
-        return action, targets[0].id if targets else None
+        return self.actions(world, [opponent_id])[opponent_id]
+
+
+def _transitions(rows: dict, samples: np.ndarray, log_probs: np.ndarray,
+                 values: dict, critic_inputs: dict, episode: int
+                 ) -> tuple[dict[int, LowLevelAction], list[Transition]]:
+    """Actions and reward-less transitions of the sampled rows; `values` and
+    `critic_inputs` are keyed by agent id."""
+    actions: dict[int, LowLevelAction] = {}
+    transitions: list[Transition] = []
+    for (aid, (_, instance, obs)), action, log_prob in zip(
+            rows.items(), samples, log_probs):
+        actions[aid] = LowLevelAction.from_heads(action)
+        transitions.append(Transition(
+            instance=instance, agent_id=aid, episode=episode, obs=obs,
+            action=action, log_prob=float(log_prob), value=values[aid],
+            reward=0.0, done=False, critic_input=critic_inputs[aid]))
+    return actions, transitions
 
 
 class CTDEDriver:
     """Shared-per-type policy: each agent samples from its type's instance;
-    critics see the global observation/action concatenation."""
+    critics see the global observation/action concatenation, so one value
+    per instance serves all of its agents."""
 
     def __init__(self, policy: PolicyNetwork, kind: str,
                  scenario: ScenarioConfig, rng: np.random.Generator):
@@ -176,19 +252,17 @@ class CTDEDriver:
                                        env.prev_actions,
                                        self.scenario.n_agents,
                                        self.scenario.n_opponents)
-        actions: dict[int, LowLevelAction] = {}
-        transitions: list[Transition] = []
-        for aid in env.agent_ids():
-            obs = env.observe(aid, self.kind)
-            instance = instance_for(world, aid)
-            samples, log_prob, _, _ = self.policy.act(instance, obs, self.rng)
-            value = self.policy.forward_critic(instance, critic_in).item()
-            actions[aid] = LowLevelAction.from_heads(samples)
-            transitions.append(Transition(
-                instance=instance, agent_id=aid, episode=episode, obs=obs,
-                action=np.array(samples), log_prob=log_prob, value=value,
-                reward=0.0, done=False, critic_input=critic_in))
-        return actions, transitions
+        rows = {aid: (self.policy, instance_for(world, aid),
+                      env.observe(aid, self.kind))
+                for aid in env.agent_ids()}
+        samples, log_probs = sample_rows(list(rows.values()), self.rng)
+        per_instance = {
+            instance: self.policy.forward_critic(instance, critic_in,
+                                                 grad=False).item()
+            for instance in dict.fromkeys(row[1] for row in rows.values())}
+        values = {aid: per_instance[row[1]] for aid, row in rows.items()}
+        return _transitions(rows, samples, log_probs, values,
+                            dict.fromkeys(rows, critic_in), episode)
 
 
 class DTDEDriver:
@@ -207,22 +281,19 @@ class DTDEDriver:
     def act(self, env: CombatEnv, episode: int
             ) -> tuple[dict[int, LowLevelAction], list[Transition]]:
         world = env.world
-        actions: dict[int, LowLevelAction] = {}
-        transitions: list[Transition] = []
-        for aid in env.agent_ids():
-            policy = self.policies[aid]
-            obs = env.observe(aid, self.kind)
-            instance = instance_for(world, aid)
+        rows = {aid: (self.policies[aid], instance_for(world, aid),
+                      env.observe(aid, self.kind))
+                for aid in env.agent_ids()}
+        samples, log_probs = sample_rows(list(rows.values()), self.rng)
+        critic_inputs = {}
+        for aid, (_, _, obs) in rows.items():
             prev = env.prev_actions.get(aid, [0.0] * 4)
-            critic_in = np.concatenate([obs, np.asarray(prev)])
-            samples, log_prob, _, _ = policy.act(instance, obs, self.rng)
-            value = policy.forward_critic(instance, critic_in).item()
-            actions[aid] = LowLevelAction.from_heads(samples)
-            transitions.append(Transition(
-                instance=instance, agent_id=aid, episode=episode,
-                obs=obs, action=np.array(samples), log_prob=log_prob,
-                value=value, reward=0.0, done=False, critic_input=critic_in))
-        return actions, transitions
+            critic_inputs[aid] = np.concatenate([obs, np.asarray(prev)])
+        values = {aid: policy.forward_critic(instance, critic_inputs[aid],
+                                             grad=False).item()
+                  for aid, (policy, instance, _) in rows.items()}
+        return _transitions(rows, samples, log_probs, values, critic_inputs,
+                            episode)
 
 
 class CTCEDriver:
@@ -255,30 +326,28 @@ class CTCEDriver:
             ) -> tuple[dict[int, LowLevelAction], list[Transition]]:
         world = env.world
         obs = self.joint_obs(env)
-        out = self.policy.forward_actor("joint", obs)
+        out = self.policy.forward_actor("joint", obs, grad=False)
         critic_in = build_critic_input(self.kind, world, self.scenario,
                                        env.prev_actions,
                                        self.scenario.n_agents,
                                        self.scenario.n_opponents)
-        value = self.policy.forward_critic("joint", critic_in).item()
+        value = self.policy.forward_critic("joint", critic_in, grad=False).item()
 
+        alive = [slot for slot in range(self.scenario.n_agents)
+                 if slot < len(world.aircraft) and world.get(slot).alive]
+        samples, log_probs, _ = sample_slots(out.logits, alive, LOW_ACTION_HEADS,
+                                             self.rng)
         n_heads = len(out.logits)
         action = np.zeros(n_heads, dtype=int)
         mask = np.zeros(n_heads)
         log_prob = 0.0
         actions: dict[int, LowLevelAction] = {}
-        from ..nn.networks import sample_action
-
-        for slot in range(self.scenario.n_agents):
-            if not (slot < len(world.aircraft) and world.get(slot).alive):
-                continue
+        for slot, picked, lp in zip(alive, samples, log_probs):
             head_slice = slice(slot * LOW_ACTION_HEADS, (slot + 1) * LOW_ACTION_HEADS)
-            logits = [lg.data[0] for lg in out.logits[head_slice]]
-            samples, lp, _ = sample_action(logits, self.rng)
-            action[head_slice] = samples
+            action[head_slice] = picked
             mask[head_slice] = 1.0
-            log_prob += lp
-            actions[slot] = LowLevelAction.from_heads(samples)
+            log_prob += float(lp)
+            actions[slot] = LowLevelAction.from_heads(picked)
         transition = Transition(
             instance="joint", agent_id=-1, episode=episode, obs=obs,
             action=action, log_prob=log_prob, value=value, reward=0.0,

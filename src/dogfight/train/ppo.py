@@ -52,6 +52,8 @@ class UpdateStats:
         self.policy_loss = self.policy_loss * w0 + other.policy_loss * w1
         self.value_loss = self.value_loss * w0 + other.value_loss * w1
         self.entropy = self.entropy * w0 + other.entropy * w1
+        self.mean_ratio_first_epoch = (self.mean_ratio_first_epoch * w0
+                                       + other.mean_ratio_first_epoch * w1)
         self.grad_norm = self.grad_norm * w0 + other.grad_norm * w1
         self.minibatches = n
 

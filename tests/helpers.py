@@ -3,6 +3,7 @@
 import numpy as np
 
 from dogfight.geometry import Vec2
+from dogfight.nn.autodiff import Tensor
 from dogfight.simcore import (
     AircraftState,
     SimConfig,
@@ -29,3 +30,16 @@ def make_world(aircraft, map_size=30.0, seed=0, cfg=None):
     return World(aircraft=aircraft, map_size=map_size,
                  rng=np.random.default_rng(seed),
                  cfg=cfg or SimConfig())
+
+
+def count_tensors(monkeypatch) -> list[int]:
+    """A one-element list counting the Tensors constructed from now on."""
+    count = [0]
+    init = Tensor.__init__
+
+    def counted(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counted)
+    return count

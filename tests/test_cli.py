@@ -8,7 +8,13 @@ import pytest
 from dogfight.cli import main
 from dogfight.config import ScenarioConfig
 from dogfight.evaluation import EvalReport, import_trajectory
-from dogfight.nn import PolicyNetwork, fight_config, save_checkpoint
+from dogfight.nn import (
+    PolicyNetwork,
+    commander_config,
+    escape_config,
+    fight_config,
+    save_checkpoint,
+)
 from dogfight.observations import critic_input_width
 
 
@@ -83,6 +89,27 @@ class TestEvaluate:
                      "--config", str(small_config(tmp_path)),
                      "--episodes", "1"])
         assert code == 0
+
+
+class TestSweep:
+    def test_commander_options_from_checkpoint(self, tmp_path, fight_ckpt):
+        # an N3 commander needs three sensed opponents in its observation
+        paths = {"fight": fight_ckpt}
+        for name, config in (
+                ("commander", commander_config(
+                    3, critic_input_width("commander", 3, 3, senses=3))),
+                ("escape", escape_config(critic_input_width("escape", 2, 2)))):
+            policy = PolicyNetwork(config, seed=1)
+            paths[name] = tmp_path / f"{name}.ckpt"
+            save_checkpoint(paths[name], policy.store, policy.config.to_dict())
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--commander-ckpt", str(paths["commander"]),
+                     "--fight-ckpt", str(paths["fight"]),
+                     "--escape-ckpt", str(paths["escape"]),
+                     "--cells", "2v2", "--episodes", "1",
+                     "--set", "scenario.horizon=5", "--out", str(out)])
+        assert code == 0
+        assert EvalReport.load(out / "2v2.json").episodes == 1
 
 
 class TestTrainLow:

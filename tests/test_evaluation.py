@@ -241,6 +241,31 @@ class TestSweep:
         assert [name for name, _ in results] == ["2v2", "2v4", "1v1"]
         assert all(r.episodes == 2 for _, r in results)
 
+    def test_opponent_fight_probability_takes_effect(self):
+        # the sweep attaches its snapshot opponents to the hierarchy actor,
+        # so pure-escape opponents fly differently from pure-fight ones
+        base = ScenarioConfig.commander_training(horizon=30)
+        commander = PolicyNetwork(commander_config(
+            2, critic_input_width("commander", 3, 3)), seed=1)
+        fight = PolicyNetwork(fight_config(
+            critic_width=critic_input_width("fight", 2, 2)), seed=2)
+        escape = PolicyNetwork(escape_config(
+            critic_width=critic_input_width("escape", 2, 2)), seed=3)
+        cells = {c["name"]: c for c in standard_sweep_cells()}
+
+        def run(name):
+            (_, report), = scenario_sweep(
+                [cells[name]],
+                actor_factory=lambda scenario, seed: HierarchyEvalActor(
+                    commander, fight, escape, np.random.default_rng(seed)),
+                opponent_factory=lambda scenario, seed: SnapshotController(
+                    fight=fight, escape=escape, rng=np.random.default_rng(seed),
+                    fight_prob=scenario.opponent_fight_prob, scenario=scenario),
+                base_scenario=base, episodes=2, seed=1)
+            return report
+
+        assert run("3v3-PF") != run("3v3-PE")
+
     def test_asymmetric_cell_spawns_correct_counts(self):
         scenario = dataclasses.replace(small_scenario(), n_agents=2,
                                        n_opponents=4)
@@ -250,3 +275,24 @@ class TestSweep:
         agents = [a for a in world.aircraft if a.team == "agent"]
         opps = [a for a in world.aircraft if a.team == TEAM_OPPONENT]
         assert len(agents) == 2 and len(opps) == 4
+
+
+def test_hierarchy_evaluation_builds_no_tensors(monkeypatch):
+    from helpers import count_tensors
+
+    scenario = small_scenario(n_agents=3, n_opponents=3, horizon=12)
+    commander = PolicyNetwork(commander_config(
+        2, critic_input_width("commander", 3, 3)), seed=1)
+    fight = PolicyNetwork(fight_config(
+        critic_width=critic_input_width("fight", 3, 3)), seed=2)
+    escape = PolicyNetwork(escape_config(
+        critic_width=critic_input_width("escape", 3, 3)), seed=3)
+    opponents = SnapshotController(fight=fight, escape=escape,
+                                   rng=np.random.default_rng(4),
+                                   fight_prob=0.5, scenario=scenario)
+    actor = HierarchyEvalActor(commander, fight, escape,
+                               np.random.default_rng(5), greedy=False,
+                               opponents=opponents)
+    count = count_tensors(monkeypatch)
+    report = evaluate(actor, opponents, scenario, episodes=2, seed=6)
+    assert report.total_steps > 0 and count[0] == 0

@@ -18,6 +18,7 @@ from dogfight.nn import (
     sample_action,
     save_checkpoint,
 )
+from dogfight.nn.networks import sample_rows
 from dogfight.nn.autodiff import (
     clip,
     concat,
@@ -144,8 +145,8 @@ class TestNetworks:
         for logits in out.logits:
             assert np.allclose(logits.data, 0.0)
         samples, log_prob, entropy = sample_action(
-            [l.data[0] for l in out.logits], np.random.default_rng(0))
-        assert log_prob == pytest.approx(
+            [l.data for l in out.logits], np.random.default_rng(0))
+        assert log_prob[0] == pytest.approx(
             math.log(1 / 13) + math.log(1 / 9) + 2 * math.log(1 / 2))
 
     def test_zero_params_zero_value(self):
@@ -225,36 +226,159 @@ class TestNetworks:
 
     def test_nan_logits_rejected(self):
         with pytest.raises(FloatingPointError):
-            sample_action([np.array([np.nan, 0.0])], np.random.default_rng(0))
+            sample_action([np.array([[np.nan, 0.0]])], np.random.default_rng(0))
+
+
+def choice_reference(logits_per_head, rng, greedy=False):
+    """Per-row, per-head `rng.choice` sampling: the reference the batched
+    inverse-CDF sampler must reproduce draw for draw."""
+    rows = len(logits_per_head[0])
+    samples = np.zeros((rows, len(logits_per_head)), dtype=int)
+    log_prob = np.zeros(rows)
+    entropy = np.zeros(rows)
+    for b in range(rows):
+        lp = ent = 0.0
+        for j, head in enumerate(logits_per_head):
+            logits = np.asarray(head[b], dtype=np.float64)
+            probs = np.exp(logits - logits.max())
+            probs /= probs.sum()
+            idx = (int(np.argmax(probs)) if greedy
+                   else int(rng.choice(len(probs), p=probs)))
+            samples[b, j] = idx
+            lp += float(np.log(probs[idx]))
+            ent += float(-(probs * np.log(np.maximum(probs, 1e-12))).sum())
+        log_prob[b] = lp
+        entropy[b] = ent
+    return samples, log_prob, entropy
 
 
 class TestSampling:
     def test_two_way_uniform(self):
         samples, log_prob, entropy = sample_action(
-            [np.zeros(2)], np.random.default_rng(0))
-        assert log_prob == pytest.approx(math.log(0.5))
-        assert entropy == pytest.approx(math.log(2))
+            [np.zeros((1, 2))], np.random.default_rng(0))
+        assert log_prob[0] == pytest.approx(math.log(0.5))
+        assert entropy[0] == pytest.approx(math.log(2))
 
     def test_peaked_logits_prefer_argmax(self):
-        rng = np.random.default_rng(1)
-        hits = sum(sample_action([np.array([10.0, 0.0, 0.0])], rng)[0][0] == 0
-                   for _ in range(1000))
-        assert hits > 990
+        samples, _, _ = sample_action([np.tile([10.0, 0.0, 0.0], (1000, 1))],
+                                      np.random.default_rng(1))
+        assert (samples[:, 0] == 0).sum() > 990
 
     def test_greedy_deterministic(self):
-        logits = [np.array([0.3, 1.2, -0.5])]
+        logits = [np.array([[0.3, 1.2, -0.5]])]
         for seed in range(5):
-            samples, _, _ = sample_action(logits, np.random.default_rng(seed),
-                                          greedy=True)
-            assert samples == (1,)
+            rng = np.random.default_rng(seed)
+            state = rng.bit_generator.state
+            samples, _, _ = sample_action(logits, rng, greedy=True)
+            assert samples.tolist() == [[1]]
+            assert rng.bit_generator.state == state  # greedy draws nothing
 
     def test_log_prob_matches_probability(self):
         rng = np.random.default_rng(2)
         logits = rng.normal(size=7)
         probs = np.exp(logits - logits.max())
         probs /= probs.sum()
-        samples, log_prob, _ = sample_action([logits], rng)
-        assert log_prob == pytest.approx(math.log(probs[samples[0]]))
+        samples, log_prob, _ = sample_action([logits[None, :]], rng)
+        assert log_prob[0] == pytest.approx(math.log(probs[samples[0, 0]]))
+
+    @pytest.mark.parametrize("greedy", [False, True])
+    def test_matches_per_head_choice(self, greedy):
+        # the fight heads plus a commander-sized head, peaked and flat rows
+        arities = (13, 9, 2, 2, 3)
+        gen = np.random.default_rng(11)
+        for trial in range(200):
+            rows = int(gen.integers(1, 16))
+            scale = (0.1, 1.0, 8.0)[trial % 3]
+            logits = [gen.normal(0.0, scale, (rows, k)) for k in arities]
+            rng, ref_rng = np.random.default_rng(trial), np.random.default_rng(trial)
+            got = sample_action(logits, rng, greedy=greedy)
+            want = choice_reference(logits, ref_rng, greedy=greedy)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_sample_rows_draws_in_row_order(self):
+        # rows of two instances interleaved: one forward per instance, then
+        # the same draws as row-by-row sampling in the given order
+        net = PolicyNetwork(fight_config(critic_width=124, dtype="float64"), seed=4)
+        gen = np.random.default_rng(5)
+        rows = [(net, inst, gen.uniform(0, 1, width)) for inst, width in
+                (("ac1", 27), ("ac2", 25), ("ac1", 27), ("ac1", 27), ("ac2", 25))]
+        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+        samples, log_prob = sample_rows(rows, rng)
+        for b, (policy, inst, obs) in enumerate(rows):
+            logits = policy.forward_actor(inst, obs, grad=False).logits
+            want, want_lp, _ = choice_reference(logits, ref_rng)
+            assert np.array_equal(samples[b], want[0])
+            assert log_prob[b] == pytest.approx(want_lp[0], abs=1e-12)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+ARCHITECTURES = {
+    "fight-attention": (lambda dtype: fight_config(critic_width=40, dtype=dtype),
+                        "ac1"),
+    "escape-mlp": (lambda dtype: escape_config(critic_width=40, dtype=dtype),
+                   "ac2"),
+    "commander-gru": (lambda dtype: commander_config(2, critic_width=40,
+                                                     dtype=dtype), "cmd"),
+}
+# batched BLAS may sum in another order than one-row products
+ROW_TOLERANCE = {"float32": 1e-5, "float64": 1e-12}
+
+
+def _batch(net, instance, rows=6, seed=0):
+    inst = net.config.instance(instance)
+    gen = np.random.default_rng(seed)
+    obs = gen.uniform(0, 1, (rows, inst.obs_width))
+    hidden = gen.uniform(-1, 1, (rows, net.config.hidden_width))
+    critic = gen.uniform(0, 1, (rows, inst.critic_width))
+    return obs, (hidden if net.config.recurrent else None), critic
+
+
+class TestGraphFreeForward:
+    @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_bit_equal_to_graph_forward(self, arch, dtype):
+        make, instance = ARCHITECTURES[arch]
+        net = PolicyNetwork(make(dtype), seed=3)
+        obs, hidden, critic = _batch(net, instance)
+        graph = net.forward_actor(instance, obs, hidden)
+        free = net.forward_actor(instance, obs, hidden, grad=False)
+        for g, f in zip(graph.logits + [graph.hidden], free.logits + [free.hidden]):
+            if g is None:
+                assert f is None
+                continue
+            assert isinstance(f, np.ndarray) and f.dtype == g.data.dtype
+            assert np.array_equal(f, g.data)
+        value = net.forward_critic(instance, critic, grad=False)
+        assert np.array_equal(value, net.forward_critic(instance, critic).data)
+
+    @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_batched_rows_match_one_row_forwards(self, arch, dtype):
+        make, instance = ARCHITECTURES[arch]
+        net = PolicyNetwork(make(dtype), seed=4)
+        obs, hidden, _ = _batch(net, instance, seed=1)
+        batched = net.forward_actor(instance, obs, hidden, grad=False)
+        for b in range(len(obs)):
+            one = net.forward_actor(instance, obs[b],
+                                    None if hidden is None else hidden[b:b + 1],
+                                    grad=False)
+            for lb, lo in zip(batched.logits + [batched.hidden],
+                              one.logits + [one.hidden]):
+                if lb is None:
+                    continue
+                assert np.max(np.abs(lb[b] - lo[0])) <= ROW_TOLERANCE[dtype]
+
+    def test_float32_promotion_kept(self):
+        # a Python scalar inside the attention and GRU bodies promotes float32
+        # to float64 in the graph forward; the graph-free one must agree
+        fight = PolicyNetwork(fight_config(critic_width=40), seed=0)
+        out = fight.forward_actor("ac1", np.zeros(27), grad=False)
+        assert out.logits[0].dtype == np.float64
+        escape = PolicyNetwork(escape_config(critic_width=40), seed=0)
+        assert escape.forward_actor("ac1", np.zeros(28),
+                                    grad=False).logits[0].dtype == np.float32
 
 
 class TestAdam:

@@ -280,6 +280,19 @@ class TestTrainerLoops:
         checksums = {aid: p.store.checksum() for aid, p in trainer.policies.items()}
         assert checksums[0] != checksums[1]  # independent parameter stores
 
+    def test_dtde_logs_first_epoch_ratio_one(self, tmp_path):
+        run = RunDir(tmp_path / "run")
+        trainer = LowLevelTrainer(small_scenario(), small_ppo(32),
+                                  TrainMode(framework="dtde"), run, seed=7)
+        from dogfight.scripted import ScriptedController
+
+        trainer.train_level(
+            "L1", ScriptedController("L1", trainer.opponent_rng), env_steps=40)
+        records = run.read_metrics()
+        assert records
+        for rec in records:
+            assert abs(rec["mean_ratio_first_epoch"] - 1.0) <= 1e-6
+
     def test_ctce_framework(self):
         trainer = LowLevelTrainer(small_scenario(), small_ppo(16),
                                   TrainMode(framework="ctce"), seed=8)
@@ -423,6 +436,12 @@ class TestCommanderTrainer:
         trainer.run_episode()
         assert all(t.action[0] in (0, 1) for t in trainer.buffer.transitions)
 
+    @pytest.mark.parametrize("arch", ["sa", "fc"])
+    def test_feedforward_commander_trains(self, arch):
+        trainer = self._trainer(CommanderVariant(arch=arch))
+        trainer.train(env_steps=30)
+        assert trainer.updates >= 1
+
     def test_n3_action_space(self):
         trainer = self._trainer(CommanderVariant(senses=3))
         assert trainer.policy.config.instance("cmd").head_arities == (4,)
@@ -437,3 +456,22 @@ class TestCommanderTrainer:
         trainer = self._trainer()
         trainer.train(env_steps=60)
         assert trainer.updates >= 1
+
+
+class TestGraphFreeDecisions:
+    def test_ctde_rollout_builds_no_tensors(self, monkeypatch):
+        from helpers import count_tensors
+
+        scenario = ScenarioConfig(n_agents=3, n_opponents=2, horizon=8, seed=0)
+        policy = PolicyNetwork(fight_config(critic_width=5 * 31), seed=1)
+        count = count_tensors(monkeypatch)
+        buffer = fill_buffer(policy, scenario, 30)
+        assert len(buffer) >= 30 and count[0] == 0
+
+    def test_commander_rollout_builds_no_tensors(self, monkeypatch):
+        from helpers import count_tensors
+
+        trainer = TestCommanderTrainer()._trainer()
+        count = count_tensors(monkeypatch)
+        trainer.run_episode()
+        assert trainer.buffer.transitions and count[0] == 0
