@@ -19,11 +19,8 @@ import numpy as np
 
 from .config import ScenarioConfig, ScriptConfig, apply_overrides, parse_config
 from .evaluation import (
-    AlwaysFightActor,
-    CTCEEvalActor,
     EvalReport,
     HierarchyEvalActor,
-    LowLevelEvalActor,
     RandomActor,
     TrajectoryRecorder,
     evaluate,
@@ -37,8 +34,10 @@ from .nn.params import load_checkpoint
 from .observations import OBS_LAYOUTS
 from .scripted import ScriptedController
 from .train import (
+    CTCEDriver,
     CommanderVariant,
     LeagueArchive,
+    LowLevelActor,
     LowLevelTrainer,
     PPOConfig,
     RunDir,
@@ -49,7 +48,7 @@ from .train import (
     train_escape,
     train_standard_baseline,
 )
-from .train.trainer import curriculum_horizon, scripted_controller
+from .train.trainer import LeagueOpponentController, curriculum_horizon
 
 
 def _load_config(args) -> dict:
@@ -91,13 +90,14 @@ def cmd_train_low(args) -> int:
     cfg = _load_config(args)
     run = RunDir(args.run_dir)
     script = cfg.get("script", ScriptConfig())
+    sim = cfg.get("sim")
     seed = args.seed
 
     if args.policy == "standard":
         scenario = cfg.get("scenario") or ScenarioConfig(
             n_agents=3, n_opponents=3, horizon=300)
         train_standard_baseline(scenario, _ppo(cfg), run, seed, args.steps,
-                                script=script)
+                                script=script, sim_cfg=sim)
         return 0
 
     scenario = cfg.get("scenario") or ScenarioConfig()
@@ -106,8 +106,7 @@ def cmd_train_low(args) -> int:
         phase2 = args.steps_phase2 if args.steps_phase2 is not None else args.steps // 2
         train_escape(scenario, _ppo(cfg), run, archive, seed,
                      steps_phase1=args.steps - phase2, steps_phase2=phase2,
-                     variant=args.variant if args.variant != "base" else "base",
-                     script=script)
+                     variant=args.variant, script=script, sim_cfg=sim)
         return 0
 
     mode = TrainMode(framework=args.framework, kind="fight",
@@ -116,21 +115,19 @@ def cmd_train_low(args) -> int:
                      fc_baseline=args.fc_baseline)
     if args.level == "curriculum":
         run_curriculum(scenario, _ppo(cfg), mode, run, archive, seed,
-                       steps_per_level=args.steps, script=script)
+                       steps_per_level=args.steps, script=script, sim_cfg=sim)
         return 0
 
-    trainer = LowLevelTrainer(scenario, _ppo(cfg), mode, run, seed, script)
+    trainer = LowLevelTrainer(scenario, _ppo(cfg), mode, run, seed, script, sim)
     run.write_config({"scenario": scenario.__dict__, "mode": mode.__dict__,
                       "seed": seed, "level": args.level, "steps": args.steps})
     if args.level in ("L1", "L2", "L3"):
-        controller = scripted_controller(args.level, trainer.opponent_rng, script)
+        controller = ScriptedController(args.level, trainer.opponent_rng, script)
     elif args.level == "L4":
         controller = SnapshotController(fight=archive.load("fight", "L3"),
                                         rng=trainer.opponent_rng,
                                         scenario=scenario)
     else:
-        from .train.trainer import LeagueOpponentController
-
         controller = LeagueOpponentController(archive, "L5",
                                               trainer.opponent_rng, scenario)
     trainer.train_level(args.level, controller, args.steps,
@@ -155,7 +152,7 @@ def cmd_train_commander(args) -> int:
                                shared=not args.glob, arch=args.arch)
     scenario = dataclasses.replace(scenario, commander_senses=args.senses)
     train_commander(scenario, _ppo(cfg, batch_size=args.batch_size), variant,
-                    fight, escape, run, args.seed, args.steps)
+                    fight, escape, run, args.seed, args.steps, cfg.get("sim"))
     return 0
 
 
@@ -195,12 +192,11 @@ def _make_actor(args, scenario: ScenarioConfig, seed: int):
         return RandomActor(rng)
     if args.agent in ("fight", "escape"):
         policy = _load_policy(args.agent_ckpt)
-        return LowLevelEvalActor(policy, args.agent, rng,
-                                 greedy=not args.stochastic)
+        return LowLevelActor(policy, args.agent, rng, greedy=not args.stochastic)
     if args.agent == "standard":
         policy = _load_policy(args.agent_ckpt)
-        return CTCEEvalActor(policy, "fight", rng, scenario.n_agents,
-                             greedy=not args.stochastic)
+        return CTCEDriver(policy, "fight", scenario, rng,
+                          greedy=not args.stochastic)
     if args.agent == "hierarchy":
         commander = _load_policy(args.commander_ckpt)
         fight = _load_policy(args.fight_ckpt)
@@ -225,7 +221,8 @@ def cmd_evaluate(args) -> int:
                                       header={"agent": args.agent,
                                               "opponent": args.opponent})
     report = evaluate(actor, opponents, scenario, args.episodes,
-                      seed=args.seed, trajectory_recorder=recorder)
+                      seed=args.seed, trajectory_recorder=recorder,
+                      sim_cfg=cfg.get("sim"))
     if args.out:
         report.save(args.out)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -257,7 +254,7 @@ def cmd_sweep(args) -> int:
             fight_prob=scenario.opponent_fight_prob, scenario=scenario)
 
     results = scenario_sweep(cells, actor_factory, opponent_factory, base,
-                             args.episodes, seed=args.seed)
+                             args.episodes, seed=args.seed, sim_cfg=cfg.get("sim"))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, report in results:
@@ -276,7 +273,7 @@ def cmd_export_traj(args) -> int:
     recorder = TrajectoryRecorder(0, header={"agent": args.agent,
                                              "opponent": args.opponent})
     evaluate(actor, opponents, scenario, 1, seed=args.seed,
-             trajectory_recorder=recorder)
+             trajectory_recorder=recorder, sim_cfg=cfg.get("sim"))
     export_trajectory(recorder.log, args.out)
     print(f"wrote {args.out}")
     return 0

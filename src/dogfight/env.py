@@ -3,14 +3,16 @@ loop (several sim rounds per decision), reward dispatch, and outcome
 classification.
 
 One env step holds each aircraft's decoded setpoints for a fixed number of
-simulation rounds (10 by default, i.e. one second). Opponent controllers are
-queried once per env step. Episodes terminate when a team is wiped out or the
+simulation rounds (10 by default, i.e. one second). The opponent controller
+is asked once per env step for the actions of all living opponents, before
+any action of the step is applied, so opponents decide from the same world
+the agents decided from. Episodes terminate when a team is wiped out or the
 horizon is reached; simultaneous extinction counts as a draw.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol
 
 import numpy as np
@@ -70,25 +72,12 @@ class LowLevelAction:
         return (self.h + 6, self.v, self.c, self.r)
 
 
-@dataclass(frozen=True)
-class CommanderAction:
-    """Option choice: 0 activates escape, i >= 1 attacks sensed opponent i."""
-
-    a_c: int
-    n_options: int = 3  # 3 with two sensed opponents, 4 with three
-
-    def __post_init__(self):
-        if not 0 <= self.a_c < self.n_options:
-            raise ValueError(f"a_c {self.a_c} outside {self.n_options} options")
-
-
 @dataclass
 class StepResult:
     rewards: dict[int, float]
     done: dict[int, bool]
     outcome: str
     events: list[SimEvent]
-    obs: dict[int, np.ndarray] = field(default_factory=dict)
 
     @property
     def terminal(self) -> bool:
@@ -96,8 +85,14 @@ class StepResult:
 
 
 class OpponentController(Protocol):
-    def __call__(self, world: World, opponent_id: int) -> tuple[LowLevelAction, int | None]:
-        """Return the opponent's action and an optional rocket-target id."""
+    def reset(self, world: World) -> None:
+        """Start an episode; called by `CombatEnv.reset` on the new world."""
+        ...
+
+    def __call__(self, world: World, opponent_ids: list[int]
+                 ) -> dict[int, tuple[LowLevelAction, int | None]]:
+        """The action and optional rocket-target id of each listed opponent,
+        in the listed order, decided together from `world`."""
         ...
 
 
@@ -218,13 +213,11 @@ class CombatEnv:
     def __init__(self, scenario: ScenarioConfig,
                  opponent_controller: OpponentController | None = None,
                  reward_kind: tuple[str, str | None] = ("fight", "base"),
-                 obs_kind: str = "fight",
                  sim_cfg: SimConfig | None = None,
                  agent_types: list[str] | None = None):
         self.scenario = scenario
         self.opponent_controller = opponent_controller
         self.reward_kind = reward_kind
-        self.obs_kind = obs_kind
         self.sim_cfg = sim_cfg or SimConfig()
         self.agent_types = agent_types
         self.world: World | None = None
@@ -237,7 +230,7 @@ class CombatEnv:
 
     # -- lifecycle ----------------------------------------------------------
 
-    def reset(self, seed: int | None = None) -> dict[int, np.ndarray]:
+    def reset(self, seed: int | None = None):
         if seed is not None:
             self._rng = np.random.default_rng(seed)
         self.world = generate_world(self.scenario, self._rng, self.sim_cfg,
@@ -246,7 +239,8 @@ class CombatEnv:
         self.outcome = OUTCOME_ONGOING
         self.attack_targets = {}
         self.prev_actions = {}
-        return self.observations()
+        if self.opponent_controller is not None:
+            self.opponent_controller.reset(self.world)
 
     def agent_ids(self) -> list[int]:
         return [a.id for a in self.world.alive(TEAM_AGENT)]
@@ -254,30 +248,26 @@ class CombatEnv:
     def opponent_ids(self) -> list[int]:
         return [a.id for a in self.world.alive(TEAM_OPPONENT)]
 
-    def observe(self, agent_id: int, kind: str | None = None) -> np.ndarray:
-        kind = kind or self.obs_kind
+    def observe(self, agent_id: int, kind: str) -> np.ndarray:
         return build_obs(kind, self.world, agent_id, self.scenario,
                          target_id=self.attack_targets.get(agent_id))
-
-    def observations(self) -> dict[int, np.ndarray]:
-        return {aid: self.observe(aid) for aid in self.agent_ids()}
 
     # -- stepping -----------------------------------------------------------
 
     def set_attack_target(self, agent_id: int, target_id: int | None):
         self.attack_targets[agent_id] = target_id
 
-    def step(self, actions: dict[int, LowLevelAction],
-             opponent_actions: dict[int, tuple[LowLevelAction, int | None]] | None = None,
-             ) -> StepResult:
+    def step(self, actions: dict[int, LowLevelAction]) -> StepResult:
         """Apply one decision per living aircraft, run the round loop, and
-        score the step. Opponent actions come from the configured controller
-        unless supplied explicitly (hierarchical mode)."""
+        score the step. The opponent controller decides for all living
+        opponents before any action is applied."""
         if self.world is None:
             raise RuntimeError("call reset() before step()")
         if self.outcome != OUTCOME_ONGOING:
             raise RuntimeError("episode already terminal")
         world = self.world
+        opponent_moves = ({} if self.opponent_controller is None else
+                          self.opponent_controller(world, self.opponent_ids()))
         events: list[SimEvent] = []
 
         for aid in sorted(actions):
@@ -287,16 +277,7 @@ class CombatEnv:
                 if launch is not None:
                     events.append(launch)
 
-        for oid in self.opponent_ids():
-            if opponent_actions is not None:
-                picked = opponent_actions.get(oid)
-            elif self.opponent_controller is not None:
-                picked = self.opponent_controller(world, oid)
-            else:
-                picked = None
-            if picked is None:
-                continue
-            action, rocket_target = picked
+        for oid, (action, rocket_target) in opponent_moves.items():
             launch = apply_action(world, oid, action, rocket_target)
             if launch is not None:
                 events.append(launch)
@@ -317,13 +298,8 @@ class CombatEnv:
         self.prev_actions = {
             aid: encode_low_action(act) for aid, act in actions.items()
         }
-        if opponent_actions:
-            self.prev_actions.update(
-                {oid: encode_low_action(a) for oid, (a, _) in opponent_actions.items()})
-
-        obs = {aid: self.observe(aid) for aid in self.agent_ids()} if not terminal else {}
         return StepResult(rewards=rewards, done=done, outcome=self.outcome,
-                          events=events, obs=obs)
+                          events=events)
 
     def _reward(self, events: list[SimEvent], agent_id: int) -> float:
         kind, variant = self.reward_kind

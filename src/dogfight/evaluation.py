@@ -24,28 +24,22 @@ from pathlib import Path
 import numpy as np
 
 from .config import ScenarioConfig
-from .env import CombatEnv, LowLevelAction, OUTCOME_DRAW, OUTCOME_LOSS, OUTCOME_WIN
-from .nn.networks import PolicyNetwork, sample_action, sample_slots
-from .observations import build_obs_commander, closest_opponents
-from .rewards import option_terminated
+from .env import CombatEnv, LowLevelAction, OUTCOME_LOSS, OUTCOME_WIN
+from .observations import closest_opponents
 from .simcore import (
     CannonKill,
     OutOfBounds,
     RocketExpired,
     RocketKill,
     RocketLaunch,
+    SimConfig,
     SimEvent,
     TEAM_AGENT,
     TEAM_OPPONENT,
     World,
 )
-from .train.policies import (
-    LowLevelActor,
-    SnapshotController,
-    low_level_actions,
-    option_rows,
-    pad_to,
-)
+from .train.commander import HierarchyEvalActor
+from .train.policies import EpisodeActor, SnapshotController
 
 KILL_EVENTS = (CannonKill, RocketKill)
 
@@ -141,16 +135,16 @@ def team_death_flags(world: World, events: list[SimEvent]) -> tuple[bool, bool]:
 
 
 # --- evaluation-time actors --------------------------------------------------
+# `LowLevelActor` and `CTCEDriver` (train.policies) and `HierarchyEvalActor`
+# (train.commander) run the policies' own decision code; these two add a
+# random baseline and a commander-free one.
 
 
-class RandomActor:
+class RandomActor(EpisodeActor):
     """Uniform random low-level actions (bookkeeping/termination tests)."""
 
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
-
-    def begin_episode(self, env: CombatEnv):
-        pass
 
     def actions(self, env: CombatEnv) -> dict[int, LowLevelAction]:
         return {
@@ -160,163 +154,21 @@ class RandomActor:
             for aid in env.agent_ids()
         }
 
-    def observe_step(self, env: CombatEnv, result):
-        pass
-
-
-class LowLevelEvalActor:
-    """Greedy (or sampled) execution of one low-level policy per type."""
-
-    def __init__(self, policy: PolicyNetwork, kind: str,
-                 rng: np.random.Generator, greedy: bool = True):
-        self.actor = LowLevelActor(policy, kind, rng, greedy=greedy)
-
-    def begin_episode(self, env: CombatEnv):
-        pass
-
-    def actions(self, env: CombatEnv) -> dict[int, LowLevelAction]:
-        return self.actor.actions(env.world, env.agent_ids(), env.scenario)
-
-    def observe_step(self, env: CombatEnv, result):
-        pass
-
-
-class CTCEEvalActor:
-    """Joint-network execution (the single-policy baseline)."""
-
-    def __init__(self, policy: PolicyNetwork, kind: str,
-                 rng: np.random.Generator, n_agents: int, greedy: bool = True):
-        from .observations import OBS_LAYOUTS
-
-        self.policy = policy
-        self.kind = kind
-        self.rng = rng
-        self.greedy = greedy
-        self.n_agents = n_agents
-        self.slot_obs = OBS_LAYOUTS["escape-AC1" if kind == "escape" else "fight-AC1"]
-
-    def begin_episode(self, env: CombatEnv):
-        pass
-
-    def actions(self, env: CombatEnv) -> dict[int, LowLevelAction]:
-        world = env.world
-        slots = []
-        for aid in range(self.n_agents):
-            if world.get(aid).alive:
-                slots.append(pad_to(env.observe(aid, self.kind), self.slot_obs))
-            else:
-                slots.append(np.zeros(self.slot_obs))
-        out = self.policy.forward_actor("joint", np.concatenate(slots), grad=False)
-        alive = env.agent_ids()
-        samples, _, _ = sample_slots(out.logits, alive, 4, self.rng, self.greedy)
-        return {aid: LowLevelAction.from_heads(picked)
-                for aid, picked in zip(alive, samples)}
-
-    def observe_step(self, env: CombatEnv, result):
-        pass
-
-
-class HierarchyEvalActor:
-    """Commander over frozen fight/escape policies, re-invoked at option
-    boundaries; tracks command and opponent-selection statistics."""
-
-    def __init__(self, commander: PolicyNetwork, fight: PolicyNetwork,
-                 escape: PolicyNetwork, rng: np.random.Generator,
-                 senses: int = 2, opt: bool = True, greedy: bool = True,
-                 opponents: SnapshotController | None = None):
-        self.commander = commander
-        self.fight_actor = LowLevelActor(fight, "fight", rng, greedy=greedy)
-        self.escape_actor = LowLevelActor(escape, "escape", rng, greedy=greedy)
-        self.rng = rng
-        self.senses = senses
-        self.opt = opt
-        self.greedy = greedy
-        self.opponents = opponents  # rerolled at option boundaries when set
-        self.fight_commands = 0
-        self.escape_commands = 0
-        self.opponent_selection = [0, 0, 0]
-        self._hiddens: dict[int, np.ndarray] = {}
-        self._decisions: dict[int, dict] = {}
-        self._steps_in_option = 0
-        self._last_events: list[SimEvent] = []
-
-    def begin_episode(self, env: CombatEnv):
-        self._hiddens = {aid: self.commander.initial_hidden()
-                         for aid in env.agent_ids()}
-        self._decisions = {}
-        self._steps_in_option = 0
-        self._last_events = []
-        if self.opponents is not None:
-            self.opponents.reset()
-
-    def _needs_decision(self, env: CombatEnv) -> bool:
-        if not self._decisions:
-            return True
-        return any(option_terminated(env.world, aid, self._steps_in_option,
-                                     self._last_events, env.scenario)
-                   for aid in env.agent_ids())
-
-    def _decide(self, env: CombatEnv):
-        world = env.world
-        self._decisions = {}
-        self._steps_in_option = 0
-        alive = env.agent_ids()
-        obs = np.stack([build_obs_commander(world, aid, env.scenario,
-                                            senses=self.senses)
-                        for aid in alive])
-        hidden = np.concatenate([
-            self._hiddens.get(aid, self.commander.initial_hidden())
-            for aid in alive])
-        out = self.commander.forward_actor("cmd", obs, hidden, grad=False)
-        samples, _, _ = sample_action(out.logits, self.rng, greedy=self.greedy)
-        for i, aid in enumerate(alive):
-            sensed = [o.id for o in closest_opponents(world, world.get(aid),
-                                                      self.senses)]
-            if out.hidden is not None:
-                self._hiddens[aid] = out.hidden[i:i + 1]
-            a_c = int(samples[i, 0])
-            target_idx = a_c if self.opt else (1 if a_c > 0 else 0)
-            if target_idx == 0:
-                self.escape_commands += 1
-            else:
-                self.fight_commands += 1
-                self.opponent_selection[min(target_idx, 3) - 1] += 1
-            self._decisions[aid] = {"target_idx": target_idx, "sensed": sensed}
-        if self.opponents is not None:
-            self.opponents.reassign(world)
-
-    def actions(self, env: CombatEnv) -> dict[int, LowLevelAction]:
-        if self._needs_decision(env):
-            self._decide(env)
-        rows = option_rows(env, self._decisions, self.fight_actor,
-                           self.escape_actor)
-        return low_level_actions(rows, self.rng, self.greedy)
-
-    def observe_step(self, env: CombatEnv, result):
-        self._steps_in_option += 1
-        self._last_events = result.events
-
 
 class AlwaysFightActor(HierarchyEvalActor):
     """No-commander baseline: every agent runs the fight policy on its
-    closest opponent, options never switch."""
+    closest opponent, re-targeted every step."""
 
     def _needs_decision(self, env) -> bool:
-        return not self._decisions
+        return True
 
     def _decide(self, env):
-        self._decisions = {aid: {"target_idx": 1,
-                                 "sensed": [o.id for o in closest_opponents(
-                                     env.world, env.world.get(aid), 1)]}
-                           for aid in env.agent_ids()}
-        self._steps_in_option = 0
+        self.decisions = {aid: {"target_idx": 1,
+                                "sensed": [o.id for o in closest_opponents(
+                                    env.world, env.world.get(aid), 1)]}
+                          for aid in env.agent_ids()}
         if self.opponents is not None:
             self.opponents.reassign(env.world)
-
-    def actions(self, env):
-        # refresh closest-opponent targets every step
-        self._decide(env)
-        return super().actions(env)
 
 
 # --- episode loop -------------------------------------------------------------
@@ -325,7 +177,8 @@ class AlwaysFightActor(HierarchyEvalActor):
 def evaluate(actor, opponent_controller, scenario: ScenarioConfig,
              episodes: int, seed: int = 0,
              episode_hook=None, trajectory_recorder=None,
-             reward_kind: tuple[str, str | None] = ("none", None)) -> EvalReport:
+             reward_kind: tuple[str, str | None] = ("none", None),
+             sim_cfg: SimConfig | None = None) -> EvalReport:
     """Run `episodes` evaluation episodes and aggregate counters.
 
     `episode_hook(events, outcome, world)` receives each finished episode's
@@ -335,19 +188,13 @@ def evaluate(actor, opponent_controller, scenario: ScenarioConfig,
     report = EvalReport(seed=seed)
     master = np.random.default_rng(seed)
     env = CombatEnv(scenario, opponent_controller, reward_kind=reward_kind,
-                    obs_kind="fight")
+                    sim_cfg=sim_cfg)
     for episode in range(episodes):
         env.round_listener = None
         if trajectory_recorder is not None and trajectory_recorder.wants(episode):
             trajectory_recorder.begin(env, episode)
             env.round_listener = trajectory_recorder.on_round
         env.reset(seed=int(master.integers(1 << 62)))
-        controller_reset = getattr(opponent_controller, "reset", None)
-        if controller_reset:
-            controller_reset()
-        hook = getattr(opponent_controller, "on_episode_start", None)
-        if hook:
-            hook(env.world)
         actor.begin_episode(env)
         episode_events: list[SimEvent] = []
         agent_death = opponent_death = False
@@ -390,7 +237,8 @@ def evaluate(actor, opponent_controller, scenario: ScenarioConfig,
 
 def scenario_sweep(cells: list[dict], actor_factory, opponent_factory,
                    base_scenario: ScenarioConfig, episodes: int,
-                   seed: int = 0) -> list[tuple[str, EvalReport]]:
+                   seed: int = 0, sim_cfg: SimConfig | None = None
+                   ) -> list[tuple[str, EvalReport]]:
     """One evaluation per grid cell. A cell dict carries a name plus
     ScenarioConfig overrides (team sizes, horizon, opponent fight
     probability). Large cells (10v10, 15v15) should set horizon=1000."""
@@ -403,7 +251,8 @@ def scenario_sweep(cells: list[dict], actor_factory, opponent_factory,
         if (isinstance(actor, HierarchyEvalActor)
                 and isinstance(controller, SnapshotController)):
             actor.opponents = controller  # rerolled at option boundaries
-        report = evaluate(actor, controller, scenario, episodes, seed=seed + i)
+        report = evaluate(actor, controller, scenario, episodes, seed=seed + i,
+                          sim_cfg=sim_cfg)
         results.append((cell["name"], report))
     return results
 

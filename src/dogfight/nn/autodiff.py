@@ -37,9 +37,6 @@ class Tensor:
             raise ValueError("item() requires a single-element tensor")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self):
         self.grad = None
 

@@ -103,12 +103,6 @@ class ParamStore:
                 self.params[name].data, dtype="<f8").tobytes())
         return digest.hexdigest()
 
-    def clone(self) -> "ParamStore":
-        other = ParamStore(dtype=self.dtype)
-        for name, t in self.params.items():
-            other.add(name, t.data.copy())
-        return other
-
 
 def adam_step(store: ParamStore, lr: float,
               beta1: float = ADAM_BETA1, beta2: float = ADAM_BETA2,
@@ -148,14 +142,20 @@ def orthogonal_init(rng: np.random.Generator, shape: tuple[int, ...],
 
 def save_checkpoint(path: str | Path, store: ParamStore, config: dict):
     """Serialize parameters plus an arbitrary JSON-safe config blob."""
-    names = sorted(store.params)
+    save_arrays(path, store.state_arrays(), config)
+
+
+def save_arrays(path: str | Path, arrays: dict[str, np.ndarray], config: dict):
+    """Write named arrays and a JSON-safe config blob in the checkpoint
+    format, arrays sorted by name."""
+    names = sorted(arrays)
     header = {
         "config": config,
         "arrays": [
             {
                 "name": name,
-                "shape": list(store.params[name].data.shape),
-                "dtype": str(store.params[name].data.dtype),
+                "shape": list(arrays[name].shape),
+                "dtype": str(arrays[name].dtype),
             }
             for name in names
         ],
@@ -169,17 +169,19 @@ def save_checkpoint(path: str | Path, store: ParamStore, config: dict):
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
         for name in names:
-            data = store.params[name].data
+            data = arrays[name]
             fh.write(np.ascontiguousarray(
                 data, dtype=data.dtype.newbyteorder("<")).tobytes())
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint back into named arrays and its config blob."""
+    """Read a checkpoint back into named arrays and its config blob. A file
+    whose payload is shorter or longer than its header says raises a
+    ValueError naming the file."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
+            raise ValueError(f"{path}: not a checkpoint file: bad magic {magic!r}")
         (version,) = struct.unpack("<I", fh.read(4))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
@@ -190,8 +192,14 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
             dtype = np.dtype(meta["dtype"]).newbyteorder("<")
             count = int(np.prod(meta["shape"])) if meta["shape"] else 1
             buffer = fh.read(count * dtype.itemsize)
+            if len(buffer) != count * dtype.itemsize:
+                raise ValueError(f"{path}: truncated checkpoint: array "
+                                 f"{meta['name']!r} has {len(buffer)} of "
+                                 f"{count * dtype.itemsize} bytes")
             arrays[meta["name"]] = np.frombuffer(
                 buffer, dtype=dtype).reshape(meta["shape"]).astype(meta["dtype"])
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last array")
     return arrays, header["config"]
 
 

@@ -50,10 +50,6 @@ def obs_layout(kind: str, type_id: str, senses: int = 2) -> str:
     return f"{kind}-{type_id}"
 
 
-def obs_length(layout: str) -> int:
-    return OBS_LAYOUTS[layout]
-
-
 def closest_opponents(world: World, aircraft: AircraftState, count: int) -> list[AircraftState]:
     """Alive aircraft on the other team, nearest first (ties by id)."""
     foes = [a for a in world.aircraft if a.alive and a.team != aircraft.team]
@@ -287,7 +283,7 @@ def build_critic_input(kind: str, world: World, scenario: ScenarioConfig,
     decision's action encoding, agents first then opponents, both ordered by
     id and zero-padded to the configured team sizes."""
     slot_w = critic_slot_width(kind, scenario.commander_senses)
-    obs_kind = "fight" if kind == "standard" else kind
+    slot_kind = "fight" if kind == "standard" else kind
     slots = []
     for team, count in ((("agent",), n_agents), (("opponent",), n_opponents)):
         members = sorted([a for a in world.aircraft if a.team == team[0]],
@@ -296,7 +292,7 @@ def build_critic_input(kind: str, world: World, scenario: ScenarioConfig,
             block = np.zeros(slot_w, dtype=np.float64)
             if i < len(members) and members[i].alive:
                 a = members[i]
-                obs = build_obs(obs_kind, world, a.id, scenario)
+                obs = build_obs(slot_kind, world, a.id, scenario)
                 block[: len(obs)] = obs
                 act = prev_actions.get(a.id)
                 if act is not None:

@@ -111,7 +111,14 @@ class ScriptedController:
     script: ScriptConfig = field(default_factory=ScriptConfig)
     flee_state: dict[int, int] = field(default_factory=dict)
 
-    def __call__(self, world: World, opponent_id: int) -> tuple[LowLevelAction, int | None]:
+    def __call__(self, world: World, opponent_ids: list[int]
+                 ) -> dict[int, tuple[LowLevelAction, int | None]]:
+        """Each listed opponent's action and rocket target, decided one
+        after another in the listed order on the controller's generator."""
+        return {oid: self._decide(world, oid) for oid in opponent_ids}
+
+    def _decide(self, world: World, opponent_id: int
+                ) -> tuple[LowLevelAction, int | None]:
         if self.level == "L1":
             return l1_policy(world, opponent_id), None
         if self.level == "L2":
@@ -123,5 +130,5 @@ class ScriptedController:
                              self.flee_state)
         raise ValueError(f"no scripted behavior for level {self.level!r}")
 
-    def reset(self):
+    def reset(self, world: World):
         self.flee_state.clear()

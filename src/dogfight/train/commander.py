@@ -9,6 +9,8 @@ assignment at every option boundary with probability p_o of fighting.
 
 Commander transitions span whole options; advantage bootstrapping discounts
 by gamma to the power of the option length (semi-MDP targets).
+
+The option loop itself, `HierarchyEvalActor`, is the one evaluation runs.
 """
 
 from __future__ import annotations
@@ -42,11 +44,11 @@ from ..rewards import (
 from ..simcore import SimConfig
 from .buffer import RolloutBuffer, Transition
 from .policies import (
+    EpisodeActor,
     LowLevelActor,
     SnapshotController,
+    joint_obs,
     low_level_actions,
-    option_rows,
-    pad_to,
 )
 from .ppo import PPOConfig, ppo_update
 from .runs import RunDir
@@ -108,7 +110,133 @@ def commander_network(variant: CommanderVariant, scenario: ScenarioConfig,
     return PolicyNetwork(config, seed=seed)
 
 
+class HierarchyEvalActor(EpisodeActor):
+    """The option loop of commander training and evaluation: a commander
+    over frozen fight/escape policies, re-invoked at option boundaries.
+
+    At a boundary (the first step, or a termination by `option_terminated`)
+    the commander picks one option per living agent: escape, or fight a
+    sensed opponent. Attached `opponents` re-roll their fight/escape
+    assignments at the same boundary. A shared commander ("cmd" instance)
+    decides each agent from its own observation and hidden state; a joint
+    one ("joint") decides the team from the zero-padded joint observation.
+    Tracks command and opponent-selection statistics."""
+
+    def __init__(self, commander: PolicyNetwork, fight: PolicyNetwork,
+                 escape: PolicyNetwork, rng: np.random.Generator,
+                 senses: int = 2, opt: bool = True, greedy: bool = True,
+                 opponents: SnapshotController | None = None):
+        self.commander = commander
+        self.instance = commander.config.instances[0].name
+        self.fight_actor = LowLevelActor(fight, "fight", rng, greedy=greedy)
+        self.escape_actor = LowLevelActor(escape, "escape", rng, greedy=greedy)
+        self.rng = rng
+        self.senses = senses
+        self.opt = opt
+        self.greedy = greedy
+        self.opponents = opponents  # rerolled at option boundaries when set
+        self.fight_commands = 0
+        self.escape_commands = 0
+        self.opponent_selection = [0, 0, 0]
+        self.decisions: dict[int, dict] = {}  # per living agent at the boundary
+        self.decision = None  # (obs, hidden, log_probs) of the commander call
+        self.steps_in_option = 0
+        self._hiddens: dict[int, np.ndarray] = {}  # by agent id; -1 if joint
+        self._last_events: list = []
+
+    def begin_episode(self, env: CombatEnv):
+        keys = env.agent_ids() if self.instance == "cmd" else [-1]
+        self._hiddens = {k: self.commander.initial_hidden() for k in keys}
+        self.decisions = {}
+        self.steps_in_option = 0
+        self._last_events = []
+
+    def _needs_decision(self, env: CombatEnv) -> bool:
+        if not self.decisions:
+            return True
+        return any(option_terminated(env.world, aid, self.steps_in_option,
+                                     self._last_events, env.scenario)
+                   for aid in env.agent_ids())
+
+    def _decide(self, env: CombatEnv):
+        world, scenario = env.world, env.scenario
+
+        def observe(aid):
+            return build_obs_commander(world, aid, scenario, senses=self.senses)
+
+        if self.instance == "cmd":
+            alive = env.agent_ids()
+            obs = np.stack([observe(aid) for aid in alive])
+            hidden = np.concatenate([self._hiddens[aid] for aid in alive])
+            out = self.commander.forward_actor("cmd", obs, hidden, grad=False)
+            samples, log_probs, _ = sample_action(out.logits, self.rng,
+                                                  greedy=self.greedy)
+            if out.hidden is not None:  # gru; sa and fc keep none
+                for i, aid in enumerate(alive):
+                    self._hiddens[aid] = out.hidden[i:i + 1]
+        else:
+            obs, alive = joint_obs(world, scenario.n_agents,
+                                   OBS_LAYOUTS[f"commander-n{self.senses}"],
+                                   observe)
+            hidden = self._hiddens[-1]
+            out = self.commander.forward_actor("joint", obs, hidden, grad=False)
+            samples, log_probs, _ = sample_slots(out.logits, alive, 1, self.rng,
+                                                 self.greedy)
+            if out.hidden is not None:
+                self._hiddens[-1] = out.hidden
+        self.decision = (obs, hidden, log_probs)
+        self.decisions = {}
+        for aid, a_c in zip(alive, samples[:, 0].tolist()):
+            sensed = [o.id for o in closest_opponents(world, world.get(aid),
+                                                      self.senses)]
+            # noOpt: attacking always means the closest opponent
+            target_idx = a_c if self.opt else min(a_c, 1)
+            if target_idx == 0:
+                self.escape_commands += 1
+            else:
+                self.fight_commands += 1
+                self.opponent_selection[min(target_idx, 3) - 1] += 1
+            self.decisions[aid] = {"a_c": a_c, "target_idx": target_idx,
+                                   "sensed": sensed}
+        self.steps_in_option = 0
+        if self.opponents is not None:
+            self.opponents.reassign(world)
+
+    def actions(self, env: CombatEnv) -> dict[int, LowLevelAction]:
+        """Decide at an option boundary, then fly every living agent's option:
+        escape, or fight its chosen sensed opponent (no target once it is
+        gone), setting that rocket target on `env`. Fight and escape rows
+        are sampled together on the low-level actors' generator."""
+        if self._needs_decision(env):
+            self._decide(env)
+        world = env.world
+        rows = {}
+        for aid in env.agent_ids():
+            target_idx = self.decisions[aid]["target_idx"]
+            if target_idx == 0:
+                env.set_attack_target(aid, None)
+                rows[aid] = self.escape_actor.row(world, aid, scenario=env.scenario)
+                continue
+            sensed = self.decisions[aid]["sensed"]
+            target = None
+            if target_idx - 1 < len(sensed) and world.get(sensed[target_idx - 1]).alive:
+                target = sensed[target_idx - 1]
+            env.set_attack_target(aid, target)
+            rows[aid] = self.fight_actor.row(world, aid, target_id=target,
+                                             scenario=env.scenario)
+        return low_level_actions(rows, self.fight_actor.rng, self.greedy)
+
+    def observe_step(self, env: CombatEnv, result):
+        self.steps_in_option += 1
+        self._last_events = result.events
+
+
 class CommanderTrainer:
+    """Commander PPO: runs episodes through a `HierarchyEvalActor` and adds
+    what training needs at each option boundary: the critic value, the
+    assessment reward, the previous commands in the critic input, and one
+    transition per decision (per agent, or one for a joint commander)."""
+
     def __init__(self, scenario: ScenarioConfig, ppo: PPOConfig,
                  variant: CommanderVariant,
                  fight: PolicyNetwork, escape: PolicyNetwork,
@@ -126,14 +254,17 @@ class CommanderTrainer:
         self.update_rng = np.random.default_rng(seeds[4])
 
         self.policy = commander_network(variant, scenario, seed)
-        self.fight_actor = LowLevelActor(fight, "fight", self.lowlevel_rng)
-        self.escape_actor = LowLevelActor(escape, "escape", self.lowlevel_rng)
         self.opponents = SnapshotController(
             fight=fight, escape=escape, rng=self.opponent_rng,
             fight_prob=scenario.opponent_fight_prob, scenario=scenario)
-        self.env = CombatEnv(scenario, opponent_controller=None,
-                             reward_kind=("none", None), obs_kind="commander",
-                             sim_cfg=sim_cfg or SimConfig())
+        self.actor = HierarchyEvalActor(
+            self.policy, fight, escape, self.lowlevel_rng, senses=variant.senses,
+            opt=variant.opt, greedy=False, opponents=self.opponents)
+        self.actor.rng = self.action_rng  # commander draws on their own stream
+        self.fight_actor = self.actor.fight_actor
+        self.escape_actor = self.actor.escape_actor
+        self.env = CombatEnv(scenario, self.opponents, reward_kind=("none", None),
+                             sim_cfg=sim_cfg)
         self.buffer = RolloutBuffer()
         self.env_steps = 0
         self.episodes = 0
@@ -147,181 +278,94 @@ class CommanderTrainer:
             "escape": escape.store.checksum(),
         }
 
-    # -- decision plumbing -----------------------------------------------------
-
-    def _map_target_index(self, a_c: int) -> int:
-        """Map a sampled head index to the sensed-opponent index (1-based);
-        with noOpt, attacking always means the closest opponent."""
-        if a_c == 0:
-            return 0
-        return a_c if self.variant.opt else 1
-
-    def _agent_actions(self, decisions: dict[int, dict]
-                       ) -> dict[int, LowLevelAction]:
-        rows = option_rows(self.env, decisions, self.fight_actor,
-                           self.escape_actor)
-        return low_level_actions(rows, self.lowlevel_rng)
-
     def run_episode(self) -> dict:
-        env = self.env
-        variant = self.variant
-        scenario = self.scenario
+        env, actor = self.env, self.actor
         env.reset(seed=int(self.episode_rng.integers(1 << 62)))
-        self.opponents.reset()
-        shared = variant.shared
-        if shared:
-            hiddens = {aid: self.policy.initial_hidden()
-                       for aid in env.agent_ids()}
-        else:
-            joint_hidden = self.policy.initial_hidden()
+        actor.begin_episode(env)
+        commands = (actor.fight_commands, actor.escape_commands)
         prev_cmd: dict[int, list[float]] = {}
-        length = 0
+        transitions: list[Transition] = []
+        option: list[Transition] = []  # the decision being flown
+        events: list = []
+        start = 0
+        while True:
+            actions = actor.actions(env)
+            if actor.steps_in_option == 0:  # the commander decided this step
+                self._close_option(option, events, env.step_count - start, False)
+                option = self._decision_transitions(prev_cmd)
+                transitions += option
+                events, start = [], env.step_count
+            result = env.step(actions)
+            actor.observe_step(env, result)
+            events += result.events
+            if result.terminal:
+                break
+        self._close_option(option, events, env.step_count - start, True)
+
         total_reward = 0.0
-        fight_cmds = escape_cmds = 0
-
-        while env.outcome == "ongoing":
-            world = env.world
-            alive = env.agent_ids()
-            critic_in = build_critic_input(
-                "commander", world, scenario, prev_cmd,
-                scenario.n_agents, scenario.n_opponents)
-            decisions: dict[int, dict] = {}
-            if shared:
-                obs = np.stack([build_obs_commander(world, aid, scenario,
-                                                    senses=variant.senses)
-                                for aid in alive])
-                out = self.policy.forward_actor(
-                    "cmd", obs, np.concatenate([hiddens[aid] for aid in alive]),
-                    grad=False)
-                samples, log_probs, _ = sample_action(out.logits, self.action_rng)
-                value = self.policy.forward_critic("cmd", critic_in,
-                                                   grad=False).item()
-                for i, aid in enumerate(alive):
-                    sensed = [o.id for o in closest_opponents(
-                        world, world.get(aid), variant.senses)]
-                    a_c = int(samples[i, 0])
-                    target_idx = self._map_target_index(a_c)
-                    assess = assess_commander_action(
-                        world, aid, target_idx, sensed, scenario
-                    ) if variant.assess else 0.0
-                    decisions[aid] = {
-                        "obs": obs[i], "sensed": sensed, "a_c": a_c,
-                        "target_idx": target_idx, "log_prob": float(log_probs[i]),
-                        "value": value, "hidden": hiddens[aid],
-                        "reward": assess, "critic_input": critic_in,
-                    }
-                    if out.hidden is not None:  # gru; sa and fc keep none
-                        hiddens[aid] = out.hidden[i:i + 1]
-                    prev_cmd[aid] = [a_c / max(1, variant.n_options - 1)]
-            else:
-                joint_obs, mask, samples, log_prob, value, joint_hidden_in = (
-                    self._joint_decide(critic_in, joint_hidden))
-                joint_hidden = joint_hidden_in["new"]
-                assess_total = 0.0
-                for slot, aid in enumerate(range(scenario.n_agents)):
-                    if mask[slot] == 0.0:
-                        continue
-                    sensed = [o.id for o in closest_opponents(
-                        world, world.get(aid), variant.senses)]
-                    a_c = int(samples[slot])
-                    target_idx = self._map_target_index(a_c)
-                    if variant.assess:
-                        assess_total += assess_commander_action(
-                            world, aid, target_idx, sensed, scenario)
-                    decisions[aid] = {"sensed": sensed, "a_c": a_c,
-                                      "target_idx": target_idx}
-                    prev_cmd[aid] = [a_c / max(1, variant.n_options - 1)]
-            for d in decisions.values():
-                if d["target_idx"] == 0:
-                    escape_cmds += 1
-                else:
-                    fight_cmds += 1
-
-            self.opponents.reassign(world)
-            for oid, mode in self.opponents.assignments.items():
-                prev_cmd[oid] = [1.0 if mode == "fight" else 0.0]
-
-            option_steps = 0
-            option_events = []
-            result = None
-            while True:
-                actions = self._agent_actions(decisions)
-                opp_actions = self.opponents.actions(world, env.opponent_ids())
-                result = env.step(actions, opponent_actions=opp_actions)
-                option_steps += 1
-                option_events.extend(result.events)
-                length += 1
-                if result.terminal:
-                    break
-                if any(option_terminated(world, aid, option_steps,
-                                         result.events, scenario)
-                       for aid in env.agent_ids()):
-                    break
-
-            if shared:
-                for aid, decision in decisions.items():
-                    event_reward = commander_event_reward(
-                        world, option_events, aid)
-                    reward = decision["reward"] + event_reward
-                    done = result.terminal or not world.get(aid).alive
-                    total_reward += reward
-                    self.buffer.add(Transition(
-                        instance="cmd", agent_id=aid, episode=self.episodes,
-                        obs=decision["obs"], action=np.array([decision["a_c"]]),
-                        log_prob=decision["log_prob"], value=decision["value"],
-                        reward=reward, done=done,
-                        critic_input=decision["critic_input"],
-                        duration=option_steps, hidden=decision["hidden"]))
-            else:
-                event_reward = sum(
-                    commander_event_reward(world, option_events, aid)
-                    for aid in decisions)
-                reward = assess_total + event_reward
-                total_reward += reward
-                self.buffer.add(Transition(
-                    instance="joint", agent_id=-1, episode=self.episodes,
-                    obs=joint_obs,
-                    action=np.array(samples), log_prob=log_prob, value=value,
-                    reward=reward, done=result.terminal,
-                    critic_input=critic_in, duration=option_steps,
-                    hidden=joint_hidden_in["old"], head_mask=mask))
-
-        self.env_steps += length
+        for t in transitions:
+            self.buffer.add(t)
+            total_reward += t.reward
+        self.env_steps += env.step_count
         self.episodes += 1
-        self._ep_returns.append(total_reward / max(1, scenario.n_agents))
-        self._ep_lengths.append(length)
+        self._ep_returns.append(total_reward / max(1, self.scenario.n_agents))
+        self._ep_lengths.append(env.step_count)
         self._ep_wins.append(env.outcome == OUTCOME_WIN)
-        return {"outcome": env.outcome, "length": length,
-                "fight_cmds": fight_cmds, "escape_cmds": escape_cmds}
+        return {"outcome": env.outcome, "length": env.step_count,
+                "fight_cmds": actor.fight_commands - commands[0],
+                "escape_cmds": actor.escape_commands - commands[1]}
 
-    def _joint_decide(self, critic_in, joint_hidden):
-        env = self.env
-        scenario = self.scenario
-        world = env.world
-        obs_w = OBS_LAYOUTS[f"commander-n{self.variant.senses}"]
-        slots = []
+    def _decision_transitions(self, prev_cmd: dict[int, list[float]]
+                              ) -> list[Transition]:
+        """Transitions of the decision the actor just made, carrying the
+        assessment reward so far; records the commands in `prev_cmd`."""
+        world, scenario, variant = self.env.world, self.scenario, self.variant
+        obs, hidden, log_probs = self.actor.decision
+        decisions = self.actor.decisions
+        critic_in = build_critic_input(
+            "commander", world, scenario, prev_cmd,
+            scenario.n_agents, scenario.n_opponents)
+        value = self.policy.forward_critic(self.actor.instance, critic_in,
+                                           grad=False).item()
+        assess = {aid: assess_commander_action(
+                      world, aid, d["target_idx"], d["sensed"], scenario)
+                  if variant.assess else 0.0
+                  for aid, d in decisions.items()}
+        for aid, d in decisions.items():
+            prev_cmd[aid] = [d["a_c"] / max(1, variant.n_options - 1)]
+        for oid, mode in self.opponents.assignments.items():
+            prev_cmd[oid] = [1.0 if mode == "fight" else 0.0]
+        if self.actor.instance == "cmd":
+            return [Transition(
+                instance="cmd", agent_id=aid, episode=self.episodes,
+                obs=obs[i], action=np.array([d["a_c"]]),
+                log_prob=float(log_probs[i]), value=value, reward=assess[aid],
+                done=False, critic_input=critic_in, hidden=hidden[i:i + 1])
+                for i, (aid, d) in enumerate(decisions.items())]
+        action = np.zeros(scenario.n_agents, dtype=int)
         mask = np.zeros(scenario.n_agents)
-        for aid in range(scenario.n_agents):
-            if world.get(aid).alive:
-                slots.append(pad_to(build_obs_commander(
-                    world, aid, scenario, senses=self.variant.senses), obs_w))
-                mask[aid] = 1.0
-            else:
-                slots.append(np.zeros(obs_w))
-        joint_obs = np.concatenate(slots)
-        out = self.policy.forward_actor("joint", joint_obs, joint_hidden,
-                                        grad=False)
-        alive = [slot for slot in range(scenario.n_agents) if mask[slot]]
-        picked, log_probs, _ = sample_slots(out.logits, alive, 1, self.action_rng)
-        samples = np.zeros(scenario.n_agents, dtype=int)
-        samples[alive] = picked[:, 0]
         log_prob = 0.0
-        for lp in log_probs:
+        for (aid, d), lp in zip(decisions.items(), log_probs):
+            action[aid] = d["a_c"]
+            mask[aid] = 1.0
             log_prob += float(lp)
-        value = self.policy.forward_critic("joint", critic_in, grad=False).item()
-        new_hidden = out.hidden if out.hidden is not None else joint_hidden
-        return joint_obs, mask, samples, log_prob, value, {
-            "old": joint_hidden, "new": new_hidden}
+        return [Transition(
+            instance="joint", agent_id=-1, episode=self.episodes, obs=obs,
+            action=action, log_prob=log_prob, value=value,
+            reward=sum(assess.values()), done=False, critic_input=critic_in,
+            hidden=hidden, head_mask=mask)]
+
+    def _close_option(self, option: list[Transition], events: list,
+                      duration: int, terminal: bool):
+        """Adds the option's event rewards, its length and done flags."""
+        world = self.env.world
+        for t in option:
+            joint = t.head_mask is not None
+            aids = np.flatnonzero(t.head_mask).tolist() if joint else [t.agent_id]
+            t.reward += sum(commander_event_reward(world, events, aid)
+                            for aid in aids)
+            t.done = terminal or (not joint and not world.get(t.agent_id).alive)
+            t.duration = duration
 
     def maybe_update(self) -> bool:
         if len(self.buffer) < self.ppo.batch_size:
@@ -361,9 +405,10 @@ class CommanderTrainer:
 def train_commander(scenario: ScenarioConfig, ppo: PPOConfig,
                     variant: CommanderVariant, fight: PolicyNetwork,
                     escape: PolicyNetwork, run_dir: RunDir, seed: int,
-                    env_steps: int) -> CommanderTrainer:
+                    env_steps: int, sim_cfg: SimConfig | None = None
+                    ) -> CommanderTrainer:
     trainer = CommanderTrainer(scenario, ppo, variant, fight, escape,
-                               run_dir, seed)
+                               run_dir, seed, sim_cfg)
     run_dir.write_config({
         "scenario": scenario.__dict__, "ppo": ppo.__dict__,
         "variant": variant.__dict__, "seed": seed, "env_steps": env_steps,

@@ -51,7 +51,14 @@ class LeagueArchive:
         return self.index[self._entry_name(kind, level)]["sha256"]
 
     def load(self, kind: str, level: str = "") -> PolicyNetwork:
-        arrays, config = load_checkpoint(self.path(kind, level))
+        """The archived network; a file whose sha256 differs from the one
+        recorded in the index raises a ValueError naming the entry."""
+        path = self.path(kind, level)
+        name = self._entry_name(kind, level)
+        if file_sha256(path) != self.index[name]["sha256"]:
+            raise ValueError(f"league snapshot {name!r} ({path}) does not match "
+                             f"the sha256 recorded in {self.index_path}")
+        arrays, config = load_checkpoint(path)
         policy = PolicyNetwork(NetworkConfig.from_dict(config))
         policy.store.load_arrays(arrays)
         return policy

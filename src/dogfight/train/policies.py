@@ -1,5 +1,6 @@
 """Action drivers: how policies of each training framework pick actions and
-record transitions, plus the frozen-snapshot opponent controller.
+record transitions, the low-level actor that flies frozen or training
+policies, and the frozen-snapshot opponent controller.
 
 CTDE keeps one network instance per aircraft type shared by all same-type
 agents. DTDE gives every agent id its own parameter store with a local
@@ -9,7 +10,9 @@ list concatenates every agent slot's four control heads.
 Decisions are graph-free and batched: each env step runs one actor forward
 per (network, instance) over the agents it drives and samples all agents
 in one call, in agent-id order, so the action generator draws exactly what
-one-agent-at-a-time sampling would.
+one-agent-at-a-time sampling would. `evaluate` drives the same code:
+`LowLevelActor`, `CTCEDriver` and the commander's option loop are its
+actors.
 """
 
 from __future__ import annotations
@@ -95,12 +98,17 @@ def make_dtde_policies(kind: str, agent_types: list[str], seed: int,
     return policies
 
 
-def pad_to(vec: np.ndarray, width: int) -> np.ndarray:
-    if len(vec) == width:
-        return vec
-    out = np.zeros(width, dtype=vec.dtype)
-    out[: len(vec)] = vec
-    return out
+def joint_obs(world: World, n_agents: int, width: int, observe
+              ) -> tuple[np.ndarray, list[int]]:
+    """The joint observation of agent slots 0..n_agents-1, each slot
+    `observe(agent_id)` zero-padded to `width`, a destroyed agent's slot all
+    zeros; and the living slots."""
+    obs = np.zeros(n_agents * width)
+    alive = [aid for aid in range(n_agents) if world.get(aid).alive]
+    for aid in alive:
+        vec = observe(aid)
+        obs[aid * width: aid * width + len(vec)] = vec
+    return obs, alive
 
 
 def low_level_actions(rows: dict[int, tuple[PolicyNetwork, str, np.ndarray]],
@@ -114,8 +122,19 @@ def low_level_actions(rows: dict[int, tuple[PolicyNetwork, str, np.ndarray]],
     return {aid: LowLevelAction.from_heads(s) for aid, s in zip(rows, samples)}
 
 
+class EpisodeActor:
+    """What `evaluate` drives: `actions(env)` once per env step, plus hooks
+    at the start of an episode and after each step, empty here."""
+
+    def begin_episode(self, env: CombatEnv):
+        pass
+
+    def observe_step(self, env: CombatEnv, result):
+        pass
+
+
 @dataclass
-class LowLevelActor:
+class LowLevelActor(EpisodeActor):
     """Execution-time action selection for a frozen or training policy."""
 
     policy: PolicyNetwork
@@ -130,40 +149,12 @@ class LowLevelActor:
         obs = build_obs(self.kind, world, agent_id, scenario, target_id=target_id)
         return self.policy, instance_for(world, agent_id), obs
 
-    def actions(self, world: World, agent_ids: list[int],
-                scenario: ScenarioConfig | None = None
-                ) -> dict[int, LowLevelAction]:
+    def actions(self, env: CombatEnv) -> dict[int, LowLevelAction]:
+        """One action per living agent, none with an assigned target."""
         return low_level_actions(
-            {aid: self.row(world, aid, scenario=scenario) for aid in agent_ids},
+            {aid: self.row(env.world, aid, scenario=env.scenario)
+             for aid in env.agent_ids()},
             self.rng, self.greedy)
-
-
-def option_rows(env: CombatEnv, decisions: dict[int, dict],
-                fight: LowLevelActor, escape: LowLevelActor
-                ) -> dict[int, tuple[PolicyNetwork, str, np.ndarray]]:
-    """Decision rows of the living agents that fly a commander option.
-
-    A decision's `target_idx` 0 flies `escape`; i >= 1 flies `fight` against
-    sensed opponent i, with no target once that opponent is gone. Each
-    agent's rocket target is set on `env` as its row is built."""
-    world = env.world
-    rows = {}
-    for aid in env.agent_ids():
-        decision = decisions.get(aid)
-        if decision is None:
-            continue
-        target_idx = decision["target_idx"]
-        if target_idx == 0:
-            env.set_attack_target(aid, None)
-            rows[aid] = escape.row(world, aid, scenario=env.scenario)
-            continue
-        sensed = decision["sensed"]
-        target = None
-        if target_idx - 1 < len(sensed) and world.get(sensed[target_idx - 1]).alive:
-            target = sensed[target_idx - 1]
-        env.set_attack_target(aid, target)
-        rows[aid] = fight.row(world, aid, target_id=target, scenario=env.scenario)
-    return rows
 
 
 @dataclass
@@ -182,7 +173,7 @@ class SnapshotController:
     scenario: ScenarioConfig | None = None
     assignments: dict[int, str] = field(default_factory=dict)
 
-    def reset(self):
+    def reset(self, world: World):
         self.assignments.clear()
 
     def reassign(self, world: World):
@@ -190,8 +181,8 @@ class SnapshotController:
             fight = self.rng.random() < self.fight_prob
             self.assignments[opp.id] = "fight" if fight and self.fight else "escape"
 
-    def actions(self, world: World, opponent_ids: list[int]
-                ) -> dict[int, tuple[LowLevelAction, int | None]]:
+    def __call__(self, world: World, opponent_ids: list[int]
+                 ) -> dict[int, tuple[LowLevelAction, int | None]]:
         """Actions and rocket targets (closest enemy) of the given opponents,
         decided together."""
         rows = {}
@@ -207,10 +198,6 @@ class SnapshotController:
             targets = closest_opponents(world, world.get(oid), 1)
             out[oid] = (action, targets[0].id if targets else None)
         return out
-
-    def __call__(self, world: World, opponent_id: int
-                 ) -> tuple[LowLevelAction, int | None]:
-        return self.actions(world, [opponent_id])[opponent_id]
 
 
 def _transitions(rows: dict, samples: np.ndarray, log_probs: np.ndarray,
@@ -242,9 +229,6 @@ class CTDEDriver:
         self.scenario = scenario
         self.rng = rng
 
-    def begin_episode(self):
-        pass
-
     def act(self, env: CombatEnv, episode: int
             ) -> tuple[dict[int, LowLevelAction], list[Transition]]:
         world = env.world
@@ -275,9 +259,6 @@ class DTDEDriver:
         self.scenario = scenario
         self.rng = rng
 
-    def begin_episode(self):
-        pass
-
     def act(self, env: CombatEnv, episode: int
             ) -> tuple[dict[int, LowLevelAction], list[Transition]]:
         world = env.world
@@ -296,48 +277,44 @@ class DTDEDriver:
                             episode)
 
 
-class CTCEDriver:
+class CTCEDriver(EpisodeActor):
     """One joint network controls the whole team; a single transition per
     env step carries the joint action and the summed team reward."""
 
     def __init__(self, policy: PolicyNetwork, kind: str,
-                 scenario: ScenarioConfig, rng: np.random.Generator):
+                 scenario: ScenarioConfig, rng: np.random.Generator,
+                 greedy: bool = False):
         self.policy = policy
         self.kind = kind
         self.scenario = scenario
         self.rng = rng
+        self.greedy = greedy
         self.slot_obs = OBS_LAYOUTS["escape-AC1" if kind == "escape" else "fight-AC1"]
 
-    def begin_episode(self):
-        pass
+    def _sample(self, env: CombatEnv):
+        """The joint observation, the living slots, and their sampled heads
+        and log-probabilities."""
+        obs, alive = joint_obs(env.world, self.scenario.n_agents, self.slot_obs,
+                               lambda aid: env.observe(aid, self.kind))
+        out = self.policy.forward_actor("joint", obs, grad=False)
+        samples, log_probs, _ = sample_slots(out.logits, alive, LOW_ACTION_HEADS,
+                                             self.rng, self.greedy)
+        return obs, alive, samples, log_probs
 
-    def joint_obs(self, env: CombatEnv) -> np.ndarray:
-        world = env.world
-        slots = []
-        for aid in range(self.scenario.n_agents):
-            if aid < len(world.aircraft) and world.get(aid).alive:
-                obs = env.observe(aid, self.kind)
-                slots.append(pad_to(obs, self.slot_obs))
-            else:
-                slots.append(np.zeros(self.slot_obs))
-        return np.concatenate(slots)
+    def actions(self, env: CombatEnv) -> dict[int, LowLevelAction]:
+        _, alive, samples, _ = self._sample(env)
+        return {slot: LowLevelAction.from_heads(picked)
+                for slot, picked in zip(alive, samples)}
 
     def act(self, env: CombatEnv, episode: int
             ) -> tuple[dict[int, LowLevelAction], list[Transition]]:
-        world = env.world
-        obs = self.joint_obs(env)
-        out = self.policy.forward_actor("joint", obs, grad=False)
-        critic_in = build_critic_input(self.kind, world, self.scenario,
+        obs, alive, samples, log_probs = self._sample(env)
+        critic_in = build_critic_input(self.kind, env.world, self.scenario,
                                        env.prev_actions,
                                        self.scenario.n_agents,
                                        self.scenario.n_opponents)
         value = self.policy.forward_critic("joint", critic_in, grad=False).item()
-
-        alive = [slot for slot in range(self.scenario.n_agents)
-                 if slot < len(world.aircraft) and world.get(slot).alive]
-        samples, log_probs, _ = sample_slots(out.logits, alive, LOW_ACTION_HEADS,
-                                             self.rng)
-        n_heads = len(out.logits)
+        n_heads = len(self.policy.config.instance("joint").head_arities)
         action = np.zeros(n_heads, dtype=int)
         mask = np.zeros(n_heads)
         log_prob = 0.0

@@ -19,7 +19,8 @@ import numpy as np
 from ..config import ScenarioConfig, ScriptConfig
 from ..env import CombatEnv, OUTCOME_WIN
 from ..nn.networks import PolicyNetwork
-from ..nn.params import load_checkpoint, save_checkpoint
+from ..nn.params import load_checkpoint, save_arrays, save_checkpoint
+from ..scripted import ScriptedController
 from ..simcore import SimConfig
 from .buffer import RolloutBuffer
 from .league import LOW_LEVELS, LeagueArchive
@@ -85,7 +86,7 @@ class LowLevelTrainer:
         self.opponent_rng = np.random.default_rng(seeds[2])
         self.update_rng = np.random.default_rng(seeds[3])
 
-        obs_kind = "escape" if mode.kind == "escape" else "fight"
+        kind = "escape" if mode.kind == "escape" else "fight"
         if mode.framework == "dtde":
             # per-agent networks need a fixed id -> airframe assignment
             type_rng = np.random.default_rng(seeds[1] ^ 0xD7DE)
@@ -95,15 +96,15 @@ class LowLevelTrainer:
                     for _ in range(scenario.n_agents - 2)]
             else:
                 self.agent_types = ["AC1"]
-            self.policies = make_dtde_policies(obs_kind, self.agent_types, seed,
+            self.policies = make_dtde_policies(kind, self.agent_types, seed,
                                                attention=mode.attention)
             self.policy = next(iter(self.policies.values()))  # checkpoint anchor
-            self.driver = DTDEDriver(self.policies, obs_kind, scenario,
+            self.driver = DTDEDriver(self.policies, kind, scenario,
                                      self.action_rng)
         elif mode.framework == "ctce":
             self.policy = make_low_level_policy(mode.kind, "ctce", scenario, seed)
             self.policies = {0: self.policy}
-            self.driver = CTCEDriver(self.policy, obs_kind, scenario,
+            self.driver = CTCEDriver(self.policy, kind, scenario,
                                      self.action_rng)
             self.agent_types = None
         else:
@@ -111,7 +112,7 @@ class LowLevelTrainer:
                 mode.kind, "ctde", scenario, seed,
                 attention=mode.attention, fc_baseline=mode.fc_baseline)
             self.policies = {0: self.policy}
-            self.driver = CTDEDriver(self.policy, obs_kind, scenario,
+            self.driver = CTDEDriver(self.policy, kind, scenario,
                                      self.action_rng)
             self.agent_types = None
 
@@ -135,20 +136,12 @@ class LowLevelTrainer:
     def make_env(self, opponent_controller, horizon: int | None = None) -> CombatEnv:
         scenario = self.scenario if horizon is None else replace(
             self.scenario, horizon=horizon)
-        obs_kind = "escape" if self.mode.kind == "escape" else "fight"
         return CombatEnv(scenario, opponent_controller,
-                         reward_kind=self._reward_kind(), obs_kind=obs_kind,
+                         reward_kind=self._reward_kind(),
                          sim_cfg=self.sim_cfg, agent_types=self.agent_types)
 
     def run_episode(self, env: CombatEnv) -> dict:
         env.reset(seed=int(self.episode_rng.integers(1 << 62)))
-        hook = getattr(env.opponent_controller, "on_episode_start", None)
-        if hook is not None:
-            hook(env.world)
-        reset_hook = getattr(env.opponent_controller, "reset", None)
-        if reset_hook is not None:
-            reset_hook()
-        self.driver.begin_episode()
         total_reward = 0.0
         reward_agents = max(1, self.scenario.n_agents)
         length = 0
@@ -232,8 +225,7 @@ class LowLevelTrainer:
             arrays[f"adam.m.{name}"] = m
         for name, v in self.policy.store.moment2.items():
             arrays[f"adam.v.{name}"] = v
-        store_like = _ArrayBag(arrays)
-        save_checkpoint(path, store_like, {"step_count": self.policy.store.step_count})
+        save_arrays(path, arrays, {"step_count": self.policy.store.step_count})
 
     def load_state(self, path: Path):
         arrays, config = load_checkpoint(path)
@@ -241,22 +233,6 @@ class LowLevelTrainer:
             self.policy.store.moment1[name][...] = arrays[f"adam.m.{name}"]
             self.policy.store.moment2[name][...] = arrays[f"adam.v.{name}"]
         self.policy.store.step_count = config["step_count"]
-
-
-class _ArrayBag:
-    """Duck-typed stand-in so save_checkpoint can serialize raw arrays."""
-
-    def __init__(self, arrays: dict[str, np.ndarray]):
-        from ..nn.autodiff import Tensor
-
-        self.params = {name: Tensor(data) for name, data in arrays.items()}
-
-
-def scripted_controller(level: str, rng: np.random.Generator,
-                        script: ScriptConfig) -> "ScriptedControllerProxy":
-    from ..scripted import ScriptedController
-
-    return ScriptedController(level, rng, script)
 
 
 class LeagueOpponentController:
@@ -279,7 +255,7 @@ class LeagueOpponentController:
             self.cache[level] = self.archive.load("fight", level)
         return self.cache[level]
 
-    def on_episode_start(self, world):
+    def reset(self, world):
         if self.pool == "previous":
             idx = LOW_LEVELS.index(self.below_level)
             level = LOW_LEVELS[idx - 1]
@@ -289,10 +265,8 @@ class LeagueOpponentController:
         self.current = SnapshotController(fight=self._net(level), rng=self.rng,
                                           scenario=self.scenario)
 
-    def __call__(self, world, opponent_id):
-        if self.current is None:
-            self.on_episode_start(world)
-        return self.current(world, opponent_id)
+    def __call__(self, world, opponent_ids):
+        return self.current(world, opponent_ids)
 
 
 def run_curriculum(scenario: ScenarioConfig, ppo: PPOConfig, mode: TrainMode,
@@ -300,7 +274,8 @@ def run_curriculum(scenario: ScenarioConfig, ppo: PPOConfig, mode: TrainMode,
                    steps_per_level: dict[str, int] | int,
                    script: ScriptConfig | None = None,
                    levels: tuple[str, ...] = LOW_LEVELS,
-                   l5_pool: str = "archive") -> LeagueArchive:
+                   l5_pool: str = "archive",
+                   sim_cfg: SimConfig | None = None) -> LeagueArchive:
     """Five-level fight curriculum: scripted opponents through L3, the frozen
     L3 snapshot at L4, per-episode league sampling at L5. The episode horizon
     grows by 50 env steps per level from 200. Completed levels found in the
@@ -308,7 +283,7 @@ def run_curriculum(scenario: ScenarioConfig, ppo: PPOConfig, mode: TrainMode,
     if mode.kind != "fight":
         raise ValueError("the curriculum trains the fight policy")
     script = script or ScriptConfig()
-    trainer = LowLevelTrainer(scenario, ppo, mode, run_dir, seed, script)
+    trainer = LowLevelTrainer(scenario, ppo, mode, run_dir, seed, script, sim_cfg)
     run_dir.write_config({
         "scenario": scenario.__dict__, "ppo": ppo.__dict__,
         "mode": mode.__dict__, "seed": seed, "levels": list(levels),
@@ -342,7 +317,7 @@ def _controller_for_level(level: str, trainer: LowLevelTrainer,
                           archive: LeagueArchive, scenario: ScenarioConfig,
                           script: ScriptConfig, l5_pool: str):
     if level in ("L1", "L2", "L3"):
-        return scripted_controller(level, trainer.opponent_rng, script)
+        return ScriptedController(level, trainer.opponent_rng, script)
     if level == "L4":
         if not archive.has("fight", "L3"):
             raise FileNotFoundError("L4 training requires the archived L3 snapshot")
@@ -361,14 +336,14 @@ def train_escape(scenario: ScenarioConfig, ppo: PPOConfig, run_dir: RunDir,
                  archive: LeagueArchive, seed: int,
                  steps_phase1: int, steps_phase2: int,
                  variant: str = "base",
-                 script: ScriptConfig | None = None) -> LowLevelTrainer:
+                 script: ScriptConfig | None = None,
+                 sim_cfg: SimConfig | None = None) -> LowLevelTrainer:
     """Escape policy: phase one against scripted L3, phase two against the
     frozen L5 fight snapshot, both at the L3 horizon."""
     if steps_phase2 > 0 and not archive.has("fight", "L5"):
         raise FileNotFoundError("escape phase 2 requires the archived L5 fight policy")
     mode = TrainMode(kind="escape", reward_variant=variant)
-    trainer = LowLevelTrainer(scenario, ppo, mode, run_dir, seed,
-                              script or ScriptConfig())
+    trainer = LowLevelTrainer(scenario, ppo, mode, run_dir, seed, script, sim_cfg)
     run_dir.write_config({
         "scenario": scenario.__dict__, "ppo": ppo.__dict__,
         "mode": mode.__dict__, "seed": seed,
@@ -376,7 +351,7 @@ def train_escape(scenario: ScenarioConfig, ppo: PPOConfig, run_dir: RunDir,
     })
     trainer.train_level(
         "escape-L3",
-        scripted_controller("L3", trainer.opponent_rng, trainer.script),
+        ScriptedController("L3", trainer.opponent_rng, trainer.script),
         steps_phase1, horizon=ESCAPE_HORIZON)
     if steps_phase2 > 0:
         controller = SnapshotController(fight=archive.load("fight", "L5"),
@@ -391,20 +366,20 @@ def train_escape(scenario: ScenarioConfig, ppo: PPOConfig, run_dir: RunDir,
 def train_standard_baseline(scenario: ScenarioConfig, ppo: PPOConfig,
                             run_dir: RunDir, seed: int, env_steps: int,
                             script: ScriptConfig | None = None,
-                            horizon: int = 300) -> LowLevelTrainer:
+                            horizon: int = 300,
+                            sim_cfg: SimConfig | None = None) -> LowLevelTrainer:
     """Single-policy baseline: one joint CTCE network with the combined
     fight/escape reward, trained directly against scripted L3 (no curriculum,
     no league archive)."""
     mode = TrainMode(framework="ctce", kind="standard")
-    trainer = LowLevelTrainer(scenario, ppo, mode, run_dir, seed,
-                              script or ScriptConfig())
+    trainer = LowLevelTrainer(scenario, ppo, mode, run_dir, seed, script, sim_cfg)
     run_dir.write_config({
         "scenario": scenario.__dict__, "ppo": ppo.__dict__,
         "mode": mode.__dict__, "seed": seed, "env_steps": env_steps,
     })
     trainer.train_level(
         "standard-L3",
-        scripted_controller("L3", trainer.opponent_rng, trainer.script),
+        ScriptedController("L3", trainer.opponent_rng, trainer.script),
         env_steps, horizon=horizon)
     save_checkpoint(run_dir.checkpoint_path("standard"), trainer.policy.store,
                     trainer.policy.config.to_dict())

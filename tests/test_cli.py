@@ -156,3 +156,16 @@ class TestExportTraj:
         log = import_trajectory(out)
         assert log.rounds
         assert log.header["agent"] == "random"
+
+    def test_sim_override_changes_trajectory(self, tmp_path):
+        def rounds(name, *overrides):
+            out = tmp_path / name
+            assert main(["export-traj", "--agent", "random",
+                         "--opponent", "scripted:L2", "--seed", "3",
+                         "--config", str(small_config(tmp_path)),
+                         "--out", str(out), *overrides]) == 0
+            return import_trajectory(out).rounds
+
+        base = rounds("a.jsonl")
+        assert rounds("b.jsonl") == base
+        assert rounds("c.jsonl", "--set", "sim.round_seconds=0.2") != base

@@ -7,7 +7,6 @@ from helpers import make_aircraft, make_world
 from dogfight.config import ScenarioConfig
 from dogfight.env import (
     CombatEnv,
-    CommanderAction,
     LowLevelAction,
     OUTCOME_DRAW,
     OUTCOME_LOSS,
@@ -33,11 +32,6 @@ class TestActions:
     def test_head_round_trip(self):
         action = LowLevelAction(h=-6, v=8, c=1, r=0)
         assert LowLevelAction.from_heads(action.to_heads()) == action
-
-    def test_commander_action_range(self):
-        CommanderAction(2, n_options=3)
-        with pytest.raises(ValueError):
-            CommanderAction(3, n_options=3)
 
     def test_heading_setpoint(self):
         world = make_world([make_aircraft(0, heading=30.0)])
@@ -175,12 +169,27 @@ class TestEnvStep:
         assert result.outcome == OUTCOME_DRAW
         assert result.terminal
 
-    def test_observations_returned_for_living_agents(self):
-        env = self._env()
-        obs = env.reset(seed=3)
-        assert set(obs) == set(env.agent_ids())
-        result = env.step({aid: LowLevelAction(h=0, v=0) for aid in env.agent_ids()})
-        assert set(result.obs) == set(env.agent_ids())
+    def test_opponents_decide_together_before_the_step(self):
+        # one controller call per step for all living opponents, made from
+        # the world before any of the step's actions is applied
+        calls = []
+
+        class Recorder:
+            def reset(self, world):
+                calls.clear()
+
+            def __call__(self, world, opponent_ids):
+                calls.append((list(opponent_ids),
+                              [world.get(a).speed for a in range(2)]))
+                return {oid: (LowLevelAction(h=0, v=0), None)
+                        for oid in opponent_ids}
+
+        env = CombatEnv(ScenarioConfig(seed=0), Recorder())
+        env.reset(seed=3)
+        speeds = [env.world.get(a).speed for a in range(2)]
+        env.step({aid: LowLevelAction(h=0, v=8) for aid in env.agent_ids()})
+        assert calls == [([2, 3], speeds)]
+        assert env.world.get(2).speed == decode_speed(env.world.get(2).spec, 0)
 
     def test_fixed_seed_episode_reproducible(self):
         def run():

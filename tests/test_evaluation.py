@@ -11,7 +11,6 @@ from dogfight.evaluation import (
     AlwaysFightActor,
     EvalReport,
     HierarchyEvalActor,
-    LowLevelEvalActor,
     RandomActor,
     TrajectoryRecorder,
     count_events,
@@ -27,7 +26,7 @@ from dogfight.nn import PolicyNetwork, commander_config, escape_config, fight_co
 from dogfight.observations import critic_input_width
 from dogfight.scripted import ScriptedController
 from dogfight.simcore import CannonKill, OutOfBounds, RocketKill, TEAM_OPPONENT
-from dogfight.train import SnapshotController
+from dogfight.train import LowLevelActor, SnapshotController
 
 
 def small_scenario(**kw):
@@ -175,7 +174,8 @@ class TestPolicyActors:
     def test_low_level_actor_runs(self):
         policy = PolicyNetwork(fight_config(
             critic_width=critic_input_width("fight", 2, 2)), seed=0)
-        actor = LowLevelEvalActor(policy, "fight", np.random.default_rng(0))
+        actor = LowLevelActor(policy, "fight", np.random.default_rng(0),
+                              greedy=True)
         report = evaluate(actor, scripted("L1"), small_scenario(horizon=5),
                           episodes=2, seed=0)
         assert report.episodes == 2
@@ -296,3 +296,39 @@ def test_hierarchy_evaluation_builds_no_tensors(monkeypatch):
     count = count_tensors(monkeypatch)
     report = evaluate(actor, opponents, scenario, episodes=2, seed=6)
     assert report.total_steps > 0 and count[0] == 0
+
+
+def test_snapshot_opponents_see_the_same_first_step_as_in_training(monkeypatch):
+    # commander training and evaluate ask their snapshot opponents from the
+    # world as it was before the step, so for equal episode seeds the first
+    # step hands them the same observations
+    from dogfight.observations import build_obs
+    from dogfight.train import CommanderTrainer, CommanderVariant, PPOConfig
+
+    scenario = ScenarioConfig.commander_training(horizon=3)
+    fight = PolicyNetwork(fight_config(
+        critic_width=critic_input_width("fight", 2, 2)), seed=2)
+    escape = PolicyNetwork(escape_config(
+        critic_width=critic_input_width("escape", 2, 2)), seed=3)
+    seen = []
+    decide = SnapshotController.__call__
+
+    def recording(self, world, opponent_ids):
+        seen.append(np.concatenate([build_obs("fight", world, oid, self.scenario)
+                                    for oid in opponent_ids]))
+        return decide(self, world, opponent_ids)
+
+    monkeypatch.setattr(SnapshotController, "__call__", recording)
+    trainer = CommanderTrainer(scenario, PPOConfig(), CommanderVariant(),
+                               fight, escape, seed=1)
+    trainer.episode_rng = np.random.default_rng(9)  # as evaluate(seed=9) draws
+    trainer.run_episode()
+    training = seen[0]
+    seen.clear()
+    opponents = SnapshotController(fight=fight, escape=escape,
+                                   rng=np.random.default_rng(4),
+                                   fight_prob=0.75, scenario=scenario)
+    actor = HierarchyEvalActor(trainer.policy, fight, escape,
+                               np.random.default_rng(5), opponents=opponents)
+    evaluate(actor, opponents, scenario, episodes=1, seed=9)
+    np.testing.assert_array_equal(seen[0], training)

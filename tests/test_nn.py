@@ -449,6 +449,16 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("cut, extra", [(-1, b""), (-4000, b""), (0, b"\x00")])
+    def test_truncated_or_padded_payload_rejected(self, tmp_path, cut, extra):
+        net = PolicyNetwork(escape_config(critic_width=128), seed=6)
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(path, net.store, net.config.to_dict())
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) + cut] + extra)
+        with pytest.raises(ValueError, match="bad.ckpt"):
+            load_checkpoint(path)
+
     def test_checksum_tracks_content(self):
         net = PolicyNetwork(escape_config(critic_width=128), seed=6)
         c1 = net.store.checksum()

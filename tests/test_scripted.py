@@ -211,4 +211,4 @@ class TestController:
         controller = ScriptedController("L9", np.random.default_rng(0))
         world = pursuit_world()
         with pytest.raises(ValueError):
-            controller(world, 1)
+            controller(world, [1])

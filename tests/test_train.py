@@ -225,6 +225,16 @@ class TestLeague:
         picks4 = {archive.sample_opponent_level(rng, "L4") for _ in range(100)}
         assert picks4 == {"L1", "L2", "L3"}
 
+    def test_changed_snapshot_rejected(self, tmp_path):
+        archive = LeagueArchive(tmp_path / "league")
+        path = archive.save("fight", "L3",
+                            PolicyNetwork(fight_config(critic_width=124), seed=2))
+        data = bytearray(path.read_bytes())
+        data[-1] ^= 0xFF  # same length, one parameter byte changed
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="fight_L3"):
+            archive.load("fight", "L3")
+
     def test_missing_snapshot_errors(self, tmp_path):
         archive = LeagueArchive(tmp_path / "league")
         with pytest.raises(FileNotFoundError):
