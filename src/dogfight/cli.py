@@ -10,7 +10,6 @@ failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -19,7 +18,6 @@ import numpy as np
 
 from .config import ScenarioConfig, ScriptConfig, apply_overrides, parse_config
 from .evaluation import (
-    EvalReport,
     HierarchyEvalActor,
     RandomActor,
     TrajectoryRecorder,
@@ -35,9 +33,9 @@ from .observations import OBS_LAYOUTS
 from .scripted import ScriptedController
 from .train import (
     CTCEDriver,
+    CTDEDriver,
     CommanderVariant,
     LeagueArchive,
-    LowLevelActor,
     LowLevelTrainer,
     PPOConfig,
     RunDir,
@@ -111,7 +109,6 @@ def cmd_train_low(args) -> int:
 
     mode = TrainMode(framework=args.framework, kind="fight",
                      reward_variant=args.variant,
-                     attention=not args.fc_baseline,
                      fc_baseline=args.fc_baseline)
     if args.level == "curriculum":
         run_curriculum(scenario, _ppo(cfg), mode, run, archive, seed,
@@ -147,10 +144,9 @@ def cmd_train_commander(args) -> int:
         archive = LeagueArchive(args.league_dir)
         fight = archive.load("fight", "L5")
         escape = archive.load("escape", "")
-    variant = CommanderVariant(senses=args.senses, opt=not args.no_opt,
-                               assess=not args.no_assess,
+    variant = CommanderVariant(senses=scenario.commander_senses,
+                               opt=not args.no_opt, assess=not args.no_assess,
                                shared=not args.glob, arch=args.arch)
-    scenario = dataclasses.replace(scenario, commander_senses=args.senses)
     train_commander(scenario, _ppo(cfg, batch_size=args.batch_size), variant,
                     fight, escape, run, args.seed, args.steps, cfg.get("sim"))
     return 0
@@ -186,17 +182,16 @@ def _commander_options(commander: PolicyNetwork) -> dict:
     return {"senses": senses, "opt": inst.head_arities[0] == senses + 1}
 
 
-def _make_actor(args, scenario: ScenarioConfig, seed: int):
+def _make_actor(args, seed: int):
     rng = np.random.default_rng(seed)
     if args.agent == "random":
         return RandomActor(rng)
     if args.agent in ("fight", "escape"):
         policy = _load_policy(args.agent_ckpt)
-        return LowLevelActor(policy, args.agent, rng, greedy=not args.stochastic)
+        return CTDEDriver(policy, args.agent, rng, greedy=not args.stochastic)
     if args.agent == "standard":
         policy = _load_policy(args.agent_ckpt)
-        return CTCEDriver(policy, "fight", scenario, rng,
-                          greedy=not args.stochastic)
+        return CTCEDriver(policy, "fight", rng, greedy=not args.stochastic)
     if args.agent == "hierarchy":
         commander = _load_policy(args.commander_ckpt)
         fight = _load_policy(args.fight_ckpt)
@@ -211,7 +206,7 @@ def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
     scenario = cfg.get("scenario") or ScenarioConfig()
     script = cfg.get("script", ScriptConfig())
-    actor = _make_actor(args, scenario, args.seed)
+    actor = _make_actor(args, args.seed)
     opponents = _make_opponents(args.opponent, scenario, script, args.seed + 1)
     if args.agent == "hierarchy" and isinstance(opponents, SnapshotController):
         actor.opponents = opponents
@@ -268,7 +263,7 @@ def cmd_export_traj(args) -> int:
     cfg = _load_config(args)
     scenario = cfg.get("scenario") or ScenarioConfig()
     script = cfg.get("script", ScriptConfig())
-    actor = _make_actor(args, scenario, args.seed)
+    actor = _make_actor(args, args.seed)
     opponents = _make_opponents(args.opponent, scenario, script, args.seed + 1)
     recorder = TrajectoryRecorder(0, header={"agent": args.agent,
                                              "opponent": args.opponent})
@@ -308,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reward variant: base|fripun|shfrac (fight), "
                         "base|dist|dist_speed (escape)")
     p.add_argument("--fc-baseline", action="store_true",
-                   help="two 500-wide layers instead of the attention net")
+                   help="ctde only: two 500-wide layers instead of the "
+                        "attention net")
     p.add_argument("--steps", type=int, required=True,
                    help="env steps (per level for the curriculum)")
     p.add_argument("--steps-phase2", type=int, default=None,
@@ -322,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--league-dir", help="archive holding fight L5 + escape")
     p.add_argument("--fight-ckpt")
     p.add_argument("--escape-ckpt")
-    p.add_argument("--senses", type=int, default=2, choices=[2, 3])
     p.add_argument("--no-opt", action="store_true")
     p.add_argument("--no-assess", action="store_true")
     p.add_argument("--glob", action="store_true",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .simcore import SimConfig
@@ -33,7 +33,6 @@ class ScenarioConfig:
     opponent_cannon: int = 400
     opponent_rockets: int = 8
     opponent_fight_prob: float = 0.75  # p_o: fight vs escape assignment
-    level: str = "L3"  # L1..L5 or "commander"
     seed: int = 0
     spawn_margin: float = 2.0  # km clearance from boundaries at spawn
 
@@ -67,7 +66,7 @@ class ScenarioConfig:
         base = dict(
             n_agents=3, n_opponents=3, map_size=HIGH_LEVEL_MAP_KM,
             horizon=500, agent_cannon=300, agent_rockets=8,
-            opponent_cannon=300, opponent_rockets=8, level="commander",
+            opponent_cannon=300, opponent_rockets=8,
         )
         base.update(kw)
         return cls(**base)
@@ -103,14 +102,21 @@ def _from_dict(cls, data: dict):
 def load_config_file(path: str | Path) -> dict:
     """Load a JSON config file into typed sections.
 
-    Recognized sections: "scenario", "script", "sim"; anything else is
-    passed through verbatim (training code reads its own sections).
+    Sections: "scenario", "script", "sim" (typed) and "ppo" (a dict of
+    PPOConfig keys); any other section raises a KeyError naming it.
     """
     raw = json.loads(Path(path).read_text())
     return parse_config(raw)
 
 
+SECTIONS = ("scenario", "script", "sim", "ppo")
+
+
 def parse_config(raw: dict) -> dict:
+    unknown = sorted(set(raw) - set(SECTIONS))
+    if unknown:
+        raise KeyError(f"unknown config sections: {unknown} "
+                       f"(known: {', '.join(SECTIONS)})")
     out = dict(raw)
     if "scenario" in raw:
         out["scenario"] = _from_dict(ScenarioConfig, raw["scenario"])

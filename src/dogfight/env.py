@@ -13,7 +13,7 @@ horizon is reached; simultaneous extinction counts as a draw.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Protocol
 
 import numpy as np
 

@@ -135,7 +135,7 @@ def team_death_flags(world: World, events: list[SimEvent]) -> tuple[bool, bool]:
 
 
 # --- evaluation-time actors --------------------------------------------------
-# `LowLevelActor` and `CTCEDriver` (train.policies) and `HierarchyEvalActor`
+# `CTDEDriver` and `CTCEDriver` (train.policies) and `HierarchyEvalActor`
 # (train.commander) run the policies' own decision code; these two add a
 # random baseline and a commander-free one.
 

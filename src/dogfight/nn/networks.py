@@ -118,15 +118,17 @@ class NetworkConfig:
                    dtype=data["dtype"])
 
 
-def fight_config(critic_width: int, attention: bool = True,
-                 fc_baseline: bool = False, dtype: str = "float32") -> NetworkConfig:
+def fight_config(critic_width: int, fc_baseline: bool = False,
+                 dtype: str = "float32") -> NetworkConfig:
+    """Fight network: attention over entity tokens, or with `fc_baseline`
+    two wide tanh layers."""
     instances = tuple(
         InstanceSpec(
             name=type_id.lower(),
             obs_width=OBS_LAYOUTS[f"fight-{type_id}"],
             head_arities=FIGHT_HEADS,
             critic_width=critic_width,
-            token_splits=fight_token_splits(type_id) if attention and not fc_baseline else None,
+            token_splits=None if fc_baseline else fight_token_splits(type_id),
         )
         for type_id in ("AC1", "AC2")
     )

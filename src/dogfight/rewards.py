@@ -240,29 +240,30 @@ def reward_commander(world: World, agent_id: int, a_c: int,
     return total
 
 
-def _near_boundary(world: World, agent_id: int, margin: float) -> bool:
-    a = world.get(agent_id)
-    return min(a.pos.x, a.pos.y,
-               world.map_size - a.pos.x, world.map_size - a.pos.y) < margin
+def _near_boundary(a, map_size: float, margin: float) -> bool:
+    return min(a.pos.x, a.pos.y, map_size - a.pos.x, map_size - a.pos.y) < margin
 
 
-def option_terminated(world: World, agent_id: int, steps_in_option: int,
+def option_terminated(world: World, steps_in_option: int,
                       step_events: list[SimEvent],
                       scenario: ScenarioConfig | None = None) -> bool:
-    """Commander re-invocation test: the option horizon elapsed, any aircraft
-    was destroyed this step, the agent nears the map boundary, or any
-    agent/opponent pair reached a favorable situation."""
+    """Commander re-invocation test for the whole team: the option horizon
+    elapsed, any aircraft was destroyed this step, any living agent nears
+    the map boundary, or any agent/opponent pair reached a favorable
+    situation."""
     cfg = scenario or ScenarioConfig()
     if steps_in_option >= cfg.option_horizon:
         return True
     for event in step_events:
         if isinstance(event, KILL_EVENTS + (OutOfBounds,)):
             return True
-    agent = world.get(agent_id)
-    if agent.alive and _near_boundary(world, agent_id, cfg.boundary_margin):
+    agents = world.alive("agent")
+    if any(_near_boundary(a, world.map_size, cfg.boundary_margin)
+           for a in agents):
         return True
-    for a in world.alive("agent"):
-        for o in world.alive("opponent"):
+    opponents = world.alive("opponent")
+    for a in agents:
+        for o in opponents:
             if (favorable_situation(world, a.id, o.id, cfg)
                     or favorable_situation(world, o.id, a.id, cfg)):
                 return True

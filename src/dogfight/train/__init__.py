@@ -11,10 +11,7 @@ from .league import LOW_LEVELS, LeagueArchive
 from .policies import (
     CTCEDriver,
     CTDEDriver,
-    DTDEDriver,
-    LowLevelActor,
     SnapshotController,
-    make_dtde_policies,
     make_low_level_policy,
 )
 from .ppo import PPOConfig, UpdateStats, ppo_update
@@ -33,10 +30,8 @@ __all__ = [
     "CTDEDriver",
     "CommanderTrainer",
     "CommanderVariant",
-    "DTDEDriver",
     "LOW_LEVELS",
     "LeagueArchive",
-    "LowLevelActor",
     "LowLevelTrainer",
     "PPOConfig",
     "RolloutBuffer",
@@ -48,7 +43,6 @@ __all__ = [
     "commander_network",
     "compute_gae",
     "curriculum_horizon",
-    "make_dtde_policies",
     "make_low_level_policy",
     "ppo_update",
     "run_curriculum",

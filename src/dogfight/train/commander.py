@@ -15,7 +15,7 @@ The option loop itself, `HierarchyEvalActor`, is the one evaluation runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from ..nn.networks import (
     commander_config,
     ctce_config,
     sample_action,
-    sample_slots,
 )
 from ..observations import (
     OBS_LAYOUTS,
@@ -44,10 +43,11 @@ from ..rewards import (
 from ..simcore import SimConfig
 from .buffer import RolloutBuffer, Transition
 from .policies import (
+    CTDEDriver,
     EpisodeActor,
-    LowLevelActor,
     SnapshotController,
-    joint_obs,
+    joint_decision,
+    joint_transition,
     low_level_actions,
 )
 from .ppo import PPOConfig, ppo_update
@@ -128,8 +128,8 @@ class HierarchyEvalActor(EpisodeActor):
                  opponents: SnapshotController | None = None):
         self.commander = commander
         self.instance = commander.config.instances[0].name
-        self.fight_actor = LowLevelActor(fight, "fight", rng, greedy=greedy)
-        self.escape_actor = LowLevelActor(escape, "escape", rng, greedy=greedy)
+        self.fight_actor = CTDEDriver(fight, "fight", rng, greedy=greedy)
+        self.escape_actor = CTDEDriver(escape, "escape", rng, greedy=greedy)
         self.rng = rng
         self.senses = senses
         self.opt = opt
@@ -139,7 +139,7 @@ class HierarchyEvalActor(EpisodeActor):
         self.escape_commands = 0
         self.opponent_selection = [0, 0, 0]
         self.decisions: dict[int, dict] = {}  # per living agent at the boundary
-        self.decision = None  # (obs, hidden, log_probs) of the commander call
+        self.decision = None  # (obs, hidden, samples, log_probs) of the call
         self.steps_in_option = 0
         self._hiddens: dict[int, np.ndarray] = {}  # by agent id; -1 if joint
         self._last_events: list = []
@@ -152,11 +152,8 @@ class HierarchyEvalActor(EpisodeActor):
         self._last_events = []
 
     def _needs_decision(self, env: CombatEnv) -> bool:
-        if not self.decisions:
-            return True
-        return any(option_terminated(env.world, aid, self.steps_in_option,
-                                     self._last_events, env.scenario)
-                   for aid in env.agent_ids())
+        return not self.decisions or option_terminated(
+            env.world, self.steps_in_option, self._last_events, env.scenario)
 
     def _decide(self, env: CombatEnv):
         world, scenario = env.world, env.scenario
@@ -175,16 +172,14 @@ class HierarchyEvalActor(EpisodeActor):
                 for i, aid in enumerate(alive):
                     self._hiddens[aid] = out.hidden[i:i + 1]
         else:
-            obs, alive = joint_obs(world, scenario.n_agents,
-                                   OBS_LAYOUTS[f"commander-n{self.senses}"],
-                                   observe)
             hidden = self._hiddens[-1]
-            out = self.commander.forward_actor("joint", obs, hidden, grad=False)
-            samples, log_probs, _ = sample_slots(out.logits, alive, 1, self.rng,
-                                                 self.greedy)
-            if out.hidden is not None:
-                self._hiddens[-1] = out.hidden
-        self.decision = (obs, hidden, log_probs)
+            obs, alive, samples, log_probs, new_hidden = joint_decision(
+                self.commander, world, scenario.n_agents,
+                OBS_LAYOUTS[f"commander-n{self.senses}"], observe, 1, self.rng,
+                self.greedy, hidden)
+            if new_hidden is not None:
+                self._hiddens[-1] = new_hidden
+        self.decision = (obs, hidden, samples, log_probs)
         self.decisions = {}
         for aid, a_c in zip(alive, samples[:, 0].tolist()):
             sensed = [o.id for o in closest_opponents(world, world.get(aid),
@@ -213,17 +208,14 @@ class HierarchyEvalActor(EpisodeActor):
         rows = {}
         for aid in env.agent_ids():
             target_idx = self.decisions[aid]["target_idx"]
-            if target_idx == 0:
-                env.set_attack_target(aid, None)
-                rows[aid] = self.escape_actor.row(world, aid, scenario=env.scenario)
-                continue
             sensed = self.decisions[aid]["sensed"]
             target = None
-            if target_idx - 1 < len(sensed) and world.get(sensed[target_idx - 1]).alive:
+            if (0 < target_idx <= len(sensed)
+                    and world.get(sensed[target_idx - 1]).alive):
                 target = sensed[target_idx - 1]
             env.set_attack_target(aid, target)
-            rows[aid] = self.fight_actor.row(world, aid, target_id=target,
-                                             scenario=env.scenario)
+            actor = self.escape_actor if target_idx == 0 else self.fight_actor
+            rows[aid] = actor.row(env, aid)
         return low_level_actions(rows, self.fight_actor.rng, self.greedy)
 
     def observe_step(self, env: CombatEnv, result):
@@ -320,7 +312,7 @@ class CommanderTrainer:
         """Transitions of the decision the actor just made, carrying the
         assessment reward so far; records the commands in `prev_cmd`."""
         world, scenario, variant = self.env.world, self.scenario, self.variant
-        obs, hidden, log_probs = self.actor.decision
+        obs, hidden, samples, log_probs = self.actor.decision
         decisions = self.actor.decisions
         critic_in = build_critic_input(
             "commander", world, scenario, prev_cmd,
@@ -342,18 +334,10 @@ class CommanderTrainer:
                 log_prob=float(log_probs[i]), value=value, reward=assess[aid],
                 done=False, critic_input=critic_in, hidden=hidden[i:i + 1])
                 for i, (aid, d) in enumerate(decisions.items())]
-        action = np.zeros(scenario.n_agents, dtype=int)
-        mask = np.zeros(scenario.n_agents)
-        log_prob = 0.0
-        for (aid, d), lp in zip(decisions.items(), log_probs):
-            action[aid] = d["a_c"]
-            mask[aid] = 1.0
-            log_prob += float(lp)
-        return [Transition(
-            instance="joint", agent_id=-1, episode=self.episodes, obs=obs,
-            action=action, log_prob=log_prob, value=value,
-            reward=sum(assess.values()), done=False, critic_input=critic_in,
-            hidden=hidden, head_mask=mask)]
+        return [joint_transition(
+            scenario.n_agents, list(decisions), samples, log_probs,
+            episode=self.episodes, obs=obs, value=value,
+            reward=sum(assess.values()), critic_input=critic_in, hidden=hidden)]
 
     def _close_option(self, option: list[Transition], events: list,
                       duration: int, terminal: bool):

@@ -1,18 +1,23 @@
-"""Action drivers: how policies of each training framework pick actions and
-record transitions, the low-level actor that flies frozen or training
-policies, and the frozen-snapshot opponent controller.
+"""Decision drivers: how the networks of each training framework pick
+actions and record transitions, and the frozen-snapshot opponent controller.
 
-CTDE keeps one network instance per aircraft type shared by all same-type
-agents. DTDE gives every agent id its own parameter store with a local
-critic. CTCE drives the whole team through a single joint network whose head
-list concatenates every agent slot's four control heads.
+Decisions come in two shapes. Per agent: `CTDEDriver` gives each living
+agent one row, `(network, instance, observation)`. Its `policy` is either
+one network whose per-type instances all same-type agents share (CTDE), or
+a dict of networks by agent id (DTDE). A shared network's critic judges the
+global critic input, which is the same for all of its agents; an agent's own
+network judges a local one, its observation and previous action. Jointly:
+`joint_decision` runs one network over the team's zero-padded joint
+observation and samples every living slot's heads, and `joint_transition`
+records that decision as one transition. `CTCEDriver` flies the low-level
+team that way, and the Glob commander decides that way.
 
 Decisions are graph-free and batched: each env step runs one actor forward
 per (network, instance) over the agents it drives and samples all agents
 in one call, in agent-id order, so the action generator draws exactly what
-one-agent-at-a-time sampling would. `evaluate` drives the same code:
-`LowLevelActor`, `CTCEDriver` and the commander's option loop are its
-actors.
+one-agent-at-a-time sampling would. Each driver has a non-recording
+`actions(env)`, which `evaluate` and the commander's option loop use, and a
+recording `act(env, episode)`, which training uses.
 """
 
 from __future__ import annotations
@@ -33,14 +38,14 @@ from ..nn.networks import (
 )
 from ..observations import (
     FIGHT_HEADS,
+    LOW_ACTION_WIDTH,
     OBS_LAYOUTS,
     build_critic_input,
     build_obs,
     closest_opponents,
     critic_input_width,
-    encode_low_action,
 )
-from ..simcore import TEAM_AGENT, TEAM_OPPONENT, World
+from ..simcore import TEAM_OPPONENT, World
 from .buffer import Transition
 
 LOW_ACTION_HEADS = len(FIGHT_HEADS)
@@ -51,64 +56,40 @@ def instance_for(world: World, aircraft_id: int) -> str:
 
 
 def make_low_level_policy(kind: str, framework: str, scenario: ScenarioConfig,
-                          seed: int, attention: bool = True,
-                          fc_baseline: bool = False,
-                          dtype: str = "float32"):
+                          seed: int, fc_baseline: bool = False,
+                          dtype: str = "float32",
+                          agent_types: list[str] | None = None):
     """Networks for one low-level training mode.
 
-    Returns a PolicyNetwork (ctde/ctce) or a per-agent-id dict (dtde).
+    Returns a PolicyNetwork (ctde/ctce), or for dtde a dict of networks by
+    agent id, one per entry of `agent_types` (the agents' fixed aircraft
+    types), each with a local critic: own observation and previous action.
     """
-    slots = scenario.n_agents + scenario.n_opponents
-    if kind == "escape":
-        global_width = slots * (OBS_LAYOUTS["escape-AC1"] + 4)
-    else:
-        global_width = slots * (OBS_LAYOUTS["fight-AC1"] + 4)
-
-    if framework == "ctde":
-        if kind == "escape":
-            return PolicyNetwork(escape_config(global_width, dtype=dtype), seed=seed)
-        return PolicyNetwork(fight_config(global_width, attention=attention,
-                                          fc_baseline=fc_baseline, dtype=dtype),
-                             seed=seed)
-    if framework == "ctce":
-        slot_obs = OBS_LAYOUTS["escape-AC1" if kind == "escape" else "fight-AC1"]
-        config = ctce_config(kind, obs_width=scenario.n_agents * slot_obs,
-                             head_arities=FIGHT_HEADS * scenario.n_agents,
-                             critic_width=global_width, dtype=dtype)
-        return PolicyNetwork(config, seed=seed)
+    obs_kind = "escape" if kind == "escape" else "fight"
     if framework == "dtde":
-        raise ValueError("dtde policies are created per agent via make_dtde_policies")
+        if agent_types is None:
+            raise ValueError("dtde networks need the agents' fixed aircraft types")
+        policies = {}
+        for aid, type_id in enumerate(agent_types):
+            local_width = OBS_LAYOUTS[f"{obs_kind}-{type_id}"] + LOW_ACTION_WIDTH
+            config = (escape_config(local_width, dtype=dtype) if kind == "escape"
+                      else fight_config(local_width, dtype=dtype))
+            policies[aid] = PolicyNetwork(config, seed=seed + 1000 + aid)
+        return policies
+    global_width = critic_input_width(obs_kind, scenario.n_agents,
+                                      scenario.n_opponents)
+    if framework == "ctde":
+        config = (escape_config(global_width, dtype=dtype) if kind == "escape"
+                  else fight_config(global_width, fc_baseline=fc_baseline,
+                                    dtype=dtype))
+        return PolicyNetwork(config, seed=seed)
+    if framework == "ctce":
+        config = ctce_config(
+            kind, obs_width=scenario.n_agents * OBS_LAYOUTS[f"{obs_kind}-AC1"],
+            head_arities=FIGHT_HEADS * scenario.n_agents,
+            critic_width=global_width, dtype=dtype)
+        return PolicyNetwork(config, seed=seed)
     raise ValueError(f"unknown framework {framework!r}")
-
-
-def make_dtde_policies(kind: str, agent_types: list[str], seed: int,
-                       attention: bool = True,
-                       dtype: str = "float32") -> dict[int, PolicyNetwork]:
-    """Independent per-agent networks with local critics (own obs + own
-    previous action)."""
-    policies = {}
-    for aid, type_id in enumerate(agent_types):
-        layout = f"{'escape' if kind == 'escape' else 'fight'}-{type_id}"
-        local_width = OBS_LAYOUTS[layout] + 4
-        if kind == "escape":
-            config = escape_config(local_width, dtype=dtype)
-        else:
-            config = fight_config(local_width, attention=attention, dtype=dtype)
-        policies[aid] = PolicyNetwork(config, seed=seed + 1000 + aid)
-    return policies
-
-
-def joint_obs(world: World, n_agents: int, width: int, observe
-              ) -> tuple[np.ndarray, list[int]]:
-    """The joint observation of agent slots 0..n_agents-1, each slot
-    `observe(agent_id)` zero-padded to `width`, a destroyed agent's slot all
-    zeros; and the living slots."""
-    obs = np.zeros(n_agents * width)
-    alive = [aid for aid in range(n_agents) if world.get(aid).alive]
-    for aid in alive:
-        vec = observe(aid)
-        obs[aid * width: aid * width + len(vec)] = vec
-    return obs, alive
 
 
 def low_level_actions(rows: dict[int, tuple[PolicyNetwork, str, np.ndarray]],
@@ -122,6 +103,45 @@ def low_level_actions(rows: dict[int, tuple[PolicyNetwork, str, np.ndarray]],
     return {aid: LowLevelAction.from_heads(s) for aid, s in zip(rows, samples)}
 
 
+def joint_decision(policy: PolicyNetwork, world: World, n_agents: int,
+                   width: int, observe, heads: int, rng: np.random.Generator,
+                   greedy: bool = False, hidden: np.ndarray | None = None):
+    """One decision of a joint network for the whole team.
+
+    The joint observation holds agent slots 0..n_agents-1, each slot
+    `observe(agent_id)` zero-padded to `width`, a destroyed agent's slot all
+    zeros. Each living slot samples its `heads` consecutive heads. Returns
+    the joint observation, the living slots, their samples [slots, heads]
+    and summed log-probabilities, and the network's new hidden state (None
+    unless it is recurrent)."""
+    obs = np.zeros(n_agents * width)
+    alive = [aid for aid in range(n_agents) if world.get(aid).alive]
+    for aid in alive:
+        vec = observe(aid)
+        obs[aid * width: aid * width + len(vec)] = vec
+    out = policy.forward_actor("joint", obs, hidden, grad=False)
+    samples, log_probs, _ = sample_slots(out.logits, alive, heads, rng, greedy)
+    return obs, alive, samples, log_probs, out.hidden
+
+
+def joint_transition(n_agents: int, alive: list[int], samples: np.ndarray,
+                     log_probs: np.ndarray, **fields) -> Transition:
+    """The transition of a joint decision (see `joint_decision`): the
+    living slots' heads in the team's action vector, the mask of the heads
+    that acted, and the summed log-probability; `fields` give the rest
+    (episode, obs, value, reward, critic_input, hidden)."""
+    width = samples.shape[1]
+    action = np.zeros(n_agents * width, dtype=int)
+    mask = np.zeros(n_agents * width)
+    log_prob = 0.0
+    for slot, picked, lp in zip(alive, samples, log_probs):
+        action[slot * width:(slot + 1) * width] = picked
+        mask[slot * width:(slot + 1) * width] = 1.0
+        log_prob += float(lp)
+    return Transition(instance="joint", agent_id=-1, action=action,
+                      log_prob=log_prob, done=False, head_mask=mask, **fields)
+
+
 class EpisodeActor:
     """What `evaluate` drives: `actions(env)` once per env step, plus hooks
     at the start of an episode and after each step, empty here."""
@@ -131,30 +151,6 @@ class EpisodeActor:
 
     def observe_step(self, env: CombatEnv, result):
         pass
-
-
-@dataclass
-class LowLevelActor(EpisodeActor):
-    """Execution-time action selection for a frozen or training policy."""
-
-    policy: PolicyNetwork
-    kind: str  # fight | escape
-    rng: np.random.Generator
-    greedy: bool = False
-
-    def row(self, world: World, agent_id: int, target_id: int | None = None,
-            scenario: ScenarioConfig | None = None
-            ) -> tuple[PolicyNetwork, str, np.ndarray]:
-        """The decision row of one aircraft (see `low_level_actions`)."""
-        obs = build_obs(self.kind, world, agent_id, scenario, target_id=target_id)
-        return self.policy, instance_for(world, agent_id), obs
-
-    def actions(self, env: CombatEnv) -> dict[int, LowLevelAction]:
-        """One action per living agent, none with an assigned target."""
-        return low_level_actions(
-            {aid: self.row(env.world, aid, scenario=env.scenario)
-             for aid in env.agent_ids()},
-            self.rng, self.greedy)
 
 
 @dataclass
@@ -200,133 +196,113 @@ class SnapshotController:
         return out
 
 
-def _transitions(rows: dict, samples: np.ndarray, log_probs: np.ndarray,
-                 values: dict, critic_inputs: dict, episode: int
-                 ) -> tuple[dict[int, LowLevelAction], list[Transition]]:
-    """Actions and reward-less transitions of the sampled rows; `values` and
-    `critic_inputs` are keyed by agent id."""
-    actions: dict[int, LowLevelAction] = {}
-    transitions: list[Transition] = []
-    for (aid, (_, instance, obs)), action, log_prob in zip(
-            rows.items(), samples, log_probs):
-        actions[aid] = LowLevelAction.from_heads(action)
-        transitions.append(Transition(
-            instance=instance, agent_id=aid, episode=episode, obs=obs,
-            action=action, log_prob=float(log_prob), value=values[aid],
-            reward=0.0, done=False, critic_input=critic_inputs[aid]))
-    return actions, transitions
+class CTDEDriver(EpisodeActor):
+    """Per-agent decisions of a fight or escape policy: one network shared
+    per aircraft type (CTDE), or one network per agent id (DTDE). Agents
+    observe their attack targets as set on the env."""
 
-
-class CTDEDriver:
-    """Shared-per-type policy: each agent samples from its type's instance;
-    critics see the global observation/action concatenation, so one value
-    per instance serves all of its agents."""
-
-    def __init__(self, policy: PolicyNetwork, kind: str,
-                 scenario: ScenarioConfig, rng: np.random.Generator):
+    def __init__(self, policy: PolicyNetwork | dict[int, PolicyNetwork],
+                 kind: str, rng: np.random.Generator, greedy: bool = False):
         self.policy = policy
-        self.kind = kind
-        self.scenario = scenario
+        self.kind = kind  # fight | escape
         self.rng = rng
+        self.greedy = greedy
+
+    def network(self, agent_id: int) -> PolicyNetwork:
+        """The network that decides for `agent_id`."""
+        if isinstance(self.policy, dict):
+            return self.policy[agent_id]
+        return self.policy
+
+    def row(self, env: CombatEnv, agent_id: int
+            ) -> tuple[PolicyNetwork, str, np.ndarray]:
+        """The decision row of one living agent (see `low_level_actions`)."""
+        return (self.network(agent_id), instance_for(env.world, agent_id),
+                env.observe(agent_id, self.kind))
+
+    def actions(self, env: CombatEnv) -> dict[int, LowLevelAction]:
+        """One action per living agent."""
+        rows = {aid: self.row(env, aid) for aid in env.agent_ids()}
+        return low_level_actions(rows, self.rng, self.greedy)
 
     def act(self, env: CombatEnv, episode: int
             ) -> tuple[dict[int, LowLevelAction], list[Transition]]:
-        world = env.world
-        critic_in = build_critic_input(self.kind, world, self.scenario,
-                                       env.prev_actions,
-                                       self.scenario.n_agents,
-                                       self.scenario.n_opponents)
-        rows = {aid: (self.policy, instance_for(world, aid),
-                      env.observe(aid, self.kind))
-                for aid in env.agent_ids()}
-        samples, log_probs = sample_rows(list(rows.values()), self.rng)
+        """`actions`, plus one reward-less transition per agent carrying its
+        critic input and value."""
+        rows = {aid: self.row(env, aid) for aid in env.agent_ids()}
+        samples, log_probs = sample_rows(list(rows.values()), self.rng,
+                                         self.greedy)
+        critic_inputs, values = self._critic(env, rows)
+        actions: dict[int, LowLevelAction] = {}
+        transitions: list[Transition] = []
+        for (aid, (_, instance, obs)), action, log_prob in zip(
+                rows.items(), samples, log_probs):
+            actions[aid] = LowLevelAction.from_heads(action)
+            transitions.append(Transition(
+                instance=instance, agent_id=aid, episode=episode, obs=obs,
+                action=action, log_prob=float(log_prob), value=values[aid],
+                reward=0.0, done=False, critic_input=critic_inputs[aid]))
+        return actions, transitions
+
+    def _critic(self, env: CombatEnv, rows: dict) -> tuple[dict, dict]:
+        """Critic input and value by agent id. An agent's own network sees
+        its observation and previous action; a shared network sees the
+        global critic input, so one value per instance serves its agents."""
+        if isinstance(self.policy, dict):
+            inputs = {aid: np.concatenate([
+                          obs, env.prev_actions.get(aid, [0.0] * LOW_ACTION_WIDTH)])
+                      for aid, (_, _, obs) in rows.items()}
+            return inputs, {aid: policy.forward_critic(instance, inputs[aid],
+                                                       grad=False).item()
+                            for aid, (policy, instance, _) in rows.items()}
+        scenario = env.scenario
+        critic_in = build_critic_input(self.kind, env.world, scenario,
+                                       env.prev_actions, scenario.n_agents,
+                                       scenario.n_opponents)
         per_instance = {
             instance: self.policy.forward_critic(instance, critic_in,
                                                  grad=False).item()
             for instance in dict.fromkeys(row[1] for row in rows.values())}
-        values = {aid: per_instance[row[1]] for aid, row in rows.items()}
-        return _transitions(rows, samples, log_probs, values,
-                            dict.fromkeys(rows, critic_in), episode)
-
-
-class DTDEDriver:
-    """Fully decentralized: per-agent networks and local critics."""
-
-    def __init__(self, policies: dict[int, PolicyNetwork], kind: str,
-                 scenario: ScenarioConfig, rng: np.random.Generator):
-        self.policies = policies
-        self.kind = kind
-        self.scenario = scenario
-        self.rng = rng
-
-    def act(self, env: CombatEnv, episode: int
-            ) -> tuple[dict[int, LowLevelAction], list[Transition]]:
-        world = env.world
-        rows = {aid: (self.policies[aid], instance_for(world, aid),
-                      env.observe(aid, self.kind))
-                for aid in env.agent_ids()}
-        samples, log_probs = sample_rows(list(rows.values()), self.rng)
-        critic_inputs = {}
-        for aid, (_, _, obs) in rows.items():
-            prev = env.prev_actions.get(aid, [0.0] * 4)
-            critic_inputs[aid] = np.concatenate([obs, np.asarray(prev)])
-        values = {aid: policy.forward_critic(instance, critic_inputs[aid],
-                                             grad=False).item()
-                  for aid, (policy, instance, _) in rows.items()}
-        return _transitions(rows, samples, log_probs, values, critic_inputs,
-                            episode)
+        return (dict.fromkeys(rows, critic_in),
+                {aid: per_instance[row[1]] for aid, row in rows.items()})
 
 
 class CTCEDriver(EpisodeActor):
-    """One joint network controls the whole team; a single transition per
-    env step carries the joint action and the summed team reward."""
+    """One joint network flies the whole team (see `joint_decision`); a
+    training step records a single transition for the team."""
 
     def __init__(self, policy: PolicyNetwork, kind: str,
-                 scenario: ScenarioConfig, rng: np.random.Generator,
-                 greedy: bool = False):
+                 rng: np.random.Generator, greedy: bool = False):
         self.policy = policy
         self.kind = kind
-        self.scenario = scenario
         self.rng = rng
         self.greedy = greedy
         self.slot_obs = OBS_LAYOUTS["escape-AC1" if kind == "escape" else "fight-AC1"]
 
-    def _sample(self, env: CombatEnv):
-        """The joint observation, the living slots, and their sampled heads
-        and log-probabilities."""
-        obs, alive = joint_obs(env.world, self.scenario.n_agents, self.slot_obs,
-                               lambda aid: env.observe(aid, self.kind))
-        out = self.policy.forward_actor("joint", obs, grad=False)
-        samples, log_probs, _ = sample_slots(out.logits, alive, LOW_ACTION_HEADS,
-                                             self.rng, self.greedy)
-        return obs, alive, samples, log_probs
+    def network(self, agent_id: int) -> PolicyNetwork:
+        return self.policy
+
+    def _decide(self, env: CombatEnv):
+        return joint_decision(self.policy, env.world, env.scenario.n_agents,
+                              self.slot_obs, lambda aid: env.observe(aid, self.kind),
+                              LOW_ACTION_HEADS, self.rng, self.greedy)
 
     def actions(self, env: CombatEnv) -> dict[int, LowLevelAction]:
-        _, alive, samples, _ = self._sample(env)
+        _, alive, samples, _, _ = self._decide(env)
         return {slot: LowLevelAction.from_heads(picked)
                 for slot, picked in zip(alive, samples)}
 
     def act(self, env: CombatEnv, episode: int
             ) -> tuple[dict[int, LowLevelAction], list[Transition]]:
-        obs, alive, samples, log_probs = self._sample(env)
-        critic_in = build_critic_input(self.kind, env.world, self.scenario,
-                                       env.prev_actions,
-                                       self.scenario.n_agents,
-                                       self.scenario.n_opponents)
+        obs, alive, samples, log_probs, _ = self._decide(env)
+        scenario = env.scenario
+        critic_in = build_critic_input(self.kind, env.world, scenario,
+                                       env.prev_actions, scenario.n_agents,
+                                       scenario.n_opponents)
         value = self.policy.forward_critic("joint", critic_in, grad=False).item()
-        n_heads = len(self.policy.config.instance("joint").head_arities)
-        action = np.zeros(n_heads, dtype=int)
-        mask = np.zeros(n_heads)
-        log_prob = 0.0
-        actions: dict[int, LowLevelAction] = {}
-        for slot, picked, lp in zip(alive, samples, log_probs):
-            head_slice = slice(slot * LOW_ACTION_HEADS, (slot + 1) * LOW_ACTION_HEADS)
-            action[head_slice] = picked
-            mask[head_slice] = 1.0
-            log_prob += float(lp)
-            actions[slot] = LowLevelAction.from_heads(picked)
-        transition = Transition(
-            instance="joint", agent_id=-1, episode=episode, obs=obs,
-            action=action, log_prob=log_prob, value=value, reward=0.0,
-            done=False, critic_input=critic_in, head_mask=mask)
+        transition = joint_transition(
+            scenario.n_agents, alive, samples, log_probs, episode=episode,
+            obs=obs, value=value, reward=0.0, critic_input=critic_in)
+        actions = {slot: LowLevelAction.from_heads(picked)
+                   for slot, picked in zip(alive, samples)}
         return actions, [transition]

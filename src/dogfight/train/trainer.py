@@ -10,8 +10,7 @@ identical metrics logs byte for byte.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +26,7 @@ from .league import LOW_LEVELS, LeagueArchive
 from .policies import (
     CTCEDriver,
     CTDEDriver,
-    DTDEDriver,
     SnapshotController,
-    make_dtde_policies,
     make_low_level_policy,
 )
 from .ppo import PPOConfig, UpdateStats, ppo_update
@@ -46,14 +43,16 @@ class TrainMode:
     framework: str = "ctde"  # ctde | ctce | dtde
     kind: str = "fight"  # fight | escape | standard
     reward_variant: str = "base"  # fight: base|fripun|shfrac; escape: base|dist|dist_speed
-    attention: bool = True
-    fc_baseline: bool = False
+    fc_baseline: bool = False  # CTDE fight: 500-wide MLP, no attention
 
     def __post_init__(self):
         if self.framework not in ("ctde", "ctce", "dtde"):
             raise ValueError(f"unknown framework {self.framework!r}")
         if self.kind not in ("fight", "escape", "standard"):
             raise ValueError(f"unknown policy kind {self.kind!r}")
+        if self.fc_baseline and (self.framework, self.kind) != ("ctde", "fight"):
+            raise ValueError("fc_baseline replaces the attention network of the "
+                             "ctde fight policy only")
 
 
 def _spawn_seeds(master_seed: int, label: str, count: int) -> list[int]:
@@ -67,7 +66,11 @@ def curriculum_horizon(level: str) -> int:
 
 
 class LowLevelTrainer:
-    """Episode collection + PPO updates for one low-level policy."""
+    """Episode collection + PPO updates for one low-level policy.
+
+    `policies` holds every network by key: the agent id under DTDE, 0 for
+    the one network of CTDE and CTCE. `policy`, the network with key 0, is
+    the one archived. Each network is updated on the transitions it made."""
 
     def __init__(self, scenario: ScenarioConfig, ppo: PPOConfig, mode: TrainMode,
                  run_dir: RunDir | None = None, seed: int = 0,
@@ -86,35 +89,21 @@ class LowLevelTrainer:
         self.opponent_rng = np.random.default_rng(seeds[2])
         self.update_rng = np.random.default_rng(seeds[3])
 
-        kind = "escape" if mode.kind == "escape" else "fight"
+        self.agent_types = None
         if mode.framework == "dtde":
             # per-agent networks need a fixed id -> airframe assignment
             type_rng = np.random.default_rng(seeds[1] ^ 0xD7DE)
-            if scenario.n_agents >= 2:
-                self.agent_types = ["AC1", "AC2"] + [
-                    ("AC1" if type_rng.random() < 0.5 else "AC2")
-                    for _ in range(scenario.n_agents - 2)]
-            else:
-                self.agent_types = ["AC1"]
-            self.policies = make_dtde_policies(kind, self.agent_types, seed,
-                                               attention=mode.attention)
-            self.policy = next(iter(self.policies.values()))  # checkpoint anchor
-            self.driver = DTDEDriver(self.policies, kind, scenario,
-                                     self.action_rng)
-        elif mode.framework == "ctce":
-            self.policy = make_low_level_policy(mode.kind, "ctce", scenario, seed)
-            self.policies = {0: self.policy}
-            self.driver = CTCEDriver(self.policy, kind, scenario,
-                                     self.action_rng)
-            self.agent_types = None
-        else:
-            self.policy = make_low_level_policy(
-                mode.kind, "ctde", scenario, seed,
-                attention=mode.attention, fc_baseline=mode.fc_baseline)
-            self.policies = {0: self.policy}
-            self.driver = CTDEDriver(self.policy, kind, scenario,
-                                     self.action_rng)
-            self.agent_types = None
+            self.agent_types = ["AC1", "AC2"][:scenario.n_agents] + [
+                ("AC1" if type_rng.random() < 0.5 else "AC2")
+                for _ in range(scenario.n_agents - 2)]
+        policy = make_low_level_policy(mode.kind, mode.framework, scenario, seed,
+                                       fc_baseline=mode.fc_baseline,
+                                       agent_types=self.agent_types)
+        driver = CTCEDriver if mode.framework == "ctce" else CTDEDriver
+        self.driver = driver(policy, "escape" if mode.kind == "escape" else "fight",
+                             self.action_rng)
+        self.policies = policy if isinstance(policy, dict) else {0: policy}
+        self.policy = self.policies[0]
 
         self.buffer = RolloutBuffer()
         self.env_steps = 0
@@ -149,17 +138,14 @@ class LowLevelTrainer:
             actions, transitions = self.driver.act(env, self.episodes)
             result = env.step(actions)
             length += 1
-            if self.mode.framework == "ctce":
-                team_reward = sum(result.rewards.values())
-                transitions[0].reward = team_reward
-                transitions[0].done = result.terminal
-                total_reward += team_reward
-            else:
-                for t in transitions:
+            for t in transitions:
+                if t.head_mask is not None:  # a joint transition: the team's
+                    t.reward = sum(result.rewards.values())
+                    t.done = result.terminal
+                else:
                     t.reward = result.rewards[t.agent_id]
                     t.done = result.done[t.agent_id]
-                    total_reward += t.reward
-            for t in transitions:
+                total_reward += t.reward
                 self.buffer.add(t)
             if result.terminal:
                 break
@@ -172,16 +158,14 @@ class LowLevelTrainer:
         return {"outcome": outcome, "length": length}
 
     def _update_policies(self) -> UpdateStats:
-        if self.mode.framework == "dtde":
-            stats = UpdateStats()
-            for aid, policy in self.policies.items():
-                sub = RolloutBuffer()
-                sub.transitions = [t for t in self.buffer.transitions
-                                   if t.agent_id == aid]
-                if sub.transitions:
-                    stats.merge(ppo_update(policy, sub, self.ppo, self.update_rng))
-            return stats
-        return ppo_update(self.policy, self.buffer, self.ppo, self.update_rng)
+        stats = UpdateStats()
+        for policy in self.policies.values():
+            own = [t for t in self.buffer.transitions
+                   if self.driver.network(t.agent_id) is policy]
+            if own:
+                stats.merge(ppo_update(policy, RolloutBuffer(own), self.ppo,
+                                       self.update_rng))
+        return stats
 
     def maybe_update(self, level: str) -> bool:
         if len(self.buffer) < self.ppo.batch_size:
@@ -217,35 +201,42 @@ class LowLevelTrainer:
             self.run_episode(env)
             self.maybe_update(level)
 
-    # -- optimizer state (exact resume) ---------------------------------------
+    # -- network and optimizer state (curriculum resume) ---------------------
 
     def save_state(self, path: Path):
-        arrays = {}
-        for name, m in self.policy.store.moment1.items():
-            arrays[f"adam.m.{name}"] = m
-        for name, v in self.policy.store.moment2.items():
-            arrays[f"adam.v.{name}"] = v
-        save_arrays(path, arrays, {"step_count": self.policy.store.step_count})
+        """Every network's weights, Adam moments and Adam step count."""
+        arrays, steps = {}, {}
+        for key, policy in self.policies.items():
+            store = policy.store
+            for group, named in (("param", store.state_arrays()),
+                                 ("adam.m", store.moment1),
+                                 ("adam.v", store.moment2)):
+                for name, value in named.items():
+                    arrays[f"{key}.{group}.{name}"] = value
+            steps[str(key)] = store.step_count
+        save_arrays(path, arrays, {"step_count": steps})
 
     def load_state(self, path: Path):
         arrays, config = load_checkpoint(path)
-        for name in self.policy.store.moment1:
-            self.policy.store.moment1[name][...] = arrays[f"adam.m.{name}"]
-            self.policy.store.moment2[name][...] = arrays[f"adam.v.{name}"]
-        self.policy.store.step_count = config["step_count"]
+        for key, policy in self.policies.items():
+            store = policy.store
+            store.load_arrays({name: arrays[f"{key}.param.{name}"]
+                               for name in store.params})
+            for name in store.params:
+                store.moment1[name][...] = arrays[f"{key}.adam.m.{name}"]
+                store.moment2[name][...] = arrays[f"{key}.adam.v.{name}"]
+            store.step_count = config["step_count"][str(key)]
 
 
 class LeagueOpponentController:
     """Per-episode sampling of frozen snapshot opponents for league play."""
 
     def __init__(self, archive: LeagueArchive, below_level: str,
-                 rng: np.random.Generator, scenario: ScenarioConfig,
-                 pool: str = "archive"):
+                 rng: np.random.Generator, scenario: ScenarioConfig):
         self.archive = archive
         self.below_level = below_level
         self.rng = rng
         self.scenario = scenario
-        self.pool = pool
         self.cache: dict[str, PolicyNetwork] = {}
         self.current: SnapshotController | None = None
         self.current_level: str | None = None
@@ -256,11 +247,7 @@ class LeagueOpponentController:
         return self.cache[level]
 
     def reset(self, world):
-        if self.pool == "previous":
-            idx = LOW_LEVELS.index(self.below_level)
-            level = LOW_LEVELS[idx - 1]
-        else:
-            level = self.archive.sample_opponent_level(self.rng, self.below_level)
+        level = self.archive.sample_opponent_level(self.rng, self.below_level)
         self.current_level = level
         self.current = SnapshotController(fight=self._net(level), rng=self.rng,
                                           scenario=self.scenario)
@@ -274,12 +261,14 @@ def run_curriculum(scenario: ScenarioConfig, ppo: PPOConfig, mode: TrainMode,
                    steps_per_level: dict[str, int] | int,
                    script: ScriptConfig | None = None,
                    levels: tuple[str, ...] = LOW_LEVELS,
-                   l5_pool: str = "archive",
                    sim_cfg: SimConfig | None = None) -> LeagueArchive:
     """Five-level fight curriculum: scripted opponents through L3, the frozen
     L3 snapshot at L4, per-episode league sampling at L5. The episode horizon
     grows by 50 env steps per level from 200. Completed levels found in the
-    archive are skipped, so interrupted runs resume at level granularity."""
+    archive are skipped, so interrupted runs resume at level granularity:
+    from the run directory's `trainer_state_<level>.ckpt` of the last
+    completed level (every network with its Adam moments), or, without one,
+    from that level's archived snapshot."""
     if mode.kind != "fight":
         raise ValueError("the curriculum trains the fight policy")
     script = script or ScriptConfig()
@@ -287,7 +276,7 @@ def run_curriculum(scenario: ScenarioConfig, ppo: PPOConfig, mode: TrainMode,
     run_dir.write_config({
         "scenario": scenario.__dict__, "ppo": ppo.__dict__,
         "mode": mode.__dict__, "seed": seed, "levels": list(levels),
-        "steps_per_level": steps_per_level, "l5_pool": l5_pool,
+        "steps_per_level": steps_per_level,
     })
 
     resumed_from = None
@@ -296,16 +285,17 @@ def run_curriculum(scenario: ScenarioConfig, ppo: PPOConfig, mode: TrainMode,
             resumed_from = level
             continue
         if resumed_from is not None:
-            arrays, _ = load_checkpoint(archive.path("fight", resumed_from))
-            trainer.policy.store.load_arrays(arrays)
             state_path = run_dir.path / f"trainer_state_{resumed_from}.ckpt"
             if state_path.exists():
                 trainer.load_state(state_path)
+            else:
+                arrays, _ = load_checkpoint(archive.path("fight", resumed_from))
+                trainer.policy.store.load_arrays(arrays)
             resumed_from = None
         steps = (steps_per_level if isinstance(steps_per_level, int)
                  else steps_per_level[level])
         controller = _controller_for_level(level, trainer, archive, scenario,
-                                           script, l5_pool)
+                                           script)
         trainer.train_level(level, controller, steps,
                             horizon=curriculum_horizon(level))
         archive.save("fight", level, trainer.policy)
@@ -315,7 +305,7 @@ def run_curriculum(scenario: ScenarioConfig, ppo: PPOConfig, mode: TrainMode,
 
 def _controller_for_level(level: str, trainer: LowLevelTrainer,
                           archive: LeagueArchive, scenario: ScenarioConfig,
-                          script: ScriptConfig, l5_pool: str):
+                          script: ScriptConfig):
     if level in ("L1", "L2", "L3"):
         return ScriptedController(level, trainer.opponent_rng, script)
     if level == "L4":
@@ -325,7 +315,7 @@ def _controller_for_level(level: str, trainer: LowLevelTrainer,
                                   rng=trainer.opponent_rng, scenario=scenario)
     if level == "L5":
         return LeagueOpponentController(archive, "L5", trainer.opponent_rng,
-                                        scenario, pool=l5_pool)
+                                        scenario)
     raise ValueError(f"unknown curriculum level {level!r}")
 
 

@@ -15,6 +15,7 @@ from dogfight.nn import (
     fight_config,
     save_checkpoint,
 )
+from dogfight.nn.params import load_checkpoint
 from dogfight.observations import critic_input_width
 
 
@@ -110,6 +111,38 @@ class TestSweep:
                      "--set", "scenario.horizon=5", "--out", str(out)])
         assert code == 0
         assert EvalReport.load(out / "2v2.json").episodes == 1
+
+
+class TestConfigRejected:
+    def _error(self, capsys, *args):
+        code = main(["evaluate", "--agent", "random", "--opponent",
+                     "scripted:L1", "--episodes", "1", *args])
+        return code, capsys.readouterr().err
+
+    def test_unknown_section_named(self, capsys):
+        code, err = self._error(capsys, "--set", "bogus.key=1")
+        assert code == 1 and "bogus" in err
+
+    def test_scenario_level_is_no_key(self, capsys):
+        code, err = self._error(capsys, "--set", "scenario.level=nonsense")
+        assert code == 1 and "level" in err
+
+    def test_commander_senses_come_from_the_scenario(self, tmp_path, fight_ckpt):
+        escape = PolicyNetwork(escape_config(
+            critic_input_width("escape", 2, 2)), seed=1)
+        escape_ckpt = tmp_path / "escape.ckpt"
+        save_checkpoint(escape_ckpt, escape.store, escape.config.to_dict())
+        args = ["train-commander", "--fight-ckpt", str(fight_ckpt),
+                "--escape-ckpt", str(escape_ckpt), "--steps", "4",
+                "--batch-size", "4", "--run-dir", str(tmp_path / "run")]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--senses", "3"])
+        assert exc.value.code == 2
+        assert main(args + ["--set", "scenario.horizon=4",
+                            "--set", "scenario.commander_senses=3"]) == 0
+        ckpt = tmp_path / "run" / "checkpoints" / "commander_Shared-N3-Opt-Assess.ckpt"
+        _, config = load_checkpoint(ckpt)
+        assert config["instances"][0]["head_arities"] == [4]
 
 
 class TestTrainLow:

@@ -26,7 +26,7 @@ from dogfight.nn import PolicyNetwork, commander_config, escape_config, fight_co
 from dogfight.observations import critic_input_width
 from dogfight.scripted import ScriptedController
 from dogfight.simcore import CannonKill, OutOfBounds, RocketKill, TEAM_OPPONENT
-from dogfight.train import LowLevelActor, SnapshotController
+from dogfight.train import CTDEDriver, SnapshotController
 
 
 def small_scenario(**kw):
@@ -174,8 +174,8 @@ class TestPolicyActors:
     def test_low_level_actor_runs(self):
         policy = PolicyNetwork(fight_config(
             critic_width=critic_input_width("fight", 2, 2)), seed=0)
-        actor = LowLevelActor(policy, "fight", np.random.default_rng(0),
-                              greedy=True)
+        actor = CTDEDriver(policy, "fight", np.random.default_rng(0),
+                           greedy=True)
         report = evaluate(actor, scripted("L1"), small_scenario(horizon=5),
                           episodes=2, seed=0)
         assert report.episodes == 2
@@ -198,6 +198,30 @@ class TestPolicyActors:
         assert report.fight_commands + report.escape_commands > 0
         assert sum(report.opponent_selection) == report.fight_commands
         assert report.opponent_selection[2] == 0  # N2 never picks a third
+
+    def test_option_termination_checked_once_per_step(self, monkeypatch):
+        from dogfight.train import commander as commander_module
+
+        calls = [0]
+        check = commander_module.option_terminated
+
+        def counted(*args):
+            calls[0] += 1
+            return check(*args)
+
+        monkeypatch.setattr(commander_module, "option_terminated", counted)
+        scenario = ScenarioConfig.commander_training(horizon=12)
+        commander = PolicyNetwork(commander_config(
+            2, critic_input_width("commander", 3, 3)), seed=1)
+        fight = PolicyNetwork(fight_config(
+            critic_width=critic_input_width("fight", 3, 3)), seed=2)
+        escape = PolicyNetwork(escape_config(
+            critic_width=critic_input_width("escape", 3, 3)), seed=3)
+        actor = HierarchyEvalActor(commander, fight, escape,
+                                   np.random.default_rng(5))
+        report = evaluate(actor, scripted("L1"), scenario, episodes=2, seed=6)
+        # every step but an episode's first, which always decides
+        assert calls[0] == report.total_steps - report.episodes > 0
 
     def test_always_fight_baseline(self):
         scenario = small_scenario(horizon=10)

@@ -229,24 +229,36 @@ class TestOptionTermination:
 
     def test_horizon(self):
         world = self._calm_world()
-        assert option_terminated(world, 0, 10, [])
-        assert not option_terminated(world, 0, 3, [])
+        assert option_terminated(world, 10, [])
+        assert not option_terminated(world, 3, [])
 
     def test_destruction_event(self):
         world = self._calm_world()
-        assert option_terminated(world, 0, 3, [kill(0, 2)])
+        assert option_terminated(world, 3, [kill(0, 2)])
 
     def test_boundary_proximity(self):
         world = self._calm_world()
         world.get(0).pos = type(world.get(0).pos)(4.0, 15.0)
-        assert option_terminated(world, 0, 3, [])
+        assert option_terminated(world, 3, [])
 
     def test_favorable_pair_triggers(self):
         world = self._calm_world()
         world.get(2).pos = type(world.get(0).pos)(15.0, 19.0)
         world.get(2).heading = 180.0
         # agent heading north at opponent 4 km ahead -> favorable for agent
-        assert option_terminated(world, 0, 3, [])
+        assert option_terminated(world, 3, [])
+
+    def test_any_agent_near_the_boundary_ends_the_team_option(self):
+        world = make_world([
+            make_aircraft(0, "AC1", TEAM_AGENT, pos=(15, 15)),
+            make_aircraft(1, "AC2", TEAM_AGENT, pos=(15, 12)),
+            make_aircraft(2, "AC2", TEAM_OPPONENT, pos=(15, 24), heading=180.0),
+        ])
+        assert not option_terminated(world, 3, [])
+        world.get(1).pos = type(world.get(1).pos)(26.0, 12.0)
+        assert option_terminated(world, 3, [])
+        world.get(1).alive = False  # a destroyed agent's position is ignored
+        assert not option_terminated(world, 3, [])
 
 
 def test_option_horizon_configurable():
@@ -255,5 +267,5 @@ def test_option_horizon_configurable():
         make_aircraft(0, "AC1", TEAM_AGENT, pos=(15, 15)),
         make_aircraft(2, "AC2", TEAM_OPPONENT, pos=(15, 24), heading=180.0),
     ])
-    assert option_terminated(world, 0, 4, [], scenario)
-    assert not option_terminated(world, 0, 3, [], scenario)
+    assert option_terminated(world, 4, [], scenario)
+    assert not option_terminated(world, 3, [], scenario)

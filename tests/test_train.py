@@ -24,6 +24,7 @@ from dogfight.train import (
     train_escape,
     train_standard_baseline,
 )
+from dogfight.train.policies import make_low_level_policy
 
 
 def make_transition(value, reward, done, duration=1, episode=0, agent=0,
@@ -141,7 +142,7 @@ def fill_buffer(policy, scenario, n, seed=0):
     from dogfight.env import CombatEnv
 
     rng = np.random.default_rng(seed)
-    driver = CTDEDriver(policy, "fight", scenario, rng)
+    driver = CTDEDriver(policy, "fight", rng)
     env = CombatEnv(scenario, ScriptedController("L1", np.random.default_rng(seed + 1)))
     buffer = RolloutBuffer()
     episode = 0
@@ -303,6 +304,46 @@ class TestTrainerLoops:
         for rec in records:
             assert abs(rec["mean_ratio_first_epoch"] - 1.0) <= 1e-6
 
+    def test_dtde_networks_update_on_their_own_transitions(self, monkeypatch):
+        from dogfight.scripted import ScriptedController
+        from dogfight.train import trainer as trainer_module
+
+        updates = []
+        update = trainer_module.ppo_update
+
+        def recording(policy, buffer, *args):
+            updates.append((policy, {t.agent_id for t in buffer.transitions}))
+            return update(policy, buffer, *args)
+
+        monkeypatch.setattr(trainer_module, "ppo_update", recording)
+        trainer = LowLevelTrainer(small_scenario(), small_ppo(32),
+                                  TrainMode(framework="dtde"), seed=7)
+        trainer.train_level(
+            "L1", ScriptedController("L1", trainer.opponent_rng), env_steps=40)
+        assert updates
+        for policy, agents in updates:
+            assert [trainer.policies[aid] for aid in agents] == [policy]
+
+    def test_dtde_policy_is_one_network_per_agent(self):
+        from dogfight.observations import OBS_LAYOUTS
+
+        nets = make_low_level_policy("fight", "dtde", small_scenario(), 3,
+                                     agent_types=["AC1", "AC2", "AC2"])
+        assert sorted(nets) == [0, 1, 2]
+        assert nets[1].store.checksum() != nets[2].store.checksum()
+        for aid, type_id in ((0, "AC1"), (1, "AC2")):  # local critics
+            inst = nets[aid].config.instance(type_id.lower())
+            assert inst.critic_width == OBS_LAYOUTS[f"fight-{type_id}"] + 4
+
+    def test_fc_baseline_only_for_ctde_fight(self):
+        trainer = LowLevelTrainer(small_scenario(), small_ppo(),
+                                  TrainMode(fc_baseline=True), seed=1)
+        assert trainer.policy.config.fc_baseline
+        for mode in (dict(framework="ctce"), dict(framework="dtde"),
+                     dict(kind="escape")):
+            with pytest.raises(ValueError, match="fc_baseline"):
+                TrainMode(fc_baseline=True, **mode)
+
     def test_ctce_framework(self):
         trainer = LowLevelTrainer(small_scenario(), small_ppo(16),
                                   TrainMode(framework="ctce"), seed=8)
@@ -345,6 +386,40 @@ class TestTrainerLoops:
                        levels=("L1", "L2", "L3"))
         assert archive.sha256("fight", "L1") == hash_l1  # untouched
         assert archive.has("fight", "L3")
+
+    def test_dtde_resume_restores_every_network(self, tmp_path, monkeypatch):
+        # a DTDE curriculum stopped after L1 starts L2 with every agent
+        # network's weights and Adam state as an uninterrupted run does
+        starts = []
+        train_level = LowLevelTrainer.train_level
+
+        def recording(trainer, level, *args, **kwargs):
+            if level == "L2":
+                starts.append({key: (p.store.checksum(), p.store.step_count,
+                                     {n: m.copy() for n, m in p.store.moment1.items()},
+                                     {n: v.copy() for n, v in p.store.moment2.items()})
+                               for key, p in trainer.policies.items()})
+            return train_level(trainer, level, *args, **kwargs)
+
+        monkeypatch.setattr(LowLevelTrainer, "train_level", recording)
+        for name, stops in (("whole", ()), ("resumed", (("L1",),))):
+            run = RunDir(tmp_path / name)
+            archive = LeagueArchive(tmp_path / name / "league")
+            for levels in stops + (("L1", "L2"),):
+                run_curriculum(small_scenario(horizon=6), small_ppo(24),
+                               TrainMode(framework="dtde"), run, archive,
+                               seed=10, steps_per_level=24,
+                               script=ScriptConfig(flee_probability=0.0),
+                               levels=levels)
+        whole, resumed = starts
+        assert sorted(whole) == sorted(resumed) == [0, 1]
+        for key in whole:
+            checksum, steps, m1, m2 = whole[key]
+            assert steps > 0  # L1 updated this network
+            assert resumed[key][:2] == (checksum, steps)
+            for name in m1:
+                np.testing.assert_array_equal(resumed[key][2][name], m1[name])
+                np.testing.assert_array_equal(resumed[key][3][name], m2[name])
 
     def test_escape_requires_l5(self, tmp_path):
         run = RunDir(tmp_path / "run")
