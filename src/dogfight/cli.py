@@ -49,13 +49,24 @@ from .train import (
 from .train.trainer import LeagueOpponentController, curriculum_horizon
 
 
-def _load_config(args) -> dict:
+def _load_config(args, scenario=ScenarioConfig) -> dict:
+    """The typed config of a command. `scenario` is the command's scenario
+    recipe: keys of the scenario section override its defaults, and without
+    the section the recipe's defaults are the scenario."""
     raw = {}
     if getattr(args, "config", None):
         raw = json.loads(Path(args.config).read_text())
     if getattr(args, "set", None):
         raw = apply_overrides(raw, args.set)
-    return parse_config(raw)
+    cfg = parse_config(raw, scenario)
+    cfg.setdefault("scenario", scenario())
+    return cfg
+
+
+def _standard_scenario(**kw) -> ScenarioConfig:
+    """3-vs-3 at a 300-step horizon, the single-policy baseline's scenario."""
+    return ScenarioConfig(**{"n_agents": 3, "n_opponents": 3, "horizon": 300,
+                             **kw})
 
 
 def _ppo(cfg: dict, **overrides) -> PPOConfig:
@@ -85,20 +96,19 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_train_low(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, _standard_scenario if args.policy == "standard"
+                       else ScenarioConfig)
     run = RunDir(args.run_dir)
+    scenario = cfg["scenario"]
     script = cfg.get("script", ScriptConfig())
     sim = cfg.get("sim")
     seed = args.seed
 
     if args.policy == "standard":
-        scenario = cfg.get("scenario") or ScenarioConfig(
-            n_agents=3, n_opponents=3, horizon=300)
         train_standard_baseline(scenario, _ppo(cfg), run, seed, args.steps,
                                 script=script, sim_cfg=sim)
         return 0
 
-    scenario = cfg.get("scenario") or ScenarioConfig()
     archive = LeagueArchive(args.league_dir or (Path(args.run_dir) / "league"))
     if args.policy == "escape":
         phase2 = args.steps_phase2 if args.steps_phase2 is not None else args.steps // 2
@@ -134,9 +144,9 @@ def cmd_train_low(args) -> int:
 
 
 def cmd_train_commander(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, ScenarioConfig.commander_training)
     run = RunDir(args.run_dir)
-    scenario = cfg.get("scenario") or ScenarioConfig.commander_training()
+    scenario = cfg["scenario"]
     if args.fight_ckpt and args.escape_ckpt:
         fight = _load_policy(args.fight_ckpt)
         escape = _load_policy(args.escape_ckpt)
@@ -204,7 +214,7 @@ def _make_actor(args, seed: int):
 
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
-    scenario = cfg.get("scenario") or ScenarioConfig()
+    scenario = cfg["scenario"]
     script = cfg.get("script", ScriptConfig())
     actor = _make_actor(args, args.seed)
     opponents = _make_opponents(args.opponent, scenario, script, args.seed + 1)
@@ -227,8 +237,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args)
-    base = cfg.get("scenario") or ScenarioConfig.commander_training()
+    cfg = _load_config(args, ScenarioConfig.commander_training)
+    base = cfg["scenario"]
     script = cfg.get("script", ScriptConfig())
     commander = _load_policy(args.commander_ckpt)
     fight = _load_policy(args.fight_ckpt)
@@ -261,7 +271,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_export_traj(args) -> int:
     cfg = _load_config(args)
-    scenario = cfg.get("scenario") or ScenarioConfig()
+    scenario = cfg["scenario"]
     script = cfg.get("script", ScriptConfig())
     actor = _make_actor(args, args.seed)
     opponents = _make_opponents(args.opponent, scenario, script, args.seed + 1)

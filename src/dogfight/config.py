@@ -91,12 +91,12 @@ class ScriptConfig:
                 raise ValueError(f"{name} must be in [0, 1]")
 
 
-def _from_dict(cls, data: dict):
+def _from_dict(cls, data: dict, make=None):
     known = {f.name for f in dataclasses.fields(cls)}
     unknown = set(data) - known
     if unknown:
         raise KeyError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    return cls(**data)
+    return (make or cls)(**data)
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -112,14 +112,18 @@ def load_config_file(path: str | Path) -> dict:
 SECTIONS = ("scenario", "script", "sim", "ppo")
 
 
-def parse_config(raw: dict) -> dict:
+def parse_config(raw: dict, scenario=ScenarioConfig) -> dict:
+    """Typed sections from a raw config dict. `scenario` builds the scenario
+    section: ScenarioConfig, or a recipe such as
+    ScenarioConfig.commander_training whose defaults the section's keys
+    override."""
     unknown = sorted(set(raw) - set(SECTIONS))
     if unknown:
         raise KeyError(f"unknown config sections: {unknown} "
                        f"(known: {', '.join(SECTIONS)})")
     out = dict(raw)
     if "scenario" in raw:
-        out["scenario"] = _from_dict(ScenarioConfig, raw["scenario"])
+        out["scenario"] = _from_dict(ScenarioConfig, raw["scenario"], scenario)
     if "script" in raw:
         out["script"] = _from_dict(ScriptConfig, raw["script"])
     if "sim" in raw:

@@ -279,9 +279,6 @@ class CTCEDriver(EpisodeActor):
         self.greedy = greedy
         self.slot_obs = OBS_LAYOUTS["escape-AC1" if kind == "escape" else "fight-AC1"]
 
-    def network(self, agent_id: int) -> PolicyNetwork:
-        return self.policy
-
     def _decide(self, env: CombatEnv):
         return joint_decision(self.policy, env.world, env.scenario.n_agents,
                               self.slot_obs, lambda aid: env.observe(aid, self.kind),

@@ -158,13 +158,14 @@ class LowLevelTrainer:
         return {"outcome": outcome, "length": length}
 
     def _update_policies(self) -> UpdateStats:
+        own: dict[int, list] = {key: [] for key in self.policies}
+        for t in self.buffer.transitions:
+            own[t.agent_id if t.agent_id in own else 0].append(t)
         stats = UpdateStats()
-        for policy in self.policies.values():
-            own = [t for t in self.buffer.transitions
-                   if self.driver.network(t.agent_id) is policy]
-            if own:
-                stats.merge(ppo_update(policy, RolloutBuffer(own), self.ppo,
-                                       self.update_rng))
+        for key, policy in self.policies.items():
+            if own[key]:
+                stats.merge(ppo_update(policy, RolloutBuffer(own[key]),
+                                       self.ppo, self.update_rng))
         return stats
 
     def maybe_update(self, level: str) -> bool:
@@ -218,6 +219,15 @@ class LowLevelTrainer:
 
     def load_state(self, path: Path):
         arrays, config = load_checkpoint(path)
+        if not isinstance(config.get("step_count"), dict):
+            raise ValueError(f"{path} holds the trainer state of an older "
+                             f"format (the first network's Adam moments "
+                             f"only); remove it to resume from the archived "
+                             f"snapshot")
+        missing = sorted({str(key) for key in self.policies}
+                         - set(config["step_count"]))
+        if missing:
+            raise ValueError(f"{path} holds no state for networks {missing}")
         for key, policy in self.policies.items():
             store = policy.store
             store.load_arrays({name: arrays[f"{key}.param.{name}"]

@@ -143,6 +143,12 @@ class TestConfigRejected:
         ckpt = tmp_path / "run" / "checkpoints" / "commander_Shared-N3-Opt-Assess.ckpt"
         _, config = load_checkpoint(ckpt)
         assert config["instances"][0]["head_arities"] == [4]
+        # the scenario keys override the commander-training scenario
+        scenario = json.loads((tmp_path / "run" / "config.json").read_text())[
+            "scenario"]
+        assert scenario == dict(ScenarioConfig.commander_training(
+            horizon=4, commander_senses=3).__dict__)
+        assert (scenario["n_agents"], scenario["map_size"]) == (3, 50.0)
 
 
 class TestTrainLow:

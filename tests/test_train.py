@@ -421,6 +421,18 @@ class TestTrainerLoops:
                 np.testing.assert_array_equal(resumed[key][2][name], m1[name])
                 np.testing.assert_array_equal(resumed[key][3][name], m2[name])
 
+    def test_older_trainer_state_rejected(self, tmp_path):
+        from dogfight.nn.params import save_arrays
+
+        trainer = LowLevelTrainer(small_scenario(), small_ppo(),
+                                  TrainMode(framework="dtde"), seed=1)
+        path = tmp_path / "trainer_state_L1.ckpt"
+        store = trainer.policy.store
+        save_arrays(path, {f"adam.m.{n}": m for n, m in store.moment1.items()},
+                    {"step_count": 3})  # one network's moments, no weights
+        with pytest.raises(ValueError, match="trainer_state_L1.ckpt"):
+            trainer.load_state(path)
+
     def test_escape_requires_l5(self, tmp_path):
         run = RunDir(tmp_path / "run")
         archive = LeagueArchive(tmp_path / "league")
