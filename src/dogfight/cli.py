@@ -29,7 +29,6 @@ from .evaluation import (
 from .nn.gradcheck import run_standard_suite
 from .nn.networks import NetworkConfig, PolicyNetwork
 from .nn.params import load_checkpoint
-from .observations import OBS_LAYOUTS
 from .scripted import ScriptedController
 from .train import (
     CTCEDriver,
@@ -46,7 +45,7 @@ from .train import (
     train_escape,
     train_standard_baseline,
 )
-from .train.trainer import LeagueOpponentController, curriculum_horizon
+from .train.trainer import controller_for_level, curriculum_horizon
 
 
 def _load_config(args, scenario=ScenarioConfig) -> dict:
@@ -69,11 +68,9 @@ def _standard_scenario(**kw) -> ScenarioConfig:
                              **kw})
 
 
-def _ppo(cfg: dict, **overrides) -> PPOConfig:
-    base = cfg.get("ppo", {})
-    merged = dict(base)
-    merged.update(overrides)
-    return PPOConfig(**merged)
+def _ppo(cfg: dict, **defaults) -> PPOConfig:
+    """The ppo section over the command's own `defaults`."""
+    return PPOConfig(**{**defaults, **cfg.get("ppo", {})})
 
 
 def _load_policy(path: str) -> PolicyNetwork:
@@ -81,6 +78,17 @@ def _load_policy(path: str) -> PolicyNetwork:
     policy = PolicyNetwork(NetworkConfig.from_dict(config))
     policy.store.load_arrays(arrays)
     return policy
+
+
+def _load_commander(path: str) -> tuple[PolicyNetwork, dict]:
+    """A commander checkpoint and its `senses` and `opt`, read from the
+    variant that `train-commander` writes into the config blob."""
+    variant = load_checkpoint(path)[1].get("variant")
+    if variant is None:
+        raise ValueError(f"commander checkpoint {path} records no variant "
+                         f"(senses, opt) in its config")
+    return _load_policy(path), {"senses": variant["senses"],
+                                "opt": variant["opt"]}
 
 
 def cmd_gradcheck(args) -> int:
@@ -125,18 +133,13 @@ def cmd_train_low(args) -> int:
                        steps_per_level=args.steps, script=script, sim_cfg=sim)
         return 0
 
-    trainer = LowLevelTrainer(scenario, _ppo(cfg), mode, run, seed, script, sim)
-    run.write_config({"scenario": scenario.__dict__, "mode": mode.__dict__,
-                      "seed": seed, "level": args.level, "steps": args.steps})
-    if args.level in ("L1", "L2", "L3"):
-        controller = ScriptedController(args.level, trainer.opponent_rng, script)
-    elif args.level == "L4":
-        controller = SnapshotController(fight=archive.load("fight", "L3"),
-                                        rng=trainer.opponent_rng,
-                                        scenario=scenario)
-    else:
-        controller = LeagueOpponentController(archive, "L5",
-                                              trainer.opponent_rng, scenario)
+    ppo = _ppo(cfg)
+    trainer = LowLevelTrainer(scenario, ppo, mode, run, seed, script, sim)
+    run.write_config({"scenario": scenario.__dict__, "ppo": ppo.__dict__,
+                      "mode": mode.__dict__, "seed": seed,
+                      "level": args.level, "steps": args.steps})
+    controller = controller_for_level(args.level, trainer, archive, scenario,
+                                       script)
     trainer.train_level(args.level, controller, args.steps,
                         horizon=curriculum_horizon(args.level))
     archive.save("fight", args.level, trainer.policy)
@@ -157,7 +160,7 @@ def cmd_train_commander(args) -> int:
     variant = CommanderVariant(senses=scenario.commander_senses,
                                opt=not args.no_opt, assess=not args.no_assess,
                                shared=not args.glob, arch=args.arch)
-    train_commander(scenario, _ppo(cfg, batch_size=args.batch_size), variant,
+    train_commander(scenario, _ppo(cfg, batch_size=1000), variant,
                     fight, escape, run, args.seed, args.steps, cfg.get("sim"))
     return 0
 
@@ -179,19 +182,6 @@ def _make_opponents(spec: str, scenario: ScenarioConfig, script: ScriptConfig,
     raise ValueError(f"unknown opponent spec {spec!r}")
 
 
-def _commander_options(commander: PolicyNetwork) -> dict:
-    """`senses` and `opt` of a shared commander, read from its network
-    config: the observation width fixes the sensed-opponent count, and the
-    option head is one wider than that count when it picks a target."""
-    inst = commander.config.instance("cmd")
-    widths = {OBS_LAYOUTS[f"commander-n{n}"]: n for n in (2, 3)}
-    if inst.obs_width not in widths:
-        raise ValueError(f"commander observation width {inst.obs_width} "
-                         f"fits no sensed-opponent count")
-    senses = widths[inst.obs_width]
-    return {"senses": senses, "opt": inst.head_arities[0] == senses + 1}
-
-
 def _make_actor(args, seed: int):
     rng = np.random.default_rng(seed)
     if args.agent == "random":
@@ -203,12 +193,11 @@ def _make_actor(args, seed: int):
         policy = _load_policy(args.agent_ckpt)
         return CTCEDriver(policy, "fight", rng, greedy=not args.stochastic)
     if args.agent == "hierarchy":
-        commander = _load_policy(args.commander_ckpt)
+        commander, options = _load_commander(args.commander_ckpt)
         fight = _load_policy(args.fight_ckpt)
         escape = _load_policy(args.escape_ckpt)
         return HierarchyEvalActor(commander, fight, escape, rng,
-                                  greedy=not args.stochastic,
-                                  **_commander_options(commander))
+                                  greedy=not args.stochastic, **options)
     raise ValueError(f"unknown agent kind {args.agent!r}")
 
 
@@ -218,8 +207,6 @@ def cmd_evaluate(args) -> int:
     script = cfg.get("script", ScriptConfig())
     actor = _make_actor(args, args.seed)
     opponents = _make_opponents(args.opponent, scenario, script, args.seed + 1)
-    if args.agent == "hierarchy" and isinstance(opponents, SnapshotController):
-        actor.opponents = opponents
     recorder = None
     if args.trajectory_out:
         recorder = TrajectoryRecorder(args.trajectory_episode,
@@ -240,10 +227,9 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args, ScenarioConfig.commander_training)
     base = cfg["scenario"]
     script = cfg.get("script", ScriptConfig())
-    commander = _load_policy(args.commander_ckpt)
+    commander, options = _load_commander(args.commander_ckpt)
     fight = _load_policy(args.fight_ckpt)
     escape = _load_policy(args.escape_ckpt)
-    options = _commander_options(commander)
     cells = [c for c in standard_sweep_cells()
              if not args.cells or c["name"] in args.cells.split(",")]
     if not cells:
@@ -334,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="joint CTCE commander network")
     p.add_argument("--arch", default="gru", choices=["gru", "sa", "fc"])
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--batch-size", type=int, default=1000)
     p.add_argument("--run-dir", required=True)
     p.set_defaults(func=cmd_train_commander)
 

@@ -1,4 +1,4 @@
-"""Run configuration: scenario recipes, tactical thresholds, file loading.
+"""Run configuration: scenario recipes, tactical thresholds, config parsing.
 
 All tunable distances/angles carry their standard defaults here so a single
 JSON file (see docs/config_schema.json) can reconfigure an entire run. Flag
@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from .simcore import SimConfig
 
@@ -97,16 +96,6 @@ def _from_dict(cls, data: dict, make=None):
     if unknown:
         raise KeyError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
     return (make or cls)(**data)
-
-
-def load_config_file(path: str | Path) -> dict:
-    """Load a JSON config file into typed sections.
-
-    Sections: "scenario", "script", "sim" (typed) and "ppo" (a dict of
-    PPOConfig keys); any other section raises a KeyError naming it.
-    """
-    raw = json.loads(Path(path).read_text())
-    return parse_config(raw)
 
 
 SECTIONS = ("scenario", "script", "sim", "ppo")

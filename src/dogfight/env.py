@@ -90,9 +90,10 @@ class OpponentController(Protocol):
         ...
 
     def __call__(self, world: World, opponent_ids: list[int]
-                 ) -> dict[int, tuple[LowLevelAction, int | None]]:
-        """The action and optional rocket-target id of each listed opponent,
-        in the listed order, decided together from `world`."""
+                 ) -> dict[int, LowLevelAction]:
+        """The action of each listed opponent, in the listed order, decided
+        together from `world`. Rockets aim at the closest living agent (see
+        `apply_action`)."""
         ...
 
 
@@ -277,8 +278,8 @@ class CombatEnv:
                 if launch is not None:
                     events.append(launch)
 
-        for oid, (action, rocket_target) in opponent_moves.items():
-            launch = apply_action(world, oid, action, rocket_target)
+        for oid, action in opponent_moves.items():
+            launch = apply_action(world, oid, action)
             if launch is not None:
                 events.append(launch)
 

@@ -39,7 +39,7 @@ from .simcore import (
     World,
 )
 from .train.commander import HierarchyEvalActor
-from .train.policies import EpisodeActor, SnapshotController
+from .train.policies import EpisodeActor
 
 KILL_EVENTS = (CannonKill, RocketKill)
 
@@ -156,19 +156,16 @@ class RandomActor(EpisodeActor):
 
 
 class AlwaysFightActor(HierarchyEvalActor):
-    """No-commander baseline: every agent runs the fight policy on its
-    closest opponent, re-targeted every step."""
-
-    def _needs_decision(self, env) -> bool:
-        return True
+    """No-commander baseline: at each option boundary every agent is sent
+    to fight its closest opponent; snapshot opponents re-roll there, as in
+    the hierarchy."""
 
     def _decide(self, env):
         self.decisions = {aid: {"target_idx": 1,
                                 "sensed": [o.id for o in closest_opponents(
                                     env.world, env.world.get(aid), 1)]}
                           for aid in env.agent_ids()}
-        if self.opponents is not None:
-            self.opponents.reassign(env.world)
+        self.steps_in_option = 0
 
 
 # --- episode loop -------------------------------------------------------------
@@ -177,7 +174,6 @@ class AlwaysFightActor(HierarchyEvalActor):
 def evaluate(actor, opponent_controller, scenario: ScenarioConfig,
              episodes: int, seed: int = 0,
              episode_hook=None, trajectory_recorder=None,
-             reward_kind: tuple[str, str | None] = ("none", None),
              sim_cfg: SimConfig | None = None) -> EvalReport:
     """Run `episodes` evaluation episodes and aggregate counters.
 
@@ -187,7 +183,7 @@ def evaluate(actor, opponent_controller, scenario: ScenarioConfig,
     """
     report = EvalReport(seed=seed)
     master = np.random.default_rng(seed)
-    env = CombatEnv(scenario, opponent_controller, reward_kind=reward_kind,
+    env = CombatEnv(scenario, opponent_controller, reward_kind=("none", None),
                     sim_cfg=sim_cfg)
     for episode in range(episodes):
         env.round_listener = None
@@ -248,9 +244,6 @@ def scenario_sweep(cells: list[dict], actor_factory, opponent_factory,
         scenario = dataclasses.replace(base_scenario, **overrides)
         actor = actor_factory(scenario, seed + i)
         controller = opponent_factory(scenario, seed + 1000 + i)
-        if (isinstance(actor, HierarchyEvalActor)
-                and isinstance(controller, SnapshotController)):
-            actor.opponents = controller  # rerolled at option boundaries
         report = evaluate(actor, controller, scenario, episodes, seed=seed + i,
                           sim_cfg=sim_cfg)
         results.append((cell["name"], report))

@@ -150,13 +150,15 @@ def escape_config(critic_width: int, dtype: str = "float32") -> NetworkConfig:
 
 
 def commander_config(senses: int, critic_width: int, arch: str = "gru",
-                     dtype: str = "float32") -> NetworkConfig:
-    """Commander network; `arch` selects gru (default), sa, or fc."""
+                     opt: bool = True, dtype: str = "float32") -> NetworkConfig:
+    """Commander network; `arch` selects gru (default), sa, or fc. Its one
+    head picks escape or one of the `senses` sensed opponents, or with
+    `opt` False (noOpt) escape or the closest opponent."""
     obs_width = OBS_LAYOUTS[f"commander-n{senses}"]
     spec = InstanceSpec(
         name="cmd",
         obs_width=obs_width,
-        head_arities=(senses + 1,),
+        head_arities=(senses + 1 if opt else 2,),
         critic_width=critic_width,
         token_splits=commander_block_widths(senses) if arch == "sa" else None,
     )

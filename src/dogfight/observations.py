@@ -246,10 +246,6 @@ def fight_token_splits(type_id: str) -> tuple[int, ...]:
     return (_FIGHT_OWN[type_id], _FIGHT_OPP, _FIGHT_FRIEND)
 
 
-def escape_block_widths(type_id: str) -> tuple[int, ...]:
-    return (_ESCAPE_OWN[type_id], _ESCAPE_OPP, _ESCAPE_OPP, _FIGHT_FRIEND)
-
-
 def commander_block_widths(senses: int = 2) -> tuple[int, ...]:
     return (_COMMANDER_OWN,) + (_COMMANDER_OPP,) * senses + (_COMMANDER_FRIEND,) * 2
 

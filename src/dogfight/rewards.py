@@ -227,19 +227,6 @@ def commander_event_reward(world: World, events: list[SimEvent], agent_id: int) 
     return total
 
 
-def reward_commander(world: World, agent_id: int, a_c: int,
-                     sensed_opponents: list[int],
-                     option_events: list[SimEvent],
-                     scenario: ScenarioConfig | None = None,
-                     assess: bool = True) -> float:
-    """Total commander reward for one option: the decision assessment plus
-    the event terms accumulated over the option's lifetime."""
-    total = commander_event_reward(world, option_events, agent_id)
-    if assess:
-        total += assess_commander_action(world, agent_id, a_c, sensed_opponents, scenario)
-    return total
-
-
 def _near_boundary(a, map_size: float, margin: float) -> bool:
     return min(a.pos.x, a.pos.y, map_size - a.pos.x, map_size - a.pos.y) < margin
 

@@ -112,22 +112,19 @@ class ScriptedController:
     flee_state: dict[int, int] = field(default_factory=dict)
 
     def __call__(self, world: World, opponent_ids: list[int]
-                 ) -> dict[int, tuple[LowLevelAction, int | None]]:
-        """Each listed opponent's action and rocket target, decided one
-        after another in the listed order on the controller's generator."""
+                 ) -> dict[int, LowLevelAction]:
+        """Each listed opponent's action, decided one after another in the
+        listed order on the controller's generator."""
         return {oid: self._decide(world, oid) for oid in opponent_ids}
 
-    def _decide(self, world: World, opponent_id: int
-                ) -> tuple[LowLevelAction, int | None]:
+    def _decide(self, world: World, opponent_id: int) -> LowLevelAction:
         if self.level == "L1":
-            return l1_policy(world, opponent_id), None
+            return l1_policy(world, opponent_id)
         if self.level == "L2":
-            action = l2_policy(world, opponent_id, self.rng, self.script)
-            targets = closest_opponents(world, world.get(opponent_id), 1)
-            return action, targets[0].id if targets else None
+            return l2_policy(world, opponent_id, self.rng, self.script)
         if self.level == "L3":
             return l3_policy(world, opponent_id, self.rng, self.script,
-                             self.flee_state)
+                             self.flee_state)[0]
         raise ValueError(f"no scripted behavior for level {self.level!r}")
 
     def reset(self, world: World):

@@ -15,14 +15,13 @@ The option loop itself, `HierarchyEvalActor`, is the one evaluation runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..config import ScenarioConfig
 from ..env import CombatEnv, LowLevelAction, OUTCOME_WIN
 from ..nn.networks import (
-    NetworkConfig,
     PolicyNetwork,
     commander_config,
     ctce_config,
@@ -79,35 +78,19 @@ class CommanderVariant:
 
 
 def commander_network(variant: CommanderVariant, scenario: ScenarioConfig,
-                      seed: int, dtype: str = "float32") -> PolicyNetwork:
+                      seed: int) -> PolicyNetwork:
     critic_width = critic_input_width(
         "commander", scenario.n_agents, scenario.n_opponents, variant.senses)
     if variant.shared:
         config = commander_config(variant.senses, critic_width,
-                                  arch=variant.arch, dtype=dtype)
-        if variant.n_options != config.instance("cmd").head_arities[0]:
-            # noOpt narrows the action head below senses + 1
-            from ..nn.networks import InstanceSpec
-
-            inst = config.instance("cmd")
-            config = NetworkConfig(
-                kind="commander",
-                instances=(InstanceSpec(
-                    name="cmd", obs_width=inst.obs_width,
-                    head_arities=(variant.n_options,),
-                    critic_width=inst.critic_width,
-                    token_splits=inst.token_splits),),
-                recurrent=config.recurrent, fc_baseline=config.fc_baseline,
-                dtype=dtype)
+                                  arch=variant.arch, opt=variant.opt)
         return PolicyNetwork(config, seed=seed)
     obs_width = scenario.n_agents * OBS_LAYOUTS[f"commander-n{variant.senses}"]
     config = ctce_config("commander", obs_width=obs_width,
                          head_arities=(variant.n_options,) * scenario.n_agents,
-                         critic_width=critic_width, dtype=dtype)
-    if variant.arch == "gru":
-        config = NetworkConfig(kind=config.kind, instances=config.instances,
-                               recurrent=True, dtype=dtype)
-    return PolicyNetwork(config, seed=seed)
+                         critic_width=critic_width)
+    return PolicyNetwork(replace(config, recurrent=variant.arch == "gru"),
+                         seed=seed)
 
 
 class HierarchyEvalActor(EpisodeActor):
@@ -116,7 +99,8 @@ class HierarchyEvalActor(EpisodeActor):
 
     At a boundary (the first step, or a termination by `option_terminated`)
     the commander picks one option per living agent: escape, or fight a
-    sensed opponent. Attached `opponents` re-roll their fight/escape
+    sensed opponent. When the env's opponent controller is a
+    `SnapshotController`, its opponents re-roll their fight/escape
     assignments at the same boundary. A shared commander ("cmd" instance)
     decides each agent from its own observation and hidden state; a joint
     one ("joint") decides the team from the zero-padded joint observation.
@@ -124,8 +108,7 @@ class HierarchyEvalActor(EpisodeActor):
 
     def __init__(self, commander: PolicyNetwork, fight: PolicyNetwork,
                  escape: PolicyNetwork, rng: np.random.Generator,
-                 senses: int = 2, opt: bool = True, greedy: bool = True,
-                 opponents: SnapshotController | None = None):
+                 senses: int = 2, opt: bool = True, greedy: bool = True):
         self.commander = commander
         self.instance = commander.config.instances[0].name
         self.fight_actor = CTDEDriver(fight, "fight", rng, greedy=greedy)
@@ -134,7 +117,6 @@ class HierarchyEvalActor(EpisodeActor):
         self.senses = senses
         self.opt = opt
         self.greedy = greedy
-        self.opponents = opponents  # rerolled at option boundaries when set
         self.fight_commands = 0
         self.escape_commands = 0
         self.opponent_selection = [0, 0, 0]
@@ -194,16 +176,17 @@ class HierarchyEvalActor(EpisodeActor):
             self.decisions[aid] = {"a_c": a_c, "target_idx": target_idx,
                                    "sensed": sensed}
         self.steps_in_option = 0
-        if self.opponents is not None:
-            self.opponents.reassign(world)
 
     def actions(self, env: CombatEnv) -> dict[int, LowLevelAction]:
-        """Decide at an option boundary, then fly every living agent's option:
-        escape, or fight its chosen sensed opponent (no target once it is
-        gone), setting that rocket target on `env`. Fight and escape rows
-        are sampled together on the low-level actors' generator."""
+        """Decide at an option boundary, re-rolling snapshot opponents there
+        too, then fly every living agent's option: escape, or fight its
+        chosen sensed opponent (no target once it is gone), setting that
+        rocket target on `env`. Fight and escape rows are sampled together
+        on the low-level actors' generator."""
         if self._needs_decision(env):
             self._decide(env)
+            if isinstance(env.opponent_controller, SnapshotController):
+                env.opponent_controller.reassign(env.world)
         world = env.world
         rows = {}
         for aid in env.agent_ids():
@@ -246,16 +229,16 @@ class CommanderTrainer:
         self.update_rng = np.random.default_rng(seeds[4])
 
         self.policy = commander_network(variant, scenario, seed)
-        self.opponents = SnapshotController(
-            fight=fight, escape=escape, rng=self.opponent_rng,
-            fight_prob=scenario.opponent_fight_prob, scenario=scenario)
         self.actor = HierarchyEvalActor(
             self.policy, fight, escape, self.lowlevel_rng, senses=variant.senses,
-            opt=variant.opt, greedy=False, opponents=self.opponents)
+            opt=variant.opt, greedy=False)
         self.actor.rng = self.action_rng  # commander draws on their own stream
         self.fight_actor = self.actor.fight_actor
         self.escape_actor = self.actor.escape_actor
-        self.env = CombatEnv(scenario, self.opponents, reward_kind=("none", None),
+        opponents = SnapshotController(
+            fight=fight, escape=escape, rng=self.opponent_rng,
+            fight_prob=scenario.opponent_fight_prob, scenario=scenario)
+        self.env = CombatEnv(scenario, opponents, reward_kind=("none", None),
                              sim_cfg=sim_cfg)
         self.buffer = RolloutBuffer()
         self.env_steps = 0
@@ -325,7 +308,7 @@ class CommanderTrainer:
                   for aid, d in decisions.items()}
         for aid, d in decisions.items():
             prev_cmd[aid] = [d["a_c"] / max(1, variant.n_options - 1)]
-        for oid, mode in self.opponents.assignments.items():
+        for oid, mode in self.env.opponent_controller.assignments.items():
             prev_cmd[oid] = [1.0 if mode == "fight" else 0.0]
         if self.actor.instance == "cmd":
             return [Transition(
@@ -401,5 +384,7 @@ def train_commander(scenario: ScenarioConfig, ppo: PPOConfig,
     from ..nn.params import save_checkpoint
 
     save_checkpoint(run_dir.checkpoint_path(f"commander_{variant.label()}"),
-                    trainer.policy.store, trainer.policy.config.to_dict())
+                    trainer.policy.store,
+                    {**trainer.policy.config.to_dict(),
+                     "variant": variant.__dict__})
     return trainer

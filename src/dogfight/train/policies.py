@@ -42,7 +42,6 @@ from ..observations import (
     OBS_LAYOUTS,
     build_critic_input,
     build_obs,
-    closest_opponents,
     critic_input_width,
 )
 from ..simcore import TEAM_OPPONENT, World
@@ -57,7 +56,6 @@ def instance_for(world: World, aircraft_id: int) -> str:
 
 def make_low_level_policy(kind: str, framework: str, scenario: ScenarioConfig,
                           seed: int, fc_baseline: bool = False,
-                          dtype: str = "float32",
                           agent_types: list[str] | None = None):
     """Networks for one low-level training mode.
 
@@ -72,22 +70,21 @@ def make_low_level_policy(kind: str, framework: str, scenario: ScenarioConfig,
         policies = {}
         for aid, type_id in enumerate(agent_types):
             local_width = OBS_LAYOUTS[f"{obs_kind}-{type_id}"] + LOW_ACTION_WIDTH
-            config = (escape_config(local_width, dtype=dtype) if kind == "escape"
-                      else fight_config(local_width, dtype=dtype))
+            config = (escape_config(local_width) if kind == "escape"
+                      else fight_config(local_width))
             policies[aid] = PolicyNetwork(config, seed=seed + 1000 + aid)
         return policies
     global_width = critic_input_width(obs_kind, scenario.n_agents,
                                       scenario.n_opponents)
     if framework == "ctde":
-        config = (escape_config(global_width, dtype=dtype) if kind == "escape"
-                  else fight_config(global_width, fc_baseline=fc_baseline,
-                                    dtype=dtype))
+        config = (escape_config(global_width) if kind == "escape"
+                  else fight_config(global_width, fc_baseline=fc_baseline))
         return PolicyNetwork(config, seed=seed)
     if framework == "ctce":
         config = ctce_config(
             kind, obs_width=scenario.n_agents * OBS_LAYOUTS[f"{obs_kind}-AC1"],
             head_arities=FIGHT_HEADS * scenario.n_agents,
-            critic_width=global_width, dtype=dtype)
+            critic_width=global_width)
         return PolicyNetwork(config, seed=seed)
     raise ValueError(f"unknown framework {framework!r}")
 
@@ -158,8 +155,9 @@ class SnapshotController:
     """Opponent controller running frozen fight/escape checkpoints.
 
     Each opponent carries a fight-or-escape assignment; `reassign` rerolls it
-    with the configured fight probability (used at option boundaries in
-    commander training; pure-fight opponents just keep the default)."""
+    with the configured fight probability. The option loop
+    (`HierarchyEvalActor`) rerolls the env's snapshot controller at each
+    option boundary; elsewhere opponents keep the default, fight."""
 
     fight: PolicyNetwork | None
     escape: PolicyNetwork | None = None
@@ -178,9 +176,8 @@ class SnapshotController:
             self.assignments[opp.id] = "fight" if fight and self.fight else "escape"
 
     def __call__(self, world: World, opponent_ids: list[int]
-                 ) -> dict[int, tuple[LowLevelAction, int | None]]:
-        """Actions and rocket targets (closest enemy) of the given opponents,
-        decided together."""
+                 ) -> dict[int, LowLevelAction]:
+        """Actions of the given opponents, decided together."""
         rows = {}
         for oid in opponent_ids:
             mode = self.assignments.get(oid, "fight" if self.fight else "escape")
@@ -189,11 +186,7 @@ class SnapshotController:
                 raise RuntimeError(f"no {mode} checkpoint loaded for opponents")
             rows[oid] = (policy, instance_for(world, oid),
                          build_obs(mode, world, oid, self.scenario))
-        out = {}
-        for oid, action in low_level_actions(rows, self.rng, self.greedy).items():
-            targets = closest_opponents(world, world.get(oid), 1)
-            out[oid] = (action, targets[0].id if targets else None)
-        return out
+        return low_level_actions(rows, self.rng, self.greedy)
 
 
 class CTDEDriver(EpisodeActor):

@@ -304,7 +304,7 @@ def run_curriculum(scenario: ScenarioConfig, ppo: PPOConfig, mode: TrainMode,
             resumed_from = None
         steps = (steps_per_level if isinstance(steps_per_level, int)
                  else steps_per_level[level])
-        controller = _controller_for_level(level, trainer, archive, scenario,
+        controller = controller_for_level(level, trainer, archive, scenario,
                                            script)
         trainer.train_level(level, controller, steps,
                             horizon=curriculum_horizon(level))
@@ -313,7 +313,7 @@ def run_curriculum(scenario: ScenarioConfig, ppo: PPOConfig, mode: TrainMode,
     return archive
 
 
-def _controller_for_level(level: str, trainer: LowLevelTrainer,
+def controller_for_level(level: str, trainer: LowLevelTrainer,
                           archive: LeagueArchive, scenario: ScenarioConfig,
                           script: ScriptConfig):
     if level in ("L1", "L2", "L3"):

@@ -17,6 +17,7 @@ from dogfight.nn import (
 )
 from dogfight.nn.params import load_checkpoint
 from dogfight.observations import critic_input_width
+from dogfight.train import CommanderVariant, PPOConfig, SnapshotController
 
 
 @pytest.fixture
@@ -25,6 +26,27 @@ def fight_ckpt(tmp_path):
         critic_width=critic_input_width("fight", 2, 2)), seed=0)
     path = tmp_path / "fight.ckpt"
     save_checkpoint(path, policy.store, policy.config.to_dict())
+    return path
+
+
+@pytest.fixture
+def escape_ckpt(tmp_path):
+    policy = PolicyNetwork(escape_config(
+        critic_input_width("escape", 2, 2)), seed=1)
+    path = tmp_path / "escape.ckpt"
+    save_checkpoint(path, policy.store, policy.config.to_dict())
+    return path
+
+
+def save_commander(path, senses=2, variant=True):
+    """A shared N<senses>-Opt commander checkpoint, with the variant in its
+    config blob as `train-commander` writes it unless `variant` is False."""
+    policy = PolicyNetwork(commander_config(
+        senses, critic_input_width("commander", 3, 3, senses=senses)), seed=1)
+    blob = policy.config.to_dict()
+    if variant:
+        blob["variant"] = CommanderVariant(senses=senses).__dict__
+    save_checkpoint(path, policy.store, blob)
     return path
 
 
@@ -93,24 +115,25 @@ class TestEvaluate:
 
 
 class TestSweep:
-    def test_commander_options_from_checkpoint(self, tmp_path, fight_ckpt):
+    def test_commander_options_from_checkpoint(self, tmp_path, fight_ckpt,
+                                               escape_ckpt):
         # an N3 commander needs three sensed opponents in its observation
-        paths = {"fight": fight_ckpt}
-        for name, config in (
-                ("commander", commander_config(
-                    3, critic_input_width("commander", 3, 3, senses=3))),
-                ("escape", escape_config(critic_input_width("escape", 2, 2)))):
-            policy = PolicyNetwork(config, seed=1)
-            paths[name] = tmp_path / f"{name}.ckpt"
-            save_checkpoint(paths[name], policy.store, policy.config.to_dict())
+        commander = save_commander(tmp_path / "commander.ckpt", senses=3)
         out = tmp_path / "sweep"
-        code = main(["sweep", "--commander-ckpt", str(paths["commander"]),
-                     "--fight-ckpt", str(paths["fight"]),
-                     "--escape-ckpt", str(paths["escape"]),
+        code = main(["sweep", "--commander-ckpt", str(commander),
+                     "--fight-ckpt", str(fight_ckpt),
+                     "--escape-ckpt", str(escape_ckpt),
                      "--cells", "2v2", "--episodes", "1",
                      "--set", "scenario.horizon=5", "--out", str(out)])
         assert code == 0
         assert EvalReport.load(out / "2v2.json").episodes == 1
+
+    def test_commander_without_variant_rejected(self, tmp_path):
+        from dogfight.cli import _load_commander
+
+        path = save_commander(tmp_path / "old.ckpt", variant=False)
+        with pytest.raises(ValueError, match=str(path)):
+            _load_commander(str(path))
 
 
 class TestConfigRejected:
@@ -127,14 +150,11 @@ class TestConfigRejected:
         code, err = self._error(capsys, "--set", "scenario.level=nonsense")
         assert code == 1 and "level" in err
 
-    def test_commander_senses_come_from_the_scenario(self, tmp_path, fight_ckpt):
-        escape = PolicyNetwork(escape_config(
-            critic_input_width("escape", 2, 2)), seed=1)
-        escape_ckpt = tmp_path / "escape.ckpt"
-        save_checkpoint(escape_ckpt, escape.store, escape.config.to_dict())
+    def test_commander_senses_come_from_the_scenario(self, tmp_path, fight_ckpt,
+                                                     escape_ckpt):
         args = ["train-commander", "--fight-ckpt", str(fight_ckpt),
                 "--escape-ckpt", str(escape_ckpt), "--steps", "4",
-                "--batch-size", "4", "--run-dir", str(tmp_path / "run")]
+                "--set", "ppo.batch_size=4", "--run-dir", str(tmp_path / "run")]
         with pytest.raises(SystemExit) as exc:
             main(args + ["--senses", "3"])
         assert exc.value.code == 2
@@ -143,12 +163,34 @@ class TestConfigRejected:
         ckpt = tmp_path / "run" / "checkpoints" / "commander_Shared-N3-Opt-Assess.ckpt"
         _, config = load_checkpoint(ckpt)
         assert config["instances"][0]["head_arities"] == [4]
+        assert config["variant"]["senses"] == 3 and config["variant"]["opt"]
         # the scenario keys override the commander-training scenario
         scenario = json.loads((tmp_path / "run" / "config.json").read_text())[
             "scenario"]
         assert scenario == dict(ScenarioConfig.commander_training(
             horizon=4, commander_senses=3).__dict__)
         assert (scenario["n_agents"], scenario["map_size"]) == (3, 50.0)
+
+    def test_commander_batch_size_is_the_ppo_key(self, tmp_path, fight_ckpt,
+                                                 escape_ckpt):
+        run_dir = tmp_path / "run"
+        args = ["train-commander", "--fight-ckpt", str(fight_ckpt),
+                "--escape-ckpt", str(escape_ckpt), "--steps", "12",
+                "--set", "scenario.horizon=4", "--run-dir", str(run_dir)]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--batch-size", "7"])
+        assert exc.value.code == 2
+        assert main(args + ["--set", "ppo.batch_size=7"]) == 0
+        config = json.loads((run_dir / "config.json").read_text())
+        assert config["ppo"]["batch_size"] == 7
+        # three episodes of three agents give at least nine transitions, so
+        # the trainer updated at 7 and logged it
+        assert (run_dir / "metrics.jsonl").read_text()
+        default = tmp_path / "default"
+        assert main(args[:-1] + [str(default)]) == 0
+        config = json.loads((default / "config.json").read_text())
+        assert config["ppo"]["batch_size"] == 1000
+        assert not (default / "metrics.jsonl").exists()
 
 
 class TestTrainLow:
@@ -183,6 +225,16 @@ class TestTrainLow:
         config = json.loads((run_dir / "config.json").read_text())
         assert config["scenario"]["map_size"] == 25.0
 
+    def test_single_level_config_records_ppo(self, tmp_path):
+        run_dir = tmp_path / "run"
+        assert main(["train-low", "--policy", "fight", "--level", "L2",
+                     "--steps", "6", "--run-dir", str(run_dir),
+                     "--config", str(small_config(tmp_path)),
+                     "--set", "ppo.batch_size=5"]) == 0
+        config = json.loads((run_dir / "config.json").read_text())
+        assert config["ppo"] == {**PPOConfig().__dict__, "batch_size": 5,
+                                 "update_epochs": 1, "minibatches": 2}
+
 
 class TestExportTraj:
     def test_writes_readable_trajectory(self, tmp_path):
@@ -208,3 +260,26 @@ class TestExportTraj:
         base = rounds("a.jsonl")
         assert rounds("b.jsonl") == base
         assert rounds("c.jsonl", "--set", "sim.round_seconds=0.2") != base
+
+    def test_hierarchy_rerolls_snapshot_opponents_as_evaluate_does(
+            self, tmp_path, fight_ckpt, escape_ckpt, monkeypatch):
+        calls = []
+        reassign = SnapshotController.reassign
+
+        def counted(self, world):
+            calls.append(world.round_idx)
+            return reassign(self, world)
+
+        monkeypatch.setattr(SnapshotController, "reassign", counted)
+        args = ["--agent", "hierarchy",
+                "--commander-ckpt", str(save_commander(tmp_path / "c.ckpt")),
+                "--fight-ckpt", str(fight_ckpt),
+                "--escape-ckpt", str(escape_ckpt),
+                "--opponent", f"snapshot:{fight_ckpt}:{escape_ckpt}:0.0",
+                "--set", "scenario.horizon=30", "--seed", "2"]
+        assert main(["evaluate", *args, "--episodes", "1"]) == 0
+        evaluated = list(calls)
+        calls.clear()
+        assert main(["export-traj", *args,
+                     "--out", str(tmp_path / "traj.jsonl")]) == 0
+        assert calls == evaluated and len(evaluated) > 1

@@ -181,8 +181,7 @@ class TestEnvStep:
             def __call__(self, world, opponent_ids):
                 calls.append((list(opponent_ids),
                               [world.get(a).speed for a in range(2)]))
-                return {oid: (LowLevelAction(h=0, v=0), None)
-                        for oid in opponent_ids}
+                return {oid: LowLevelAction(h=0, v=0) for oid in opponent_ids}
 
         env = CombatEnv(ScenarioConfig(seed=0), Recorder())
         env.reset(seed=3)

@@ -192,8 +192,7 @@ class TestPolicyActors:
             fight=fight, escape=escape, rng=np.random.default_rng(4),
             fight_prob=0.75, scenario=scenario)
         actor = HierarchyEvalActor(commander, fight, escape,
-                                   np.random.default_rng(5),
-                                   opponents=opponents)
+                                   np.random.default_rng(5))
         report = evaluate(actor, opponents, scenario, episodes=2, seed=6)
         assert report.fight_commands + report.escape_commands > 0
         assert sum(report.opponent_selection) == report.fight_commands
@@ -236,6 +235,36 @@ class TestPolicyActors:
         report = evaluate(actor, scripted("L1"), scenario, episodes=2, seed=7)
         assert report.escape_commands == 0
 
+    def test_always_fight_rerolls_opponents_at_option_boundaries(
+            self, monkeypatch):
+        scenario = ScenarioConfig.commander_training(horizon=40)
+        fight = PolicyNetwork(fight_config(
+            critic_width=critic_input_width("fight", 3, 3)), seed=2)
+        escape = PolicyNetwork(escape_config(
+            critic_width=critic_input_width("escape", 3, 3)), seed=3)
+        commander = PolicyNetwork(commander_config(
+            2, critic_input_width("commander", 3, 3)), seed=4)
+        counts = {"decide": 0, "reassign": 0}
+        decide, reassign = AlwaysFightActor._decide, SnapshotController.reassign
+
+        def counted_decide(self, env):
+            counts["decide"] += 1
+            return decide(self, env)
+
+        def counted_reassign(self, world):
+            counts["reassign"] += 1
+            return reassign(self, world)
+
+        monkeypatch.setattr(AlwaysFightActor, "_decide", counted_decide)
+        monkeypatch.setattr(SnapshotController, "reassign", counted_reassign)
+        opponents = SnapshotController(
+            fight=fight, escape=escape, rng=np.random.default_rng(6),
+            fight_prob=0.5, scenario=scenario)
+        actor = AlwaysFightActor(commander, fight, escape,
+                                 np.random.default_rng(5))
+        report = evaluate(actor, opponents, scenario, episodes=2, seed=7)
+        assert 0 < counts["reassign"] == counts["decide"] < report.total_steps
+
 
 class TestSweep:
     def test_cells_and_overrides(self):
@@ -266,8 +295,9 @@ class TestSweep:
         assert all(r.episodes == 2 for _, r in results)
 
     def test_opponent_fight_probability_takes_effect(self):
-        # the sweep attaches its snapshot opponents to the hierarchy actor,
-        # so pure-escape opponents fly differently from pure-fight ones
+        # the hierarchy re-rolls the sweep's snapshot opponents at option
+        # boundaries, so pure-escape opponents fly differently from
+        # pure-fight ones
         base = ScenarioConfig.commander_training(horizon=30)
         commander = PolicyNetwork(commander_config(
             2, critic_input_width("commander", 3, 3)), seed=1)
@@ -315,8 +345,7 @@ def test_hierarchy_evaluation_builds_no_tensors(monkeypatch):
                                    rng=np.random.default_rng(4),
                                    fight_prob=0.5, scenario=scenario)
     actor = HierarchyEvalActor(commander, fight, escape,
-                               np.random.default_rng(5), greedy=False,
-                               opponents=opponents)
+                               np.random.default_rng(5), greedy=False)
     count = count_tensors(monkeypatch)
     report = evaluate(actor, opponents, scenario, episodes=2, seed=6)
     assert report.total_steps > 0 and count[0] == 0
@@ -353,6 +382,6 @@ def test_snapshot_opponents_see_the_same_first_step_as_in_training(monkeypatch):
                                    rng=np.random.default_rng(4),
                                    fight_prob=0.75, scenario=scenario)
     actor = HierarchyEvalActor(trainer.policy, fight, escape,
-                               np.random.default_rng(5), opponents=opponents)
+                               np.random.default_rng(5))
     evaluate(actor, opponents, scenario, episodes=1, seed=9)
     np.testing.assert_array_equal(seen[0], training)

@@ -14,7 +14,6 @@ from dogfight.observations import (
     build_critic_input,
     commander_block_widths,
     critic_input_width,
-    escape_block_widths,
     fight_token_splits,
     obs_layout,
 )
@@ -47,8 +46,6 @@ class TestLayoutTable:
     def test_block_widths_sum_to_layouts(self):
         assert sum(fight_token_splits("AC1")) == 27
         assert sum(fight_token_splits("AC2")) == 25
-        assert sum(escape_block_widths("AC1")) == 28
-        assert sum(escape_block_widths("AC2")) == 27
         assert sum(commander_block_widths(2)) == 34
         assert sum(commander_block_widths(3)) == 44
 

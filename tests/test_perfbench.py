@@ -1,12 +1,20 @@
-"""The benchmark's tracer targets still name functions of the program, so a
-refactor that moves one fails here rather than in a traced benchmark run."""
+"""The benchmark still runs against the program: its tracer targets name
+functions of the program, and each declared workload builds, runs one
+operation and passes its own checks. A refactor that breaks what the
+benchmark drives fails here rather than in a benchmark run."""
 
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
+WORKLOADS = [w["name"] for w in
+             json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def test_every_tracer_target_resolves():
@@ -26,3 +34,15 @@ def test_every_tracer_target_resolves():
         if not found:
             missing.append(f"{module_name}.{attr}")
     assert not missing
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_workload_runs_one_checked_operation(name, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench.workloads import WORKLOADS as BY_NAME
+
+    workload = BY_NAME[name]
+    state = workload.build(1, tmp_path)
+    workload.op(state)
+    assert workload.env_steps(state) > 0
+    assert workload.check(state) == []

@@ -11,7 +11,6 @@ from dogfight.rewards import (
     favorable_situation,
     fight_base_reward,
     option_terminated,
-    reward_commander,
     reward_escape,
     reward_fight,
     reward_kill_term,
@@ -211,13 +210,6 @@ class TestCommanderReward:
     def test_friendly_kill_term_omitted(self):
         world = self._favorable_world()
         assert commander_event_reward(world, [kill(0, 1)], 0) == 0.0
-
-    def test_total_option_reward(self):
-        world = self._favorable_world()
-        total = reward_commander(world, 0, 1, [2, 3], [kill(0, 2)])
-        assert total == pytest.approx(1.0 + 0.1)
-        no_assess = reward_commander(world, 0, 1, [2, 3], [kill(0, 2)], assess=False)
-        assert no_assess == pytest.approx(1.0)
 
 
 class TestOptionTermination:
