@@ -1,6 +1,7 @@
 """Simulation-core tests: kinematics, weapons, events, determinism."""
 
 import copy
+import hashlib
 import math
 
 import numpy as np
@@ -349,3 +350,64 @@ class TestSpecValidation:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
             make_world([make_aircraft(0), make_aircraft(0, AC2, rockets=0)])
+
+
+class TestTrajectoryDigest:
+    """Pins the simulator bit for bit: fixed-seed worlds flown through
+    `step_round` with steering, cannon fire and rocket launches, hashed over
+    every event and the final aircraft and rocket states. A change to the
+    round's arithmetic or event order changes the digest."""
+
+    @staticmethod
+    def _fly(digest, scenario, rounds, seed) -> set[str]:
+        from dogfight.config import ScenarioConfig
+        from dogfight.env import generate_world
+        from dogfight.geometry import bearing_to
+
+        world = generate_world(ScenarioConfig(**scenario),
+                               np.random.default_rng(seed))
+        control = np.random.default_rng(seed + 1000)
+        events = []
+        for rnd in range(rounds):
+            if rnd % 10 == 0:  # one decision per simulated second
+                for a in world.alive():
+                    foes = [b for b in world.alive() if b.team != a.team]
+                    if not foes:
+                        continue
+                    foe = min(foes, key=lambda b: (distance(a.pos, b.pos), b.id))
+                    gap = distance(a.pos, foe.pos)
+                    bearing = bearing_to(a.pos, foe.pos) if gap > 0 else a.heading
+                    a.target_heading = (bearing + control.normal(0.0, 5.0)) % 360.0
+                    a.speed = control.uniform(a.spec.min_speed, a.spec.max_speed)
+                    a.cannon_firing = bool(gap < 6.0 or control.random() < 0.1)
+                    if control.random() < 0.05:
+                        launch = fire_rocket(world, a.id, foe.id)
+                        if launch is not None:
+                            events.append(launch)
+            events.extend(step_round(world))
+        for event in events:
+            digest.update(repr(event).encode())
+        for a in world.aircraft:
+            digest.update(repr((a.id, a.alive, a.pos.x, a.pos.y, a.heading,
+                                a.target_heading, a.speed, a.cannon_ammo,
+                                a.rockets, a.rocket_cooldown,
+                                a.cannon_firing)).encode())
+        for r in world.rockets:
+            digest.update(repr((r.shooter_id, r.target_id, r.pos.x, r.pos.y,
+                                r.speed, r.age)).encode())
+        return {type(e).__name__ for e in events}
+
+    @pytest.mark.parametrize("scenario, rounds, seeds, expected", [
+        (dict(n_agents=2, n_opponents=2), 1500, range(6),
+         "3dc852099dec780ba1814a5f826b4f2ba2adb6856891c6900fb2047822a8e9a4"),
+        (dict(n_agents=15, n_opponents=15, map_size=50.0), 800, range(2),
+         "9e8e0d5800922f160869970f119029bc628c00572d1161dde265083ef706c8c7"),
+    ])
+    def test_digest_pinned(self, scenario, rounds, seeds, expected):
+        digest = hashlib.sha256()
+        kinds = set()
+        for seed in seeds:
+            kinds |= self._fly(digest, scenario, rounds, seed)
+        assert kinds == {"CannonKill", "RocketKill", "RocketLaunch",
+                         "RocketExpired", "OutOfBounds"}
+        assert digest.hexdigest() == expected
