@@ -76,7 +76,7 @@ def _ppo(cfg: dict, **defaults) -> PPOConfig:
 def _load_policy(path: str) -> PolicyNetwork:
     arrays, config = load_checkpoint(path)
     policy = PolicyNetwork(NetworkConfig.from_dict(config))
-    policy.store.load_arrays(arrays)
+    policy.store.load_arrays(arrays, source=path)
     return policy
 
 

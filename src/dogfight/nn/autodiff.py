@@ -2,12 +2,12 @@
 
 Covers exactly the operations the three policy architectures need: affine
 maps (with broadcasting and batched matmul), tanh/sigmoid, softmax and
-log-softmax, reductions, stacking/slicing, and the clipped-minimum used by
-the PPO objective. Gradients are exact analytic expressions; the finite
+log-softmax, reductions, stacking and column slices, and the clipped-minimum
+used by the PPO objective. Gradients are exact analytic expressions; the finite
 difference suite in gradcheck.py verifies every op in situ.
 
-An op none of whose operands is a Tensor returns a plain ndarray and
-records nothing, so a network body run on raw parameter arrays is a
+An op none of whose operands is a Tensor returns a plain ndarray and builds
+no backward closure, so a network body run on raw parameter arrays is a
 graph-free forward with the same arithmetic as the recorded one.
 """
 
@@ -74,8 +74,8 @@ class Tensor:
 
 
 def _data(value) -> np.ndarray:
-    """An operand's array. Python scalars become 0-d float64 arrays, which
-    promote float32 operands to float64 as a Tensor-wrapped scalar does."""
+    """An operand's array. A Python scalar becomes a 0-d float64 array,
+    which promotes float32 operands; a numpy scalar keeps its dtype."""
     return value.data if isinstance(value, Tensor) else np.asarray(value)
 
 
@@ -133,14 +133,9 @@ def backward_from(outputs: list[Tensor], output_grads: list[np.ndarray]):
 
 
 def _make(data, parents, backward_fn):
-    """The op's result: a plain ndarray when no operand is a Tensor (the
-    graph-free forward), else a Tensor that records `backward_fn` when some
-    operand carries gradient."""
-    for p in parents:
-        if isinstance(p, Tensor):
-            break
-    else:
-        return data
+    """The op's Tensor result, recording `backward_fn` when some operand
+    carries gradient. Ops whose operands hold no Tensor return their plain
+    array before building `backward_fn` (the graph-free forward)."""
     out = Tensor(data)
     if any(_tracks_grad(p) for p in parents):
         out._parents = tuple(p for p in parents if _tracks_grad(p))
@@ -151,12 +146,14 @@ def _make(data, parents, backward_fn):
 
 # --- primitive operations --------------------------------------------------
 #
-# Operands may be Tensors, ndarrays or Python scalars; see `_make` for what
-# each op returns.
+# Operands may be Tensors, ndarrays or scalars. An op with no Tensor operand
+# returns its plain array; otherwise see `_make`.
 
 def add(a, b):
     da, db = _data(a), _data(b)
     data = da + db
+    if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
+        return data
 
     def backward(grad):
         _accumulate(a, _unbroadcast(grad, da.shape))
@@ -168,6 +165,8 @@ def add(a, b):
 def mul(a, b):
     da, db = _data(a), _data(b)
     data = da * db
+    if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
+        return data
 
     def backward(grad):
         _accumulate(a, _unbroadcast(grad * db, da.shape))
@@ -179,6 +178,8 @@ def mul(a, b):
 def matmul(a, b):
     da, db = _data(a), _data(b)
     data = da @ db
+    if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
+        return data
 
     def backward(grad):
         if _tracks_grad(a):
@@ -199,6 +200,8 @@ def matmul(a, b):
 
 def transpose_last2(a):
     data = np.swapaxes(_data(a), -1, -2)
+    if not isinstance(a, Tensor):
+        return data
 
     def backward(grad):
         _accumulate(a, np.swapaxes(grad, -1, -2))
@@ -208,6 +211,8 @@ def transpose_last2(a):
 
 def tanh(a):
     data = np.tanh(_data(a))
+    if not isinstance(a, Tensor):
+        return data
 
     def backward(grad):
         _accumulate(a, grad * (1.0 - data * data))
@@ -217,6 +222,8 @@ def tanh(a):
 
 def sigmoid(a):
     data = 1.0 / (1.0 + np.exp(-_data(a)))
+    if not isinstance(a, Tensor):
+        return data
 
     def backward(grad):
         _accumulate(a, grad * data * (1.0 - data))
@@ -226,19 +233,11 @@ def sigmoid(a):
 
 def exp(a):
     data = np.exp(_data(a))
+    if not isinstance(a, Tensor):
+        return data
 
     def backward(grad):
         _accumulate(a, grad * data)
-
-    return _make(data, (a,), backward)
-
-
-def log(a):
-    da = _data(a)
-    data = np.log(da)
-
-    def backward(grad):
-        _accumulate(a, grad / da)
 
     return _make(data, (a,), backward)
 
@@ -248,6 +247,8 @@ def softmax(a, axis: int = -1):
     shifted = da - da.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     data = e / e.sum(axis=axis, keepdims=True)
+    if not isinstance(a, Tensor):
+        return data
 
     def backward(grad):
         inner = (grad * data).sum(axis=axis, keepdims=True)
@@ -262,6 +263,8 @@ def log_softmax(a, axis: int = -1):
     log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     data = shifted - log_z
     soft = np.exp(data)
+    if not isinstance(a, Tensor):
+        return data
 
     def backward(grad):
         _accumulate(a, grad - soft * grad.sum(axis=axis, keepdims=True))
@@ -272,6 +275,8 @@ def log_softmax(a, axis: int = -1):
 def tsum(a, axis=None, keepdims: bool = False):
     da = _data(a)
     data = da.sum(axis=axis, keepdims=keepdims)
+    if not isinstance(a, Tensor):
+        return data
 
     def backward(grad):
         g = grad
@@ -286,6 +291,8 @@ def tmean(a, axis=None, keepdims: bool = False):
     da = _data(a)
     data = da.mean(axis=axis, keepdims=keepdims)
     count = da.size if axis is None else da.shape[axis]
+    if not isinstance(a, Tensor):
+        return data
 
     def backward(grad):
         g = grad
@@ -296,8 +303,25 @@ def tmean(a, axis=None, keepdims: bool = False):
     return _make(data, (a,), backward)
 
 
+def slice_cols(a, start: int, stop: int):
+    """Columns `start:stop` of the last axis; a view of a plain array."""
+    da = _data(a)
+    data = da[..., start:stop]
+    if not isinstance(a, Tensor):
+        return data
+
+    def backward(grad):
+        full = np.zeros_like(da)
+        full[..., start:stop] = grad
+        _accumulate(a, full)
+
+    return _make(data, (a,), backward)
+
+
 def stack(tensors: list, axis: int = 1):
     data = np.stack([_data(t) for t in tensors], axis=axis)
+    if not any(isinstance(t, Tensor) for t in tensors):
+        return data
 
     def backward(grad):
         pieces = np.split(grad, len(tensors), axis=axis)
@@ -311,6 +335,8 @@ def concat(tensors: list, axis: int = -1):
     arrays = [_data(t) for t in tensors]
     data = np.concatenate(arrays, axis=axis)
     widths = [x.shape[axis] for x in arrays]
+    if not any(isinstance(t, Tensor) for t in tensors):
+        return data
 
     def backward(grad):
         offsets = np.cumsum(widths)[:-1]
@@ -324,6 +350,8 @@ def minimum(a, b):
     da, db = _data(a), _data(b)
     take_a = da <= db
     data = np.where(take_a, da, db)
+    if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
+        return data
 
     def backward(grad):
         _accumulate(a, _unbroadcast(grad * take_a, da.shape))
@@ -336,6 +364,8 @@ def clip(a, lo: float, hi: float):
     da = _data(a)
     inside = (da >= lo) & (da <= hi)
     data = np.clip(da, lo, hi)
+    if not isinstance(a, Tensor):
+        return data
 
     def backward(grad):
         _accumulate(a, grad * inside)

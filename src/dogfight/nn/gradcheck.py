@@ -3,8 +3,9 @@
 Runs the real architectures (fight with attention, escape MLP, commander
 GRU over a multi-step sequence) at float64, perturbs sampled parameter
 coordinates by +/-h, and compares the numeric slope against the backward
-pass. The scalar probe loss mixes every actor head and the critic so every
-parameter influences the output.
+pass of every op their bodies use, the column slices of the fused layers
+included. The scalar probe loss mixes every actor head and the critic so
+every parameter influences the output.
 """
 
 from __future__ import annotations

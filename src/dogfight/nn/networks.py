@@ -36,6 +36,7 @@ from .autodiff import (
     matmul,
     mul,
     sigmoid,
+    slice_cols,
     softmax,
     stack,
     tanh,
@@ -185,61 +186,56 @@ class ActorOutput:
 class PolicyNetwork:
     """Forward passes for one policy's actor/critic instances."""
 
-    def __init__(self, config: NetworkConfig, store: ParamStore | None = None,
-                 seed: int = 0):
+    def __init__(self, config: NetworkConfig, seed: int = 0):
         self.config = config
-        self.store = store or ParamStore(dtype=config.dtype, seed=seed)
+        self.store = ParamStore(dtype=config.dtype, seed=seed)
         self._build()
 
     # -- parameter construction ---------------------------------------------
 
-    def _linear(self, name: str, fan_in: int, fan_out: int):
-        self.store.get_or_create(
-            f"{name}.W", lambda rng: orthogonal_init(rng, (fan_in, fan_out)))
-        self.store.get_or_create(
-            f"{name}.b", lambda rng: np.zeros(fan_out))
-
     def _build(self):
-        cfg = self.config
+        """Create every parameter. A fused weight (attention q/k/v, GRU
+        gates, heads) holds its blocks' `orthogonal_init` draws side by side
+        along the columns, drawn in the order of one weight per block."""
+        cfg, store = self.config, self.store
+
+        def draws(*shapes):
+            return [orthogonal_init(store.init_rng, shape) for shape in shapes]
+
+        def linear(name, fan_in, *fan_outs):
+            store.add(f"{name}.W", np.concatenate(
+                draws(*[(fan_in, n) for n in fan_outs]), axis=1))
+            store.add(f"{name}.b", np.zeros(sum(fan_outs)))
+
+        embed, hidden = cfg.embed_width, cfg.hidden_width
         core_width = cfg.fc_width if cfg.fc_baseline else (
-            cfg.hidden_width if cfg.recurrent else cfg.embed_width)
+            hidden if cfg.recurrent else embed)
         # green core layer: one copy per policy, shared by every instance's
         # actor and critic
-        self._linear("shared.core", core_width, core_width)
+        linear("shared.core", core_width, core_width)
         for inst in cfg.instances:
             prefix = inst.name
             if cfg.fc_baseline:
-                self._linear(f"{prefix}.embed", inst.obs_width, cfg.fc_width)
+                linear(f"{prefix}.embed", inst.obs_width, cfg.fc_width)
             elif inst.token_splits:
                 for i, width in enumerate(inst.token_splits):
-                    self._linear(f"{prefix}.embed{i}", width, cfg.embed_width)
-                for proj in ("q", "k", "v"):
-                    self.store.get_or_create(
-                        f"{prefix}.attn.{proj}",
-                        lambda rng: orthogonal_init(
-                            rng, (cfg.embed_width, cfg.embed_width)))
+                    linear(f"{prefix}.embed{i}", width, embed)
+                store.add(f"{prefix}.attn.qkv", np.concatenate(
+                    draws(*[(embed, embed)] * 3), axis=1))
             else:
-                self._linear(f"{prefix}.embed", inst.obs_width, cfg.embed_width)
+                linear(f"{prefix}.embed", inst.obs_width, embed)
             if cfg.recurrent:
-                for gate in ("z", "r", "n"):
-                    self.store.get_or_create(
-                        f"{prefix}.gru.W{gate}",
-                        lambda rng: orthogonal_init(
-                            rng, (cfg.embed_width, cfg.hidden_width)))
-                    self.store.get_or_create(
-                        f"{prefix}.gru.U{gate}",
-                        lambda rng: orthogonal_init(
-                            rng, (cfg.hidden_width, cfg.hidden_width)))
-                    self.store.get_or_create(
-                        f"{prefix}.gru.b{gate}",
-                        lambda rng: np.zeros(cfg.hidden_width))
-            for j, arity in enumerate(inst.head_arities):
-                self._linear(f"{prefix}.head{j}", core_width, arity)
-            critic_embed = cfg.fc_width if cfg.fc_baseline else cfg.embed_width
+                # drawn per gate z, r, n: input weight, then recurrent weight
+                gates = draws(*[(embed, hidden), (hidden, hidden)] * 3)
+                store.add(f"{prefix}.gru.W", np.concatenate(gates[0::2], axis=1))
+                store.add(f"{prefix}.gru.U", np.concatenate(gates[1::2], axis=1))
+                store.add(f"{prefix}.gru.b", np.zeros(3 * hidden))
+            linear(f"{prefix}.heads", core_width, *inst.head_arities)
+            critic_embed = cfg.fc_width if cfg.fc_baseline else embed
             if cfg.recurrent:
-                critic_embed = cfg.hidden_width
-            self._linear(f"{prefix}.critic.embed", inst.critic_width, critic_embed)
-            self._linear(f"{prefix}.critic.value", core_width, 1)
+                critic_embed = hidden
+            linear(f"{prefix}.critic.embed", inst.critic_width, critic_embed)
+            linear(f"{prefix}.critic.value", core_width, 1)
 
     # -- forward helpers ------------------------------------------------------
 
@@ -271,27 +267,25 @@ class PolicyNetwork:
             tokens.append(tanh(self._affine(p, f"{inst.name}.embed{i}", block)))
             offset += width
         seq = stack(tokens, axis=1)  # [B, T, E]
-        q = matmul(seq, p[f"{inst.name}.attn.q"])
-        k = matmul(seq, p[f"{inst.name}.attn.k"])
-        v = matmul(seq, p[f"{inst.name}.attn.v"])
-        # mul/add rather than operators wherever a Python scalar meets an
-        # array: the ops wrap it as a float64 array in both modes, so both
-        # promote float32 alike
-        scores = mul(matmul(q, transpose_last2(k)), 1.0 / math.sqrt(cfg.embed_width))
+        width = cfg.embed_width
+        qkv = matmul(seq, p[f"{inst.name}.attn.qkv"])  # [B, T, 3E]
+        q, k, v = (slice_cols(qkv, i * width, (i + 1) * width) for i in range(3))
+        # a scalar of the network's dtype keeps float32 networks in float32
+        scale = self.store.dtype.type(1.0 / math.sqrt(width))
+        scores = mul(matmul(q, transpose_last2(k)), scale)
         attended = matmul(softmax(scores, axis=-1), v)  # [B, T, E]
         return tmean(attended, axis=1)  # pool over entity tokens
 
-    @staticmethod
-    def _gru_step(p: dict, prefix: str, x, h):
-        z = sigmoid(matmul(x, p[f"{prefix}.gru.Wz"]) + matmul(h, p[f"{prefix}.gru.Uz"])
-                    + p[f"{prefix}.gru.bz"])
-        r = sigmoid(matmul(x, p[f"{prefix}.gru.Wr"]) + matmul(h, p[f"{prefix}.gru.Ur"])
-                    + p[f"{prefix}.gru.br"])
-        n = tanh(matmul(x, p[f"{prefix}.gru.Wn"])
-                 + mul(r, matmul(h, p[f"{prefix}.gru.Un"]))
-                 + p[f"{prefix}.gru.bn"])
-        one_minus_z = add(1.0, mul(-1.0, z))
-        return add(mul(one_minus_z, n), mul(z, h))
+    def _gru_step(self, p: dict, prefix: str, x, h):
+        width = self.config.hidden_width
+        one = self.store.dtype.type(1.0)
+        gx = self._affine(p, f"{prefix}.gru", x)  # [B, 3H]: z, r, n inputs
+        gh = matmul(h, p[f"{prefix}.gru.U"])
+        zr = sigmoid(slice_cols(gx, 0, 2 * width) + slice_cols(gh, 0, 2 * width))
+        z, r = slice_cols(zr, 0, width), slice_cols(zr, width, 2 * width)
+        n = tanh(slice_cols(gx, 2 * width, 3 * width)
+                 + mul(r, slice_cols(gh, 2 * width, 3 * width)))
+        return add(mul(add(one, mul(-one, z)), n), mul(z, h))
 
     def initial_hidden(self, batch: int = 1) -> np.ndarray:
         return np.zeros((batch, self.config.hidden_width), dtype=self.store.dtype)
@@ -314,11 +308,13 @@ class PolicyNetwork:
             new_hidden = self._gru_step(p, inst.name, features, hidden)
             features = new_hidden
         core = tanh(self._affine(p, "shared.core", features))
-        logits = [self._affine(p, f"{inst.name}.head{j}", core)
-                  for j in range(len(inst.head_arities))]
-        values = [lg.data for lg in logits] if grad else logits
-        if not all(np.isfinite(lg).all() for lg in values):
+        heads = self._affine(p, f"{inst.name}.heads", core)  # [B, sum of arities]
+        if not np.isfinite(heads.data if grad else heads).all():
             raise FloatingPointError("non-finite actor logits")
+        logits, start = [], 0
+        for arity in inst.head_arities:
+            logits.append(slice_cols(heads, start, start + arity))
+            start += arity
         return ActorOutput(logits=logits, hidden=new_hidden)
 
     def forward_critic(self, instance: str, critic_input: np.ndarray, *,

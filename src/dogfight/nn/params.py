@@ -48,11 +48,6 @@ class ParamStore:
         self.moment2[name] = np.zeros_like(tensor.data)
         return tensor
 
-    def get_or_create(self, name: str, factory) -> Tensor:
-        if name not in self.params:
-            self.add(name, factory(self.init_rng))
-        return self.params[name]
-
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
 
@@ -82,12 +77,14 @@ class ParamStore:
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data for name, t in self.params.items()}
 
-    def load_arrays(self, arrays: dict[str, np.ndarray], strict: bool = True):
-        if strict and set(arrays) != set(self.params):
-            missing = set(self.params) - set(arrays)
-            extra = set(arrays) - set(self.params)
-            raise ValueError(f"array mismatch: missing={sorted(missing)} "
-                             f"extra={sorted(extra)}")
+    def load_arrays(self, arrays: dict[str, np.ndarray], source="arrays"):
+        """Replace every parameter's data. Names that differ from the
+        store's raise a ValueError naming `source`, the file read."""
+        if set(arrays) != set(self.params):
+            missing = sorted(set(self.params) - set(arrays))
+            extra = sorted(set(arrays) - set(self.params))
+            raise ValueError(f"{source}: parameters do not match the network: "
+                             f"missing {missing}, unexpected {extra}")
         for name, data in arrays.items():
             tensor = self.params[name]
             if tensor.data.shape != data.shape:

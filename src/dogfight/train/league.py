@@ -60,7 +60,7 @@ class LeagueArchive:
                              f"the sha256 recorded in {self.index_path}")
         arrays, config = load_checkpoint(path)
         policy = PolicyNetwork(NetworkConfig.from_dict(config))
-        policy.store.load_arrays(arrays)
+        policy.store.load_arrays(arrays, source=path)
         return policy
 
     def sample_opponent_level(self, rng: np.random.Generator,

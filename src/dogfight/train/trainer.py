@@ -231,7 +231,8 @@ class LowLevelTrainer:
         for key, policy in self.policies.items():
             store = policy.store
             store.load_arrays({name: arrays[f"{key}.param.{name}"]
-                               for name in store.params})
+                               for name in store.params
+                               if f"{key}.param.{name}" in arrays}, source=path)
             for name in store.params:
                 store.moment1[name][...] = arrays[f"{key}.adam.m.{name}"]
                 store.moment2[name][...] = arrays[f"{key}.adam.v.{name}"]
@@ -299,8 +300,9 @@ def run_curriculum(scenario: ScenarioConfig, ppo: PPOConfig, mode: TrainMode,
             if state_path.exists():
                 trainer.load_state(state_path)
             else:
-                arrays, _ = load_checkpoint(archive.path("fight", resumed_from))
-                trainer.policy.store.load_arrays(arrays)
+                snapshot = archive.path("fight", resumed_from)
+                trainer.policy.store.load_arrays(load_checkpoint(snapshot)[0],
+                                                 source=snapshot)
             resumed_from = None
         steps = (steps_per_level if isinstance(steps_per_level, int)
                  else steps_per_level[level])

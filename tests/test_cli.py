@@ -15,7 +15,7 @@ from dogfight.nn import (
     fight_config,
     save_checkpoint,
 )
-from dogfight.nn.params import load_checkpoint
+from dogfight.nn.params import load_checkpoint, save_arrays
 from dogfight.observations import critic_input_width
 from dogfight.train import CommanderVariant, PPOConfig, SnapshotController
 
@@ -77,6 +77,35 @@ class TestUsage:
                      "--episodes", "1"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+    def test_checkpoint_before_fused_layers_named(self, tmp_path, capsys):
+        # one weight per attention projection and per head, as written
+        # before those layers were fused
+        policy = PolicyNetwork(fight_config(
+            critic_width=critic_input_width("fight", 2, 2)), seed=0)
+        arrays = {}
+        for name, data in policy.store.state_arrays().items():
+            prefix, _, rest = name.partition(".")
+            if rest == "attn.qkv":
+                for i, proj in enumerate("qkv"):
+                    arrays[f"{prefix}.attn.{proj}"] = data[:, i * 100:(i + 1) * 100]
+            elif rest.startswith("heads."):
+                start = 0
+                for j, arity in enumerate((13, 9, 2, 2)):
+                    block = data[..., start:start + arity]
+                    arrays[f"{prefix}.head{j}.{rest[-1]}"] = block
+                    start += arity
+            else:
+                arrays[name] = data
+        path = tmp_path / "old.ckpt"
+        save_arrays(path, arrays, policy.config.to_dict())
+        code = main(["evaluate", "--agent", "fight", "--agent-ckpt", str(path),
+                     "--opponent", "scripted:L1", "--episodes", "1"])
+        err = capsys.readouterr().err
+        assert code == 1 and str(path) in err
+        for fused in ("ac1.attn.qkv", "ac1.heads.W", "ac2.heads.b"):
+            assert fused in err
 
 
 class TestGradcheck:

@@ -15,6 +15,7 @@ from dogfight.nn import (
     escape_config,
     fight_config,
     load_checkpoint,
+    orthogonal_init,
     sample_action,
     save_checkpoint,
 )
@@ -25,6 +26,7 @@ from dogfight.nn.autodiff import (
     log_softmax,
     matmul,
     minimum,
+    slice_cols,
     softmax,
     stack,
     tanh,
@@ -110,6 +112,13 @@ class TestAutodiffOps:
         weights = np.arange(6.0)
         self._check(lambda A, B: tsum(tmean(stack([A, B], axis=1), axis=1))
                     + tsum(concat([A, B], axis=-1) * weights), a, b)
+
+    def test_slice_cols_gradient(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(2, 3, 7))
+        weights = rng.normal(size=(3, 4))
+        self._check(lambda X: tsum(slice_cols(X, 1, 4) * weights[:, :3])
+                    + tsum(tanh(slice_cols(X, 3, 7)) * weights), x)
 
     def test_broadcast_add_bias(self):
         rng = np.random.default_rng(7)
@@ -370,16 +379,83 @@ class TestGraphFreeForward:
                     continue
                 assert np.max(np.abs(lb[b] - lo[0])) <= ROW_TOLERANCE[dtype]
 
-    def test_float32_promotion_kept(self):
-        # a Python scalar inside the attention and GRU bodies promotes float32
-        # to float64 in the graph forward; the graph-free one must agree
-        fight = PolicyNetwork(fight_config(critic_width=40), seed=0)
-        out = fight.forward_actor("ac1", np.zeros(27), grad=False)
-        assert out.logits[0].dtype == np.float64
-        escape = PolicyNetwork(escape_config(critic_width=40), seed=0)
-        assert escape.forward_actor("ac1", np.zeros(28),
-                                    grad=False).logits[0].dtype == np.float32
+    @pytest.mark.parametrize("grad", [True, False], ids=["graph", "graph-free"])
+    def test_float32_networks_compute_in_float32(self, grad):
+        # scalars of the network's dtype inside the attention and GRU bodies
+        # keep float32 logits and hidden states float32 in both modes
+        joint = ctce_config("fight", obs_width=27 * 2,
+                            head_arities=(13, 9, 2, 2) * 2, critic_width=40)
+        for config, instance in ((fight_config(critic_width=40), "ac1"),
+                                 (escape_config(critic_width=40), "ac2"),
+                                 (commander_config(2, critic_width=40), "cmd"),
+                                 (joint, "joint")):
+            net = PolicyNetwork(config, seed=0)
+            width = config.instance(instance).obs_width
+            out = net.forward_actor(instance, np.ones((2, width)), grad=grad)
+            arrays = out.logits + ([out.hidden] if config.recurrent else [])
+            for array in arrays:
+                data = array.data if grad else array
+                assert data.dtype == np.float32, (config.kind, instance)
 
+
+def _parent_order_draws(config, seed):
+    """Every weight of `config` drawn as one `orthogonal_init` per block, in
+    the order of a network with one weight array per block."""
+    rng = np.random.default_rng(seed)
+    embed, hidden = config.embed_width, config.hidden_width
+    core = config.fc_width if config.fc_baseline else (
+        hidden if config.recurrent else embed)
+    out = {"shared.core.W": orthogonal_init(rng, (core, core))}
+    for inst in config.instances:
+        name = inst.name
+        if inst.token_splits and not config.fc_baseline:
+            for i, width in enumerate(inst.token_splits):
+                out[f"{name}.embed{i}.W"] = orthogonal_init(rng, (width, embed))
+            for proj in "qkv":
+                out[f"{name}.attn.{proj}"] = orthogonal_init(rng, (embed, embed))
+        else:
+            width = config.fc_width if config.fc_baseline else embed
+            out[f"{name}.embed.W"] = orthogonal_init(rng, (inst.obs_width, width))
+        if config.recurrent:
+            for gate in "zrn":
+                out[f"{name}.gru.W{gate}"] = orthogonal_init(rng, (embed, hidden))
+                out[f"{name}.gru.U{gate}"] = orthogonal_init(rng, (hidden, hidden))
+        for j, arity in enumerate(inst.head_arities):
+            out[f"{name}.head{j}.W"] = orthogonal_init(rng, (core, arity))
+        critic = hidden if config.recurrent else (
+            config.fc_width if config.fc_baseline else embed)
+        out[f"{name}.critic.embed.W"] = orthogonal_init(
+            rng, (inst.critic_width, critic))
+        out[f"{name}.critic.value.W"] = orthogonal_init(rng, (core, 1))
+    return out
+
+
+class TestFusedLayers:
+    @pytest.mark.parametrize("config", [
+        fight_config(critic_width=40), escape_config(critic_width=40),
+        commander_config(2, critic_width=40),
+        commander_config(3, critic_width=40, arch="sa"),
+        fight_config(critic_width=40, fc_baseline=True)],
+        ids=["fight", "escape", "commander-gru", "commander-sa", "fight-fc"])
+    def test_fused_weights_are_the_per_block_draws(self, config):
+        net = PolicyNetwork(config, seed=7)
+        ref = _parent_order_draws(config, seed=7)
+        got = net.store.state_arrays()
+        fused = {}
+        for inst in config.instances:
+            name = inst.name
+            fused[f"{name}.heads.W"] = [f"{name}.head{j}.W"
+                                        for j in range(len(inst.head_arities))]
+            fused[f"{name}.attn.qkv"] = [f"{name}.attn.{p}" for p in "qkv"]
+            fused[f"{name}.gru.W"] = [f"{name}.gru.W{g}" for g in "zrn"]
+            fused[f"{name}.gru.U"] = [f"{name}.gru.U{g}" for g in "zrn"]
+        for name, blocks in fused.items():
+            if blocks[0] in ref:
+                want = np.concatenate([ref.pop(b) for b in blocks], axis=1)
+                assert np.array_equal(got[name], want.astype(np.float32)), name
+        for name, want in ref.items():  # every other weight drew in turn
+            assert np.array_equal(got[name], want.astype(np.float32)), name
+        assert not any(name.endswith(".b") and got[name].any() for name in got)
 
 class TestAdam:
     def test_zero_gradient_no_change(self):
