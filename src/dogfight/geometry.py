@@ -8,12 +8,12 @@ functions return degrees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Vec2:
-    """Immutable 2D point/vector in kilometers (x east, y north)."""
+class Vec2(NamedTuple):
+    """Immutable 2D point/vector in kilometers (x east, y north). A tuple
+    underneath, which makes it cheap to build in the simulator's round."""
 
     x: float
     y: float

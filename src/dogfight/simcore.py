@@ -19,9 +19,9 @@ import numpy as np
 
 from .geometry import (
     Vec2,
+    angle_off,
     ata,
     distance,
-    heading_vector,
     signed_heading_delta,
     wrap_heading,
 )
@@ -181,11 +181,20 @@ class World:
                 if a.alive and (team is None or a.team == team)]
 
 
+def _wez_gap(shooter: AircraftState, target: AircraftState) -> float | None:
+    """The distance to `target` if it is in `shooter`'s weapon engagement
+    zone, else None: `distance` and `ata` (0 when coincident) on floats."""
+    dx, dy = target.pos.x - shooter.pos.x, target.pos.y - shooter.pos.y
+    gap = math.hypot(dx, dy)
+    inside = gap <= shooter.spec.wez_range and (gap == 0.0 or angle_off(
+        shooter.heading, wrap_heading(math.degrees(math.atan2(dx, dy))))
+        <= shooter.spec.wez_angle)
+    return gap if inside else None
+
+
 def in_wez(shooter: AircraftState, target: AircraftState) -> bool:
     """True when `target` sits inside `shooter`'s weapon engagement zone."""
-    if distance(shooter.pos, target.pos) > shooter.spec.wez_range:
-        return False
-    return ata(shooter.pos, shooter.heading, target.pos) <= shooter.spec.wez_angle
+    return _wez_gap(shooter, target) is not None
 
 
 def fire_rocket(world: World, shooter_id: int, target_id: int) -> RocketLaunch | None:
@@ -235,11 +244,14 @@ def fire_cannon(world: World, shooter_id: int) -> CannonKill | None:
         return None
     shooter.cannon_ammo -= 1
     p_round = shooter.spec.hit_prob / world.cfg.hit_prob_divisor
-    targets = [a for a in world.aircraft
-               if a.alive and a.id != shooter_id and in_wez(shooter, a)]
-    targets.sort(key=lambda a: (distance(shooter.pos, a.pos), a.id))
-    for target in targets:
+    targets = []
+    for a in world.aircraft:
+        gap = _wez_gap(shooter, a) if a.alive and a.id != shooter_id else None
+        if gap is not None:
+            targets.append((gap, a.id))
+    for _, target_id in sorted(targets):  # nearest first, ties by id
         if world.rng.random() < p_round:
+            target = world.get(target_id)
             target.alive = False
             return CannonKill(**_kill_snapshot(world, shooter, target))
     return None
@@ -258,8 +270,11 @@ def _advance_aircraft(world: World) -> None:
             a.heading = a.target_heading
         else:
             a.heading = wrap_heading(a.heading + math.copysign(max_step, delta))
+        # pos + heading_vector(heading) * step_km, on plain floats
         step_km = a.speed * KNOTS_TO_KM_PER_S * dt
-        a.pos = a.pos + heading_vector(a.heading) * step_km
+        rad = math.radians(a.heading)
+        a.pos = Vec2(a.pos.x + math.sin(rad) * step_km,
+                     a.pos.y + math.cos(rad) * step_km)
 
 
 def _advance_rockets(world: World) -> list[SimEvent]:
@@ -272,13 +287,13 @@ def _advance_rockets(world: World) -> list[SimEvent]:
             events.append(RocketExpired(shooter=rocket.shooter_id))
             continue
         step_km = rocket.speed * KNOTS_TO_KM_PER_S * world.cfg.round_seconds
-        gap = distance(rocket.pos, target.pos)
+        (rx, ry), (tx, ty) = rocket.pos, target.pos
+        gap = math.hypot(tx - rx, ty - ry)
         if gap <= step_km:
             rocket.pos = target.pos
-        else:
-            direction = Vec2((target.pos.x - rocket.pos.x) / gap,
-                             (target.pos.y - rocket.pos.y) / gap)
-            rocket.pos = rocket.pos + direction * step_km
+        else:  # a step along the unit line of sight, on plain floats
+            rocket.pos = Vec2(rx + (tx - rx) / gap * step_km,
+                              ry + (ty - ry) / gap * step_km)
         rocket.age += 1
         if distance(rocket.pos, target.pos) <= world.cfg.rocket_kill_radius:
             target.alive = False
