@@ -11,10 +11,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread unless the environment sets one, before numpy loads: a
+# second OpenBLAS thread costs CPU without speeding these small products.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402 - after the BLAS thread setting
 
 from .config import ScenarioConfig, ScriptConfig, apply_overrides, parse_config
 from .evaluation import (
@@ -48,15 +54,20 @@ from .train import (
 from .train.trainer import controller_for_level, curriculum_horizon
 
 
-def _load_config(args, scenario=ScenarioConfig) -> dict:
+def _load_config(args, scenario=ScenarioConfig, unread=()) -> dict:
     """The typed config of a command. `scenario` is the command's scenario
     recipe: keys of the scenario section override its defaults, and without
-    the section the recipe's defaults are the scenario."""
+    the section the recipe's defaults are the scenario. Setting one of the
+    `unread` sections or `section.key`s is an error."""
     raw = {}
     if getattr(args, "config", None):
         raw = json.loads(Path(args.config).read_text())
     if getattr(args, "set", None):
         raw = apply_overrides(raw, args.set)
+    for key in unread:
+        section, _, name = key.partition(".")
+        if section in raw and (not name or name in raw[section]):
+            raise ValueError(f"{args.command} does not read config {key!r}")
     cfg = parse_config(raw, scenario)
     cfg.setdefault("scenario", scenario())
     return cfg
@@ -147,7 +158,7 @@ def cmd_train_low(args) -> int:
 
 
 def cmd_train_commander(args) -> int:
-    cfg = _load_config(args, ScenarioConfig.commander_training)
+    cfg = _load_config(args, ScenarioConfig.commander_training, ("script",))
     run = RunDir(args.run_dir)
     scenario = cfg["scenario"]
     if args.fight_ckpt and args.escape_ckpt:
@@ -201,18 +212,30 @@ def _make_actor(args, seed: int):
     raise ValueError(f"unknown agent kind {args.agent!r}")
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _load_config(args)
-    scenario = cfg["scenario"]
-    script = cfg.get("script", ScriptConfig())
+def _eval_setup(args):
+    """The config, actor and opponents of `evaluate` and `export-traj`.
+    Neither reads the ppo section, nor the script section against snapshot
+    opponents, nor a hierarchy's senses, which its checkpoint sets."""
+    unread = ["ppo"]
+    if args.opponent.startswith("snapshot:"):
+        unread.append("script")
+    if args.agent == "hierarchy":
+        unread.append("scenario.commander_senses")
+    cfg = _load_config(args, unread=unread)
     actor = _make_actor(args, args.seed)
-    opponents = _make_opponents(args.opponent, scenario, script, args.seed + 1)
+    return cfg, actor, _make_opponents(args.opponent, cfg["scenario"],
+                                       cfg.get("script", ScriptConfig()),
+                                       args.seed + 1)
+
+
+def cmd_evaluate(args) -> int:
+    cfg, actor, opponents = _eval_setup(args)
     recorder = None
     if args.trajectory_out:
         recorder = TrajectoryRecorder(args.trajectory_episode,
                                       header={"agent": args.agent,
                                               "opponent": args.opponent})
-    report = evaluate(actor, opponents, scenario, args.episodes,
+    report = evaluate(actor, opponents, cfg["scenario"], args.episodes,
                       seed=args.seed, trajectory_recorder=recorder,
                       sim_cfg=cfg.get("sim"))
     if args.out:
@@ -224,9 +247,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args, ScenarioConfig.commander_training)
+    cfg = _load_config(args, ScenarioConfig.commander_training,
+                       ("ppo", "script", "scenario.commander_senses"))
     base = cfg["scenario"]
-    script = cfg.get("script", ScriptConfig())
     commander, options = _load_commander(args.commander_ckpt)
     fight = _load_policy(args.fight_ckpt)
     escape = _load_policy(args.escape_ckpt)
@@ -256,14 +279,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_export_traj(args) -> int:
-    cfg = _load_config(args)
-    scenario = cfg["scenario"]
-    script = cfg.get("script", ScriptConfig())
-    actor = _make_actor(args, args.seed)
-    opponents = _make_opponents(args.opponent, scenario, script, args.seed + 1)
+    cfg, actor, opponents = _eval_setup(args)
     recorder = TrajectoryRecorder(0, header={"agent": args.agent,
                                              "opponent": args.opponent})
-    evaluate(actor, opponents, scenario, 1, seed=args.seed,
+    evaluate(actor, opponents, cfg["scenario"], 1, seed=args.seed,
              trajectory_recorder=recorder, sim_cfg=cfg.get("sim"))
     export_trajectory(recorder.log, args.out)
     print(f"wrote {args.out}")

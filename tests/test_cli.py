@@ -1,6 +1,9 @@
 """Command-line interface tests."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -50,11 +53,14 @@ def save_commander(path, senses=2, variant=True):
     return path
 
 
-def small_config(tmp_path, **scenario_kw):
+def small_config(tmp_path, ppo=True, **scenario_kw):
+    """A small config file; `ppo` False leaves out the ppo section, which
+    the evaluation commands reject."""
     base = dict(n_agents=2, n_opponents=2, horizon=6, map_size=20.0)
     base.update(scenario_kw)
-    cfg = {"scenario": base,
-           "ppo": {"batch_size": 24, "update_epochs": 1, "minibatches": 2}}
+    cfg = {"scenario": base}
+    if ppo:
+        cfg["ppo"] = {"batch_size": 24, "update_epochs": 1, "minibatches": 2}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
@@ -108,6 +114,21 @@ class TestUsage:
             assert fused in err
 
 
+class TestBlasThreads:
+    @pytest.mark.parametrize("env, want", [({}, "1"),
+                                           ({"OPENBLAS_NUM_THREADS": "2"}, "2")])
+    def test_one_thread_unless_set(self, env, want):
+        # a fresh interpreter, as the console script starts one
+        clean = {k: v for k, v in os.environ.items()
+                 if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                              "MKL_NUM_THREADS")}
+        out = subprocess.run(
+            [sys.executable, "-c", "import os, sys, dogfight.cli; "
+             "print('numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'])"],
+            env={**clean, **env}, capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["True", want]
+
+
 class TestGradcheck:
     def test_passes_quickly_with_few_draws(self, capsys):
         assert main(["gradcheck", "--draws", "2"]) == 0
@@ -120,7 +141,7 @@ class TestEvaluate:
         out = tmp_path / "report.json"
         code = main(["evaluate", "--agent", "random",
                      "--opponent", "scripted:L1",
-                     "--config", str(small_config(tmp_path)),
+                     "--config", str(small_config(tmp_path, ppo=False)),
                      "--episodes", "2", "--out", str(out), "--seed", "3"])
         assert code == 0
         report = EvalReport.load(out)
@@ -130,7 +151,7 @@ class TestEvaluate:
         out = tmp_path / "report.json"
         code = main(["evaluate", "--agent", "random",
                      "--opponent", f"snapshot:{fight_ckpt}",
-                     "--config", str(small_config(tmp_path)),
+                     "--config", str(small_config(tmp_path, ppo=False)),
                      "--episodes", "1", "--out", str(out)])
         assert code == 0
 
@@ -138,7 +159,7 @@ class TestEvaluate:
         code = main(["evaluate", "--agent", "fight",
                      "--agent-ckpt", str(fight_ckpt),
                      "--opponent", "scripted:L1",
-                     "--config", str(small_config(tmp_path)),
+                     "--config", str(small_config(tmp_path, ppo=False)),
                      "--episodes", "1"])
         assert code == 0
 
@@ -199,6 +220,65 @@ class TestConfigRejected:
         assert scenario == dict(ScenarioConfig.commander_training(
             horizon=4, commander_senses=3).__dict__)
         assert (scenario["n_agents"], scenario["map_size"]) == (3, 50.0)
+
+    # (command, its arguments by checkpoint, the unread key set on it)
+    UNREAD = {
+        "evaluate-ppo": (["evaluate", "--agent", "random", "--opponent",
+                          "scripted:L1"], "ppo.batch_size=0"),
+        "sweep-ppo": (["sweep", "{hierarchy}", "--cells", "2v2"],
+                      "ppo.batch_size=0"),
+        "export-traj-ppo": (["export-traj", "--agent", "random", "--opponent",
+                             "scripted:L1"], "ppo.batch_size=0"),
+        "sweep-script": (["sweep", "{hierarchy}", "--cells", "2v2"],
+                         "script.flee_probability=0.5"),
+        "train-commander-script": (["train-commander", "--fight-ckpt", "{fight}",
+                                    "--escape-ckpt", "{escape}", "--steps", "4"],
+                                   "script.flee_probability=0.5"),
+        "evaluate-snapshot-script": (["evaluate", "--agent", "random",
+                                      "--opponent", "snapshot:{fight}"],
+                                     "script.flee_probability=0.5"),
+        "export-traj-snapshot-script": (["export-traj", "--agent", "random",
+                                         "--opponent", "snapshot:{fight}"],
+                                        "script.flee_probability=0.5"),
+        "evaluate-hierarchy-senses": (["evaluate", "--agent", "hierarchy",
+                                       "{hierarchy}", "--opponent",
+                                       "scripted:L1"],
+                                      "scenario.commander_senses=3"),
+        "sweep-senses": (["sweep", "{hierarchy}", "--cells", "2v2"],
+                         "scenario.commander_senses=3"),
+        "export-traj-hierarchy-senses": (["export-traj", "--agent", "hierarchy",
+                                          "{hierarchy}", "--opponent",
+                                          "scripted:L1"],
+                                         "scenario.commander_senses=3"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(UNREAD))
+    def test_unread_key_rejected(self, case, tmp_path, fight_ckpt, escape_ckpt,
+                                 capsys):
+        command, override = self.UNREAD[case]
+        paths = {"fight": str(fight_ckpt), "escape": str(escape_ckpt)}
+        args = []
+        for arg in command:
+            if arg == "{hierarchy}":
+                args += ["--commander-ckpt",
+                         str(save_commander(tmp_path / "cmd.ckpt")),
+                         "--fight-ckpt", paths["fight"],
+                         "--escape-ckpt", paths["escape"]]
+            else:
+                args.append(arg.format(**paths))
+        out = {"evaluate": [], "sweep": ["--out", str(tmp_path / "sweep")],
+               "export-traj": ["--out", str(tmp_path / "t.jsonl")],
+               "train-commander": ["--run-dir", str(tmp_path / "run")]}
+        args += out[command[0]] + ["--episodes", "1"] * (
+            command[0] in ("evaluate", "sweep"))
+        base = args + ["--set", "scenario.horizon=3"]
+        assert main(base) == 0  # the command runs without the key
+        capsys.readouterr()
+        code = main(base + ["--set", override])
+        key = override.split("=")[0]
+        named = key if key.startswith("scenario.") else key.split(".")[0]
+        err = capsys.readouterr().err
+        assert code == 1 and f"does not read config '{named}'" in err
 
     def test_commander_batch_size_is_the_ppo_key(self, tmp_path, fight_ckpt,
                                                  escape_ckpt):
@@ -270,7 +350,7 @@ class TestExportTraj:
         out = tmp_path / "traj.jsonl"
         code = main(["export-traj", "--agent", "random",
                      "--opponent", "scripted:L2",
-                     "--config", str(small_config(tmp_path)),
+                     "--config", str(small_config(tmp_path, ppo=False)),
                      "--out", str(out)])
         assert code == 0
         log = import_trajectory(out)
@@ -282,7 +362,7 @@ class TestExportTraj:
             out = tmp_path / name
             assert main(["export-traj", "--agent", "random",
                          "--opponent", "scripted:L2", "--seed", "3",
-                         "--config", str(small_config(tmp_path)),
+                         "--config", str(small_config(tmp_path, ppo=False)),
                          "--out", str(out), *overrides]) == 0
             return import_trajectory(out).rounds
 
