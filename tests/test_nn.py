@@ -398,7 +398,7 @@ class TestGraphFreeForward:
                 assert data.dtype == np.float32, (config.kind, instance)
 
 
-def _parent_order_draws(config, seed):
+def _per_block_draws(config, seed):
     """Every weight of `config` drawn as one `orthogonal_init` per block, in
     the order of a network with one weight array per block."""
     rng = np.random.default_rng(seed)
@@ -439,7 +439,7 @@ class TestFusedLayers:
         ids=["fight", "escape", "commander-gru", "commander-sa", "fight-fc"])
     def test_fused_weights_are_the_per_block_draws(self, config):
         net = PolicyNetwork(config, seed=7)
-        ref = _parent_order_draws(config, seed=7)
+        ref = _per_block_draws(config, seed=7)
         got = net.store.state_arrays()
         fused = {}
         for inst in config.instances:
