@@ -144,11 +144,8 @@ def cmd_train_low(args) -> int:
                        steps_per_level=args.steps, script=script, sim_cfg=sim)
         return 0
 
-    ppo = _ppo(cfg)
-    trainer = LowLevelTrainer(scenario, ppo, mode, run, seed, script, sim)
-    run.write_config({"scenario": scenario.__dict__, "ppo": ppo.__dict__,
-                      "mode": mode.__dict__, "seed": seed,
-                      "level": args.level, "steps": args.steps})
+    trainer = LowLevelTrainer(scenario, _ppo(cfg), mode, run, seed, script, sim)
+    trainer.write_config(mode=mode.__dict__, level=args.level, steps=args.steps)
     controller = controller_for_level(args.level, trainer, archive, scenario,
                                        script)
     trainer.train_level(args.level, controller, args.steps,

@@ -27,6 +27,7 @@ from .config import ScenarioConfig
 from .env import CombatEnv, LowLevelAction, OUTCOME_LOSS, OUTCOME_WIN
 from .observations import closest_opponents
 from .simcore import (
+    KILL_EVENTS,
     CannonKill,
     OutOfBounds,
     RocketExpired,
@@ -40,8 +41,6 @@ from .simcore import (
 )
 from .train.commander import HierarchyEvalActor
 from .train.policies import EpisodeActor
-
-KILL_EVENTS = (CannonKill, RocketKill)
 
 
 @dataclass

@@ -60,18 +60,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(other, -self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _data(value) -> np.ndarray:
     """An operand's array. A Python scalar becomes a 0-d float64 array,
@@ -327,21 +315,6 @@ def stack(tensors: list, axis: int = 1):
         pieces = np.split(grad, len(tensors), axis=axis)
         for t, piece in zip(tensors, pieces):
             _accumulate(t, piece.squeeze(axis=axis))
-
-    return _make(data, tuple(tensors), backward)
-
-
-def concat(tensors: list, axis: int = -1):
-    arrays = [_data(t) for t in tensors]
-    data = np.concatenate(arrays, axis=axis)
-    widths = [x.shape[axis] for x in arrays]
-    if not any(isinstance(t, Tensor) for t in tensors):
-        return data
-
-    def backward(grad):
-        offsets = np.cumsum(widths)[:-1]
-        for t, piece in zip(tensors, np.split(grad, offsets, axis=axis)):
-            _accumulate(t, piece)
 
     return _make(data, tuple(tensors), backward)
 

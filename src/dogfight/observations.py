@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .geometry import angle_off, aspect_angle, ata, distance
-from .simcore import AircraftState, World
+from .simcore import TEAM_AGENT, TEAM_OPPONENT, AircraftState, World
 
 FIGHT_HEADS = (13, 9, 2, 2)  # h, v, c, r action arities
 
@@ -95,7 +95,6 @@ def _pair(a: AircraftState, b: AircraftState, diag: float) -> dict[str, float]:
 
 
 def build_obs_fight(world: World, agent_id: int,
-                    scenario: ScenarioConfig | None = None,
                     target_id: int | None = None) -> np.ndarray:
     """Fight-policy observation: own state w.r.t. the engaged opponent,
     the opponent's mirror block, and the closest friendly.
@@ -158,8 +157,7 @@ def _friend_block(agent: AircraftState, friend: AircraftState | None,
     return block
 
 
-def build_obs_escape(world: World, agent_id: int,
-                     scenario: ScenarioConfig | None = None) -> np.ndarray:
+def build_obs_escape(world: World, agent_id: int) -> np.ndarray:
     """Escape-policy observation: own state, two closest opponents, closest
     friendly."""
     agent = world.get(agent_id)
@@ -231,9 +229,9 @@ def build_obs(kind: str, world: World, agent_id: int,
               scenario: ScenarioConfig | None = None,
               target_id: int | None = None) -> np.ndarray:
     if kind == "fight":
-        return build_obs_fight(world, agent_id, scenario, target_id)
+        return build_obs_fight(world, agent_id, target_id)
     if kind == "escape":
-        return build_obs_escape(world, agent_id, scenario)
+        return build_obs_escape(world, agent_id)
     if kind == "commander":
         return build_obs_commander(world, agent_id, scenario)
     raise ValueError(f"unknown observation kind {kind!r}")
@@ -273,16 +271,16 @@ def encode_low_action(action) -> list[float]:
 
 
 def build_critic_input(kind: str, world: World, scenario: ScenarioConfig,
-                       prev_actions: dict[int, list[float]],
-                       n_agents: int, n_opponents: int) -> np.ndarray:
+                       prev_actions: dict[int, list[float]]) -> np.ndarray:
     """Global critic input: per-aircraft observation plus the previous
     decision's action encoding, agents first then opponents, both ordered by
-    id and zero-padded to the configured team sizes."""
+    id and zero-padded to the scenario's team sizes."""
     slot_w = critic_slot_width(kind, scenario.commander_senses)
     slot_kind = "fight" if kind == "standard" else kind
     slots = []
-    for team, count in ((("agent",), n_agents), (("opponent",), n_opponents)):
-        members = sorted([a for a in world.aircraft if a.team == team[0]],
+    for team, count in ((TEAM_AGENT, scenario.n_agents),
+                        (TEAM_OPPONENT, scenario.n_opponents)):
+        members = sorted([a for a in world.aircraft if a.team == team],
                          key=lambda a: a.id)
         for i in range(count):
             block = np.zeros(slot_w, dtype=np.float64)

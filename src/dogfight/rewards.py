@@ -13,6 +13,7 @@ import math
 from .config import ScenarioConfig
 from .geometry import ata, distance
 from .simcore import (
+    KILL_EVENTS,
     CannonKill,
     OutOfBounds,
     RocketKill,
@@ -31,8 +32,6 @@ COMMANDER_BOUNDARY = -2.0
 ASSESS_BONUS = 0.1
 
 PROXIMITY_STEP = 0.1  # per-time-step escape shaping magnitude
-
-KILL_EVENTS = (CannonKill, RocketKill)
 
 
 def reward_kill_term(ata_component: float, c_rem: int, c_max: int) -> float:

@@ -144,6 +144,7 @@ class OutOfBounds:
 
 
 SimEvent = CannonKill | RocketKill | RocketLaunch | RocketExpired | OutOfBounds
+KILL_EVENTS = (CannonKill, RocketKill)
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..config import ScenarioConfig
-from ..env import CombatEnv, LowLevelAction, OUTCOME_WIN
+from ..env import CombatEnv, LowLevelAction
 from ..nn.networks import (
     PolicyNetwork,
     commander_config,
     ctce_config,
     sample_action,
 )
+from ..nn.params import save_checkpoint
 from ..observations import (
     OBS_LAYOUTS,
     build_critic_input,
@@ -40,7 +41,7 @@ from ..rewards import (
     option_terminated,
 )
 from ..simcore import SimConfig
-from .buffer import RolloutBuffer, Transition
+from .buffer import Transition
 from .policies import (
     CTDEDriver,
     EpisodeActor,
@@ -49,9 +50,9 @@ from .policies import (
     joint_transition,
     low_level_actions,
 )
-from .ppo import PPOConfig, ppo_update
+from .ppo import PPOConfig
 from .runs import RunDir
-from .trainer import _spawn_seeds
+from .trainer import TrainerCore
 
 
 @dataclass
@@ -206,29 +207,29 @@ class HierarchyEvalActor(EpisodeActor):
         self._last_events = result.events
 
 
-class CommanderTrainer:
+class CommanderTrainer(TrainerCore):
     """Commander PPO: runs episodes through a `HierarchyEvalActor` and adds
     what training needs at each option boundary: the critic value, the
     assessment reward, the previous commands in the critic input, and one
     transition per decision (per agent, or one for a joint commander)."""
+
+    SEED_LABEL = "commander"
+    STREAMS = ("episode", "action", "lowlevel", "opponent", "update")
 
     def __init__(self, scenario: ScenarioConfig, ppo: PPOConfig,
                  variant: CommanderVariant,
                  fight: PolicyNetwork, escape: PolicyNetwork,
                  run_dir: RunDir | None = None, seed: int = 0,
                  sim_cfg: SimConfig | None = None):
-        self.scenario = scenario
-        self.ppo = ppo
+        if variant.senses != scenario.commander_senses:
+            raise ValueError(
+                f"the variant senses {variant.senses} opponents but "
+                f"scenario.commander_senses is {scenario.commander_senses}")
+        super().__init__(scenario, ppo, run_dir, seed)
         self.variant = variant
-        self.run_dir = run_dir
-        seeds = _spawn_seeds(seed, "commander", 5)
-        self.episode_rng = np.random.default_rng(seeds[0])
-        self.action_rng = np.random.default_rng(seeds[1])
-        self.lowlevel_rng = np.random.default_rng(seeds[2])
-        self.opponent_rng = np.random.default_rng(seeds[3])
-        self.update_rng = np.random.default_rng(seeds[4])
-
+        self.level = f"commander-{variant.label()}"
         self.policy = commander_network(variant, scenario, seed)
+        self.policies = {0: self.policy}
         self.actor = HierarchyEvalActor(
             self.policy, fight, escape, self.lowlevel_rng, senses=variant.senses,
             opt=variant.opt, greedy=False)
@@ -240,13 +241,6 @@ class CommanderTrainer:
             fight_prob=scenario.opponent_fight_prob, scenario=scenario)
         self.env = CombatEnv(scenario, opponents, reward_kind=("none", None),
                              sim_cfg=sim_cfg)
-        self.buffer = RolloutBuffer()
-        self.env_steps = 0
-        self.episodes = 0
-        self.updates = 0
-        self._ep_returns: list[float] = []
-        self._ep_lengths: list[int] = []
-        self._ep_wins: list[bool] = []
         # frozen-opponent guarantee: record the checksums we must not disturb
         self.frozen_checksums = {
             "fight": fight.store.checksum(),
@@ -281,11 +275,7 @@ class CommanderTrainer:
         for t in transitions:
             self.buffer.add(t)
             total_reward += t.reward
-        self.env_steps += env.step_count
-        self.episodes += 1
-        self._ep_returns.append(total_reward / max(1, self.scenario.n_agents))
-        self._ep_lengths.append(env.step_count)
-        self._ep_wins.append(env.outcome == OUTCOME_WIN)
+        self._end_episode(total_reward, env.step_count, env.outcome)
         return {"outcome": env.outcome, "length": env.step_count,
                 "fight_cmds": actor.fight_commands - commands[0],
                 "escape_cmds": actor.escape_commands - commands[1]}
@@ -297,9 +287,7 @@ class CommanderTrainer:
         world, scenario, variant = self.env.world, self.scenario, self.variant
         obs, hidden, samples, log_probs = self.actor.decision
         decisions = self.actor.decisions
-        critic_in = build_critic_input(
-            "commander", world, scenario, prev_cmd,
-            scenario.n_agents, scenario.n_opponents)
+        critic_in = build_critic_input("commander", world, scenario, prev_cmd)
         value = self.policy.forward_critic(self.actor.instance, critic_in,
                                            grad=False).item()
         assess = {aid: assess_commander_action(
@@ -334,35 +322,10 @@ class CommanderTrainer:
             t.done = terminal or (not joint and not world.get(t.agent_id).alive)
             t.duration = duration
 
-    def maybe_update(self) -> bool:
-        if len(self.buffer) < self.ppo.batch_size:
-            return False
-        stats = ppo_update(self.policy, self.buffer, self.ppo, self.update_rng)
-        self.buffer.clear()
-        self.updates += 1
-        if self.run_dir is not None:
-            self.run_dir.log_metrics({
-                "entropy": stats.entropy,
-                "env_steps": self.env_steps,
-                "episodes": self.episodes,
-                "level": f"commander-{self.variant.label()}",
-                "mean_length": float(np.mean(self._ep_lengths)),
-                "mean_ratio_first_epoch": stats.mean_ratio_first_epoch,
-                "mean_reward": float(np.mean(self._ep_returns)),
-                "policy_loss": stats.policy_loss,
-                "update": self.updates,
-                "value_loss": stats.value_loss,
-                "win_rate": float(np.mean(self._ep_wins)),
-            })
-        self._ep_returns.clear()
-        self._ep_lengths.clear()
-        self._ep_wins.clear()
-        return True
-
     def train(self, env_steps: int):
-        while self.env_steps < env_steps:
-            self.run_episode()
-            self.maybe_update()
+        """Trains for `env_steps` more env steps; the frozen low-level
+        networks must come out unchanged."""
+        self.train_for(env_steps)
         assert self.frozen_checksums["fight"] == \
             self.fight_actor.policy.store.checksum(), "fight opponents drifted"
         assert self.frozen_checksums["escape"] == \
@@ -376,13 +339,8 @@ def train_commander(scenario: ScenarioConfig, ppo: PPOConfig,
                     ) -> CommanderTrainer:
     trainer = CommanderTrainer(scenario, ppo, variant, fight, escape,
                                run_dir, seed, sim_cfg)
-    run_dir.write_config({
-        "scenario": scenario.__dict__, "ppo": ppo.__dict__,
-        "variant": variant.__dict__, "seed": seed, "env_steps": env_steps,
-    })
+    trainer.write_config(variant=variant.__dict__, env_steps=env_steps)
     trainer.train(env_steps)
-    from ..nn.params import save_checkpoint
-
     save_checkpoint(run_dir.checkpoint_path(f"commander_{variant.label()}"),
                     trainer.policy.store,
                     {**trainer.policy.config.to_dict(),

@@ -248,10 +248,8 @@ class CTDEDriver(EpisodeActor):
             return inputs, {aid: policy.forward_critic(instance, inputs[aid],
                                                        grad=False).item()
                             for aid, (policy, instance, _) in rows.items()}
-        scenario = env.scenario
-        critic_in = build_critic_input(self.kind, env.world, scenario,
-                                       env.prev_actions, scenario.n_agents,
-                                       scenario.n_opponents)
+        critic_in = build_critic_input(self.kind, env.world, env.scenario,
+                                       env.prev_actions)
         per_instance = {
             instance: self.policy.forward_critic(instance, critic_in,
                                                  grad=False).item()
@@ -287,8 +285,7 @@ class CTCEDriver(EpisodeActor):
         obs, alive, samples, log_probs, _ = self._decide(env)
         scenario = env.scenario
         critic_in = build_critic_input(self.kind, env.world, scenario,
-                                       env.prev_actions, scenario.n_agents,
-                                       scenario.n_opponents)
+                                       env.prev_actions)
         value = self.policy.forward_critic("joint", critic_in, grad=False).item()
         transition = joint_transition(
             scenario.n_agents, alive, samples, log_probs, episode=episode,

@@ -1,6 +1,7 @@
 """Low-level policy training: single levels, the five-level curriculum with
 league opponents, the two-phase escape schedule, and the single-policy
-baseline.
+baseline; and `TrainerCore`, the run state and loop that the low-level and
+commander trainers share.
 
 Every random draw in a run descends from one master seed (separate spawned
 streams for episode generation, action sampling, scripted opponents, and
@@ -65,34 +66,127 @@ def curriculum_horizon(level: str) -> int:
     return CURRICULUM_BASE_HORIZON + CURRICULUM_HORIZON_STEP * LOW_LEVELS.index(level)
 
 
-class LowLevelTrainer:
-    """Episode collection + PPO updates for one low-level policy.
+def _mean(values: list) -> float:
+    return float(np.mean(values)) if values else 0.0
 
-    `policies` holds every network by key: the agent id under DTDE, 0 for
-    the one network of CTDE and CTCE. `policy`, the network with key 0, is
-    the one archived. Each network is updated on the transitions it made."""
+
+class TrainerCore:
+    """The run state and loop both trainers share: spawned RNG streams, the
+    rollout buffer, the step, episode and update counters, the episode
+    window each update's metrics record averages, and `config.json`.
+
+    A trainer names its seed label and streams in order (`SEED_LABEL`,
+    `STREAMS`; stream `x` is `self.x_rng`), fills `policies`, and defines
+    `run_episode`, which ends with `_end_episode`. `policies` holds every
+    network by key: the agent id under DTDE, else 0. Each network is updated
+    on the transitions of its key; the rest go to network 0."""
+
+    SEED_LABEL: str
+    STREAMS: tuple[str, ...]
+    level: str | None = None  # the metrics record's level by default
+
+    def __init__(self, scenario: ScenarioConfig, ppo: PPOConfig,
+                 run_dir: RunDir | None, seed: int):
+        self.scenario = scenario
+        self.ppo = ppo
+        self.run_dir = run_dir
+        self.seed = seed
+        self.seeds = dict(zip(self.STREAMS, _spawn_seeds(
+            seed, self.SEED_LABEL, len(self.STREAMS))))
+        for name, stream_seed in self.seeds.items():
+            setattr(self, f"{name}_rng", np.random.default_rng(stream_seed))
+        self.policies: dict[int, PolicyNetwork] = {}
+        self.buffer = RolloutBuffer()
+        self.env_steps = 0
+        self.episodes = 0
+        self.updates = 0
+        self._returns: list[float] = []  # per agent, since the last update
+        self._lengths: list[int] = []
+        self._wins: list[bool] = []
+
+    def write_config(self, **extras):
+        """The run's `config.json`: scenario, PPO settings, seed, `extras`."""
+        self.run_dir.write_config({"scenario": self.scenario.__dict__,
+                                   "ppo": self.ppo.__dict__,
+                                   "seed": self.seed, **extras})
+
+    def _end_episode(self, total_reward: float, length: int, outcome: str):
+        self.env_steps += length
+        self.episodes += 1
+        self._returns.append(total_reward / max(1, self.scenario.n_agents))
+        self._lengths.append(length)
+        self._wins.append(outcome == OUTCOME_WIN)
+
+    def run_episode(self, *args) -> dict:
+        raise NotImplementedError
+
+    def _update_policies(self) -> UpdateStats:
+        own: dict[int, list] = {key: [] for key in self.policies}
+        for t in self.buffer.transitions:
+            own[t.agent_id if t.agent_id in own else 0].append(t)
+        stats = UpdateStats()
+        for key, policy in self.policies.items():
+            if own[key]:
+                stats.merge(ppo_update(policy, RolloutBuffer(own[key]),
+                                       self.ppo, self.update_rng))
+        return stats
+
+    def maybe_update(self, level: str | None = None) -> bool:
+        """Updates every network once a batch is full, and logs one metrics
+        record, labelled `level` or else the trainer's own."""
+        if len(self.buffer) < self.ppo.batch_size:
+            return False
+        stats = self._update_policies()
+        self.buffer.clear()
+        self.updates += 1
+        if self.run_dir is not None:
+            self.run_dir.log_metrics({
+                "entropy": stats.entropy,
+                "env_steps": self.env_steps,
+                "episodes": self.episodes,
+                "level": self.level if level is None else level,
+                "mean_length": _mean(self._lengths),
+                "mean_ratio_first_epoch": stats.mean_ratio_first_epoch,
+                "mean_reward": _mean(self._returns),
+                "policy_loss": stats.policy_loss,
+                "update": self.updates,
+                "value_loss": stats.value_loss,
+                "win_rate": _mean(self._wins),
+            })
+        self._returns.clear()
+        self._lengths.clear()
+        self._wins.clear()
+        return True
+
+    def train_for(self, env_steps: int, *episode_args):
+        """Runs episodes, updating after each once a batch is full, until
+        `env_steps` more env steps have been taken."""
+        start = self.env_steps
+        while self.env_steps - start < env_steps:
+            self.run_episode(*episode_args)
+            self.maybe_update()
+
+
+class LowLevelTrainer(TrainerCore):
+    """Episode collection + PPO updates for one low-level policy. `policy`,
+    the network with key 0, is the one archived."""
+
+    SEED_LABEL = "trainer"
+    STREAMS = ("episode", "action", "opponent", "update")
 
     def __init__(self, scenario: ScenarioConfig, ppo: PPOConfig, mode: TrainMode,
                  run_dir: RunDir | None = None, seed: int = 0,
                  script: ScriptConfig | None = None,
                  sim_cfg: SimConfig | None = None):
-        self.scenario = scenario
-        self.ppo = ppo
+        super().__init__(scenario, ppo, run_dir, seed)
         self.mode = mode
-        self.run_dir = run_dir
-        self.seed = seed
         self.script = script or ScriptConfig()
         self.sim_cfg = sim_cfg or SimConfig()
-        seeds = _spawn_seeds(seed, "trainer", 4)
-        self.episode_rng = np.random.default_rng(seeds[0])
-        self.action_rng = np.random.default_rng(seeds[1])
-        self.opponent_rng = np.random.default_rng(seeds[2])
-        self.update_rng = np.random.default_rng(seeds[3])
 
         self.agent_types = None
         if mode.framework == "dtde":
             # per-agent networks need a fixed id -> airframe assignment
-            type_rng = np.random.default_rng(seeds[1] ^ 0xD7DE)
+            type_rng = np.random.default_rng(self.seeds["action"] ^ 0xD7DE)
             self.agent_types = ["AC1", "AC2"][:scenario.n_agents] + [
                 ("AC1" if type_rng.random() < 0.5 else "AC2")
                 for _ in range(scenario.n_agents - 2)]
@@ -104,14 +198,6 @@ class LowLevelTrainer:
                              self.action_rng)
         self.policies = policy if isinstance(policy, dict) else {0: policy}
         self.policy = self.policies[0]
-
-        self.buffer = RolloutBuffer()
-        self.env_steps = 0
-        self.episodes = 0
-        self.updates = 0
-        self._episode_returns: list[float] = []
-        self._episode_lengths: list[int] = []
-        self._episode_wins: list[bool] = []
 
     # -- environment plumbing -------------------------------------------------
 
@@ -132,7 +218,6 @@ class LowLevelTrainer:
     def run_episode(self, env: CombatEnv) -> dict:
         env.reset(seed=int(self.episode_rng.integers(1 << 62)))
         total_reward = 0.0
-        reward_agents = max(1, self.scenario.n_agents)
         length = 0
         while True:
             actions, transitions = self.driver.act(env, self.episodes)
@@ -149,58 +234,13 @@ class LowLevelTrainer:
                 self.buffer.add(t)
             if result.terminal:
                 break
-        self.env_steps += length
-        self.episodes += 1
-        outcome = result.outcome
-        self._episode_returns.append(total_reward / reward_agents)
-        self._episode_lengths.append(length)
-        self._episode_wins.append(outcome == OUTCOME_WIN)
-        return {"outcome": outcome, "length": length}
-
-    def _update_policies(self) -> UpdateStats:
-        own: dict[int, list] = {key: [] for key in self.policies}
-        for t in self.buffer.transitions:
-            own[t.agent_id if t.agent_id in own else 0].append(t)
-        stats = UpdateStats()
-        for key, policy in self.policies.items():
-            if own[key]:
-                stats.merge(ppo_update(policy, RolloutBuffer(own[key]),
-                                       self.ppo, self.update_rng))
-        return stats
-
-    def maybe_update(self, level: str) -> bool:
-        if len(self.buffer) < self.ppo.batch_size:
-            return False
-        stats = self._update_policies()
-        self.buffer.clear()
-        self.updates += 1
-        if self.run_dir is not None:
-            window = len(self._episode_returns)
-            self.run_dir.log_metrics({
-                "entropy": stats.entropy,
-                "env_steps": self.env_steps,
-                "episodes": self.episodes,
-                "level": level,
-                "mean_length": float(np.mean(self._episode_lengths)) if window else 0.0,
-                "mean_ratio_first_epoch": stats.mean_ratio_first_epoch,
-                "mean_reward": float(np.mean(self._episode_returns)) if window else 0.0,
-                "policy_loss": stats.policy_loss,
-                "update": self.updates,
-                "value_loss": stats.value_loss,
-                "win_rate": float(np.mean(self._episode_wins)) if window else 0.0,
-            })
-        self._episode_returns.clear()
-        self._episode_lengths.clear()
-        self._episode_wins.clear()
-        return True
+        self._end_episode(total_reward, length, result.outcome)
+        return {"outcome": result.outcome, "length": length}
 
     def train_level(self, level: str, opponent_controller, env_steps: int,
                     horizon: int | None = None):
-        env = self.make_env(opponent_controller, horizon)
-        start = self.env_steps
-        while self.env_steps - start < env_steps:
-            self.run_episode(env)
-            self.maybe_update(level)
+        self.level = level
+        self.train_for(env_steps, self.make_env(opponent_controller, horizon))
 
     # -- network and optimizer state (curriculum resume) ---------------------
 
@@ -284,11 +324,8 @@ def run_curriculum(scenario: ScenarioConfig, ppo: PPOConfig, mode: TrainMode,
         raise ValueError("the curriculum trains the fight policy")
     script = script or ScriptConfig()
     trainer = LowLevelTrainer(scenario, ppo, mode, run_dir, seed, script, sim_cfg)
-    run_dir.write_config({
-        "scenario": scenario.__dict__, "ppo": ppo.__dict__,
-        "mode": mode.__dict__, "seed": seed, "levels": list(levels),
-        "steps_per_level": steps_per_level,
-    })
+    trainer.write_config(mode=mode.__dict__, levels=list(levels),
+                         steps_per_level=steps_per_level)
 
     resumed_from = None
     for level in levels:
@@ -346,11 +383,8 @@ def train_escape(scenario: ScenarioConfig, ppo: PPOConfig, run_dir: RunDir,
         raise FileNotFoundError("escape phase 2 requires the archived L5 fight policy")
     mode = TrainMode(kind="escape", reward_variant=variant)
     trainer = LowLevelTrainer(scenario, ppo, mode, run_dir, seed, script, sim_cfg)
-    run_dir.write_config({
-        "scenario": scenario.__dict__, "ppo": ppo.__dict__,
-        "mode": mode.__dict__, "seed": seed,
-        "steps_phase1": steps_phase1, "steps_phase2": steps_phase2,
-    })
+    trainer.write_config(mode=mode.__dict__, steps_phase1=steps_phase1,
+                         steps_phase2=steps_phase2)
     trainer.train_level(
         "escape-L3",
         ScriptedController("L3", trainer.opponent_rng, trainer.script),
@@ -375,10 +409,7 @@ def train_standard_baseline(scenario: ScenarioConfig, ppo: PPOConfig,
     no league archive)."""
     mode = TrainMode(framework="ctce", kind="standard")
     trainer = LowLevelTrainer(scenario, ppo, mode, run_dir, seed, script, sim_cfg)
-    run_dir.write_config({
-        "scenario": scenario.__dict__, "ppo": ppo.__dict__,
-        "mode": mode.__dict__, "seed": seed, "env_steps": env_steps,
-    })
+    trainer.write_config(mode=mode.__dict__, env_steps=env_steps)
     trainer.train_level(
         "standard-L3",
         ScriptedController("L3", trainer.opponent_rng, trainer.script),

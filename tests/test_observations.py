@@ -153,10 +153,10 @@ class TestCriticInput:
         world = two_vs_two()
         scenario = ScenarioConfig()
         width = critic_input_width("fight", 2, 2)
-        vec = build_critic_input("fight", world, scenario, {}, 2, 2)
+        vec = build_critic_input("fight", world, scenario, {})
         assert vec.shape == (width,)
         world.get(3).alive = False
-        vec2 = build_critic_input("fight", world, scenario, {}, 2, 2)
+        vec2 = build_critic_input("fight", world, scenario, {})
         slot = width // 4
         assert np.all(vec2[3 * slot:] == 0.0)
 
@@ -164,7 +164,7 @@ class TestCriticInput:
         world = two_vs_two()
         scenario = ScenarioConfig()
         acts = {0: [1.0, 0.5, 1.0, 0.0]}
-        vec = build_critic_input("fight", world, scenario, acts, 2, 2)
+        vec = build_critic_input("fight", world, scenario, acts)
         slot = len(vec) // 4
         assert list(vec[slot - 4:slot]) == acts[0]
 

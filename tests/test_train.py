@@ -244,6 +244,12 @@ class TestLeague:
             archive.sample_opponent_level(np.random.default_rng(0), "L4")
 
 
+# the keys of every metrics.jsonl record (docs/formats.md)
+METRICS_KEYS = {"entropy", "env_steps", "episodes", "level", "mean_length",
+                "mean_ratio_first_epoch", "mean_reward", "policy_loss",
+                "update", "value_loss", "win_rate"}
+
+
 def small_ppo(batch=64):
     return PPOConfig(batch_size=batch, update_epochs=2, minibatches=2)
 
@@ -268,8 +274,7 @@ class TestTrainerLoops:
         assert records[0]["level"] == "L1"
         assert trainer.env_steps >= 80
         assert len(trainer.buffer) < small_ppo().batch_size  # emptied at update
-        assert {t for t in records[0]} >= {"mean_reward", "policy_loss",
-                                           "value_loss", "win_rate"}
+        assert all(set(record) == METRICS_KEYS for record in records)
 
     def test_instances_limited_to_types(self, tmp_path):
         trainer = LowLevelTrainer(small_scenario(), small_ppo(512),
@@ -490,9 +495,11 @@ class TestDeterminism:
 
 
 class TestCommanderTrainer:
-    def _trainer(self, variant=None, seed=20):
+    def _trainer(self, variant=None, seed=20, run_dir=None):
+        variant = variant or CommanderVariant()
         scenario = ScenarioConfig.commander_training(
-            horizon=12, n_agents=2, n_opponents=2, map_size=30.0)
+            horizon=12, n_agents=2, n_opponents=2, map_size=30.0,
+            commander_senses=variant.senses)
         fight = PolicyNetwork(fight_config(
             critic_width=4 * 31), seed=1)
         from dogfight.nn import escape_config
@@ -501,7 +508,7 @@ class TestCommanderTrainer:
         return CommanderTrainer(
             scenario, PPOConfig(batch_size=8, update_epochs=2, minibatches=2,
                                 gamma=0.95),
-            variant or CommanderVariant(), fight, escape, seed=seed)
+            variant, fight, escape, run_dir=run_dir, seed=seed)
 
     def test_episode_produces_option_transitions(self):
         trainer = self._trainer()
@@ -542,6 +549,24 @@ class TestCommanderTrainer:
     def test_n3_action_space(self):
         trainer = self._trainer(CommanderVariant(senses=3))
         assert trainer.policy.config.instance("cmd").head_arities == (4,)
+        trainer.run_episode()
+        assert all(t.action[0] in range(4) for t in trainer.buffer.transitions)
+
+    def test_senses_must_match_the_scenario(self):
+        scenario = ScenarioConfig.commander_training()
+        fight = PolicyNetwork(fight_config(critic_width=6 * 31), seed=1)
+        with pytest.raises(ValueError, match=r"senses 3 .*commander_senses is 2"):
+            CommanderTrainer(scenario, PPOConfig(), CommanderVariant(senses=3),
+                             fight, fight)
+
+    def test_metrics_records(self, tmp_path):
+        run = RunDir(tmp_path / "run")
+        trainer = self._trainer(run_dir=run)
+        trainer.train(env_steps=60)
+        records = run.read_metrics()
+        assert len(records) == trainer.updates >= 1
+        assert all(set(record) == METRICS_KEYS for record in records)
+        assert records[-1]["level"] == "commander-Shared-N2-Opt-Assess"
 
     def test_glob_variant_joint_transitions(self):
         trainer = self._trainer(CommanderVariant(shared=False))
