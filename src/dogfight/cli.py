@@ -54,20 +54,27 @@ from .train import (
 from .train.trainer import controller_for_level, curriculum_horizon
 
 
+# why a key no command, or the command at hand, reads
+_UNREAD_BECAUSE = {"scenario.seed": ": --seed sets the seed",
+                   "scenario.horizon": ": the level or phase sets the horizon"}
+
+
 def _load_config(args, scenario=ScenarioConfig, unread=()) -> dict:
     """The typed config of a command. `scenario` is the command's scenario
     recipe: keys of the scenario section override its defaults, and without
-    the section the recipe's defaults are the scenario. Setting one of the
-    `unread` sections or `section.key`s is an error."""
+    the section the recipe's defaults are the scenario. Setting
+    `scenario.seed`, or one of the `unread` sections or `section.key`s, is
+    an error."""
     raw = {}
     if getattr(args, "config", None):
         raw = json.loads(Path(args.config).read_text())
     if getattr(args, "set", None):
         raw = apply_overrides(raw, args.set)
-    for key in unread:
+    for key in ("scenario.seed", *unread):
         section, _, name = key.partition(".")
         if section in raw and (not name or name in raw[section]):
-            raise ValueError(f"{args.command} does not read config {key!r}")
+            raise ValueError(f"{args.command} does not read config {key!r}"
+                             f"{_UNREAD_BECAUSE.get(key, '')}")
     cfg = parse_config(raw, scenario)
     cfg.setdefault("scenario", scenario())
     return cfg
@@ -115,8 +122,10 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_train_low(args) -> int:
-    cfg = _load_config(args, _standard_scenario if args.policy == "standard"
-                       else ScenarioConfig)
+    if args.policy == "standard":
+        cfg = _load_config(args, _standard_scenario)
+    else:
+        cfg = _load_config(args, unread=("scenario.horizon",))
     run = RunDir(args.run_dir)
     scenario = cfg["scenario"]
     script = cfg.get("script", ScriptConfig())

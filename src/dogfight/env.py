@@ -75,7 +75,6 @@ class LowLevelAction:
 @dataclass
 class StepResult:
     rewards: dict[int, float]
-    done: dict[int, bool]
     outcome: str
     events: list[SimEvent]
 
@@ -149,22 +148,21 @@ def _sample_team_types(rng: np.random.Generator, size: int) -> list[str]:
 
 def generate_world(scenario: ScenarioConfig, rng: np.random.Generator,
                    sim_cfg: SimConfig | None = None,
-                   agent_types: list[str] | None = None,
-                   opponent_types: list[str] | None = None) -> World:
+                   agent_types: list[str] | None = None) -> World:
     """Spawn both teams in randomly-chosen opposite halves of the map with
     random positions, headings, and speeds.
 
-    Fixed type lists override the random per-episode sampling (needed when
-    per-agent networks tie an agent id to one airframe)."""
+    A fixed agent type list overrides the random per-episode sampling
+    (needed when per-agent networks tie an agent id to one airframe)."""
     agents_left = rng.random() < 0.5
     margin = scenario.spawn_margin
     half = scenario.map_size / 2.0
-    fixed = {TEAM_AGENT: agent_types, TEAM_OPPONENT: opponent_types}
 
     def spawn(team: str, count: int, left: bool, cannon: int, rockets: int,
               start_id: int) -> list[AircraftState]:
         lo_x, hi_x = (margin, half) if left else (half, scenario.map_size - margin)
-        types = fixed[team] or _sample_team_types(rng, count)
+        types = ((agent_types if team == TEAM_AGENT else None)
+                 or _sample_team_types(rng, count))
         crafts = []
         for i in range(count):
             spec = make_spec(types[i])
@@ -227,15 +225,13 @@ class CombatEnv:
         self.attack_targets: dict[int, int | None] = {}
         self.prev_actions: dict[int, list[float]] = {}
         self.round_listener = None  # called (world, events) after each sim round
-        self._rng = np.random.default_rng(scenario.seed)
 
     # -- lifecycle ----------------------------------------------------------
 
-    def reset(self, seed: int | None = None):
-        if seed is not None:
-            self._rng = np.random.default_rng(seed)
-        self.world = generate_world(self.scenario, self._rng, self.sim_cfg,
-                                    agent_types=self.agent_types)
+    def reset(self, seed: int):
+        """A new episode, generated from `seed`."""
+        self.world = generate_world(self.scenario, np.random.default_rng(seed),
+                                    self.sim_cfg, agent_types=self.agent_types)
         self.step_count = 0
         self.outcome = OUTCOME_ONGOING
         self.attack_targets = {}
@@ -291,16 +287,11 @@ class CombatEnv:
 
         self.step_count += 1
         self.outcome = classify_outcome(world, self.step_count, self.scenario.horizon)
-        terminal = self.outcome != OUTCOME_ONGOING
-
         rewards = {aid: self._reward(events, aid) for aid in sorted(actions)}
-        done = {aid: (terminal or not world.get(aid).alive) for aid in sorted(actions)}
-
         self.prev_actions = {
             aid: encode_low_action(act) for aid, act in actions.items()
         }
-        return StepResult(rewards=rewards, done=done, outcome=self.outcome,
-                          events=events)
+        return StepResult(rewards=rewards, outcome=self.outcome, events=events)
 
     def _reward(self, events: list[SimEvent], agent_id: int) -> float:
         kind, variant = self.reward_kind

@@ -40,7 +40,7 @@ from .simcore import (
     World,
 )
 from .train.commander import HierarchyEvalActor
-from .train.policies import EpisodeActor
+from .train.policies import EpisodeActor, play_episode
 
 
 @dataclass
@@ -97,7 +97,7 @@ class EvalReport:
 
 
 def count_events(world: World, events: list[SimEvent], report: EvalReport):
-    """Accumulate one env step's events into the report counters."""
+    """Accumulate events into the report counters."""
     for event in events:
         if isinstance(event, KILL_EVENTS):
             shooter = world.get(event.shooter)
@@ -116,7 +116,7 @@ def count_events(world: World, events: list[SimEvent], report: EvalReport):
 
 
 def team_death_flags(world: World, events: list[SimEvent]) -> tuple[bool, bool]:
-    """(an agent died, an opponent died) for one step's events, any cause."""
+    """(an agent died, an opponent died) in `events`, any cause."""
     agent_died = opponent_died = False
     for event in events:
         victim_id = None
@@ -186,43 +186,28 @@ def evaluate(actor, opponent_controller, scenario: ScenarioConfig,
                     sim_cfg=sim_cfg)
     for episode in range(episodes):
         env.round_listener = None
-        if trajectory_recorder is not None and trajectory_recorder.wants(episode):
+        if (trajectory_recorder is not None
+                and trajectory_recorder.episode_index == episode):
             trajectory_recorder.begin(env, episode)
             env.round_listener = trajectory_recorder.on_round
-        env.reset(seed=int(master.integers(1 << 62)))
-        actor.begin_episode(env)
-        episode_events: list[SimEvent] = []
-        agent_death = opponent_death = False
-        length = 0
-        while True:
-            result = env.step(actor.actions(env))
-            actor.observe_step(env, result)
-            length += 1
-            episode_events.extend(result.events)
-            count_events(env.world, result.events, report)
-            a_died, o_died = team_death_flags(env.world, result.events)
-            agent_death = agent_death or a_died
-            opponent_death = opponent_death or o_died
-            if result.terminal:
-                break
+        events = play_episode(env, actor, int(master.integers(1 << 62)))
+        # the counters read only team and aircraft type, which no episode
+        # changes, so the end-of-episode world serves every event
+        count_events(env.world, events, report)
+        agent_death, opponent_death = team_death_flags(env.world, events)
         report.episodes += 1
-        report.total_steps += length
-        if result.outcome == OUTCOME_WIN:
+        report.total_steps += env.step_count
+        if env.outcome == OUTCOME_WIN:
             report.wins += 1
-        elif result.outcome == OUTCOME_LOSS:
+        elif env.outcome == OUTCOME_LOSS:
             report.losses += 1
         else:
             report.draws += 1
-        if not agent_death:
-            report.escaped_episodes += 1
-        if opponent_death:
-            report.kill_episodes += 1
-        if agent_death:
-            report.killed_episodes += 1
+        report.escaped_episodes += not agent_death
+        report.kill_episodes += opponent_death
+        report.killed_episodes += agent_death
         if episode_hook is not None:
-            episode_hook(episode_events, result.outcome, env.world)
-        if trajectory_recorder is not None and trajectory_recorder.wants(episode):
-            trajectory_recorder.finish(env)
+            episode_hook(events, env.outcome, env.world)
     report.fight_commands = getattr(actor, "fight_commands", 0)
     report.escape_commands = getattr(actor, "escape_commands", 0)
     report.opponent_selection = list(getattr(actor, "opponent_selection",
@@ -323,9 +308,6 @@ class TrajectoryRecorder:
         self.header = header or {}
         self.log: TrajectoryLog | None = None
 
-    def wants(self, episode: int) -> bool:
-        return episode == self.episode_index
-
     def begin(self, env: CombatEnv, episode: int):
         header = dict(self.header)
         header["episode"] = episode
@@ -334,9 +316,6 @@ class TrajectoryRecorder:
 
     def on_round(self, world: World, events: list[SimEvent]):
         self.log.record_round(world, events)
-
-    def finish(self, env: CombatEnv):
-        env.round_listener = None
 
 
 def export_trajectory(log: TrajectoryLog, path: str | Path):

@@ -367,8 +367,7 @@ class PolicyNetwork:
 
 
 def sample_action(logits_per_head: list[np.ndarray], rng: np.random.Generator,
-                  greedy: bool = False
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  greedy: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Sample one categorical action per row and head from raw logits.
 
     `logits_per_head` holds one [B, arity] array per head. Sampling inverts
@@ -377,13 +376,13 @@ def sample_action(logits_per_head: list[np.ndarray], rng: np.random.Generator,
     equal those of per-head `choice` calls made row by row. Greedy takes the
     argmax and draws nothing.
 
-    Returns the samples [B, heads], the summed log-probabilities [B] of the
-    samples, and the summed entropies [B] of the head distributions.
+    Returns the samples [B, heads] and the summed log-probabilities [B] of
+    the samples.
     """
     rows = len(logits_per_head[0])
     # heads padded to the widest with -inf logits: a padded entry has
-    # probability 0, so it adds exact zeros to every sum below, and its CDF
-    # value is 1, above every draw
+    # probability 0, so it adds exact zeros to the normalizing sums, and its
+    # CDF value is 1, above every draw
     logits = np.full((rows, len(logits_per_head),
                       max(np.shape(lg)[-1] for lg in logits_per_head)), -np.inf)
     for j, head in enumerate(logits_per_head):
@@ -401,13 +400,10 @@ def sample_action(logits_per_head: list[np.ndarray], rng: np.random.Generator,
         cdf /= cdf[:, :, -1:]
         samples = (cdf <= u[:, :, None]).sum(axis=2)  # searchsorted "right"
     picked = np.log(np.take_along_axis(probs, samples[:, :, None], axis=2)[:, :, 0])
-    spread = -(probs * np.log(np.maximum(probs, 1e-12))).sum(axis=2)
     log_prob = np.zeros(rows)
-    entropy = np.zeros(rows)
     for j in range(len(logits_per_head)):  # heads summed in order
         log_prob += picked[:, j]
-        entropy += spread[:, j]
-    return samples, log_prob, entropy
+    return samples, log_prob
 
 
 def sample_slots(logits: list[np.ndarray], slots: list[int], width: int,
@@ -445,5 +441,4 @@ def sample_rows(rows: list[tuple[PolicyNetwork, str, np.ndarray]],
         for idx, group_logits in outputs:
             for head, lg in zip(logits, group_logits):
                 head[idx] = lg
-    samples, log_prob, _ = sample_action(logits, rng, greedy)
-    return samples, log_prob
+    return sample_action(logits, rng, greedy)

@@ -127,7 +127,6 @@ def build_obs_fight(world: World, agent_id: int,
     own.append(1.0 if agent.cannon_firing else 0.0)
 
     if opp is not None:
-        rel = _pair(agent, opp, diag)
         opp_block = _own_base(opp, map_size) + [
             rel["off"], rel["aa_of_a"], rel["ata_b_to_a"], rel["dist"],
             1.0 if opp.cannon_firing else 0.0,

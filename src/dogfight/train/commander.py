@@ -134,10 +134,6 @@ class HierarchyEvalActor(EpisodeActor):
         self.steps_in_option = 0
         self._last_events = []
 
-    def _needs_decision(self, env: CombatEnv) -> bool:
-        return not self.decisions or option_terminated(
-            env.world, self.steps_in_option, self._last_events, env.scenario)
-
     def _decide(self, env: CombatEnv):
         world, scenario = env.world, env.scenario
 
@@ -149,8 +145,8 @@ class HierarchyEvalActor(EpisodeActor):
             obs = np.stack([observe(aid) for aid in alive])
             hidden = np.concatenate([self._hiddens[aid] for aid in alive])
             out = self.commander.forward_actor("cmd", obs, hidden, grad=False)
-            samples, log_probs, _ = sample_action(out.logits, self.rng,
-                                                  greedy=self.greedy)
+            samples, log_probs = sample_action(out.logits, self.rng,
+                                               greedy=self.greedy)
             if out.hidden is not None:  # gru; sa and fc keep none
                 for i, aid in enumerate(alive):
                     self._hiddens[aid] = out.hidden[i:i + 1]
@@ -184,7 +180,8 @@ class HierarchyEvalActor(EpisodeActor):
         chosen sensed opponent (no target once it is gone), setting that
         rocket target on `env`. Fight and escape rows are sampled together
         on the low-level actors' generator."""
-        if self._needs_decision(env):
+        if not self.decisions or option_terminated(
+                env.world, self.steps_in_option, self._last_events, env.scenario):
             self._decide(env)
             if isinstance(env.opponent_controller, SnapshotController):
                 env.opponent_controller.reassign(env.world)
@@ -248,43 +245,30 @@ class CommanderTrainer(TrainerCore):
         }
 
     def run_episode(self) -> dict:
-        env, actor = self.env, self.actor
-        env.reset(seed=int(self.episode_rng.integers(1 << 62)))
-        actor.begin_episode(env)
-        commands = (actor.fight_commands, actor.escape_commands)
-        prev_cmd: dict[int, list[float]] = {}
-        transitions: list[Transition] = []
-        option: list[Transition] = []  # the decision being flown
-        events: list = []
-        start = 0
-        while True:
-            actions = actor.actions(env)
-            if actor.steps_in_option == 0:  # the commander decided this step
-                self._close_option(option, events, env.step_count - start, False)
-                option = self._decision_transitions(prev_cmd)
-                transitions += option
-                events, start = [], env.step_count
-            result = env.step(actions)
-            actor.observe_step(env, result)
-            events += result.events
-            if result.terminal:
-                break
-        self._close_option(option, events, env.step_count - start, True)
+        commands = (self.actor.fight_commands, self.actor.escape_commands)
+        info = self._play(self.env)
+        return {**info, "fight_cmds": self.actor.fight_commands - commands[0],
+                "escape_cmds": self.actor.escape_commands - commands[1]}
 
-        total_reward = 0.0
-        for t in transitions:
-            self.buffer.add(t)
-            total_reward += t.reward
-        self._end_episode(total_reward, env.step_count, env.outcome)
-        return {"outcome": env.outcome, "length": env.step_count,
-                "fight_cmds": actor.fight_commands - commands[0],
-                "escape_cmds": actor.escape_commands - commands[1]}
+    def _decide(self, env: CombatEnv):
+        if env.step_count == 0:  # a new episode: no commands yet
+            self._prev_cmd: dict[int, list[float]] = {}
+        actions = self.actor.actions(env)
+        if self.actor.steps_in_option:  # an earlier decision still flies
+            return actions, None
+        return actions, self._decision_transitions()
 
-    def _decision_transitions(self, prev_cmd: dict[int, list[float]]
-                              ) -> list[Transition]:
+    def _option_reward(self, world, step_results, agent_id):
+        """The combat outcome terms over the option's events."""
+        return commander_event_reward(
+            world, [e for result in step_results for e in result.events],
+            agent_id)
+
+    def _decision_transitions(self) -> list[Transition]:
         """Transitions of the decision the actor just made, carrying the
-        assessment reward so far; records the commands in `prev_cmd`."""
+        assessment reward so far; records the commands in `_prev_cmd`."""
         world, scenario, variant = self.env.world, self.scenario, self.variant
+        prev_cmd = self._prev_cmd
         obs, hidden, samples, log_probs = self.actor.decision
         decisions = self.actor.decisions
         critic_in = build_critic_input("commander", world, scenario, prev_cmd)
@@ -309,18 +293,6 @@ class CommanderTrainer(TrainerCore):
             scenario.n_agents, list(decisions), samples, log_probs,
             episode=self.episodes, obs=obs, value=value,
             reward=sum(assess.values()), critic_input=critic_in, hidden=hidden)]
-
-    def _close_option(self, option: list[Transition], events: list,
-                      duration: int, terminal: bool):
-        """Adds the option's event rewards, its length and done flags."""
-        world = self.env.world
-        for t in option:
-            joint = t.head_mask is not None
-            aids = np.flatnonzero(t.head_mask).tolist() if joint else [t.agent_id]
-            t.reward += sum(commander_event_reward(world, events, aid)
-                            for aid in aids)
-            t.done = terminal or (not joint and not world.get(t.agent_id).alive)
-            t.duration = duration
 
     def train(self, env_steps: int):
         """Trains for `env_steps` more env steps; the frozen low-level

@@ -15,9 +15,12 @@ team that way, and the Glob commander decides that way.
 Decisions are graph-free and batched: each env step runs one actor forward
 per (network, instance) over the agents it drives and samples all agents
 in one call, in agent-id order, so the action generator draws exactly what
-one-agent-at-a-time sampling would. Each driver has a non-recording
-`actions(env)`, which `evaluate` and the commander's option loop use, and a
-recording `act(env, episode)`, which training uses.
+one-agent-at-a-time sampling would. Each driver's `actions(env)` decides
+and keeps the decision; `act(env, episode)`, which training uses, turns
+that decision into reward-less transitions.
+
+Every episode, in training and in evaluation, runs through `play_episode`,
+which steps an `EpisodeActor`.
 """
 
 from __future__ import annotations
@@ -117,7 +120,7 @@ def joint_decision(policy: PolicyNetwork, world: World, n_agents: int,
         vec = observe(aid)
         obs[aid * width: aid * width + len(vec)] = vec
     out = policy.forward_actor("joint", obs, hidden, grad=False)
-    samples, log_probs, _ = sample_slots(out.logits, alive, heads, rng, greedy)
+    samples, log_probs = sample_slots(out.logits, alive, heads, rng, greedy)
     return obs, alive, samples, log_probs, out.hidden
 
 
@@ -140,14 +143,30 @@ def joint_transition(n_agents: int, alive: list[int], samples: np.ndarray,
 
 
 class EpisodeActor:
-    """What `evaluate` drives: `actions(env)` once per env step, plus hooks
-    at the start of an episode and after each step, empty here."""
+    """What `play_episode` drives: `actions(env)` once per env step, plus
+    hooks at the start of an episode and after each step, empty here."""
 
     def begin_episode(self, env: CombatEnv):
         pass
 
     def observe_step(self, env: CombatEnv, result):
         pass
+
+
+def play_episode(env: CombatEnv, actor: EpisodeActor, seed: int) -> list:
+    """The one episode loop: resets `env` from `seed`, starts `actor` on
+    it, then steps it on `actor.actions` until the episode ends, passing
+    each step's result to `actor.observe_step`. Returns the episode's
+    events in order."""
+    env.reset(seed=seed)
+    actor.begin_episode(env)
+    events = []
+    while True:
+        result = env.step(actor.actions(env))
+        actor.observe_step(env, result)
+        events += result.events
+        if result.terminal:
+            return events
 
 
 @dataclass
@@ -214,28 +233,28 @@ class CTDEDriver(EpisodeActor):
                 env.observe(agent_id, self.kind))
 
     def actions(self, env: CombatEnv) -> dict[int, LowLevelAction]:
-        """One action per living agent."""
+        """One action per living agent; keeps the decision, its rows,
+        samples and log-probabilities, for `act`."""
         rows = {aid: self.row(env, aid) for aid in env.agent_ids()}
-        return low_level_actions(rows, self.rng, self.greedy)
+        samples, log_probs = sample_rows(list(rows.values()), self.rng,
+                                         self.greedy)
+        self.decision = (rows, samples, log_probs)
+        return {aid: LowLevelAction.from_heads(s)
+                for aid, s in zip(rows, samples)}
 
     def act(self, env: CombatEnv, episode: int
             ) -> tuple[dict[int, LowLevelAction], list[Transition]]:
         """`actions`, plus one reward-less transition per agent carrying its
         critic input and value."""
-        rows = {aid: self.row(env, aid) for aid in env.agent_ids()}
-        samples, log_probs = sample_rows(list(rows.values()), self.rng,
-                                         self.greedy)
+        actions = self.actions(env)
+        rows, samples, log_probs = self.decision
         critic_inputs, values = self._critic(env, rows)
-        actions: dict[int, LowLevelAction] = {}
-        transitions: list[Transition] = []
-        for (aid, (_, instance, obs)), action, log_prob in zip(
-                rows.items(), samples, log_probs):
-            actions[aid] = LowLevelAction.from_heads(action)
-            transitions.append(Transition(
-                instance=instance, agent_id=aid, episode=episode, obs=obs,
-                action=action, log_prob=float(log_prob), value=values[aid],
-                reward=0.0, done=False, critic_input=critic_inputs[aid]))
-        return actions, transitions
+        return actions, [Transition(
+            instance=instance, agent_id=aid, episode=episode, obs=obs,
+            action=action, log_prob=float(log_prob), value=values[aid],
+            reward=0.0, done=False, critic_input=critic_inputs[aid])
+            for (aid, (_, instance, obs)), action, log_prob in zip(
+                rows.items(), samples, log_probs)]
 
     def _critic(self, env: CombatEnv, rows: dict) -> tuple[dict, dict]:
         """Critic input and value by agent id. An agent's own network sees
@@ -270,26 +289,24 @@ class CTCEDriver(EpisodeActor):
         self.greedy = greedy
         self.slot_obs = OBS_LAYOUTS["escape-AC1" if kind == "escape" else "fight-AC1"]
 
-    def _decide(self, env: CombatEnv):
-        return joint_decision(self.policy, env.world, env.scenario.n_agents,
-                              self.slot_obs, lambda aid: env.observe(aid, self.kind),
-                              LOW_ACTION_HEADS, self.rng, self.greedy)
-
     def actions(self, env: CombatEnv) -> dict[int, LowLevelAction]:
-        _, alive, samples, _, _ = self._decide(env)
+        """One action per living slot; keeps the joint decision for `act`."""
+        self.decision = joint_decision(
+            self.policy, env.world, env.scenario.n_agents, self.slot_obs,
+            lambda aid: env.observe(aid, self.kind), LOW_ACTION_HEADS,
+            self.rng, self.greedy)
+        _, alive, samples, _, _ = self.decision
         return {slot: LowLevelAction.from_heads(picked)
                 for slot, picked in zip(alive, samples)}
 
     def act(self, env: CombatEnv, episode: int
             ) -> tuple[dict[int, LowLevelAction], list[Transition]]:
-        obs, alive, samples, log_probs, _ = self._decide(env)
-        scenario = env.scenario
-        critic_in = build_critic_input(self.kind, env.world, scenario,
+        """`actions`, plus the team's one reward-less transition."""
+        actions = self.actions(env)
+        obs, alive, samples, log_probs, _ = self.decision
+        critic_in = build_critic_input(self.kind, env.world, env.scenario,
                                        env.prev_actions)
         value = self.policy.forward_critic("joint", critic_in, grad=False).item()
-        transition = joint_transition(
-            scenario.n_agents, alive, samples, log_probs, episode=episode,
-            obs=obs, value=value, reward=0.0, critic_input=critic_in)
-        actions = {slot: LowLevelAction.from_heads(picked)
-                   for slot, picked in zip(alive, samples)}
-        return actions, [transition]
+        return actions, [joint_transition(
+            env.scenario.n_agents, alive, samples, log_probs, episode=episode,
+            obs=obs, value=value, reward=0.0, critic_input=critic_in)]

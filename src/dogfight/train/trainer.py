@@ -17,18 +17,20 @@ from pathlib import Path
 import numpy as np
 
 from ..config import ScenarioConfig, ScriptConfig
-from ..env import CombatEnv, OUTCOME_WIN
+from ..env import CombatEnv, OUTCOME_WIN, StepResult
 from ..nn.networks import PolicyNetwork
 from ..nn.params import load_checkpoint, save_arrays, save_checkpoint
 from ..scripted import ScriptedController
-from ..simcore import SimConfig
-from .buffer import RolloutBuffer
+from ..simcore import SimConfig, World
+from .buffer import RolloutBuffer, Transition
 from .league import LOW_LEVELS, LeagueArchive
 from .policies import (
     CTCEDriver,
     CTDEDriver,
+    EpisodeActor,
     SnapshotController,
     make_low_level_policy,
+    play_episode,
 )
 from .ppo import PPOConfig, UpdateStats, ppo_update
 from .runs import RunDir
@@ -70,16 +72,23 @@ def _mean(values: list) -> float:
     return float(np.mean(values)) if values else 0.0
 
 
-class TrainerCore:
+class TrainerCore(EpisodeActor):
     """The run state and loop both trainers share: spawned RNG streams, the
     rollout buffer, the step, episode and update counters, the episode
     window each update's metrics record averages, and `config.json`.
 
     A trainer names its seed label and streams in order (`SEED_LABEL`,
-    `STREAMS`; stream `x` is `self.x_rng`), fills `policies`, and defines
-    `run_episode`, which ends with `_end_episode`. `policies` holds every
-    network by key: the agent id under DTDE, else 0. Each network is updated
-    on the transitions of its key; the rest go to network 0."""
+    `STREAMS`; stream `x` is `self.x_rng`), fills `policies` (every network
+    by key: the agent id under DTDE, else 0; a network is updated on the
+    transitions of its key, the rest go to network 0) and sets `actor`.
+
+    `play_episode` drives the core, which forwards the hooks to `actor` and
+    records. A trainer's `_decide(env)` gives the step's actions and the
+    transitions of a decision taken at the step, or None; its
+    `_option_reward(world, step_results, agent_id)` gives an acting agent's
+    reward over the steps a decision flew. Each decision is an option that
+    closes at the next decision or at the end of the episode; a low-level
+    decision is a one-step option."""
 
     SEED_LABEL: str
     STREAMS: tuple[str, ...]
@@ -110,15 +119,54 @@ class TrainerCore:
                                    "ppo": self.ppo.__dict__,
                                    "seed": self.seed, **extras})
 
-    def _end_episode(self, total_reward: float, length: int, outcome: str):
-        self.env_steps += length
-        self.episodes += 1
-        self._returns.append(total_reward / max(1, self.scenario.n_agents))
-        self._lengths.append(length)
-        self._wins.append(outcome == OUTCOME_WIN)
+    # -- the transition recorder ---------------------------------------------
 
-    def run_episode(self, *args) -> dict:
-        raise NotImplementedError
+    def _play(self, env: CombatEnv) -> dict:
+        """One training episode on `env`, from the next episode seed."""
+        play_episode(env, self, int(self.episode_rng.integers(1 << 62)))
+        return {"outcome": env.outcome, "length": env.step_count}
+
+    def begin_episode(self, env: CombatEnv):
+        self.actor.begin_episode(env)
+        self._option: list[Transition] = []  # the decision being flown
+        self._steps: list[StepResult] = []  # the steps it has flown
+        self._return = 0.0
+
+    def actions(self, env: CombatEnv):
+        actions, transitions = self._decide(env)
+        if transitions is not None:
+            self._close(env.world, terminal=False)
+            self._option = transitions
+        return actions
+
+    def observe_step(self, env: CombatEnv, result: StepResult):
+        self.actor.observe_step(env, result)
+        self._steps.append(result)
+        if result.terminal:
+            self._close(env.world, terminal=True)
+            self.env_steps += env.step_count
+            self.episodes += 1
+            self._returns.append(self._return / max(1, self.scenario.n_agents))
+            self._lengths.append(env.step_count)
+            self._wins.append(env.outcome == OUTCOME_WIN)
+
+    def _close(self, world: World, terminal: bool):
+        """Buffers the decision being flown, in decision order, with each
+        transition's reward over the option, its duration and `done`: the
+        episode ended or, for one agent's transition, the agent is gone. A
+        joint transition's agents are the slots whose heads acted."""
+        for t in self._option:
+            joint = t.head_mask is not None
+            agents = (np.flatnonzero(t.head_mask.reshape(
+                          self.scenario.n_agents, -1).any(axis=1)).tolist()
+                      if joint else [t.agent_id])
+            t.reward += sum(self._option_reward(world, self._steps, aid)
+                            for aid in agents)
+            t.done = terminal or (not joint and not world.get(t.agent_id).alive)
+            t.duration = len(self._steps)
+            self._return += t.reward
+            self.buffer.add(t)
+        self._steps = []
 
     def _update_policies(self) -> UpdateStats:
         own: dict[int, list] = {key: [] for key in self.policies}
@@ -194,48 +242,32 @@ class LowLevelTrainer(TrainerCore):
                                        fc_baseline=mode.fc_baseline,
                                        agent_types=self.agent_types)
         driver = CTCEDriver if mode.framework == "ctce" else CTDEDriver
-        self.driver = driver(policy, "escape" if mode.kind == "escape" else "fight",
-                             self.action_rng)
+        self.actor = driver(policy, "escape" if mode.kind == "escape" else "fight",
+                            self.action_rng)
         self.policies = policy if isinstance(policy, dict) else {0: policy}
         self.policy = self.policies[0]
 
     # -- environment plumbing -------------------------------------------------
 
-    def _reward_kind(self) -> tuple[str, str | None]:
-        if self.mode.kind == "fight":
-            return ("fight", self.mode.reward_variant)
-        if self.mode.kind == "escape":
-            return ("escape", self.mode.reward_variant)
-        return ("standard", None)
-
     def make_env(self, opponent_controller, horizon: int | None = None) -> CombatEnv:
         scenario = self.scenario if horizon is None else replace(
             self.scenario, horizon=horizon)
+        kind = self.mode.kind
+        variant = None if kind == "standard" else self.mode.reward_variant
         return CombatEnv(scenario, opponent_controller,
-                         reward_kind=self._reward_kind(),
+                         reward_kind=(kind, variant),
                          sim_cfg=self.sim_cfg, agent_types=self.agent_types)
 
     def run_episode(self, env: CombatEnv) -> dict:
-        env.reset(seed=int(self.episode_rng.integers(1 << 62)))
-        total_reward = 0.0
-        length = 0
-        while True:
-            actions, transitions = self.driver.act(env, self.episodes)
-            result = env.step(actions)
-            length += 1
-            for t in transitions:
-                if t.head_mask is not None:  # a joint transition: the team's
-                    t.reward = sum(result.rewards.values())
-                    t.done = result.terminal
-                else:
-                    t.reward = result.rewards[t.agent_id]
-                    t.done = result.done[t.agent_id]
-                total_reward += t.reward
-                self.buffer.add(t)
-            if result.terminal:
-                break
-        self._end_episode(total_reward, length, result.outcome)
-        return {"outcome": result.outcome, "length": length}
+        return self._play(env)
+
+    def _decide(self, env: CombatEnv):
+        return self.actor.act(env, self.episodes)
+
+    def _option_reward(self, world, step_results, agent_id):
+        """The env's reward: a low-level option lasts one step."""
+        (result,) = step_results
+        return result.rewards[agent_id]
 
     def train_level(self, level: str, opponent_controller, env_steps: int,
                     horizon: int | None = None):
@@ -402,18 +434,17 @@ def train_escape(scenario: ScenarioConfig, ppo: PPOConfig, run_dir: RunDir,
 def train_standard_baseline(scenario: ScenarioConfig, ppo: PPOConfig,
                             run_dir: RunDir, seed: int, env_steps: int,
                             script: ScriptConfig | None = None,
-                            horizon: int = 300,
                             sim_cfg: SimConfig | None = None) -> LowLevelTrainer:
     """Single-policy baseline: one joint CTCE network with the combined
-    fight/escape reward, trained directly against scripted L3 (no curriculum,
-    no league archive)."""
+    fight/escape reward, trained directly against scripted L3 at the
+    scenario's horizon (no curriculum, no league archive)."""
     mode = TrainMode(framework="ctce", kind="standard")
     trainer = LowLevelTrainer(scenario, ppo, mode, run_dir, seed, script, sim_cfg)
     trainer.write_config(mode=mode.__dict__, env_steps=env_steps)
     trainer.train_level(
         "standard-L3",
         ScriptedController("L3", trainer.opponent_rng, trainer.script),
-        env_steps, horizon=horizon)
+        env_steps)
     save_checkpoint(run_dir.checkpoint_path("standard"), trainer.policy.store,
                     trainer.policy.config.to_dict())
     return trainer

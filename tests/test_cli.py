@@ -55,10 +55,11 @@ def save_commander(path, senses=2, variant=True):
 
 def small_config(tmp_path, ppo=True, **scenario_kw):
     """A small config file; `ppo` False leaves out the ppo section, which
-    the evaluation commands reject."""
+    the evaluation commands reject, and a scenario key set to None is left
+    out (fight and escape training reject `horizon`)."""
     base = dict(n_agents=2, n_opponents=2, horizon=6, map_size=20.0)
     base.update(scenario_kw)
-    cfg = {"scenario": base}
+    cfg = {"scenario": {k: v for k, v in base.items() if v is not None}}
     if ppo:
         cfg["ppo"] = {"batch_size": 24, "update_epochs": 1, "minibatches": 2}
     path = tmp_path / "config.json"
@@ -250,6 +251,18 @@ class TestConfigRejected:
                                           "{hierarchy}", "--opponent",
                                           "scripted:L1"],
                                          "scenario.commander_senses=3"),
+        # every command takes its seed from --seed
+        "evaluate-seed": (["evaluate", "--agent", "random", "--opponent",
+                           "scripted:L1"], "scenario.seed=1"),
+        "sweep-seed": (["sweep", "{hierarchy}", "--cells", "2v2"],
+                       "scenario.seed=1"),
+        "export-traj-seed": (["export-traj", "--agent", "random", "--opponent",
+                              "scripted:L1"], "scenario.seed=1"),
+        "train-commander-seed": (["train-commander", "--fight-ckpt", "{fight}",
+                                  "--escape-ckpt", "{escape}", "--steps", "4"],
+                                 "scenario.seed=1"),
+        "train-low-standard-seed": (["train-low", "--policy", "standard",
+                                     "--steps", "4"], "scenario.seed=1"),
     }
 
     @pytest.mark.parametrize("case", sorted(UNREAD))
@@ -268,7 +281,8 @@ class TestConfigRejected:
                 args.append(arg.format(**paths))
         out = {"evaluate": [], "sweep": ["--out", str(tmp_path / "sweep")],
                "export-traj": ["--out", str(tmp_path / "t.jsonl")],
-               "train-commander": ["--run-dir", str(tmp_path / "run")]}
+               "train-commander": ["--run-dir", str(tmp_path / "run")],
+               "train-low": ["--run-dir", str(tmp_path / "run")]}
         args += out[command[0]] + ["--episodes", "1"] * (
             command[0] in ("evaluate", "sweep"))
         base = args + ["--set", "scenario.horizon=3"]
@@ -279,6 +293,8 @@ class TestConfigRejected:
         named = key if key.startswith("scenario.") else key.split(".")[0]
         err = capsys.readouterr().err
         assert code == 1 and f"does not read config '{named}'" in err
+        if key == "scenario.seed":
+            assert "--seed sets the seed" in err
 
     def test_commander_batch_size_is_the_ppo_key(self, tmp_path, fight_ckpt,
                                                  escape_ckpt):
@@ -307,7 +323,8 @@ class TestTrainLow:
         run_dir = tmp_path / "run"
         code = main(["train-low", "--policy", "fight", "--level", "L1",
                      "--steps", "30", "--run-dir", str(run_dir),
-                     "--config", str(small_config(tmp_path)), "--seed", "5"])
+                     "--config", str(small_config(tmp_path, horizon=None)),
+                     "--seed", "5"])
         assert code == 0
         assert (run_dir / "metrics.jsonl").exists()
         league = run_dir / "league" / "index.json"
@@ -327,7 +344,7 @@ class TestTrainLow:
         run_dir = tmp_path / "run-ov"
         code = main(["train-low", "--policy", "fight", "--level", "L1",
                      "--steps", "12", "--run-dir", str(run_dir),
-                     "--config", str(small_config(tmp_path)),
+                     "--config", str(small_config(tmp_path, horizon=None)),
                      "--set", "scenario.map_size=25.0",
                      "--set", "ppo.batch_size=12"])
         assert code == 0
@@ -338,11 +355,31 @@ class TestTrainLow:
         run_dir = tmp_path / "run"
         assert main(["train-low", "--policy", "fight", "--level", "L2",
                      "--steps", "6", "--run-dir", str(run_dir),
-                     "--config", str(small_config(tmp_path)),
+                     "--config", str(small_config(tmp_path, horizon=None)),
                      "--set", "ppo.batch_size=5"]) == 0
         config = json.loads((run_dir / "config.json").read_text())
         assert config["ppo"] == {**PPOConfig().__dict__, "batch_size": 5,
                                  "update_epochs": 1, "minibatches": 2}
+
+    def test_standard_baseline_reads_the_horizon(self, tmp_path):
+        run_dir = tmp_path / "run"
+        assert main(["train-low", "--policy", "standard", "--steps", "12",
+                     "--run-dir", str(run_dir), "--set", "scenario.horizon=3",
+                     "--set", "ppo.batch_size=3"]) == 0
+        records = [json.loads(line) for line in
+                   (run_dir / "metrics.jsonl").read_text().splitlines()]
+        assert records and all(r["mean_length"] <= 3 for r in records)
+
+    @pytest.mark.parametrize("policy", ["fight", "escape"])
+    def test_level_or_phase_sets_the_horizon(self, policy, tmp_path, capsys):
+        code = main(["train-low", "--policy", policy, "--level", "L1",
+                     "--steps", "1", "--run-dir", str(tmp_path / "run"),
+                     "--set", "scenario.horizon=5"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert ("does not read config 'scenario.horizon': the level or phase "
+                "sets the horizon") in err
+        assert not (tmp_path / "run").exists()
 
 
 class TestExportTraj:

@@ -152,7 +152,7 @@ class TestNetworks:
         out = net.forward_actor("ac1", np.zeros(27))
         for logits in out.logits:
             assert np.allclose(logits.data, 0.0)
-        samples, log_prob, entropy = sample_action(
+        samples, log_prob = sample_action(
             [l.data for l in out.logits], np.random.default_rng(0))
         assert log_prob[0] == pytest.approx(
             math.log(1 / 13) + math.log(1 / 9) + 2 * math.log(1 / 2))
@@ -262,14 +262,22 @@ def choice_reference(logits_per_head, rng, greedy=False):
 
 class TestSampling:
     def test_two_way_uniform(self):
-        samples, log_prob, entropy = sample_action(
-            [np.zeros((1, 2))], np.random.default_rng(0))
+        samples, log_prob = sample_action([np.zeros((1, 2))],
+                                          np.random.default_rng(0))
         assert log_prob[0] == pytest.approx(math.log(0.5))
-        assert entropy[0] == pytest.approx(math.log(2))
+        # the PPO loss's entropy of the same distribution: a noOpt commander
+        # head with every weight zero
+        net = PolicyNetwork(commander_config(2, critic_width=105, opt=False,
+                                             dtype="float64"), seed=0)
+        for t in net.store.params.values():
+            t.data = np.zeros_like(t.data)
+        _, entropy = net.log_prob_entropy("cmd", np.zeros((1, 34)),
+                                          samples, net.initial_hidden())
+        assert entropy.data[0] == pytest.approx(math.log(2))
 
     def test_peaked_logits_prefer_argmax(self):
-        samples, _, _ = sample_action([np.tile([10.0, 0.0, 0.0], (1000, 1))],
-                                      np.random.default_rng(1))
+        samples, _ = sample_action([np.tile([10.0, 0.0, 0.0], (1000, 1))],
+                                   np.random.default_rng(1))
         assert (samples[:, 0] == 0).sum() > 990
 
     def test_greedy_deterministic(self):
@@ -277,7 +285,7 @@ class TestSampling:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             state = rng.bit_generator.state
-            samples, _, _ = sample_action(logits, rng, greedy=True)
+            samples, _ = sample_action(logits, rng, greedy=True)
             assert samples.tolist() == [[1]]
             assert rng.bit_generator.state == state  # greedy draws nothing
 
@@ -286,7 +294,7 @@ class TestSampling:
         logits = rng.normal(size=7)
         probs = np.exp(logits - logits.max())
         probs /= probs.sum()
-        samples, log_prob, _ = sample_action([logits[None, :]], rng)
+        samples, log_prob = sample_action([logits[None, :]], rng)
         assert log_prob[0] == pytest.approx(math.log(probs[samples[0, 0]]))
 
     @pytest.mark.parametrize("greedy", [False, True])
@@ -299,10 +307,10 @@ class TestSampling:
             scale = (0.1, 1.0, 8.0)[trial % 3]
             logits = [gen.normal(0.0, scale, (rows, k)) for k in arities]
             rng, ref_rng = np.random.default_rng(trial), np.random.default_rng(trial)
-            got = sample_action(logits, rng, greedy=greedy)
-            want = choice_reference(logits, ref_rng, greedy=greedy)
-            for g, w in zip(got, want):
-                assert np.array_equal(g, w)
+            samples, log_prob = sample_action(logits, rng, greedy=greedy)
+            want, want_lp, _ = choice_reference(logits, ref_rng, greedy=greedy)
+            assert np.array_equal(samples, want)
+            assert np.array_equal(log_prob, want_lp)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_sample_rows_draws_in_row_order(self):
@@ -316,9 +324,13 @@ class TestSampling:
         samples, log_prob = sample_rows(rows, rng)
         for b, (policy, inst, obs) in enumerate(rows):
             logits = policy.forward_actor(inst, obs, grad=False).logits
-            want, want_lp, _ = choice_reference(logits, ref_rng)
+            want, want_lp, want_ent = choice_reference(logits, ref_rng)
             assert np.array_equal(samples[b], want[0])
             assert log_prob[b] == pytest.approx(want_lp[0], abs=1e-12)
+            # the PPO loss scores the sampled action as the sampler did
+            lp, ent = policy.log_prob_entropy(inst, obs[None], samples[b][None])
+            assert lp.data[0] == pytest.approx(want_lp[0], abs=1e-9)
+            assert ent.data[0] == pytest.approx(want_ent[0], abs=1e-9)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 

@@ -153,7 +153,7 @@ def fill_buffer(policy, scenario, n, seed=0):
             result = env.step(actions)
             for t in transitions:
                 t.reward = result.rewards[t.agent_id]
-                t.done = result.done[t.agent_id]
+                t.done = result.terminal or not env.world.get(t.agent_id).alive
                 buffer.add(t)
             if result.terminal:
                 break
