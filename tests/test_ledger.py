@@ -3,7 +3,8 @@ write, against a table of known digests.
 
 Each run goes through `cli.main` as the command line runs it, except
 `AlwaysFightActor`, which no command exposes and which `evaluate` drives
-directly. Training runs set `ppo.batch_size` small enough for two or more
+directly, and the curriculum stopped after L2 and resumed, which
+`run_curriculum` runs as a command would with its `levels` cut short. Training runs set `ppo.batch_size` small enough for two or more
 updates. A change that moves a seeded output on purpose updates the table
 below: the failure message prints every actual digest. Trajectories are
 hashed only against scripted opponents, since a `snapshot:` header holds
@@ -25,9 +26,15 @@ from dogfight.nn import PolicyNetwork, commander_config, save_checkpoint
 from dogfight.observations import critic_input_width
 from dogfight.train import (
     CommanderVariant,
+    LeagueArchive,
+    PPOConfig,
+    RunDir,
     SnapshotController,
+    TrainMode,
     make_low_level_policy,
+    run_curriculum,
 )
+from dogfight.train.league import LOW_LEVELS
 
 LEDGER = {
     "commander-glob/checkpoints/commander_Glob-N2-Opt-Assess.ckpt":
@@ -36,12 +43,36 @@ LEDGER = {
         "e9fa123ee3fbdb9dc1859a0b672fe404d9b145aeb2cec47e9757098325e2e351",
     "commander-glob/metrics.jsonl":
         "acf6269c44ce0cfdc9945e72aa90f1c12bd42f7b684af1ecfd9187cd20922080",
+    "commander-n3-sa/checkpoints/commander_Shared-N3-Opt-Assess.ckpt":
+        "9f9fc2c6af8a86957e4c415928cfe1343a5289049b4078224c0c51b213424d9e",
+    "commander-n3-sa/config.json":
+        "d637a955dcd87fd731246d7971ce32feeaa25f1ca58f21c92cbd526a89feb98a",
+    "commander-n3-sa/metrics.jsonl":
+        "53859aa98c81b6b41b728933062a8e27b894095b4cf9ed46eb0d9f5c0007397a",
+    "commander-noopt/checkpoints/commander_Shared-N2-noOpt-Assess.ckpt":
+        "962cade23e85ac2bd902506cbebec31fd10c6c08f66406ae32964c1a1fb0467d",
+    "commander-noopt/config.json":
+        "0af39127a1f1974a4bfa1b933f09512ce43e6648eb5799d2bd53fb16e0cf0240",
+    "commander-noopt/metrics.jsonl":
+        "68c0f028e77c670d7b16bf622cdc90c0a22115d1287e764df3a982027e7be01a",
     "commander-shared/checkpoints/commander_Shared-N2-Opt-Assess.ckpt":
         "86d54b5658400073b1620b050be31af779a425eb0aa5f0e5479e6135243e07af",
     "commander-shared/config.json":
         "2cbbfddc8f783ae4ea5546a0d506774b0e9c3f71f0bcda576c83daa4f65ca376",
     "commander-shared/metrics.jsonl":
         "89ba0171dcdd1fbf7e404d6aaca391b7f727d87e338017f610e263fba45cf33e",
+    "curriculum-resumed/config.json":
+        "95eaa9c54d1bfde3ed3a39c7bf620d3e2527db21ce7a7ea01108a1a59de9cf78",
+    "curriculum-resumed/league/fight_L5.ckpt":
+        "a4fb3b87c106af8731435154c1709cec22fb9865c36ee891b807fae14d46792d",
+    "curriculum-resumed/metrics.jsonl":
+        "49f4f69645e0f4337881d35c8ef7384573d6719f46d30397c1a7485e53f4f2c6",
+    "escape-phase2/config.json":
+        "6cb2e0fd5446504eb804228e34c2461c79e09e5ac85215a42efa9f1d6f374bcf",
+    "escape-phase2/league/escape.ckpt":
+        "f56e48779252d581217684d59208199e3a37e057bd8c2d5bc7136be1b3c2541c",
+    "escape-phase2/metrics.jsonl":
+        "afd0c1ec400f880cb70e87f8a5084375dfb4e700c5cf7825aac0a1f8ef6cdbd7",
     "escape/config.json":
         "36e05c9a42f6b5a8f4e1f1c14cbcf650d8d918302eebd5ac2c04ed6803c2e830",
     "escape/league/escape.ckpt":
@@ -58,6 +89,10 @@ LEDGER = {
         "bc349b9c7831d1606b5b3c910598e2f9d4929b04771eb24aa6c108d13b1a9386",
     "evaluate-ctde-greedy/trajectory.jsonl":
         "f7ce5284d40f38fd5804c823d306a5738d2b067e196301729a7b6afd5d3b69fc",
+    "evaluate-hierarchy-l3/report.json":
+        "a7043f6abedfa9ef72e27cb970c47fac1d47e75a144d36686ac875b569082b42",
+    "evaluate-hierarchy-l3/trajectory.jsonl":
+        "221f7a78e6d5b20fe9b71d2fcee8c7ae06e62fa6995b6b10d5c26a807240e6c8",
     "evaluate-hierarchy-snapshot/report.json":
         "3328e2f243574666db73597b9de7996b2deee00ae155b389e91574e139b7185f",
     "evaluate-random/report.json":
@@ -121,6 +156,13 @@ def _checkpoints(root) -> dict[str, str]:
     }
 
 
+def _l5_league(root, fight_ckpt) -> str:
+    """A league archive holding the untrained fight network as L5."""
+    archive = LeagueArchive(root / "league-l5")
+    archive.save("fight", "L5", _load(fight_ckpt))
+    return str(archive.root)
+
+
 def _run(*argv):
     code = main([str(a) for a in argv])
     assert code == 0, f"dogfight {' '.join(map(str, argv))} exited {code}"
@@ -151,6 +193,12 @@ def _collect(root) -> dict[str, str]:
     train("escape", ["train-low", "--policy", "escape", "--steps", 60,
                      "--steps-phase2", 0, "--seed", 7, *SMALL_MAP, *SMALL_PPO],
           ["league/escape.ckpt"])
+    train("escape-phase2", ["train-low", "--policy", "escape", "--steps", 60,
+                            "--steps-phase2", 30, "--seed", 8,
+                            "--league-dir", _l5_league(root, ckpt["fight"]),
+                            *SMALL_MAP, *SMALL_PPO], [])
+    record("escape-phase2/league/escape.ckpt",
+           root / "league-l5" / "escape.ckpt")
     train("standard", ["train-low", "--policy", "standard", "--steps", 80,
                        "--seed", 4, *SMALL_MAP, *SMALL_PPO],
           ["checkpoints/standard.ckpt"])
@@ -161,6 +209,22 @@ def _collect(root) -> dict[str, str]:
           ["checkpoints/commander_Shared-N2-Opt-Assess.ckpt"])
     train("commander-glob", [*commander, "--glob"],
           ["checkpoints/commander_Glob-N2-Opt-Assess.ckpt"])
+    train("commander-n3-sa", [*commander, "--arch", "sa",
+                              "--set", "scenario.commander_senses=3"],
+          ["checkpoints/commander_Shared-N3-Opt-Assess.ckpt"])
+    train("commander-noopt", [*commander, "--no-opt"],
+          ["checkpoints/commander_Shared-N2-noOpt-Assess.ckpt"])
+
+    # stopped after L2, then resumed from trainer_state_L2.ckpt to L5
+    run = RunDir(root / "curriculum")
+    archive = LeagueArchive(root / "curriculum" / "league")
+    for levels in (LOW_LEVELS[:2], LOW_LEVELS):
+        run_curriculum(ScenarioConfig(map_size=12.0),
+                       PPOConfig(batch_size=16, update_epochs=1, minibatches=2),
+                       TrainMode(), run, archive, seed=11, steps_per_level=32,
+                       levels=levels)
+    for rel in ("metrics.jsonl", "config.json", "league/fight_L5.ckpt"):
+        record(f"curriculum-resumed/{rel}", root / "curriculum" / rel)
 
     def evaluation(name, argv, trajectory):
         out = root / f"{name}.json"
@@ -179,6 +243,8 @@ def _collect(root) -> dict[str, str]:
     evaluation("hierarchy-snapshot",
                ["--agent", "hierarchy", *hierarchy, "--opponent",
                 f"snapshot:{ckpt['fight']}:{ckpt['escape']}:0.5"], False)
+    evaluation("hierarchy-l3", ["--agent", "hierarchy", *hierarchy,
+                                "--opponent", "scripted:L3"], True)
     evaluation("random", ["--agent", "random", "--opponent", "scripted:L2"],
                True)
 
