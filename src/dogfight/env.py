@@ -3,11 +3,12 @@ loop (several sim rounds per decision), reward dispatch, and outcome
 classification.
 
 One env step holds each aircraft's decoded setpoints for a fixed number of
-simulation rounds (10 by default, i.e. one second). The opponent controller
-is asked once per env step for the actions of all living opponents, before
-any action of the step is applied, so opponents decide from the same world
-the agents decided from. Episodes terminate when a team is wiped out or the
-horizon is reached; simultaneous extinction counts as a draw.
+simulation rounds (10 by default, i.e. one second). The episode loop
+(`train.policies.play_episodes`) asks the env's opponent controller once per
+env step for the decision of all living opponents, before any action of the
+step is applied, so opponents decide from the same world the agents decided
+from. Episodes terminate when a team is wiped out or the horizon is
+reached; simultaneous extinction counts as a draw.
 """
 
 from __future__ import annotations
@@ -88,12 +89,18 @@ class OpponentController(Protocol):
         """Start an episode; called by `CombatEnv.reset` on the new world."""
         ...
 
-    def __call__(self, world: World, opponent_ids: list[int]
-                 ) -> dict[int, LowLevelAction]:
-        """The action of each listed opponent, in the listed order, decided
-        together from `world`. Rockets aim at the closest living agent (see
+    def __call__(self, world: World, opponent_ids: list[int]):
+        """The listed opponents' decision, made together from `world`: their
+        actions by id, or a `Decision` that the episode loop decides with
+        the agents'. Rockets aim at the closest living agent (see
         `apply_action`)."""
         ...
+
+
+def episode_stream(rng: np.random.Generator) -> np.random.Generator:
+    """A generator for one episode, seeded by `rng`'s next draw: every
+    stateful decision-maker spawns one when an episode begins."""
+    return np.random.default_rng(int(rng.integers(1 << 62)))
 
 
 def decode_speed(spec, v: int) -> float:
@@ -254,17 +261,18 @@ class CombatEnv:
     def set_attack_target(self, agent_id: int, target_id: int | None):
         self.attack_targets[agent_id] = target_id
 
-    def step(self, actions: dict[int, LowLevelAction]) -> StepResult:
-        """Apply one decision per living aircraft, run the round loop, and
-        score the step. The opponent controller decides for all living
-        opponents before any action is applied."""
+    def step(self, actions: dict[int, LowLevelAction],
+             opponent_actions: dict[int, LowLevelAction] | None = None
+             ) -> StepResult:
+        """Apply one decision per living aircraft, agents' `actions` then
+        `opponent_actions`, run the round loop, and score the step. An
+        opponent without an action holds its setpoints."""
         if self.world is None:
             raise RuntimeError("call reset() before step()")
         if self.outcome != OUTCOME_ONGOING:
             raise RuntimeError("episode already terminal")
         world = self.world
-        opponent_moves = ({} if self.opponent_controller is None else
-                          self.opponent_controller(world, self.opponent_ids()))
+        opponent_actions = opponent_actions or {}
         events: list[SimEvent] = []
 
         for aid in sorted(actions):
@@ -274,7 +282,7 @@ class CombatEnv:
                 if launch is not None:
                     events.append(launch)
 
-        for oid, action in opponent_moves.items():
+        for oid, action in opponent_actions.items():
             launch = apply_action(world, oid, action)
             if launch is not None:
                 events.append(launch)
@@ -289,7 +297,8 @@ class CombatEnv:
         self.outcome = classify_outcome(world, self.step_count, self.scenario.horizon)
         rewards = {aid: self._reward(events, aid) for aid in sorted(actions)}
         self.prev_actions = {
-            aid: encode_low_action(act) for aid, act in actions.items()
+            aid: encode_low_action(act)
+            for aid, act in {**actions, **opponent_actions}.items()
         }
         return StepResult(rewards=rewards, outcome=self.outcome, events=events)
 

@@ -16,15 +16,23 @@ against these rules):
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from .config import ScenarioConfig
-from .env import CombatEnv, LowLevelAction, OUTCOME_LOSS, OUTCOME_WIN
+from .env import (
+    CombatEnv,
+    LowLevelAction,
+    OUTCOME_LOSS,
+    OUTCOME_WIN,
+    episode_stream,
+)
 from .observations import closest_opponents
 from .simcore import (
     KILL_EVENTS,
@@ -40,7 +48,7 @@ from .simcore import (
     World,
 )
 from .train.commander import HierarchyEvalActor
-from .train.policies import EpisodeActor, play_episode
+from .train.policies import LOCKSTEP_EPISODES, EpisodeActor, play_episodes
 
 
 @dataclass
@@ -140,18 +148,25 @@ def team_death_flags(world: World, events: list[SimEvent]) -> tuple[bool, bool]:
 
 
 class RandomActor(EpisodeActor):
-    """Uniform random low-level actions (bookkeeping/termination tests)."""
+    """Uniform random low-level actions (bookkeeping/termination tests),
+    drawn from an episode stream spawned from `rng`."""
 
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
+        self.streams = WeakKeyDictionary()  # env -> its episode's stream
 
-    def actions(self, env: CombatEnv) -> dict[int, LowLevelAction]:
-        return {
-            aid: LowLevelAction(
-                h=int(self.rng.integers(-6, 7)), v=int(self.rng.integers(0, 9)),
-                c=int(self.rng.random() < 0.3), r=int(self.rng.random() < 0.1))
-            for aid in env.agent_ids()
-        }
+    def begin_episode(self, env: CombatEnv):
+        self.streams[env] = episode_stream(self.rng)
+
+    def actions(self, envs: list[CombatEnv]) -> list[dict[int, LowLevelAction]]:
+        out = []
+        for env in envs:
+            rng = self.streams[env]
+            out.append({aid: LowLevelAction(
+                h=int(rng.integers(-6, 7)), v=int(rng.integers(0, 9)),
+                c=int(rng.random() < 0.3), r=int(rng.random() < 0.1))
+                for aid in env.agent_ids()})
+        return out
 
 
 class AlwaysFightActor(HierarchyEvalActor):
@@ -159,12 +174,16 @@ class AlwaysFightActor(HierarchyEvalActor):
     to fight its closest opponent; snapshot opponents re-roll there, as in
     the hierarchy."""
 
+    def _command(self, envs):
+        pass  # no commander decides
+
     def _decide(self, env):
-        self.decisions = {aid: {"target_idx": 1,
+        slot = self.slots[env]
+        slot.decisions = {aid: {"target_idx": 1,
                                 "sensed": [o.id for o in closest_opponents(
                                     env.world, env.world.get(aid), 1)]}
                           for aid in env.agent_ids()}
-        self.steps_in_option = 0
+        slot.steps_in_option = 0
 
 
 # --- episode loop -------------------------------------------------------------
@@ -176,43 +195,62 @@ def evaluate(actor, opponent_controller, scenario: ScenarioConfig,
              sim_cfg: SimConfig | None = None) -> EvalReport:
     """Run `episodes` evaluation episodes and aggregate counters.
 
-    `episode_hook(events, outcome, world)` receives each finished episode's
-    full event log (the bookkeeping replayer uses this). A trajectory
-    recorder captures round-level state for the requested episode index.
+    Episodes run `LOCKSTEP_EPISODES` at a time in lockstep, each env with
+    its own copy of `opponent_controller` (the first env, and so a
+    one-episode evaluation, plays on `opponent_controller` itself); since
+    every decision-maker draws from per-episode streams, the report does
+    not depend on how many run at once. `episode_hook(events, outcome,
+    world)` receives each finished episode's full event log, in episode
+    order (the bookkeeping replayer uses this). A trajectory recorder
+    captures round-level state for the requested episode index. Command
+    counts cover this call's episodes only.
     """
     report = EvalReport(seed=seed)
     master = np.random.default_rng(seed)
-    env = CombatEnv(scenario, opponent_controller, reward_kind=("none", None),
-                    sim_cfg=sim_cfg)
-    for episode in range(episodes):
-        env.round_listener = None
-        if (trajectory_recorder is not None
-                and trajectory_recorder.episode_index == episode):
-            trajectory_recorder.begin(env, episode)
-            env.round_listener = trajectory_recorder.on_round
-        events = play_episode(env, actor, int(master.integers(1 << 62)))
-        # the counters read only team and aircraft type, which no episode
-        # changes, so the end-of-episode world serves every event
-        count_events(env.world, events, report)
-        agent_death, opponent_death = team_death_flags(env.world, events)
-        report.episodes += 1
-        report.total_steps += env.step_count
-        if env.outcome == OUTCOME_WIN:
-            report.wins += 1
-        elif env.outcome == OUTCOME_LOSS:
-            report.losses += 1
-        else:
-            report.draws += 1
-        report.escaped_episodes += not agent_death
-        report.kill_episodes += opponent_death
-        report.killed_episodes += agent_death
-        if episode_hook is not None:
-            episode_hook(events, env.outcome, env.world)
-    report.fight_commands = getattr(actor, "fight_commands", 0)
-    report.escape_commands = getattr(actor, "escape_commands", 0)
-    report.opponent_selection = list(getattr(actor, "opponent_selection",
-                                             [0, 0, 0]))
+    envs = [CombatEnv(scenario, opponent_controller if k == 0
+                      else copy.copy(opponent_controller),
+                      reward_kind=("none", None), sim_cfg=sim_cfg)
+            for k in range(max(1, min(LOCKSTEP_EPISODES, episodes)))]
+    counts = _command_counts(actor)
+    for first in range(0, episodes, len(envs)):
+        batch = envs[:episodes - first]
+        for k, env in enumerate(batch):
+            env.round_listener = None
+            if (trajectory_recorder is not None
+                    and trajectory_recorder.episode_index == first + k):
+                trajectory_recorder.begin(env, first + k)
+                env.round_listener = trajectory_recorder.on_round
+        seeds = [int(master.integers(1 << 62)) for _ in batch]
+        for env, events in zip(batch, play_episodes(batch, actor, seeds)):
+            # the counters read only team and aircraft type, which no
+            # episode changes, so the end-of-episode world serves every event
+            count_events(env.world, events, report)
+            agent_death, opponent_death = team_death_flags(env.world, events)
+            report.episodes += 1
+            report.total_steps += env.step_count
+            if env.outcome == OUTCOME_WIN:
+                report.wins += 1
+            elif env.outcome == OUTCOME_LOSS:
+                report.losses += 1
+            else:
+                report.draws += 1
+            report.escaped_episodes += not agent_death
+            report.kill_episodes += opponent_death
+            report.killed_episodes += agent_death
+            if episode_hook is not None:
+                episode_hook(events, env.outcome, env.world)
+    report.fight_commands, report.escape_commands, selection = (
+        now - before for now, before in zip(_command_counts(actor), counts))
+    report.opponent_selection = selection.tolist()
     return report
+
+
+def _command_counts(actor) -> tuple[int, int, np.ndarray]:
+    """An actor's lifetime fight and escape commands and opponent
+    selections (zero for an actor without a commander)."""
+    return (getattr(actor, "fight_commands", 0),
+            getattr(actor, "escape_commands", 0),
+            np.array(getattr(actor, "opponent_selection", [0, 0, 0])))
 
 
 def scenario_sweep(cells: list[dict], actor_factory, opponent_factory,

@@ -118,6 +118,7 @@ def backward_from(outputs: list[Tensor], output_grads: list[np.ndarray]):
     for node in reversed(ordered):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = None  # spent: only leaves keep their gradient
 
 
 def _make(data, parents, backward_fn):

@@ -366,79 +366,146 @@ class PolicyNetwork:
         return total_lp, total_ent
 
 
-def sample_action(logits_per_head: list[np.ndarray], rng: np.random.Generator,
-                  greedy: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def sample_action(logits_per_head: list[np.ndarray], rng, greedy=False
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """Sample one categorical action per row and head from raw logits.
 
     `logits_per_head` holds one [B, arity] array per head. Sampling inverts
-    each row's CDF at `rng.random((B, heads))`: the arithmetic of
+    each row's CDF at uniform draws `u` [B, heads]: the arithmetic of
     `Generator.choice(arity, p=probs)`, so the draws and the generator state
-    equal those of per-head `choice` calls made row by row. Greedy takes the
-    argmax and draws nothing.
+    equal those of per-head `choice` calls made row by row. `rng` is a
+    Generator, which draws `u = rng.random((B, heads))`, or `u` itself (a
+    batched decision draws each owner's rows from the owner's generator).
+    `greedy`, one flag or one per row, takes the argmax; when every row is
+    greedy nothing is drawn.
 
     Returns the samples [B, heads] and the summed log-probabilities [B] of
     the samples.
     """
-    rows = len(logits_per_head[0])
-    # heads padded to the widest with -inf logits: a padded entry has
-    # probability 0, so it adds exact zeros to the normalizing sums, and its
-    # CDF value is 1, above every draw
-    logits = np.full((rows, len(logits_per_head),
-                      max(np.shape(lg)[-1] for lg in logits_per_head)), -np.inf)
-    for j, head in enumerate(logits_per_head):
-        head = np.asarray(head, dtype=np.float64)
+    heads = [np.asarray(head, dtype=np.float64) for head in logits_per_head]
+    for head in heads:
         if not np.isfinite(head).all():
             raise FloatingPointError("non-finite logits in sample_action")
-        logits[:, j, :head.shape[-1]] = head
+    rows = len(heads[0])
+    if len(heads) == 1:
+        logits = heads[0][:, None, :]
+    else:
+        # heads padded to the widest with -inf logits: a padded entry has
+        # probability 0, so it adds exact zeros to the normalizing sums, and
+        # its CDF value is 1, above every draw
+        logits = np.full((rows, len(heads), max(h.shape[-1] for h in heads)),
+                         -np.inf)
+        for j, head in enumerate(heads):
+            logits[:, j, :head.shape[-1]] = head
     probs = np.exp(logits - logits.max(axis=2, keepdims=True))
     probs /= probs.sum(axis=2, keepdims=True)
-    if greedy:
+    greedy = np.broadcast_to(greedy, (rows,))
+    if greedy.all():
         samples = probs.argmax(axis=2)
     else:
-        u = rng.random((rows, len(logits_per_head)))
+        u = (rng.random((rows, len(heads)))
+             if isinstance(rng, np.random.Generator) else rng)
         cdf = probs.cumsum(axis=2)
         cdf /= cdf[:, :, -1:]
         samples = (cdf <= u[:, :, None]).sum(axis=2)  # searchsorted "right"
+        if greedy.any():
+            samples[greedy] = probs[greedy].argmax(axis=2)
     picked = np.log(np.take_along_axis(probs, samples[:, :, None], axis=2)[:, :, 0])
     log_prob = np.zeros(rows)
-    for j in range(len(logits_per_head)):  # heads summed in order
+    for j in range(len(heads)):  # heads summed in order
         log_prob += picked[:, j]
     return samples, log_prob
 
 
-def sample_slots(logits: list[np.ndarray], slots: list[int], width: int,
-                 rng: np.random.Generator, greedy: bool = False):
-    """`sample_action` over the listed agent slots of a one-row joint
-    network whose head list gives each slot `width` consecutive heads;
-    rows follow `slots`."""
-    heads = [np.concatenate([logits[slot * width + j] for slot in slots])
-             for j in range(width)]
-    return sample_action(heads, rng, greedy)
+@dataclass
+class Decision:
+    """One decision-maker's rows in a batched decision (see `decide`).
+
+    Each row is `(policy, instance, observation)`; rows of a recurrent
+    network come with their `hidden` state [rows, H]. `ids` names the
+    aircraft each sampled row acts for. A per-aircraft decision samples
+    each row, so `ids` has one entry per row. A joint network's decision is
+    one row whose heads give agent slot s the `slot_heads` heads from
+    s * slot_heads on; it samples the acting slots that `ids` lists. `rng`
+    is the generator this decision draws from; None decides greedily.
+    `decide` fills in the samples [ids, heads], their summed
+    log-probabilities [ids] and the new hidden state [rows, H]."""
+
+    rows: list
+    ids: list[int]
+    rng: np.random.Generator | None
+    hidden: np.ndarray | None = None
+    slot_heads: int = 0
+    samples: np.ndarray | None = None
+    log_probs: np.ndarray | None = None
+    new_hidden: np.ndarray | None = None
 
 
-def sample_rows(rows: list[tuple[PolicyNetwork, str, np.ndarray]],
-                rng: np.random.Generator, greedy: bool = False
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample one action per `(policy, instance, observation)` row.
-
-    Runs one graph-free forward per distinct (policy, instance) over its
-    rows, then samples every row in one `sample_action` call in the given
-    order, so the generator draws as it would row by row. All rows' heads
-    must have equal arities. Returns samples [B, heads] and summed
-    log-probabilities [B]."""
+def decide(decisions: list[Decision]):
+    """Decide every row of `decisions` at once: one graph-free forward per
+    (policy, instance) over its rows, then one `sample_action` call. Every
+    sampled row must have the same head arities, and either every decision
+    or none carries a hidden state. Each decision's draws come from its own
+    generator, one `random((ids, heads))` call in list order, so a decision
+    draws exactly what it would decided alone."""
+    flat = [row for d in decisions for row in d.rows]
+    if not flat:
+        return
+    first = decisions[0]
+    arities = flat[0][0].config.instance(flat[0][1]).head_arities
+    arities = arities[:first.slot_heads or len(arities)]
+    width = sum(arities)
+    hidden = (None if first.hidden is None
+              else np.concatenate([d.hidden for d in decisions]))
+    new_hidden = None
     groups: dict[tuple[int, str], list[int]] = {}
-    for i, (policy, instance, _) in enumerate(rows):
-        groups.setdefault((id(policy), instance), []).append(i)
-    outputs = []
+    for k, (policy, instance, _) in enumerate(flat):
+        groups.setdefault((id(policy), instance), []).append(k)
+    blocks, place, filled = [], [0] * len(flat), 0
     for idx in groups.values():
-        policy, instance, _ = rows[idx[0]]
-        obs = np.stack([rows[i][2] for i in idx])
-        outputs.append((idx, policy.forward_actor(instance, obs, grad=False).logits))
-    if len(outputs) == 1:  # one group holds every row, in order
-        logits = outputs[0][1]
-    else:
-        logits = [np.empty((len(rows), lg.shape[-1])) for lg in outputs[0][1]]
-        for idx, group_logits in outputs:
-            for head, lg in zip(logits, group_logits):
-                head[idx] = lg
-    return sample_action(logits, rng, greedy)
+        policy, instance, _ = flat[idx[0]]
+        out = policy.forward_actor(
+            instance, np.stack([flat[k][2] for k in idx]),
+            None if hidden is None else hidden[idx], grad=False)
+        block = np.concatenate(out.logits, axis=1)
+        if block.shape[1] % width:
+            raise ValueError("decide needs equal head arities on every "
+                             "sampled row")
+        span = block.shape[1] // width  # sampled rows a forward row holds
+        blocks.append(block.reshape(-1, width))
+        for i, k in enumerate(idx):
+            place[k] = filled + i * span
+        filled += len(idx) * span
+        if out.hidden is not None:
+            if new_hidden is None:
+                new_hidden = np.empty((len(flat), out.hidden.shape[1]),
+                                      dtype=out.hidden.dtype)
+            new_hidden[idx] = out.hidden
+    picks, row = [], 0
+    for d in decisions:
+        if d.slot_heads:
+            picks += [place[row] + slot for slot in d.ids]
+        else:
+            picks += place[row:row + len(d.rows)]
+        row += len(d.rows)
+    table = np.concatenate(blocks)[picks]
+    bounds = np.cumsum((0,) + tuple(arities))
+    u = np.zeros((len(table), len(arities)))
+    greedy = np.zeros(len(table), dtype=bool)
+    start = 0
+    for d in decisions:
+        stop = start + len(d.ids)
+        if d.rng is None:
+            greedy[start:stop] = True
+        else:
+            u[start:stop] = d.rng.random((stop - start, len(arities)))
+        start = stop
+    samples, log_probs = sample_action(
+        [table[:, a:b] for a, b in zip(bounds[:-1], bounds[1:])], u, greedy)
+    start = row = 0
+    for d in decisions:
+        stop = start + len(d.ids)
+        d.samples, d.log_probs = samples[start:stop], log_probs[start:stop]
+        if new_hidden is not None:
+            d.new_hidden = new_hidden[row:row + len(d.rows)]
+        start, row = stop, row + len(d.rows)

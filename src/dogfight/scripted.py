@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ScriptConfig
-from .env import LowLevelAction, SPEED_BINS, heading_delta_to_bin, speed_to_bin
+from .env import (
+    LowLevelAction,
+    SPEED_BINS,
+    episode_stream,
+    heading_delta_to_bin,
+    speed_to_bin,
+)
 from .geometry import ata, bearing_to, clockwise_sign_to, distance, signed_heading_delta
 from .observations import closest_opponents
 from .simcore import AircraftState, World
@@ -103,29 +109,36 @@ def _flee_action(opponent: AircraftState, target: AircraftState) -> LowLevelActi
 
 @dataclass
 class ScriptedController:
-    """Per-environment opponent controller with its own RNG stream and
-    per-aircraft flee bookkeeping."""
+    """Opponent controller with per-aircraft flee bookkeeping. `reset`
+    starts an episode: no one flees, and a new episode stream spawned from
+    `rng` makes the episode's draws (until the first reset, `rng` does)."""
 
     level: str
     rng: np.random.Generator
     script: ScriptConfig = field(default_factory=ScriptConfig)
     flee_state: dict[int, int] = field(default_factory=dict)
+    stream: np.random.Generator | None = None
+
+    def __post_init__(self):
+        if self.stream is None:
+            self.stream = self.rng
 
     def __call__(self, world: World, opponent_ids: list[int]
                  ) -> dict[int, LowLevelAction]:
         """Each listed opponent's action, decided one after another in the
-        listed order on the controller's generator."""
+        listed order on the episode stream."""
         return {oid: self._decide(world, oid) for oid in opponent_ids}
 
     def _decide(self, world: World, opponent_id: int) -> LowLevelAction:
         if self.level == "L1":
             return l1_policy(world, opponent_id)
         if self.level == "L2":
-            return l2_policy(world, opponent_id, self.rng, self.script)
+            return l2_policy(world, opponent_id, self.stream, self.script)
         if self.level == "L3":
-            return l3_policy(world, opponent_id, self.rng, self.script,
+            return l3_policy(world, opponent_id, self.stream, self.script,
                              self.flee_state)[0]
         raise ValueError(f"no scripted behavior for level {self.level!r}")
 
     def reset(self, world: World):
-        self.flee_state.clear()
+        self.flee_state = {}
+        self.stream = episode_stream(self.rng)

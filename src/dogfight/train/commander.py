@@ -16,16 +16,19 @@ The option loop itself, `HierarchyEvalActor`, is the one evaluation runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from ..config import ScenarioConfig
-from ..env import CombatEnv, LowLevelAction
+from ..env import CombatEnv, episode_stream
 from ..nn.networks import (
+    Decision,
     PolicyNetwork,
     commander_config,
     ctce_config,
-    sample_action,
+    decide,
 )
 from ..nn.params import save_checkpoint
 from ..observations import (
@@ -43,12 +46,12 @@ from ..rewards import (
 from ..simcore import SimConfig
 from .buffer import Transition
 from .policies import (
+    LOCKSTEP_EPISODES,
     CTDEDriver,
     EpisodeActor,
     SnapshotController,
-    joint_decision,
+    joint_obs,
     joint_transition,
-    low_level_actions,
 )
 from .ppo import PPOConfig
 from .runs import RunDir
@@ -105,6 +108,10 @@ class HierarchyEvalActor(EpisodeActor):
     assignments at the same boundary. A shared commander ("cmd" instance)
     decides each agent from its own observation and hidden state; a joint
     one ("joint") decides the team from the zero-padded joint observation.
+    The commander decisions of every env at a boundary are made in one
+    `decide` call. Each episode keeps its own state in `slots`: streams
+    spawned from `rng` (commander) and the fight actor's generator
+    (low-level), hidden states, the options being flown and their age.
     Tracks command and opponent-selection statistics."""
 
     def __init__(self, commander: PolicyNetwork, fight: PolicyNetwork,
@@ -121,46 +128,56 @@ class HierarchyEvalActor(EpisodeActor):
         self.fight_commands = 0
         self.escape_commands = 0
         self.opponent_selection = [0, 0, 0]
-        self.decisions: dict[int, dict] = {}  # per living agent at the boundary
-        self.decision = None  # (obs, hidden, samples, log_probs) of the call
-        self.steps_in_option = 0
-        self._hiddens: dict[int, np.ndarray] = {}  # by agent id; -1 if joint
-        self._last_events: list = []
+        self.slots = WeakKeyDictionary()  # env -> its episode's state
 
     def begin_episode(self, env: CombatEnv):
         keys = env.agent_ids() if self.instance == "cmd" else [-1]
-        self._hiddens = {k: self.commander.initial_hidden() for k in keys}
-        self.decisions = {}
-        self.steps_in_option = 0
-        self._last_events = []
+        self.slots[env] = SimpleNamespace(
+            rng=episode_stream(self.rng),
+            low_rng=episode_stream(self.fight_actor.rng),
+            hiddens={k: self.commander.initial_hidden() for k in keys},
+            decision=None,  # the commander's last `Decision`
+            decisions={},  # per living agent at the boundary
+            steps_in_option=0, last_events=[])
+
+    def _command(self, envs: list[CombatEnv]):
+        """The commander's decisions for `envs`, made in one call."""
+        decisions = []
+        for env in envs:
+            slot, world, scenario = self.slots[env], env.world, env.scenario
+
+            def observe(aid):
+                return build_obs_commander(world, aid, scenario,
+                                           senses=self.senses)
+
+            rng = None if self.greedy else slot.rng
+            if self.instance == "cmd":
+                alive = env.agent_ids()
+                slot.decision = Decision(
+                    [(self.commander, "cmd", observe(aid)) for aid in alive],
+                    alive, rng, hidden=np.concatenate(
+                        [slot.hiddens[aid] for aid in alive]))
+            else:
+                obs, alive = joint_obs(
+                    world, scenario.n_agents,
+                    OBS_LAYOUTS[f"commander-n{self.senses}"], observe)
+                slot.decision = Decision([(self.commander, "joint", obs)],
+                                         alive, rng, hidden=slot.hiddens[-1],
+                                         slot_heads=1)
+            decisions.append(slot.decision)
+        decide(decisions)
+        for env, d in zip(envs, decisions):
+            if d.new_hidden is not None:  # gru; sa and fc keep none
+                keys = d.ids if self.instance == "cmd" else [-1]
+                for i, key in enumerate(keys):
+                    self.slots[env].hiddens[key] = d.new_hidden[i:i + 1]
 
     def _decide(self, env: CombatEnv):
-        world, scenario = env.world, env.scenario
-
-        def observe(aid):
-            return build_obs_commander(world, aid, scenario, senses=self.senses)
-
-        if self.instance == "cmd":
-            alive = env.agent_ids()
-            obs = np.stack([observe(aid) for aid in alive])
-            hidden = np.concatenate([self._hiddens[aid] for aid in alive])
-            out = self.commander.forward_actor("cmd", obs, hidden, grad=False)
-            samples, log_probs = sample_action(out.logits, self.rng,
-                                               greedy=self.greedy)
-            if out.hidden is not None:  # gru; sa and fc keep none
-                for i, aid in enumerate(alive):
-                    self._hiddens[aid] = out.hidden[i:i + 1]
-        else:
-            hidden = self._hiddens[-1]
-            obs, alive, samples, log_probs, new_hidden = joint_decision(
-                self.commander, world, scenario.n_agents,
-                OBS_LAYOUTS[f"commander-n{self.senses}"], observe, 1, self.rng,
-                self.greedy, hidden)
-            if new_hidden is not None:
-                self._hiddens[-1] = new_hidden
-        self.decision = (obs, hidden, samples, log_probs)
-        self.decisions = {}
-        for aid, a_c in zip(alive, samples[:, 0].tolist()):
+        """The options of `env`'s agents from the commander's decision."""
+        slot, world = self.slots[env], env.world
+        slot.decisions = {}
+        for aid, a_c in zip(slot.decision.ids,
+                            slot.decision.samples[:, 0].tolist()):
             sensed = [o.id for o in closest_opponents(world, world.get(aid),
                                                       self.senses)]
             # noOpt: attacking always means the closest opponent
@@ -170,45 +187,61 @@ class HierarchyEvalActor(EpisodeActor):
             else:
                 self.fight_commands += 1
                 self.opponent_selection[min(target_idx, 3) - 1] += 1
-            self.decisions[aid] = {"a_c": a_c, "target_idx": target_idx,
+            slot.decisions[aid] = {"a_c": a_c, "target_idx": target_idx,
                                    "sensed": sensed}
-        self.steps_in_option = 0
+        slot.steps_in_option = 0
 
-    def actions(self, env: CombatEnv) -> dict[int, LowLevelAction]:
-        """Decide at an option boundary, re-rolling snapshot opponents there
-        too, then fly every living agent's option: escape, or fight its
-        chosen sensed opponent (no target once it is gone), setting that
-        rocket target on `env`. Fight and escape rows are sampled together
-        on the low-level actors' generator."""
-        if not self.decisions or option_terminated(
-                env.world, self.steps_in_option, self._last_events, env.scenario):
+    def actions(self, envs: list[CombatEnv]) -> list[Decision]:
+        """Decide at each env's option boundary, re-rolling snapshot
+        opponents there too, then fly every living agent's option: escape,
+        or fight its chosen sensed opponent (no target once it is gone),
+        setting that rocket target on the env. An env's fight and escape
+        rows make one decision on its low-level stream."""
+        due = []
+        for env in envs:
+            slot = self.slots[env]
+            if not slot.decisions or option_terminated(
+                    env.world, slot.steps_in_option, slot.last_events,
+                    env.scenario):
+                due.append(env)
+        if due:
+            self._command(due)
+        for env in due:
             self._decide(env)
             if isinstance(env.opponent_controller, SnapshotController):
                 env.opponent_controller.reassign(env.world)
-        world = env.world
-        rows = {}
-        for aid in env.agent_ids():
-            target_idx = self.decisions[aid]["target_idx"]
-            sensed = self.decisions[aid]["sensed"]
-            target = None
-            if (0 < target_idx <= len(sensed)
-                    and world.get(sensed[target_idx - 1]).alive):
-                target = sensed[target_idx - 1]
-            env.set_attack_target(aid, target)
-            actor = self.escape_actor if target_idx == 0 else self.fight_actor
-            rows[aid] = actor.row(env, aid)
-        return low_level_actions(rows, self.fight_actor.rng, self.greedy)
+        flown = []
+        for env in envs:
+            slot, world = self.slots[env], env.world
+            ids = env.agent_ids()
+            rows = []
+            for aid in ids:
+                target_idx = slot.decisions[aid]["target_idx"]
+                sensed = slot.decisions[aid]["sensed"]
+                target = None
+                if (0 < target_idx <= len(sensed)
+                        and world.get(sensed[target_idx - 1]).alive):
+                    target = sensed[target_idx - 1]
+                env.set_attack_target(aid, target)
+                actor = self.escape_actor if target_idx == 0 else self.fight_actor
+                rows.append(actor.row(env, aid))
+            flown.append(Decision(rows, ids,
+                                  None if self.greedy else slot.low_rng))
+        return flown
 
     def observe_step(self, env: CombatEnv, result):
-        self.steps_in_option += 1
-        self._last_events = result.events
+        slot = self.slots[env]
+        slot.steps_in_option += 1
+        slot.last_events = result.events
 
 
 class CommanderTrainer(TrainerCore):
     """Commander PPO: runs episodes through a `HierarchyEvalActor` and adds
     what training needs at each option boundary: the critic value, the
     assessment reward, the previous commands in the critic input, and one
-    transition per decision (per agent, or one for a joint commander)."""
+    transition per decision (per agent, or one for a joint commander).
+    Each `run_episode` plays `LOCKSTEP_EPISODES` episodes in lockstep, one
+    per env, each env with its own snapshot opponents."""
 
     SEED_LABEL = "commander"
     STREAMS = ("episode", "action", "lowlevel", "opponent", "update")
@@ -233,11 +266,12 @@ class CommanderTrainer(TrainerCore):
         self.actor.rng = self.action_rng  # commander draws on their own stream
         self.fight_actor = self.actor.fight_actor
         self.escape_actor = self.actor.escape_actor
-        opponents = SnapshotController(
-            fight=fight, escape=escape, rng=self.opponent_rng,
-            fight_prob=scenario.opponent_fight_prob, scenario=scenario)
-        self.env = CombatEnv(scenario, opponents, reward_kind=("none", None),
-                             sim_cfg=sim_cfg)
+        self.envs = [CombatEnv(scenario, SnapshotController(
+                         fight=fight, escape=escape, rng=self.opponent_rng,
+                         fight_prob=scenario.opponent_fight_prob,
+                         scenario=scenario),
+                         reward_kind=("none", None), sim_cfg=sim_cfg)
+                     for _ in range(LOCKSTEP_EPISODES)]
         # frozen-opponent guarantee: record the checksums we must not disturb
         self.frozen_checksums = {
             "fight": fight.store.checksum(),
@@ -245,18 +279,20 @@ class CommanderTrainer(TrainerCore):
         }
 
     def run_episode(self) -> dict:
+        """`LOCKSTEP_EPISODES` training episodes, in lockstep."""
         commands = (self.actor.fight_commands, self.actor.escape_commands)
-        info = self._play(self.env)
-        return {**info, "fight_cmds": self.actor.fight_commands - commands[0],
+        self._play(self.envs)
+        return {"fight_cmds": self.actor.fight_commands - commands[0],
                 "escape_cmds": self.actor.escape_commands - commands[1]}
 
+    def begin_episode(self, env: CombatEnv):
+        super().begin_episode(env)
+        self._open[env].prev_cmd = {}  # no commands yet
+
     def _decide(self, env: CombatEnv):
-        if env.step_count == 0:  # a new episode: no commands yet
-            self._prev_cmd: dict[int, list[float]] = {}
-        actions = self.actor.actions(env)
-        if self.actor.steps_in_option:  # an earlier decision still flies
-            return actions, None
-        return actions, self._decision_transitions()
+        if self.actor.slots[env].steps_in_option:  # an earlier decision flies
+            return None
+        return self._decision_transitions(env)
 
     def _option_reward(self, world, step_results, agent_id):
         """The combat outcome terms over the option's events."""
@@ -264,35 +300,38 @@ class CommanderTrainer(TrainerCore):
             world, [e for result in step_results for e in result.events],
             agent_id)
 
-    def _decision_transitions(self) -> list[Transition]:
-        """Transitions of the decision the actor just made, carrying the
-        assessment reward so far; records the commands in `_prev_cmd`."""
-        world, scenario, variant = self.env.world, self.scenario, self.variant
-        prev_cmd = self._prev_cmd
-        obs, hidden, samples, log_probs = self.actor.decision
-        decisions = self.actor.decisions
+    def _decision_transitions(self, env: CombatEnv) -> list[Transition]:
+        """Transitions of the decision the actor just made on `env`,
+        carrying the assessment reward so far; records the commands in the
+        episode's previous commands."""
+        world, scenario, variant = env.world, self.scenario, self.variant
+        episode = self._open[env]
+        prev_cmd = episode.prev_cmd
+        slot = self.actor.slots[env]
+        d, decisions = slot.decision, slot.decisions
         critic_in = build_critic_input("commander", world, scenario, prev_cmd)
         value = self.policy.forward_critic(self.actor.instance, critic_in,
                                            grad=False).item()
         assess = {aid: assess_commander_action(
-                      world, aid, d["target_idx"], d["sensed"], scenario)
+                      world, aid, c["target_idx"], c["sensed"], scenario)
                   if variant.assess else 0.0
-                  for aid, d in decisions.items()}
-        for aid, d in decisions.items():
-            prev_cmd[aid] = [d["a_c"] / max(1, variant.n_options - 1)]
-        for oid, mode in self.env.opponent_controller.assignments.items():
+                  for aid, c in decisions.items()}
+        for aid, c in decisions.items():
+            prev_cmd[aid] = [c["a_c"] / max(1, variant.n_options - 1)]
+        for oid, mode in env.opponent_controller.assignments.items():
             prev_cmd[oid] = [1.0 if mode == "fight" else 0.0]
         if self.actor.instance == "cmd":
             return [Transition(
-                instance="cmd", agent_id=aid, episode=self.episodes,
-                obs=obs[i], action=np.array([d["a_c"]]),
-                log_prob=float(log_probs[i]), value=value, reward=assess[aid],
-                done=False, critic_input=critic_in, hidden=hidden[i:i + 1])
-                for i, (aid, d) in enumerate(decisions.items())]
+                instance="cmd", agent_id=aid, episode=episode.index,
+                obs=d.rows[i][2], action=np.array([c["a_c"]]),
+                log_prob=float(d.log_probs[i]), value=value, reward=assess[aid],
+                done=False, critic_input=critic_in, hidden=d.hidden[i:i + 1])
+                for i, (aid, c) in enumerate(decisions.items())]
         return [joint_transition(
-            scenario.n_agents, list(decisions), samples, log_probs,
-            episode=self.episodes, obs=obs, value=value,
-            reward=sum(assess.values()), critic_input=critic_in, hidden=hidden)]
+            scenario.n_agents, d.ids, d.samples, d.log_probs,
+            episode=episode.index, obs=d.rows[0][2], value=value,
+            reward=sum(assess.values()), critic_input=critic_in,
+            hidden=d.hidden)]
 
     def train(self, env_steps: int):
         """Trains for `env_steps` more env steps; the frozen low-level

@@ -7,37 +7,42 @@ one network whose per-type instances all same-type agents share (CTDE), or
 a dict of networks by agent id (DTDE). A shared network's critic judges the
 global critic input, which is the same for all of its agents; an agent's own
 network judges a local one, its observation and previous action. Jointly:
-`joint_decision` runs one network over the team's zero-padded joint
-observation and samples every living slot's heads, and `joint_transition`
+one network reads the team's zero-padded joint observation (`joint_obs`)
+and every living slot samples its own heads, and `joint_transition`
 records that decision as one transition. `CTCEDriver` flies the low-level
 team that way, and the Glob commander decides that way.
 
-Decisions are graph-free and batched: each env step runs one actor forward
-per (network, instance) over the agents it drives and samples all agents
-in one call, in agent-id order, so the action generator draws exactly what
-one-agent-at-a-time sampling would. Each driver's `actions(env)` decides
-and keeps the decision; `act(env, episode)`, which training uses, turns
-that decision into reward-less transitions.
+Every episode, in training and in evaluation, runs through `play_episodes`,
+which steps E envs in lockstep (E = 1 plays a single episode). At each
+lockstep step every network-driven aircraft of both teams in every
+unfinished env is decided in one `decide` call: one graph-free forward per
+(network, instance) and one sampling call. A driver's `actions(envs)`
+returns each env's `Decision` and keeps it; `act(env, episode)`, which
+training uses, turns the decided one into reward-less transitions.
 
-Every episode, in training and in evaluation, runs through `play_episode`,
-which steps an `EpisodeActor`.
+Random streams: each decision-maker spawns an episode stream from its own
+generator when an episode begins (`episode_stream`), and every draw within
+the episode comes from that stream. Episodes begin in episode-index order
+whatever E is, so the outcome of each episode does not depend on E.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from ..config import ScenarioConfig
-from ..env import CombatEnv, LowLevelAction
+from ..env import CombatEnv, LowLevelAction, episode_stream
 from ..nn.networks import (
+    Decision,
     PolicyNetwork,
     ctce_config,
+    decide,
     escape_config,
     fight_config,
-    sample_rows,
-    sample_slots,
 )
 from ..observations import (
     FIGHT_HEADS,
@@ -51,6 +56,9 @@ from ..simcore import TEAM_OPPONENT, World
 from .buffer import Transition
 
 LOW_ACTION_HEADS = len(FIGHT_HEADS)
+# episodes a commander training collect or an `evaluate` batch plays in
+# lockstep
+LOCKSTEP_EPISODES = 8
 
 
 def instance_for(world: World, aircraft_id: int) -> str:
@@ -92,44 +100,25 @@ def make_low_level_policy(kind: str, framework: str, scenario: ScenarioConfig,
     raise ValueError(f"unknown framework {framework!r}")
 
 
-def low_level_actions(rows: dict[int, tuple[PolicyNetwork, str, np.ndarray]],
-                      rng: np.random.Generator, greedy: bool = False
-                      ) -> dict[int, LowLevelAction]:
-    """One action per aircraft id from its `(policy, instance, obs)` row,
-    sampled in the dict's order (see `sample_rows`)."""
-    if not rows:
-        return {}
-    samples, _ = sample_rows(list(rows.values()), rng, greedy)
-    return {aid: LowLevelAction.from_heads(s) for aid, s in zip(rows, samples)}
-
-
-def joint_decision(policy: PolicyNetwork, world: World, n_agents: int,
-                   width: int, observe, heads: int, rng: np.random.Generator,
-                   greedy: bool = False, hidden: np.ndarray | None = None):
-    """One decision of a joint network for the whole team.
-
-    The joint observation holds agent slots 0..n_agents-1, each slot
-    `observe(agent_id)` zero-padded to `width`, a destroyed agent's slot all
-    zeros. Each living slot samples its `heads` consecutive heads. Returns
-    the joint observation, the living slots, their samples [slots, heads]
-    and summed log-probabilities, and the network's new hidden state (None
-    unless it is recurrent)."""
+def joint_obs(world: World, n_agents: int, width: int, observe
+              ) -> tuple[np.ndarray, list[int]]:
+    """A joint network's observation of the team and its living slots.
+    Agent slots 0..n_agents-1 each hold `observe(agent_id)` zero-padded to
+    `width`; a destroyed agent's slot is all zeros."""
     obs = np.zeros(n_agents * width)
     alive = [aid for aid in range(n_agents) if world.get(aid).alive]
     for aid in alive:
         vec = observe(aid)
         obs[aid * width: aid * width + len(vec)] = vec
-    out = policy.forward_actor("joint", obs, hidden, grad=False)
-    samples, log_probs = sample_slots(out.logits, alive, heads, rng, greedy)
-    return obs, alive, samples, log_probs, out.hidden
+    return obs, alive
 
 
 def joint_transition(n_agents: int, alive: list[int], samples: np.ndarray,
                      log_probs: np.ndarray, **fields) -> Transition:
-    """The transition of a joint decision (see `joint_decision`): the
-    living slots' heads in the team's action vector, the mask of the heads
-    that acted, and the summed log-probability; `fields` give the rest
-    (episode, obs, value, reward, critic_input, hidden)."""
+    """The transition of a joint decision: the living slots' heads in the
+    team's action vector, the mask of the heads that acted, and the summed
+    log-probability; `fields` give the rest (episode, obs, value, reward,
+    critic_input, hidden)."""
     width = samples.shape[1]
     action = np.zeros(n_agents * width, dtype=int)
     mask = np.zeros(n_agents * width)
@@ -143,30 +132,62 @@ def joint_transition(n_agents: int, alive: list[int], samples: np.ndarray,
 
 
 class EpisodeActor:
-    """What `play_episode` drives: `actions(env)` once per env step, plus
-    hooks at the start of an episode and after each step, empty here."""
+    """What `play_episodes` drives: `actions(envs)` once per lockstep step,
+    giving each env's `Decision` for its agents (or their actions, when no
+    network decides them); `decided(env)` once the step's decisions are
+    made, before the env steps; and hooks at the start of an episode and
+    after each step. The hooks are empty here."""
 
     def begin_episode(self, env: CombatEnv):
+        pass
+
+    def decided(self, env: CombatEnv):
         pass
 
     def observe_step(self, env: CombatEnv, result):
         pass
 
 
-def play_episode(env: CombatEnv, actor: EpisodeActor, seed: int) -> list:
-    """The one episode loop: resets `env` from `seed`, starts `actor` on
-    it, then steps it on `actor.actions` until the episode ends, passing
-    each step's result to `actor.observe_step`. Returns the episode's
-    events in order."""
-    env.reset(seed=seed)
-    actor.begin_episode(env)
-    events = []
-    while True:
-        result = env.step(actor.actions(env))
-        actor.observe_step(env, result)
-        events += result.events
-        if result.terminal:
-            return events
+def low_level_actions(decided) -> dict[int, LowLevelAction]:
+    """The actions of a decided `Decision`, by aircraft id, or `decided`
+    itself when it already holds actions."""
+    if not isinstance(decided, Decision):
+        return decided
+    return {aid: LowLevelAction.from_heads(s)
+            for aid, s in zip(decided.ids, decided.samples)}
+
+
+def play_episodes(envs: list[CombatEnv], actor: EpisodeActor,
+                  seeds: list[int]) -> list[list]:
+    """The one episode loop, over `envs` in lockstep. Resets env k from
+    `seeds[k]` and starts `actor` on it, in index order. Then, while an
+    episode runs, every unfinished env takes one step: `actor` gives its
+    agents' decisions and each env's opponent controller those of its
+    living opponents, all decided in one `decide` call before any action is
+    applied; then each env steps on both teams' actions and `actor`
+    observes the result. Returns each episode's events in order."""
+    for env, seed in zip(envs, seeds):
+        env.reset(seed=seed)
+        actor.begin_episode(env)
+    events = [[] for _ in envs]
+    live = list(range(len(envs)))
+    while live:
+        stepping = [envs[k] for k in live]
+        agents = actor.actions(stepping)
+        opponents = [{} if env.opponent_controller is None else
+                     env.opponent_controller(env.world, env.opponent_ids())
+                     for env in stepping]
+        decide([d for d in agents + opponents if isinstance(d, Decision)])
+        still = []
+        for k, env, own, theirs in zip(live, stepping, agents, opponents):
+            actor.decided(env)
+            result = env.step(low_level_actions(own), low_level_actions(theirs))
+            actor.observe_step(env, result)
+            events[k] += result.events
+            if not result.terminal:
+                still.append(k)
+        live = still
+    return events
 
 
 @dataclass
@@ -176,7 +197,9 @@ class SnapshotController:
     Each opponent carries a fight-or-escape assignment; `reassign` rerolls it
     with the configured fight probability. The option loop
     (`HierarchyEvalActor`) rerolls the env's snapshot controller at each
-    option boundary; elsewhere opponents keep the default, fight."""
+    option boundary; elsewhere opponents keep the default, fight. `reset`
+    starts an episode: no assignments, and a new episode stream from `rng`
+    for the rerolls and samples."""
 
     fight: PolicyNetwork | None
     escape: PolicyNetwork | None = None
@@ -185,27 +208,33 @@ class SnapshotController:
     greedy: bool = False
     scenario: ScenarioConfig | None = None
     assignments: dict[int, str] = field(default_factory=dict)
+    stream: np.random.Generator | None = None  # `rng` until the first reset
+
+    def __post_init__(self):
+        if self.stream is None:
+            self.stream = self.rng
 
     def reset(self, world: World):
-        self.assignments.clear()
+        self.assignments = {}
+        self.stream = episode_stream(self.rng)
 
     def reassign(self, world: World):
         for opp in world.alive(TEAM_OPPONENT):
-            fight = self.rng.random() < self.fight_prob
+            fight = self.stream.random() < self.fight_prob
             self.assignments[opp.id] = "fight" if fight and self.fight else "escape"
 
-    def __call__(self, world: World, opponent_ids: list[int]
-                 ) -> dict[int, LowLevelAction]:
-        """Actions of the given opponents, decided together."""
-        rows = {}
+    def __call__(self, world: World, opponent_ids: list[int]) -> Decision:
+        """The decision of the given opponents, made together."""
+        rows = []
         for oid in opponent_ids:
             mode = self.assignments.get(oid, "fight" if self.fight else "escape")
             policy = self.fight if mode == "fight" else self.escape
             if policy is None:
                 raise RuntimeError(f"no {mode} checkpoint loaded for opponents")
-            rows[oid] = (policy, instance_for(world, oid),
-                         build_obs(mode, world, oid, self.scenario))
-        return low_level_actions(rows, self.rng, self.greedy)
+            rows.append((policy, instance_for(world, oid),
+                         build_obs(mode, world, oid, self.scenario)))
+        return Decision(rows, list(opponent_ids),
+                        None if self.greedy else self.stream)
 
 
 class CTDEDriver(EpisodeActor):
@@ -219,6 +248,7 @@ class CTDEDriver(EpisodeActor):
         self.kind = kind  # fight | escape
         self.rng = rng
         self.greedy = greedy
+        self.slots = WeakKeyDictionary()  # env -> its episode's stream, decision
 
     def network(self, agent_id: int) -> PolicyNetwork:
         """The network that decides for `agent_id`."""
@@ -228,57 +258,60 @@ class CTDEDriver(EpisodeActor):
 
     def row(self, env: CombatEnv, agent_id: int
             ) -> tuple[PolicyNetwork, str, np.ndarray]:
-        """The decision row of one living agent (see `low_level_actions`)."""
+        """The decision row of one living agent (see `Decision`)."""
         return (self.network(agent_id), instance_for(env.world, agent_id),
                 env.observe(agent_id, self.kind))
 
-    def actions(self, env: CombatEnv) -> dict[int, LowLevelAction]:
-        """One action per living agent; keeps the decision, its rows,
-        samples and log-probabilities, for `act`."""
-        rows = {aid: self.row(env, aid) for aid in env.agent_ids()}
-        samples, log_probs = sample_rows(list(rows.values()), self.rng,
-                                         self.greedy)
-        self.decision = (rows, samples, log_probs)
-        return {aid: LowLevelAction.from_heads(s)
-                for aid, s in zip(rows, samples)}
+    def begin_episode(self, env: CombatEnv):
+        self.slots[env] = SimpleNamespace(rng=episode_stream(self.rng),
+                                          decision=None)
 
-    def act(self, env: CombatEnv, episode: int
-            ) -> tuple[dict[int, LowLevelAction], list[Transition]]:
-        """`actions`, plus one reward-less transition per agent carrying its
-        critic input and value."""
-        actions = self.actions(env)
-        rows, samples, log_probs = self.decision
-        critic_inputs, values = self._critic(env, rows)
-        return actions, [Transition(
+    def actions(self, envs: list[CombatEnv]) -> list[Decision]:
+        """One row per living agent of each env, kept for `act`."""
+        decisions = []
+        for env in envs:
+            slot = self.slots[env]
+            ids = env.agent_ids()
+            slot.decision = Decision([self.row(env, aid) for aid in ids], ids,
+                                     None if self.greedy else slot.rng)
+            decisions.append(slot.decision)
+        return decisions
+
+    def act(self, env: CombatEnv, episode: int) -> list[Transition]:
+        """One reward-less transition per agent of `env`'s decided step,
+        carrying its critic input and value."""
+        d = self.slots[env].decision
+        critic_inputs, values = self._critic(env, d)
+        return [Transition(
             instance=instance, agent_id=aid, episode=episode, obs=obs,
             action=action, log_prob=float(log_prob), value=values[aid],
             reward=0.0, done=False, critic_input=critic_inputs[aid])
-            for (aid, (_, instance, obs)), action, log_prob in zip(
-                rows.items(), samples, log_probs)]
+            for aid, (_, instance, obs), action, log_prob in zip(
+                d.ids, d.rows, d.samples, d.log_probs)]
 
-    def _critic(self, env: CombatEnv, rows: dict) -> tuple[dict, dict]:
+    def _critic(self, env: CombatEnv, d: Decision) -> tuple[dict, dict]:
         """Critic input and value by agent id. An agent's own network sees
         its observation and previous action; a shared network sees the
         global critic input, so one value per instance serves its agents."""
         if isinstance(self.policy, dict):
             inputs = {aid: np.concatenate([
                           obs, env.prev_actions.get(aid, [0.0] * LOW_ACTION_WIDTH)])
-                      for aid, (_, _, obs) in rows.items()}
+                      for aid, (_, _, obs) in zip(d.ids, d.rows)}
             return inputs, {aid: policy.forward_critic(instance, inputs[aid],
                                                        grad=False).item()
-                            for aid, (policy, instance, _) in rows.items()}
+                            for aid, (policy, instance, _) in zip(d.ids, d.rows)}
         critic_in = build_critic_input(self.kind, env.world, env.scenario,
                                        env.prev_actions)
         per_instance = {
             instance: self.policy.forward_critic(instance, critic_in,
                                                  grad=False).item()
-            for instance in dict.fromkeys(row[1] for row in rows.values())}
-        return (dict.fromkeys(rows, critic_in),
-                {aid: per_instance[row[1]] for aid, row in rows.items()})
+            for instance in dict.fromkeys(row[1] for row in d.rows)}
+        return (dict.fromkeys(d.ids, critic_in),
+                {aid: per_instance[row[1]] for aid, row in zip(d.ids, d.rows)})
 
 
 class CTCEDriver(EpisodeActor):
-    """One joint network flies the whole team (see `joint_decision`); a
+    """One joint network flies the whole team (see `joint_obs`); a
     training step records a single transition for the team."""
 
     def __init__(self, policy: PolicyNetwork, kind: str,
@@ -288,25 +321,33 @@ class CTCEDriver(EpisodeActor):
         self.rng = rng
         self.greedy = greedy
         self.slot_obs = OBS_LAYOUTS["escape-AC1" if kind == "escape" else "fight-AC1"]
+        self.slots = WeakKeyDictionary()  # env -> its episode's stream, decision
 
-    def actions(self, env: CombatEnv) -> dict[int, LowLevelAction]:
-        """One action per living slot; keeps the joint decision for `act`."""
-        self.decision = joint_decision(
-            self.policy, env.world, env.scenario.n_agents, self.slot_obs,
-            lambda aid: env.observe(aid, self.kind), LOW_ACTION_HEADS,
-            self.rng, self.greedy)
-        _, alive, samples, _, _ = self.decision
-        return {slot: LowLevelAction.from_heads(picked)
-                for slot, picked in zip(alive, samples)}
+    def begin_episode(self, env: CombatEnv):
+        self.slots[env] = SimpleNamespace(rng=episode_stream(self.rng),
+                                          decision=None)
 
-    def act(self, env: CombatEnv, episode: int
-            ) -> tuple[dict[int, LowLevelAction], list[Transition]]:
-        """`actions`, plus the team's one reward-less transition."""
-        actions = self.actions(env)
-        obs, alive, samples, log_probs, _ = self.decision
+    def actions(self, envs: list[CombatEnv]) -> list[Decision]:
+        """Each env's joint decision of its living slots, kept for `act`."""
+        decisions = []
+        for env in envs:
+            slot = self.slots[env]
+            obs, alive = joint_obs(env.world, env.scenario.n_agents,
+                                   self.slot_obs,
+                                   lambda aid: env.observe(aid, self.kind))
+            slot.decision = Decision([(self.policy, "joint", obs)], alive,
+                                     None if self.greedy else slot.rng,
+                                     slot_heads=LOW_ACTION_HEADS)
+            decisions.append(slot.decision)
+        return decisions
+
+    def act(self, env: CombatEnv, episode: int) -> list[Transition]:
+        """The team's one reward-less transition of `env`'s decided step."""
+        d = self.slots[env].decision
         critic_in = build_critic_input(self.kind, env.world, env.scenario,
                                        env.prev_actions)
         value = self.policy.forward_critic("joint", critic_in, grad=False).item()
-        return actions, [joint_transition(
-            env.scenario.n_agents, alive, samples, log_probs, episode=episode,
-            obs=obs, value=value, reward=0.0, critic_input=critic_in)]
+        return [joint_transition(
+            env.scenario.n_agents, d.ids, d.samples, d.log_probs,
+            episode=episode, obs=d.rows[0][2], value=value, reward=0.0,
+            critic_input=critic_in)]

@@ -162,5 +162,7 @@ def ppo_update(policy: PolicyNetwork, buffer: RolloutBuffer, config: PPOConfig,
                 grad_norm=grad_norm,
                 minibatches=1,
             ))
+            # free this minibatch's graph before the next one is built
+            del total, loss, losses
     stats.mean_ratio_first_epoch = float(np.mean(first_epoch_ratios)) if first_epoch_ratios else 1.0
     return stats

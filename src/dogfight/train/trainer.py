@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from ..nn.networks import PolicyNetwork
 from ..nn.params import load_checkpoint, save_arrays, save_checkpoint
 from ..scripted import ScriptedController
 from ..simcore import SimConfig, World
-from .buffer import RolloutBuffer, Transition
+from .buffer import RolloutBuffer
 from .league import LOW_LEVELS, LeagueArchive
 from .policies import (
     CTCEDriver,
@@ -30,7 +31,7 @@ from .policies import (
     EpisodeActor,
     SnapshotController,
     make_low_level_policy,
-    play_episode,
+    play_episodes,
 )
 from .ppo import PPOConfig, UpdateStats, ppo_update
 from .runs import RunDir
@@ -82,13 +83,16 @@ class TrainerCore(EpisodeActor):
     by key: the agent id under DTDE, else 0; a network is updated on the
     transitions of its key, the rest go to network 0) and sets `actor`.
 
-    `play_episode` drives the core, which forwards the hooks to `actor` and
-    records. A trainer's `_decide(env)` gives the step's actions and the
-    transitions of a decision taken at the step, or None; its
-    `_option_reward(world, step_results, agent_id)` gives an acting agent's
-    reward over the steps a decision flew. Each decision is an option that
-    closes at the next decision or at the end of the episode; a low-level
-    decision is a one-step option."""
+    `play_episodes` drives the core, which forwards the hooks to `actor` and
+    records each episode of the lockstep batch apart: its own episode
+    index, open option and return. Once the step's decisions are made, a
+    trainer's `_decide(env)` gives the transitions of a decision taken at
+    the step, or None; its `_option_reward(world, step_results, agent_id)`
+    gives an acting agent's reward over the steps a decision flew. Each
+    decision is an option that closes at the next decision or at the end of
+    the episode; a low-level decision is a one-step option. Finished
+    episodes reach the buffer, the counters and the episode window in
+    episode-index order."""
 
     SEED_LABEL: str
     STREAMS: tuple[str, ...]
@@ -121,52 +125,64 @@ class TrainerCore(EpisodeActor):
 
     # -- the transition recorder ---------------------------------------------
 
-    def _play(self, env: CombatEnv) -> dict:
-        """One training episode on `env`, from the next episode seed."""
-        play_episode(env, self, int(self.episode_rng.integers(1 << 62)))
-        return {"outcome": env.outcome, "length": env.step_count}
-
-    def begin_episode(self, env: CombatEnv):
-        self.actor.begin_episode(env)
-        self._option: list[Transition] = []  # the decision being flown
-        self._steps: list[StepResult] = []  # the steps it has flown
-        self._return = 0.0
-
-    def actions(self, env: CombatEnv):
-        actions, transitions = self._decide(env)
-        if transitions is not None:
-            self._close(env.world, terminal=False)
-            self._option = transitions
-        return actions
-
-    def observe_step(self, env: CombatEnv, result: StepResult):
-        self.actor.observe_step(env, result)
-        self._steps.append(result)
-        if result.terminal:
-            self._close(env.world, terminal=True)
+    def _play(self, envs: list[CombatEnv]):
+        """One training episode on each of `envs`, in lockstep, from the
+        next episode seeds."""
+        self._open = {}  # env -> its episode's record, in episode-index order
+        play_episodes(envs, self, [int(self.episode_rng.integers(1 << 62))
+                                   for _ in envs])
+        for env, slot in self._open.items():
+            for t in slot.closed:
+                self.buffer.add(t)
             self.env_steps += env.step_count
             self.episodes += 1
-            self._returns.append(self._return / max(1, self.scenario.n_agents))
+            self._returns.append(slot.ret / max(1, self.scenario.n_agents))
             self._lengths.append(env.step_count)
             self._wins.append(env.outcome == OUTCOME_WIN)
 
-    def _close(self, world: World, terminal: bool):
-        """Buffers the decision being flown, in decision order, with each
-        transition's reward over the option, its duration and `done`: the
-        episode ended or, for one agent's transition, the agent is gone. A
-        joint transition's agents are the slots whose heads acted."""
-        for t in self._option:
+    def begin_episode(self, env: CombatEnv):
+        self.actor.begin_episode(env)
+        self._open[env] = SimpleNamespace(
+            index=self.episodes + len(self._open),
+            option=[],  # the decision being flown
+            steps=[],  # the steps it has flown
+            closed=[],  # transitions of the options flown
+            ret=0.0)
+
+    def actions(self, envs: list[CombatEnv]):
+        return self.actor.actions(envs)
+
+    def decided(self, env: CombatEnv):
+        transitions = self._decide(env)
+        if transitions is not None:
+            slot = self._open[env]
+            self._close(slot, env.world, terminal=False)
+            slot.option = transitions
+
+    def observe_step(self, env: CombatEnv, result: StepResult):
+        self.actor.observe_step(env, result)
+        slot = self._open[env]
+        slot.steps.append(result)
+        if result.terminal:
+            self._close(slot, env.world, terminal=True)
+
+    def _close(self, slot, world: World, terminal: bool):
+        """Closes the decision an episode is flying, in decision order, with
+        each transition's reward over the option, its duration and `done`:
+        the episode ended or, for one agent's transition, the agent is gone.
+        A joint transition's agents are the slots whose heads acted."""
+        for t in slot.option:
             joint = t.head_mask is not None
             agents = (np.flatnonzero(t.head_mask.reshape(
                           self.scenario.n_agents, -1).any(axis=1)).tolist()
                       if joint else [t.agent_id])
-            t.reward += sum(self._option_reward(world, self._steps, aid)
+            t.reward += sum(self._option_reward(world, slot.steps, aid)
                             for aid in agents)
             t.done = terminal or (not joint and not world.get(t.agent_id).alive)
-            t.duration = len(self._steps)
-            self._return += t.reward
-            self.buffer.add(t)
-        self._steps = []
+            t.duration = len(slot.steps)
+            slot.ret += t.reward
+            slot.closed.append(t)
+        slot.steps = []
 
     def _update_policies(self) -> UpdateStats:
         own: dict[int, list] = {key: [] for key in self.policies}
@@ -259,10 +275,12 @@ class LowLevelTrainer(TrainerCore):
                          sim_cfg=self.sim_cfg, agent_types=self.agent_types)
 
     def run_episode(self, env: CombatEnv) -> dict:
-        return self._play(env)
+        """One training episode on `env`."""
+        self._play([env])
+        return {"outcome": env.outcome, "length": env.step_count}
 
     def _decide(self, env: CombatEnv):
-        return self.actor.act(env, self.episodes)
+        return self.actor.act(env, self._open[env].index)
 
     def _option_reward(self, world, step_results, agent_id):
         """The env's reward: a low-level option lasts one step."""
@@ -334,6 +352,7 @@ class LeagueOpponentController:
         self.current_level = level
         self.current = SnapshotController(fight=self._net(level), rng=self.rng,
                                           scenario=self.scenario)
+        self.current.reset(world)
 
     def __call__(self, world, opponent_ids):
         return self.current(world, opponent_ids)

@@ -16,8 +16,14 @@ from dogfight.env import (
     decode_speed,
     generate_world,
 )
+from dogfight.observations import (
+    LOW_ACTION_WIDTH,
+    build_critic_input,
+    encode_low_action,
+)
 from dogfight.scripted import ScriptedController
 from dogfight.simcore import TEAM_AGENT, TEAM_OPPONENT, make_spec
+from dogfight.train.policies import EpisodeActor, play_episodes
 
 
 class TestActions:
@@ -170,9 +176,10 @@ class TestEnvStep:
         assert result.terminal
 
     def test_opponents_decide_together_before_the_step(self):
-        # one controller call per step for all living opponents, made from
-        # the world before any of the step's actions is applied
-        calls = []
+        # the episode loop asks the controller once per step for all living
+        # opponents, from the world before any of the step's actions is
+        # applied, and the env applies what it decided
+        calls, speeds = [], []
 
         class Recorder:
             def reset(self, world):
@@ -183,12 +190,49 @@ class TestEnvStep:
                               [world.get(a).speed for a in range(2)]))
                 return {oid: LowLevelAction(h=0, v=0) for oid in opponent_ids}
 
-        env = CombatEnv(ScenarioConfig(seed=0), Recorder())
-        env.reset(seed=3)
-        speeds = [env.world.get(a).speed for a in range(2)]
-        env.step({aid: LowLevelAction(h=0, v=8) for aid in env.agent_ids()})
+        class FullSpeed(EpisodeActor):
+            def begin_episode(self, env):
+                speeds[:] = [env.world.get(a).speed for a in range(2)]
+
+            def actions(self, envs):
+                return [{aid: LowLevelAction(h=0, v=8)
+                         for aid in env.agent_ids()} for env in envs]
+
+        env = CombatEnv(ScenarioConfig(seed=0, horizon=1), Recorder())
+        play_episodes([env], FullSpeed(), [3])
         assert calls == [([2, 3], speeds)]
         assert env.world.get(2).speed == decode_speed(env.world.get(2).spec, 0)
+        assert env.world.get(0).speed == decode_speed(env.world.get(0).spec, 8)
+
+    def test_opponent_actions_reach_the_critic_input(self):
+        # both teams' actions are the previous actions, so after one step
+        # against scripted L3 each opponent's critic block ends with the
+        # encoding of the action its controller chose
+        chosen = {}
+
+        class Recording(ScriptedController):
+            def __call__(self, world, opponent_ids):
+                chosen.update(super().__call__(world, opponent_ids))
+                return dict(chosen)
+
+        class Holding(EpisodeActor):
+            def actions(self, envs):
+                return [{aid: LowLevelAction(h=0, v=4)
+                         for aid in env.agent_ids()} for env in envs]
+
+        scenario = ScenarioConfig(seed=0, horizon=1)
+        env = CombatEnv(scenario, Recording("L3", np.random.default_rng(4)))
+        play_episodes([env], Holding(), [5])
+        critic = build_critic_input("fight", env.world, scenario,
+                                    env.prev_actions)
+        slots = critic.reshape(scenario.n_agents + scenario.n_opponents, -1)
+        assert sorted(chosen) == [2, 3]
+        for oid, action in chosen.items():
+            assert env.world.get(oid).alive
+            np.testing.assert_array_equal(slots[oid][-LOW_ACTION_WIDTH:],
+                                          encode_low_action(action))
+        np.testing.assert_array_equal(slots[0][-LOW_ACTION_WIDTH:],
+                                      encode_low_action(LowLevelAction(0, 4)))
 
     def test_fixed_seed_episode_reproducible(self):
         def run():

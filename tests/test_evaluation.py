@@ -385,3 +385,68 @@ def test_snapshot_opponents_see_the_same_first_step_as_in_training(monkeypatch):
                                np.random.default_rng(5))
     evaluate(actor, opponents, scenario, episodes=1, seed=9)
     np.testing.assert_array_equal(seen[0], training)
+
+
+def test_command_counts_cover_the_call_only():
+    # one actor across calls: each report counts its own episodes' commands
+    scenario = small_scenario(n_agents=2, n_opponents=2, horizon=15)
+    actor = HierarchyEvalActor(
+        PolicyNetwork(commander_config(2, critic_input_width("commander", 2, 2)),
+                      seed=1),
+        PolicyNetwork(fight_config(critic_width=critic_input_width("fight", 2, 2)),
+                      seed=2),
+        PolicyNetwork(escape_config(critic_width=critic_input_width("escape", 2, 2)),
+                      seed=3),
+        np.random.default_rng(5))
+    counts = [(r.fight_commands, r.escape_commands, r.opponent_selection)
+              for r in (evaluate(actor, scripted("L1"), scenario, 1, seed=6)
+                        for _ in range(3))]
+    assert counts[0] == counts[1] == counts[2]
+    assert counts[0][0] + counts[0][1] > 0
+
+
+def _float64_hierarchy(greedy):
+    scenario = ScenarioConfig.commander_training(horizon=30, map_size=20.0)
+    fight = PolicyNetwork(fight_config(
+        critic_width=critic_input_width("fight", 3, 3), dtype="float64"), seed=2)
+    escape = PolicyNetwork(escape_config(
+        critic_width=critic_input_width("escape", 3, 3), dtype="float64"), seed=3)
+    commander = PolicyNetwork(commander_config(
+        2, critic_input_width("commander", 3, 3), dtype="float64"), seed=1)
+    actor = HierarchyEvalActor(commander, fight, escape,
+                               np.random.default_rng(5), greedy=greedy)
+    opponents = SnapshotController(fight=fight, escape=escape,
+                                   rng=np.random.default_rng(4),
+                                   fight_prob=0.5, scenario=scenario)
+    return actor, opponents, scenario
+
+
+def _float64_ctde():
+    scenario = small_scenario(horizon=30)
+    policy = PolicyNetwork(fight_config(
+        critic_width=critic_input_width("fight", 2, 2), dtype="float64"), seed=2)
+    return (CTDEDriver(policy, "fight", np.random.default_rng(5)),
+            scripted("L3", seed=4), scenario)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _float64_hierarchy(greedy=False),
+    lambda: _float64_hierarchy(greedy=True),  # vs sampled opponents
+    _float64_ctde,
+], ids=["hierarchy-sampled", "hierarchy-greedy", "ctde-vs-l3"])
+def test_report_does_not_depend_on_the_lockstep_width(monkeypatch, build):
+    from dogfight import evaluation
+
+    def run(width):
+        monkeypatch.setattr(evaluation, "LOCKSTEP_EPISODES", width)
+        actor, opponents, scenario = build()
+        hooked = []
+        report = evaluate(actor, opponents, scenario, episodes=9, seed=8,
+                          episode_hook=lambda events, outcome, world:
+                          hooked.append((list(events), outcome)))
+        return report, hooked
+
+    reference = run(1)
+    assert reference[0].episodes == 9 and reference[0].total_steps > 9
+    for width in (4, 8):
+        assert run(width) == reference

@@ -38,87 +38,87 @@ from dogfight.train.league import LOW_LEVELS
 
 LEDGER = {
     "commander-glob/checkpoints/commander_Glob-N2-Opt-Assess.ckpt":
-        "8be85e7b3ec03aa82bc648211cb00173088a5ec9245ce9aba29d885c1037271a",
+        "c72e017f2354400aeac2decd3aae08612a5e3953faf5350b5baf440aba747adf",
     "commander-glob/config.json":
-        "e9fa123ee3fbdb9dc1859a0b672fe404d9b145aeb2cec47e9757098325e2e351",
+        "a505235c5b0345d0a520f30cd93824ae566229c9d6cf6dd15a2b2bc634f27e42",
     "commander-glob/metrics.jsonl":
-        "acf6269c44ce0cfdc9945e72aa90f1c12bd42f7b684af1ecfd9187cd20922080",
+        "64f63c6566f0559defe4049a20c366404ac5d966d76376d78403b59cb6a233c6",
     "commander-n3-sa/checkpoints/commander_Shared-N3-Opt-Assess.ckpt":
-        "9f9fc2c6af8a86957e4c415928cfe1343a5289049b4078224c0c51b213424d9e",
+        "1053ff8d6ffc148e22a5ee9e5a0d92991e5ed84fbe4c933a1597d89549a44637",
     "commander-n3-sa/config.json":
-        "d637a955dcd87fd731246d7971ce32feeaa25f1ca58f21c92cbd526a89feb98a",
+        "8ff5da2256049ccab74998127e8c8dff00e23f43b073c5b3a3d5c6d50862f285",
     "commander-n3-sa/metrics.jsonl":
-        "53859aa98c81b6b41b728933062a8e27b894095b4cf9ed46eb0d9f5c0007397a",
+        "7aeb6eaf08aa15b9cd635b6d1c4b039c41bdadc2462fc7befa509f24a7d13e61",
     "commander-noopt/checkpoints/commander_Shared-N2-noOpt-Assess.ckpt":
-        "962cade23e85ac2bd902506cbebec31fd10c6c08f66406ae32964c1a1fb0467d",
+        "ca7f7b8c713a17fe65d7c41cc8b1ad5f14e2cd5dac1775eb6fe3156c9914a797",
     "commander-noopt/config.json":
-        "0af39127a1f1974a4bfa1b933f09512ce43e6648eb5799d2bd53fb16e0cf0240",
+        "27fa54936baa515860f428a55334e42936a902ab930cf2ff97f82580adf3c680",
     "commander-noopt/metrics.jsonl":
-        "68c0f028e77c670d7b16bf622cdc90c0a22115d1287e764df3a982027e7be01a",
+        "64da5fed46c5d334e79d821a3f432111875eec94b4b7db33af32f7ef9911eb73",
     "commander-shared/checkpoints/commander_Shared-N2-Opt-Assess.ckpt":
-        "86d54b5658400073b1620b050be31af779a425eb0aa5f0e5479e6135243e07af",
+        "6f9d4ae35532a261d954559ad163b0d02e90573c3351b09aa9afd354a2b48082",
     "commander-shared/config.json":
-        "2cbbfddc8f783ae4ea5546a0d506774b0e9c3f71f0bcda576c83daa4f65ca376",
+        "9f54f403f63ba5f3acb3062261a912c231866dfb696047f605b7a007eba5a665",
     "commander-shared/metrics.jsonl":
-        "89ba0171dcdd1fbf7e404d6aaca391b7f727d87e338017f610e263fba45cf33e",
+        "8225c40d45f0ad7a39da9d94e065303dceb4597905d9586f2d01fd4e4c247f0c",
     "curriculum-resumed/config.json":
         "95eaa9c54d1bfde3ed3a39c7bf620d3e2527db21ce7a7ea01108a1a59de9cf78",
     "curriculum-resumed/league/fight_L5.ckpt":
-        "a4fb3b87c106af8731435154c1709cec22fb9865c36ee891b807fae14d46792d",
+        "5d2603656c5d2bb80d594c953e1680b6619aa496cec402b686a46aa5e34069e3",
     "curriculum-resumed/metrics.jsonl":
-        "49f4f69645e0f4337881d35c8ef7384573d6719f46d30397c1a7485e53f4f2c6",
+        "1020b5ba9494b0417ef9e1c941a0bc9c31171045f66a87c0c808a581a31e5247",
     "escape-phase2/config.json":
         "6cb2e0fd5446504eb804228e34c2461c79e09e5ac85215a42efa9f1d6f374bcf",
     "escape-phase2/league/escape.ckpt":
-        "f56e48779252d581217684d59208199e3a37e057bd8c2d5bc7136be1b3c2541c",
+        "79e7e2e31ca334994da5e322f98c7ba19bb4b89ce531269937c39bbfaa7fe942",
     "escape-phase2/metrics.jsonl":
-        "afd0c1ec400f880cb70e87f8a5084375dfb4e700c5cf7825aac0a1f8ef6cdbd7",
+        "e42da5130679500c9ef72d8f3daf42b2ca38831f4627248136dd2df0c9568afa",
     "escape/config.json":
         "36e05c9a42f6b5a8f4e1f1c14cbcf650d8d918302eebd5ac2c04ed6803c2e830",
     "escape/league/escape.ckpt":
-        "b0524c9dab0e15e1b90648acec451792aae19760eeda9490be1c84fe38660cf2",
+        "5f0ad4e04b16e03e5c032801ac30bb19dd7bf362b639abb477fc4de8d99f29b8",
     "escape/metrics.jsonl":
-        "7b13c2c8764b8ccd392a31446792766939db21c37b9a5a46d62d54612625d1d8",
+        "d7179e4027e92978527ea881c1e48a47399993ef813d14ce23120627885919a6",
     "evaluate-always-fight/report":
-        "02a1de8124d6a51fb41de399503c02c8e4778d1f0e8568829524c40054e52fce",
+        "6f5901f53b59830631d198bea662d0fca98e28afcc8c9c74b9a6f6fd4d5c00dd",
     "evaluate-ctce-greedy/report.json":
-        "93a36604baf47b7aa68781d2b52fa4384cbaaf081e52a2932e822fe7d36bfd6e",
+        "3cc265e02c3b6c2b4a0a6d04ff176cb59a1d0c93495f047dac30082983a22a98",
     "evaluate-ctce-greedy/trajectory.jsonl":
-        "b173011c79870191d81e7f7c43992b31c3ff8d51562a41b7be0ba58921d13d99",
+        "a315ca460e2ce2bdd200ffd4be8d63c22169360014feca7584bdd67b48688f6e",
     "evaluate-ctde-greedy/report.json":
-        "bc349b9c7831d1606b5b3c910598e2f9d4929b04771eb24aa6c108d13b1a9386",
+        "ecd7849b162420906c44ad53bb9e964ce73f99e3409402c75f81914a1127df4c",
     "evaluate-ctde-greedy/trajectory.jsonl":
-        "f7ce5284d40f38fd5804c823d306a5738d2b067e196301729a7b6afd5d3b69fc",
+        "7c6ad39e55453935c49c6da33d53a0ab42bc15e7b2b3e9f4b2a2b04ae1612615",
     "evaluate-hierarchy-l3/report.json":
-        "a7043f6abedfa9ef72e27cb970c47fac1d47e75a144d36686ac875b569082b42",
+        "b69ebdd515851f86fa141dc5dc3400d62ca28c82bd2f1268fd5d26ae282f2283",
     "evaluate-hierarchy-l3/trajectory.jsonl":
-        "221f7a78e6d5b20fe9b71d2fcee8c7ae06e62fa6995b6b10d5c26a807240e6c8",
+        "cb82717cae355d3535c8c1ce3d93b38182b751aed625a3f517584f2c4ddbc08b",
     "evaluate-hierarchy-snapshot/report.json":
-        "3328e2f243574666db73597b9de7996b2deee00ae155b389e91574e139b7185f",
+        "134147ed29b568f99035f88b5d47b7d27fd6533ae4af991188451732973b90b3",
     "evaluate-random/report.json":
-        "a9988f4acf944c73f45f66f1b2fbb62b3fbf6ba6344dbf5682be0ad00915f81c",
+        "36b8012203f79163ff155f3026249a4dca6925dd68cd892cba21dd50db673fb5",
     "evaluate-random/trajectory.jsonl":
-        "b75032d6a5ea9dd0e2adefec5363e9d5711f36bd480d4e7bc94843550cb1ba9a",
+        "86519d4a7e211c4133aaa58e70ca8a1d7ec722e44c57a0ae9435b57708c77d70",
     "fight-ctde/config.json":
         "bb5c78bcd8a6e2d9c58d937a0ded8f3ff8388b0c6ec42376143fc617454613ec",
     "fight-ctde/league/fight_L3.ckpt":
-        "4d04467712d9460d214698dc510871f49ac13ebffc56f55c66b778d2086df545",
+        "b60c6ac6f1dac16d3a179e57bf891d63e67b2af058e4b8fa397bb97d9ffc6b0a",
     "fight-ctde/metrics.jsonl":
-        "ebf640fe896443e155120814af865eada4241c205cb3cc5d7f84f7de80824324",
+        "80bd85a76d7de64a90026737b99fe30f749b5c312b6f8ceee4e60be566886988",
     "fight-dtde/config.json":
         "643b7dd405892bdd50389a3bb6a8165cd7ebce6e1f53430d341a0c3dd9358a11",
     "fight-dtde/league/fight_L3.ckpt":
-        "8fd0c4f3910fab680af75aac60e9d6873b22e79a9829ce354e4e62e876b7a28a",
+        "e7afab9872fa0ca7f79b2302d37084636d4b0a7a91787be9ccff043ce6ce8524",
     "fight-dtde/metrics.jsonl":
-        "cf66cb336079ec666d4691abe51f4ddcdfc8533e7466f335df198efb15e7f274",
+        "f365939963617127f957e3e7fad346d86ce6c2785bd6a9391d8109e40f13ef92",
     "standard/checkpoints/standard.ckpt":
-        "4ff96b15d548f0afc3135ac754b1815cc8dfd9245c9c611abf6ed4acd179fe19",
+        "100630fa14243c4a36f7e47ebba61a4caed4c799ed48017d6977203de63e9e4c",
     "standard/config.json":
         "4b8beddd73eab04694c06d1e5898e50ea92453350b23c3ac8f684bad82cd7887",
     "standard/metrics.jsonl":
-        "58a02afb880d53db480f343cb7887665556a91e2c87c60aae8dee09412248128",
+        "171eb26dba7fe7bceac0abc2a4bc0abbd12bbe37d9df45116ea1f8eec51d093d",
     "sweep/2v2.json":
-        "38de884ac622788fb35bc7f8be07696b13e199a72d2baaf7ba3dc9838a95569e",
+        "00c993c5526b4b291a065d1785335dcf27f9a48fd0f204180668fc21e800e790",
 }
 
 SMALL_MAP = ["--set", "scenario.map_size=12.0"]
@@ -203,7 +203,7 @@ def _collect(root) -> dict[str, str]:
                        "--seed", 4, *SMALL_MAP, *SMALL_PPO],
           ["checkpoints/standard.ckpt"])
     commander = ["train-commander", "--fight-ckpt", ckpt["fight"],
-                 "--escape-ckpt", ckpt["escape"], "--steps", 120, "--seed", 5,
+                 "--escape-ckpt", ckpt["escape"], "--steps", 240, "--seed", 5,
                  *COMMANDER_SHORT]
     train("commander-shared", commander,
           ["checkpoints/commander_Shared-N2-Opt-Assess.ckpt"])

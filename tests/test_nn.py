@@ -19,7 +19,7 @@ from dogfight.nn import (
     sample_action,
     save_checkpoint,
 )
-from dogfight.nn.networks import sample_rows
+from dogfight.nn.networks import Decision, decide
 from dogfight.nn.autodiff import (
     clip,
     log_softmax,
@@ -313,7 +313,21 @@ class TestSampling:
             assert np.array_equal(log_prob, want_lp)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    def test_sample_rows_draws_in_row_order(self):
+    @pytest.mark.parametrize("greedy", [False, True])
+    def test_one_head_matches_per_head_choice(self, greedy):
+        # one head builds no padded array and still draws as `choice` does
+        gen = np.random.default_rng(12)
+        for trial in range(200):
+            rows = int(gen.integers(1, 16))
+            logits = [gen.normal(0.0, (0.1, 1.0, 8.0)[trial % 3], (rows, 3))]
+            rng, ref_rng = np.random.default_rng(trial), np.random.default_rng(trial)
+            samples, log_prob = sample_action(logits, rng, greedy=greedy)
+            want, want_lp, _ = choice_reference(logits, ref_rng, greedy=greedy)
+            assert np.array_equal(samples, want)
+            assert np.array_equal(log_prob, want_lp)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_decide_draws_in_row_order(self):
         # rows of two instances interleaved: one forward per instance, then
         # the same draws as row-by-row sampling in the given order
         net = PolicyNetwork(fight_config(critic_width=124, dtype="float64"), seed=4)
@@ -321,7 +335,9 @@ class TestSampling:
         rows = [(net, inst, gen.uniform(0, 1, width)) for inst, width in
                 (("ac1", 27), ("ac2", 25), ("ac1", 27), ("ac1", 27), ("ac2", 25))]
         rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
-        samples, log_prob = sample_rows(rows, rng)
+        decision = Decision(rows, list(range(len(rows))), rng)
+        decide([decision])
+        samples, log_prob = decision.samples, decision.log_probs
         for b, (policy, inst, obs) in enumerate(rows):
             logits = policy.forward_actor(inst, obs, grad=False).logits
             want, want_lp, want_ent = choice_reference(logits, ref_rng)
@@ -332,6 +348,42 @@ class TestSampling:
             assert lp.data[0] == pytest.approx(want_lp[0], abs=1e-9)
             assert ent.data[0] == pytest.approx(want_ent[0], abs=1e-9)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_decide_together_as_alone(self):
+        # per-aircraft rows on two generators, greedy rows and a joint
+        # network's living slots, decided in one call, sample as each
+        # decision does on its own and leave each generator where it would
+        fight = PolicyNetwork(fight_config(critic_width=124, dtype="float64"),
+                              seed=4)
+        joint = PolicyNetwork(ctce_config(
+            "fight", obs_width=27 * 3, head_arities=(13, 9, 2, 2) * 3,
+            critic_width=31 * 6, dtype="float64"), seed=5)
+        gen = np.random.default_rng(7)
+
+        def decisions(seed):
+            rngs = [np.random.default_rng(seed + k) for k in range(2)]
+            return [
+                Decision([(fight, "ac1", gen_obs[0]), (fight, "ac2", gen_obs[1])],
+                         [0, 1], rngs[0]),
+                Decision([(fight, "ac2", gen_obs[2])], [3], None),
+                Decision([(joint, "joint", gen_obs[3])], [0, 2], rngs[1],
+                         slot_heads=4),
+            ], rngs
+
+        gen_obs = [gen.uniform(0, 1, 27), gen.uniform(0, 1, 25),
+                   gen.uniform(0, 1, 25), gen.uniform(0, 1, 81)]
+        together, rngs = decisions(8)
+        decide(together)
+        alone, alone_rngs = decisions(8)
+        for d in alone:
+            decide([d])
+        for a, b in zip(together, alone):
+            assert np.array_equal(a.samples, b.samples)
+            np.testing.assert_allclose(a.log_probs, b.log_probs, rtol=0,
+                                       atol=1e-12)
+        assert [r.bit_generator.state for r in rngs] == \
+            [r.bit_generator.state for r in alone_rngs]
+        assert together[2].samples.shape == (2, 4)
 
 
 ARCHITECTURES = {

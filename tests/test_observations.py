@@ -144,7 +144,8 @@ class TestNormalization:
                     actions[aid] = LowLevelAction(
                         h=int(rng.integers(-6, 7)), v=int(rng.integers(0, 9)),
                         c=int(rng.random() < 0.3), r=int(rng.random() < 0.1))
-                result = env.step(actions)
+                result = env.step(actions, env.opponent_controller(
+                    env.world, env.opponent_ids()))
                 done = result.terminal or not env.agent_ids()
 
 

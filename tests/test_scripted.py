@@ -39,7 +39,9 @@ class TestL1:
         start = opp.pos
         for _ in range(100):
             result = env.step({aid: LowLevelAction(h=0, v=0)
-                               for aid in env.agent_ids()})
+                               for aid in env.agent_ids()},
+                              env.opponent_controller(env.world,
+                                                      env.opponent_ids()))
             if result.terminal:
                 break
         # 100 kn for 100 seconds ~ 5.14 km ceiling
@@ -203,7 +205,9 @@ class TestController:
         env.reset(seed=5)
         for _ in range(10):
             result = env.step({aid: LowLevelAction(h=0, v=4)
-                               for aid in env.agent_ids()})
+                               for aid in env.agent_ids()},
+                              env.opponent_controller(env.world,
+                                                      env.opponent_ids()))
             if result.terminal:
                 break
 

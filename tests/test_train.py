@@ -138,26 +138,27 @@ class TestClipRule:
 def fill_buffer(policy, scenario, n, seed=0):
     """Roll genuine transitions through the policy so log-probs are honest."""
     from dogfight.scripted import ScriptedController
-    from dogfight.train.policies import CTDEDriver
+    from dogfight.train.policies import CTDEDriver, play_episodes
     from dogfight.env import CombatEnv
 
-    rng = np.random.default_rng(seed)
-    driver = CTDEDriver(policy, "fight", rng)
-    env = CombatEnv(scenario, ScriptedController("L1", np.random.default_rng(seed + 1)))
     buffer = RolloutBuffer()
-    episode = 0
-    while len(buffer) < n:
-        env.reset(seed=seed + episode)
-        while True:
-            actions, transitions = driver.act(env, episode)
-            result = env.step(actions)
-            for t in transitions:
+
+    class Recorder(CTDEDriver):
+        def decided(self, env):
+            self.transitions = self.act(env, self.episode)
+
+        def observe_step(self, env, result):
+            for t in self.transitions:
                 t.reward = result.rewards[t.agent_id]
                 t.done = result.terminal or not env.world.get(t.agent_id).alive
                 buffer.add(t)
-            if result.terminal:
-                break
-        episode += 1
+
+    driver = Recorder(policy, "fight", np.random.default_rng(seed))
+    env = CombatEnv(scenario, ScriptedController("L1", np.random.default_rng(seed + 1)))
+    driver.episode = 0
+    while len(buffer) < n:
+        play_episodes([env], driver, [seed + driver.episode])
+        driver.episode += 1
     return buffer
 
 
@@ -573,6 +574,28 @@ class TestCommanderTrainer:
         trainer.run_episode()
         assert all(t.instance == "joint" for t in trainer.buffer.transitions)
         assert all(t.head_mask is not None for t in trainer.buffer.transitions)
+
+    def test_concurrent_episodes_keep_their_own_streams(self):
+        # a collect plays LOCKSTEP_EPISODES episodes at once: each has its
+        # own episode index, and every (episode, agent) stream holds one
+        # episode's options, closed once, spanning at most its length
+        from dogfight.train.policies import LOCKSTEP_EPISODES
+
+        trainer = self._trainer()
+        trainer.run_episode()
+        transitions = trainer.buffer.transitions
+        episodes = [t.episode for t in transitions]
+        assert episodes == sorted(episodes)  # buffered in episode order
+        assert set(episodes) == set(range(LOCKSTEP_EPISODES))
+        streams = {}
+        for t in transitions:
+            streams.setdefault((t.episode, t.agent_id), []).append(t)
+        for stream in streams.values():
+            assert [t.done for t in stream] == [False] * (len(stream) - 1) + [True]
+        for k, env in enumerate(trainer.envs):
+            spans = [sum(t.duration for t in stream)
+                     for (episode, _), stream in streams.items() if episode == k]
+            assert max(spans) == env.step_count
 
     def test_commander_update_runs(self):
         trainer = self._trainer()
