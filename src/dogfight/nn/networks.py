@@ -483,29 +483,22 @@ def decide(decisions: list[Decision]):
             new_hidden[idx] = out.hidden
     picks, row = [], 0
     for d in decisions:
-        if d.slot_heads:
-            picks += [place[row] + slot for slot in d.ids]
-        else:
-            picks += place[row:row + len(d.rows)]
+        picks += ([place[row] + slot for slot in d.ids] if d.slot_heads
+                  else place[row:row + len(d.rows)])
         row += len(d.rows)
-    table = np.concatenate(blocks)[picks]
+    counts = [len(d.ids) for d in decisions]
+    u = np.concatenate([np.zeros((n, len(arities))) if d.rng is None
+                        else d.rng.random((n, len(arities)))
+                        for d, n in zip(decisions, counts)])
     bounds = np.cumsum((0,) + tuple(arities))
-    u = np.zeros((len(table), len(arities)))
-    greedy = np.zeros(len(table), dtype=bool)
-    start = 0
-    for d in decisions:
-        stop = start + len(d.ids)
-        if d.rng is None:
-            greedy[start:stop] = True
-        else:
-            u[start:stop] = d.rng.random((stop - start, len(arities)))
-        start = stop
+    table = np.concatenate(blocks)[picks]
     samples, log_probs = sample_action(
-        [table[:, a:b] for a, b in zip(bounds[:-1], bounds[1:])], u, greedy)
+        [table[:, a:b] for a, b in zip(bounds[:-1], bounds[1:])], u,
+        np.repeat([d.rng is None for d in decisions], counts))
     start = row = 0
-    for d in decisions:
-        stop = start + len(d.ids)
-        d.samples, d.log_probs = samples[start:stop], log_probs[start:stop]
+    for d, n in zip(decisions, counts):
+        d.samples = samples[start:start + n]
+        d.log_probs = log_probs[start:start + n]
         if new_hidden is not None:
             d.new_hidden = new_hidden[row:row + len(d.rows)]
-        start, row = stop, row + len(d.rows)
+        start, row = start + n, row + len(d.rows)

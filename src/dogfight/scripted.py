@@ -117,11 +117,10 @@ class ScriptedController:
     rng: np.random.Generator
     script: ScriptConfig = field(default_factory=ScriptConfig)
     flee_state: dict[int, int] = field(default_factory=dict)
-    stream: np.random.Generator | None = None
+    stream: np.random.Generator = field(init=False)
 
     def __post_init__(self):
-        if self.stream is None:
-            self.stream = self.rng
+        self.stream = self.rng
 
     def __call__(self, world: World, opponent_ids: list[int]
                  ) -> dict[int, LowLevelAction]:

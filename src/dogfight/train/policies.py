@@ -208,11 +208,10 @@ class SnapshotController:
     greedy: bool = False
     scenario: ScenarioConfig | None = None
     assignments: dict[int, str] = field(default_factory=dict)
-    stream: np.random.Generator | None = None  # `rng` until the first reset
+    stream: np.random.Generator = field(init=False)  # `rng` until a reset
 
     def __post_init__(self):
-        if self.stream is None:
-            self.stream = self.rng
+        self.stream = self.rng
 
     def reset(self, world: World):
         self.assignments = {}
