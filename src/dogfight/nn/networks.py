@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -399,8 +400,7 @@ def sample_action(logits_per_head: list[np.ndarray], rng, greedy=False
             logits[:, j, :head.shape[-1]] = head
     probs = np.exp(logits - logits.max(axis=2, keepdims=True))
     probs /= probs.sum(axis=2, keepdims=True)
-    greedy = np.broadcast_to(greedy, (rows,))
-    if greedy.all():
+    if np.all(greedy):
         samples = probs.argmax(axis=2)
     else:
         u = (rng.random((rows, len(heads)))
@@ -408,7 +408,7 @@ def sample_action(logits_per_head: list[np.ndarray], rng, greedy=False
         cdf = probs.cumsum(axis=2)
         cdf /= cdf[:, :, -1:]
         samples = (cdf <= u[:, :, None]).sum(axis=2)  # searchsorted "right"
-        if greedy.any():
+        if np.any(greedy):
             samples[greedy] = probs[greedy].argmax(axis=2)
     picked = np.log(np.take_along_axis(probs, samples[:, :, None], axis=2)[:, :, 0])
     log_prob = np.zeros(rows)
@@ -487,14 +487,16 @@ def decide(decisions: list[Decision]):
                   else place[row:row + len(d.rows)])
         row += len(d.rows)
     counts = [len(d.ids) for d in decisions]
-    u = np.concatenate([np.zeros((n, len(arities))) if d.rng is None
-                        else d.rng.random((n, len(arities)))
-                        for d, n in zip(decisions, counts)])
-    bounds = np.cumsum((0,) + tuple(arities))
+    draws = [np.zeros((n, len(arities))) if d.rng is None
+             else d.rng.random((n, len(arities)))
+             for d, n in zip(decisions, counts)]
+    greedy = [d.rng is None for d in decisions]
+    bounds = list(accumulate(arities, initial=0))
     table = np.concatenate(blocks)[picks]
     samples, log_probs = sample_action(
-        [table[:, a:b] for a, b in zip(bounds[:-1], bounds[1:])], u,
-        np.repeat([d.rng is None for d in decisions], counts))
+        [table[:, a:b] for a, b in zip(bounds[:-1], bounds[1:])],
+        draws[0] if len(draws) == 1 else np.concatenate(draws),
+        np.repeat(greedy, counts) if any(greedy) else False)
     start = row = 0
     for d, n in zip(decisions, counts):
         d.samples = samples[start:start + n]
