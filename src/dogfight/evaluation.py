@@ -16,7 +16,6 @@ against these rules):
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import json
 from dataclasses import dataclass, field
@@ -48,7 +47,12 @@ from .simcore import (
     World,
 )
 from .train.commander import HierarchyEvalActor
-from .train.policies import LOCKSTEP_EPISODES, EpisodeActor, play_episodes
+from .train.policies import (
+    LOCKSTEP_EPISODES,
+    EpisodeActor,
+    lockstep_envs,
+    play_episodes,
+)
 
 
 @dataclass
@@ -195,9 +199,10 @@ def evaluate(actor, opponent_controller, scenario: ScenarioConfig,
              sim_cfg: SimConfig | None = None) -> EvalReport:
     """Run `episodes` evaluation episodes and aggregate counters.
 
-    Episodes run `LOCKSTEP_EPISODES` at a time in lockstep, each env with
-    its own copy of `opponent_controller` (the first env, and so a
-    one-episode evaluation, plays on `opponent_controller` itself); since
+    Episodes run `LOCKSTEP_EPISODES` at a time in lockstep on
+    `lockstep_envs`, each env with its own copy of `opponent_controller`
+    (the first env, and so a one-episode evaluation, plays on
+    `opponent_controller` itself); since
     every decision-maker draws from per-episode streams, the report does
     not depend on how many run at once. `episode_hook(events, outcome,
     world)` receives each finished episode's full event log, in episode
@@ -207,10 +212,9 @@ def evaluate(actor, opponent_controller, scenario: ScenarioConfig,
     """
     report = EvalReport(seed=seed)
     master = np.random.default_rng(seed)
-    envs = [CombatEnv(scenario, opponent_controller if k == 0
-                      else copy.copy(opponent_controller),
-                      reward_kind=("none", None), sim_cfg=sim_cfg)
-            for k in range(max(1, min(LOCKSTEP_EPISODES, episodes)))]
+    envs = lockstep_envs(CombatEnv(scenario, opponent_controller,
+                                   reward_kind=("none", None), sim_cfg=sim_cfg),
+                         max(1, min(LOCKSTEP_EPISODES, episodes)))
     counts = _command_counts(actor)
     for first in range(0, episodes, len(envs)):
         batch = envs[:episodes - first]

@@ -46,12 +46,13 @@ from ..rewards import (
 from ..simcore import SimConfig
 from .buffer import Transition
 from .policies import (
-    LOCKSTEP_EPISODES,
     CTDEDriver,
     EpisodeActor,
     SnapshotController,
     joint_obs,
     joint_transition,
+    lockstep_envs,
+    set_values,
 )
 from .ppo import PPOConfig
 from .runs import RunDir
@@ -266,12 +267,11 @@ class CommanderTrainer(TrainerCore):
         self.actor.rng = self.action_rng  # commander draws on their own stream
         self.fight_actor = self.actor.fight_actor
         self.escape_actor = self.actor.escape_actor
-        self.envs = [CombatEnv(scenario, SnapshotController(
-                         fight=fight, escape=escape, rng=self.opponent_rng,
-                         fight_prob=scenario.opponent_fight_prob,
-                         scenario=scenario),
-                         reward_kind=("none", None), sim_cfg=sim_cfg)
-                     for _ in range(LOCKSTEP_EPISODES)]
+        self.envs = lockstep_envs(CombatEnv(
+            scenario, SnapshotController(
+                fight=fight, escape=escape, rng=self.opponent_rng,
+                fight_prob=scenario.opponent_fight_prob, scenario=scenario),
+            reward_kind=("none", None), sim_cfg=sim_cfg))
         # frozen-opponent guarantee: record the checksums we must not disturb
         self.frozen_checksums = {
             "fight": fight.store.checksum(),
@@ -289,10 +289,13 @@ class CommanderTrainer(TrainerCore):
         super().begin_episode(env)
         self._open[env].prev_cmd = {}  # no commands yet
 
-    def _decide(self, env: CombatEnv):
-        if self.actor.slots[env].steps_in_option:  # an earlier decision flies
-            return None
-        return self._decision_transitions(env)
+    def _decide(self, envs: list[CombatEnv]):
+        """The transitions of the envs at an option boundary (None where an
+        earlier decision flies on), valued in one critic forward."""
+        out = [None if self.actor.slots[env].steps_in_option
+               else self._decision_transitions(env) for env in envs]
+        set_values([t for ts in out if ts for t in ts], lambda t: self.policy)
+        return out
 
     def _option_reward(self, world, step_results, agent_id):
         """The combat outcome terms over the option's events."""
@@ -302,16 +305,15 @@ class CommanderTrainer(TrainerCore):
 
     def _decision_transitions(self, env: CombatEnv) -> list[Transition]:
         """Transitions of the decision the actor just made on `env`,
-        carrying the assessment reward so far; records the commands in the
-        episode's previous commands."""
+        carrying the assessment reward so far and the critic input (`_decide`
+        sets the values); records the commands in the episode's previous
+        commands."""
         world, scenario, variant = env.world, self.scenario, self.variant
         episode = self._open[env]
         prev_cmd = episode.prev_cmd
         slot = self.actor.slots[env]
         d, decisions = slot.decision, slot.decisions
         critic_in = build_critic_input("commander", world, scenario, prev_cmd)
-        value = self.policy.forward_critic(self.actor.instance, critic_in,
-                                           grad=False).item()
         assess = {aid: assess_commander_action(
                       world, aid, c["target_idx"], c["sensed"], scenario)
                   if variant.assess else 0.0
@@ -324,12 +326,12 @@ class CommanderTrainer(TrainerCore):
             return [Transition(
                 instance="cmd", agent_id=aid, episode=episode.index,
                 obs=d.rows[i][2], action=np.array([c["a_c"]]),
-                log_prob=float(d.log_probs[i]), value=value, reward=assess[aid],
+                log_prob=float(d.log_probs[i]), value=0.0, reward=assess[aid],
                 done=False, critic_input=critic_in, hidden=d.hidden[i:i + 1])
                 for i, (aid, c) in enumerate(decisions.items())]
         return [joint_transition(
             scenario.n_agents, d.ids, d.samples, d.log_probs,
-            episode=episode.index, obs=d.rows[0][2], value=value,
+            episode=episode.index, obs=d.rows[0][2], value=0.0,
             reward=sum(assess.values()), critic_input=critic_in,
             hidden=d.hidden)]
 

@@ -13,12 +13,14 @@ records that decision as one transition. `CTCEDriver` flies the low-level
 team that way, and the Glob commander decides that way.
 
 Every episode, in training and in evaluation, runs through `play_episodes`,
-which steps E envs in lockstep (E = 1 plays a single episode). At each
+which steps E envs in lockstep (E = 1 plays a single episode); training and
+`evaluate` batch an env with its siblings from `lockstep_envs`. At each
 lockstep step every network-driven aircraft of both teams in every
 unfinished env is decided in one `decide` call: one graph-free forward per
 (network, instance) and one sampling call. A driver's `actions(envs)`
-returns each env's `Decision` and keeps it; `act(env, episode)`, which
-training uses, turns the decided one into reward-less transitions.
+returns each env's `Decision` and keeps it; `act(envs, episodes)`, which
+training uses, turns the decided ones into reward-less transitions whose
+values `set_values` gives, one critic forward per (network, instance).
 
 Random streams: each decision-maker spawns an episode stream from its own
 generator when an episode begins (`episode_stream`), and every draw within
@@ -28,6 +30,7 @@ whatever E is, so the outcome of each episode does not depend on E.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from weakref import WeakKeyDictionary
@@ -56,8 +59,7 @@ from ..simcore import TEAM_OPPONENT, World
 from .buffer import Transition
 
 LOW_ACTION_HEADS = len(FIGHT_HEADS)
-# episodes a commander training collect or an `evaluate` batch plays in
-# lockstep
+# episodes a training collect or an `evaluate` batch plays in lockstep
 LOCKSTEP_EPISODES = 8
 
 
@@ -131,17 +133,47 @@ def joint_transition(n_agents: int, alive: list[int], samples: np.ndarray,
                       log_prob=log_prob, done=False, head_mask=mask, **fields)
 
 
+def lockstep_envs(env: CombatEnv, count: int = LOCKSTEP_EPISODES
+                  ) -> list[CombatEnv]:
+    """`env` and `count - 1` siblings to play in lockstep with it: the same
+    scenario, reward kind, simulator settings and agent types, each with
+    its own `copy.copy` of `env`'s opponent controller (which shares the
+    controller's generator, so episode streams spawn in episode order)."""
+    return [env] + [CombatEnv(env.scenario, copy.copy(env.opponent_controller),
+                              reward_kind=env.reward_kind, sim_cfg=env.sim_cfg,
+                              agent_types=env.agent_types)
+                    for _ in range(count - 1)]
+
+
+def set_values(transitions: list[Transition], network) -> None:
+    """Sets each transition's value: `network(t)` judges `t.critic_input`,
+    in one graph-free critic forward per (network, instance). Transitions
+    holding the same critic-input array share its forward row."""
+    groups: dict[tuple, dict] = {}
+    for t in transitions:
+        groups.setdefault((network(t), t.instance), {}).setdefault(
+            id(t.critic_input), t.critic_input)
+    values = {}
+    for (policy, instance), inputs in groups.items():
+        out = policy.forward_critic(instance, np.stack(list(inputs.values())),
+                                    grad=False)
+        values.update(zip([(policy, instance, key) for key in inputs],
+                          out[:, 0].tolist()))
+    for t in transitions:
+        t.value = values[network(t), t.instance, id(t.critic_input)]
+
+
 class EpisodeActor:
     """What `play_episodes` drives: `actions(envs)` once per lockstep step,
     giving each env's `Decision` for its agents (or their actions, when no
-    network decides them); `decided(env)` once the step's decisions are
-    made, before the env steps; and hooks at the start of an episode and
+    network decides them); `decided(envs)` once the step's decisions are
+    made, before the envs step; and hooks at the start of an episode and
     after each step. The hooks are empty here."""
 
     def begin_episode(self, env: CombatEnv):
         pass
 
-    def decided(self, env: CombatEnv):
+    def decided(self, envs: list[CombatEnv]):
         pass
 
     def observe_step(self, env: CombatEnv, result):
@@ -164,8 +196,9 @@ def play_episodes(envs: list[CombatEnv], actor: EpisodeActor,
     episode runs, every unfinished env takes one step: `actor` gives its
     agents' decisions and each env's opponent controller those of its
     living opponents, all decided in one `decide` call before any action is
-    applied; then each env steps on both teams' actions and `actor`
-    observes the result. Returns each episode's events in order."""
+    applied; `actor` hears that they are decided, then each env steps on
+    both teams' actions and `actor` observes the result. Returns each
+    episode's events in order."""
     for env, seed in zip(envs, seeds):
         env.reset(seed=seed)
         actor.begin_episode(env)
@@ -178,9 +211,9 @@ def play_episodes(envs: list[CombatEnv], actor: EpisodeActor,
                      env.opponent_controller(env.world, env.opponent_ids())
                      for env in stepping]
         decide([d for d in agents + opponents if isinstance(d, Decision)])
+        actor.decided(stepping)
         still = []
         for k, env, own, theirs in zip(live, stepping, agents, opponents):
-            actor.decided(env)
             result = env.step(low_level_actions(own), low_level_actions(theirs))
             actor.observe_step(env, result)
             events[k] += result.events
@@ -276,37 +309,32 @@ class CTDEDriver(EpisodeActor):
             decisions.append(slot.decision)
         return decisions
 
-    def act(self, env: CombatEnv, episode: int) -> list[Transition]:
-        """One reward-less transition per agent of `env`'s decided step,
-        carrying its critic input and value."""
-        d = self.slots[env].decision
-        critic_inputs, values = self._critic(env, d)
-        return [Transition(
-            instance=instance, agent_id=aid, episode=episode, obs=obs,
-            action=action, log_prob=float(log_prob), value=values[aid],
-            reward=0.0, done=False, critic_input=critic_inputs[aid])
-            for aid, (_, instance, obs), action, log_prob in zip(
-                d.ids, d.rows, d.samples, d.log_probs)]
-
-    def _critic(self, env: CombatEnv, d: Decision) -> tuple[dict, dict]:
-        """Critic input and value by agent id. An agent's own network sees
-        its observation and previous action; a shared network sees the
-        global critic input, so one value per instance serves its agents."""
-        if isinstance(self.policy, dict):
-            inputs = {aid: np.concatenate([
-                          obs, env.prev_actions.get(aid, [0.0] * LOW_ACTION_WIDTH)])
-                      for aid, (_, _, obs) in zip(d.ids, d.rows)}
-            return inputs, {aid: policy.forward_critic(instance, inputs[aid],
-                                                       grad=False).item()
-                            for aid, (policy, instance, _) in zip(d.ids, d.rows)}
-        critic_in = build_critic_input(self.kind, env.world, env.scenario,
-                                       env.prev_actions)
-        per_instance = {
-            instance: self.policy.forward_critic(instance, critic_in,
-                                                 grad=False).item()
-            for instance in dict.fromkeys(row[1] for row in d.rows)}
-        return (dict.fromkeys(d.ids, critic_in),
-                {aid: per_instance[row[1]] for aid, row in zip(d.ids, d.rows)})
+    def act(self, envs: list[CombatEnv], episodes: list[int]
+            ) -> list[list[Transition]]:
+        """Each env's reward-less transitions of its decided step, one per
+        agent, with its critic input and value. An agent's own network
+        judges its observation and previous action; a shared network judges
+        the env's global critic input, so one value per instance serves its
+        agents."""
+        out = []
+        for env, episode in zip(envs, episodes):
+            d = self.slots[env].decision
+            if isinstance(self.policy, dict):
+                inputs = [np.concatenate([
+                              obs, env.prev_actions.get(aid, [0.0] * LOW_ACTION_WIDTH)])
+                          for aid, (_, _, obs) in zip(d.ids, d.rows)]
+            else:
+                inputs = [build_critic_input(self.kind, env.world, env.scenario,
+                                             env.prev_actions)] * len(d.ids)
+            out.append([Transition(
+                instance=instance, agent_id=aid, episode=episode, obs=obs,
+                action=action, log_prob=float(log_prob), value=0.0,
+                reward=0.0, done=False, critic_input=critic_in)
+                for aid, (_, instance, obs), action, log_prob, critic_in in zip(
+                    d.ids, d.rows, d.samples, d.log_probs, inputs)])
+        set_values([t for ts in out for t in ts],
+                   lambda t: self.network(t.agent_id))
+        return out
 
 
 class CTCEDriver(EpisodeActor):
@@ -340,13 +368,16 @@ class CTCEDriver(EpisodeActor):
             decisions.append(slot.decision)
         return decisions
 
-    def act(self, env: CombatEnv, episode: int) -> list[Transition]:
-        """The team's one reward-less transition of `env`'s decided step."""
-        d = self.slots[env].decision
-        critic_in = build_critic_input(self.kind, env.world, env.scenario,
-                                       env.prev_actions)
-        value = self.policy.forward_critic("joint", critic_in, grad=False).item()
-        return [joint_transition(
-            env.scenario.n_agents, d.ids, d.samples, d.log_probs,
-            episode=episode, obs=d.rows[0][2], value=value, reward=0.0,
-            critic_input=critic_in)]
+    def act(self, envs: list[CombatEnv], episodes: list[int]
+            ) -> list[list[Transition]]:
+        """Each env's one reward-less team transition of its decided step."""
+        out = []
+        for env, episode in zip(envs, episodes):
+            d = self.slots[env].decision
+            out.append([joint_transition(
+                env.scenario.n_agents, d.ids, d.samples, d.log_probs,
+                episode=episode, obs=d.rows[0][2], value=0.0, reward=0.0,
+                critic_input=build_critic_input(self.kind, env.world,
+                                                env.scenario, env.prev_actions))])
+        set_values([ts[0] for ts in out], lambda t: self.policy)
+        return out

@@ -30,6 +30,7 @@ from .policies import (
     CTDEDriver,
     EpisodeActor,
     SnapshotController,
+    lockstep_envs,
     make_low_level_policy,
     play_episodes,
 )
@@ -86,13 +87,13 @@ class TrainerCore(EpisodeActor):
     `play_episodes` drives the core, which forwards the hooks to `actor` and
     records each episode of the lockstep batch apart: its own episode
     index, open option and return. Once the step's decisions are made, a
-    trainer's `_decide(env)` gives the transitions of a decision taken at
-    the step, or None; its `_option_reward(world, step_results, agent_id)`
-    gives an acting agent's reward over the steps a decision flew. Each
-    decision is an option that closes at the next decision or at the end of
-    the episode; a low-level decision is a one-step option. Finished
-    episodes reach the buffer, the counters and the episode window in
-    episode-index order."""
+    trainer's `_decide(envs)` gives, per env, the transitions of a decision
+    taken at the step, or None; its `_option_reward(world, step_results,
+    agent_id)` gives an acting agent's reward over the steps a decision
+    flew. Each decision is an option that closes at the next decision or at
+    the end of the episode; a low-level decision is a one-step option.
+    Finished episodes reach the buffer, the counters and the episode window
+    in episode-index order."""
 
     SEED_LABEL: str
     STREAMS: tuple[str, ...]
@@ -152,12 +153,12 @@ class TrainerCore(EpisodeActor):
     def actions(self, envs: list[CombatEnv]):
         return self.actor.actions(envs)
 
-    def decided(self, env: CombatEnv):
-        transitions = self._decide(env)
-        if transitions is not None:
-            slot = self._open[env]
-            self._close(slot, env.world, terminal=False)
-            slot.option = transitions
+    def decided(self, envs: list[CombatEnv]):
+        for env, transitions in zip(envs, self._decide(envs)):
+            if transitions is not None:
+                slot = self._open[env]
+                self._close(slot, env.world, terminal=False)
+                slot.option = transitions
 
     def observe_step(self, env: CombatEnv, result: StepResult):
         self.actor.observe_step(env, result)
@@ -208,6 +209,7 @@ class TrainerCore(EpisodeActor):
                 "entropy": stats.entropy,
                 "env_steps": self.env_steps,
                 "episodes": self.episodes,
+                "grad_norm": stats.grad_norm,
                 "level": self.level if level is None else level,
                 "mean_length": _mean(self._lengths),
                 "mean_ratio_first_epoch": stats.mean_ratio_first_epoch,
@@ -223,8 +225,8 @@ class TrainerCore(EpisodeActor):
         return True
 
     def train_for(self, env_steps: int, *episode_args):
-        """Runs episodes, updating after each once a batch is full, until
-        `env_steps` more env steps have been taken."""
+        """Runs collects (`run_episode`), updating after each once a batch
+        is full, until `env_steps` more env steps have been taken."""
         start = self.env_steps
         while self.env_steps - start < env_steps:
             self.run_episode(*episode_args)
@@ -233,7 +235,9 @@ class TrainerCore(EpisodeActor):
 
 class LowLevelTrainer(TrainerCore):
     """Episode collection + PPO updates for one low-level policy. `policy`,
-    the network with key 0, is the one archived."""
+    the network with key 0, is the one archived. Each `run_episode(env)`
+    plays `LOCKSTEP_EPISODES` episodes in lockstep, on `env` and its
+    siblings (`lockstep_envs`, built at the first call on `env`)."""
 
     SEED_LABEL = "trainer"
     STREAMS = ("episode", "action", "opponent", "update")
@@ -262,6 +266,7 @@ class LowLevelTrainer(TrainerCore):
                             self.action_rng)
         self.policies = policy if isinstance(policy, dict) else {0: policy}
         self.policy = self.policies[0]
+        self.envs: list[CombatEnv] = []  # the last collect's env and siblings
 
     # -- environment plumbing -------------------------------------------------
 
@@ -274,13 +279,15 @@ class LowLevelTrainer(TrainerCore):
                          reward_kind=(kind, variant),
                          sim_cfg=self.sim_cfg, agent_types=self.agent_types)
 
-    def run_episode(self, env: CombatEnv) -> dict:
-        """One training episode on `env`."""
-        self._play([env])
-        return {"outcome": env.outcome, "length": env.step_count}
+    def run_episode(self, env: CombatEnv):
+        """`LOCKSTEP_EPISODES` training episodes, in lockstep, on `env` and
+        its siblings."""
+        if not self.envs or self.envs[0] is not env:
+            self.envs = lockstep_envs(env)
+        self._play(self.envs)
 
-    def _decide(self, env: CombatEnv):
-        return self.actor.act(env, self._open[env].index)
+    def _decide(self, envs: list[CombatEnv]):
+        return self.actor.act(envs, [self._open[env].index for env in envs])
 
     def _option_reward(self, world, step_results, agent_id):
         """The env's reward: a low-level option lasts one step."""
@@ -366,7 +373,10 @@ def run_curriculum(scenario: ScenarioConfig, ppo: PPOConfig, mode: TrainMode,
                    sim_cfg: SimConfig | None = None) -> LeagueArchive:
     """Five-level fight curriculum: scripted opponents through L3, the frozen
     L3 snapshot at L4, per-episode league sampling at L5. The episode horizon
-    grows by 50 env steps per level from 200. Completed levels found in the
+    grows by 50 env steps per level from 200. `steps_per_level` is a
+    minimum: each collect plays `LOCKSTEP_EPISODES` episodes in lockstep,
+    so a level ends with its last collect, and an update can hold up to 8
+    episodes past `batch_size`. Completed levels found in the
     archive are skipped, so interrupted runs resume at level granularity:
     from the run directory's `trainer_state_<level>.ckpt` of the last
     completed level (every network with its Adam moments), or, without one,

@@ -4,11 +4,13 @@ write, against a table of known digests.
 Each run goes through `cli.main` as the command line runs it, except
 `AlwaysFightActor`, which no command exposes and which `evaluate` drives
 directly, and the curriculum stopped after L2 and resumed, which
-`run_curriculum` runs as a command would with its `levels` cut short. Training runs set `ppo.batch_size` small enough for two or more
-updates. A change that moves a seeded output on purpose updates the table
-below: the failure message prints every actual digest. Trajectories are
-hashed only against scripted opponents, since a `snapshot:` header holds
-checkpoint paths.
+`run_curriculum` runs as a command would with its `levels` cut short.
+Training runs set `ppo.batch_size` small enough for an update per collect,
+and step budgets that take two or more collects (a collect plays 8
+episodes in lockstep). A change that moves a seeded output on purpose
+updates the table below: the failure message prints every actual digest.
+Trajectories are hashed only against scripted opponents, since a
+`snapshot:` header holds checkpoint paths.
 """
 
 from __future__ import annotations
@@ -38,47 +40,47 @@ from dogfight.train.league import LOW_LEVELS
 
 LEDGER = {
     "commander-glob/checkpoints/commander_Glob-N2-Opt-Assess.ckpt":
-        "c72e017f2354400aeac2decd3aae08612a5e3953faf5350b5baf440aba747adf",
+        "4a315d02847744e6fcbb8d04f477436845eb73199359e87c48e6be24259ab6c6",
     "commander-glob/config.json":
         "a505235c5b0345d0a520f30cd93824ae566229c9d6cf6dd15a2b2bc634f27e42",
     "commander-glob/metrics.jsonl":
-        "64f63c6566f0559defe4049a20c366404ac5d966d76376d78403b59cb6a233c6",
+        "18f6687b19bf3e6ab03fa5cc2cf70256d6be1d7cb4ba6dd9ca60cd574347bba4",
     "commander-n3-sa/checkpoints/commander_Shared-N3-Opt-Assess.ckpt":
-        "1053ff8d6ffc148e22a5ee9e5a0d92991e5ed84fbe4c933a1597d89549a44637",
+        "269e094838a4a492f0434b656a626ee6393199d11c28f27b0bfea63d02d9b0b8",
     "commander-n3-sa/config.json":
         "8ff5da2256049ccab74998127e8c8dff00e23f43b073c5b3a3d5c6d50862f285",
     "commander-n3-sa/metrics.jsonl":
-        "7aeb6eaf08aa15b9cd635b6d1c4b039c41bdadc2462fc7befa509f24a7d13e61",
+        "3311e7b3c4ab798cb2a64a7663ef26d3e54b88567242826125638a7476b68669",
     "commander-noopt/checkpoints/commander_Shared-N2-noOpt-Assess.ckpt":
-        "ca7f7b8c713a17fe65d7c41cc8b1ad5f14e2cd5dac1775eb6fe3156c9914a797",
+        "02c1b71e12c6273b093ff8eb723c8d9965c40f547848907377252d8665c655d1",
     "commander-noopt/config.json":
         "27fa54936baa515860f428a55334e42936a902ab930cf2ff97f82580adf3c680",
     "commander-noopt/metrics.jsonl":
-        "64da5fed46c5d334e79d821a3f432111875eec94b4b7db33af32f7ef9911eb73",
+        "4f2a3353a4d4f4b42ec2c55926fc98b0b9a725eeb2a3d9605aa97653c4fc3c72",
     "commander-shared/checkpoints/commander_Shared-N2-Opt-Assess.ckpt":
-        "6f9d4ae35532a261d954559ad163b0d02e90573c3351b09aa9afd354a2b48082",
+        "71f571ca6faf4f3c3d28721d323b3ea21556631ecd8a2231aab047f584333a18",
     "commander-shared/config.json":
         "9f54f403f63ba5f3acb3062261a912c231866dfb696047f605b7a007eba5a665",
     "commander-shared/metrics.jsonl":
-        "8225c40d45f0ad7a39da9d94e065303dceb4597905d9586f2d01fd4e4c247f0c",
+        "480734d490537fa696f4ded1d37fb8f12b5aebed46c98ce561bdd31afec637b7",
     "curriculum-resumed/config.json":
         "95eaa9c54d1bfde3ed3a39c7bf620d3e2527db21ce7a7ea01108a1a59de9cf78",
     "curriculum-resumed/league/fight_L5.ckpt":
-        "5d2603656c5d2bb80d594c953e1680b6619aa496cec402b686a46aa5e34069e3",
+        "d70609ae083a046c2c7ff9c04c24e330043216220e147a987aad45f7d2d4e90c",
     "curriculum-resumed/metrics.jsonl":
-        "1020b5ba9494b0417ef9e1c941a0bc9c31171045f66a87c0c808a581a31e5247",
+        "0b3eb224d4fb1d8b29788f9bd4c7e8e390f02403699068cf3cc63dbf2f990681",
     "escape-phase2/config.json":
         "6cb2e0fd5446504eb804228e34c2461c79e09e5ac85215a42efa9f1d6f374bcf",
     "escape-phase2/league/escape.ckpt":
-        "79e7e2e31ca334994da5e322f98c7ba19bb4b89ce531269937c39bbfaa7fe942",
+        "71ce2c50c5f005cab64947409b5a64d7ff2809b3ae68e19889e06adbc629b745",
     "escape-phase2/metrics.jsonl":
-        "e42da5130679500c9ef72d8f3daf42b2ca38831f4627248136dd2df0c9568afa",
+        "81adfe8276c3177a197a0f6031b4c0b09945bf5ec7a2b1150ee1659ceb97f067",
     "escape/config.json":
-        "36e05c9a42f6b5a8f4e1f1c14cbcf650d8d918302eebd5ac2c04ed6803c2e830",
+        "d278f4964619bc15a99285ce33e8039d96d703b85dce1aa9144c9a007cb68ef4",
     "escape/league/escape.ckpt":
-        "5f0ad4e04b16e03e5c032801ac30bb19dd7bf362b639abb477fc4de8d99f29b8",
+        "3513918d6e286a65542ccb5cd9458b3e565f544dfdce5d31ae562a803c9ff35a",
     "escape/metrics.jsonl":
-        "d7179e4027e92978527ea881c1e48a47399993ef813d14ce23120627885919a6",
+        "b2cee020eaa3d8d5ba67fede420196a537461c50d6cdc00e20217743eb2021b8",
     "evaluate-always-fight/report":
         "6f5901f53b59830631d198bea662d0fca98e28afcc8c9c74b9a6f6fd4d5c00dd",
     "evaluate-ctce-greedy/report.json":
@@ -100,23 +102,23 @@ LEDGER = {
     "evaluate-random/trajectory.jsonl":
         "86519d4a7e211c4133aaa58e70ca8a1d7ec722e44c57a0ae9435b57708c77d70",
     "fight-ctde/config.json":
-        "bb5c78bcd8a6e2d9c58d937a0ded8f3ff8388b0c6ec42376143fc617454613ec",
+        "b2f731d24a129d5cc574da26be2e973ef90e272a2a90049653446e68a9896266",
     "fight-ctde/league/fight_L3.ckpt":
-        "b60c6ac6f1dac16d3a179e57bf891d63e67b2af058e4b8fa397bb97d9ffc6b0a",
+        "f3538846a526be6adfcf4b9fbe17938d9256d3ed5da17bfb4aba5472394ce393",
     "fight-ctde/metrics.jsonl":
-        "80bd85a76d7de64a90026737b99fe30f749b5c312b6f8ceee4e60be566886988",
+        "71b8029712dc8dfd46b58ed1fa0090f9654a005a9748dedb6c1c7877f3e205e7",
     "fight-dtde/config.json":
-        "643b7dd405892bdd50389a3bb6a8165cd7ebce6e1f53430d341a0c3dd9358a11",
+        "c67c8f60d5102673839e254fe903f44c80b5fc59239f0cf47a51254daed7550e",
     "fight-dtde/league/fight_L3.ckpt":
-        "e7afab9872fa0ca7f79b2302d37084636d4b0a7a91787be9ccff043ce6ce8524",
+        "86f5459c6e3f1ec7bc67403269155d0290177e8c442089f9b5b67481ecf9e137",
     "fight-dtde/metrics.jsonl":
-        "f365939963617127f957e3e7fad346d86ce6c2785bd6a9391d8109e40f13ef92",
+        "aa7f18c36413e8910fcfef862d647ad56e93a57c6ef1c3030203b2ef8a85e148",
     "standard/checkpoints/standard.ckpt":
-        "100630fa14243c4a36f7e47ebba61a4caed4c799ed48017d6977203de63e9e4c",
+        "31dd2b5c4d4b1be0a33cdf0550961215eec60332c1d7ffed4cd8000dfcea87bf",
     "standard/config.json":
-        "4b8beddd73eab04694c06d1e5898e50ea92453350b23c3ac8f684bad82cd7887",
+        "36239a7d57ea073cf0df8e71d144e76c9196e321f58fbc66613c8e7c2b630a38",
     "standard/metrics.jsonl":
-        "171eb26dba7fe7bceac0abc2a4bc0abbd12bbe37d9df45116ea1f8eec51d093d",
+        "467e0932e81d64d311a4cdd3018f3f1b7fdf972e8a0275c3120cf4430a49612a",
     "sweep/2v2.json":
         "00c993c5526b4b291a065d1785335dcf27f9a48fd0f204180668fc21e800e790",
 }
@@ -185,12 +187,12 @@ def _collect(root) -> dict[str, str]:
         lines = (run / "metrics.jsonl").read_text().splitlines()
         assert len(lines) >= 2, f"{name} logged {len(lines)} updates"
 
-    low = ["train-low", "--level", "L3", "--steps", 80, "--seed", 3,
+    low = ["train-low", "--level", "L3", "--steps", 160, "--seed", 3,
            *SMALL_MAP, *SMALL_PPO]
     train("fight-ctde", [*low, "--policy", "fight"], ["league/fight_L3.ckpt"])
     train("fight-dtde", [*low, "--policy", "fight", "--framework", "dtde"],
           ["league/fight_L3.ckpt"])
-    train("escape", ["train-low", "--policy", "escape", "--steps", 60,
+    train("escape", ["train-low", "--policy", "escape", "--steps", 120,
                      "--steps-phase2", 0, "--seed", 7, *SMALL_MAP, *SMALL_PPO],
           ["league/escape.ckpt"])
     train("escape-phase2", ["train-low", "--policy", "escape", "--steps", 60,
@@ -199,7 +201,7 @@ def _collect(root) -> dict[str, str]:
                             *SMALL_MAP, *SMALL_PPO], [])
     record("escape-phase2/league/escape.ckpt",
            root / "league-l5" / "escape.ckpt")
-    train("standard", ["train-low", "--policy", "standard", "--steps", 80,
+    train("standard", ["train-low", "--policy", "standard", "--steps", 160,
                        "--seed", 4, *SMALL_MAP, *SMALL_PPO],
           ["checkpoints/standard.ckpt"])
     commander = ["train-commander", "--fight-ckpt", ckpt["fight"],

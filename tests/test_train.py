@@ -144,8 +144,8 @@ def fill_buffer(policy, scenario, n, seed=0):
     buffer = RolloutBuffer()
 
     class Recorder(CTDEDriver):
-        def decided(self, env):
-            self.transitions = self.act(env, self.episode)
+        def decided(self, envs):
+            (self.transitions,) = self.act(envs, [self.episode])
 
         def observe_step(self, env, result):
             for t in self.transitions:
@@ -246,7 +246,8 @@ class TestLeague:
 
 
 # the keys of every metrics.jsonl record (docs/formats.md)
-METRICS_KEYS = {"entropy", "env_steps", "episodes", "level", "mean_length",
+METRICS_KEYS = {"entropy", "env_steps", "episodes", "grad_norm", "level",
+                "mean_length",
                 "mean_ratio_first_epoch", "mean_reward", "policy_loss",
                 "update", "value_loss", "win_rate"}
 
@@ -601,6 +602,139 @@ class TestCommanderTrainer:
         trainer = self._trainer()
         trainer.train(env_steps=60)
         assert trainer.updates >= 1
+
+
+def _float64_networks(trainer):
+    """Swaps the networks a trainer updates for float64 ones of the same
+    configs."""
+    import dataclasses
+
+    nets = {key: PolicyNetwork(dataclasses.replace(p.config, dtype="float64"),
+                               seed=key + 1)
+            for key, p in trainer.policies.items()}
+    trainer.policies, trainer.policy = nets, nets[0]
+    if isinstance(trainer, CommanderTrainer):
+        trainer.actor.commander = nets[0]
+    else:
+        trainer.actor.policy = (nets if isinstance(trainer.actor.policy, dict)
+                                else nets[0])
+
+
+def _low_level(framework, float64=False):
+    from dogfight.scripted import ScriptedController
+
+    trainer = LowLevelTrainer(small_scenario(horizon=12), small_ppo(4096),
+                              TrainMode(framework=framework), seed=31)
+    if float64:
+        _float64_networks(trainer)
+    return trainer, trainer.make_env(
+        ScriptedController("L3", trainer.opponent_rng))
+
+
+def _streams(transitions) -> dict:
+    streams = {}
+    for t in transitions:
+        streams.setdefault((t.episode, t.agent_id), []).append(t)
+    return streams
+
+
+FRAMEWORKS = ["ctde", "dtde", "ctce"]
+
+
+class TestLockstepCollects:
+    @pytest.mark.parametrize("framework", FRAMEWORKS)
+    def test_low_level_collect_keeps_each_episode_apart(self, framework):
+        # one run_episode plays LOCKSTEP_EPISODES episodes, on the env and
+        # its siblings: each has its own episode index, and every (episode,
+        # agent) stream holds one episode's steps, closed once
+        from dogfight.train.policies import LOCKSTEP_EPISODES
+
+        trainer, env = _low_level(framework)
+        trainer.run_episode(env)
+        transitions = trainer.buffer.transitions
+        episodes = [t.episode for t in transitions]
+        assert episodes == sorted(episodes)  # buffered in episode order
+        assert set(episodes) == set(range(LOCKSTEP_EPISODES))
+        streams = _streams(transitions)
+        for stream in streams.values():
+            assert [t.done for t in stream] == [False] * (len(stream) - 1) + [True]
+        assert len(trainer.envs) == LOCKSTEP_EPISODES and trainer.envs[0] is env
+        for k, sibling in enumerate(trainer.envs):
+            spans = [sum(t.duration for t in stream)
+                     for (episode, _), stream in streams.items() if episode == k]
+            assert max(spans) == sibling.step_count
+        assert trainer.env_steps == sum(e.step_count for e in trainer.envs)
+        siblings = list(trainer.envs)
+        trainer.run_episode(env)  # the next collect reuses the siblings
+        assert trainer.envs == siblings
+        assert {t.episode for t in trainer.buffer.transitions} == set(
+            range(2 * LOCKSTEP_EPISODES))
+
+    @pytest.mark.parametrize("framework", FRAMEWORKS)
+    def test_lockstep_collect_equals_episodes_one_at_a_time(self, framework):
+        # with no update in between, the lockstep episodes act, draw and
+        # judge as the same episodes played one after another; float64
+        # networks keep the rounding of a batched product far below 1e-12
+        from dogfight.train.policies import LOCKSTEP_EPISODES
+
+        def collect(lockstep):
+            trainer, env = _low_level(framework, float64=True)
+            if lockstep:
+                trainer.run_episode(env)
+            else:
+                for _ in range(LOCKSTEP_EPISODES):
+                    trainer._play([env])
+            return trainer.env_steps, trainer.buffer.transitions
+
+        (steps, lockstep), (steps_alone, alone) = collect(True), collect(False)
+        assert steps == steps_alone and len(lockstep) == len(alone)
+        for a, b in zip(lockstep, alone):
+            assert (a.episode, a.agent_id, a.instance, a.done, a.reward) == \
+                (b.episode, b.agent_id, b.instance, b.done, b.reward)
+            np.testing.assert_array_equal(a.action, b.action)
+            np.testing.assert_array_equal(a.critic_input, b.critic_input)
+        for field in ("log_prob", "value"):
+            np.testing.assert_allclose([getattr(t, field) for t in lockstep],
+                                       [getattr(t, field) for t in alone],
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("float64", [False, True], ids=["float32", "float64"])
+    @pytest.mark.parametrize("path", FRAMEWORKS + ["commander", "commander-glob"])
+    def test_batched_critic_equals_one_call_per_env(self, monkeypatch, path,
+                                                     float64):
+        # every recorded value is the one a critic call on its own input
+        # gives, while a lockstep step makes one critic forward per
+        # (network, instance) for all its envs
+        if path.startswith("commander"):
+            trainer = TestCommanderTrainer()._trainer(
+                CommanderVariant(shared=path == "commander"))
+            if float64:
+                _float64_networks(trainer)
+            collect = trainer.run_episode
+        else:
+            trainer, env = _low_level(path, float64)
+            collect = lambda: trainer.run_episode(env)  # noqa: E731
+        calls = []
+        forward_critic = PolicyNetwork.forward_critic
+
+        def counted(self, instance, critic_input, **kwargs):
+            calls.append((id(self), instance))
+            return forward_critic(self, instance, critic_input, **kwargs)
+
+        monkeypatch.setattr(PolicyNetwork, "forward_critic", counted)
+        collect()
+        monkeypatch.undo()
+        transitions = trainer.buffer.transitions
+        network = (trainer.policies.get if path == "dtde"
+                   else lambda _: trainer.policy)
+        alone = [network(t.agent_id).forward_critic(
+                     t.instance, t.critic_input, grad=False).item()
+                 for t in transitions]
+        np.testing.assert_allclose([t.value for t in transitions], alone,
+                                   rtol=0, atol=1e-12 if float64 else 1e-6)
+        groups = len(set(calls))  # (network, instance) pairs judged
+        lockstep_steps = max(e.step_count for e in trainer.envs)
+        assert len(calls) <= groups * lockstep_steps
 
 
 class TestGraphFreeDecisions:
