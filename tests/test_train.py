@@ -631,13 +631,6 @@ def _low_level(framework, float64=False):
         ScriptedController("L3", trainer.opponent_rng))
 
 
-def _streams(transitions) -> dict:
-    streams = {}
-    for t in transitions:
-        streams.setdefault((t.episode, t.agent_id), []).append(t)
-    return streams
-
-
 FRAMEWORKS = ["ctde", "dtde", "ctce"]
 
 
@@ -655,7 +648,9 @@ class TestLockstepCollects:
         episodes = [t.episode for t in transitions]
         assert episodes == sorted(episodes)  # buffered in episode order
         assert set(episodes) == set(range(LOCKSTEP_EPISODES))
-        streams = _streams(transitions)
+        streams = {}
+        for t in transitions:
+            streams.setdefault((t.episode, t.agent_id), []).append(t)
         for stream in streams.values():
             assert [t.done for t in stream] == [False] * (len(stream) - 1) + [True]
         assert len(trainer.envs) == LOCKSTEP_EPISODES and trainer.envs[0] is env
@@ -673,8 +668,9 @@ class TestLockstepCollects:
     @pytest.mark.parametrize("framework", FRAMEWORKS)
     def test_lockstep_collect_equals_episodes_one_at_a_time(self, framework):
         # with no update in between, the lockstep episodes act, draw and
-        # judge as the same episodes played one after another; float64
-        # networks keep the rounding of a batched product far below 1e-12
+        # judge as the same episodes played one after another; a batched
+        # product rounds unlike a one-row one, which float64 networks keep
+        # far below 1e-12
         from dogfight.train.policies import LOCKSTEP_EPISODES
 
         def collect(lockstep):
@@ -703,7 +699,8 @@ class TestLockstepCollects:
     def test_batched_critic_equals_one_call_per_env(self, monkeypatch, path,
                                                      float64):
         # every recorded value is the one a critic call on its own input
-        # gives, while a lockstep step makes one critic forward per
+        # gives (to the rounding of a batched product against a one-row
+        # one), while a lockstep step makes one critic forward per
         # (network, instance) for all its envs
         if path.startswith("commander"):
             trainer = TestCommanderTrainer()._trainer(
