@@ -51,7 +51,7 @@ from .train import (
     train_escape,
     train_standard_baseline,
 )
-from .train.trainer import controller_for_level, curriculum_horizon
+from .train.trainer import check_levels, controller_for_level, curriculum_horizon
 
 
 # why a key no command, or the command at hand, reads
@@ -153,6 +153,7 @@ def cmd_train_low(args) -> int:
                        steps_per_level=args.steps, script=script, sim_cfg=sim)
         return 0
 
+    check_levels(mode, [args.level])
     trainer = LowLevelTrainer(scenario, _ppo(cfg), mode, run, seed, script, sim)
     trainer.write_config(mode=mode.__dict__, level=args.level, steps=args.steps)
     controller = controller_for_level(args.level, trainer, archive, scenario,

@@ -182,12 +182,9 @@ class AlwaysFightActor(HierarchyEvalActor):
         pass  # no commander decides
 
     def _decide(self, env):
-        slot = self.slots[env]
-        slot.decisions = {aid: {"target_idx": 1,
-                                "sensed": [o.id for o in closest_opponents(
-                                    env.world, env.world.get(aid), 1)]}
-                          for aid in env.agent_ids()}
-        slot.steps_in_option = 0
+        self.slots[env].options = {aid: (1, [o.id for o in closest_opponents(
+                                       env.world, env.world.get(aid), 1)])
+                                   for aid in env.agent_ids()}
 
 
 # --- episode loop -------------------------------------------------------------

@@ -18,6 +18,8 @@ their decisions: batched, and without building a single Tensor.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -81,43 +83,23 @@ class NetworkConfig:
         raise KeyError(f"no instance {name!r} in {self.kind} network")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "embed_width": self.embed_width,
-            "recurrent": self.recurrent,
-            "hidden_width": self.hidden_width,
-            "fc_baseline": self.fc_baseline,
-            "fc_width": self.fc_width,
-            "dtype": self.dtype,
-            "instances": [
-                {
-                    "name": s.name,
-                    "obs_width": s.obs_width,
-                    "head_arities": list(s.head_arities),
-                    "critic_width": s.critic_width,
-                    "token_splits": list(s.token_splits) if s.token_splits else None,
-                }
-                for s in self.instances
-            ],
-        }
+        """The config's fields in JSON form (tuples as lists)."""
+        return json.loads(json.dumps(dataclasses.asdict(self)))
 
     @classmethod
     def from_dict(cls, data: dict) -> "NetworkConfig":
-        instances = tuple(
-            InstanceSpec(
-                name=item["name"],
-                obs_width=item["obs_width"],
-                head_arities=tuple(item["head_arities"]),
-                critic_width=item["critic_width"],
-                token_splits=tuple(item["token_splits"]) if item["token_splits"] else None,
-            )
-            for item in data["instances"]
-        )
-        return cls(kind=data["kind"], instances=instances,
-                   embed_width=data["embed_width"], recurrent=data["recurrent"],
-                   hidden_width=data["hidden_width"],
-                   fc_baseline=data["fc_baseline"], fc_width=data["fc_width"],
-                   dtype=data["dtype"])
+        """The config `to_dict` gave; keys that name no field (a commander
+        checkpoint's `variant`) are ignored."""
+        return cls(**{**_fields(cls, data), "instances": tuple(
+            InstanceSpec(**_fields(InstanceSpec, item))
+            for item in data["instances"])})
+
+
+def _fields(cls, data: dict) -> dict:
+    """The entries of `data` that name fields of `cls`, lists as tuples."""
+    return {f.name: tuple(data[f.name]) if isinstance(data[f.name], list)
+            else data[f.name]
+            for f in dataclasses.fields(cls) if f.name in data}
 
 
 def fight_config(critic_width: int, fc_baseline: bool = False,

@@ -49,8 +49,8 @@ from .policies import (
     CTDEDriver,
     EpisodeActor,
     SnapshotController,
+    decision_transitions,
     joint_obs,
-    joint_transition,
     lockstep_envs,
     set_values,
 )
@@ -112,8 +112,11 @@ class HierarchyEvalActor(EpisodeActor):
     The commander decisions of every env at a boundary are made in one
     `decide` call. Each episode keeps its own state in `slots`: streams
     spawned from `rng` (commander) and the fight actor's generator
-    (low-level), hidden states, the options being flown and their age.
-    Tracks command and opponent-selection statistics."""
+    (low-level), hidden states, the commander's last `Decision` (which
+    `CommanderTrainer` records at the boundary), the options it chose,
+    `(target_idx, sensed)` per agent, and their age. The flown low-level
+    decisions are the loop's and are not kept. Tracks command and
+    opponent-selection statistics."""
 
     def __init__(self, commander: PolicyNetwork, fight: PolicyNetwork,
                  escape: PolicyNetwork, rng: np.random.Generator,
@@ -138,7 +141,7 @@ class HierarchyEvalActor(EpisodeActor):
             low_rng=episode_stream(self.fight_actor.rng),
             hiddens={k: self.commander.initial_hidden() for k in keys},
             decision=None,  # the commander's last `Decision`
-            decisions={},  # per living agent at the boundary
+            options={},  # its (target_idx, sensed) per living agent
             steps_in_option=0, last_events=[])
 
     def _command(self, envs: list[CombatEnv]):
@@ -176,7 +179,7 @@ class HierarchyEvalActor(EpisodeActor):
     def _decide(self, env: CombatEnv):
         """The options of `env`'s agents from the commander's decision."""
         slot, world = self.slots[env], env.world
-        slot.decisions = {}
+        slot.options = {}
         for aid, a_c in zip(slot.decision.ids,
                             slot.decision.samples[:, 0].tolist()):
             sensed = [o.id for o in closest_opponents(world, world.get(aid),
@@ -188,9 +191,7 @@ class HierarchyEvalActor(EpisodeActor):
             else:
                 self.fight_commands += 1
                 self.opponent_selection[min(target_idx, 3) - 1] += 1
-            slot.decisions[aid] = {"a_c": a_c, "target_idx": target_idx,
-                                   "sensed": sensed}
-        slot.steps_in_option = 0
+            slot.options[aid] = (target_idx, sensed)
 
     def actions(self, envs: list[CombatEnv]) -> list[Decision]:
         """Decide at each env's option boundary, re-rolling snapshot
@@ -201,7 +202,7 @@ class HierarchyEvalActor(EpisodeActor):
         due = []
         for env in envs:
             slot = self.slots[env]
-            if not slot.decisions or option_terminated(
+            if not slot.options or option_terminated(
                     env.world, slot.steps_in_option, slot.last_events,
                     env.scenario):
                 due.append(env)
@@ -209,6 +210,7 @@ class HierarchyEvalActor(EpisodeActor):
             self._command(due)
         for env in due:
             self._decide(env)
+            self.slots[env].steps_in_option = 0
             if isinstance(env.opponent_controller, SnapshotController):
                 env.opponent_controller.reassign(env.world)
         flown = []
@@ -217,8 +219,7 @@ class HierarchyEvalActor(EpisodeActor):
             ids = env.agent_ids()
             rows = []
             for aid in ids:
-                target_idx = slot.decisions[aid]["target_idx"]
-                sensed = slot.decisions[aid]["sensed"]
+                target_idx, sensed = slot.options[aid]
                 target = None
                 if (0 < target_idx <= len(sensed)
                         and world.get(sensed[target_idx - 1]).alive):
@@ -278,20 +279,18 @@ class CommanderTrainer(TrainerCore):
             "escape": escape.store.checksum(),
         }
 
-    def run_episode(self) -> dict:
+    def run_episode(self):
         """`LOCKSTEP_EPISODES` training episodes, in lockstep."""
-        commands = (self.actor.fight_commands, self.actor.escape_commands)
         self._play(self.envs)
-        return {"fight_cmds": self.actor.fight_commands - commands[0],
-                "escape_cmds": self.actor.escape_commands - commands[1]}
 
     def begin_episode(self, env: CombatEnv):
         super().begin_episode(env)
         self._open[env].prev_cmd = {}  # no commands yet
 
-    def _decide(self, envs: list[CombatEnv]):
+    def _decide(self, envs: list[CombatEnv], decisions: list):
         """The transitions of the envs at an option boundary (None where an
-        earlier decision flies on), valued in one critic forward."""
+        earlier decision flies on), valued in one critic forward; the flown
+        low-level `decisions` are not trained."""
         out = [None if self.actor.slots[env].steps_in_option
                else self._decision_transitions(env) for env in envs]
         set_values([t for ts in out if ts for t in ts], lambda t: self.policy)
@@ -312,28 +311,17 @@ class CommanderTrainer(TrainerCore):
         episode = self._open[env]
         prev_cmd = episode.prev_cmd
         slot = self.actor.slots[env]
-        d, decisions = slot.decision, slot.decisions
+        d = slot.decision
         critic_in = build_critic_input("commander", world, scenario, prev_cmd)
-        assess = {aid: assess_commander_action(
-                      world, aid, c["target_idx"], c["sensed"], scenario)
-                  if variant.assess else 0.0
-                  for aid, c in decisions.items()}
-        for aid, c in decisions.items():
-            prev_cmd[aid] = [c["a_c"] / max(1, variant.n_options - 1)]
+        assess = [assess_commander_action(world, aid, *slot.options[aid],
+                                          scenario) if variant.assess else 0.0
+                  for aid in d.ids]
+        for aid, a_c in zip(d.ids, d.samples[:, 0].tolist()):
+            prev_cmd[aid] = [a_c / max(1, variant.n_options - 1)]
         for oid, mode in env.opponent_controller.assignments.items():
             prev_cmd[oid] = [1.0 if mode == "fight" else 0.0]
-        if self.actor.instance == "cmd":
-            return [Transition(
-                instance="cmd", agent_id=aid, episode=episode.index,
-                obs=d.rows[i][2], action=np.array([c["a_c"]]),
-                log_prob=float(d.log_probs[i]), value=0.0, reward=assess[aid],
-                done=False, critic_input=critic_in, hidden=d.hidden[i:i + 1])
-                for i, (aid, c) in enumerate(decisions.items())]
-        return [joint_transition(
-            scenario.n_agents, d.ids, d.samples, d.log_probs,
-            episode=episode.index, obs=d.rows[0][2], value=0.0,
-            reward=sum(assess.values()), critic_input=critic_in,
-            hidden=d.hidden)]
+        return decision_transitions(d, episode.index,
+                                    [critic_in] * len(d.ids), assess)
 
     def train(self, env_steps: int):
         """Trains for `env_steps` more env steps; the frozen low-level

@@ -8,9 +8,9 @@ a dict of networks by agent id (DTDE). A shared network's critic judges the
 global critic input, which is the same for all of its agents; an agent's own
 network judges a local one, its observation and previous action. Jointly:
 one network reads the team's zero-padded joint observation (`joint_obs`)
-and every living slot samples its own heads, and `joint_transition`
-records that decision as one transition. `CTCEDriver` flies the low-level
-team that way, and the Glob commander decides that way.
+and every living slot samples its own heads. `CTCEDriver`, a `CTDEDriver`
+whose one row is joint, flies the low-level team that way, and the Glob
+commander decides that way.
 
 Every episode, in training and in evaluation, runs through `play_episodes`,
 which steps E envs in lockstep (E = 1 plays a single episode); training and
@@ -18,9 +18,11 @@ which steps E envs in lockstep (E = 1 plays a single episode); training and
 lockstep step every network-driven aircraft of both teams in every
 unfinished env is decided in one `decide` call: one graph-free forward per
 (network, instance) and one sampling call. A driver's `actions(envs)`
-returns each env's `Decision` and keeps it; `act(envs, episodes)`, which
-training uses, turns the decided ones into reward-less transitions whose
-values `set_values` gives, one critic forward per (network, instance).
+returns each env's `Decision`; the loop decides them and hands them back
+through `decided(envs, decisions)`. In training, `act(envs, decisions,
+episodes)` turns them into reward-less transitions (`decision_transitions`,
+the one builder of every transition, commander ones included) whose values
+`set_values` gives, one critic forward per (network, instance).
 
 Random streams: each decision-maker spawns an episode stream from its own
 generator when an episode begins (`episode_stream`), and every draw within
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -115,22 +116,37 @@ def joint_obs(world: World, n_agents: int, width: int, observe
     return obs, alive
 
 
-def joint_transition(n_agents: int, alive: list[int], samples: np.ndarray,
-                     log_probs: np.ndarray, **fields) -> Transition:
-    """The transition of a joint decision: the living slots' heads in the
-    team's action vector, the mask of the heads that acted, and the summed
-    log-probability; `fields` give the rest (episode, obs, value, reward,
-    critic_input, hidden)."""
-    width = samples.shape[1]
-    action = np.zeros(n_agents * width, dtype=int)
-    mask = np.zeros(n_agents * width)
-    log_prob = 0.0
-    for slot, picked, lp in zip(alive, samples, log_probs):
-        action[slot * width:(slot + 1) * width] = picked
-        mask[slot * width:(slot + 1) * width] = 1.0
-        log_prob += float(lp)
-    return Transition(instance="joint", agent_id=-1, action=action,
-                      log_prob=log_prob, done=False, head_mask=mask, **fields)
+def decision_transitions(d: Decision, episode: int, critic_inputs: list,
+                         rewards: list[float]) -> list[Transition]:
+    """The transitions of a decided `Decision`, valued 0 (see `set_values`)
+    and rewarded with `rewards`, one per acting id; the option's reward is
+    added when it closes. A per-row decision gives one transition per
+    sampled row, with its critic input and, from a recurrent network, its
+    hidden state. A joint decision gives one team transition: the acting
+    slots' heads in the team's action vector, the mask of the heads that
+    acted, the summed log-probability and reward, and the first critic
+    input."""
+    if not d.slot_heads:
+        return [Transition(
+            instance=instance, agent_id=aid, episode=episode, obs=obs,
+            action=action, log_prob=float(log_prob), value=0.0, reward=reward,
+            done=False, critic_input=critic_in,
+            hidden=None if d.hidden is None else d.hidden[i:i + 1])
+            for i, (aid, (_, instance, obs), action, log_prob, critic_in, reward)
+            in enumerate(zip(d.ids, d.rows, d.samples, d.log_probs,
+                             critic_inputs, rewards))]
+    ((policy, instance, obs),) = d.rows
+    heads = len(policy.config.instance(instance).head_arities)
+    action = np.zeros(heads, dtype=int)
+    mask = np.zeros(heads)
+    for slot, picked in zip(d.ids, d.samples):
+        span = slice(slot * d.slot_heads, (slot + 1) * d.slot_heads)
+        action[span], mask[span] = picked, 1.0
+    return [Transition(
+        instance=instance, agent_id=-1, episode=episode, obs=obs, action=action,
+        log_prob=sum(d.log_probs.tolist()), value=0.0, reward=sum(rewards),
+        done=False, critic_input=critic_inputs[0], hidden=d.hidden,
+        head_mask=mask)]
 
 
 def lockstep_envs(env: CombatEnv, count: int = LOCKSTEP_EPISODES
@@ -166,14 +182,14 @@ def set_values(transitions: list[Transition], network) -> None:
 class EpisodeActor:
     """What `play_episodes` drives: `actions(envs)` once per lockstep step,
     giving each env's `Decision` for its agents (or their actions, when no
-    network decides them); `decided(envs)` once the step's decisions are
-    made, before the envs step; and hooks at the start of an episode and
-    after each step. The hooks are empty here."""
+    network decides them); `decided(envs, decisions)` with those, once they
+    are decided and before the envs step; and hooks at the start of an
+    episode and after each step. The hooks are empty here."""
 
     def begin_episode(self, env: CombatEnv):
         pass
 
-    def decided(self, envs: list[CombatEnv]):
+    def decided(self, envs: list[CombatEnv], decisions: list):
         pass
 
     def observe_step(self, env: CombatEnv, result):
@@ -196,7 +212,7 @@ def play_episodes(envs: list[CombatEnv], actor: EpisodeActor,
     episode runs, every unfinished env takes one step: `actor` gives its
     agents' decisions and each env's opponent controller those of its
     living opponents, all decided in one `decide` call before any action is
-    applied; `actor` hears that they are decided, then each env steps on
+    applied; `actor` is handed its decided ones, then each env steps on
     both teams' actions and `actor` observes the result. Returns each
     episode's events in order."""
     for env, seed in zip(envs, seeds):
@@ -211,7 +227,7 @@ def play_episodes(envs: list[CombatEnv], actor: EpisodeActor,
                      env.opponent_controller(env.world, env.opponent_ids())
                      for env in stepping]
         decide([d for d in agents + opponents if isinstance(d, Decision)])
-        actor.decided(stepping)
+        actor.decided(stepping, agents)
         still = []
         for k, env, own, theirs in zip(live, stepping, agents, opponents):
             result = env.step(low_level_actions(own), low_level_actions(theirs))
@@ -280,7 +296,7 @@ class CTDEDriver(EpisodeActor):
         self.kind = kind  # fight | escape
         self.rng = rng
         self.greedy = greedy
-        self.slots = WeakKeyDictionary()  # env -> its episode's stream, decision
+        self.streams = WeakKeyDictionary()  # env -> its episode's stream
 
     def network(self, agent_id: int) -> PolicyNetwork:
         """The network that decides for `agent_id`."""
@@ -295,30 +311,25 @@ class CTDEDriver(EpisodeActor):
                 env.observe(agent_id, self.kind))
 
     def begin_episode(self, env: CombatEnv):
-        self.slots[env] = SimpleNamespace(rng=episode_stream(self.rng),
-                                          decision=None)
+        self.streams[env] = episode_stream(self.rng)
 
     def actions(self, envs: list[CombatEnv]) -> list[Decision]:
-        """One row per living agent of each env, kept for `act`."""
+        """One row per living agent of each env."""
         decisions = []
         for env in envs:
-            slot = self.slots[env]
             ids = env.agent_ids()
-            slot.decision = Decision([self.row(env, aid) for aid in ids], ids,
-                                     None if self.greedy else slot.rng)
-            decisions.append(slot.decision)
+            decisions.append(Decision([self.row(env, aid) for aid in ids], ids,
+                                      None if self.greedy else self.streams[env]))
         return decisions
 
-    def act(self, envs: list[CombatEnv], episodes: list[int]
-            ) -> list[list[Transition]]:
-        """Each env's reward-less transitions of its decided step, one per
-        agent, with its critic input and value. An agent's own network
-        judges its observation and previous action; a shared network judges
-        the env's global critic input, so one value per instance serves its
-        agents."""
+    def act(self, envs: list[CombatEnv], decisions: list[Decision],
+            episodes: list[int]) -> list[list[Transition]]:
+        """Each env's reward-less transitions of its decided step, with
+        their critic inputs and values. An agent's own network judges its
+        observation and previous action; a shared network judges the env's
+        global critic input, so one value per instance serves its agents."""
         out = []
-        for env, episode in zip(envs, episodes):
-            d = self.slots[env].decision
+        for env, d, episode in zip(envs, decisions, episodes):
             if isinstance(self.policy, dict):
                 inputs = [np.concatenate([
                               obs, env.prev_actions.get(aid, [0.0] * LOW_ACTION_WIDTH)])
@@ -326,58 +337,26 @@ class CTDEDriver(EpisodeActor):
             else:
                 inputs = [build_critic_input(self.kind, env.world, env.scenario,
                                              env.prev_actions)] * len(d.ids)
-            out.append([Transition(
-                instance=instance, agent_id=aid, episode=episode, obs=obs,
-                action=action, log_prob=float(log_prob), value=0.0,
-                reward=0.0, done=False, critic_input=critic_in)
-                for aid, (_, instance, obs), action, log_prob, critic_in in zip(
-                    d.ids, d.rows, d.samples, d.log_probs, inputs)])
+            out.append(decision_transitions(d, episode, inputs,
+                                            [0.0] * len(d.ids)))
         set_values([t for ts in out for t in ts],
                    lambda t: self.network(t.agent_id))
         return out
 
 
-class CTCEDriver(EpisodeActor):
-    """One joint network flies the whole team (see `joint_obs`); a
-    training step records a single transition for the team."""
-
-    def __init__(self, policy: PolicyNetwork, kind: str,
-                 rng: np.random.Generator, greedy: bool = False):
-        self.policy = policy
-        self.kind = kind
-        self.rng = rng
-        self.greedy = greedy
-        self.slot_obs = OBS_LAYOUTS["escape-AC1" if kind == "escape" else "fight-AC1"]
-        self.slots = WeakKeyDictionary()  # env -> its episode's stream, decision
-
-    def begin_episode(self, env: CombatEnv):
-        self.slots[env] = SimpleNamespace(rng=episode_stream(self.rng),
-                                          decision=None)
+class CTCEDriver(CTDEDriver):
+    """One joint network flies the whole team (see `joint_obs`); a training
+    step records a single transition for the team, judged on the global
+    critic input."""
 
     def actions(self, envs: list[CombatEnv]) -> list[Decision]:
-        """Each env's joint decision of its living slots, kept for `act`."""
+        """Each env's joint decision of its living slots."""
         decisions = []
         for env in envs:
-            slot = self.slots[env]
             obs, alive = joint_obs(env.world, env.scenario.n_agents,
-                                   self.slot_obs,
+                                   OBS_LAYOUTS[f"{self.kind}-AC1"],
                                    lambda aid: env.observe(aid, self.kind))
-            slot.decision = Decision([(self.policy, "joint", obs)], alive,
-                                     None if self.greedy else slot.rng,
-                                     slot_heads=LOW_ACTION_HEADS)
-            decisions.append(slot.decision)
+            decisions.append(Decision([(self.policy, "joint", obs)], alive,
+                                      None if self.greedy else self.streams[env],
+                                      slot_heads=LOW_ACTION_HEADS))
         return decisions
-
-    def act(self, envs: list[CombatEnv], episodes: list[int]
-            ) -> list[list[Transition]]:
-        """Each env's one reward-less team transition of its decided step."""
-        out = []
-        for env, episode in zip(envs, episodes):
-            d = self.slots[env].decision
-            out.append([joint_transition(
-                env.scenario.n_agents, d.ids, d.samples, d.log_probs,
-                episode=episode, obs=d.rows[0][2], value=0.0, reward=0.0,
-                critic_input=build_critic_input(self.kind, env.world,
-                                                env.scenario, env.prev_actions))])
-        set_values([ts[0] for ts in out], lambda t: self.policy)
-        return out

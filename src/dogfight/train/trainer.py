@@ -86,14 +86,15 @@ class TrainerCore(EpisodeActor):
 
     `play_episodes` drives the core, which forwards the hooks to `actor` and
     records each episode of the lockstep batch apart: its own episode
-    index, open option and return. Once the step's decisions are made, a
-    trainer's `_decide(envs)` gives, per env, the transitions of a decision
-    taken at the step, or None; its `_option_reward(world, step_results,
-    agent_id)` gives an acting agent's reward over the steps a decision
-    flew. Each decision is an option that closes at the next decision or at
-    the end of the episode; a low-level decision is a one-step option.
-    Finished episodes reach the buffer, the counters and the episode window
-    in episode-index order."""
+    index, open option and return. Once the loop has decided the step, a
+    trainer's `_decide(envs, decisions)`, handed the actor's decisions,
+    gives, per env, the transitions of a decision taken at the step, or
+    None; its `_option_reward(world, step_results, agent_id)` gives an
+    acting agent's reward over the steps a decision flew. Each decision is
+    an option that closes at the next decision or at the end of the
+    episode; a low-level decision is a one-step option. Finished episodes
+    reach the buffer, the counters and the episode window in episode-index
+    order."""
 
     SEED_LABEL: str
     STREAMS: tuple[str, ...]
@@ -153,8 +154,8 @@ class TrainerCore(EpisodeActor):
     def actions(self, envs: list[CombatEnv]):
         return self.actor.actions(envs)
 
-    def decided(self, envs: list[CombatEnv]):
-        for env, transitions in zip(envs, self._decide(envs)):
+    def decided(self, envs: list[CombatEnv], decisions: list):
+        for env, transitions in zip(envs, self._decide(envs, decisions)):
             if transitions is not None:
                 slot = self._open[env]
                 self._close(slot, env.world, terminal=False)
@@ -286,8 +287,9 @@ class LowLevelTrainer(TrainerCore):
             self.envs = lockstep_envs(env)
         self._play(self.envs)
 
-    def _decide(self, envs: list[CombatEnv]):
-        return self.actor.act(envs, [self._open[env].index for env in envs])
+    def _decide(self, envs: list[CombatEnv], decisions: list):
+        return self.actor.act(envs, decisions,
+                              [self._open[env].index for env in envs])
 
     def _option_reward(self, world, step_results, agent_id):
         """The env's reward: a low-level option lasts one step."""
@@ -347,7 +349,6 @@ class LeagueOpponentController:
         self.scenario = scenario
         self.cache: dict[str, PolicyNetwork] = {}
         self.current: SnapshotController | None = None
-        self.current_level: str | None = None
 
     def _net(self, level: str) -> PolicyNetwork:
         if level not in self.cache:
@@ -356,7 +357,6 @@ class LeagueOpponentController:
 
     def reset(self, world):
         level = self.archive.sample_opponent_level(self.rng, self.below_level)
-        self.current_level = level
         self.current = SnapshotController(fight=self._net(level), rng=self.rng,
                                           scenario=self.scenario)
         self.current.reset(world)
@@ -383,6 +383,7 @@ def run_curriculum(scenario: ScenarioConfig, ppo: PPOConfig, mode: TrainMode,
     from that level's archived snapshot."""
     if mode.kind != "fight":
         raise ValueError("the curriculum trains the fight policy")
+    check_levels(mode, levels)
     script = script or ScriptConfig()
     trainer = LowLevelTrainer(scenario, ppo, mode, run_dir, seed, script, sim_cfg)
     trainer.write_config(mode=mode.__dict__, levels=list(levels),
@@ -411,6 +412,16 @@ def run_curriculum(scenario: ScenarioConfig, ppo: PPOConfig, mode: TrainMode,
         archive.save("fight", level, trainer.policy)
         trainer.save_state(run_dir.path / f"trainer_state_{level}.ckpt")
     return archive
+
+
+def check_levels(mode: TrainMode, levels) -> None:
+    """Rejects DTDE at L4 and L5, before any level trains: the league
+    archives network 0, an AC1 agent's, whose ac2 weights never train, and
+    at L4 and L5 an archived snapshot flies the opponents' AC2s."""
+    if mode.framework == "dtde" and {"L4", "L5"} & set(levels):
+        raise ValueError("dtde cannot train L4 or L5: the league archives agent "
+                         "0's network, whose ac2 weights never train, and at "
+                         "L4 and L5 that snapshot flies the opponents' AC2s")
 
 
 def controller_for_level(level: str, trainer: LowLevelTrainer,

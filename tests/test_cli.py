@@ -370,6 +370,18 @@ class TestTrainLow:
                    (run_dir / "metrics.jsonl").read_text().splitlines()]
         assert records and all(r["mean_length"] <= 3 for r in records)
 
+    @pytest.mark.parametrize("level", ["L4", "L5", "curriculum"])
+    def test_dtde_rejected_at_l4_and_l5(self, level, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        code = main(["train-low", "--policy", "fight", "--framework", "dtde",
+                     "--level", level, "--steps", "6", "--run-dir",
+                     str(run_dir), "--league-dir", str(tmp_path / "league")])
+        assert code == 1
+        assert ("dtde cannot train L4 or L5: the league archives agent 0's "
+                "network, whose ac2 weights never train") in capsys.readouterr().err
+        assert not (run_dir / "metrics.jsonl").exists()
+        assert not (tmp_path / "league" / "index.json").exists()  # nothing archived
+
     @pytest.mark.parametrize("policy", ["fight", "escape"])
     def test_level_or_phase_sets_the_horizon(self, policy, tmp_path, capsys):
         code = main(["train-low", "--policy", policy, "--level", "L1",

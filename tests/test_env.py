@@ -204,6 +204,38 @@ class TestEnvStep:
         assert env.world.get(2).speed == decode_speed(env.world.get(2).spec, 0)
         assert env.world.get(0).speed == decode_speed(env.world.get(0).spec, 8)
 
+    def test_decided_gets_the_sampled_decisions_before_the_step(self):
+        # the loop hands the actor the very Decision objects its `actions`
+        # returned, sampled, while every env still stands where it decided
+        from dogfight.train.policies import CTDEDriver, make_low_level_policy
+
+        made, handed = [], []
+
+        class Watching(CTDEDriver):
+            def actions(self, envs):
+                made.append(super().actions(envs))
+                return made[-1]
+
+            def decided(self, envs, decisions):
+                handed.append((decisions, [d.samples.copy() for d in decisions],
+                               [env.step_count for env in envs]))
+
+        scenario = ScenarioConfig(seed=0, horizon=4)
+        policy = make_low_level_policy("fight", "ctde", scenario, seed=1)
+        envs = [CombatEnv(scenario, ScriptedController(
+                    "L1", np.random.default_rng(k))) for k in range(2)]
+        play_episodes(envs, Watching(policy, "fight", np.random.default_rng(2)),
+                      [3, 4])
+        assert len(handed) == len(made) == max(e.step_count for e in envs)
+        for step, (given, (decisions, samples, counts)) in enumerate(
+                zip(made, handed)):
+            assert len(decisions) == len(given)
+            assert all(d is g for d, g in zip(decisions, given))
+            assert counts == [step] * len(decisions)
+            for d, drawn in zip(decisions, samples):
+                assert drawn.shape == (len(d.ids), 4)
+                np.testing.assert_array_equal(d.samples, drawn)
+
     def test_opponent_actions_reach_the_critic_input(self):
         # both teams' actions are the previous actions, so after one step
         # against scripted L3 each opponent's critic block ends with the

@@ -144,8 +144,8 @@ def fill_buffer(policy, scenario, n, seed=0):
     buffer = RolloutBuffer()
 
     class Recorder(CTDEDriver):
-        def decided(self, envs):
-            (self.transitions,) = self.act(envs, [self.episode])
+        def decided(self, envs, decisions):
+            (self.transitions,) = self.act(envs, decisions, [self.episode])
 
         def observe_step(self, env, result):
             for t in self.transitions:
@@ -428,6 +428,21 @@ class TestTrainerLoops:
                 np.testing.assert_array_equal(resumed[key][2][name], m1[name])
                 np.testing.assert_array_equal(resumed[key][3][name], m2[name])
 
+    @pytest.mark.parametrize("levels", [("L1", "L2", "L3", "L4"), ("L5",)])
+    def test_dtde_rejected_at_l4_and_l5(self, tmp_path, levels):
+        # agent 0's network, the one archived, never trains its ac2
+        # instance, and at L4/L5 a snapshot flies the AC2 opponents: the
+        # curriculum refuses before any level trains
+        run = RunDir(tmp_path / "run")
+        archive = LeagueArchive(tmp_path / "league")
+        with pytest.raises(ValueError, match="dtde cannot train L4 or L5: "
+                                             "the league archives agent 0"):
+            run_curriculum(small_scenario(horizon=6), small_ppo(24),
+                           TrainMode(framework="dtde"), run, archive, seed=10,
+                           steps_per_level=12, levels=levels)
+        assert not run.read_metrics()
+        assert not any(archive.has("fight", level) for level in levels)
+
     def test_older_trainer_state_rejected(self, tmp_path):
         from dogfight.nn.params import save_arrays
 
@@ -514,13 +529,14 @@ class TestCommanderTrainer:
 
     def test_episode_produces_option_transitions(self):
         trainer = self._trainer()
-        info = trainer.run_episode()
+        before = trainer.actor.fight_commands + trainer.actor.escape_commands
+        trainer.run_episode()
         assert trainer.buffer.transitions
         for t in trainer.buffer.transitions:
             assert t.instance == "cmd"
             assert 1 <= t.duration <= trainer.scenario.option_horizon
             assert t.hidden is not None
-        assert info["fight_cmds"] + info["escape_cmds"] > 0
+        assert trainer.actor.fight_commands + trainer.actor.escape_commands > before
 
     def test_frozen_opponents_unchanged(self):
         trainer = self._trainer()
@@ -735,6 +751,68 @@ class TestLockstepCollects:
 
 
 class TestGraphFreeDecisions:
+    @staticmethod
+    def _decided(rows, ids, **kwargs):
+        from dogfight.nn.networks import Decision, decide
+
+        d = Decision(rows, ids, np.random.default_rng(8), **kwargs)
+        decide([d])
+        return d
+
+    @pytest.mark.parametrize("recurrent", [False, True], ids=["fc", "gru"])
+    def test_one_transition_per_sampled_row(self, recurrent):
+        from dogfight.nn import commander_config
+        from dogfight.train.policies import decision_transitions
+
+        rng = np.random.default_rng(7)
+        if recurrent:
+            net = PolicyNetwork(commander_config(2, critic_width=105), seed=5)
+            rows = [(net, "cmd", rng.uniform(0, 1, 34)) for _ in range(2)]
+            d = self._decided(rows, [0, 2], hidden=np.concatenate(
+                [net.initial_hidden() + k for k in range(2)]))
+        else:
+            net = PolicyNetwork(fight_config(critic_width=124), seed=1)
+            rows = [(net, name, rng.uniform(
+                         0, 1, net.config.instance(name).obs_width))
+                    for name in ("ac1", "ac2")]
+            d = self._decided(rows, [0, 2])
+        inputs = [rng.uniform(0, 1, 124) for _ in rows]
+        transitions = decision_transitions(d, 3, inputs, [0.5, -1.0])
+        assert len(transitions) == 2
+        for i, t in enumerate(transitions):
+            assert (t.instance, t.agent_id, t.episode) == (rows[i][1], d.ids[i], 3)
+            assert t.obs is rows[i][2] and t.critic_input is inputs[i]
+            np.testing.assert_array_equal(t.action, d.samples[i])
+            assert t.log_prob == float(d.log_probs[i])
+            assert (t.value, t.reward, t.done, t.duration) == (
+                0.0, [0.5, -1.0][i], False, 1)
+            assert t.head_mask is None
+            if recurrent:
+                np.testing.assert_array_equal(t.hidden, d.hidden[i:i + 1])
+            else:
+                assert t.hidden is None
+
+    def test_one_team_transition_per_joint_decision(self):
+        # slot 1 is destroyed: its span of the action vector and of the
+        # mask stays zero, and the team sums the acting slots
+        from dogfight.train.policies import decision_transitions
+
+        scenario = small_scenario(n_agents=3, n_opponents=3)
+        net = make_low_level_policy("fight", "ctce", scenario, seed=3)
+        obs = np.random.default_rng(1).uniform(
+            0, 1, net.config.instance("joint").obs_width)
+        d = self._decided([(net, "joint", obs)], [0, 2], slot_heads=4)
+        inputs = [np.ones(5), np.zeros(5)]
+        (t,) = decision_transitions(d, 6, inputs, [0.25, 2.0])
+        assert (t.instance, t.agent_id, t.episode) == ("joint", -1, 6)
+        assert t.obs is obs and t.critic_input is inputs[0]
+        np.testing.assert_array_equal(
+            t.action, np.concatenate([d.samples[0], [0] * 4, d.samples[1]]))
+        np.testing.assert_array_equal(t.head_mask, [1] * 4 + [0] * 4 + [1] * 4)
+        assert t.log_prob == float(d.log_probs[0]) + float(d.log_probs[1])
+        assert (t.value, t.reward, t.done, t.duration) == (0.0, 2.25, False, 1)
+        assert t.hidden is None
+
     def test_ctde_rollout_builds_no_tensors(self, monkeypatch):
         from helpers import count_tensors
 
