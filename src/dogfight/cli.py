@@ -33,7 +33,7 @@ from .evaluation import (
     standard_sweep_cells,
 )
 from .nn.gradcheck import run_standard_suite
-from .nn.networks import NetworkConfig, PolicyNetwork
+from .nn.networks import PolicyNetwork, load_policy
 from .nn.params import load_checkpoint
 from .scripted import ScriptedController
 from .train import (
@@ -91,13 +91,6 @@ def _ppo(cfg: dict, **defaults) -> PPOConfig:
     return PPOConfig(**{**defaults, **cfg.get("ppo", {})})
 
 
-def _load_policy(path: str) -> PolicyNetwork:
-    arrays, config = load_checkpoint(path)
-    policy = PolicyNetwork(NetworkConfig.from_dict(config))
-    policy.store.load_arrays(arrays, source=path)
-    return policy
-
-
 def _load_commander(path: str) -> tuple[PolicyNetwork, dict]:
     """A commander checkpoint and its `senses` and `opt`, read from the
     variant that `train-commander` writes into the config blob."""
@@ -105,7 +98,7 @@ def _load_commander(path: str) -> tuple[PolicyNetwork, dict]:
     if variant is None:
         raise ValueError(f"commander checkpoint {path} records no variant "
                          f"(senses, opt) in its config")
-    return _load_policy(path), {"senses": variant["senses"],
+    return load_policy(path), {"senses": variant["senses"],
                                 "opt": variant["opt"]}
 
 
@@ -169,8 +162,8 @@ def cmd_train_commander(args) -> int:
     run = RunDir(args.run_dir)
     scenario = cfg["scenario"]
     if args.fight_ckpt and args.escape_ckpt:
-        fight = _load_policy(args.fight_ckpt)
-        escape = _load_policy(args.escape_ckpt)
+        fight = load_policy(args.fight_ckpt)
+        escape = load_policy(args.escape_ckpt)
     else:
         archive = LeagueArchive(args.league_dir)
         fight = archive.load("fight", "L5")
@@ -192,8 +185,8 @@ def _make_opponents(spec: str, scenario: ScenarioConfig, script: ScriptConfig,
         return ScriptedController(spec.split(":", 1)[1], rng, script)
     if spec.startswith("snapshot:"):
         parts = spec.split(":")[1:]
-        fight = _load_policy(parts[0])
-        escape = _load_policy(parts[1]) if len(parts) > 1 and parts[1] else None
+        fight = load_policy(parts[0])
+        escape = load_policy(parts[1]) if len(parts) > 1 and parts[1] else None
         p_fight = float(parts[2]) if len(parts) > 2 else 1.0
         return SnapshotController(fight=fight, escape=escape, rng=rng,
                                   fight_prob=p_fight, scenario=scenario)
@@ -205,15 +198,15 @@ def _make_actor(args, seed: int):
     if args.agent == "random":
         return RandomActor(rng)
     if args.agent in ("fight", "escape"):
-        policy = _load_policy(args.agent_ckpt)
+        policy = load_policy(args.agent_ckpt)
         return CTDEDriver(policy, args.agent, rng, greedy=not args.stochastic)
     if args.agent == "standard":
-        policy = _load_policy(args.agent_ckpt)
+        policy = load_policy(args.agent_ckpt)
         return CTCEDriver(policy, "fight", rng, greedy=not args.stochastic)
     if args.agent == "hierarchy":
         commander, options = _load_commander(args.commander_ckpt)
-        fight = _load_policy(args.fight_ckpt)
-        escape = _load_policy(args.escape_ckpt)
+        fight = load_policy(args.fight_ckpt)
+        escape = load_policy(args.escape_ckpt)
         return HierarchyEvalActor(commander, fight, escape, rng,
                                   greedy=not args.stochastic, **options)
     raise ValueError(f"unknown agent kind {args.agent!r}")
@@ -258,8 +251,8 @@ def cmd_sweep(args) -> int:
                        ("ppo", "script", "scenario.commander_senses"))
     base = cfg["scenario"]
     commander, options = _load_commander(args.commander_ckpt)
-    fight = _load_policy(args.fight_ckpt)
-    escape = _load_policy(args.escape_ckpt)
+    fight = load_policy(args.fight_ckpt)
+    escape = load_policy(args.escape_ckpt)
     cells = [c for c in standard_sweep_cells()
              if not args.cells or c["name"] in args.cells.split(",")]
     if not cells:

@@ -32,6 +32,7 @@ from .simcore import (
     TEAM_AGENT,
     TEAM_OPPONENT,
     World,
+    fire_rocket,
     make_spec,
     step_round,
 )
@@ -136,8 +137,6 @@ def apply_action(world: World, agent_id: int, action: LowLevelAction,
             nearest = closest_opponents(world, aircraft, 1)
             target_id = nearest[0].id if nearest else None
         if target_id is not None:
-            from .simcore import fire_rocket
-
             return fire_rocket(world, agent_id, target_id)
     return None
 

@@ -2,7 +2,7 @@
 escape-mode outcomes, commander command statistics, and trajectory logs.
 
 Counter semantics (fixed; the bookkeeping acceptance test replays event logs
-against these rules):
+against these rules), where a death is any event of `simcore.LOSS_EVENTS`:
   kills[T]           opponent aircraft destroyed by the fire of an agent of
                      type T (cannon or rocket),
   friendly_kills[T]  agent-team aircraft destroyed by the fire of an agent
@@ -34,7 +34,7 @@ from .env import (
 )
 from .observations import closest_opponents
 from .simcore import (
-    KILL_EVENTS,
+    LOSS_EVENTS,
     CannonKill,
     OutOfBounds,
     RocketExpired,
@@ -109,40 +109,27 @@ class EvalReport:
 
 
 def count_events(world: World, events: list[SimEvent], report: EvalReport):
-    """Accumulate events into the report counters."""
-    for event in events:
-        if isinstance(event, KILL_EVENTS):
-            shooter = world.get(event.shooter)
-            victim = world.get(event.victim)
-            if shooter.team == TEAM_AGENT:
-                if victim.team == TEAM_OPPONENT:
-                    report.kills[shooter.spec.type_id] += 1
-                else:
-                    report.friendly_kills[shooter.spec.type_id] += 1
-            if victim.team == TEAM_AGENT:
-                report.deaths[victim.spec.type_id] += 1
-        elif isinstance(event, OutOfBounds):
-            aircraft = world.get(event.aircraft)
-            if aircraft.team == TEAM_AGENT:
-                report.deaths[aircraft.spec.type_id] += 1
-
-
-def team_death_flags(world: World, events: list[SimEvent]) -> tuple[bool, bool]:
-    """(an agent died, an opponent died) in `events`, any cause."""
+    """Accumulate one episode's events into the report: the per-type
+    counters and the escaped, kill and killed episode flags."""
     agent_died = opponent_died = False
     for event in events:
-        victim_id = None
-        if isinstance(event, KILL_EVENTS):
-            victim_id = event.victim
-        elif isinstance(event, OutOfBounds):
-            victim_id = event.aircraft
-        if victim_id is None:
+        if not isinstance(event, LOSS_EVENTS):
             continue
-        if world.get(victim_id).team == TEAM_AGENT:
+        victim = world.get(event.victim)
+        if event.shooter is not None:
+            shooter = world.get(event.shooter)
+            if shooter.team == TEAM_AGENT:
+                kills = (report.kills if victim.team == TEAM_OPPONENT
+                         else report.friendly_kills)
+                kills[shooter.spec.type_id] += 1
+        if victim.team == TEAM_AGENT:
+            report.deaths[victim.spec.type_id] += 1
             agent_died = True
         else:
             opponent_died = True
-    return agent_died, opponent_died
+    report.escaped_episodes += not agent_died
+    report.kill_episodes += opponent_died
+    report.killed_episodes += agent_died
 
 
 # --- evaluation-time actors --------------------------------------------------
@@ -226,7 +213,6 @@ def evaluate(actor, opponent_controller, scenario: ScenarioConfig,
             # the counters read only team and aircraft type, which no
             # episode changes, so the end-of-episode world serves every event
             count_events(env.world, events, report)
-            agent_death, opponent_death = team_death_flags(env.world, events)
             report.episodes += 1
             report.total_steps += env.step_count
             if env.outcome == OUTCOME_WIN:
@@ -235,9 +221,6 @@ def evaluate(actor, opponent_controller, scenario: ScenarioConfig,
                 report.losses += 1
             else:
                 report.draws += 1
-            report.escaped_episodes += not agent_death
-            report.kill_episodes += opponent_death
-            report.killed_episodes += agent_death
             if episode_hook is not None:
                 episode_hook(events, env.outcome, env.world)
     report.fight_commands, report.escape_commands, selection = (
@@ -326,15 +309,10 @@ class TrajectoryLog:
             "events": [event_to_dict(e) for e in events],
         })
         for event in events:
-            victim_id = None
-            if isinstance(event, KILL_EVENTS):
-                victim_id = event.victim
-            elif isinstance(event, OutOfBounds):
-                victim_id = event.aircraft
-            if victim_id is not None:
-                victim = world.get(victim_id)
+            if isinstance(event, LOSS_EVENTS):
+                victim = world.get(event.victim)
                 self.landmarks.append({
-                    "id": victim_id, "round": world.round_idx,
+                    "id": victim.id, "round": world.round_idx,
                     "x": victim.pos.x, "y": victim.pos.y,
                 })
 
@@ -371,14 +349,20 @@ def export_trajectory(log: TrajectoryLog, path: str | Path):
 
 
 def import_trajectory(path: str | Path) -> TrajectoryLog:
+    """Read a file `export_trajectory` wrote; a line that is not a typed
+    record raises a ValueError naming the file and the line."""
     header = None
     rounds = []
     landmarks = []
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line:
             continue
-        rec = json.loads(line)
-        kind = rec.pop("type")
+        try:
+            rec = json.loads(line)
+            kind = rec.pop("type")
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"{path}, line {number}: not a trajectory "
+                             f"record: {exc!r}") from exc
         if kind == "header":
             header = rec
         elif kind == "round":
@@ -386,9 +370,10 @@ def import_trajectory(path: str | Path) -> TrajectoryLog:
         elif kind == "landmark":
             landmarks.append(rec)
         else:
-            raise ValueError(f"unknown trajectory record type {kind!r}")
+            raise ValueError(f"{path}, line {number}: unknown trajectory "
+                             f"record type {kind!r}")
     if header is None:
-        raise ValueError("trajectory file has no header record")
+        raise ValueError(f"{path}: trajectory file has no header record")
     log = TrajectoryLog(header=header)
     log.rounds = rounds
     log.landmarks = landmarks

@@ -47,7 +47,7 @@ from .autodiff import (
     transpose_last2,
     tsum,
 )
-from .params import ParamStore, orthogonal_init
+from .params import ParamStore, load_checkpoint, orthogonal_init
 
 EMBED_WIDTH = 100
 
@@ -347,6 +347,14 @@ class PolicyNetwork:
         for ent in entropies[1:]:
             total_ent = total_ent + ent
         return total_lp, total_ent
+
+
+def load_policy(path) -> PolicyNetwork:
+    """The network a checkpoint holds, built from its config blob."""
+    arrays, config = load_checkpoint(path)
+    policy = PolicyNetwork(NetworkConfig.from_dict(config))
+    policy.store.load_arrays(arrays, source=path)
+    return policy
 
 
 def sample_action(logits_per_head: list[np.ndarray], rng, greedy=False

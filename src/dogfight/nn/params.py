@@ -172,20 +172,24 @@ def save_arrays(path: str | Path, arrays: dict[str, np.ndarray], config: dict):
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint back into named arrays and its config blob. A file
-    whose payload is shorter or longer than its header says raises a
-    ValueError naming the file."""
+    """Read a checkpoint back into named arrays and its config blob. A
+    corrupt file (a cut or unreadable header, a payload shorter or longer
+    than its header says) raises a ValueError naming the file."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file: bad magic {magic!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        try:
+            version, header_len = struct.unpack("<II", fh.read(8))
+            if version != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {version}")
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+            metas, config = header["arrays"], header["config"]
+        except (struct.error, ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path}: unreadable checkpoint header: "
+                             f"{exc!r}") from exc
         arrays = {}
-        for meta in header["arrays"]:
+        for meta in metas:
             dtype = np.dtype(meta["dtype"]).newbyteorder("<")
             count = int(np.prod(meta["shape"])) if meta["shape"] else 1
             buffer = fh.read(count * dtype.itemsize)
@@ -197,7 +201,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
                 buffer, dtype=dtype).reshape(meta["shape"]).astype(meta["dtype"])
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last array")
-    return arrays, header["config"]
+    return arrays, config
 
 
 def file_sha256(path: str | Path) -> str:

@@ -279,8 +279,7 @@ def build_critic_input(kind: str, world: World, scenario: ScenarioConfig,
     slots = []
     for team, count in ((TEAM_AGENT, scenario.n_agents),
                         (TEAM_OPPONENT, scenario.n_opponents)):
-        members = sorted([a for a in world.aircraft if a.team == team],
-                         key=lambda a: a.id)
+        members = [a for a in world.aircraft if a.team == team]  # by id
         for i in range(count):
             block = np.zeros(slot_w, dtype=np.float64)
             if i < len(members) and members[i].alive:

@@ -1,9 +1,10 @@
 """Reward functions for the fight, escape, commander, and single-policy
 baselines, plus the favorable-situation predicate and option termination.
 
-Event-driven terms are computed from the SimEvents of one env step; the
-kill reward uses the geometry snapshot embedded in kill events (the victim's
-antenna train angle toward the shooter at the instant of destruction).
+Event-driven terms read the loss events (`simcore.LOSS_EVENTS`) of one env
+step; the kill reward uses the geometry snapshot embedded in kill events
+(the victim's antenna train angle toward the shooter at the instant of
+destruction).
 """
 
 from __future__ import annotations
@@ -12,10 +13,12 @@ import math
 
 from .config import ScenarioConfig
 from .geometry import ata, distance
+from .observations import closest_opponents
 from .simcore import (
-    KILL_EVENTS,
+    LOSS_EVENTS,
+    TEAM_AGENT,
+    TEAM_OPPONENT,
     CannonKill,
-    OutOfBounds,
     RocketKill,
     SimEvent,
     World,
@@ -63,21 +66,21 @@ def fight_base_reward(world: World, events: list[SimEvent], agent_id: int,
     team = _team(world, agent_id)
     total = 0.0
     for event in events:
-        if isinstance(event, KILL_EVENTS):
-            shooter_team = _team(world, event.shooter)
-            victim_team = _team(world, event.victim)
-            if event.shooter == agent_id:
-                if victim_team != team:
-                    total += _kill_reward(world, event)
-                else:
-                    total += FRIENDLY_KILL_PENALTY
-            elif event.victim == agent_id:
-                if shooter_team != team:
-                    total += DESTROYED_PENALTY
-                elif fripun:
-                    total += FRIENDLY_VICTIM_PENALTY
-        elif isinstance(event, OutOfBounds) and event.aircraft == agent_id:
-            total += BOUNDARY_PENALTY
+        if not isinstance(event, LOSS_EVENTS):
+            continue
+        if event.shooter is None:
+            if event.victim == agent_id:
+                total += BOUNDARY_PENALTY
+        elif event.shooter == agent_id:
+            if _team(world, event.victim) != team:
+                total += _kill_reward(world, event)
+            else:
+                total += FRIENDLY_KILL_PENALTY
+        elif event.victim == agent_id:
+            if _team(world, event.shooter) != team:
+                total += DESTROYED_PENALTY
+            elif fripun:
+                total += FRIENDLY_VICTIM_PENALTY
     return total
 
 
@@ -101,26 +104,20 @@ def reward_fight(world: World, events: list[SimEvent], agent_id: int,
     raise ValueError(f"unknown fight reward variant {variant!r}")
 
 
-def _closest_opponent_distance(world: World, agent_id: int) -> float:
-    agent = world.get(agent_id)
-    foes = [a for a in world.aircraft if a.alive and a.team != agent.team]
-    if not foes:
-        return math.inf
-    return min(distance(agent.pos, a.pos) for a in foes)
-
-
 def escape_base_reward(world: World, events: list[SimEvent], agent_id: int) -> float:
     """Non-positive survival reward: only penalties apply."""
     team = _team(world, agent_id)
     total = 0.0
     for event in events:
-        if isinstance(event, KILL_EVENTS):
-            if event.victim == agent_id and _team(world, event.shooter) != team:
-                total += DESTROYED_PENALTY
-            elif event.shooter == agent_id and _team(world, event.victim) == team:
-                total += FRIENDLY_KILL_PENALTY
-        elif isinstance(event, OutOfBounds) and event.aircraft == agent_id:
-            total += BOUNDARY_PENALTY
+        if not isinstance(event, LOSS_EVENTS):
+            continue
+        if event.shooter is None:
+            if event.victim == agent_id:
+                total += BOUNDARY_PENALTY
+        elif event.victim == agent_id and _team(world, event.shooter) != team:
+            total += DESTROYED_PENALTY
+        elif event.shooter == agent_id and _team(world, event.victim) == team:
+            total += FRIENDLY_KILL_PENALTY
     return total
 
 
@@ -136,7 +133,8 @@ def reward_escape(world: World, events: list[SimEvent], agent_id: int,
     agent = world.get(agent_id)
     if not agent.alive:
         return total
-    d = _closest_opponent_distance(world, agent_id)
+    d = min((distance(agent.pos, o.pos) for o in closest_opponents(world, agent, 1)),
+            default=math.inf)
     if variant == "dist":
         if d < cfg.near_distance:
             total -= PROXIMITY_STEP
@@ -159,7 +157,9 @@ def reward_standard(world: World, events: list[SimEvent], agent_id: int,
     cfg = scenario or ScenarioConfig()
     total = fight_base_reward(world, events, agent_id)
     agent = world.get(agent_id)
-    if agent.alive and _closest_opponent_distance(world, agent_id) > cfg.far_distance:
+    # an agent with no opponent left counts as far from them
+    if agent.alive and all(distance(agent.pos, o.pos) > cfg.far_distance
+                           for o in closest_opponents(world, agent, 1)):
         total += PROXIMITY_STEP
     return total
 
@@ -198,13 +198,9 @@ def assess_commander_action(world: World, agent_id: int, a_c: int,
     # escape chosen: justified when some nearby opponent points at the agent
     # while the agent already points away
     for opp_id in sensed_opponents:
-        opp = world.get(opp_id)
-        if not opp.alive:
-            continue
-        if distance(agent.pos, opp.pos) >= cfg.favorable_distance:
-            continue
-        if (ata(opp.pos, opp.heading, agent.pos) < cfg.favorable_ata
-                and ata(agent.pos, agent.heading, opp.pos) > cfg.escape_away_ata):
+        if (favorable_situation(world, opp_id, agent_id, cfg)
+                and ata(agent.pos, agent.heading, world.get(opp_id).pos)
+                > cfg.escape_away_ata):
             return ASSESS_BONUS
     return 0.0
 
@@ -216,13 +212,13 @@ def commander_event_reward(world: World, events: list[SimEvent], agent_id: int) 
     team = _team(world, agent_id)
     total = 0.0
     for event in events:
-        if isinstance(event, KILL_EVENTS):
-            if event.shooter == agent_id and _team(world, event.victim) != team:
-                total += COMMANDER_KILL
-            elif event.victim == agent_id:
-                total += COMMANDER_DESTROYED
-        elif isinstance(event, OutOfBounds) and event.aircraft == agent_id:
-            total += COMMANDER_BOUNDARY
+        if not isinstance(event, LOSS_EVENTS):
+            continue
+        if event.victim == agent_id:
+            total += (COMMANDER_BOUNDARY if event.shooter is None
+                      else COMMANDER_DESTROYED)
+        elif event.shooter == agent_id and _team(world, event.victim) != team:
+            total += COMMANDER_KILL
     return total
 
 
@@ -240,14 +236,13 @@ def option_terminated(world: World, steps_in_option: int,
     cfg = scenario or ScenarioConfig()
     if steps_in_option >= cfg.option_horizon:
         return True
-    for event in step_events:
-        if isinstance(event, KILL_EVENTS + (OutOfBounds,)):
-            return True
-    agents = world.alive("agent")
+    if any(isinstance(event, LOSS_EVENTS) for event in step_events):
+        return True
+    agents = world.alive(TEAM_AGENT)
     if any(_near_boundary(a, world.map_size, cfg.boundary_margin)
            for a in agents):
         return True
-    opponents = world.alive("opponent")
+    opponents = world.alive(TEAM_OPPONENT)
     for a in agents:
         for o in opponents:
             if (favorable_situation(world, a.id, o.id, cfg)

@@ -141,10 +141,17 @@ class RocketExpired:
 @dataclass(frozen=True)
 class OutOfBounds:
     aircraft: int
+    shooter = None  # a boundary exit is nobody's fire
+
+    @property
+    def victim(self) -> int:
+        return self.aircraft
 
 
 SimEvent = CannonKill | RocketKill | RocketLaunch | RocketExpired | OutOfBounds
-KILL_EVENTS = (CannonKill, RocketKill)
+# The events that destroy an aircraft. Each names its `victim` and the
+# `shooter` whose fire destroyed it, None for a boundary exit.
+LOSS_EVENTS = (CannonKill, RocketKill, OutOfBounds)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..nn.networks import NetworkConfig, PolicyNetwork
-from ..nn.params import file_sha256, load_checkpoint, save_checkpoint
+from ..nn.networks import PolicyNetwork, load_policy
+from ..nn.params import file_sha256, save_checkpoint
 
 LOW_LEVELS = ("L1", "L2", "L3", "L4", "L5")
 
@@ -58,10 +58,7 @@ class LeagueArchive:
         if file_sha256(path) != self.index[name]["sha256"]:
             raise ValueError(f"league snapshot {name!r} ({path}) does not match "
                              f"the sha256 recorded in {self.index_path}")
-        arrays, config = load_checkpoint(path)
-        policy = PolicyNetwork(NetworkConfig.from_dict(config))
-        policy.store.load_arrays(arrays, source=path)
-        return policy
+        return load_policy(path)
 
     def sample_opponent_level(self, rng: np.random.Generator,
                               below: str) -> str:

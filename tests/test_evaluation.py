@@ -109,6 +109,23 @@ class TestCounters:
         assert report.friendly_kills == {"AC1": 1, "AC2": 0}
         # AC2 friendly-killed, AC1 out of bounds, AC1 shot by opponent
         assert report.deaths == {"AC1": 2, "AC2": 1}
+        # one call is one episode: agents and opponents both died in it
+        assert (report.escaped_episodes, report.kill_episodes,
+                report.killed_episodes) == (0, 1, 1)
+
+    def test_opponent_boundary_exit_is_a_kill_episode(self):
+        from helpers import make_aircraft, make_world
+
+        world = make_world([
+            make_aircraft(0, "AC1", "agent"),
+            make_aircraft(2, "AC1", "opponent", pos=(20, 20)),
+        ])
+        report = EvalReport()
+        count_events(world, [OutOfBounds(aircraft=2)], report)
+        assert report.kills == {"AC1": 0, "AC2": 0}
+        assert report.deaths == {"AC1": 0, "AC2": 0}
+        assert (report.escaped_episodes, report.kill_episodes,
+                report.killed_episodes) == (1, 1, 0)
 
     def test_escape_episode_flags(self):
         # opponents never fire at L1, so with passive agents nobody dies
@@ -168,6 +185,22 @@ class TestTrajectory:
         ]
         for event in events:
             assert event_from_dict(event_to_dict(event)) == event
+        # a boundary exit's victim and shooter stay out of the file format
+        assert event_to_dict(OutOfBounds(aircraft=3)) == {
+            "kind": "OutOfBounds", "aircraft": 3}
+
+    @pytest.mark.parametrize("line", ['{"type": "round", "round":',
+                                      '{"round": 1, "events": []}'],
+                             ids=["malformed-json", "no-type"])
+    def test_corrupt_line_names_file_and_line(self, tmp_path, line):
+        from dogfight.evaluation import TrajectoryLog
+
+        path = tmp_path / "corrupt.jsonl"
+        export_trajectory(TrajectoryLog(header={"note": "ok"}), path)
+        with open(path, "a") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(ValueError, match=r"corrupt\.jsonl, line 2"):
+            import_trajectory(path)
 
 
 class TestPolicyActors:

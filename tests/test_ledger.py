@@ -21,10 +21,11 @@ import json
 import numpy as np
 import pytest
 
-from dogfight.cli import _load_policy as _load, main
+from dogfight.cli import main
 from dogfight.config import ScenarioConfig
 from dogfight.evaluation import AlwaysFightActor, evaluate
 from dogfight.nn import PolicyNetwork, commander_config, save_checkpoint
+from dogfight.nn.networks import load_policy as _load
 from dogfight.observations import critic_input_width
 from dogfight.train import (
     CommanderVariant,

@@ -1,6 +1,8 @@
 """Autodiff, network, optimizer, and checkpoint tests."""
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from dogfight.nn import (
     save_checkpoint,
 )
 from dogfight.nn.networks import Decision, decide
+from dogfight.nn.params import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
 from dogfight.nn.autodiff import (
     clip,
     log_softmax,
@@ -596,6 +599,18 @@ class TestCheckpoint:
         data = path.read_bytes()
         path.write_bytes(data[:len(data) + cut] + extra)
         with pytest.raises(ValueError, match="bad.ckpt"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("payload", [
+        struct.pack("<II", CHECKPOINT_VERSION, 9) + b"{not json",
+        struct.pack("<II", CHECKPOINT_VERSION, 14) + json.dumps(
+            {"config": {}}).encode(),
+        struct.pack("<I", CHECKPOINT_VERSION) + b"\x00\x00",
+    ], ids=["header-not-json", "header-without-arrays", "cut-in-prefix"])
+    def test_corrupt_header_names_the_file(self, tmp_path, payload):
+        path = tmp_path / "corrupt.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + payload)
+        with pytest.raises(ValueError, match="corrupt.ckpt"):
             load_checkpoint(path)
 
     def test_checksum_tracks_content(self):

@@ -228,6 +228,11 @@ class TestOptionTermination:
         world = self._calm_world()
         assert option_terminated(world, 3, [kill(0, 2)])
 
+    def test_boundary_exit_event(self):
+        world = self._calm_world()
+        assert not option_terminated(world, 3, [])
+        assert option_terminated(world, 3, [OutOfBounds(aircraft=2)])
+
     def test_boundary_proximity(self):
         world = self._calm_world()
         world.get(0).pos = type(world.get(0).pos)(4.0, 15.0)

@@ -12,6 +12,7 @@ from dogfight.simcore import (
     AC1,
     AC2,
     AircraftState,
+    LOSS_EVENTS,
     CannonKill,
     OutOfBounds,
     RocketExpired,
@@ -107,7 +108,8 @@ class TestKinematics:
         a = make_aircraft(0, AC1, pos=(30.0, 15.0), heading=90.0)
         world = make_world([a])
         events = step_round(world)
-        assert any(isinstance(e, OutOfBounds) and e.aircraft == 0 for e in events)
+        assert events == [OutOfBounds(aircraft=0)]
+        assert (events[0].victim, events[0].shooter) == (0, None)
         assert not a.alive
 
 
@@ -322,6 +324,16 @@ class TestEpisodeInvariants:
                 actor = e.shooter
             if actor is not None and actor in death_round:
                 assert rnd <= death_round[actor]
+
+    def test_loss_events_name_victim_and_shooter(self):
+        world, events = self._random_episode(13)
+        losses = [e for _, e in events if isinstance(e, LOSS_EVENTS)]
+        # every destroyed aircraft is the victim of exactly one loss event
+        assert sorted(e.victim for e in losses) == \
+            [a.id for a in world.aircraft if not a.alive]
+        for e in losses:
+            assert (e.shooter is None) == isinstance(e, OutOfBounds)
+            assert e.shooter != e.victim
 
     def test_fixed_seed_reproducible(self):
         world_a, events_a = self._random_episode(17)
