@@ -33,7 +33,7 @@ from .evaluation import (
     standard_sweep_cells,
 )
 from .nn.gradcheck import run_standard_suite
-from .nn.networks import PolicyNetwork, load_policy
+from .nn.networks import PolicyNetwork, load_policy, policy_from_checkpoint
 from .nn.params import load_checkpoint
 from .scripted import ScriptedController
 from .train import (
@@ -94,12 +94,13 @@ def _ppo(cfg: dict, **defaults) -> PPOConfig:
 def _load_commander(path: str) -> tuple[PolicyNetwork, dict]:
     """A commander checkpoint and its `senses` and `opt`, read from the
     variant that `train-commander` writes into the config blob."""
-    variant = load_checkpoint(path)[1].get("variant")
+    arrays, config = load_checkpoint(path)
+    variant = config.get("variant")
     if variant is None:
         raise ValueError(f"commander checkpoint {path} records no variant "
                          f"(senses, opt) in its config")
-    return load_policy(path), {"senses": variant["senses"],
-                                "opt": variant["opt"]}
+    return (policy_from_checkpoint(arrays, config, source=path),
+            {"senses": variant["senses"], "opt": variant["opt"]})
 
 
 def cmd_gradcheck(args) -> int:

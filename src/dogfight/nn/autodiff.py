@@ -1,10 +1,17 @@
 """Minimal reverse-mode automatic differentiation on dense numpy arrays.
 
-Covers exactly the operations the three policy architectures need: affine
-maps (with broadcasting and batched matmul), tanh/sigmoid, softmax and
-log-softmax, reductions, stacking and column slices, and the clipped-minimum
-used by the PPO objective. Gradients are exact analytic expressions; the finite
-difference suite in gradcheck.py verifies every op in situ.
+Covers exactly the operations the three policy architectures and the PPO
+loss need: elementwise add and multiply (with broadcasting), matmul (batched,
+or a batched operand against a 2-D weight folded into one 2-D product),
+transpose, tanh/sigmoid/exp, the attention softmax, sum and mean, column
+slices and stacking, the clipped minimum of the PPO objective, and
+`head_log_prob_entropy`, the log-probability and entropy of every categorical
+head from the fused heads output. Gradients are exact analytic expressions;
+the finite difference suite in gradcheck.py verifies every op in situ.
+
+A gradient handed to `_accumulate` becomes the tensor's own: no gradient
+array is changed in place after that, so one array may be the gradient of
+several tensors.
 
 An op none of whose operands is a Tensor returns a plain ndarray and builds
 no backward closure, so a network body run on raw parameter arrays is a
@@ -61,10 +68,13 @@ class Tensor:
     __rmul__ = __mul__
 
 
-def _data(value) -> np.ndarray:
-    """An operand's array. A Python scalar becomes a 0-d float64 array,
-    which promotes float32 operands; a numpy scalar keeps its dtype."""
-    return value.data if isinstance(value, Tensor) else np.asarray(value)
+def _data(value):
+    """An operand's array. A Python scalar stays a Python scalar: numpy
+    treats it as weak, so it takes the dtype of the array it meets and a
+    float32 network computes in float32."""
+    if isinstance(value, Tensor):
+        return value.data
+    return value if isinstance(value, (int, float)) else np.asarray(value)
 
 
 def _tracks_grad(value) -> bool:
@@ -76,13 +86,15 @@ def _accumulate(tensor, grad: np.ndarray):
     if not _tracks_grad(tensor):
         return
     if tensor.grad is None:
-        tensor.grad = grad.copy()
+        tensor.grad = grad  # owned from here on, never written in place
     else:
-        tensor.grad += grad
+        tensor.grad = tensor.grad + grad
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to the original operand shape."""
+def _unbroadcast(grad: np.ndarray, operand) -> np.ndarray:
+    """Sum a broadcast gradient back down to the shape of `operand`'s
+    data (an array or a scalar)."""
+    shape = np.shape(operand)
     if grad.shape == shape:
         return grad
     extra = grad.ndim - len(shape)
@@ -98,8 +110,7 @@ def backward_from(outputs: list[Tensor], output_grads: list[np.ndarray]):
     """Seed the given outputs with gradients and run the tape backward."""
     for out, g in zip(outputs, output_grads):
         _accumulate(out, np.broadcast_to(np.asarray(g, dtype=out.data.dtype),
-                                         out.data.shape).copy()
-                    if np.shape(g) != out.data.shape else np.asarray(g))
+                                         out.data.shape))
     ordered: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(out, False) for out in outputs]
@@ -145,8 +156,10 @@ def add(a, b):
         return data
 
     def backward(grad):
-        _accumulate(a, _unbroadcast(grad, da.shape))
-        _accumulate(b, _unbroadcast(grad, db.shape))
+        if _tracks_grad(a):
+            _accumulate(a, _unbroadcast(grad, da))
+        if _tracks_grad(b):
+            _accumulate(b, _unbroadcast(grad, db))
 
     return _make(data, (a, b), backward)
 
@@ -158,31 +171,35 @@ def mul(a, b):
         return data
 
     def backward(grad):
-        _accumulate(a, _unbroadcast(grad * db, da.shape))
-        _accumulate(b, _unbroadcast(grad * da, db.shape))
+        if _tracks_grad(a):
+            _accumulate(a, _unbroadcast(grad * db, da))
+        if _tracks_grad(b):
+            _accumulate(b, _unbroadcast(grad * da, db))
 
     return _make(data, (a, b), backward)
 
 
 def matmul(a, b):
     da, db = _data(a), _data(b)
+    batched = None
+    if db.ndim == 2 and da.ndim > 2:
+        # a batched operand against a 2-D weight: one 2-D product over its
+        # rows, not one product per batch entry
+        batched, da = da.shape, da.reshape(-1, da.shape[-1])
     data = da @ db
+    if batched is not None:
+        data = data.reshape(*batched[:-1], -1)
     if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
         return data
 
     def backward(grad):
+        if batched is not None:
+            grad = grad.reshape(-1, grad.shape[-1])
         if _tracks_grad(a):
-            _accumulate(a, _unbroadcast(grad @ np.swapaxes(db, -1, -2), da.shape))
-        if not _tracks_grad(b):
-            return
-        if db.ndim == 2 and da.ndim > 2:
-            # batched input against a 2-D weight: fold the batch axes into
-            # rows rather than form one [K, N] product per batch entry
-            gb = (da.reshape(-1, da.shape[-1]).T
-                  @ grad.reshape(-1, grad.shape[-1]))
-        else:
-            gb = _unbroadcast(np.swapaxes(da, -1, -2) @ grad, db.shape)
-        _accumulate(b, gb)
+            ga = _unbroadcast(grad @ np.swapaxes(db, -1, -2), da)
+            _accumulate(a, ga if batched is None else ga.reshape(batched))
+        if _tracks_grad(b):
+            _accumulate(b, _unbroadcast(np.swapaxes(da, -1, -2) @ grad, db))
 
     return _make(data, (a, b), backward)
 
@@ -246,19 +263,42 @@ def softmax(a, axis: int = -1):
     return _make(data, (a,), backward)
 
 
-def log_softmax(a, axis: int = -1):
-    da = _data(a)
-    shifted = da - da.max(axis=axis, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    data = shifted - log_z
-    soft = np.exp(data)
-    if not isinstance(a, Tensor):
-        return data
+def head_log_prob_entropy(z, arities, actions: np.ndarray, mask=None):
+    """Per-row log-probability of `actions` [B, heads] and entropy, each
+    summed over the categorical heads whose logits lie side by side in
+    `z` [B, sum of arities]; `mask` [B, heads] weights each head (0 for a
+    head that did not act). One node for all heads: a log-softmax per
+    segment, with the analytic backwards d lp/dz = m_j (onehot - p) and
+    dH/dz = -m_j p (log p + H_j) on head j's segment."""
+    dz = _data(z)
+    starts = np.cumsum((0,) + tuple(arities[:-1]))
+    peak = np.repeat(np.maximum.reduceat(dz, starts, axis=1), arities, axis=1)
+    shifted = dz - peak
+    log_z = np.log(np.add.reduceat(np.exp(shifted), starts, axis=1))
+    log_p = shifted - np.repeat(log_z, arities, axis=1)
+    p = np.exp(log_p)
+    picked = starts + np.clip(actions.astype(int), 0, np.asarray(arities) - 1)
+    head_lp = np.take_along_axis(log_p, picked, axis=1)  # [B, heads]
+    head_ent = -np.add.reduceat(p * log_p, starts, axis=1)
+    weight = (np.ones_like(head_lp) if mask is None
+              else np.asarray(mask, dtype=dz.dtype))
+    log_prob = (head_lp * weight).sum(axis=1)
+    entropy = (head_ent * weight).sum(axis=1)
+    if not isinstance(z, Tensor):
+        return log_prob, entropy
+    weight_cols = np.repeat(weight, arities, axis=1)
 
-    def backward(grad):
-        _accumulate(a, grad - soft * grad.sum(axis=axis, keepdims=True))
+    def lp_backward(grad):
+        g = -p * (grad[:, None] * weight_cols)
+        g[np.arange(len(g))[:, None], picked] += grad[:, None] * weight
+        _accumulate(z, g)
 
-    return _make(data, (a,), backward)
+    def ent_backward(grad):
+        _accumulate(z, -(grad[:, None] * weight_cols) * p
+                    * (log_p + np.repeat(head_ent, arities, axis=1)))
+
+    return (_make(log_prob, (z,), lp_backward),
+            _make(entropy, (z,), ent_backward))
 
 
 def tsum(a, axis=None, keepdims: bool = False):
@@ -271,7 +311,7 @@ def tsum(a, axis=None, keepdims: bool = False):
         g = grad
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, da.shape).copy())
+        _accumulate(a, np.broadcast_to(g, da.shape))
 
     return _make(data, (a,), backward)
 
@@ -328,8 +368,10 @@ def minimum(a, b):
         return data
 
     def backward(grad):
-        _accumulate(a, _unbroadcast(grad * take_a, da.shape))
-        _accumulate(b, _unbroadcast(grad * ~take_a, db.shape))
+        if _tracks_grad(a):
+            _accumulate(a, _unbroadcast(grad * take_a, da))
+        if _tracks_grad(b):
+            _accumulate(b, _unbroadcast(grad * ~take_a, db))
 
     return _make(data, (a, b), backward)
 

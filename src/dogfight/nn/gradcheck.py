@@ -4,8 +4,9 @@ Runs the real architectures (fight with attention, escape MLP, commander
 GRU over a multi-step sequence) at float64, perturbs sampled parameter
 coordinates by +/-h, and compares the numeric slope against the backward
 pass of every op their bodies use, the column slices of the fused layers
-included. The scalar probe loss mixes every actor head and the critic so
-every parameter influences the output.
+included. The scalar probe loss mixes every actor head, the PPO
+log-probabilities and entropies of drawn actions, and the critic so every
+parameter influences the output.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, tmean, tsum
+from .autodiff import Tensor, head_log_prob_entropy, tmean, tsum
 from .networks import (
     NetworkConfig,
     PolicyNetwork,
@@ -37,16 +38,21 @@ class GradCheckReport:
 
 
 def _probe_loss(net: PolicyNetwork, instance: str, obs: np.ndarray,
-                critic_in: np.ndarray, seq_len: int = 1) -> Tensor:
-    """Scalar loss touching every parameter: mean of all head logits chained
-    through the observation sequence, plus the critic value."""
+                critic_in: np.ndarray, actions: np.ndarray,
+                seq_len: int = 1) -> Tensor:
+    """Scalar loss touching every parameter: mean of all head logits and the
+    log-probabilities and entropies of `actions`, chained through the
+    observation sequence, plus the critic value."""
+    arities = net.config.instance(instance).head_arities
     hidden = None
     total = None
     for t in range(seq_len):
         out = net.forward_actor(instance, obs[t], hidden)
         hidden = out.hidden
-        step_term = tmean(out.logits[0])
-        for logits in out.logits[1:]:
+        log_prob, entropy = head_log_prob_entropy(out.heads, arities,
+                                                  actions[t])
+        step_term = tmean(log_prob) + tmean(entropy)
+        for logits in out.logits:
             step_term = step_term + tmean(logits)
         total = step_term if total is None else total + step_term
     value = tsum(net.forward_critic(instance, critic_in))
@@ -82,10 +88,12 @@ def check_network(config: NetworkConfig, instance: str, *, draws: int = 100,
         inst = config.instance(instance)
         obs = rng.uniform(0.0, 1.0, (seq_len, 2, inst.obs_width))
         critic_in = rng.uniform(0.0, 1.0, (2, inst.critic_width))
+        actions = rng.integers(0, inst.head_arities,
+                               (seq_len, 2, len(inst.head_arities)))
 
+        probe = (net, instance, obs, critic_in, actions, seq_len)
         store.zero_grad()
-        loss = _probe_loss(net, instance, obs, critic_in, seq_len)
-        loss.backward()
+        _probe_loss(*probe).backward()
 
         names = sorted(store.params)
         picks = [names[draw % len(names)]]  # cycle to cover every array
@@ -98,9 +106,9 @@ def check_network(config: NetworkConfig, instance: str, *, draws: int = 100,
             analytic = float(tensor.grad[idx]) if tensor.grad is not None else 0.0
             original = tensor.data[idx]
             tensor.data[idx] = original + h
-            up = _probe_loss(net, instance, obs, critic_in, seq_len).item()
+            up = _probe_loss(*probe).item()
             tensor.data[idx] = original - h
-            down = _probe_loss(net, instance, obs, critic_in, seq_len).item()
+            down = _probe_loss(*probe).item()
             tensor.data[idx] = original
             numeric = (up - down) / (2.0 * h)
             max_err = max(max_err, _relative_error(analytic, numeric))

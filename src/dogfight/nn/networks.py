@@ -35,7 +35,7 @@ from ..observations import (
 from .autodiff import (
     Tensor,
     add,
-    log_softmax,
+    head_log_prob_entropy,
     matmul,
     mul,
     sigmoid,
@@ -45,7 +45,6 @@ from .autodiff import (
     tanh,
     tmean,
     transpose_last2,
-    tsum,
 )
 from .params import ParamStore, load_checkpoint, orthogonal_init
 
@@ -162,7 +161,8 @@ def ctce_config(kind: str, obs_width: int, head_arities: tuple[int, ...],
 
 @dataclass
 class ActorOutput:
-    logits: list  # one [B, arity] Tensor (ndarray when graph-free) per head
+    heads: Tensor | np.ndarray  # [B, sum of arities], every head's logits
+    logits: list  # one [B, arity] column slice of `heads` per head
     hidden: Tensor | np.ndarray | None  # [B, H] for recurrent actors
 
 
@@ -253,22 +253,19 @@ class PolicyNetwork:
         width = cfg.embed_width
         qkv = matmul(seq, p[f"{inst.name}.attn.qkv"])  # [B, T, 3E]
         q, k, v = (slice_cols(qkv, i * width, (i + 1) * width) for i in range(3))
-        # a scalar of the network's dtype keeps float32 networks in float32
-        scale = self.store.dtype.type(1.0 / math.sqrt(width))
-        scores = mul(matmul(q, transpose_last2(k)), scale)
+        scores = mul(matmul(q, transpose_last2(k)), 1.0 / math.sqrt(width))
         attended = matmul(softmax(scores, axis=-1), v)  # [B, T, E]
         return tmean(attended, axis=1)  # pool over entity tokens
 
     def _gru_step(self, p: dict, prefix: str, x, h):
         width = self.config.hidden_width
-        one = self.store.dtype.type(1.0)
         gx = self._affine(p, f"{prefix}.gru", x)  # [B, 3H]: z, r, n inputs
         gh = matmul(h, p[f"{prefix}.gru.U"])
         zr = sigmoid(slice_cols(gx, 0, 2 * width) + slice_cols(gh, 0, 2 * width))
         z, r = slice_cols(zr, 0, width), slice_cols(zr, width, 2 * width)
         n = tanh(slice_cols(gx, 2 * width, 3 * width)
                  + mul(r, slice_cols(gh, 2 * width, 3 * width)))
-        return add(mul(add(one, mul(-one, z)), n), mul(z, h))
+        return add(mul(add(1.0, mul(-1.0, z)), n), mul(z, h))
 
     def initial_hidden(self, batch: int = 1) -> np.ndarray:
         return np.zeros((batch, self.config.hidden_width), dtype=self.store.dtype)
@@ -298,7 +295,7 @@ class PolicyNetwork:
         for arity in inst.head_arities:
             logits.append(slice_cols(heads, start, start + arity))
             start += arity
-        return ActorOutput(logits=logits, hidden=new_hidden)
+        return ActorOutput(heads=heads, logits=logits, hidden=new_hidden)
 
     def forward_critic(self, instance: str, critic_input: np.ndarray, *,
                        grad: bool = True):
@@ -325,35 +322,21 @@ class PolicyNetwork:
         networks with destroyed agents)."""
         inst = self.config.instance(instance)
         out = self.forward_actor(instance, obs_batch, hidden_batch)
-        log_probs = []
-        entropies = []
-        for j, logits in enumerate(out.logits):
-            lsm = log_softmax(logits, axis=-1)
-            actions = np.clip(action_batch[:, j].astype(int), 0,
-                              inst.head_arities[j] - 1)
-            onehot = np.eye(inst.head_arities[j], dtype=self.store.dtype)[actions]
-            lp = tsum(lsm * onehot, axis=1)
-            probs = softmax(logits, axis=-1)
-            ent = -1.0 * tsum(probs * lsm, axis=1)
-            if head_mask is not None:
-                lp = lp * head_mask[:, j]
-                ent = ent * head_mask[:, j]
-            log_probs.append(lp)
-            entropies.append(ent)
-        total_lp = log_probs[0]
-        total_ent = entropies[0]
-        for lp in log_probs[1:]:
-            total_lp = total_lp + lp
-        for ent in entropies[1:]:
-            total_ent = total_ent + ent
-        return total_lp, total_ent
+        return head_log_prob_entropy(out.heads, inst.head_arities,
+                                     action_batch, head_mask)
 
 
 def load_policy(path) -> PolicyNetwork:
     """The network a checkpoint holds, built from its config blob."""
-    arrays, config = load_checkpoint(path)
+    return policy_from_checkpoint(*load_checkpoint(path), source=path)
+
+
+def policy_from_checkpoint(arrays: dict, config: dict,
+                           source="arrays") -> PolicyNetwork:
+    """The network of a checkpoint already read (`load_checkpoint`'s
+    arrays and config blob); `source` names the file in errors."""
     policy = PolicyNetwork(NetworkConfig.from_dict(config))
-    policy.store.load_arrays(arrays, source=path)
+    policy.store.load_arrays(arrays, source=source)
     return policy
 
 
@@ -457,7 +440,7 @@ def decide(decisions: list[Decision]):
         out = policy.forward_actor(
             instance, np.stack([flat[k][2] for k in idx]),
             None if hidden is None else hidden[idx], grad=False)
-        block = np.concatenate(out.logits, axis=1)
+        block = out.heads
         if block.shape[1] % width:
             raise ValueError("decide needs equal head arities on every "
                              "sampled row")

@@ -71,7 +71,7 @@ class ParamStore:
             scale = max_norm / norm
             for t in self.params.values():
                 if t.grad is not None:
-                    t.grad *= scale
+                    t.grad = t.grad * scale  # rebound: a grad may be shared
         return norm
 
     def state_arrays(self) -> dict[str, np.ndarray]:
@@ -173,8 +173,9 @@ def save_arrays(path: str | Path, arrays: dict[str, np.ndarray], config: dict):
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint back into named arrays and its config blob. A
-    corrupt file (a cut or unreadable header, a payload shorter or longer
-    than its header says) raises a ValueError naming the file."""
+    corrupt file (a cut or unreadable header, a malformed array entry, a
+    payload shorter or longer than its header says) raises a ValueError
+    naming the file."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
@@ -189,9 +190,13 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
             raise ValueError(f"{path}: unreadable checkpoint header: "
                              f"{exc!r}") from exc
         arrays = {}
-        for meta in metas:
-            dtype = np.dtype(meta["dtype"]).newbyteorder("<")
-            count = int(np.prod(meta["shape"])) if meta["shape"] else 1
+        for i, meta in enumerate(metas):
+            try:
+                dtype = np.dtype(meta["dtype"]).newbyteorder("<")
+                count = int(np.prod(meta["shape"])) if meta["shape"] else 1
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: malformed array entry {i} "
+                                 f"{meta!r}: {exc!r}") from exc
             buffer = fh.read(count * dtype.itemsize)
             if len(buffer) != count * dtype.itemsize:
                 raise ValueError(f"{path}: truncated checkpoint: array "

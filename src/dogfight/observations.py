@@ -270,10 +270,15 @@ def encode_low_action(action) -> list[float]:
 
 
 def build_critic_input(kind: str, world: World, scenario: ScenarioConfig,
-                       prev_actions: dict[int, list[float]]) -> np.ndarray:
+                       prev_actions: dict[int, list[float]],
+                       observations: dict[int, np.ndarray] | None = None
+                       ) -> np.ndarray:
     """Global critic input: per-aircraft observation plus the previous
     decision's action encoding, agents first then opponents, both ordered by
-    id and zero-padded to the scenario's team sizes."""
+    id and zero-padded to the scenario's team sizes. `observations` holds
+    observations the caller has already built, by aircraft id, each equal to
+    this slot kind's `build_obs` without a target; the others are built."""
+    observations = observations or {}
     slot_w = critic_slot_width(kind, scenario.commander_senses)
     slot_kind = "fight" if kind == "standard" else kind
     slots = []
@@ -284,7 +289,9 @@ def build_critic_input(kind: str, world: World, scenario: ScenarioConfig,
             block = np.zeros(slot_w, dtype=np.float64)
             if i < len(members) and members[i].alive:
                 a = members[i]
-                obs = build_obs(slot_kind, world, a.id, scenario)
+                obs = observations.get(a.id)
+                if obs is None:
+                    obs = build_obs(slot_kind, world, a.id, scenario)
                 block[: len(obs)] = obs
                 act = prev_actions.get(a.id)
                 if act is not None:

@@ -336,12 +336,23 @@ class CTDEDriver(EpisodeActor):
                           for aid, (_, _, obs) in zip(d.ids, d.rows)]
             else:
                 inputs = [build_critic_input(self.kind, env.world, env.scenario,
-                                             env.prev_actions)] * len(d.ids)
+                                             env.prev_actions,
+                                             self._critic_observations(env, d))
+                          ] * len(d.ids)
             out.append(decision_transitions(d, episode, inputs,
                                             [0.0] * len(d.ids)))
         set_values([t for ts in out for t in ts],
                    lambda t: self.network(t.agent_id))
         return out
+
+    @staticmethod
+    def _critic_observations(env: CombatEnv, d: Decision) -> dict:
+        """The row observations of `d` that equal the critic's: those of
+        per-aircraft rows whose agent has no attack target."""
+        if d.slot_heads:
+            return {}
+        return {aid: obs for aid, (_, _, obs) in zip(d.ids, d.rows)
+                if env.attack_targets.get(aid) is None}
 
 
 class CTCEDriver(CTDEDriver):

@@ -106,6 +106,12 @@ def _gather_batch(buffer: RolloutBuffer, idx: np.ndarray, instance: str,
     return batch
 
 
+def _rows_of(batch: dict, rows: np.ndarray) -> dict:
+    """The minibatch of `batch` at positions `rows`."""
+    return {key: value if value is None or isinstance(value, str)
+            else value[rows] for key, value in batch.items()}
+
+
 def ppo_update(policy: PolicyNetwork, buffer: RolloutBuffer, config: PPOConfig,
                rng: np.random.Generator) -> UpdateStats:
     """Run K epochs of minibatched clipped-surrogate descent on the buffer.
@@ -120,11 +126,15 @@ def ppo_update(policy: PolicyNetwork, buffer: RolloutBuffer, config: PPOConfig,
     stats = UpdateStats()
     first_epoch_ratios: list[float] = []
 
+    batches = {name: _gather_batch(buffer, idx, name, advantages, returns,
+                                   dtype)
+               for name, idx in per_instance.items()}
+
     for epoch in range(config.update_epochs):
         splits = {}
         for name, idx in per_instance.items():
-            perm = idx[rng.permutation(len(idx))]
-            splits[name] = np.array_split(perm, config.minibatches)
+            splits[name] = np.array_split(rng.permutation(len(idx)),
+                                          config.minibatches)
         for m in range(config.minibatches):
             policy.store.zero_grad()
             any_data = False
@@ -136,8 +146,7 @@ def ppo_update(policy: PolicyNetwork, buffer: RolloutBuffer, config: PPOConfig,
                     continue
                 any_data = True
                 loss, info = _minibatch_loss(
-                    policy, _gather_batch(buffer, part, name, advantages,
-                                          returns, dtype),
+                    policy, _rows_of(batches[name], part),
                     config.clip_eps, config.value_coef, config.entropy_coef)
                 losses.append(loss)
                 infos.append(info)

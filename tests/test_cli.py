@@ -164,6 +164,30 @@ class TestEvaluate:
                      "--episodes", "1"])
         assert code == 0
 
+    def test_hierarchy_reads_each_checkpoint_once(self, tmp_path, fight_ckpt,
+                                                  escape_ckpt, monkeypatch):
+        import dogfight.cli
+        import dogfight.nn.networks
+
+        reads = []
+
+        def counted(path):
+            reads.append(str(path))
+            return load_checkpoint(path)
+
+        for module in (dogfight.cli, dogfight.nn.networks):
+            monkeypatch.setattr(module, "load_checkpoint", counted)
+        commander = save_commander(tmp_path / "commander.ckpt")
+        code = main(["evaluate", "--agent", "hierarchy",
+                     "--commander-ckpt", str(commander),
+                     "--fight-ckpt", str(fight_ckpt),
+                     "--escape-ckpt", str(escape_ckpt),
+                     "--opponent", "scripted:L1",
+                     "--set", "scenario.horizon=5", "--episodes", "1"])
+        assert code == 0
+        assert sorted(reads) == sorted(map(str, (commander, fight_ckpt,
+                                                 escape_ckpt)))
+
 
 class TestSweep:
     def test_commander_options_from_checkpoint(self, tmp_path, fight_ckpt,

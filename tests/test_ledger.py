@@ -41,47 +41,47 @@ from dogfight.train.league import LOW_LEVELS
 
 LEDGER = {
     "commander-glob/checkpoints/commander_Glob-N2-Opt-Assess.ckpt":
-        "4a315d02847744e6fcbb8d04f477436845eb73199359e87c48e6be24259ab6c6",
+        "11de597f74c629618ed9e47e10890da7034ffa234942b9b42e238e108fa771aa",
     "commander-glob/config.json":
         "a505235c5b0345d0a520f30cd93824ae566229c9d6cf6dd15a2b2bc634f27e42",
     "commander-glob/metrics.jsonl":
-        "18f6687b19bf3e6ab03fa5cc2cf70256d6be1d7cb4ba6dd9ca60cd574347bba4",
+        "1fc8e573e197b2cc0d5999b42f64c5dfa4dfe3a798a4a607f769bf49afbaecdd",
     "commander-n3-sa/checkpoints/commander_Shared-N3-Opt-Assess.ckpt":
-        "269e094838a4a492f0434b656a626ee6393199d11c28f27b0bfea63d02d9b0b8",
+        "215b428c7d6985732cdf698bed5f46055bfe9a304e9bf6a72074d233e90f086c",
     "commander-n3-sa/config.json":
         "8ff5da2256049ccab74998127e8c8dff00e23f43b073c5b3a3d5c6d50862f285",
     "commander-n3-sa/metrics.jsonl":
-        "3311e7b3c4ab798cb2a64a7663ef26d3e54b88567242826125638a7476b68669",
+        "0e53d569d2d169d94a003d23b634820cbabc867cc8a698c5bf58bd03b38a3ce6",
     "commander-noopt/checkpoints/commander_Shared-N2-noOpt-Assess.ckpt":
-        "02c1b71e12c6273b093ff8eb723c8d9965c40f547848907377252d8665c655d1",
+        "a28e988cd64f2bb54e1dba298d5b368b43aec9e881abcf18b34964c1c8eedb19",
     "commander-noopt/config.json":
         "27fa54936baa515860f428a55334e42936a902ab930cf2ff97f82580adf3c680",
     "commander-noopt/metrics.jsonl":
-        "4f2a3353a4d4f4b42ec2c55926fc98b0b9a725eeb2a3d9605aa97653c4fc3c72",
+        "720f70702f24653d7db041ef1129445ca011df87aada524d2ec116437fc1540b",
     "commander-shared/checkpoints/commander_Shared-N2-Opt-Assess.ckpt":
-        "71f571ca6faf4f3c3d28721d323b3ea21556631ecd8a2231aab047f584333a18",
+        "067f1ea1b3503145e5b12b9ee5cbfd64dd8b12fb41c3ba6779e21402258da533",
     "commander-shared/config.json":
         "9f54f403f63ba5f3acb3062261a912c231866dfb696047f605b7a007eba5a665",
     "commander-shared/metrics.jsonl":
-        "480734d490537fa696f4ded1d37fb8f12b5aebed46c98ce561bdd31afec637b7",
+        "539a367d5158d8286faff8722e44c7bf22af47226bbe75da6772634c764fd8c0",
     "curriculum-resumed/config.json":
         "95eaa9c54d1bfde3ed3a39c7bf620d3e2527db21ce7a7ea01108a1a59de9cf78",
     "curriculum-resumed/league/fight_L5.ckpt":
-        "d70609ae083a046c2c7ff9c04c24e330043216220e147a987aad45f7d2d4e90c",
+        "35a76ec047a07cb17933f59322317ba90b4e09bf8a7a2b053ba7e42bdc06341d",
     "curriculum-resumed/metrics.jsonl":
-        "0b3eb224d4fb1d8b29788f9bd4c7e8e390f02403699068cf3cc63dbf2f990681",
+        "cc05aebc3a7e041dce5b427dffc6314162877c90b5239976f36d825db1cb0ee9",
     "escape-phase2/config.json":
         "6cb2e0fd5446504eb804228e34c2461c79e09e5ac85215a42efa9f1d6f374bcf",
     "escape-phase2/league/escape.ckpt":
-        "71ce2c50c5f005cab64947409b5a64d7ff2809b3ae68e19889e06adbc629b745",
+        "818ff245cbf451959a36e2c7fa3ab7baf60876b22d8b0ab154aff08c6af3918d",
     "escape-phase2/metrics.jsonl":
-        "81adfe8276c3177a197a0f6031b4c0b09945bf5ec7a2b1150ee1659ceb97f067",
+        "4170fa67242aa83686649a049a2eb2a0eea10d24f280bf2de4dce87646097d3b",
     "escape/config.json":
         "d278f4964619bc15a99285ce33e8039d96d703b85dce1aa9144c9a007cb68ef4",
     "escape/league/escape.ckpt":
-        "3513918d6e286a65542ccb5cd9458b3e565f544dfdce5d31ae562a803c9ff35a",
+        "6158f0c4c7564a38c613d35a2a7f801442e45138ac8e89b9bd28e07388037f50",
     "escape/metrics.jsonl":
-        "b2cee020eaa3d8d5ba67fede420196a537461c50d6cdc00e20217743eb2021b8",
+        "8d229ef17332f9daf1668c3d94411c5398d4029d5e12d0eb8a1605820fa40a92",
     "evaluate-always-fight/report":
         "6f5901f53b59830631d198bea662d0fca98e28afcc8c9c74b9a6f6fd4d5c00dd",
     "evaluate-ctce-greedy/report.json":
@@ -105,21 +105,21 @@ LEDGER = {
     "fight-ctde/config.json":
         "b2f731d24a129d5cc574da26be2e973ef90e272a2a90049653446e68a9896266",
     "fight-ctde/league/fight_L3.ckpt":
-        "f3538846a526be6adfcf4b9fbe17938d9256d3ed5da17bfb4aba5472394ce393",
+        "35c7c0d0c0094afa4fae4ea4283f060850a4d5636c89b3c7b864a784647b87fb",
     "fight-ctde/metrics.jsonl":
-        "71b8029712dc8dfd46b58ed1fa0090f9654a005a9748dedb6c1c7877f3e205e7",
+        "1aa38a60f0cd3ef42be1c8714bfe919180d0a9a6b126f0585a3bb31623942f7c",
     "fight-dtde/config.json":
         "c67c8f60d5102673839e254fe903f44c80b5fc59239f0cf47a51254daed7550e",
     "fight-dtde/league/fight_L3.ckpt":
-        "86f5459c6e3f1ec7bc67403269155d0290177e8c442089f9b5b67481ecf9e137",
+        "979914d3527b2432a5557442da08dd62d3cef7ae66b073fa24b6a687acd772ac",
     "fight-dtde/metrics.jsonl":
-        "aa7f18c36413e8910fcfef862d647ad56e93a57c6ef1c3030203b2ef8a85e148",
+        "4809a50aaeb9061eef1174651fec78f1386ba6cfbe2e606b62d117b636a1dd77",
     "standard/checkpoints/standard.ckpt":
-        "31dd2b5c4d4b1be0a33cdf0550961215eec60332c1d7ffed4cd8000dfcea87bf",
+        "923f3a3352fa85d6f837c9ea825368c52ea74c217bd0c0ff145b654ca64b7ffa",
     "standard/config.json":
         "36239a7d57ea073cf0df8e71d144e76c9196e321f58fbc66613c8e7c2b630a38",
     "standard/metrics.jsonl":
-        "467e0932e81d64d311a4cdd3018f3f1b7fdf972e8a0275c3120cf4430a49612a",
+        "436db038ab2083e2481465492497d8ef9351d14e3ac45ff0220d1f2871bf9a04",
     "sweep/2v2.json":
         "00c993c5526b4b291a065d1785335dcf27f9a48fd0f204180668fc21e800e790",
 }

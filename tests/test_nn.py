@@ -24,8 +24,9 @@ from dogfight.nn import (
 from dogfight.nn.networks import Decision, decide
 from dogfight.nn.params import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
 from dogfight.nn.autodiff import (
+    add,
     clip,
-    log_softmax,
+    head_log_prob_entropy,
     matmul,
     minimum,
     slice_cols,
@@ -96,10 +97,36 @@ class TestAutodiffOps:
         x = rng.normal(size=(2, 5))
         self._check(lambda X: tsum(softmax(X) * np.arange(5.0)), x)
 
-    def test_log_softmax_gradient(self):
+    @pytest.mark.parametrize("masked", [False, True], ids=["all", "masked"])
+    @pytest.mark.parametrize("output", [0, 1], ids=["log_prob", "entropy"])
+    def test_head_log_prob_entropy_gradient(self, output, masked):
         rng = np.random.default_rng(4)
-        x = rng.normal(size=(2, 5))
-        self._check(lambda X: tsum(log_softmax(X) * np.arange(5.0)), x)
+        arities = (5, 3, 2)
+        z = rng.normal(size=(4, sum(arities)))
+        actions = rng.integers(0, 2, size=(4, 3)) + np.array([2, 1, 0])
+        mask = (rng.integers(0, 2, size=(4, 3)).astype(float) if masked
+                else None)
+        weights = rng.normal(size=4)
+        self._check(lambda Z: tsum(head_log_prob_entropy(
+            Z, arities, actions, mask)[output] * weights), z)
+
+    def test_head_log_prob_entropy_per_head_reference(self):
+        # each head's log-softmax on its own columns, summed in head order
+        rng = np.random.default_rng(9)
+        arities = (4, 3)
+        z = rng.normal(size=(5, 7))
+        actions = np.array([[0, 2], [3, 0], [1, 1], [2, 2], [3, 1]])
+        mask = np.array([[1, 1], [1, 0], [0, 1], [1, 1], [0, 0]], dtype=float)
+        lp, ent = head_log_prob_entropy(z, arities, actions, mask)
+        want_lp, want_ent, start = np.zeros(5), np.zeros(5), 0
+        for j, arity in enumerate(arities):
+            seg = z[:, start:start + arity]
+            log_p = seg - np.log(np.exp(seg).sum(axis=1, keepdims=True))
+            want_lp += mask[:, j] * log_p[np.arange(5), actions[:, j]]
+            want_ent += mask[:, j] * -(np.exp(log_p) * log_p).sum(axis=1)
+            start += arity
+        assert np.allclose(lp, want_lp, atol=1e-12)
+        assert np.allclose(ent, want_ent, atol=1e-12)
 
     def test_minimum_and_clip_gradient(self):
         rng = np.random.default_rng(5)
@@ -447,8 +474,9 @@ class TestGraphFreeForward:
 
     @pytest.mark.parametrize("grad", [True, False], ids=["graph", "graph-free"])
     def test_float32_networks_compute_in_float32(self, grad):
-        # scalars of the network's dtype inside the attention and GRU bodies
-        # keep float32 logits and hidden states float32 in both modes
+        # the Python-float constants of the attention and GRU bodies take
+        # the arrays' dtype, so logits and hidden states stay float32 in
+        # both modes
         joint = ctce_config("fight", obs_width=27 * 2,
                             head_arities=(13, 9, 2, 2) * 2, critic_width=40)
         for config, instance in ((fight_config(critic_width=40), "ac1"),
@@ -554,6 +582,19 @@ class TestAdam:
         expected = -0.001 * g / (abs(g) + 1e-8)
         assert t.data[0] == pytest.approx(expected, rel=1e-9)
 
+    def test_shared_gradient_clipped_once(self):
+        # `add` hands one gradient array to both leaves; clipping must
+        # scale each leaf's gradient once, not the shared array twice
+        store = ParamStore(dtype="float64")
+        a, b = store.add("a", np.zeros(3)), store.add("b", np.ones(3))
+        w = np.array([3.0, 4.0, 0.0])
+        tsum(add(a, b) * w).backward()
+        assert a.grad is b.grad
+        norm = store.clip_grad_norm(1.0)
+        assert norm == pytest.approx(5.0 * math.sqrt(2.0))
+        for t in (a, b):
+            assert np.allclose(t.grad, w / norm)
+
     def test_grad_norm_clipping(self):
         store = ParamStore(dtype="float64")
         t = store.add("w", np.zeros(3))
@@ -611,6 +652,18 @@ class TestCheckpoint:
         path = tmp_path / "corrupt.ckpt"
         path.write_bytes(CHECKPOINT_MAGIC + payload)
         with pytest.raises(ValueError, match="corrupt.ckpt"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("entry", [
+        {"name": "w", "shape": [2]},
+        {"name": "w", "shape": [2], "dtype": "nonsense"},
+    ], ids=["missing-dtype", "unknown-dtype"])
+    def test_malformed_array_entry_names_the_file(self, tmp_path, entry):
+        header = json.dumps({"config": {}, "arrays": [entry]}).encode()
+        path = tmp_path / "entry.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack(
+            "<II", CHECKPOINT_VERSION, len(header)) + header + b"\x00" * 16)
+        with pytest.raises(ValueError, match="entry.ckpt.*entry 0"):
             load_checkpoint(path)
 
     def test_checksum_tracks_content(self):

@@ -204,6 +204,58 @@ class TestPPOUpdate:
         assert stats[0].policy_loss == stats[1].policy_loss
 
 
+def _update_batch(net, instance, rows=12, seed=0):
+    """A random PPO minibatch for `net`'s `instance`, in its dtype."""
+    rng = np.random.default_rng(seed)
+    inst, dtype = net.config.instance(instance), net.store.dtype
+    heads = len(inst.head_arities)
+    return {
+        "instance": instance,
+        "obs": rng.uniform(0, 1, (rows, inst.obs_width)).astype(dtype),
+        "actions": rng.integers(0, inst.head_arities, (rows, heads)),
+        "log_probs_old": rng.uniform(-6, -1, rows).astype(dtype),
+        "advantages": rng.normal(size=rows).astype(dtype),
+        "returns": rng.normal(size=rows).astype(dtype),
+        "critic_inputs": rng.uniform(0, 1, (rows, inst.critic_width)).astype(dtype),
+        "hidden": (rng.uniform(-1, 1, (rows, net.config.hidden_width)).astype(dtype)
+                   if net.config.recurrent else None),
+        "head_mask": (rng.integers(0, 2, (rows, heads)).astype(dtype)
+                      if heads > 4 else None),
+    }
+
+
+class TestUpdateDtype:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("kind", ["fight", "commander-gru", "ctce"])
+    def test_update_runs_in_the_network_dtype(self, kind, dtype):
+        from dogfight.nn import commander_config, ctce_config
+        from dogfight.nn.params import adam_step
+        from dogfight.train.ppo import _minibatch_loss
+
+        config, instance = {
+            "fight": (fight_config(critic_width=40, dtype=dtype), "ac1"),
+            "commander-gru": (commander_config(2, critic_width=40,
+                                               dtype=dtype), "cmd"),
+            "ctce": (ctce_config("fight", 27 * 2, (13, 9, 2, 2) * 2,
+                                 critic_width=40, dtype=dtype), "joint"),
+        }[kind]
+        net = PolicyNetwork(config, seed=0)
+        loss, _ = _minibatch_loss(net, _update_batch(net, instance),
+                                  0.2, 0.5, 0.01)
+        assert loss.data.dtype == dtype
+        loss.backward()
+        net.store.clip_grad_norm(1e-3)
+        grads = {n: t.grad for n, t in net.store.params.items()
+                 if t.grad is not None}
+        assert grads and all(g.dtype == dtype for g in grads.values()), {
+            n: g.dtype for n, g in grads.items() if g.dtype != dtype}
+        adam_step(net.store, 1e-4)
+        for name in grads:
+            assert net.store.moment1[name].dtype == dtype
+            assert net.store.moment2[name].dtype == dtype
+            assert net.store[name].data.dtype == dtype
+
+
 class TestLeague:
     def test_round_trip_and_hash(self, tmp_path):
         archive = LeagueArchive(tmp_path / "league")
@@ -648,6 +700,53 @@ def _low_level(framework, float64=False):
 
 
 FRAMEWORKS = ["ctde", "dtde", "ctce"]
+
+
+class TestCriticInputReuse:
+    @pytest.mark.parametrize("kind", ["fight", "escape"])
+    def test_row_observations_give_the_rebuilt_input(self, kind, monkeypatch):
+        # critic inputs built from the decision's row observations are
+        # byte-equal to ones that build every observation again
+        from dogfight.scripted import ScriptedController
+        from dogfight.train.policies import CTDEDriver
+
+        def collect():
+            trainer = LowLevelTrainer(small_scenario(horizon=12),
+                                      small_ppo(4096), TrainMode(kind=kind),
+                                      seed=31)
+            env = trainer.make_env(ScriptedController("L3", trainer.opponent_rng))
+            trainer.run_episode(env)
+            return [t.critic_input for t in trainer.buffer.transitions]
+
+        reused = collect()
+        monkeypatch.setattr(CTDEDriver, "_critic_observations",
+                            staticmethod(lambda env, d: {}))
+        rebuilt = collect()
+        assert len(reused) == len(rebuilt) > 0
+        for a, b in zip(reused, rebuilt):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_joint_rows_and_targeted_agents_are_rebuilt(self):
+        from dogfight.env import CombatEnv
+        from dogfight.scripted import ScriptedController
+        from dogfight.train.policies import CTCEDriver, CTDEDriver
+
+        scenario = small_scenario()
+        env = CombatEnv(scenario, ScriptedController("L1", np.random.default_rng(0)))
+        env.reset(seed=3)
+        low = make_low_level_policy("fight", "ctde", scenario, 0)
+        joint = make_low_level_policy("fight", "ctce", scenario, 0)
+        rng = np.random.default_rng(1)
+        driver = CTDEDriver(low, "fight", rng, greedy=True)
+        ids = env.agent_ids()
+        (d,) = driver.actions([env])
+        assert set(driver._critic_observations(env, d)) == set(ids)
+        env.set_attack_target(ids[0], env.opponent_ids()[-1])
+        (d,) = driver.actions([env])
+        assert set(driver._critic_observations(env, d)) == set(ids[1:])
+        ctce = CTCEDriver(joint, "fight", rng, greedy=True)
+        (d,) = ctce.actions([env])
+        assert ctce._critic_observations(env, d) == {}
 
 
 class TestLockstepCollects:
