@@ -387,9 +387,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the checkpoint flags each `--agent` of evaluate and export-traj needs
+_AGENT_CHECKPOINTS = {"fight": ["agent_ckpt"], "escape": ["agent_ckpt"],
+                      "standard": ["agent_ckpt"], "hierarchy": [
+                          "commander_ckpt", "fight_ckpt", "escape_ckpt"]}
+
+
+def _usage_problem(args) -> str | None:
+    """What argparse cannot check: the agent's checkpoints and the episode
+    counts."""
+    for dest in _AGENT_CHECKPOINTS.get(getattr(args, "agent", None), ()):
+        if getattr(args, dest) is None:
+            return f"--agent {args.agent} needs --{dest.replace('_', '-')}"
+    episodes = getattr(args, "episodes", 1)
+    if episodes < 1:
+        return f"--episodes must be at least 1, not {episodes}"
+    if (getattr(args, "trajectory_out", None)
+            and not 0 <= args.trajectory_episode < episodes):
+        return (f"--trajectory-episode {args.trajectory_episode} is not one "
+                f"of the {episodes} episodes (0 to {episodes - 1})")
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    problem = _usage_problem(args)
+    if problem:
+        parser.error(problem)  # exits 2
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary

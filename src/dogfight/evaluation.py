@@ -166,9 +166,9 @@ class AlwaysFightActor(HierarchyEvalActor):
     the hierarchy."""
 
     def _command(self, envs):
-        pass  # no commander decides
+        return [None] * len(envs)  # no commander decides
 
-    def _decide(self, env):
+    def _decide(self, env, d):
         self.slots[env].options = {aid: (1, [o.id for o in closest_opponents(
                                        env.world, env.world.get(aid), 1)])
                                    for aid in env.agent_ids()}

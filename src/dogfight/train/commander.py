@@ -10,7 +10,8 @@ assignment at every option boundary with probability p_o of fighting.
 Commander transitions span whole options; advantage bootstrapping discounts
 by gamma to the power of the option length (semi-MDP targets).
 
-The option loop itself, `HierarchyEvalActor`, is the one evaluation runs.
+The option loop, `HierarchyEvalActor`, is the one evaluation runs; it hands
+each commander decision to `CommanderTrainer` in the step that makes it.
 """
 
 from __future__ import annotations
@@ -102,50 +103,52 @@ class HierarchyEvalActor(EpisodeActor):
     """The option loop of commander training and evaluation: a commander
     over frozen fight/escape policies, re-invoked at option boundaries.
 
-    At a boundary (the first step, or a termination by `option_terminated`)
-    the commander picks one option per living agent: escape, or fight a
-    sensed opponent. When the env's opponent controller is a
-    `SnapshotController`, its opponents re-roll their fight/escape
-    assignments at the same boundary. A shared commander ("cmd" instance)
-    decides each agent from its own observation and hidden state; a joint
-    one ("joint") decides the team from the zero-padded joint observation.
-    The commander decisions of every env at a boundary are made in one
-    `decide` call. Each episode keeps its own state in `slots`: streams
-    spawned from `rng` (commander) and the fight actor's generator
-    (low-level), hidden states, the commander's last `Decision` (which
-    `CommanderTrainer` records at the boundary), the options it chose,
-    `(target_idx, sensed)` per agent, and their age. The flown low-level
-    decisions are the loop's and are not kept. Tracks command and
-    opponent-selection statistics."""
+    At a boundary (an episode's first step, or the step after one that
+    `option_terminated` ends) the commander picks one option per living
+    agent: escape, or fight a sensed opponent. When the env's opponent
+    controller is a `SnapshotController`, its opponents re-roll their
+    fight/escape assignments at the same boundary. A shared commander
+    ("cmd" instance) decides each agent from its own observation and hidden
+    state; a joint one ("joint") decides the team from the zero-padded joint
+    observation. The commander decisions of every env at a boundary are
+    made in one `decide` call and kept in `commanded` (env -> `Decision`)
+    for that step only, where `CommanderTrainer` reads them. Each episode
+    keeps what flies its option in `slots`: its commander stream spawned
+    from `rng`, hidden states, the options, `(target_idx, sensed)` per
+    agent (none at a boundary), and their age. The flown low-level
+    decisions draw from the fight actor's episode streams. Tracks command
+    and opponent-selection statistics."""
 
     def __init__(self, commander: PolicyNetwork, fight: PolicyNetwork,
                  escape: PolicyNetwork, rng: np.random.Generator,
                  senses: int = 2, opt: bool = True, greedy: bool = True):
+        arities = commander.config.instances[0].head_arities
+        if set(arities) != {senses + 1 if opt else 2}:
+            raise ValueError(f"{'Opt' if opt else 'noOpt'}-N{senses} does not "
+                             f"match the commander's head arities {arities}")
         self.commander = commander
         self.instance = commander.config.instances[0].name
         self.fight_actor = CTDEDriver(fight, "fight", rng, greedy=greedy)
         self.escape_actor = CTDEDriver(escape, "escape", rng, greedy=greedy)
         self.rng = rng
         self.senses = senses
-        self.opt = opt
         self.greedy = greedy
         self.fight_commands = 0
         self.escape_commands = 0
         self.opponent_selection = [0, 0, 0]
         self.slots = WeakKeyDictionary()  # env -> its episode's state
+        self.commanded = {}  # env -> the commander's `Decision` this step
 
     def begin_episode(self, env: CombatEnv):
         keys = env.agent_ids() if self.instance == "cmd" else [-1]
         self.slots[env] = SimpleNamespace(
             rng=episode_stream(self.rng),
-            low_rng=episode_stream(self.fight_actor.rng),
             hiddens={k: self.commander.initial_hidden() for k in keys},
-            decision=None,  # the commander's last `Decision`
-            options={},  # its (target_idx, sensed) per living agent
-            steps_in_option=0, last_events=[])
+            options={}, steps_in_option=0)
+        self.fight_actor.begin_episode(env)
 
-    def _command(self, envs: list[CombatEnv]):
-        """The commander's decisions for `envs`, made in one call."""
+    def _command(self, envs: list[CombatEnv]) -> list[Decision]:
+        """The commander's decisions for `envs`, decided in one call."""
         decisions = []
         for env in envs:
             slot, world, scenario = self.slots[env], env.world, env.scenario
@@ -157,41 +160,36 @@ class HierarchyEvalActor(EpisodeActor):
             rng = None if self.greedy else slot.rng
             if self.instance == "cmd":
                 alive = env.agent_ids()
-                slot.decision = Decision(
+                decisions.append(Decision(
                     [(self.commander, "cmd", observe(aid)) for aid in alive],
                     alive, rng, hidden=np.concatenate(
-                        [slot.hiddens[aid] for aid in alive]))
+                        [slot.hiddens[aid] for aid in alive])))
             else:
                 obs, alive = joint_obs(
                     world, scenario.n_agents,
                     OBS_LAYOUTS[f"commander-n{self.senses}"], observe)
-                slot.decision = Decision([(self.commander, "joint", obs)],
-                                         alive, rng, hidden=slot.hiddens[-1],
-                                         slot_heads=1)
-            decisions.append(slot.decision)
+                decisions.append(Decision([(self.commander, "joint", obs)],
+                                          alive, rng, hidden=slot.hiddens[-1],
+                                          slot_heads=1))
         decide(decisions)
         for env, d in zip(envs, decisions):
             if d.new_hidden is not None:  # gru; sa and fc keep none
                 keys = d.ids if self.instance == "cmd" else [-1]
                 for i, key in enumerate(keys):
                     self.slots[env].hiddens[key] = d.new_hidden[i:i + 1]
+        return decisions
 
-    def _decide(self, env: CombatEnv):
+    def _decide(self, env: CombatEnv, d: Decision):
         """The options of `env`'s agents from the commander's decision."""
-        slot, world = self.slots[env], env.world
-        slot.options = {}
-        for aid, a_c in zip(slot.decision.ids,
-                            slot.decision.samples[:, 0].tolist()):
-            sensed = [o.id for o in closest_opponents(world, world.get(aid),
-                                                      self.senses)]
-            # noOpt: attacking always means the closest opponent
-            target_idx = a_c if self.opt else min(a_c, 1)
+        world, options = env.world, self.slots[env].options
+        for aid, target_idx in zip(d.ids, d.samples[:, 0].tolist()):
             if target_idx == 0:
                 self.escape_commands += 1
             else:
                 self.fight_commands += 1
                 self.opponent_selection[min(target_idx, 3) - 1] += 1
-            slot.options[aid] = (target_idx, sensed)
+            options[aid] = (target_idx, [o.id for o in closest_opponents(
+                world, world.get(aid), self.senses)])
 
     def actions(self, envs: list[CombatEnv]) -> list[Decision]:
         """Decide at each env's option boundary, re-rolling snapshot
@@ -199,27 +197,19 @@ class HierarchyEvalActor(EpisodeActor):
         or fight its chosen sensed opponent (no target once it is gone),
         setting that rocket target on the env. An env's fight and escape
         rows make one decision on its low-level stream."""
-        due = []
-        for env in envs:
-            slot = self.slots[env]
-            if not slot.options or option_terminated(
-                    env.world, slot.steps_in_option, slot.last_events,
-                    env.scenario):
-                due.append(env)
-        if due:
-            self._command(due)
-        for env in due:
-            self._decide(env)
-            self.slots[env].steps_in_option = 0
+        due = [env for env in envs if not self.slots[env].options]
+        self.commanded = dict(zip(due, self._command(due)))
+        for env, d in self.commanded.items():
+            self._decide(env, d)
             if isinstance(env.opponent_controller, SnapshotController):
                 env.opponent_controller.reassign(env.world)
         flown = []
         for env in envs:
-            slot, world = self.slots[env], env.world
+            options, world = self.slots[env].options, env.world
             ids = env.agent_ids()
             rows = []
             for aid in ids:
-                target_idx, sensed = slot.options[aid]
+                target_idx, sensed = options[aid]
                 target = None
                 if (0 < target_idx <= len(sensed)
                         and world.get(sensed[target_idx - 1]).alive):
@@ -227,23 +217,28 @@ class HierarchyEvalActor(EpisodeActor):
                 env.set_attack_target(aid, target)
                 actor = self.escape_actor if target_idx == 0 else self.fight_actor
                 rows.append(actor.row(env, aid))
-            flown.append(Decision(rows, ids,
-                                  None if self.greedy else slot.low_rng))
+            flown.append(Decision(rows, ids, None if self.greedy
+                                  else self.fight_actor.streams[env]))
         return flown
 
     def observe_step(self, env: CombatEnv, result):
+        """Ages the option; one that ends before the episode does makes the
+        next step a boundary."""
         slot = self.slots[env]
         slot.steps_in_option += 1
-        slot.last_events = result.events
+        if not result.terminal and option_terminated(
+                env.world, slot.steps_in_option, result.events, env.scenario):
+            slot.options, slot.steps_in_option = {}, 0
 
 
 class CommanderTrainer(TrainerCore):
     """Commander PPO: runs episodes through a `HierarchyEvalActor` and adds
     what training needs at each option boundary: the critic value, the
     assessment reward, the previous commands in the critic input, and one
-    transition per decision (per agent, or one for a joint commander).
-    Each `run_episode` plays `LOCKSTEP_EPISODES` episodes in lockstep, one
-    per env, each env with its own snapshot opponents."""
+    transition per decision (per agent, or one for a joint commander), read
+    from the actor's `commanded` in the step that makes it. Each
+    `run_episode` plays `LOCKSTEP_EPISODES` episodes in lockstep, one per
+    env, each env with its own snapshot opponents."""
 
     SEED_LABEL = "commander"
     STREAMS = ("episode", "action", "lowlevel", "opponent", "update")
@@ -288,11 +283,12 @@ class CommanderTrainer(TrainerCore):
         self._open[env].prev_cmd = {}  # no commands yet
 
     def _decide(self, envs: list[CombatEnv], decisions: list):
-        """The transitions of the envs at an option boundary (None where an
-        earlier decision flies on), valued in one critic forward; the flown
-        low-level `decisions` are not trained."""
-        out = [None if self.actor.slots[env].steps_in_option
-               else self._decision_transitions(env) for env in envs]
+        """The transitions of the commander decisions the actor made this
+        step (None where an earlier decision flies on), valued in one critic
+        forward; the flown low-level `decisions` are not trained."""
+        commanded = self.actor.commanded
+        out = [self._decision_transitions(env, commanded[env])
+               if env in commanded else None for env in envs]
         set_values([t for ts in out if ts for t in ts], lambda t: self.policy)
         return out
 
@@ -302,20 +298,21 @@ class CommanderTrainer(TrainerCore):
             world, [e for result in step_results for e in result.events],
             agent_id)
 
-    def _decision_transitions(self, env: CombatEnv) -> list[Transition]:
-        """Transitions of the decision the actor just made on `env`,
-        carrying the assessment reward so far and the critic input (`_decide`
-        sets the values); records the commands in the episode's previous
-        commands."""
+    def _decision_transitions(self, env: CombatEnv, d: Decision
+                              ) -> list[Transition]:
+        """Transitions of the commander decision `d` on `env`, with the
+        assessment reward so far and a critic input that reuses a shared
+        commander's row observations (`_decide` sets the values); records the
+        commands in the episode's previous commands."""
         world, scenario, variant = env.world, self.scenario, self.variant
-        episode = self._open[env]
+        episode, options = self._open[env], self.actor.slots[env].options
         prev_cmd = episode.prev_cmd
-        slot = self.actor.slots[env]
-        d = slot.decision
-        critic_in = build_critic_input("commander", world, scenario, prev_cmd)
-        assess = [assess_commander_action(world, aid, *slot.options[aid],
-                                          scenario) if variant.assess else 0.0
-                  for aid in d.ids]
+        observations = ({} if d.slot_heads else
+                        {aid: obs for aid, (_, _, obs) in zip(d.ids, d.rows)})
+        critic_in = build_critic_input("commander", world, scenario, prev_cmd,
+                                       observations)
+        assess = [assess_commander_action(world, aid, *options[aid], scenario)
+                  if variant.assess else 0.0 for aid in d.ids]
         for aid, a_c in zip(d.ids, d.samples[:, 0].tolist()):
             prev_cmd[aid] = [a_c / max(1, variant.n_options - 1)]
         for oid, mode in env.opponent_controller.assignments.items():

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import dogfight
 from dogfight.cli import main
 from dogfight.config import ScenarioConfig
 from dogfight.evaluation import EvalReport, import_trajectory
@@ -78,6 +79,45 @@ class TestUsage:
             main(["evaluate", "--bogus"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["evaluate", "--agent", "fight"], "--agent-ckpt"),
+        (["evaluate", "--agent", "escape"], "--agent-ckpt"),
+        (["export-traj", "--agent", "standard", "--out", "t.jsonl"],
+         "--agent-ckpt"),
+        (["evaluate", "--agent", "hierarchy", "--fight-ckpt", "f",
+          "--escape-ckpt", "e"], "--commander-ckpt"),
+        (["evaluate", "--agent", "hierarchy", "--commander-ckpt", "c",
+          "--escape-ckpt", "e"], "--fight-ckpt"),
+        (["export-traj", "--agent", "hierarchy", "--commander-ckpt", "c",
+          "--fight-ckpt", "f", "--out", "t.jsonl"], "--escape-ckpt"),
+    ])
+    def test_missing_checkpoint_flag_is_usage_error(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"needs {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, words", [
+        (["evaluate", "--agent", "random", "--episodes", "-3"],
+         "--episodes must be at least 1"),
+        (["evaluate", "--agent", "random", "--episodes", "0"],
+         "--episodes must be at least 1"),
+        (["sweep", "--commander-ckpt", "c", "--fight-ckpt", "f",
+          "--escape-ckpt", "e", "--out", "o", "--episodes", "0"],
+         "--episodes must be at least 1"),
+        (["evaluate", "--agent", "random", "--episodes", "2",
+          "--trajectory-out", "t.jsonl", "--trajectory-episode", "7"],
+         "--trajectory-episode 7 is not one of the 2 episodes"),
+        (["evaluate", "--agent", "random", "--episodes", "2",
+          "--trajectory-out", "t.jsonl", "--trajectory-episode", "-1"],
+         "--trajectory-episode -1 is not one of the 2 episodes"),
+    ])
+    def test_count_out_of_range_is_usage_error(self, argv, words, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert words in capsys.readouterr().err
+
     def test_missing_checkpoint_is_runtime_error(self, tmp_path, capsys):
         code = main(["evaluate", "--agent", "fight",
                      "--agent-ckpt", str(tmp_path / "nope.ckpt"),
@@ -119,10 +159,14 @@ class TestBlasThreads:
     @pytest.mark.parametrize("env, want", [({}, "1"),
                                            ({"OPENBLAS_NUM_THREADS": "2"}, "2")])
     def test_one_thread_unless_set(self, env, want):
-        # a fresh interpreter, as the console script starts one
+        # a fresh interpreter, as the console script starts one, importing
+        # the package this session imported
         clean = {k: v for k, v in os.environ.items()
                  if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                               "MKL_NUM_THREADS")}
+        clean["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            os.path.dirname(os.path.dirname(dogfight.__file__)),
+            os.environ.get("PYTHONPATH")]))
         out = subprocess.run(
             [sys.executable, "-c", "import os, sys, dogfight.cli; "
              "print('numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'])"],

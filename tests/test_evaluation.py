@@ -231,6 +231,19 @@ class TestPolicyActors:
         assert sum(report.opponent_selection) == report.fight_commands
         assert report.opponent_selection[2] == 0  # N2 never picks a third
 
+    def test_opt_must_match_the_commander_heads(self):
+        # an Opt-N2 commander picks among three options, a noOpt one two
+        commander = PolicyNetwork(commander_config(
+            2, critic_input_width("commander", 2, 2)), seed=1)
+        fight = PolicyNetwork(fight_config(
+            critic_width=critic_input_width("fight", 2, 2)), seed=2)
+        escape = PolicyNetwork(escape_config(
+            critic_width=critic_input_width("escape", 2, 2)), seed=3)
+        with pytest.raises(ValueError, match=r"noOpt-N2 does not match the "
+                                             r"commander's head arities \(3,\)"):
+            HierarchyEvalActor(commander, fight, escape,
+                               np.random.default_rng(5), opt=False)
+
     def test_option_termination_checked_once_per_step(self, monkeypatch):
         from dogfight.train import commander as commander_module
 
@@ -280,9 +293,9 @@ class TestPolicyActors:
         counts = {"decide": 0, "reassign": 0}
         decide, reassign = AlwaysFightActor._decide, SnapshotController.reassign
 
-        def counted_decide(self, env):
+        def counted_decide(self, env, d):
             counts["decide"] += 1
-            return decide(self, env)
+            return decide(self, env, d)
 
         def counted_reassign(self, world):
             counts["reassign"] += 1

@@ -98,6 +98,8 @@ LEDGER = {
         "cb82717cae355d3535c8c1ce3d93b38182b751aed625a3f517584f2c4ddbc08b",
     "evaluate-hierarchy-snapshot/report.json":
         "134147ed29b568f99035f88b5d47b7d27fd6533ae4af991188451732973b90b3",
+    "evaluate-hierarchy-stochastic/report.json":
+        "2888b01362e5bf560d6b0f0e41e7d50535d719b5e35136f80dc8f278f932a27c",
     "evaluate-random/report.json":
         "36b8012203f79163ff155f3026249a4dca6925dd68cd892cba21dd50db673fb5",
     "evaluate-random/trajectory.jsonl":
@@ -246,6 +248,12 @@ def _collect(root) -> dict[str, str]:
     evaluation("hierarchy-snapshot",
                ["--agent", "hierarchy", *hierarchy, "--opponent",
                 f"snapshot:{ckpt['fight']}:{ckpt['escape']}:0.5"], False)
+    # the one run whose commander and low-level episode streams spawn from
+    # one generator, so only it pins the order they spawn in
+    evaluation("hierarchy-stochastic",
+               ["--agent", "hierarchy", *hierarchy, "--stochastic",
+                "--opponent", f"snapshot:{ckpt['fight']}:{ckpt['escape']}:0.5"],
+               False)
     evaluation("hierarchy-l3", ["--agent", "hierarchy", *hierarchy,
                                 "--opponent", "scripted:L3"], True)
     evaluation("random", ["--agent", "random", "--opponent", "scripted:L2"],

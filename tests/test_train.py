@@ -671,6 +671,26 @@ class TestCommanderTrainer:
         trainer.train(env_steps=60)
         assert trainer.updates >= 1
 
+    def test_each_commander_observation_built_once(self, monkeypatch):
+        # the critic input takes the decision's row observations, so no
+        # agent's commander observation is built twice for one world state
+        from dogfight import observations
+        from dogfight.train import commander
+
+        built = []
+        build = observations.build_obs_commander
+
+        def counted(world, agent_id, *args, **kwargs):
+            built.append((id(world), world.round_idx, agent_id))
+            return build(world, agent_id, *args, **kwargs)
+
+        for module in (observations, commander):
+            monkeypatch.setattr(module, "build_obs_commander", counted)
+        trainer = self._trainer()
+        trainer.run_episode()
+        assert trainer.buffer.transitions
+        assert len(built) == len(set(built)) > 0
+
 
 def _float64_networks(trainer):
     """Swaps the networks a trainer updates for float64 ones of the same
