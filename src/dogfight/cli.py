@@ -35,6 +35,7 @@ from .evaluation import (
 from .nn.gradcheck import run_standard_suite
 from .nn.networks import PolicyNetwork, load_policy, policy_from_checkpoint
 from .nn.params import load_checkpoint
+from .rewards import REWARD_VARIANTS
 from .scripted import ScriptedController
 from .train import (
     CTCEDriver,
@@ -162,7 +163,7 @@ def cmd_train_commander(args) -> int:
     cfg = _load_config(args, ScenarioConfig.commander_training, ("script",))
     run = RunDir(args.run_dir)
     scenario = cfg["scenario"]
-    if args.fight_ckpt and args.escape_ckpt:
+    if args.league_dir is None:
         fight = load_policy(args.fight_ckpt)
         escape = load_policy(args.escape_ckpt)
     else:
@@ -316,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--framework", default="ctde",
                    choices=["ctde", "ctce", "dtde"])
     p.add_argument("--variant", default="base",
-                   help="reward variant: base|fripun|shfrac (fight), "
-                        "base|dist|dist_speed (escape)")
+                   help="reward variant: " + ", ".join(
+                       f"{'|'.join(v)} ({k})" for k, v in REWARD_VARIANTS.items()))
     p.add_argument("--fc-baseline", action="store_true",
                    help="ctde only: two 500-wide layers instead of the "
                         "attention net")
@@ -387,18 +388,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the checkpoint flags each `--agent` of evaluate and export-traj needs
+# the checkpoint flags each `--agent` of evaluate and export-traj reads
 _AGENT_CHECKPOINTS = {"fight": ["agent_ckpt"], "escape": ["agent_ckpt"],
-                      "standard": ["agent_ckpt"], "hierarchy": [
+                      "standard": ["agent_ckpt"], "random": [], "hierarchy": [
                           "commander_ckpt", "fight_ckpt", "escape_ckpt"]}
 
 
 def _usage_problem(args) -> str | None:
-    """What argparse cannot check: the agent's checkpoints and the episode
-    counts."""
-    for dest in _AGENT_CHECKPOINTS.get(getattr(args, "agent", None), ()):
-        if getattr(args, dest) is None:
-            return f"--agent {args.agent} needs --{dest.replace('_', '-')}"
+    """What argparse cannot check: a low-level policy's reward variant, the
+    checkpoint flags each command reads, and the episode counts."""
+    if (args.command == "train-low"
+            and args.variant not in REWARD_VARIANTS[args.policy]):
+        return (f"--variant {args.variant}: the {args.policy} policy takes "
+                f"{'|'.join(REWARD_VARIANTS[args.policy])}")
+    if args.command == "train-commander":
+        sources = [dest for dest in ("fight_ckpt", "escape_ckpt", "league_dir")
+                   if getattr(args, dest) is not None]
+        if sources not in (["fight_ckpt", "escape_ckpt"], ["league_dir"]):
+            return ("train-commander needs --fight-ckpt and --escape-ckpt, "
+                    "or --league-dir alone")
+    if args.command in ("evaluate", "export-traj"):
+        for dest in ("agent_ckpt", "commander_ckpt", "fight_ckpt",
+                     "escape_ckpt"):
+            given = getattr(args, dest) is not None
+            if given != (dest in _AGENT_CHECKPOINTS[args.agent]):
+                return (f"--agent {args.agent} "
+                        f"{'does not read' if given else 'needs'} "
+                        f"--{dest.replace('_', '-')}")
     episodes = getattr(args, "episodes", 1)
     if episodes < 1:
         return f"--episodes must be at least 1, not {episodes}"

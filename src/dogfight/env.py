@@ -1,6 +1,6 @@
 """Combat environment: scenario generation, action decoding, the env-step
-loop (several sim rounds per decision), reward dispatch, and outcome
-classification.
+loop (several sim rounds per decision), and outcome classification. A step
+only simulates; the trainers score its events (`rewards`).
 
 One env step holds each aircraft's decoded setpoints for a fixed number of
 simulation rounds (10 by default, i.e. one second). The episode loop
@@ -21,7 +21,6 @@ import numpy as np
 from .config import ScenarioConfig
 from .geometry import Vec2, wrap_heading
 from .observations import build_obs, closest_opponents, encode_low_action
-from .rewards import reward_escape, reward_fight, reward_standard
 from .simcore import (
     AC1,
     AC2,
@@ -76,7 +75,6 @@ class LowLevelAction:
 
 @dataclass
 class StepResult:
-    rewards: dict[int, float]
     outcome: str
     events: list[SimEvent]
 
@@ -208,21 +206,15 @@ def classify_outcome(world: World, step_count: int, horizon: int) -> str:
 
 
 class CombatEnv:
-    """Decision-step environment over the round-level simulator.
-
-    `reward_kind` selects the active reward function: ("fight", variant),
-    ("escape", variant), ("standard", None), or ("none", None) when an outer
-    loop (the commander trainer) does its own accounting.
-    """
+    """Decision-step environment over the round-level simulator. It scores
+    nothing: each trainer rewards its options (`train.trainer.TrainerCore`)."""
 
     def __init__(self, scenario: ScenarioConfig,
                  opponent_controller: OpponentController | None = None,
-                 reward_kind: tuple[str, str | None] = ("fight", "base"),
                  sim_cfg: SimConfig | None = None,
                  agent_types: list[str] | None = None):
         self.scenario = scenario
         self.opponent_controller = opponent_controller
-        self.reward_kind = reward_kind
         self.sim_cfg = sim_cfg or SimConfig()
         self.agent_types = agent_types
         self.world: World | None = None
@@ -264,8 +256,8 @@ class CombatEnv:
              opponent_actions: dict[int, LowLevelAction] | None = None
              ) -> StepResult:
         """Apply one decision per living aircraft, agents' `actions` then
-        `opponent_actions`, run the round loop, and score the step. An
-        opponent without an action holds its setpoints."""
+        `opponent_actions`, run the round loop, and classify the outcome.
+        An opponent without an action holds its setpoints."""
         if self.world is None:
             raise RuntimeError("call reset() before step()")
         if self.outcome != OUTCOME_ONGOING:
@@ -294,23 +286,8 @@ class CombatEnv:
 
         self.step_count += 1
         self.outcome = classify_outcome(world, self.step_count, self.scenario.horizon)
-        rewards = {aid: self._reward(events, aid) for aid in sorted(actions)}
         self.prev_actions = {
             aid: encode_low_action(act)
             for aid, act in {**actions, **opponent_actions}.items()
         }
-        return StepResult(rewards=rewards, outcome=self.outcome, events=events)
-
-    def _reward(self, events: list[SimEvent], agent_id: int) -> float:
-        kind, variant = self.reward_kind
-        if kind == "fight":
-            return reward_fight(self.world, events, agent_id,
-                                variant or "base", self.scenario.share_fraction)
-        if kind == "escape":
-            return reward_escape(self.world, events, agent_id,
-                                 variant or "base", self.scenario)
-        if kind == "standard":
-            return reward_standard(self.world, events, agent_id, self.scenario)
-        if kind == "none":
-            return 0.0
-        raise ValueError(f"unknown reward kind {kind!r}")
+        return StepResult(outcome=self.outcome, events=events)

@@ -184,20 +184,18 @@ def evaluate(actor, opponent_controller, scenario: ScenarioConfig,
     """Run `episodes` evaluation episodes and aggregate counters.
 
     Episodes run `LOCKSTEP_EPISODES` at a time in lockstep on
-    `lockstep_envs`, each env with its own copy of `opponent_controller`
-    (the first env, and so a one-episode evaluation, plays on
-    `opponent_controller` itself); since
-    every decision-maker draws from per-episode streams, the report does
-    not depend on how many run at once. `episode_hook(events, outcome,
-    world)` receives each finished episode's full event log, in episode
-    order (the bookkeeping replayer uses this). A trajectory recorder
-    captures round-level state for the requested episode index. Command
-    counts cover this call's episodes only.
+    `lockstep_envs`: the first env, and so a one-episode evaluation, plays
+    on `opponent_controller` itself, every other env on a fresh controller
+    built from its fields. Since every decision-maker draws from per-episode
+    streams, the report does not depend on how many run at once.
+    `episode_hook(events, outcome, world)` receives each finished episode's
+    full event log, in episode order (the bookkeeping replayer uses this).
+    A trajectory recorder captures round-level state for the requested
+    episode index. Command counts cover this call's episodes only.
     """
     report = EvalReport(seed=seed)
     master = np.random.default_rng(seed)
-    envs = lockstep_envs(CombatEnv(scenario, opponent_controller,
-                                   reward_kind=("none", None), sim_cfg=sim_cfg),
+    envs = lockstep_envs(CombatEnv(scenario, opponent_controller, sim_cfg),
                          max(1, min(LOCKSTEP_EPISODES, episodes)))
     counts = _command_counts(actor)
     for first in range(0, episodes, len(envs)):

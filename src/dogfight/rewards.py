@@ -36,6 +36,11 @@ ASSESS_BONUS = 0.1
 
 PROXIMITY_STEP = 0.1  # per-time-step escape shaping magnitude
 
+# the reward variants of each low-level policy kind
+REWARD_VARIANTS = {"fight": ("base", "fripun", "shfrac"),
+                   "escape": ("base", "dist", "dist_speed"),
+                   "standard": ("base",)}
+
 
 def reward_kill_term(ata_component: float, c_rem: int, c_max: int) -> float:
     """Kill reward: normalized victim-toward-shooter antenna train angle plus
@@ -88,10 +93,9 @@ def reward_fight(world: World, events: list[SimEvent], agent_id: int,
                  variant: str = "base", rho: float = 0.5) -> float:
     """Fight reward under the base, friendly-punishment, or shared-fraction
     scheme. Shared fraction adds ``rho`` times the teammates' base rewards."""
-    if variant == "base":
-        return fight_base_reward(world, events, agent_id)
-    if variant == "fripun":
-        return fight_base_reward(world, events, agent_id, fripun=True)
+    if variant in ("base", "fripun"):
+        return fight_base_reward(world, events, agent_id,
+                                 fripun=variant == "fripun")
     if variant == "shfrac":
         team = _team(world, agent_id)
         own = fight_base_reward(world, events, agent_id)
@@ -130,24 +134,19 @@ def reward_escape(world: World, events: list[SimEvent], agent_id: int,
     total = escape_base_reward(world, events, agent_id)
     if variant == "base":
         return total
+    if variant not in ("dist", "dist_speed"):
+        raise ValueError(f"unknown escape reward variant {variant!r}")
     agent = world.get(agent_id)
     if not agent.alive:
         return total
     d = min((distance(agent.pos, o.pos) for o in closest_opponents(world, agent, 1)),
             default=math.inf)
-    if variant == "dist":
-        if d < cfg.near_distance:
-            total -= PROXIMITY_STEP
-        elif d > cfg.far_distance:
-            total += PROXIMITY_STEP
-        return total
-    if variant == "dist_speed":
-        if d < cfg.near_distance and agent.speed < cfg.slow_speed:
-            total -= PROXIMITY_STEP
-        elif d > cfg.far_distance and agent.speed > cfg.fast_speed:
-            total += PROXIMITY_STEP
-        return total
-    raise ValueError(f"unknown escape reward variant {variant!r}")
+    any_speed = variant == "dist"
+    if d < cfg.near_distance and (any_speed or agent.speed < cfg.slow_speed):
+        total -= PROXIMITY_STEP
+    elif d > cfg.far_distance and (any_speed or agent.speed > cfg.fast_speed):
+        total += PROXIMITY_STEP
+    return total
 
 
 def reward_standard(world: World, events: list[SimEvent], agent_id: int,

@@ -116,7 +116,7 @@ class ScriptedController:
     level: str
     rng: np.random.Generator
     script: ScriptConfig = field(default_factory=ScriptConfig)
-    flee_state: dict[int, int] = field(default_factory=dict)
+    flee_state: dict[int, int] = field(default_factory=dict, init=False)
     stream: np.random.Generator = field(init=False)
 
     def __post_init__(self):

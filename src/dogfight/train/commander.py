@@ -257,6 +257,7 @@ class CommanderTrainer(TrainerCore):
         self.level = f"commander-{variant.label()}"
         self.policy = commander_network(variant, scenario, seed)
         self.policies = {0: self.policy}
+        self.reward = commander_event_reward
         self.actor = HierarchyEvalActor(
             self.policy, fight, escape, self.lowlevel_rng, senses=variant.senses,
             opt=variant.opt, greedy=False)
@@ -267,7 +268,7 @@ class CommanderTrainer(TrainerCore):
             scenario, SnapshotController(
                 fight=fight, escape=escape, rng=self.opponent_rng,
                 fight_prob=scenario.opponent_fight_prob, scenario=scenario),
-            reward_kind=("none", None), sim_cfg=sim_cfg))
+            sim_cfg))
         # frozen-opponent guarantee: record the checksums we must not disturb
         self.frozen_checksums = {
             "fight": fight.store.checksum(),
@@ -291,12 +292,6 @@ class CommanderTrainer(TrainerCore):
                if env in commanded else None for env in envs]
         set_values([t for ts in out if ts for t in ts], lambda t: self.policy)
         return out
-
-    def _option_reward(self, world, step_results, agent_id):
-        """The combat outcome terms over the option's events."""
-        return commander_event_reward(
-            world, [e for result in step_results for e in result.events],
-            agent_id)
 
     def _decision_transitions(self, env: CombatEnv, d: Decision
                               ) -> list[Transition]:

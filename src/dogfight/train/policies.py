@@ -32,8 +32,7 @@ whatever E is, so the outcome of each episode does not depend on E.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -152,12 +151,12 @@ def decision_transitions(d: Decision, episode: int, critic_inputs: list,
 def lockstep_envs(env: CombatEnv, count: int = LOCKSTEP_EPISODES
                   ) -> list[CombatEnv]:
     """`env` and `count - 1` siblings to play in lockstep with it: the same
-    scenario, reward kind, simulator settings and agent types, each with
-    its own `copy.copy` of `env`'s opponent controller (which shares the
-    controller's generator, so episode streams spawn in episode order)."""
-    return [env] + [CombatEnv(env.scenario, copy.copy(env.opponent_controller),
-                              reward_kind=env.reward_kind, sim_cfg=env.sim_cfg,
-                              agent_types=env.agent_types)
+    scenario, simulator settings and agent types, each with a fresh opponent
+    controller that `dataclasses.replace` builds from the fields of `env`'s
+    (its generator among them, so episode streams spawn in episode order)."""
+    return [env] + [CombatEnv(env.scenario, env.opponent_controller
+                              and replace(env.opponent_controller),
+                              sim_cfg=env.sim_cfg, agent_types=env.agent_types)
                     for _ in range(count - 1)]
 
 
@@ -256,7 +255,7 @@ class SnapshotController:
     fight_prob: float = 1.0
     greedy: bool = False
     scenario: ScenarioConfig | None = None
-    assignments: dict[int, str] = field(default_factory=dict)
+    assignments: dict[int, str] = field(default_factory=dict, init=False)
     stream: np.random.Generator = field(init=False)  # `rng` until a reset
 
     def __post_init__(self):

@@ -11,7 +11,8 @@ identical metrics logs byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,6 +22,7 @@ from ..config import ScenarioConfig, ScriptConfig
 from ..env import CombatEnv, OUTCOME_WIN, StepResult
 from ..nn.networks import PolicyNetwork
 from ..nn.params import load_checkpoint, save_arrays, save_checkpoint
+from ..rewards import REWARD_VARIANTS, reward_escape, reward_fight, reward_standard
 from ..scripted import ScriptedController
 from ..simcore import SimConfig, World
 from .buffer import RolloutBuffer
@@ -47,14 +49,15 @@ class TrainMode:
 
     framework: str = "ctde"  # ctde | ctce | dtde
     kind: str = "fight"  # fight | escape | standard
-    reward_variant: str = "base"  # fight: base|fripun|shfrac; escape: base|dist|dist_speed
+    reward_variant: str = "base"  # one of REWARD_VARIANTS[kind]
     fc_baseline: bool = False  # CTDE fight: 500-wide MLP, no attention
 
     def __post_init__(self):
         if self.framework not in ("ctde", "ctce", "dtde"):
             raise ValueError(f"unknown framework {self.framework!r}")
-        if self.kind not in ("fight", "escape", "standard"):
-            raise ValueError(f"unknown policy kind {self.kind!r}")
+        if self.reward_variant not in REWARD_VARIANTS.get(self.kind, ()):
+            raise ValueError(f"no {self.kind!r} policy with reward variant "
+                             f"{self.reward_variant!r}")
         if self.fc_baseline and (self.framework, self.kind) != ("ctde", "fight"):
             raise ValueError("fc_baseline replaces the attention network of the "
                              "ctde fight policy only")
@@ -82,19 +85,20 @@ class TrainerCore(EpisodeActor):
     A trainer names its seed label and streams in order (`SEED_LABEL`,
     `STREAMS`; stream `x` is `self.x_rng`), fills `policies` (every network
     by key: the agent id under DTDE, else 0; a network is updated on the
-    transitions of its key, the rest go to network 0) and sets `actor`.
+    transitions of its key, the rest go to network 0) and sets `actor` and
+    `reward(world, events, agent_id)`, its one reward function.
 
     `play_episodes` drives the core, which forwards the hooks to `actor` and
     records each episode of the lockstep batch apart: its own episode
     index, open option and return. Once the loop has decided the step, a
     trainer's `_decide(envs, decisions)`, handed the actor's decisions,
     gives, per env, the transitions of a decision taken at the step, or
-    None; its `_option_reward(world, step_results, agent_id)` gives an
-    acting agent's reward over the steps a decision flew. Each decision is
-    an option that closes at the next decision or at the end of the
-    episode; a low-level decision is a one-step option. Finished episodes
-    reach the buffer, the counters and the episode window in episode-index
-    order."""
+    None. Each decision is an option that closes at the next decision or at
+    the end of the episode (a low-level decision is a one-step option), and
+    `_close` credits each acting agent with `reward` over the events of the
+    steps the option flew, on the world as the last of them left it.
+    Finished episodes reach the buffer, the counters and the episode window
+    in episode-index order."""
 
     SEED_LABEL: str
     STREAMS: tuple[str, ...]
@@ -147,7 +151,7 @@ class TrainerCore(EpisodeActor):
         self._open[env] = SimpleNamespace(
             index=self.episodes + len(self._open),
             option=[],  # the decision being flown
-            steps=[],  # the steps it has flown
+            steps=0, events=[],  # the steps it has flown and their events
             closed=[],  # transitions of the options flown
             ret=0.0)
 
@@ -164,7 +168,8 @@ class TrainerCore(EpisodeActor):
     def observe_step(self, env: CombatEnv, result: StepResult):
         self.actor.observe_step(env, result)
         slot = self._open[env]
-        slot.steps.append(result)
+        slot.steps += 1
+        slot.events += result.events
         if result.terminal:
             self._close(slot, env.world, terminal=True)
 
@@ -178,13 +183,13 @@ class TrainerCore(EpisodeActor):
             agents = (np.flatnonzero(t.head_mask.reshape(
                           self.scenario.n_agents, -1).any(axis=1)).tolist()
                       if joint else [t.agent_id])
-            t.reward += sum(self._option_reward(world, slot.steps, aid)
+            t.reward += sum(self.reward(world, slot.events, aid)
                             for aid in agents)
             t.done = terminal or (not joint and not world.get(t.agent_id).alive)
-            t.duration = len(slot.steps)
+            t.duration = slot.steps
             slot.ret += t.reward
             slot.closed.append(t)
-        slot.steps = []
+        slot.steps, slot.events = 0, []
 
     def _update_policies(self) -> UpdateStats:
         own: dict[int, list] = {key: [] for key in self.policies}
@@ -267,6 +272,11 @@ class LowLevelTrainer(TrainerCore):
                             self.action_rng)
         self.policies = policy if isinstance(policy, dict) else {0: policy}
         self.policy = self.policies[0]
+        variant, rho = mode.reward_variant, scenario.share_fraction
+        self.reward = {
+            "fight": partial(reward_fight, variant=variant, rho=rho),
+            "escape": partial(reward_escape, variant=variant, scenario=scenario),
+            "standard": partial(reward_standard, scenario=scenario)}[mode.kind]
         self.envs: list[CombatEnv] = []  # the last collect's env and siblings
 
     # -- environment plumbing -------------------------------------------------
@@ -274,11 +284,8 @@ class LowLevelTrainer(TrainerCore):
     def make_env(self, opponent_controller, horizon: int | None = None) -> CombatEnv:
         scenario = self.scenario if horizon is None else replace(
             self.scenario, horizon=horizon)
-        kind = self.mode.kind
-        variant = None if kind == "standard" else self.mode.reward_variant
-        return CombatEnv(scenario, opponent_controller,
-                         reward_kind=(kind, variant),
-                         sim_cfg=self.sim_cfg, agent_types=self.agent_types)
+        return CombatEnv(scenario, opponent_controller, sim_cfg=self.sim_cfg,
+                         agent_types=self.agent_types)
 
     def run_episode(self, env: CombatEnv):
         """`LOCKSTEP_EPISODES` training episodes, in lockstep, on `env` and
@@ -290,11 +297,6 @@ class LowLevelTrainer(TrainerCore):
     def _decide(self, envs: list[CombatEnv], decisions: list):
         return self.actor.act(envs, decisions,
                               [self._open[env].index for env in envs])
-
-    def _option_reward(self, world, step_results, agent_id):
-        """The env's reward: a low-level option lasts one step."""
-        (result,) = step_results
-        return result.rewards[agent_id]
 
     def train_level(self, level: str, opponent_controller, env_steps: int,
                     horizon: int | None = None):
@@ -338,17 +340,16 @@ class LowLevelTrainer(TrainerCore):
             store.step_count = config["step_count"][str(key)]
 
 
+@dataclass
 class LeagueOpponentController:
     """Per-episode sampling of frozen snapshot opponents for league play."""
 
-    def __init__(self, archive: LeagueArchive, below_level: str,
-                 rng: np.random.Generator, scenario: ScenarioConfig):
-        self.archive = archive
-        self.below_level = below_level
-        self.rng = rng
-        self.scenario = scenario
-        self.cache: dict[str, PolicyNetwork] = {}
-        self.current: SnapshotController | None = None
+    archive: LeagueArchive
+    below_level: str
+    rng: np.random.Generator
+    scenario: ScenarioConfig
+    cache: dict[str, PolicyNetwork] = field(default_factory=dict)  # by level
+    current: SnapshotController | None = field(default=None, init=False)
 
     def _net(self, level: str) -> PolicyNetwork:
         if level not in self.cache:

@@ -98,6 +98,41 @@ class TestUsage:
         assert f"needs {flag}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, words", [
+        (["train-low", "--policy", "standard", "--variant", "fripun"],
+         "--variant fripun: the standard policy takes base"),
+        (["train-low", "--policy", "fight", "--variant", "bogus"],
+         "--variant bogus: the fight policy takes base|fripun|shfrac"),
+        (["train-low", "--policy", "escape", "--variant", "fripun"],
+         "--variant fripun: the escape policy takes base|dist|dist_speed"),
+        (["train-commander", "--fight-ckpt", "nope.ckpt"],
+         "needs --fight-ckpt and --escape-ckpt, or --league-dir alone"),
+        (["train-commander", "--league-dir", "league", "--fight-ckpt", "f"],
+         "needs --fight-ckpt and --escape-ckpt, or --league-dir alone"),
+        (["train-commander"],
+         "needs --fight-ckpt and --escape-ckpt, or --league-dir alone"),
+        (["evaluate", "--agent", "random", "--agent-ckpt", "nope.ckpt",
+          "--commander-ckpt", "nope2.ckpt", "--episodes", "1"],
+         "--agent random does not read --agent-ckpt"),
+        (["evaluate", "--agent", "random", "--commander-ckpt", "c"],
+         "--agent random does not read --commander-ckpt"),
+        (["export-traj", "--agent", "fight", "--agent-ckpt", "a",
+          "--escape-ckpt", "e", "--out", "t.jsonl"],
+         "--agent fight does not read --escape-ckpt"),
+        (["evaluate", "--agent", "hierarchy", "--commander-ckpt", "c",
+          "--fight-ckpt", "f", "--escape-ckpt", "e", "--agent-ckpt", "a"],
+         "--agent hierarchy does not read --agent-ckpt"),
+    ])
+    def test_unread_input_is_usage_error(self, argv, words, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        if argv[0].startswith("train-"):
+            argv = argv + ["--steps", "4", "--run-dir", str(run_dir)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert words in capsys.readouterr().err
+        assert not run_dir.exists()  # rejected before any output
+
+    @pytest.mark.parametrize("argv, words", [
         (["evaluate", "--agent", "random", "--episodes", "-3"],
          "--episodes must be at least 1"),
         (["evaluate", "--agent", "random", "--episodes", "0"],

@@ -21,6 +21,7 @@ from dogfight.observations import (
     build_critic_input,
     encode_low_action,
 )
+from dogfight.rewards import reward_fight
 from dogfight.scripted import ScriptedController
 from dogfight.simcore import TEAM_AGENT, TEAM_OPPONENT, make_spec
 from dogfight.train.policies import EpisodeActor, play_episodes
@@ -278,7 +279,8 @@ class TestEnvStep:
                                             c=int(rng.random() < 0.5))
                         for aid in env.agent_ids()}
                 result = env.step(acts)
-                log.append((sorted(result.rewards.items()), result.outcome,
+                log.append(([reward_fight(env.world, result.events, aid)
+                             for aid in sorted(acts)], result.outcome,
                             tuple(result.events)))
                 if result.terminal:
                     break

@@ -496,3 +496,25 @@ def test_report_does_not_depend_on_the_lockstep_width(monkeypatch, build):
     assert reference[0].episodes == 9 and reference[0].total_steps > 9
     for width in (4, 8):
         assert run(width) == reference
+
+
+def test_lockstep_siblings_get_fresh_opponent_controllers():
+    # a pass-through `reassign` set on the controller instance stays with
+    # that instance: every other lockstep env plays on a controller built
+    # afresh from its fields, so the report is the unwrapped one's
+    calls = []
+
+    def run(wrap):
+        actor, opponents, scenario = _float64_hierarchy(greedy=False)
+        if wrap:
+            reassign = opponents.reassign
+
+            def passing(world):
+                calls.append(world)
+                reassign(world)
+
+            opponents.reassign = passing
+        return evaluate(actor, opponents, scenario, episodes=3, seed=8)
+
+    assert run(wrap=True) == run(wrap=False)
+    assert calls  # the first env's boundaries ran the wrapper

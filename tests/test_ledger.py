@@ -70,6 +70,12 @@ LEDGER = {
         "35a76ec047a07cb17933f59322317ba90b4e09bf8a7a2b053ba7e42bdc06341d",
     "curriculum-resumed/metrics.jsonl":
         "cc05aebc3a7e041dce5b427dffc6314162877c90b5239976f36d825db1cb0ee9",
+    "escape-dist-speed/config.json":
+        "0acb27836aa3eb37dcca2972531f6ad42aded64bf027452271514e3ee2fb2df7",
+    "escape-dist-speed/league/escape.ckpt":
+        "aeb0d5811951cf3d97331e9f059bd66606118b08ca5da6b3ad8279b5b6655f9a",
+    "escape-dist-speed/metrics.jsonl":
+        "b35d42643b64b293209996c8472557bb4d151448ba0458fa598fd4f51f069ad8",
     "escape-phase2/config.json":
         "6cb2e0fd5446504eb804228e34c2461c79e09e5ac85215a42efa9f1d6f374bcf",
     "escape-phase2/league/escape.ckpt":
@@ -116,6 +122,12 @@ LEDGER = {
         "979914d3527b2432a5557442da08dd62d3cef7ae66b073fa24b6a687acd772ac",
     "fight-dtde/metrics.jsonl":
         "4809a50aaeb9061eef1174651fec78f1386ba6cfbe2e606b62d117b636a1dd77",
+    "fight-shfrac/config.json":
+        "4f72dfe4d6a668ffe9d468a872494991cb1ccda35bcd93421171b2676ce4301a",
+    "fight-shfrac/league/fight_L3.ckpt":
+        "aa5b58a0645c6ddb46653872af14ea947491e17b94e959ee181daeb2618455e2",
+    "fight-shfrac/metrics.jsonl":
+        "4a87e5c828d049661695a220fe08075da2013ca1aede083ec6e8cf5c62f16063",
     "standard/checkpoints/standard.ckpt":
         "923f3a3352fa85d6f837c9ea825368c52ea74c217bd0c0ff145b654ca64b7ffa",
     "standard/config.json":
@@ -195,8 +207,13 @@ def _collect(root) -> dict[str, str]:
     train("fight-ctde", [*low, "--policy", "fight"], ["league/fight_L3.ckpt"])
     train("fight-dtde", [*low, "--policy", "fight", "--framework", "dtde"],
           ["league/fight_L3.ckpt"])
-    train("escape", ["train-low", "--policy", "escape", "--steps", 120,
-                     "--steps-phase2", 0, "--seed", 7, *SMALL_MAP, *SMALL_PPO],
+    escape = ["train-low", "--policy", "escape", "--steps", 120,
+              "--steps-phase2", 0, "--seed", 7, *SMALL_MAP, *SMALL_PPO]
+    train("escape", escape, ["league/escape.ckpt"])
+    # shaped rewards, on the seeds of the base runs above
+    train("fight-shfrac", [*low, "--policy", "fight", "--variant", "shfrac"],
+          ["league/fight_L3.ckpt"])
+    train("escape-dist-speed", [*escape, "--variant", "dist_speed"],
           ["league/escape.ckpt"])
     train("escape-phase2", ["train-low", "--policy", "escape", "--steps", 60,
                             "--steps-phase2", 30, "--seed", 8,

@@ -140,6 +140,7 @@ def fill_buffer(policy, scenario, n, seed=0):
     from dogfight.scripted import ScriptedController
     from dogfight.train.policies import CTDEDriver, play_episodes
     from dogfight.env import CombatEnv
+    from dogfight.rewards import reward_fight
 
     buffer = RolloutBuffer()
 
@@ -149,7 +150,7 @@ def fill_buffer(policy, scenario, n, seed=0):
 
         def observe_step(self, env, result):
             for t in self.transitions:
-                t.reward = result.rewards[t.agent_id]
+                t.reward = reward_fight(env.world, result.events, t.agent_id)
                 t.done = result.terminal or not env.world.get(t.agent_id).alive
                 buffer.add(t)
 
