@@ -17,7 +17,12 @@ from pathlib import Path
 
 # One BLAS thread unless the environment sets one, before numpy loads: a
 # second OpenBLAS thread costs CPU without speeding these small products.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+# Numpy loaded first with none of the variables set has started its thread
+# pool already, which setting them now does not shrink: `main` refuses that.
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_BLAS_UNPINNED = ("numpy" in sys.modules
+                  and not any(var in os.environ for var in _BLAS_VARS))
+for _var in _BLAS_VARS:
     os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402 - after the BLAS thread setting
@@ -60,12 +65,18 @@ _UNREAD_BECAUSE = {"scenario.seed": ": --seed sets the seed",
                    "scenario.horizon": ": the level or phase sets the horizon"}
 
 
+class UsageError(ValueError):
+    """A config key that the command's flags leave unread: exit code 2, as
+    for a `--variant` the policy has no reward for."""
+
+
 def _load_config(args, scenario=ScenarioConfig, unread=()) -> dict:
     """The typed config of a command. `scenario` is the command's scenario
     recipe: keys of the scenario section override its defaults, and without
     the section the recipe's defaults are the scenario. Setting
-    `scenario.seed`, or one of the `unread` sections or `section.key`s, is
-    an error."""
+    `scenario.seed`, one of the `unread` sections or `section.key`s, or a
+    scenario key of `REWARD_VARIANTS` that the command's reward does not
+    read is an error."""
     raw = {}
     if getattr(args, "config", None):
         raw = json.loads(Path(args.config).read_text())
@@ -76,6 +87,18 @@ def _load_config(args, scenario=ScenarioConfig, unread=()) -> dict:
         if section in raw and (not name or name in raw[section]):
             raise ValueError(f"{args.command} does not read config {key!r}"
                              f"{_UNREAD_BECAUSE.get(key, '')}")
+    command, read = args.command, ()
+    if command == "train-low":
+        command = f"{command} --policy {args.policy} --variant {args.variant}"
+        read = REWARD_VARIANTS[args.policy][args.variant]
+    for key in sorted(raw.get("scenario", {})):
+        readers = [f"{kind} {variant}"
+                   for kind, variants in REWARD_VARIANTS.items()
+                   for variant, keys in variants.items() if key in keys]
+        if readers and key not in read:
+            raise UsageError(f"{command} does not read config 'scenario."
+                             f"{key}', which only these rewards read: "
+                             f"{', '.join(readers)}")
     cfg = parse_config(raw, scenario)
     cfg.setdefault("scenario", scenario())
     return cfg
@@ -426,6 +449,11 @@ def _usage_problem(args) -> str | None:
 
 
 def main(argv=None) -> int:
+    if _BLAS_UNPINNED:
+        print("error: numpy was loaded before dogfight.cli with no BLAS thread "
+              "count set, and seeded outputs depend on that count; set "
+              "OPENBLAS_NUM_THREADS=1 before numpy loads", file=sys.stderr)
+        return 2
     parser = build_parser()
     args = parser.parse_args(argv)
     problem = _usage_problem(args)
@@ -433,6 +461,8 @@ def main(argv=None) -> int:
         parser.error(problem)  # exits 2
     try:
         return args.func(args)
+    except UsageError as exc:
+        parser.error(str(exc))  # exits 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 1

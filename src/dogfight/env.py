@@ -19,7 +19,7 @@ from typing import Protocol
 import numpy as np
 
 from .config import ScenarioConfig
-from .geometry import Vec2, wrap_heading
+from .geometry import wrap_heading
 from .observations import build_obs, closest_opponents, encode_low_action
 from .simcore import (
     AC1,
@@ -173,8 +173,8 @@ def generate_world(scenario: ScenarioConfig, rng: np.random.Generator,
             heading = rng.uniform(0.0, 360.0)
             crafts.append(AircraftState(
                 id=start_id + i, team=team, spec=spec,
-                pos=Vec2(rng.uniform(lo_x, hi_x),
-                         rng.uniform(margin, scenario.map_size - margin)),
+                x=rng.uniform(lo_x, hi_x),
+                y=rng.uniform(margin, scenario.map_size - margin),
                 heading=heading, target_heading=heading,
                 speed=rng.uniform(spec.min_speed, spec.max_speed),
                 cannon_ammo=cannon,

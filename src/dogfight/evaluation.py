@@ -300,7 +300,7 @@ class TrajectoryLog:
             "round": world.round_idx,
             "aircraft": [
                 {"id": a.id, "team": a.team, "type": a.spec.type_id,
-                 "x": a.pos.x, "y": a.pos.y, "heading": a.heading,
+                 "x": a.x, "y": a.y, "heading": a.heading,
                  "speed": a.speed, "alive": a.alive}
                 for a in world.aircraft
             ],
@@ -311,7 +311,7 @@ class TrajectoryLog:
                 victim = world.get(event.victim)
                 self.landmarks.append({
                     "id": victim.id, "round": world.round_idx,
-                    "x": victim.pos.x, "y": victim.pos.y,
+                    "x": victim.x, "y": victim.y,
                 })
 
 

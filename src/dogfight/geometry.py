@@ -8,26 +8,14 @@ functions return degrees.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Protocol
 
 
-class Vec2(NamedTuple):
-    """Immutable 2D point/vector in kilometers (x east, y north). A tuple
-    underneath, which makes it cheap to build in the simulator's round."""
+class Point(Protocol):
+    """Any object with float `x` and `y` in km, such as an aircraft or a rocket."""
 
     x: float
     y: float
-
-    def __add__(self, other: Vec2) -> Vec2:
-        return Vec2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: Vec2) -> Vec2:
-        return Vec2(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, scalar: float) -> Vec2:
-        return Vec2(self.x * scalar, self.y * scalar)
-
-    __rmul__ = __mul__
 
 
 def wrap_heading(deg: float) -> float:
@@ -39,18 +27,12 @@ def wrap_heading(deg: float) -> float:
     return 0.0 if wrapped == 360.0 else wrapped
 
 
-def heading_vector(heading_deg: float) -> Vec2:
-    """Unit vector pointing along a compass heading."""
-    rad = math.radians(heading_deg)
-    return Vec2(math.sin(rad), math.cos(rad))
-
-
-def distance(a: Vec2, b: Vec2) -> float:
+def distance(a: Point, b: Point) -> float:
     """Euclidean distance in kilometers."""
     return math.hypot(b.x - a.x, b.y - a.y)
 
 
-def bearing_to(origin: Vec2, target: Vec2) -> float:
+def bearing_to(origin: Point, target: Point) -> float:
     """Compass bearing from `origin` to `target` in [0, 360).
 
     Coincident points have no bearing; callers that can produce overlapping
@@ -79,7 +61,7 @@ def angle_off(heading_a: float, heading_b: float) -> float:
     return abs(signed_heading_delta(heading_a, heading_b))
 
 
-def ata(pos_a: Vec2, heading_a: float, pos_b: Vec2) -> float:
+def ata(pos_a: Point, heading_a: float, pos_b: Point) -> float:
     """Antenna train angle: unsigned angle in [0, 180] between a's heading
     and the line of sight from a to b. 0 when a faces b directly.
 
@@ -90,7 +72,7 @@ def ata(pos_a: Vec2, heading_a: float, pos_b: Vec2) -> float:
     return angle_off(heading_a, bearing_to(pos_a, pos_b))
 
 
-def aspect_angle(pos_a: Vec2, pos_b: Vec2, heading_b: float) -> float:
+def aspect_angle(pos_a: Point, pos_b: Point, heading_b: float) -> float:
     """Aspect angle: angle in [0, 180] from b's tail to a's position.
 
     0 when a sits directly behind b, 180 when b points straight at a.
@@ -101,7 +83,7 @@ def aspect_angle(pos_a: Vec2, pos_b: Vec2, heading_b: float) -> float:
     return angle_off(wrap_heading(heading_b + 180.0), bearing_to(pos_b, pos_a))
 
 
-def turn_sign(a: Vec2, b: Vec2, c: Vec2) -> int:
+def turn_sign(a: Point, b: Point, c: Point) -> int:
     """Sign of the 2D determinant of (AB, AC): +1 if C lies left of the ray
     A->B (counterclockwise), -1 if right, 0 if collinear."""
     det = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
@@ -112,12 +94,17 @@ def turn_sign(a: Vec2, b: Vec2, c: Vec2) -> int:
     return 0
 
 
-def clockwise_sign_to(pos: Vec2, heading_deg: float, target: Vec2) -> int:
+def clockwise_sign_to(pos: Point, heading_deg: float, target: Point) -> int:
     """+1 if the shorter turn from `heading_deg` toward `target` is clockwise
     (compass-increasing), -1 if counterclockwise, 0 if already aligned or
     directly astern/coincident.
 
     In compass coordinates a target right of the heading ray has a negative
-    (AB, AC) determinant, so the short-way turn is the negated `turn_sign`.
+    (AB, AC) determinant, so the short-way turn is the negated `turn_sign`
+    of (pos, pos + unit heading vector, target).
     """
-    return -turn_sign(pos, pos + heading_vector(heading_deg), target)
+    rad = math.radians(heading_deg)
+    # (pos + unit) - pos, not unit, keeps turn_sign's rounding of b - a
+    det = (((pos.x + math.sin(rad)) - pos.x) * (target.y - pos.y)
+           - ((pos.y + math.cos(rad)) - pos.y) * (target.x - pos.x))
+    return (det < 0.0) - (det > 0.0)

@@ -53,14 +53,14 @@ def obs_layout(kind: str, type_id: str, senses: int = 2) -> str:
 def closest_opponents(world: World, aircraft: AircraftState, count: int) -> list[AircraftState]:
     """Alive aircraft on the other team, nearest first (ties by id)."""
     foes = [a for a in world.aircraft if a.alive and a.team != aircraft.team]
-    foes.sort(key=lambda a: (distance(aircraft.pos, a.pos), a.id))
+    foes.sort(key=lambda a: (distance(aircraft, a), a.id))
     return foes[:count]
 
 
 def closest_friendlies(world: World, aircraft: AircraftState, count: int) -> list[AircraftState]:
     friends = [a for a in world.aircraft
                if a.alive and a.team == aircraft.team and a.id != aircraft.id]
-    friends.sort(key=lambda a: (distance(aircraft.pos, a.pos), a.id))
+    friends.sort(key=lambda a: (distance(aircraft, a), a.id))
     return friends[:count]
 
 
@@ -70,7 +70,7 @@ def _require_alive(aircraft: AircraftState):
 
 
 def _own_base(a: AircraftState, map_size: float) -> list[float]:
-    return [a.pos.x / map_size, a.pos.y / map_size,
+    return [a.x / map_size, a.y / map_size,
             a.speed / a.spec.max_speed, a.heading / 360.0]
 
 
@@ -86,11 +86,11 @@ def _pair(a: AircraftState, b: AircraftState, diag: float) -> dict[str, float]:
     """Normalized relative metrics between two aircraft, both directions."""
     return {
         "off": angle_off(a.heading, b.heading) / 180.0,
-        "aa_of_a": aspect_angle(b.pos, a.pos, a.heading) / 180.0,  # from a's tail to b
-        "aa_of_b": aspect_angle(a.pos, b.pos, b.heading) / 180.0,  # from b's tail to a
-        "ata_a_to_b": ata(a.pos, a.heading, b.pos) / 180.0,
-        "ata_b_to_a": ata(b.pos, b.heading, a.pos) / 180.0,
-        "dist": distance(a.pos, b.pos) / diag,
+        "aa_of_a": aspect_angle(b, a, a.heading) / 180.0,  # from a's tail to b
+        "aa_of_b": aspect_angle(a, b, b.heading) / 180.0,  # from b's tail to a
+        "ata_a_to_b": ata(a, a.heading, b) / 180.0,
+        "ata_b_to_a": ata(b, b.heading, a) / 180.0,
+        "dist": distance(a, b) / diag,
     }
 
 
@@ -145,13 +145,13 @@ def _friend_block(agent: AircraftState, friend: AircraftState | None,
     width = _FIGHT_FRIEND if with_speed else _COMMANDER_FRIEND
     if friend is None:
         return [0.0] * width
-    block = [friend.pos.x / map_size, friend.pos.y / map_size]
+    block = [friend.x / map_size, friend.y / map_size]
     if with_speed:
         block.append(friend.speed / friend.spec.max_speed)
     block += [
-        ata(friend.pos, friend.heading, agent.pos) / 180.0,  # friend toward agent
-        ata(agent.pos, agent.heading, friend.pos) / 180.0,  # agent toward friend
-        distance(agent.pos, friend.pos) / diag,
+        ata(friend, friend.heading, agent) / 180.0,  # friend toward agent
+        ata(agent, agent.heading, friend) / 180.0,  # agent toward friend
+        distance(agent, friend) / diag,
     ]
     return block
 

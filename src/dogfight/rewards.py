@@ -36,10 +36,14 @@ ASSESS_BONUS = 0.1
 
 PROXIMITY_STEP = 0.1  # per-time-step escape shaping magnitude
 
-# the reward variants of each low-level policy kind
-REWARD_VARIANTS = {"fight": ("base", "fripun", "shfrac"),
-                   "escape": ("base", "dist", "dist_speed"),
-                   "standard": ("base",)}
+# the reward variants of each low-level policy kind, each with the scenario
+# keys its reward reads; no other command's reward reads any of them
+REWARD_VARIANTS = {
+    "fight": {"base": (), "fripun": (), "shfrac": ("share_fraction",)},
+    "escape": {"base": (), "dist": ("near_distance", "far_distance"),
+               "dist_speed": ("near_distance", "far_distance", "slow_speed",
+                              "fast_speed")},
+    "standard": {"base": ("far_distance",)}}
 
 
 def reward_kill_term(ata_component: float, c_rem: int, c_max: int) -> float:
@@ -139,7 +143,7 @@ def reward_escape(world: World, events: list[SimEvent], agent_id: int,
     agent = world.get(agent_id)
     if not agent.alive:
         return total
-    d = min((distance(agent.pos, o.pos) for o in closest_opponents(world, agent, 1)),
+    d = min((distance(agent, o) for o in closest_opponents(world, agent, 1)),
             default=math.inf)
     any_speed = variant == "dist"
     if d < cfg.near_distance and (any_speed or agent.speed < cfg.slow_speed):
@@ -157,7 +161,7 @@ def reward_standard(world: World, events: list[SimEvent], agent_id: int,
     total = fight_base_reward(world, events, agent_id)
     agent = world.get(agent_id)
     # an agent with no opponent left counts as far from them
-    if agent.alive and all(distance(agent.pos, o.pos) > cfg.far_distance
+    if agent.alive and all(distance(agent, o) > cfg.far_distance
                            for o in closest_opponents(world, agent, 1)):
         total += PROXIMITY_STEP
     return total
@@ -172,9 +176,9 @@ def favorable_situation(world: World, a_id: int, b_id: int,
     b = world.get(b_id)
     if not (a.alive and b.alive):
         return False
-    if distance(a.pos, b.pos) >= cfg.favorable_distance:
+    if distance(a, b) >= cfg.favorable_distance:
         return False
-    return ata(a.pos, a.heading, b.pos) < cfg.favorable_ata
+    return ata(a, a.heading, b) < cfg.favorable_ata
 
 
 def assess_commander_action(world: World, agent_id: int, a_c: int,
@@ -198,7 +202,7 @@ def assess_commander_action(world: World, agent_id: int, a_c: int,
     # while the agent already points away
     for opp_id in sensed_opponents:
         if (favorable_situation(world, opp_id, agent_id, cfg)
-                and ata(agent.pos, agent.heading, world.get(opp_id).pos)
+                and ata(agent, agent.heading, world.get(opp_id))
                 > cfg.escape_away_ata):
             return ASSESS_BONUS
     return 0.0
@@ -222,7 +226,7 @@ def commander_event_reward(world: World, events: list[SimEvent], agent_id: int) 
 
 
 def _near_boundary(a, map_size: float, margin: float) -> bool:
-    return min(a.pos.x, a.pos.y, map_size - a.pos.x, map_size - a.pos.y) < margin
+    return min(a.x, a.y, map_size - a.x, map_size - a.y) < margin
 
 
 def option_terminated(world: World, steps_in_option: int,

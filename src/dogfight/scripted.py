@@ -83,12 +83,12 @@ def l3_policy(world: World, opp_id: int, rng: np.random.Generator,
             flee_state[opp_id] = cfg.flee_duration - 1
             return _flee_action(opponent, target), target.id
 
-    train_angle = ata(opponent.pos, opponent.heading, target.pos)
-    sign = clockwise_sign_to(opponent.pos, opponent.heading, target.pos)
+    train_angle = ata(opponent, opponent.heading, target)
+    sign = clockwise_sign_to(opponent, opponent.heading, target)
     r = rng.random() if r_override is None else r_override
     h = heading_delta_to_bin(sign * r * train_angle)
 
-    gap = distance(opponent.pos, target.pos)
+    gap = distance(opponent, target)
     v = _pursuit_speed_bin(opponent, gap, cfg)
 
     if cfg.fire_ata_scale > 0:
@@ -102,7 +102,7 @@ def l3_policy(world: World, opp_id: int, rng: np.random.Generator,
 
 
 def _flee_action(opponent: AircraftState, target: AircraftState) -> LowLevelAction:
-    away = bearing_to(target.pos, opponent.pos)  # direction putting target astern
+    away = bearing_to(target, opponent)  # direction putting target astern
     delta = signed_heading_delta(opponent.heading, away)
     return LowLevelAction(h=heading_delta_to_bin(delta), v=SPEED_BINS, c=0, r=0)
 

@@ -17,14 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import (
-    Vec2,
-    angle_off,
-    ata,
-    distance,
-    signed_heading_delta,
-    wrap_heading,
-)
+from .geometry import angle_off, ata, distance, signed_heading_delta, wrap_heading
 
 KNOTS_TO_KM_PER_S = 0.000514444
 
@@ -71,10 +64,13 @@ def make_spec(type_id: str, **overrides) -> AircraftSpec:
 
 @dataclass
 class AircraftState:
+    """One aircraft's state; its position is the floats `x` and `y` (km)."""
+
     id: int
     team: str
     spec: AircraftSpec
-    pos: Vec2
+    x: float
+    y: float
     heading: float  # compass deg [0, 360)
     target_heading: float
     speed: float  # knots, within spec range
@@ -101,9 +97,12 @@ class AircraftState:
 
 @dataclass
 class Rocket:
+    """A homing rocket in flight, at `x`, `y` (km) like an aircraft."""
+
     shooter_id: int
     target_id: int
-    pos: Vec2
+    x: float
+    y: float
     speed: float  # knots
     age: int = 0
 
@@ -192,7 +191,7 @@ class World:
 def _wez_gap(shooter: AircraftState, target: AircraftState) -> float | None:
     """The distance to `target` if it is in `shooter`'s weapon engagement
     zone, else None: `distance` and `ata` (0 when coincident) on floats."""
-    dx, dy = target.pos.x - shooter.pos.x, target.pos.y - shooter.pos.y
+    dx, dy = target.x - shooter.x, target.y - shooter.y
     gap = math.hypot(dx, dy)
     inside = gap <= shooter.spec.wez_range and (gap == 0.0 or angle_off(
         shooter.heading, wrap_heading(math.degrees(math.atan2(dx, dy))))
@@ -223,7 +222,7 @@ def fire_rocket(world: World, shooter_id: int, target_id: int) -> RocketLaunch |
     shooter.rocket_cooldown = world.cfg.rocket_cooldown_rounds
     world.rockets.append(
         Rocket(shooter_id=shooter_id, target_id=target_id,
-               pos=shooter.pos, speed=world.cfg.rocket_speed)
+               x=shooter.x, y=shooter.y, speed=world.cfg.rocket_speed)
     )
     return RocketLaunch(shooter=shooter_id, target=target_id)
 
@@ -232,7 +231,7 @@ def _kill_snapshot(world: World, shooter: AircraftState, victim: AircraftState):
     return dict(
         shooter=shooter.id,
         victim=victim.id,
-        victim_ata_deg=ata(victim.pos, victim.heading, shooter.pos),
+        victim_ata_deg=ata(victim, victim.heading, shooter),
         shooter_cannon_left=shooter.cannon_ammo,
         shooter_rockets_left=shooter.rockets,
     )
@@ -278,11 +277,10 @@ def _advance_aircraft(world: World) -> None:
             a.heading = a.target_heading
         else:
             a.heading = wrap_heading(a.heading + math.copysign(max_step, delta))
-        # pos + heading_vector(heading) * step_km, on plain floats
         step_km = a.speed * KNOTS_TO_KM_PER_S * dt
         rad = math.radians(a.heading)
-        a.pos = Vec2(a.pos.x + math.sin(rad) * step_km,
-                     a.pos.y + math.cos(rad) * step_km)
+        a.x += math.sin(rad) * step_km
+        a.y += math.cos(rad) * step_km
 
 
 def _advance_rockets(world: World) -> list[SimEvent]:
@@ -295,15 +293,15 @@ def _advance_rockets(world: World) -> list[SimEvent]:
             events.append(RocketExpired(shooter=rocket.shooter_id))
             continue
         step_km = rocket.speed * KNOTS_TO_KM_PER_S * world.cfg.round_seconds
-        (rx, ry), (tx, ty) = rocket.pos, target.pos
-        gap = math.hypot(tx - rx, ty - ry)
+        dx, dy = target.x - rocket.x, target.y - rocket.y
+        gap = math.hypot(dx, dy)
         if gap <= step_km:
-            rocket.pos = target.pos
-        else:  # a step along the unit line of sight, on plain floats
-            rocket.pos = Vec2(rx + (tx - rx) / gap * step_km,
-                              ry + (ty - ry) / gap * step_km)
+            rocket.x, rocket.y = target.x, target.y
+        else:  # a step along the unit line of sight
+            rocket.x += dx / gap * step_km
+            rocket.y += dy / gap * step_km
         rocket.age += 1
-        if distance(rocket.pos, target.pos) <= world.cfg.rocket_kill_radius:
+        if distance(rocket, target) <= world.cfg.rocket_kill_radius:
             target.alive = False
             shooter = world.get(rocket.shooter_id)
             events.append(RocketKill(**_kill_snapshot(world, shooter, target)))
@@ -331,8 +329,8 @@ def step_round(world: World) -> list[SimEvent]:
             if event is not None:
                 events.append(event)
     for a in world.aircraft:
-        if a.alive and not (0.0 < a.pos.x < world.map_size
-                            and 0.0 < a.pos.y < world.map_size):
+        if a.alive and not (0.0 < a.x < world.map_size
+                            and 0.0 < a.y < world.map_size):
             a.alive = False
             events.append(OutOfBounds(aircraft=a.id))
     return events

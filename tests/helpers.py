@@ -1,8 +1,10 @@
 """Shared builders for environment-level tests."""
 
+import math
+from typing import NamedTuple
+
 import numpy as np
 
-from dogfight.geometry import Vec2
 from dogfight.nn.autodiff import Tensor
 from dogfight.simcore import (
     AircraftState,
@@ -13,13 +15,29 @@ from dogfight.simcore import (
 )
 
 
+class XY(NamedTuple):
+    """A point (km) for the geometry functions, which read `.x` and `.y`."""
+
+    x: float
+    y: float
+
+    def __add__(self, other):
+        return XY(self.x + other.x, self.y + other.y)
+
+
+def heading_vector(heading_deg: float) -> XY:
+    """Unit vector pointing along a compass heading."""
+    rad = math.radians(heading_deg)
+    return XY(math.sin(rad), math.cos(rad))
+
+
 def make_aircraft(aid, type_id="AC1", team=TEAM_AGENT, pos=(15.0, 15.0),
                   heading=0.0, speed=None, cannon=200, rockets=None):
     spec = make_spec(type_id)
     if rockets is None:
         rockets = 5 if spec.has_rockets else 0
     return AircraftState(
-        id=aid, team=team, spec=spec, pos=Vec2(*pos),
+        id=aid, team=team, spec=spec, x=pos[0], y=pos[1],
         heading=heading, target_heading=heading,
         speed=speed if speed is not None else spec.min_speed,
         cannon_ammo=cannon, rockets=rockets,

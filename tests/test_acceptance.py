@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from helpers import make_aircraft, make_world
+from helpers import XY, make_aircraft, make_world
 
 from dogfight.config import ScenarioConfig, ScriptConfig
 from dogfight.env import CombatEnv, LowLevelAction, apply_action
@@ -20,7 +20,7 @@ from dogfight.evaluation import (
     RandomActor,
     evaluate,
 )
-from dogfight.geometry import Vec2, angle_off, aspect_angle, ata, distance, turn_sign
+from dogfight.geometry import angle_off, aspect_angle, ata, distance, turn_sign
 from dogfight.nn.gradcheck import run_standard_suite
 from dogfight.rewards import (
     assess_commander_action,
@@ -85,8 +85,8 @@ def test_criterion_2_geometry_oracle():
     worst = 0.0
     checked = 0
     while checked < 1000:
-        a = Vec2(rng.uniform(-40, 40), rng.uniform(-40, 40))
-        b = Vec2(rng.uniform(-40, 40), rng.uniform(-40, 40))
+        a = XY(rng.uniform(-40, 40), rng.uniform(-40, 40))
+        b = XY(rng.uniform(-40, 40), rng.uniform(-40, 40))
         if distance(a, b) < 1e-9:
             continue
         checked += 1
@@ -105,7 +105,7 @@ def test_criterion_2_geometry_oracle():
                     abs(angle_off(ha, hb) - off_oracle))
     assert worst < 1e-9, f"worst angular deviation {worst:.2e} deg"
 
-    grid = [Vec2(x, y) for x in range(-3, 4) for y in range(-3, 4)]
+    grid = [XY(x, y) for x in range(-3, 4) for y in range(-3, 4)]
     for a in grid:
         for b in grid:
             for c in grid:
@@ -179,11 +179,11 @@ def test_criterion_3_reward_unit_suite():
         make_aircraft(2, "AC2", TEAM_OPPONENT, pos=(15, 19)),
     ])
     assert favorable_situation(fav, 0, 2)
-    fav.get(2).pos = Vec2(15, 21)
+    fav.get(2).x, fav.get(2).y = 15, 21
     assert not favorable_situation(fav, 0, 2)
 
     # R_act cases (+0.1 attack match, +0.1 justified escape, -0.1 invalid)
-    fav.get(2).pos = Vec2(15, 19)
+    fav.get(2).x, fav.get(2).y = 15, 19
     assert assess_commander_action(fav, 0, 1, [2]) == 0.1
     assert assess_commander_action(fav, 0, 2, [2]) == -0.1
     esc = make_world([
@@ -296,8 +296,8 @@ def test_criterion_6_scripted_pursuit():
                           heading=rng.uniform(0, 360)),
         ], map_size=230.0, seed=int(rng.integers(1 << 31)))
         opp, agent = world.get(1), world.get(0)
-        start_ata = ata(opp.pos, opp.heading, agent.pos)
-        gap = distance(opp.pos, agent.pos)
+        start_ata = ata(opp, opp.heading, agent)
+        gap = distance(opp, agent)
         # Non-degenerate spawn: half the 30-decision turn budget covers the
         # initial offset (the other half absorbs line-of-sight drift) and the
         # chase starts outside the pursuer's own turn circle (v/omega ~ 5 km).
@@ -309,7 +309,7 @@ def test_criterion_6_scripted_pursuit():
             apply_action(world, 1, action)
             for _ in range(10):
                 step_round(world)
-            if ata(opp.pos, opp.heading, agent.pos) < 15.0:
+            if ata(opp, opp.heading, agent) < 15.0:
                 converged += 1
                 break
     assert converged == tried == 500

@@ -191,22 +191,41 @@ class TestUsage:
 
 
 class TestBlasThreads:
-    @pytest.mark.parametrize("env, want", [({}, "1"),
-                                           ({"OPENBLAS_NUM_THREADS": "2"}, "2")])
-    def test_one_thread_unless_set(self, env, want):
-        # a fresh interpreter, as the console script starts one, importing
-        # the package this session imported
+    @staticmethod
+    def _run(script, env):
+        """`script` in a fresh interpreter, as the console script starts
+        one, importing the package this session imported, with `env` as its
+        only BLAS thread settings."""
         clean = {k: v for k, v in os.environ.items()
                  if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                               "MKL_NUM_THREADS")}
         clean["PYTHONPATH"] = os.pathsep.join(filter(None, [
             os.path.dirname(os.path.dirname(dogfight.__file__)),
             os.environ.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-c", "import os, sys, dogfight.cli; "
-             "print('numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'])"],
-            env={**clean, **env}, capture_output=True, text=True, check=True)
+        return subprocess.run([sys.executable, "-c", script],
+                              env={**clean, **env}, capture_output=True,
+                              text=True)
+
+    @pytest.mark.parametrize("env, want", [({}, "1"),
+                                           ({"OPENBLAS_NUM_THREADS": "2"}, "2")])
+    def test_one_thread_unless_set(self, env, want):
+        out = self._run("import os, sys, dogfight.cli; print('numpy' in "
+                        "sys.modules, os.environ['OPENBLAS_NUM_THREADS'])", env)
+        out.check_returncode()
         assert out.stdout.split() == ["True", want]
+
+    @pytest.mark.parametrize("env, code", [({}, 2),
+                                            ({"OPENBLAS_NUM_THREADS": "1"}, 0)])
+    def test_numpy_loaded_first_needs_a_set_thread_count(self, env, code):
+        # numpy's thread pool starts when numpy loads, so the CLI refuses to
+        # run on a pool it could not pin
+        out = self._run("import sys, numpy, dogfight.cli; sys.exit("
+                        "dogfight.cli.main(['evaluate', '--agent', 'random', "
+                        "'--opponent', 'scripted:L1', '--episodes', '1']))",
+                        env)
+        assert out.returncode == code
+        refused = "set OPENBLAS_NUM_THREADS=1 before numpy loads" in out.stderr
+        assert refused == (code == 2)
 
 
 class TestGradcheck:
@@ -398,6 +417,57 @@ class TestConfigRejected:
         assert code == 1 and f"does not read config '{named}'" in err
         if key == "scenario.seed":
             assert "--seed sets the seed" in err
+
+    # (arguments, the reward-only scenario key set, whether the reward reads it)
+    REWARD_KEYS = [
+        (["train-low", "--policy", "fight", "--level", "L1"], "share_fraction", False),
+        (["train-low", "--policy", "fight", "--variant", "fripun", "--level",
+          "L1"], "share_fraction", False),
+        (["train-low", "--policy", "fight", "--variant", "shfrac", "--level",
+          "L1"], "slow_speed", False),
+        (["train-low", "--policy", "fight", "--variant", "shfrac", "--level",
+          "L1"], "share_fraction", True),
+        (["train-low", "--policy", "fight", "--level", "L1"], "far_distance", False),
+        (["train-low", "--policy", "escape", "--steps-phase2", "0"],
+         "near_distance", False),
+        (["train-low", "--policy", "escape", "--variant", "dist",
+          "--steps-phase2", "0"], "slow_speed", False),
+        (["train-low", "--policy", "escape", "--variant", "dist",
+          "--steps-phase2", "0"], "fast_speed", False),
+        (["train-low", "--policy", "escape", "--variant", "dist_speed",
+          "--steps-phase2", "0"], "share_fraction", False),
+        (["train-low", "--policy", "escape", "--variant", "dist_speed",
+          "--steps-phase2", "0"], "slow_speed", True),
+        (["train-low", "--policy", "standard"], "near_distance", False),
+        (["train-commander", "--fight-ckpt", "f", "--escape-ckpt", "e"],
+         "far_distance", False),
+        (["evaluate", "--agent", "random", "--episodes", "1"],
+         "near_distance", False),
+        (["sweep", "--commander-ckpt", "c", "--fight-ckpt", "f",
+          "--escape-ckpt", "e", "--out", "o"], "fast_speed", False),
+        (["export-traj", "--agent", "random", "--out", "t.jsonl"],
+         "share_fraction", False),
+    ]
+
+    @pytest.mark.parametrize("argv, key, read", REWARD_KEYS)
+    def test_reward_key_read_by_its_reward_alone(self, argv, key, read,
+                                                 tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        if argv[0].startswith("train-"):
+            argv = argv + ["--steps", "4", "--run-dir", str(run_dir)]
+        if argv[0] == "train-low":
+            argv = argv + ["--config", str(small_config(tmp_path, horizon=None))]
+        argv = argv + ["--set", f"scenario.{key}=1"]
+        if read:
+            assert main(argv) == 0
+            config = json.loads((run_dir / "config.json").read_text())
+            assert config["scenario"][key] == 1
+            return
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"does not read config 'scenario.{key}'" in capsys.readouterr().err
+        assert not run_dir.exists()  # rejected before any output
 
     def test_commander_batch_size_is_the_ppo_key(self, tmp_path, fight_ckpt,
                                                  escape_ckpt):

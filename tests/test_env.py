@@ -69,8 +69,8 @@ class TestSpawning:
         scenario = ScenarioConfig(seed=42)
         worlds = [generate_world(scenario, np.random.default_rng(7)) for _ in range(2)]
         for a, b in zip(worlds[0].aircraft, worlds[1].aircraft):
-            assert (a.pos, a.heading, a.speed, a.spec.type_id) == (
-                b.pos, b.heading, b.speed, b.spec.type_id)
+            assert (a.x, a.y, a.heading, a.speed, a.spec.type_id) == (
+                b.x, b.y, b.heading, b.speed, b.spec.type_id)
 
     def test_heterogeneous_teams(self):
         scenario = ScenarioConfig(n_agents=3, n_opponents=3)
@@ -96,8 +96,8 @@ class TestSpawning:
         for _ in range(10):
             world = generate_world(scenario, rng)
             half = scenario.map_size / 2
-            agent_side = {a.pos.x < half for a in world.aircraft if a.team == TEAM_AGENT}
-            opp_side = {a.pos.x < half for a in world.aircraft if a.team == TEAM_OPPONENT}
+            agent_side = {a.x < half for a in world.aircraft if a.team == TEAM_AGENT}
+            opp_side = {a.x < half for a in world.aircraft if a.team == TEAM_OPPONENT}
             assert len(agent_side) == 1 and len(opp_side) == 1
             assert agent_side != opp_side
 

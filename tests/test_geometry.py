@@ -6,17 +6,17 @@ import random
 import pytest
 
 from dogfight.geometry import (
-    Vec2,
     angle_off,
     aspect_angle,
     ata,
     bearing_to,
     clockwise_sign_to,
     distance,
-    heading_vector,
     turn_sign,
     wrap_heading,
 )
+
+from helpers import XY, heading_vector
 
 
 def _rotate_to_north(heading_deg, dx, dy):
@@ -45,18 +45,18 @@ def aspect_oracle(pos_a, pos_b, heading_b):
 
 class TestBearing:
     def test_due_north(self):
-        assert bearing_to(Vec2(0, 0), Vec2(0, 5)) == pytest.approx(0.0)
+        assert bearing_to(XY(0, 0), XY(0, 5)) == pytest.approx(0.0)
 
     def test_due_east(self):
-        assert bearing_to(Vec2(0, 0), Vec2(5, 0)) == pytest.approx(90.0)
+        assert bearing_to(XY(0, 0), XY(5, 0)) == pytest.approx(90.0)
 
     def test_southwest(self):
         # atan2(-3, -3) = -135 deg -> compass 225
-        assert bearing_to(Vec2(0, 0), Vec2(-3, -3)) == pytest.approx(225.0)
+        assert bearing_to(XY(0, 0), XY(-3, -3)) == pytest.approx(225.0)
 
     def test_coincident_raises(self):
         with pytest.raises(ValueError):
-            bearing_to(Vec2(1, 1), Vec2(1, 1))
+            bearing_to(XY(1, 1), XY(1, 1))
 
 
 class TestAngleOff:
@@ -80,30 +80,30 @@ class TestAngleOff:
 
 class TestAta:
     def test_facing_target(self):
-        assert ata(Vec2(0, 0), 0, Vec2(0, 5)) == pytest.approx(0.0)
+        assert ata(XY(0, 0), 0, XY(0, 5)) == pytest.approx(0.0)
 
     def test_target_on_beam(self):
-        assert ata(Vec2(0, 0), 90, Vec2(0, 5)) == pytest.approx(90.0)
+        assert ata(XY(0, 0), 90, XY(0, 5)) == pytest.approx(90.0)
 
     def test_facing_away(self):
-        assert ata(Vec2(0, 0), 180, Vec2(0, 5)) == pytest.approx(180.0)
+        assert ata(XY(0, 0), 180, XY(0, 5)) == pytest.approx(180.0)
 
     def test_coincident_is_zero(self):
-        assert ata(Vec2(2, 2), 45, Vec2(2, 2)) == 0.0
+        assert ata(XY(2, 2), 45, XY(2, 2)) == 0.0
 
     def test_rotation_invariance(self):
         # Rotating all positions and headings together must not change ATA.
         rng = random.Random(11)
         for _ in range(1000):
-            a = Vec2(rng.uniform(-20, 20), rng.uniform(-20, 20))
-            b = Vec2(rng.uniform(-20, 20), rng.uniform(-20, 20))
+            a = XY(rng.uniform(-20, 20), rng.uniform(-20, 20))
+            b = XY(rng.uniform(-20, 20), rng.uniform(-20, 20))
             if distance(a, b) < 1e-6:
                 continue
             h = rng.uniform(0, 360)
             base = ata(a, h, b)
             phi = rng.uniform(0, 360)
             t = math.radians(-phi)  # compass rotation by +phi is clockwise
-            rot = lambda p: Vec2(
+            rot = lambda p: XY(
                 math.cos(t) * p.x - math.sin(t) * p.y,
                 math.sin(t) * p.x + math.cos(t) * p.y,
             )
@@ -113,20 +113,20 @@ class TestAta:
 
 class TestAspectAngle:
     def test_on_the_tail(self):
-        assert aspect_angle(Vec2(0, -5), Vec2(0, 0), 0) == pytest.approx(0.0)
+        assert aspect_angle(XY(0, -5), XY(0, 0), 0) == pytest.approx(0.0)
 
     def test_head_on(self):
-        assert aspect_angle(Vec2(0, 5), Vec2(0, 0), 0) == pytest.approx(180.0)
+        assert aspect_angle(XY(0, 5), XY(0, 0), 0) == pytest.approx(180.0)
 
     def test_perpendicular(self):
-        assert aspect_angle(Vec2(5, 0), Vec2(0, 0), 0) == pytest.approx(90.0)
+        assert aspect_angle(XY(5, 0), XY(0, 0), 0) == pytest.approx(90.0)
 
     def test_tail_angle_identity(self):
         # aspect(a, b, h_b) == ata from b with reversed heading toward a
         rng = random.Random(13)
         for _ in range(500):
-            a = Vec2(rng.uniform(-20, 20), rng.uniform(-20, 20))
-            b = Vec2(rng.uniform(-20, 20), rng.uniform(-20, 20))
+            a = XY(rng.uniform(-20, 20), rng.uniform(-20, 20))
+            b = XY(rng.uniform(-20, 20), rng.uniform(-20, 20))
             if distance(a, b) < 1e-6:
                 continue
             h = rng.uniform(0, 360)
@@ -137,8 +137,8 @@ class TestBruteForceOracle:
     def test_angle_metrics_match_rotation_matrices(self):
         rng = random.Random(17)
         for _ in range(1000):
-            a = Vec2(rng.uniform(-30, 30), rng.uniform(-30, 30))
-            b = Vec2(rng.uniform(-30, 30), rng.uniform(-30, 30))
+            a = XY(rng.uniform(-30, 30), rng.uniform(-30, 30))
+            b = XY(rng.uniform(-30, 30), rng.uniform(-30, 30))
             if distance(a, b) < 1e-6:
                 continue
             ha = rng.uniform(0, 360)
@@ -154,16 +154,16 @@ class TestBruteForceOracle:
 
 class TestTurnSign:
     def test_right_of_ray(self):
-        assert turn_sign(Vec2(0, 0), Vec2(0, 1), Vec2(1, 0)) == -1
+        assert turn_sign(XY(0, 0), XY(0, 1), XY(1, 0)) == -1
 
     def test_left_of_ray(self):
-        assert turn_sign(Vec2(0, 0), Vec2(0, 1), Vec2(-1, 0)) == 1
+        assert turn_sign(XY(0, 0), XY(0, 1), XY(-1, 0)) == 1
 
     def test_collinear(self):
-        assert turn_sign(Vec2(0, 0), Vec2(0, 1), Vec2(0, 2)) == 0
+        assert turn_sign(XY(0, 0), XY(0, 1), XY(0, 2)) == 0
 
     def test_exhaustive_integer_grid(self):
-        pts = [Vec2(x, y) for x in range(-3, 4) for y in range(-3, 4)]
+        pts = [XY(x, y) for x in range(-3, 4) for y in range(-3, 4)]
         for a in pts:
             for b in pts:
                 for c in pts:
@@ -175,16 +175,16 @@ class TestTurnSign:
         # Mirroring C across the AB line flips the sign.
         rng = random.Random(19)
         for _ in range(300):
-            a = Vec2(rng.uniform(-5, 5), rng.uniform(-5, 5))
+            a = XY(rng.uniform(-5, 5), rng.uniform(-5, 5))
             d = rng.uniform(0, 360)
             b = a + heading_vector(d)
-            c = Vec2(rng.uniform(-5, 5), rng.uniform(-5, 5))
+            c = XY(rng.uniform(-5, 5), rng.uniform(-5, 5))
             # reflect c across line a->b
             t = math.radians(d)
             ux, uy = math.sin(t), math.cos(t)
             rx, ry = c.x - a.x, c.y - a.y
             dot = rx * ux + ry * uy
-            mirrored = Vec2(
+            mirrored = XY(
                 a.x + 2 * dot * ux - rx,
                 a.y + 2 * dot * uy - ry,
             )
@@ -193,21 +193,21 @@ class TestTurnSign:
 
 class TestClockwiseSign:
     def test_target_right_turns_clockwise(self):
-        assert clockwise_sign_to(Vec2(0, 0), 0, Vec2(5, 0)) == 1
+        assert clockwise_sign_to(XY(0, 0), 0, XY(5, 0)) == 1
 
     def test_target_left_turns_counterclockwise(self):
-        assert clockwise_sign_to(Vec2(0, 0), 0, Vec2(-5, 0)) == -1
+        assert clockwise_sign_to(XY(0, 0), 0, XY(-5, 0)) == -1
 
     def test_aligned_is_zero(self):
-        assert clockwise_sign_to(Vec2(0, 0), 0, Vec2(0, 5)) == 0
+        assert clockwise_sign_to(XY(0, 0), 0, XY(0, 5)) == 0
 
 
 class TestDistance:
     def test_zero(self):
-        assert distance(Vec2(0, 0), Vec2(0, 0)) == 0.0
+        assert distance(XY(0, 0), XY(0, 0)) == 0.0
 
     def test_pythagorean(self):
-        assert distance(Vec2(0, 0), Vec2(3, 4)) == pytest.approx(5.0)
+        assert distance(XY(0, 0), XY(3, 4)) == pytest.approx(5.0)
 
     def test_translation_invariant(self):
-        assert distance(Vec2(1, 1), Vec2(4, 5)) == pytest.approx(5.0)
+        assert distance(XY(1, 1), XY(4, 5)) == pytest.approx(5.0)

@@ -102,20 +102,20 @@ class TestEscapeReward:
 
     def test_dist_penalty_when_close(self):
         world = standard_world()
-        world.get(2).pos = world.get(0).pos + type(world.get(0).pos)(5, 0)
+        world.get(2).x, world.get(2).y = world.get(0).x + 5, world.get(0).y
         assert reward_escape(world, [], 0, variant="dist") == pytest.approx(-0.1)
 
     def test_dist_bonus_when_far(self):
         world = standard_world()
         # opponents ~14+ km away
-        world.get(2).pos = type(world.get(0).pos)(24.5, 17)
-        world.get(3).pos = type(world.get(0).pos)(25, 20)
+        world.get(2).x, world.get(2).y = 24.5, 17
+        world.get(3).x, world.get(3).y = 25, 20
         assert reward_escape(world, [], 0, variant="dist") == pytest.approx(0.1)
 
     def test_dist_speed_needs_both_conditions(self):
         world = standard_world()
-        world.get(2).pos = type(world.get(0).pos)(24.5, 17)
-        world.get(3).pos = type(world.get(0).pos)(25, 20)
+        world.get(2).x, world.get(2).y = 24.5, 17
+        world.get(3).x, world.get(3).y = 25, 20
         world.get(0).speed = 650.0
         assert reward_escape(world, [], 0, variant="dist_speed") == pytest.approx(0.1)
         world.get(0).speed = 500.0
@@ -130,18 +130,18 @@ class TestEscapeReward:
 class TestStandardReward:
     def test_distance_bonus(self):
         world = standard_world()
-        world.get(2).pos = type(world.get(0).pos)(24.5, 17)
-        world.get(3).pos = type(world.get(0).pos)(25, 20)
+        world.get(2).x, world.get(2).y = 24.5, 17
+        world.get(3).x, world.get(3).y = 25, 20
         assert reward_standard(world, [], 0) == pytest.approx(0.1)
 
     def test_no_proximity_penalty(self):
         world = standard_world()
-        world.get(2).pos = world.get(0).pos + type(world.get(0).pos)(5, 0)
+        world.get(2).x, world.get(2).y = world.get(0).x + 5, world.get(0).y
         assert reward_standard(world, [], 0) == 0.0
 
     def test_kill_term(self):
         world = standard_world()
-        world.get(2).pos = type(world.get(0).pos)(14, 14)  # inside 13 km
+        world.get(2).x, world.get(2).y = 14, 14  # inside 13 km
         assert reward_standard(world, [kill(0, 2)], 0) == pytest.approx(1.0)
 
 
@@ -235,12 +235,12 @@ class TestOptionTermination:
 
     def test_boundary_proximity(self):
         world = self._calm_world()
-        world.get(0).pos = type(world.get(0).pos)(4.0, 15.0)
+        world.get(0).x, world.get(0).y = 4.0, 15.0
         assert option_terminated(world, 3, [])
 
     def test_favorable_pair_triggers(self):
         world = self._calm_world()
-        world.get(2).pos = type(world.get(0).pos)(15.0, 19.0)
+        world.get(2).x, world.get(2).y = 15.0, 19.0
         world.get(2).heading = 180.0
         # agent heading north at opponent 4 km ahead -> favorable for agent
         assert option_terminated(world, 3, [])
@@ -252,7 +252,7 @@ class TestOptionTermination:
             make_aircraft(2, "AC2", TEAM_OPPONENT, pos=(15, 24), heading=180.0),
         ])
         assert not option_terminated(world, 3, [])
-        world.get(1).pos = type(world.get(1).pos)(26.0, 12.0)
+        world.get(1).x, world.get(1).y = 26.0, 12.0
         assert option_terminated(world, 3, [])
         world.get(1).alive = False  # a destroyed agent's position is ignored
         assert not option_terminated(world, 3, [])

@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from helpers import make_aircraft, make_world
+from helpers import XY, make_aircraft, make_world
 
 from dogfight.config import ScriptConfig, ScenarioConfig
 from dogfight.env import CombatEnv, LowLevelAction
-from dogfight.geometry import Vec2, ata, distance
+from dogfight.geometry import ata, distance
 from dogfight.scripted import ScriptedController, l1_policy, l2_policy, l3_policy
 from dogfight.simcore import TEAM_AGENT, TEAM_OPPONENT
 
@@ -36,7 +36,7 @@ class TestL1:
             "L1", np.random.default_rng(0)))
         env.reset(seed=21)
         opp = env.world.alive(TEAM_OPPONENT)[0]
-        start = opp.pos
+        start = XY(opp.x, opp.y)
         for _ in range(100):
             result = env.step({aid: LowLevelAction(h=0, v=0)
                                for aid in env.agent_ids()},
@@ -45,7 +45,7 @@ class TestL1:
             if result.terminal:
                 break
         # 100 kn for 100 seconds ~ 5.14 km ceiling
-        assert distance(start, opp.pos) <= 100 * 0.000514444 * 100 + 1e-6
+        assert distance(start, opp) <= 100 * 0.000514444 * 100 + 1e-6
 
     def test_dead_opponent_rejected(self):
         world = pursuit_world()
@@ -174,8 +174,8 @@ class TestL3:
             ], map_size=230.0, seed=int(rng.integers(1 << 31)))
             opp = world.get(1)
             agent = world.get(0)
-            start_ata = ata(opp.pos, opp.heading, agent.pos)
-            gap = distance(opp.pos, agent.pos)
+            start_ata = ata(opp, opp.heading, agent)
+            gap = distance(opp, agent)
             # Non-degenerate: half the 30-decision turn budget must cover the
             # initial offset (the rest absorbs line-of-sight drift) and the
             # chase must start outside the pursuer's turn circle (v/omega).
@@ -191,7 +191,7 @@ class TestL3:
                     step_round(world)
                 if not (opp.alive and agent.alive):
                     break
-                if ata(opp.pos, opp.heading, agent.pos) < 15.0:
+                if ata(opp, opp.heading, agent) < 15.0:
                     converged += 1
                     break
         assert converged == tried

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from dogfight.geometry import Vec2, angle_off, distance
+from dogfight.geometry import angle_off, distance
 from dogfight.simcore import (
     AC1,
     AC2,
@@ -38,7 +38,7 @@ def make_aircraft(aid, type_id=AC1, team=TEAM_AGENT, pos=(15.0, 15.0),
     if rockets is None:
         rockets = 5 if spec.has_rockets else 0
     return AircraftState(
-        id=aid, team=team, spec=spec, pos=Vec2(*pos),
+        id=aid, team=team, spec=spec, x=pos[0], y=pos[1],
         heading=heading, target_heading=heading,
         speed=speed if speed is not None else spec.min_speed,
         cannon_ammo=cannon, rockets=rockets,
@@ -55,12 +55,12 @@ class TestKinematics:
     def test_straight_flight_advance(self):
         a = make_aircraft(0, AC1, speed=900.0)
         world = make_world([a])
-        y0 = a.pos.y
+        y0 = a.y
         step_round(world)
         advance_km = 900 * KNOTS_TO_KM_PER_S * 0.1
-        assert a.pos.y - y0 == pytest.approx(advance_km)  # ~46.3 m
-        assert a.pos.y - y0 == pytest.approx(0.0463, abs=1e-4)
-        assert a.pos.x == pytest.approx(15.0)
+        assert a.y - y0 == pytest.approx(advance_km)  # ~46.3 m
+        assert a.y - y0 == pytest.approx(0.0463, abs=1e-4)
+        assert a.x == pytest.approx(15.0)
 
     def test_turn_rate_limit_one_round(self):
         a = make_aircraft(0, AC1)
@@ -340,7 +340,7 @@ class TestEpisodeInvariants:
         world_b, events_b = self._random_episode(17)
         assert events_a == events_b
         for a, b in zip(world_a.aircraft, world_b.aircraft):
-            assert (a.pos, a.heading, a.speed, a.alive) == (b.pos, b.heading, b.speed, b.alive)
+            assert (a.x, a.y, a.heading, a.speed, a.alive) == (b.x, b.y, b.heading, b.speed, b.alive)
 
     def test_deepcopy_replay_matches(self):
         world, _ = self._random_episode(19)
@@ -386,9 +386,9 @@ class TestTrajectoryDigest:
                     foes = [b for b in world.alive() if b.team != a.team]
                     if not foes:
                         continue
-                    foe = min(foes, key=lambda b: (distance(a.pos, b.pos), b.id))
-                    gap = distance(a.pos, foe.pos)
-                    bearing = bearing_to(a.pos, foe.pos) if gap > 0 else a.heading
+                    foe = min(foes, key=lambda b: (distance(a, b), b.id))
+                    gap = distance(a, foe)
+                    bearing = bearing_to(a, foe) if gap > 0 else a.heading
                     a.target_heading = (bearing + control.normal(0.0, 5.0)) % 360.0
                     a.speed = control.uniform(a.spec.min_speed, a.spec.max_speed)
                     a.cannon_firing = bool(gap < 6.0 or control.random() < 0.1)
@@ -400,12 +400,12 @@ class TestTrajectoryDigest:
         for event in events:
             digest.update(repr(event).encode())
         for a in world.aircraft:
-            digest.update(repr((a.id, a.alive, a.pos.x, a.pos.y, a.heading,
+            digest.update(repr((a.id, a.alive, a.x, a.y, a.heading,
                                 a.target_heading, a.speed, a.cannon_ammo,
                                 a.rockets, a.rocket_cooldown,
                                 a.cannon_firing)).encode())
         for r in world.rockets:
-            digest.update(repr((r.shooter_id, r.target_id, r.pos.x, r.pos.y,
+            digest.update(repr((r.shooter_id, r.target_id, r.x, r.y,
                                 r.speed, r.age)).encode())
         return {type(e).__name__ for e in events}
 
