@@ -3,13 +3,16 @@ export, gradient checking.
 
 Configuration comes from an optional JSON file (--config) with sections
 "scenario", "script", "sim", "ppo"; individual keys are overridable with
-repeated --set section.key=value flags. Exit codes: 0 success, 1 runtime
-failure, 2 usage error.
+repeated --set section.key=value flags. Each command reads the sections
+and keys its flags make it read (`_reads`); setting any other, unknown ones
+included, is a usage error. Exit codes: 0 success, 1 runtime failure, 2
+usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -42,6 +45,7 @@ from .nn.networks import PolicyNetwork, load_policy, policy_from_checkpoint
 from .nn.params import load_checkpoint
 from .rewards import REWARD_VARIANTS
 from .scripted import ScriptedController
+from .simcore import SimConfig
 from .train import (
     CTCEDriver,
     CTDEDriver,
@@ -57,12 +61,20 @@ from .train import (
     train_escape,
     train_standard_baseline,
 )
+from .train.league import LOW_LEVELS
 from .train.trainer import check_levels, controller_for_level, curriculum_horizon
 
 
 # why a key no command, or the command at hand, reads
 _UNREAD_BECAUSE = {"scenario.seed": ": --seed sets the seed",
-                   "scenario.horizon": ": the level or phase sets the horizon"}
+                   "train-low scenario.horizon": ": the level or phase sets "
+                                                 "the horizon"}
+# the scenario keys every episode reads, and those every option loop reads
+_EPISODE_KEYS = {"n_agents", "n_opponents", "map_size", "agent_cannon",
+                 "agent_rockets", "opponent_cannon", "opponent_rockets",
+                 "spawn_margin", "rounds_per_step"}
+_OPTION_KEYS = {"option_horizon", "boundary_margin", "favorable_distance",
+                "favorable_ata"}
 
 
 class UsageError(ValueError):
@@ -70,38 +82,55 @@ class UsageError(ValueError):
     for a `--variant` the policy has no reward for."""
 
 
-def _load_config(args, scenario=ScenarioConfig, unread=()) -> dict:
+def _fields(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def _reads(args) -> dict[str, set[str]]:
+    """Each config section the run that `args` asks for reads, with the keys
+    it reads there."""
+    scenario, levels = _EPISODE_KEYS | {"horizon"}, ()
+    reads = {"sim": _fields(SimConfig), "scenario": scenario}
+    if args.command.startswith("train-"):
+        reads["ppo"] = _fields(PPOConfig)
+    if args.command == "train-low":
+        scenario |= set(REWARD_VARIANTS[args.policy][args.variant])
+        if args.policy != "standard":
+            scenario.remove("horizon")
+        levels = {"fight": LOW_LEVELS if args.level == "curriculum"
+                  else [args.level]}.get(args.policy, ["L3"])
+    elif args.command == "train-commander":
+        scenario |= _OPTION_KEYS | {"opponent_fight_prob", "commander_senses"}
+        if not args.no_assess:
+            scenario.add("escape_away_ata")
+    elif args.command == "sweep":
+        scenario |= _OPTION_KEYS | {"opponent_fight_prob"}
+    else:  # evaluate and export-traj
+        if args.agent == "hierarchy":
+            scenario |= _OPTION_KEYS
+        if args.opponent.startswith("scripted:"):
+            levels = [args.opponent.split(":", 1)[1]]
+    scripted = {*levels} & {"L1", "L2", "L3"}
+    reads["script"] = _fields(ScriptConfig) if scripted else set()
+    return {section: keys for section, keys in reads.items() if keys}
+
+
+def _load_config(args, scenario=ScenarioConfig) -> dict:
     """The typed config of a command. `scenario` is the command's scenario
     recipe: keys of the scenario section override its defaults, and without
-    the section the recipe's defaults are the scenario. Setting
-    `scenario.seed`, one of the `unread` sections or `section.key`s, or a
-    scenario key of `REWARD_VARIANTS` that the command's reward does not
-    read is an error."""
-    raw = {}
-    if getattr(args, "config", None):
-        raw = json.loads(Path(args.config).read_text())
-    if getattr(args, "set", None):
-        raw = apply_overrides(raw, args.set)
-    for key in ("scenario.seed", *unread):
-        section, _, name = key.partition(".")
-        if section in raw and (not name or name in raw[section]):
-            raise ValueError(f"{args.command} does not read config {key!r}"
-                             f"{_UNREAD_BECAUSE.get(key, '')}")
-    command, read = args.command, ()
-    if command == "train-low":
-        command = f"{command} --policy {args.policy} --variant {args.variant}"
-        read = REWARD_VARIANTS[args.policy][args.variant]
-    for key in sorted(raw.get("scenario", {})):
-        readers = [f"{kind} {variant}"
-                   for kind, variants in REWARD_VARIANTS.items()
-                   for variant, keys in variants.items() if key in keys]
-        if readers and key not in read:
-            raise UsageError(f"{command} does not read config 'scenario."
-                             f"{key}', which only these rewards read: "
-                             f"{', '.join(readers)}")
-    cfg = parse_config(raw, scenario)
-    cfg.setdefault("scenario", scenario())
-    return cfg
+    the section the recipe's defaults are the scenario. Setting a section or
+    key that the run does not read (`_reads`) is a usage error."""
+    raw = json.loads(Path(args.config).read_text()) if args.config else {}
+    raw, reads = apply_overrides(raw, args.set), _reads(args)
+    unread = sorted({s for s in raw if s not in reads} | {
+        f"{s}.{k}" for s in raw if s in reads for k in raw[s]
+        if k not in reads[s]})
+    if unread:
+        raise UsageError(f"{args.command} does not read config " + ", ".join(
+            repr(key) + _UNREAD_BECAUSE.get(f"{args.command} {key}",
+                                            _UNREAD_BECAUSE.get(key, ""))
+            for key in unread))
+    return parse_config(raw, scenario)
 
 
 def _standard_scenario(**kw) -> ScenarioConfig:
@@ -140,15 +169,11 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_train_low(args) -> int:
-    if args.policy == "standard":
-        cfg = _load_config(args, _standard_scenario)
-    else:
-        cfg = _load_config(args, unread=("scenario.horizon",))
+    cfg = _load_config(args, _standard_scenario if args.policy == "standard"
+                       else ScenarioConfig)
     run = RunDir(args.run_dir)
-    scenario = cfg["scenario"]
-    script = cfg.get("script", ScriptConfig())
-    sim = cfg.get("sim")
-    seed = args.seed
+    scenario, script, sim, seed = (cfg["scenario"], cfg["script"], cfg["sim"],
+                                   args.seed)
 
     if args.policy == "standard":
         train_standard_baseline(scenario, _ppo(cfg), run, seed, args.steps,
@@ -183,7 +208,7 @@ def cmd_train_low(args) -> int:
 
 
 def cmd_train_commander(args) -> int:
-    cfg = _load_config(args, ScenarioConfig.commander_training, ("script",))
+    cfg = _load_config(args, ScenarioConfig.commander_training)
     run = RunDir(args.run_dir)
     scenario = cfg["scenario"]
     if args.league_dir is None:
@@ -197,7 +222,7 @@ def cmd_train_commander(args) -> int:
                                opt=not args.no_opt, assess=not args.no_assess,
                                shared=not args.glob, arch=args.arch)
     train_commander(scenario, _ppo(cfg, batch_size=1000), variant,
-                    fight, escape, run, args.seed, args.steps, cfg.get("sim"))
+                    fight, escape, run, args.seed, args.steps, cfg["sim"])
     return 0
 
 
@@ -238,19 +263,11 @@ def _make_actor(args, seed: int):
 
 
 def _eval_setup(args):
-    """The config, actor and opponents of `evaluate` and `export-traj`.
-    Neither reads the ppo section, nor the script section against snapshot
-    opponents, nor a hierarchy's senses, which its checkpoint sets."""
-    unread = ["ppo"]
-    if args.opponent.startswith("snapshot:"):
-        unread.append("script")
-    if args.agent == "hierarchy":
-        unread.append("scenario.commander_senses")
-    cfg = _load_config(args, unread=unread)
+    """The config, actor and opponents of `evaluate` and `export-traj`."""
+    cfg = _load_config(args)
     actor = _make_actor(args, args.seed)
     return cfg, actor, _make_opponents(args.opponent, cfg["scenario"],
-                                       cfg.get("script", ScriptConfig()),
-                                       args.seed + 1)
+                                       cfg["script"], args.seed + 1)
 
 
 def cmd_evaluate(args) -> int:
@@ -262,7 +279,7 @@ def cmd_evaluate(args) -> int:
                                               "opponent": args.opponent})
     report = evaluate(actor, opponents, cfg["scenario"], args.episodes,
                       seed=args.seed, trajectory_recorder=recorder,
-                      sim_cfg=cfg.get("sim"))
+                      sim_cfg=cfg["sim"])
     if args.out:
         report.save(args.out)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -272,8 +289,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args, ScenarioConfig.commander_training,
-                       ("ppo", "script", "scenario.commander_senses"))
+    cfg = _load_config(args, ScenarioConfig.commander_training)
     base = cfg["scenario"]
     commander, options = _load_commander(args.commander_ckpt)
     fight = load_policy(args.fight_ckpt)
@@ -293,7 +309,7 @@ def cmd_sweep(args) -> int:
             fight_prob=scenario.opponent_fight_prob, scenario=scenario)
 
     results = scenario_sweep(cells, actor_factory, opponent_factory, base,
-                             args.episodes, seed=args.seed, sim_cfg=cfg.get("sim"))
+                             args.episodes, seed=args.seed, sim_cfg=cfg["sim"])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, report in results:
@@ -308,7 +324,7 @@ def cmd_export_traj(args) -> int:
     recorder = TrajectoryRecorder(0, header={"agent": args.agent,
                                              "opponent": args.opponent})
     evaluate(actor, opponents, cfg["scenario"], 1, seed=args.seed,
-             trajectory_recorder=recorder, sim_cfg=cfg.get("sim"))
+             trajectory_recorder=recorder, sim_cfg=cfg["sim"])
     export_trajectory(recorder.log, args.out)
     print(f"wrote {args.out}")
     return 0

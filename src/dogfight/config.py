@@ -7,7 +7,6 @@ overrides use dotted keys, e.g. ``scenario.map_size=40``.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 
@@ -90,34 +89,14 @@ class ScriptConfig:
                 raise ValueError(f"{name} must be in [0, 1]")
 
 
-def _from_dict(cls, data: dict, make=None):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise KeyError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    return (make or cls)(**data)
-
-
-SECTIONS = ("scenario", "script", "sim", "ppo")
-
-
 def parse_config(raw: dict, scenario=ScenarioConfig) -> dict:
-    """Typed sections from a raw config dict. `scenario` builds the scenario
-    section: ScenarioConfig, or a recipe such as
-    ScenarioConfig.commander_training whose defaults the section's keys
-    override."""
-    unknown = sorted(set(raw) - set(SECTIONS))
-    if unknown:
-        raise KeyError(f"unknown config sections: {unknown} "
-                       f"(known: {', '.join(SECTIONS)})")
-    out = dict(raw)
-    if "scenario" in raw:
-        out["scenario"] = _from_dict(ScenarioConfig, raw["scenario"], scenario)
-    if "script" in raw:
-        out["script"] = _from_dict(ScriptConfig, raw["script"])
-    if "sim" in raw:
-        out["sim"] = _from_dict(SimConfig, raw["sim"])
-    return out
+    """Typed sections from a raw config dict, a missing one at its defaults.
+    `scenario` builds the scenario section: ScenarioConfig, or a recipe such
+    as ScenarioConfig.commander_training whose defaults the section's keys
+    override. An unknown key raises the dataclass's TypeError."""
+    return {**raw, "scenario": scenario(**raw.get("scenario", {})),
+            "script": ScriptConfig(**raw.get("script", {})),
+            "sim": SimConfig(**raw.get("sim", {}))}
 
 
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:

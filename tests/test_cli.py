@@ -311,17 +311,18 @@ class TestSweep:
 
 class TestConfigRejected:
     def _error(self, capsys, *args):
-        code = main(["evaluate", "--agent", "random", "--opponent",
-                     "scripted:L1", "--episodes", "1", *args])
-        return code, capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--agent", "random", "--opponent",
+                  "scripted:L1", "--episodes", "1", *args])
+        return exc.value.code, capsys.readouterr().err
 
     def test_unknown_section_named(self, capsys):
         code, err = self._error(capsys, "--set", "bogus.key=1")
-        assert code == 1 and "bogus" in err
+        assert code == 2 and "bogus" in err
 
     def test_scenario_level_is_no_key(self, capsys):
         code, err = self._error(capsys, "--set", "scenario.level=nonsense")
-        assert code == 1 and "level" in err
+        assert code == 2 and "level" in err
 
     def test_commander_senses_come_from_the_scenario(self, tmp_path, fight_ckpt,
                                                      escape_ckpt):
@@ -410,11 +411,12 @@ class TestConfigRejected:
         base = args + ["--set", "scenario.horizon=3"]
         assert main(base) == 0  # the command runs without the key
         capsys.readouterr()
-        code = main(base + ["--set", override])
+        with pytest.raises(SystemExit) as exc:
+            main(base + ["--set", override])
         key = override.split("=")[0]
         named = key if key.startswith("scenario.") else key.split(".")[0]
         err = capsys.readouterr().err
-        assert code == 1 and f"does not read config '{named}'" in err
+        assert exc.value.code == 2 and f"does not read config '{named}'" in err
         if key == "scenario.seed":
             assert "--seed sets the seed" in err
 
@@ -557,11 +559,12 @@ class TestTrainLow:
 
     @pytest.mark.parametrize("policy", ["fight", "escape"])
     def test_level_or_phase_sets_the_horizon(self, policy, tmp_path, capsys):
-        code = main(["train-low", "--policy", policy, "--level", "L1",
-                     "--steps", "1", "--run-dir", str(tmp_path / "run"),
-                     "--set", "scenario.horizon=5"])
+        with pytest.raises(SystemExit) as exc:
+            main(["train-low", "--policy", policy, "--level", "L1",
+                  "--steps", "1", "--run-dir", str(tmp_path / "run"),
+                  "--set", "scenario.horizon=5"])
         err = capsys.readouterr().err
-        assert code == 1
+        assert exc.value.code == 2
         assert ("does not read config 'scenario.horizon': the level or phase "
                 "sets the horizon") in err
         assert not (tmp_path / "run").exists()
