@@ -44,7 +44,7 @@ from .nn.gradcheck import run_standard_suite
 from .nn.networks import PolicyNetwork, load_policy, policy_from_checkpoint
 from .nn.params import load_checkpoint
 from .rewards import REWARD_VARIANTS
-from .scripted import ScriptedController
+from .scripted import SCRIPT_KEYS, ScriptedController
 from .simcore import SimConfig
 from .train import (
     CTCEDriver,
@@ -86,6 +86,12 @@ def _fields(cls) -> set[str]:
     return {f.name for f in dataclasses.fields(cls)}
 
 
+def _sweep_cells(names: str) -> list[dict]:
+    """The sweep cells of a `--cells` list, every cell for an empty one."""
+    return [c for c in standard_sweep_cells()
+            if not names or c["name"] in names.split(",")]
+
+
 def _reads(args) -> dict[str, set[str]]:
     """Each config section the run that `args` asks for reads, with the keys
     it reads there."""
@@ -105,13 +111,14 @@ def _reads(args) -> dict[str, set[str]]:
             scenario.add("escape_away_ata")
     elif args.command == "sweep":
         scenario |= _OPTION_KEYS | {"opponent_fight_prob"}
+        scenario -= set.intersection(*map(set, _sweep_cells(args.cells)))
     else:  # evaluate and export-traj
         if args.agent == "hierarchy":
             scenario |= _OPTION_KEYS
         if args.opponent.startswith("scripted:"):
             levels = [args.opponent.split(":", 1)[1]]
-    scripted = {*levels} & {"L1", "L2", "L3"}
-    reads["script"] = _fields(ScriptConfig) if scripted else set()
+    reads["script"] = {key for level in levels
+                       for key in SCRIPT_KEYS.get(level, ())}
     return {section: keys for section, keys in reads.items() if keys}
 
 
@@ -294,10 +301,7 @@ def cmd_sweep(args) -> int:
     commander, options = _load_commander(args.commander_ckpt)
     fight = load_policy(args.fight_ckpt)
     escape = load_policy(args.escape_ckpt)
-    cells = [c for c in standard_sweep_cells()
-             if not args.cells or c["name"] in args.cells.split(",")]
-    if not cells:
-        raise ValueError(f"no sweep cells match {args.cells!r}")
+    cells = _sweep_cells(args.cells)
 
     def actor_factory(scenario, seed):
         rng = np.random.default_rng(seed)
@@ -435,7 +439,8 @@ _AGENT_CHECKPOINTS = {"fight": ["agent_ckpt"], "escape": ["agent_ckpt"],
 
 def _usage_problem(args) -> str | None:
     """What argparse cannot check: a low-level policy's reward variant, the
-    checkpoint flags each command reads, and the episode counts."""
+    checkpoint flags each command reads, the sweep's cells, and the episode
+    counts."""
     if (args.command == "train-low"
             and args.variant not in REWARD_VARIANTS[args.policy]):
         return (f"--variant {args.variant}: the {args.policy} policy takes "
@@ -454,6 +459,11 @@ def _usage_problem(args) -> str | None:
                 return (f"--agent {args.agent} "
                         f"{'does not read' if given else 'needs'} "
                         f"--{dest.replace('_', '-')}")
+    if args.command == "sweep":
+        known = [c["name"] for c in standard_sweep_cells()]
+        for name in args.cells.split(",") if args.cells else ():
+            if name not in known:
+                return f"--cells: {name!r} is not one of {','.join(known)}"
     episodes = getattr(args, "episodes", 1)
     if episodes < 1:
         return f"--episodes must be at least 1, not {episodes}"

@@ -98,6 +98,7 @@ class EvalReport:
         return data
 
     def save(self, path: str | Path):
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         Path(path).write_text(json.dumps(self.to_dict(), indent=2,
                                          sort_keys=True) + "\n")
 

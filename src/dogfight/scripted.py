@@ -107,6 +107,13 @@ def _flee_action(opponent: AircraftState, target: AircraftState) -> LowLevelActi
     return LowLevelAction(h=heading_delta_to_bin(delta), v=SPEED_BINS, c=0, r=0)
 
 
+# the ScriptConfig keys each scripted level's policy reads
+SCRIPT_KEYS = {"L1": (), "L2": ("l2_fire_prob",),
+               "L3": ("flee_probability", "flee_duration", "fire_ata_scale",
+                      "full_speed_distance", "min_speed_fraction",
+                      "close_distance")}
+
+
 @dataclass
 class ScriptedController:
     """Opponent controller with per-aircraft flee bookkeeping. `reset`

@@ -1,5 +1,6 @@
 """Command-line interface tests."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 import dogfight
 from dogfight.cli import main
-from dogfight.config import ScenarioConfig
+from dogfight.config import ScenarioConfig, ScriptConfig
 from dogfight.evaluation import EvalReport, import_trajectory
 from dogfight.nn import (
     PolicyNetwork,
@@ -21,6 +22,7 @@ from dogfight.nn import (
 )
 from dogfight.nn.params import load_checkpoint, save_arrays
 from dogfight.observations import critic_input_width
+from dogfight.simcore import SimConfig
 from dogfight.train import CommanderVariant, PPOConfig, SnapshotController
 
 
@@ -52,6 +54,36 @@ def save_commander(path, senses=2, variant=True):
         blob["variant"] = CommanderVariant(senses=senses).__dict__
     save_checkpoint(path, policy.store, blob)
     return path
+
+
+# the option-loop and commander scenario keys, at values their checks accept
+COMMANDER_KEYS = {"commander_senses": 3, "opponent_fight_prob": 0.1,
+                  "option_horizon": 3, "boundary_margin": 1,
+                  "favorable_distance": 1, "favorable_ata": 5,
+                  "escape_away_ata": 10}
+
+
+def expand(command, tmp_path, fight_ckpt, escape_ckpt, out):
+    """`command` with its checkpoint placeholders filled in (`{fight}`,
+    `{escape}`, and `{hierarchy}` for a commander's three checkpoint flags)
+    and its outputs under `out`; evaluate and sweep play one episode."""
+    paths = {"fight": str(fight_ckpt), "escape": str(escape_ckpt)}
+    args = []
+    for arg in command:
+        if arg == "{hierarchy}":
+            args += ["--commander-ckpt",
+                     str(save_commander(tmp_path / "cmd.ckpt")),
+                     "--fight-ckpt", paths["fight"],
+                     "--escape-ckpt", paths["escape"]]
+        else:
+            args.append(arg.format(**paths))
+    outputs = {"evaluate": ["--out", out / "report.json"],
+               "sweep": ["--out", out / "sweep"],
+               "export-traj": ["--out", out / "t.jsonl"],
+               "train-commander": ["--run-dir", out / "run"],
+               "train-low": ["--run-dir", out / "run"]}
+    return args + list(map(str, outputs[command[0]])) + ["--episodes", "1"] * (
+        command[0] in ("evaluate", "sweep"))
 
 
 def small_config(tmp_path, ppo=True, **scenario_kw):
@@ -121,6 +153,12 @@ class TestUsage:
         (["evaluate", "--agent", "hierarchy", "--commander-ckpt", "c",
           "--fight-ckpt", "f", "--escape-ckpt", "e", "--agent-ckpt", "a"],
          "--agent hierarchy does not read --agent-ckpt"),
+        (["sweep", "--commander-ckpt", "c", "--fight-ckpt", "f",
+          "--escape-ckpt", "e", "--out", "o", "--cells", "bogus"],
+         "--cells: 'bogus' is not one of 2v2,3v3,"),
+        (["sweep", "--commander-ckpt", "c", "--fight-ckpt", "f",
+          "--escape-ckpt", "e", "--out", "o", "--cells", "2v2,3V3"],
+         "--cells: '3V3' is not one of 2v2,3v3,"),
     ])
     def test_unread_input_is_usage_error(self, argv, words, tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -245,6 +283,13 @@ class TestEvaluate:
         assert code == 0
         report = EvalReport.load(out)
         assert report.episodes == 2
+
+    def test_report_into_a_missing_directory(self, tmp_path):
+        out = tmp_path / "nodir" / "report.json"
+        assert main(["evaluate", "--agent", "random", "--opponent",
+                     "scripted:L1", "--episodes", "1", "--set",
+                     "scenario.horizon=5", "--out", str(out)]) == 0
+        assert EvalReport.load(out).episodes == 1
 
     def test_snapshot_opponents(self, tmp_path, fight_ckpt):
         out = tmp_path / "report.json"
@@ -392,22 +437,7 @@ class TestConfigRejected:
     def test_unread_key_rejected(self, case, tmp_path, fight_ckpt, escape_ckpt,
                                  capsys):
         command, override = self.UNREAD[case]
-        paths = {"fight": str(fight_ckpt), "escape": str(escape_ckpt)}
-        args = []
-        for arg in command:
-            if arg == "{hierarchy}":
-                args += ["--commander-ckpt",
-                         str(save_commander(tmp_path / "cmd.ckpt")),
-                         "--fight-ckpt", paths["fight"],
-                         "--escape-ckpt", paths["escape"]]
-            else:
-                args.append(arg.format(**paths))
-        out = {"evaluate": [], "sweep": ["--out", str(tmp_path / "sweep")],
-               "export-traj": ["--out", str(tmp_path / "t.jsonl")],
-               "train-commander": ["--run-dir", str(tmp_path / "run")],
-               "train-low": ["--run-dir", str(tmp_path / "run")]}
-        args += out[command[0]] + ["--episodes", "1"] * (
-            command[0] in ("evaluate", "sweep"))
+        args = expand(command, tmp_path, fight_ckpt, escape_ckpt, tmp_path)
         base = args + ["--set", "scenario.horizon=3"]
         assert main(base) == 0  # the command runs without the key
         capsys.readouterr()
@@ -419,6 +449,180 @@ class TestConfigRejected:
         assert exc.value.code == 2 and f"does not read config '{named}'" in err
         if key == "scenario.seed":
             assert "--seed sets the seed" in err
+
+    # command shapes, each with its outputs written under one directory
+    SHAPES = {
+        "fight-L1": ["train-low", "--policy", "fight", "--level", "L1",
+                     "--steps", "4"],
+        "fight-L2": ["train-low", "--policy", "fight", "--level", "L2",
+                     "--steps", "4"],
+        "fight-L3": ["train-low", "--policy", "fight", "--level", "L3",
+                     "--steps", "4"],
+        "fight-L4": ["train-low", "--policy", "fight", "--level", "L4",
+                     "--steps", "4"],
+        "escape": ["train-low", "--policy", "escape", "--steps", "4",
+                   "--steps-phase2", "0"],
+        "standard": ["train-low", "--policy", "standard", "--steps", "4"],
+        "commander-no-assess": ["train-commander", "--fight-ckpt", "{fight}",
+                                "--escape-ckpt", "{escape}", "--steps", "4",
+                                "--no-assess"],
+        "evaluate-random-L1": ["evaluate", "--agent", "random", "--opponent",
+                               "scripted:L1"],
+        "evaluate-fight-L3": ["evaluate", "--agent", "fight", "--agent-ckpt",
+                              "{fight}", "--opponent", "scripted:L3"],
+        "evaluate-hierarchy-L1": ["evaluate", "--agent", "hierarchy",
+                                  "{hierarchy}", "--opponent", "scripted:L1"],
+        "export-traj-random-L2": ["export-traj", "--agent", "random",
+                                  "--opponent", "scripted:L2"],
+        "sweep-2v2": ["sweep", "{hierarchy}", "--cells", "2v2"],
+        "sweep-10v10": ["sweep", "{hierarchy}", "--cells", "10v10"],
+        "sweep-3v3-PF": ["sweep", "{hierarchy}", "--cells", "3v3-PF"],
+    }
+    # (shape, a config key the shape's run does not read, the name its
+    # rejection gives)
+    IGNORED = [
+        *[(shape, f"scenario.{key}={value}", f"scenario.{key}")
+          for shape in ("fight-L1", "escape", "standard",
+                        "evaluate-random-L1", "evaluate-fight-L3")
+          for key, value in COMMANDER_KEYS.items()],
+        ("evaluate-hierarchy-L1", "scenario.escape_away_ata=10",
+         "scenario.escape_away_ata"),
+        ("evaluate-hierarchy-L1", "scenario.opponent_fight_prob=0.1",
+         "scenario.opponent_fight_prob"),
+        ("sweep-2v2", "scenario.escape_away_ata=10", "scenario.escape_away_ata"),
+        ("commander-no-assess", "scenario.escape_away_ata=10",
+         "scenario.escape_away_ata"),
+        # a key every selected sweep cell sets
+        ("sweep-10v10", "scenario.horizon=5", "scenario.horizon"),
+        ("sweep-3v3-PF", "scenario.opponent_fight_prob=0.1",
+         "scenario.opponent_fight_prob"),
+        # script keys by opponent level: L1 and L4 read none, L2 only
+        # l2_fire_prob, L3 the others
+        ("fight-L1", "script.flee_probability=0.5", "script"),
+        ("fight-L1", "script.l2_fire_prob=0.9", "script"),
+        ("fight-L4", "script.flee_probability=0.5", "script"),
+        ("fight-L2", "script.flee_probability=0.5", "script.flee_probability"),
+        ("fight-L3", "script.l2_fire_prob=0.9", "script.l2_fire_prob"),
+        ("escape", "script.l2_fire_prob=0.9", "script.l2_fire_prob"),
+        ("standard", "script.l2_fire_prob=0.9", "script.l2_fire_prob"),
+        ("evaluate-random-L1", "script.l2_fire_prob=0.9", "script"),
+        ("export-traj-random-L2", "script.close_distance=2",
+         "script.close_distance"),
+        # an unknown ppo key, rejected before the run directory exists
+        ("fight-L1", "ppo.bogus=1", "ppo.bogus"),
+    ]
+
+    @pytest.mark.parametrize("shape, override, named", IGNORED,
+                             ids=[f"{shape}-{override.split('=')[0]}"
+                                  for shape, override, _ in IGNORED])
+    def test_ignored_key_rejected(self, shape, override, named, tmp_path,
+                                  fight_ckpt, escape_ckpt, capsys):
+        out = tmp_path / "out"
+        args = expand(self.SHAPES[shape], tmp_path, fight_ckpt, escape_ckpt,
+                      out)
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--set", override])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and f"does not read config '{named}'" in err
+        assert not out.exists()  # rejected before any output
+
+    # the scenario keys every run reads, and those every option loop reads
+    EPISODE = ["n_agents", "n_opponents", "map_size", "agent_cannon",
+               "agent_rockets", "opponent_cannon", "opponent_rockets",
+               "spawn_margin", "rounds_per_step"]
+    OPTION = ["option_horizon", "boundary_margin", "favorable_distance",
+              "favorable_ata"]
+    L3 = ["flee_probability", "flee_duration", "fire_ata_scale",
+          "full_speed_distance", "min_speed_fraction", "close_distance"]
+    SMALL = {"scenario.map_size": 12.0, "ppo.batch_size": 20,
+             "ppo.update_epochs": 1, "ppo.minibatches": 2}
+    # (command, its scenario and its ppo defaults, the scenario keys it
+    # reads, the script keys it reads, whether it reads ppo)
+    READ = {
+        "fight-L2-shfrac": (
+            ["train-low", "--policy", "fight", "--level", "L2", "--variant",
+             "shfrac", "--steps", "40"], ScenarioConfig(), PPOConfig(),
+            EPISODE + ["share_fraction"], ["l2_fire_prob"], True),
+        "escape-dist-speed": (
+            ["train-low", "--policy", "escape", "--variant", "dist_speed",
+             "--steps", "40", "--steps-phase2", "0"], ScenarioConfig(),
+            PPOConfig(), EPISODE + ["near_distance", "far_distance",
+                                    "slow_speed", "fast_speed"], L3, True),
+        "standard": (
+            ["train-low", "--policy", "standard", "--steps", "40",
+             "--set", "scenario.horizon=20"],
+            ScenarioConfig(n_agents=3, n_opponents=3, horizon=20),
+            PPOConfig(), EPISODE + ["horizon", "far_distance"], L3, True),
+        "commander": (
+            ["train-commander", "--fight-ckpt", "{fight}", "--escape-ckpt",
+             "{escape}", "--steps", "40", "--set", "scenario.horizon=20"],
+            ScenarioConfig.commander_training(horizon=20),
+            PPOConfig(batch_size=1000), EPISODE + ["horizon", *OPTION,
+             "opponent_fight_prob", "commander_senses", "escape_away_ata"],
+            [], True),
+        "evaluate-hierarchy-L2": (
+            ["evaluate", "--agent", "hierarchy", "{hierarchy}", "--opponent",
+             "scripted:L2", "--set", "scenario.horizon=20"],
+            ScenarioConfig(horizon=20), None, EPISODE + ["horizon", *OPTION],
+            ["l2_fire_prob"], False),
+        "export-traj-random-L3": (
+            ["export-traj", "--agent", "random", "--opponent", "scripted:L3",
+             "--set", "scenario.horizon=20"], ScenarioConfig(horizon=20),
+            None, EPISODE + ["horizon"], L3, False),
+        "sweep-2v2": (
+            ["sweep", "{hierarchy}", "--cells", "2v2", "--set",
+             "scenario.horizon=20"],
+            ScenarioConfig.commander_training(horizon=20), None,
+            EPISODE[2:] + ["horizon", *OPTION, "opponent_fight_prob"], [],
+            False),
+    }
+
+    @pytest.mark.parametrize("case", sorted(READ))
+    def test_reads_the_keys_of_its_table(self, case, tmp_path, fight_ckpt,
+                                         escape_ckpt, capsys):
+        # every key the command reads, set to the value it runs with, leaves
+        # its outputs byte-equal; any other scenario, script or ppo key is
+        # rejected before any output
+        command, scenario, ppo, scenario_keys, script_keys, trains = \
+            self.READ[case]
+        small = {k: v for k, v in self.SMALL.items()
+                 if trains or not k.startswith("ppo.")}
+        read = {
+            **{f"scenario.{k}": getattr(scenario, k) for k in scenario_keys},
+            **{f"script.{k}": getattr(ScriptConfig(), k) for k in script_keys},
+            **{f"sim.{f.name}": f.default
+               for f in dataclasses.fields(SimConfig)},
+            **{f"ppo.{k}": v for k, v in (ppo.__dict__ if trains else {}).items()},
+            **small}
+
+        def run(name, settings):
+            out = tmp_path / name
+            args = expand(command, tmp_path, fight_ckpt, escape_ckpt, out)
+            for key, value in settings.items():
+                args += ["--set", f"{key}={json.dumps(value)}"]
+            return out, main(args)
+
+        def outputs(name, settings):
+            out, code = run(name, settings)
+            assert code == 0
+            return {str(p.relative_to(out)): p.read_bytes()
+                    for p in sorted(out.rglob("*")) if p.is_file()}
+
+        unset = outputs("unset", small)
+        assert outputs("defaults", read) == unset
+        if trains:  # an update ran
+            assert b"policy_loss" in unset["run/metrics.jsonl"]
+        for section, cls in (("scenario", ScenarioConfig),
+                             ("script", ScriptConfig), ("ppo", PPOConfig)):
+            for field in dataclasses.fields(cls):
+                key = f"{section}.{field.name}"
+                if key in read:
+                    continue
+                with pytest.raises(SystemExit) as exc:
+                    run("rejected", {**small, key: field.default})
+                assert exc.value.code == 2, key
+                assert not (tmp_path / "rejected").exists()
+        capsys.readouterr()
 
     # (arguments, the reward-only scenario key set, whether the reward reads it)
     REWARD_KEYS = [
