@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -40,7 +41,7 @@ from .evaluation import (
     scenario_sweep,
     standard_sweep_cells,
 )
-from .nn.gradcheck import run_standard_suite
+from .nn.gradcheck import TOLERANCE, run_standard_suite
 from .nn.networks import PolicyNetwork, load_policy, policy_from_checkpoint
 from .nn.params import load_checkpoint
 from .rewards import REWARD_VARIANTS
@@ -75,6 +76,8 @@ _EPISODE_KEYS = {"n_agents", "n_opponents", "map_size", "agent_cannon",
                  "spawn_margin", "rounds_per_step"}
 _OPTION_KEYS = {"option_horizon", "boundary_margin", "favorable_distance",
                 "favorable_ata"}
+# an `--opponent`: a scripted level, or fight[, escape[, p]] snapshots
+_OPPONENT = re.compile(r"scripted:L[123]|snapshot:[^:]+(?::[^:]*(?::(?P<p>.*))?)?")
 
 
 class UsageError(ValueError):
@@ -170,7 +173,7 @@ def cmd_gradcheck(args) -> int:
         status = "PASS" if report.passed else "FAIL"
         print(f"[{status}] {report.name}: max relative error "
               f"{report.max_rel_error:.3e} over {report.checks} coordinates "
-              f"(tolerance {report.tolerance:.0e})")
+              f"(tolerance {TOLERANCE:.0e})")
         ok = ok and report.passed
     return 0 if ok else 1
 
@@ -178,19 +181,20 @@ def cmd_gradcheck(args) -> int:
 def cmd_train_low(args) -> int:
     cfg = _load_config(args, _standard_scenario if args.policy == "standard"
                        else ScenarioConfig)
+    ppo = _ppo(cfg)  # a refused value exits before any directory is made
     run = RunDir(args.run_dir)
     scenario, script, sim, seed = (cfg["scenario"], cfg["script"], cfg["sim"],
                                    args.seed)
 
     if args.policy == "standard":
-        train_standard_baseline(scenario, _ppo(cfg), run, seed, args.steps,
+        train_standard_baseline(scenario, ppo, run, seed, args.steps,
                                 script=script, sim_cfg=sim)
         return 0
 
     archive = LeagueArchive(args.league_dir or (Path(args.run_dir) / "league"))
     if args.policy == "escape":
         phase2 = args.steps_phase2 if args.steps_phase2 is not None else args.steps // 2
-        train_escape(scenario, _ppo(cfg), run, archive, seed,
+        train_escape(scenario, ppo, run, archive, seed,
                      steps_phase1=args.steps - phase2, steps_phase2=phase2,
                      variant=args.variant, script=script, sim_cfg=sim)
         return 0
@@ -199,15 +203,14 @@ def cmd_train_low(args) -> int:
                      reward_variant=args.variant,
                      fc_baseline=args.fc_baseline)
     if args.level == "curriculum":
-        run_curriculum(scenario, _ppo(cfg), mode, run, archive, seed,
+        run_curriculum(scenario, ppo, mode, run, archive, seed,
                        steps_per_level=args.steps, script=script, sim_cfg=sim)
         return 0
 
     check_levels(mode, [args.level])
-    trainer = LowLevelTrainer(scenario, _ppo(cfg), mode, run, seed, script, sim)
+    trainer = LowLevelTrainer(scenario, ppo, mode, run, seed, script, sim)
     trainer.write_config(mode=mode.__dict__, level=args.level, steps=args.steps)
-    controller = controller_for_level(args.level, trainer, archive, scenario,
-                                       script)
+    controller = controller_for_level(args.level, trainer, archive)
     trainer.train_level(args.level, controller, args.steps,
                         horizon=curriculum_horizon(args.level))
     archive.save("fight", args.level, trainer.policy)
@@ -216,6 +219,7 @@ def cmd_train_low(args) -> int:
 
 def cmd_train_commander(args) -> int:
     cfg = _load_config(args, ScenarioConfig.commander_training)
+    ppo = _ppo(cfg, batch_size=1000)  # before any directory is made
     run = RunDir(args.run_dir)
     scenario = cfg["scenario"]
     if args.league_dir is None:
@@ -228,26 +232,38 @@ def cmd_train_commander(args) -> int:
     variant = CommanderVariant(senses=scenario.commander_senses,
                                opt=not args.no_opt, assess=not args.no_assess,
                                shared=not args.glob, arch=args.arch)
-    train_commander(scenario, _ppo(cfg, batch_size=1000), variant,
-                    fight, escape, run, args.seed, args.steps, cfg["sim"])
+    train_commander(scenario, ppo, variant, fight, escape, run, args.seed,
+                    args.steps, cfg["sim"])
     return 0
 
 
 def _make_opponents(spec: str, scenario: ScenarioConfig, script: ScriptConfig,
                     seed: int):
-    """Opponent spec: scripted:L3, snapshot:<fight.ckpt>, or
-    snapshot:<fight.ckpt>:<escape.ckpt>:<p_fight>."""
+    """Opponent spec (see `_opponent`): scripted:L3, snapshot:<fight.ckpt>,
+    or snapshot:<fight.ckpt>:<escape.ckpt>:<p_fight>."""
     rng = np.random.default_rng(seed)
     if spec.startswith("scripted:"):
         return ScriptedController(spec.split(":", 1)[1], rng, script)
-    if spec.startswith("snapshot:"):
-        parts = spec.split(":")[1:]
-        fight = load_policy(parts[0])
-        escape = load_policy(parts[1]) if len(parts) > 1 and parts[1] else None
-        p_fight = float(parts[2]) if len(parts) > 2 else 1.0
-        return SnapshotController(fight=fight, escape=escape, rng=rng,
-                                  fight_prob=p_fight, scenario=scenario)
-    raise ValueError(f"unknown opponent spec {spec!r}")
+    parts = spec.split(":")[1:]
+    fight = load_policy(parts[0])
+    escape = load_policy(parts[1]) if len(parts) > 1 and parts[1] else None
+    p_fight = float(parts[2]) if len(parts) > 2 else 1.0
+    return SnapshotController(fight=fight, escape=escape, rng=rng,
+                              fight_prob=p_fight, scenario=scenario)
+
+
+def _opponent(spec: str) -> str:
+    """An `--opponent`: scripted:L1|L2|L3, or snapshot:<fight>[:<escape>[:p]]
+    with p a number in [0, 1]."""
+    match = _OPPONENT.fullmatch(spec)
+    try:
+        if match and (match["p"] is None or 0.0 <= float(match["p"]) <= 1.0):
+            return spec
+    except ValueError:  # p is no number
+        pass
+    raise argparse.ArgumentTypeError(
+        f"{spec!r} is not scripted:L1|L2|L3 or "
+        f"snapshot:<fight>[:<escape>[:p]] with p a number in [0, 1]")
 
 
 def _make_actor(args, seed: int):
@@ -398,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--commander-ckpt")
         p.add_argument("--fight-ckpt")
         p.add_argument("--escape-ckpt")
-        p.add_argument("--opponent", default="scripted:L3",
+        p.add_argument("--opponent", default="scripted:L3", type=_opponent,
                        help="scripted:<level> or snapshot:<fight>[:<escape>[:p]]")
         p.add_argument("--stochastic", action="store_true",
                        help="sample instead of argmax at evaluation")

@@ -69,9 +69,6 @@ class LowLevelAction:
         return cls(h=int(samples[0]) - 6, v=int(samples[1]),
                    c=int(samples[2]), r=int(samples[3]))
 
-    def to_heads(self) -> tuple[int, int, int, int]:
-        return (self.h + 6, self.v, self.c, self.r)
-
 
 @dataclass
 class StepResult:
@@ -151,7 +148,7 @@ def _sample_team_types(rng: np.random.Generator, size: int) -> list[str]:
 
 
 def generate_world(scenario: ScenarioConfig, rng: np.random.Generator,
-                   sim_cfg: SimConfig | None = None,
+                   sim_cfg: SimConfig,
                    agent_types: list[str] | None = None) -> World:
     """Spawn both teams in randomly-chosen opposite halves of the map with
     random positions, headings, and speeds.
@@ -188,7 +185,7 @@ def generate_world(scenario: ScenarioConfig, rng: np.random.Generator,
                       scenario.opponent_cannon, scenario.opponent_rockets,
                       scenario.n_agents)
     return World(aircraft=aircraft, map_size=scenario.map_size, rng=rng,
-                 cfg=sim_cfg or SimConfig())
+                 cfg=sim_cfg)
 
 
 def classify_outcome(world: World, step_count: int, horizon: int) -> str:
@@ -253,8 +250,7 @@ class CombatEnv:
         self.attack_targets[agent_id] = target_id
 
     def step(self, actions: dict[int, LowLevelAction],
-             opponent_actions: dict[int, LowLevelAction] | None = None
-             ) -> StepResult:
+             opponent_actions: dict[int, LowLevelAction]) -> StepResult:
         """Apply one decision per living aircraft, agents' `actions` then
         `opponent_actions`, run the round loop, and classify the outcome.
         An opponent without an action holds its setpoints."""
@@ -263,7 +259,6 @@ class CombatEnv:
         if self.outcome != OUTCOME_ONGOING:
             raise RuntimeError("episode already terminal")
         world = self.world
-        opponent_actions = opponent_actions or {}
         events: list[SimEvent] = []
 
         for aid in sorted(actions):

@@ -24,17 +24,20 @@ from .networks import (
     fight_config,
 )
 
+COORDS_PER_DRAW = 8  # parameter coordinates perturbed per draw
+H = 1e-4  # central-difference step
+TOLERANCE = 1e-4  # largest relative error that passes
+
 
 @dataclass
 class GradCheckReport:
     name: str
     checks: int
     max_rel_error: float
-    tolerance: float
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_error < self.tolerance
+        return self.max_rel_error < TOLERANCE
 
 
 def _probe_loss(net: PolicyNetwork, instance: str, obs: np.ndarray,
@@ -61,16 +64,14 @@ def _probe_loss(net: PolicyNetwork, instance: str, obs: np.ndarray,
 
 def _relative_error(analytic: float, numeric: float) -> float:
     # Central differences on a loss of magnitude ~10 carry ~1e-11 absolute
-    # noise at h=1e-4/float64, so gradients below ~1e-6 cannot be resolved
+    # noise at H=1e-4/float64, so gradients below ~1e-6 cannot be resolved
     # to 1e-4 relative; the denominator floor compares those absolutely.
     scale = max(abs(analytic), abs(numeric), 1e-6)
     return abs(analytic - numeric) / scale
 
 
 def check_network(config: NetworkConfig, instance: str, *, draws: int = 100,
-                  coords_per_draw: int = 8, h: float = 1e-4,
-                  tolerance: float = 1e-4, seq_len: int = 1,
-                  seed: int = 0) -> GradCheckReport:
+                  seq_len: int = 1, seed: int = 0) -> GradCheckReport:
     """Compare analytic and central-difference gradients on random draws.
 
     Every draw re-randomizes parameters and inputs; per draw a set of
@@ -98,23 +99,23 @@ def check_network(config: NetworkConfig, instance: str, *, draws: int = 100,
         names = sorted(store.params)
         picks = [names[draw % len(names)]]  # cycle to cover every array
         picks += [names[int(rng.integers(len(names)))]
-                  for _ in range(coords_per_draw - 1)]
+                  for _ in range(COORDS_PER_DRAW - 1)]
         for name in picks:
             tensor = store.params[name]
             flat_idx = int(rng.integers(tensor.data.size))
             idx = np.unravel_index(flat_idx, tensor.data.shape)
             analytic = float(tensor.grad[idx]) if tensor.grad is not None else 0.0
             original = tensor.data[idx]
-            tensor.data[idx] = original + h
+            tensor.data[idx] = original + H
             up = _probe_loss(*probe).item()
-            tensor.data[idx] = original - h
+            tensor.data[idx] = original - H
             down = _probe_loss(*probe).item()
             tensor.data[idx] = original
-            numeric = (up - down) / (2.0 * h)
+            numeric = (up - down) / (2.0 * H)
             max_err = max(max_err, _relative_error(analytic, numeric))
             checks += 1
     return GradCheckReport(name=f"{config.kind}/{instance}", checks=checks,
-                           max_rel_error=max_err, tolerance=tolerance)
+                           max_rel_error=max_err)
 
 
 def run_standard_suite(draws: int = 100, seed: int = 0) -> list[GradCheckReport]:

@@ -340,18 +340,16 @@ def policy_from_checkpoint(arrays: dict, config: dict,
     return policy
 
 
-def sample_action(logits_per_head: list[np.ndarray], rng, greedy=False
-                  ) -> tuple[np.ndarray, np.ndarray]:
+def sample_action(logits_per_head: list[np.ndarray], u: np.ndarray,
+                  greedy=False) -> tuple[np.ndarray, np.ndarray]:
     """Sample one categorical action per row and head from raw logits.
 
     `logits_per_head` holds one [B, arity] array per head. Sampling inverts
-    each row's CDF at uniform draws `u` [B, heads]: the arithmetic of
-    `Generator.choice(arity, p=probs)`, so the draws and the generator state
-    equal those of per-head `choice` calls made row by row. `rng` is a
-    Generator, which draws `u = rng.random((B, heads))`, or `u` itself (a
-    batched decision draws each owner's rows from the owner's generator).
+    each row's CDF at the uniform draws `u` [B, heads]: the arithmetic of
+    `Generator.choice(arity, p=probs)`, so draws made as `rng.random((B,
+    heads))` sample what per-head `choice` calls made row by row would.
     `greedy`, one flag or one per row, takes the argmax; when every row is
-    greedy nothing is drawn.
+    greedy `u` is not read.
 
     Returns the samples [B, heads] and the summed log-probabilities [B] of
     the samples.
@@ -376,8 +374,6 @@ def sample_action(logits_per_head: list[np.ndarray], rng, greedy=False
     if np.all(greedy):
         samples = probs.argmax(axis=2)
     else:
-        u = (rng.random((rows, len(heads)))
-             if isinstance(rng, np.random.Generator) else rng)
         cdf = probs.cumsum(axis=2)
         cdf /= cdf[:, :, -1:]
         samples = (cdf <= u[:, :, None]).sum(axis=2)  # searchsorted "right"

@@ -51,9 +51,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.params
-
     def zero_grad(self):
         for t in self.params.values():
             t.grad = None
@@ -101,40 +98,37 @@ class ParamStore:
         return digest.hexdigest()
 
 
-def adam_step(store: ParamStore, lr: float,
-              beta1: float = ADAM_BETA1, beta2: float = ADAM_BETA2,
-              eps: float = ADAM_EPS):
+def adam_step(store: ParamStore, lr: float):
     """One Adam update over every parameter whose gradient is populated.
 
     Parameters with no gradient this step keep their moments untouched.
     """
     store.step_count += 1
     t = store.step_count
-    bias1 = 1.0 - beta1 ** t
-    bias2 = 1.0 - beta2 ** t
+    bias1 = 1.0 - ADAM_BETA1 ** t
+    bias2 = 1.0 - ADAM_BETA2 ** t
     for name, tensor in store.params.items():
         grad = tensor.grad
         if grad is None:
             continue
         m = store.moment1[name]
         v = store.moment2[name]
-        m *= beta1
-        m += (1.0 - beta1) * grad
-        v *= beta2
-        v += (1.0 - beta2) * grad * grad
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad * grad
         m_hat = m / bias1
         v_hat = v / bias2
-        tensor.data = tensor.data - (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(
+        tensor.data = tensor.data - (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(
             tensor.data.dtype)
 
 
-def orthogonal_init(rng: np.random.Generator, shape: tuple[int, ...],
-                    gain: float = 1.0) -> np.ndarray:
+def orthogonal_init(rng: np.random.Generator, shape: tuple[int, ...]
+                    ) -> np.ndarray:
     """Orthogonal weight matrix (rows or columns orthonormal)."""
     a = rng.standard_normal(shape)
     u, _, vt = np.linalg.svd(a, full_matrices=False)
-    q = u if u.shape == shape else vt
-    return gain * q
+    return u if u.shape == shape else vt
 
 
 def save_checkpoint(path: str | Path, store: ParamStore, config: dict):

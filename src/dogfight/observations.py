@@ -188,22 +188,18 @@ def build_obs_escape(world: World, agent_id: int) -> np.ndarray:
     return np.asarray(vec, dtype=np.float64)
 
 
-def build_obs_commander(world: World, agent_id: int,
-                        scenario: ScenarioConfig | None = None,
-                        senses: int | None = None) -> np.ndarray:
+def build_obs_commander(world: World, agent_id: int, senses: int) -> np.ndarray:
     """Commander observation for one calling agent: compact own block, the
-    sensed opponents (two, or three in the wide-sensing variant), and two
-    closest friendlies."""
+    `senses` sensed opponents (two, or three in the wide-sensing variant),
+    and two closest friendlies."""
     agent = world.get(agent_id)
     _require_alive(agent)
-    n_opp = senses if senses is not None else (
-        scenario.commander_senses if scenario is not None else 2)
     map_size = world.map_size
     diag = map_size * math.sqrt(2.0)
 
     vec = _own_base(agent, map_size)
-    opponents = closest_opponents(world, agent, n_opp)
-    for slot in range(n_opp):
+    opponents = closest_opponents(world, agent, senses)
+    for slot in range(senses):
         if slot < len(opponents):
             opp = opponents[slot]
             rel = _pair(agent, opp, diag)
@@ -219,7 +215,7 @@ def build_obs_commander(world: World, agent_id: int,
         friend = friends[slot] if slot < len(friends) else None
         vec += _friend_block(agent, friend, map_size, diag, with_speed=False)
 
-    expected = OBS_LAYOUTS[obs_layout("commander", agent.spec.type_id, n_opp)]
+    expected = OBS_LAYOUTS[obs_layout("commander", agent.spec.type_id, senses)]
     assert len(vec) == expected, f"commander obs length {len(vec)} != {expected}"
     return np.asarray(vec, dtype=np.float64)
 
@@ -232,7 +228,7 @@ def build_obs(kind: str, world: World, agent_id: int,
     if kind == "escape":
         return build_obs_escape(world, agent_id)
     if kind == "commander":
-        return build_obs_commander(world, agent_id, scenario)
+        return build_obs_commander(world, agent_id, scenario.commander_senses)
     raise ValueError(f"unknown observation kind {kind!r}")
 
 
@@ -256,7 +252,7 @@ COMMANDER_ACTION_WIDTH = 1
 def critic_slot_width(kind: str, senses: int = 2) -> int:
     if kind == "commander":
         return OBS_LAYOUTS[f"commander-n{senses}"] + COMMANDER_ACTION_WIDTH
-    key = "fight-AC1" if kind in ("fight", "standard") else "escape-AC1"
+    key = "fight-AC1" if kind == "fight" else "escape-AC1"
     return OBS_LAYOUTS[key] + LOW_ACTION_WIDTH
 
 
@@ -271,16 +267,13 @@ def encode_low_action(action) -> list[float]:
 
 def build_critic_input(kind: str, world: World, scenario: ScenarioConfig,
                        prev_actions: dict[int, list[float]],
-                       observations: dict[int, np.ndarray] | None = None
-                       ) -> np.ndarray:
+                       observations: dict[int, np.ndarray]) -> np.ndarray:
     """Global critic input: per-aircraft observation plus the previous
     decision's action encoding, agents first then opponents, both ordered by
     id and zero-padded to the scenario's team sizes. `observations` holds
     observations the caller has already built, by aircraft id, each equal to
     this slot kind's `build_obs` without a target; the others are built."""
-    observations = observations or {}
     slot_w = critic_slot_width(kind, scenario.commander_senses)
-    slot_kind = "fight" if kind == "standard" else kind
     slots = []
     for team, count in ((TEAM_AGENT, scenario.n_agents),
                         (TEAM_OPPONENT, scenario.n_opponents)):
@@ -291,7 +284,7 @@ def build_critic_input(kind: str, world: World, scenario: ScenarioConfig,
                 a = members[i]
                 obs = observations.get(a.id)
                 if obs is None:
-                    obs = build_obs(slot_kind, world, a.id, scenario)
+                    obs = build_obs(kind, world, a.id, scenario)
                 block[: len(obs)] = obs
                 act = prev_actions.get(a.id)
                 if act is not None:

@@ -70,7 +70,7 @@ def _team(world: World, aircraft_id: int) -> str:
 
 
 def fight_base_reward(world: World, events: list[SimEvent], agent_id: int,
-                      fripun: bool = False) -> float:
+                      fripun: bool) -> float:
     """Per-step fight reward for one agent from this step's events."""
     team = _team(world, agent_id)
     total = 0.0
@@ -94,7 +94,7 @@ def fight_base_reward(world: World, events: list[SimEvent], agent_id: int,
 
 
 def reward_fight(world: World, events: list[SimEvent], agent_id: int,
-                 variant: str = "base", rho: float = 0.5) -> float:
+                 variant: str, rho: float) -> float:
     """Fight reward under the base, friendly-punishment, or shared-fraction
     scheme. Shared fraction adds ``rho`` times the teammates' base rewards."""
     if variant in ("base", "fripun"):
@@ -102,9 +102,9 @@ def reward_fight(world: World, events: list[SimEvent], agent_id: int,
                                  fripun=variant == "fripun")
     if variant == "shfrac":
         team = _team(world, agent_id)
-        own = fight_base_reward(world, events, agent_id)
+        own = fight_base_reward(world, events, agent_id, False)
         others = sum(
-            fight_base_reward(world, events, a.id)
+            fight_base_reward(world, events, a.id, False)
             for a in world.aircraft
             if a.team == team and a.id != agent_id
         )
@@ -130,11 +130,9 @@ def escape_base_reward(world: World, events: list[SimEvent], agent_id: int) -> f
 
 
 def reward_escape(world: World, events: list[SimEvent], agent_id: int,
-                  variant: str = "base",
-                  scenario: ScenarioConfig | None = None) -> float:
+                  variant: str, scenario: ScenarioConfig) -> float:
     """Escape reward: base penalties, optionally plus per-step distance (or
     distance-and-speed) shaping evaluated on the post-step world."""
-    cfg = scenario or ScenarioConfig()
     total = escape_base_reward(world, events, agent_id)
     if variant == "base":
         return total
@@ -145,65 +143,64 @@ def reward_escape(world: World, events: list[SimEvent], agent_id: int,
         return total
     d = min((distance(agent, o) for o in closest_opponents(world, agent, 1)),
             default=math.inf)
-    any_speed = variant == "dist"
-    if d < cfg.near_distance and (any_speed or agent.speed < cfg.slow_speed):
+    slow = variant == "dist" or agent.speed < scenario.slow_speed
+    fast = variant == "dist" or agent.speed > scenario.fast_speed
+    if d < scenario.near_distance and slow:
         total -= PROXIMITY_STEP
-    elif d > cfg.far_distance and (any_speed or agent.speed > cfg.fast_speed):
+    elif d > scenario.far_distance and fast:
         total += PROXIMITY_STEP
     return total
 
 
 def reward_standard(world: World, events: list[SimEvent], agent_id: int,
-                    scenario: ScenarioConfig | None = None) -> float:
+                    scenario: ScenarioConfig) -> float:
     """Single-policy baseline reward: fight terms plus the distance bonus
     only (no proximity penalty)."""
-    cfg = scenario or ScenarioConfig()
-    total = fight_base_reward(world, events, agent_id)
+    total = fight_base_reward(world, events, agent_id, False)
     agent = world.get(agent_id)
     # an agent with no opponent left counts as far from them
-    if agent.alive and all(distance(agent, o) > cfg.far_distance
+    if agent.alive and all(distance(agent, o) > scenario.far_distance
                            for o in closest_opponents(world, agent, 1)):
         total += PROXIMITY_STEP
     return total
 
 
 def favorable_situation(world: World, a_id: int, b_id: int,
-                        scenario: ScenarioConfig | None = None) -> bool:
+                        scenario: ScenarioConfig) -> bool:
     """True when `a` is close enough to `b` and roughly pointing at it: the
     attack-opportunity predicate."""
-    cfg = scenario or ScenarioConfig()
     a = world.get(a_id)
     b = world.get(b_id)
     if not (a.alive and b.alive):
         return False
-    if distance(a, b) >= cfg.favorable_distance:
+    if distance(a, b) >= scenario.favorable_distance:
         return False
-    return ata(a, a.heading, b) < cfg.favorable_ata
+    return ata(a, a.heading, b) < scenario.favorable_ata
 
 
 def assess_commander_action(world: World, agent_id: int, a_c: int,
                             sensed_opponents: list[int],
-                            scenario: ScenarioConfig | None = None) -> float:
+                            scenario: ScenarioConfig) -> float:
     """Action-assessment reward for one commander decision, evaluated at
     decision time against the agent's sensed opponent list (nearest first).
 
     a_c = 0 selects escape; a_c = i selects attack on sensed opponent i.
     """
-    cfg = scenario or ScenarioConfig()
     agent = world.get(agent_id)
     if a_c > 0:
         idx = a_c - 1
         if idx >= len(sensed_opponents) or not world.get(sensed_opponents[idx]).alive:
             return -ASSESS_BONUS  # selected an inactive opponent index
-        if favorable_situation(world, agent_id, sensed_opponents[idx], cfg):
+        if favorable_situation(world, agent_id, sensed_opponents[idx],
+                               scenario):
             return ASSESS_BONUS
         return 0.0
     # escape chosen: justified when some nearby opponent points at the agent
     # while the agent already points away
     for opp_id in sensed_opponents:
-        if (favorable_situation(world, opp_id, agent_id, cfg)
+        if (favorable_situation(world, opp_id, agent_id, scenario)
                 and ata(agent, agent.heading, world.get(opp_id))
-                > cfg.escape_away_ata):
+                > scenario.escape_away_ata):
             return ASSESS_BONUS
     return 0.0
 
@@ -231,24 +228,23 @@ def _near_boundary(a, map_size: float, margin: float) -> bool:
 
 def option_terminated(world: World, steps_in_option: int,
                       step_events: list[SimEvent],
-                      scenario: ScenarioConfig | None = None) -> bool:
+                      scenario: ScenarioConfig) -> bool:
     """Commander re-invocation test for the whole team: the option horizon
     elapsed, any aircraft was destroyed this step, any living agent nears
     the map boundary, or any agent/opponent pair reached a favorable
     situation."""
-    cfg = scenario or ScenarioConfig()
-    if steps_in_option >= cfg.option_horizon:
+    if steps_in_option >= scenario.option_horizon:
         return True
     if any(isinstance(event, LOSS_EVENTS) for event in step_events):
         return True
     agents = world.alive(TEAM_AGENT)
-    if any(_near_boundary(a, world.map_size, cfg.boundary_margin)
+    if any(_near_boundary(a, world.map_size, scenario.boundary_margin)
            for a in agents):
         return True
     opponents = world.alive(TEAM_OPPONENT)
     for a in agents:
         for o in opponents:
-            if (favorable_situation(world, a.id, o.id, cfg)
-                    or favorable_situation(world, o.id, a.id, cfg)):
+            if (favorable_situation(world, a.id, o.id, scenario)
+                    or favorable_situation(world, o.id, a.id, scenario)):
                 return True
     return False

@@ -35,16 +35,15 @@ def l1_policy(world: World, opp_id: int) -> LowLevelAction:
 
 
 def l2_policy(world: World, opp_id: int, rng: np.random.Generator,
-              script: ScriptConfig | None = None) -> LowLevelAction:
+              script: ScriptConfig) -> LowLevelAction:
     """Random maneuvers and firing."""
     if not world.get(opp_id).alive:
         raise ValueError(f"aircraft {opp_id} is destroyed")
-    cfg = script or ScriptConfig()
     return LowLevelAction(
         h=int(rng.integers(-6, 7)),
         v=int(rng.integers(0, SPEED_BINS + 1)),
-        c=int(rng.random() < cfg.l2_fire_prob),
-        r=int(rng.random() < cfg.l2_fire_prob),
+        c=int(rng.random() < script.l2_fire_prob),
+        r=int(rng.random() < script.l2_fire_prob),
     )
 
 
@@ -58,41 +57,34 @@ def _pursuit_speed_bin(aircraft: AircraftState, target_distance: float,
 
 
 def l3_policy(world: World, opp_id: int, rng: np.random.Generator,
-              script: ScriptConfig | None = None,
-              flee_state: dict[int, int] | None = None,
-              r_override: float | None = None) -> tuple[LowLevelAction, int | None]:
+              script: ScriptConfig, flee_state: dict[int, int]
+              ) -> tuple[LowLevelAction, int | None]:
     """Pursuit controller: returns the action and the pursued target id.
-
-    `flee_state` maps opponent id -> remaining flee decisions and is mutated
-    here; `r_override` pins the turn-fraction randomness (used by tests).
-    """
+    `flee_state`, opponent id -> remaining flee decisions, is mutated here."""
     opponent = world.get(opp_id)
     if not opponent.alive:
         raise ValueError(f"aircraft {opp_id} is destroyed")
-    cfg = script or ScriptConfig()
     targets = closest_opponents(world, opponent, 1)
     if not targets:
         return LowLevelAction(h=0, v=0, c=0, r=0), None
     target = targets[0]
 
-    if flee_state is not None:
-        if flee_state.get(opp_id, 0) > 0:
-            flee_state[opp_id] -= 1
-            return _flee_action(opponent, target), target.id
-        if cfg.flee_probability > 0 and rng.random() < cfg.flee_probability:
-            flee_state[opp_id] = cfg.flee_duration - 1
-            return _flee_action(opponent, target), target.id
+    if flee_state.get(opp_id, 0) > 0:
+        flee_state[opp_id] -= 1
+        return _flee_action(opponent, target), target.id
+    if script.flee_probability > 0 and rng.random() < script.flee_probability:
+        flee_state[opp_id] = script.flee_duration - 1
+        return _flee_action(opponent, target), target.id
 
     train_angle = ata(opponent, opponent.heading, target)
     sign = clockwise_sign_to(opponent, opponent.heading, target)
-    r = rng.random() if r_override is None else r_override
-    h = heading_delta_to_bin(sign * r * train_angle)
+    h = heading_delta_to_bin(sign * rng.random() * train_angle)
 
     gap = distance(opponent, target)
-    v = _pursuit_speed_bin(opponent, gap, cfg)
+    v = _pursuit_speed_bin(opponent, gap, script)
 
-    if cfg.fire_ata_scale > 0:
-        fire_prob = max(0.0, 1.0 - train_angle / cfg.fire_ata_scale)
+    if script.fire_ata_scale > 0:
+        fire_prob = max(0.0, 1.0 - train_angle / script.fire_ata_scale)
     else:
         fire_prob = 0.0
     c = int(fire_prob > 0 and rng.random() < fire_prob)
@@ -118,16 +110,13 @@ SCRIPT_KEYS = {"L1": (), "L2": ("l2_fire_prob",),
 class ScriptedController:
     """Opponent controller with per-aircraft flee bookkeeping. `reset`
     starts an episode: no one flees, and a new episode stream spawned from
-    `rng` makes the episode's draws (until the first reset, `rng` does)."""
+    `rng` makes the episode's draws. Only `reset` sets the stream."""
 
     level: str
     rng: np.random.Generator
-    script: ScriptConfig = field(default_factory=ScriptConfig)
+    script: ScriptConfig
     flee_state: dict[int, int] = field(default_factory=dict, init=False)
     stream: np.random.Generator = field(init=False)
-
-    def __post_init__(self):
-        self.stream = self.rng
 
     def __call__(self, world: World, opponent_ids: list[int]
                  ) -> dict[int, LowLevelAction]:

@@ -154,8 +154,7 @@ class HierarchyEvalActor(EpisodeActor):
             slot, world, scenario = self.slots[env], env.world, env.scenario
 
             def observe(aid):
-                return build_obs_commander(world, aid, scenario,
-                                           senses=self.senses)
+                return build_obs_commander(world, aid, self.senses)
 
             rng = None if self.greedy else slot.rng
             if self.instance == "cmd":

@@ -247,19 +247,16 @@ class SnapshotController:
     (`HierarchyEvalActor`) rerolls the env's snapshot controller at each
     option boundary; elsewhere opponents keep the default, fight. `reset`
     starts an episode: no assignments, and a new episode stream from `rng`
-    for the rerolls and samples."""
+    for the rerolls and samples. Only `reset` sets the stream."""
 
     fight: PolicyNetwork | None
+    rng: np.random.Generator
     escape: PolicyNetwork | None = None
-    rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
     fight_prob: float = 1.0
     greedy: bool = False
     scenario: ScenarioConfig | None = None
     assignments: dict[int, str] = field(default_factory=dict, init=False)
-    stream: np.random.Generator = field(init=False)  # `rng` until a reset
-
-    def __post_init__(self):
-        self.stream = self.rng
+    stream: np.random.Generator = field(init=False)
 
     def reset(self, world: World):
         self.assignments = {}

@@ -385,7 +385,6 @@ def run_curriculum(scenario: ScenarioConfig, ppo: PPOConfig, mode: TrainMode,
     if mode.kind != "fight":
         raise ValueError("the curriculum trains the fight policy")
     check_levels(mode, levels)
-    script = script or ScriptConfig()
     trainer = LowLevelTrainer(scenario, ppo, mode, run_dir, seed, script, sim_cfg)
     trainer.write_config(mode=mode.__dict__, levels=list(levels),
                          steps_per_level=steps_per_level)
@@ -406,8 +405,7 @@ def run_curriculum(scenario: ScenarioConfig, ppo: PPOConfig, mode: TrainMode,
             resumed_from = None
         steps = (steps_per_level if isinstance(steps_per_level, int)
                  else steps_per_level[level])
-        controller = controller_for_level(level, trainer, archive, scenario,
-                                           script)
+        controller = controller_for_level(level, trainer, archive)
         trainer.train_level(level, controller, steps,
                             horizon=curriculum_horizon(level))
         archive.save("fight", level, trainer.policy)
@@ -426,18 +424,19 @@ def check_levels(mode: TrainMode, levels) -> None:
 
 
 def controller_for_level(level: str, trainer: LowLevelTrainer,
-                          archive: LeagueArchive, scenario: ScenarioConfig,
-                          script: ScriptConfig):
+                          archive: LeagueArchive):
+    """A level's opponents, on the trainer's stream, scenario and script."""
     if level in ("L1", "L2", "L3"):
-        return ScriptedController(level, trainer.opponent_rng, script)
+        return ScriptedController(level, trainer.opponent_rng, trainer.script)
     if level == "L4":
         if not archive.has("fight", "L3"):
             raise FileNotFoundError("L4 training requires the archived L3 snapshot")
         return SnapshotController(fight=archive.load("fight", "L3"),
-                                  rng=trainer.opponent_rng, scenario=scenario)
+                                  rng=trainer.opponent_rng,
+                                  scenario=trainer.scenario)
     if level == "L5":
         return LeagueOpponentController(archive, "L5", trainer.opponent_rng,
-                                        scenario)
+                                        trainer.scenario)
     raise ValueError(f"unknown curriculum level {level!r}")
 
 

@@ -44,6 +44,14 @@ def make_aircraft(aid, type_id="AC1", team=TEAM_AGENT, pos=(15.0, 15.0),
     )
 
 
+class FullTurn:
+    """A generator stub whose every uniform draw is 1.0: L3 turns by its
+    whole antenna train angle toward the target."""
+
+    def random(self):
+        return 1.0
+
+
 def make_world(aircraft, map_size=30.0, seed=0, cfg=None):
     return World(aircraft=aircraft, map_size=map_size,
                  rng=np.random.default_rng(seed),

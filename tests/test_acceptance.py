@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from helpers import XY, make_aircraft, make_world
+from helpers import XY, FullTurn, make_aircraft, make_world
 
 from dogfight.config import ScenarioConfig, ScriptConfig
 from dogfight.env import CombatEnv, LowLevelAction, apply_action
@@ -139,59 +139,59 @@ def test_criterion_3_reward_unit_suite():
     assert reward_kill_term(0.0, 205, 205) == 0.0
 
     # R_fight and the net-negative design case
-    assert reward_fight(world, [OutOfBounds(aircraft=0)], 0) == -5.0
-    assert reward_fight(world, [kill(2, 0)], 0) == -2.0
-    assert reward_fight(world, [kill(0, 1)], 0) == -2.0
+    assert reward_fight(world, [OutOfBounds(aircraft=0)], 0, "base", 0.5) == -5.0
+    assert reward_fight(world, [kill(2, 0)], 0, "base", 0.5) == -2.0
+    assert reward_fight(world, [kill(0, 1)], 0, "base", 0.5) == -2.0
     events = [kill(0, 2), kill(0, 3), OutOfBounds(aircraft=0)]
-    assert reward_fight(world, events, 0) == -3.0
+    assert reward_fight(world, events, 0, "base", 0.5) == -3.0
 
     # FriPun: victim of friendly fire is punished too
-    assert reward_fight(world, [kill(0, 1)], 1, variant="fripun") == -2.0
-    assert reward_fight(world, [kill(0, 1)], 1, variant="base") == 0.0
+    assert reward_fight(world, [kill(0, 1)], 1, "fripun", 0.5) == -2.0
+    assert reward_fight(world, [kill(0, 1)], 1, "base", 0.5) == 0.0
 
     # ShFrac with rho = 0.5: own 1.0 + 0.5 * teammate 2.0
     events = [kill(0, 2), kill(1, 3, cannon=0, rockets=0)]
-    assert fight_base_reward(world, events, 1) == 2.0
-    assert reward_fight(world, events, 0, variant="shfrac", rho=0.5) == 2.0
+    assert fight_base_reward(world, events, 1, False) == 2.0
+    assert reward_fight(world, events, 0, "shfrac", 0.5) == 2.0
 
     # R_esc base and per-step variants (6/13 km, 300/600 kn thresholds)
-    assert reward_escape(world, [], 0) == 0.0
+    assert reward_escape(world, [], 0, "base", scenario) == 0.0
     assert escape_base_reward(world, [kill(2, 0), OutOfBounds(aircraft=0)], 0) == -7.0
     near = make_world([
         make_aircraft(0, "AC1", TEAM_AGENT, pos=(10, 10)),
         make_aircraft(2, "AC2", TEAM_OPPONENT, pos=(15, 10)),
     ])
-    assert reward_escape(near, [], 0, variant="dist") == -0.1
+    assert reward_escape(near, [], 0, "dist", scenario) == -0.1
     far = make_world([
         make_aircraft(0, "AC1", TEAM_AGENT, pos=(10, 10), speed=650.0),
         make_aircraft(2, "AC2", TEAM_OPPONENT, pos=(24, 10)),
     ])
-    assert reward_escape(far, [], 0, variant="dist") == 0.1
-    assert reward_escape(far, [], 0, variant="dist_speed") == 0.1
+    assert reward_escape(far, [], 0, "dist", scenario) == 0.1
+    assert reward_escape(far, [], 0, "dist_speed", scenario) == 0.1
     far.get(0).speed = 500.0
-    assert reward_escape(far, [], 0, variant="dist_speed") == 0.0
+    assert reward_escape(far, [], 0, "dist_speed", scenario) == 0.0
     near.get(0).speed = 250.0
-    assert reward_escape(near, [], 0, variant="dist_speed") == -0.1
+    assert reward_escape(near, [], 0, "dist_speed", scenario) == -0.1
 
     # favorable situation thresholds (5 km, 15 deg)
     fav = make_world([
         make_aircraft(0, "AC1", TEAM_AGENT, pos=(15, 15), heading=0.0),
         make_aircraft(2, "AC2", TEAM_OPPONENT, pos=(15, 19)),
     ])
-    assert favorable_situation(fav, 0, 2)
+    assert favorable_situation(fav, 0, 2, scenario)
     fav.get(2).x, fav.get(2).y = 15, 21
-    assert not favorable_situation(fav, 0, 2)
+    assert not favorable_situation(fav, 0, 2, scenario)
 
     # R_act cases (+0.1 attack match, +0.1 justified escape, -0.1 invalid)
     fav.get(2).x, fav.get(2).y = 15, 19
-    assert assess_commander_action(fav, 0, 1, [2]) == 0.1
-    assert assess_commander_action(fav, 0, 2, [2]) == -0.1
+    assert assess_commander_action(fav, 0, 1, [2], scenario) == 0.1
+    assert assess_commander_action(fav, 0, 2, [2], scenario) == -0.1
     esc = make_world([
         make_aircraft(0, "AC1", TEAM_AGENT, pos=(15, 15), heading=0.0),
         make_aircraft(2, "AC2", TEAM_OPPONENT, pos=(15, 11), heading=0.0),
     ])
-    assert assess_commander_action(esc, 0, 0, [2]) == 0.1
-    assert assess_commander_action(world, 0, 2, [2, 3]) == 0.0
+    assert assess_commander_action(esc, 0, 0, [2], scenario) == 0.1
+    assert assess_commander_action(world, 0, 2, [2, 3], scenario) == 0.0
 
     # R_c event terms: +1 kill, -1 destroyed, -2 boundary, no friendly term
     assert commander_event_reward(world, [kill(0, 2)], 0) == 1.0
@@ -262,7 +262,7 @@ def test_criterion_5_determinism(tmp_path):
         scenario = ScenarioConfig(n_agents=2, n_opponents=2, horizon=40, seed=0)
         return evaluate(
             RandomActor(np.random.default_rng(5)),
-            ScriptedController("L3", np.random.default_rng(6)),
+            ScriptedController("L3", np.random.default_rng(6), ScriptConfig()),
             scenario, episodes=100, seed=77)
 
     rep_a = eval_run()
@@ -305,7 +305,7 @@ def test_criterion_6_scripted_pursuit():
             continue
         tried += 1
         for _ in range(30):
-            action, _ = l3_policy(world, 1, rng, cfg, r_override=1.0)
+            action, _ = l3_policy(world, 1, FullTurn(), cfg, {})
             apply_action(world, 1, action)
             for _ in range(10):
                 step_round(world)
@@ -376,7 +376,8 @@ def test_criterion_10_bookkeeping_replayer():
         episode_data.append((roster, list(events), outcome))
 
     rep = evaluate(RandomActor(np.random.default_rng(10)),
-                   ScriptedController("L3", np.random.default_rng(11)),
+                   ScriptedController("L3", np.random.default_rng(11),
+                                      ScriptConfig()),
                    scenario, episodes=1000, seed=12, episode_hook=hook)
 
     totals = {"win": 0, "loss": 0, "draw": 0}

@@ -170,6 +170,72 @@ class TestUsage:
         assert words in capsys.readouterr().err
         assert not run_dir.exists()  # rejected before any output
 
+    @pytest.mark.parametrize("command", [
+        ["train-low", "--policy", "fight", "--level", "L1"],
+        ["train-low", "--policy", "escape"],
+        ["train-low", "--policy", "standard"],
+        ["train-commander", "--fight-ckpt", "{fight}", "--escape-ckpt",
+         "{escape}"],
+        ["train-commander", "--league-dir", "{league}"],
+    ])
+    def test_refused_ppo_value_writes_nothing(self, command, tmp_path,
+                                              fight_ckpt, escape_ckpt, capsys):
+        # the PPO settings are checked before any run or league directory
+        # is made; a refused value is a runtime error
+        run_dir, league = tmp_path / "run", tmp_path / "league"
+        argv = [arg.format(fight=fight_ckpt, escape=escape_ckpt, league=league)
+                for arg in command]
+        code = main(argv + ["--steps", "4", "--run-dir", str(run_dir),
+                            "--set", "ppo.batch_size=0"])
+        assert code == 1
+        assert "batch_size must be at least 1" in capsys.readouterr().err
+        assert not run_dir.exists() and not league.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--out", "{out}/report.json", "--trajectory-out",
+         "{out}/t.jsonl"],
+        ["export-traj", "--out", "{out}/t.jsonl"],
+    ])
+    @pytest.mark.parametrize("opponent", [
+        "scripted:L9", "scripted:L4", "scripted:", "scripted:L1:x", "bogus",
+        "snapshot:", "snapshot::{escape}", "snapshot:{fight}:{escape}:",
+        "snapshot:{fight}:{escape}:p", "snapshot:{fight}:{escape}:1.5",
+        "snapshot:{fight}:{escape}:-0.1", "snapshot:{fight}:{escape}:nan",
+        "snapshot:{fight}:{escape}:0.5:x",
+    ])
+    def test_bad_opponent_is_usage_error(self, command, opponent, tmp_path,
+                                         fight_ckpt, escape_ckpt, monkeypatch,
+                                         capsys):
+        import dogfight.cli
+
+        loads = []
+        monkeypatch.setattr(dogfight.cli, "load_policy", loads.append)
+        out = tmp_path / "out"
+        spec = opponent.format(fight=fight_ckpt, escape=escape_ckpt)
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(out=out) for arg in command]
+                 + ["--agent", "fight", "--agent-ckpt", str(fight_ckpt),
+                    "--opponent", spec])
+        assert exc.value.code == 2
+        assert "--opponent" in capsys.readouterr().err
+        assert loads == []  # rejected before any checkpoint loads
+        assert not out.exists()
+
+    @pytest.mark.parametrize("opponent", [
+        "scripted:L1", "scripted:L2", "scripted:L3", "snapshot:{fight}",
+        "snapshot:{fight}:", "snapshot:{fight}:{escape}",
+        "snapshot:{fight}:{escape}:0", "snapshot:{fight}:{escape}:0.25",
+        "snapshot:{fight}:{escape}:1", "snapshot:{fight}::1.0",
+    ])
+    def test_every_opponent_shape_runs(self, opponent, tmp_path, fight_ckpt,
+                                       escape_ckpt):
+        out = tmp_path / "report.json"
+        assert main(["evaluate", "--agent", "random", "--opponent",
+                     opponent.format(fight=fight_ckpt, escape=escape_ckpt),
+                     "--config", str(small_config(tmp_path, ppo=False)),
+                     "--episodes", "1", "--out", str(out)]) == 0
+        assert EvalReport.load(out).episodes == 1
+
     @pytest.mark.parametrize("argv, words", [
         (["evaluate", "--agent", "random", "--episodes", "-3"],
          "--episodes must be at least 1"),

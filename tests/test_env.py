@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from helpers import make_aircraft, make_world
 
-from dogfight.config import ScenarioConfig
+from dogfight.config import ScenarioConfig, ScriptConfig
 from dogfight.env import (
     CombatEnv,
     LowLevelAction,
@@ -23,7 +23,7 @@ from dogfight.observations import (
 )
 from dogfight.rewards import reward_fight
 from dogfight.scripted import ScriptedController
-from dogfight.simcore import TEAM_AGENT, TEAM_OPPONENT, make_spec
+from dogfight.simcore import TEAM_AGENT, TEAM_OPPONENT, SimConfig, make_spec
 from dogfight.train.policies import EpisodeActor, play_episodes
 
 
@@ -35,10 +35,6 @@ class TestActions:
             LowLevelAction(h=0, v=9)
         with pytest.raises(ValueError):
             LowLevelAction(h=0, v=0, c=2)
-
-    def test_head_round_trip(self):
-        action = LowLevelAction(h=-6, v=8, c=1, r=0)
-        assert LowLevelAction.from_heads(action.to_heads()) == action
 
     def test_heading_setpoint(self):
         world = make_world([make_aircraft(0, heading=30.0)])
@@ -67,7 +63,8 @@ class TestActions:
 class TestSpawning:
     def test_seeded_reset_is_reproducible(self):
         scenario = ScenarioConfig(seed=42)
-        worlds = [generate_world(scenario, np.random.default_rng(7)) for _ in range(2)]
+        worlds = [generate_world(scenario, np.random.default_rng(7), SimConfig())
+                  for _ in range(2)]
         for a, b in zip(worlds[0].aircraft, worlds[1].aircraft):
             assert (a.x, a.y, a.heading, a.speed, a.spec.type_id) == (
                 b.x, b.y, b.heading, b.speed, b.spec.type_id)
@@ -76,7 +73,7 @@ class TestSpawning:
         scenario = ScenarioConfig(n_agents=3, n_opponents=3)
         rng = np.random.default_rng(3)
         for _ in range(20):
-            world = generate_world(scenario, rng)
+            world = generate_world(scenario, rng, SimConfig())
             for team in (TEAM_AGENT, TEAM_OPPONENT):
                 types = {a.spec.type_id for a in world.aircraft if a.team == team}
                 assert types == {"AC1", "AC2"}
@@ -86,7 +83,7 @@ class TestSpawning:
         rng = np.random.default_rng(11)
         seen = set()
         for _ in range(40):
-            world = generate_world(scenario, rng)
+            world = generate_world(scenario, rng, SimConfig())
             seen.add(world.aircraft[0].spec.type_id)
         assert seen == {"AC1", "AC2"}
 
@@ -94,7 +91,7 @@ class TestSpawning:
         scenario = ScenarioConfig()
         rng = np.random.default_rng(5)
         for _ in range(10):
-            world = generate_world(scenario, rng)
+            world = generate_world(scenario, rng, SimConfig())
             half = scenario.map_size / 2
             agent_side = {a.x < half for a in world.aircraft if a.team == TEAM_AGENT}
             opp_side = {a.x < half for a in world.aircraft if a.team == TEAM_OPPONENT}
@@ -103,7 +100,7 @@ class TestSpawning:
 
     def test_ammo_allocation(self):
         scenario = ScenarioConfig()
-        world = generate_world(scenario, np.random.default_rng(1))
+        world = generate_world(scenario, np.random.default_rng(1), SimConfig())
         for a in world.aircraft:
             expected = 200 if a.team == TEAM_AGENT else 400
             assert a.cannon_ammo == expected
@@ -114,7 +111,7 @@ class TestSpawning:
         scenario = ScenarioConfig.commander_training()
         assert scenario.map_size == 50.0
         assert scenario.agent_cannon == scenario.opponent_cannon == 300
-        world = generate_world(scenario, np.random.default_rng(2))
+        world = generate_world(scenario, np.random.default_rng(2), SimConfig())
         assert len(world.aircraft) == 6
 
 
@@ -157,13 +154,14 @@ class TestEnvStep:
         scenario = ScenarioConfig(seed=seed, **kw)
         return CombatEnv(scenario,
                          opponent_controller=ScriptedController(
-                             level, np.random.default_rng(seed + 1)))
+                             level, np.random.default_rng(seed + 1),
+                             ScriptConfig()))
 
     def test_step_runs_rounds(self):
         env = self._env()
         env.reset(seed=3)
         before = env.world.round_idx
-        env.step({aid: LowLevelAction(h=0, v=0) for aid in env.agent_ids()})
+        env.step({aid: LowLevelAction(h=0, v=0) for aid in env.agent_ids()}, {})
         assert env.world.round_idx == before + env.scenario.rounds_per_step
 
     def test_draw_at_horizon(self):
@@ -172,7 +170,7 @@ class TestEnvStep:
         result = None
         for _ in range(5):
             result = env.step({aid: LowLevelAction(h=0, v=0)
-                               for aid in env.agent_ids()})
+                               for aid in env.agent_ids()}, {})
         assert result.outcome == OUTCOME_DRAW
         assert result.terminal
 
@@ -224,7 +222,8 @@ class TestEnvStep:
         scenario = ScenarioConfig(seed=0, horizon=4)
         policy = make_low_level_policy("fight", "ctde", scenario, seed=1)
         envs = [CombatEnv(scenario, ScriptedController(
-                    "L1", np.random.default_rng(k))) for k in range(2)]
+                    "L1", np.random.default_rng(k), ScriptConfig()))
+                for k in range(2)]
         play_episodes(envs, Watching(policy, "fight", np.random.default_rng(2)),
                       [3, 4])
         assert len(handed) == len(made) == max(e.step_count for e in envs)
@@ -254,10 +253,10 @@ class TestEnvStep:
                          for aid in env.agent_ids()} for env in envs]
 
         scenario = ScenarioConfig(seed=0, horizon=1)
-        env = CombatEnv(scenario, Recording("L3", np.random.default_rng(4)))
+        env = CombatEnv(scenario, Recording("L3", np.random.default_rng(4), ScriptConfig()))
         play_episodes([env], Holding(), [5])
         critic = build_critic_input("fight", env.world, scenario,
-                                    env.prev_actions)
+                                    env.prev_actions, {})
         slots = critic.reshape(scenario.n_agents + scenario.n_opponents, -1)
         assert sorted(chosen) == [2, 3]
         for oid, action in chosen.items():
@@ -278,8 +277,8 @@ class TestEnvStep:
                                             v=int(rng.integers(0, 9)),
                                             c=int(rng.random() < 0.5))
                         for aid in env.agent_ids()}
-                result = env.step(acts)
-                log.append(([reward_fight(env.world, result.events, aid)
+                result = env.step(acts, {})
+                log.append(([reward_fight(env.world, result.events, aid, "base", 0.5)
                              for aid in sorted(acts)], result.outcome,
                             tuple(result.events)))
                 if result.terminal:
@@ -291,9 +290,9 @@ class TestEnvStep:
     def test_step_after_terminal_raises(self):
         env = self._env(horizon=1)
         env.reset(seed=3)
-        env.step({aid: LowLevelAction(h=0, v=0) for aid in env.agent_ids()})
+        env.step({aid: LowLevelAction(h=0, v=0) for aid in env.agent_ids()}, {})
         with pytest.raises(RuntimeError):
-            env.step({})
+            env.step({}, {})
 
     def test_zero_team_size_rejected(self):
         with pytest.raises(ValueError):

@@ -25,7 +25,7 @@ from dogfight.evaluation import (
 from dogfight.nn import PolicyNetwork, commander_config, escape_config, fight_config
 from dogfight.observations import critic_input_width
 from dogfight.scripted import ScriptedController
-from dogfight.simcore import CannonKill, OutOfBounds, RocketKill, TEAM_OPPONENT
+from dogfight.simcore import CannonKill, OutOfBounds, RocketKill, SimConfig, TEAM_OPPONENT
 from dogfight.train import CTDEDriver, SnapshotController
 
 
@@ -371,7 +371,7 @@ class TestSweep:
                                        n_opponents=4)
         from dogfight.env import generate_world
 
-        world = generate_world(scenario, np.random.default_rng(0))
+        world = generate_world(scenario, np.random.default_rng(0), SimConfig())
         agents = [a for a in world.aircraft if a.team == "agent"]
         opps = [a for a in world.aircraft if a.team == TEAM_OPPONENT]
         assert len(agents) == 2 and len(opps) == 4

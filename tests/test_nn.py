@@ -183,7 +183,7 @@ class TestNetworks:
         for logits in out.logits:
             assert np.allclose(logits.data, 0.0)
         samples, log_prob = sample_action(
-            [l.data for l in out.logits], np.random.default_rng(0))
+            [l.data for l in out.logits], np.random.default_rng(0).random((1, 4)))
         assert log_prob[0] == pytest.approx(
             math.log(1 / 13) + math.log(1 / 9) + 2 * math.log(1 / 2))
 
@@ -204,7 +204,7 @@ class TestNetworks:
         # the green layer: same parameter object on the actor and critic
         # paths of both type instances
         net = PolicyNetwork(fight_config(critic_width=124), seed=0)
-        assert "shared.core.W" in net.store
+        assert "shared.core.W" in net.store.params
         before = net.forward_critic("ac1", np.ones(124)).item()
         net.store["shared.core.W"].data += 0.05
         after = net.forward_critic("ac1", np.ones(124)).item()
@@ -264,7 +264,15 @@ class TestNetworks:
 
     def test_nan_logits_rejected(self):
         with pytest.raises(FloatingPointError):
-            sample_action([np.array([[np.nan, 0.0]])], np.random.default_rng(0))
+            sample_action([np.array([[np.nan, 0.0]])],
+                          np.random.default_rng(0).random((1, 1)))
+
+
+def draws(rng, logits_per_head, greedy):
+    """The uniform draws `decide` hands `sample_action`: one
+    `random((rows, heads))` call, or zeros for a greedy decision."""
+    shape = (len(logits_per_head[0]), len(logits_per_head))
+    return np.zeros(shape) if greedy else rng.random(shape)
 
 
 def choice_reference(logits_per_head, rng, greedy=False):
@@ -293,7 +301,7 @@ def choice_reference(logits_per_head, rng, greedy=False):
 class TestSampling:
     def test_two_way_uniform(self):
         samples, log_prob = sample_action([np.zeros((1, 2))],
-                                          np.random.default_rng(0))
+                                          np.random.default_rng(0).random((1, 1)))
         assert log_prob[0] == pytest.approx(math.log(0.5))
         # the PPO loss's entropy of the same distribution: a noOpt commander
         # head with every weight zero
@@ -307,7 +315,7 @@ class TestSampling:
 
     def test_peaked_logits_prefer_argmax(self):
         samples, _ = sample_action([np.tile([10.0, 0.0, 0.0], (1000, 1))],
-                                   np.random.default_rng(1))
+                                   np.random.default_rng(1).random((1000, 1)))
         assert (samples[:, 0] == 0).sum() > 990
 
     def test_greedy_deterministic(self):
@@ -315,7 +323,8 @@ class TestSampling:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             state = rng.bit_generator.state
-            samples, _ = sample_action(logits, rng, greedy=True)
+            samples, _ = sample_action(logits, draws(rng, logits, True),
+                                       greedy=True)
             assert samples.tolist() == [[1]]
             assert rng.bit_generator.state == state  # greedy draws nothing
 
@@ -324,7 +333,7 @@ class TestSampling:
         logits = rng.normal(size=7)
         probs = np.exp(logits - logits.max())
         probs /= probs.sum()
-        samples, log_prob = sample_action([logits[None, :]], rng)
+        samples, log_prob = sample_action([logits[None, :]], rng.random((1, 1)))
         assert log_prob[0] == pytest.approx(math.log(probs[samples[0, 0]]))
 
     @pytest.mark.parametrize("greedy", [False, True])
@@ -337,7 +346,8 @@ class TestSampling:
             scale = (0.1, 1.0, 8.0)[trial % 3]
             logits = [gen.normal(0.0, scale, (rows, k)) for k in arities]
             rng, ref_rng = np.random.default_rng(trial), np.random.default_rng(trial)
-            samples, log_prob = sample_action(logits, rng, greedy=greedy)
+            samples, log_prob = sample_action(logits, draws(rng, logits, greedy),
+                                              greedy=greedy)
             want, want_lp, _ = choice_reference(logits, ref_rng, greedy=greedy)
             assert np.array_equal(samples, want)
             assert np.array_equal(log_prob, want_lp)
@@ -351,7 +361,8 @@ class TestSampling:
             rows = int(gen.integers(1, 16))
             logits = [gen.normal(0.0, (0.1, 1.0, 8.0)[trial % 3], (rows, 3))]
             rng, ref_rng = np.random.default_rng(trial), np.random.default_rng(trial)
-            samples, log_prob = sample_action(logits, rng, greedy=greedy)
+            samples, log_prob = sample_action(logits, draws(rng, logits, greedy),
+                                              greedy=greedy)
             want, want_lp, _ = choice_reference(logits, ref_rng, greedy=greedy)
             assert np.array_equal(samples, want)
             assert np.array_equal(log_prob, want_lp)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from helpers import make_aircraft, make_world
 
-from dogfight.config import ScenarioConfig
+from dogfight.config import ScenarioConfig, ScriptConfig
 from dogfight.env import CombatEnv, LowLevelAction
 from dogfight.observations import (
     OBS_LAYOUTS,
@@ -127,7 +127,7 @@ class TestNormalization:
         scenario = ScenarioConfig(n_agents=2, n_opponents=2, horizon=60, seed=5)
         env = CombatEnv(scenario,
                         opponent_controller=ScriptedController(
-                            "L3", np.random.default_rng(9)))
+                            "L3", np.random.default_rng(9), ScriptConfig()))
         rng = np.random.default_rng(123)
         for episode in range(3):
             env.reset(seed=100 + episode)
@@ -139,7 +139,8 @@ class TestNormalization:
                         obs = env.observe(aid, kind)
                         assert np.all(obs >= 0.0) and np.all(obs <= 1.0), (
                             f"{kind} obs out of [0,1]")
-                    obs_c = build_obs_commander(env.world, aid, env.scenario)
+                    obs_c = build_obs_commander(env.world, aid,
+                                                env.scenario.commander_senses)
                     assert np.all(obs_c >= 0.0) and np.all(obs_c <= 1.0)
                     actions[aid] = LowLevelAction(
                         h=int(rng.integers(-6, 7)), v=int(rng.integers(0, 9)),
@@ -154,10 +155,10 @@ class TestCriticInput:
         world = two_vs_two()
         scenario = ScenarioConfig()
         width = critic_input_width("fight", 2, 2)
-        vec = build_critic_input("fight", world, scenario, {})
+        vec = build_critic_input("fight", world, scenario, {}, {})
         assert vec.shape == (width,)
         world.get(3).alive = False
-        vec2 = build_critic_input("fight", world, scenario, {})
+        vec2 = build_critic_input("fight", world, scenario, {}, {})
         slot = width // 4
         assert np.all(vec2[3 * slot:] == 0.0)
 
@@ -165,7 +166,7 @@ class TestCriticInput:
         world = two_vs_two()
         scenario = ScenarioConfig()
         acts = {0: [1.0, 0.5, 1.0, 0.0]}
-        vec = build_critic_input("fight", world, scenario, acts)
+        vec = build_critic_input("fight", world, scenario, acts, {})
         slot = len(vec) // 4
         assert list(vec[slot - 4:slot]) == acts[0]
 

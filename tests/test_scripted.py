@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import XY, make_aircraft, make_world
+from helpers import XY, FullTurn, make_aircraft, make_world
 
 from dogfight.config import ScriptConfig, ScenarioConfig
 from dogfight.env import CombatEnv, LowLevelAction
@@ -33,7 +33,7 @@ class TestL1:
     def test_min_speed_drift_only(self):
         scenario = ScenarioConfig(n_agents=1, n_opponents=1, horizon=100)
         env = CombatEnv(scenario, opponent_controller=ScriptedController(
-            "L1", np.random.default_rng(0)))
+            "L1", np.random.default_rng(0), ScriptConfig()))
         env.reset(seed=21)
         opp = env.world.alive(TEAM_OPPONENT)[0]
         start = XY(opp.x, opp.y)
@@ -61,7 +61,7 @@ class TestL2:
         n = 100_000
         counts = np.zeros(13)
         for _ in range(n):
-            counts[l2_policy(world, 1, rng).h + 6] += 1
+            counts[l2_policy(world, 1, rng, ScriptConfig()).h + 6] += 1
         expected = n / 13
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < 21.03  # chi-square critical value, df=12, alpha=0.05
@@ -69,35 +69,36 @@ class TestL2:
     def test_fire_frequency(self):
         world = pursuit_world()
         rng = np.random.default_rng(6)
-        fires = sum(l2_policy(world, 1, rng).c for _ in range(10_000))
+        fires = sum(l2_policy(world, 1, rng, ScriptConfig()).c for _ in range(10_000))
         assert fires / 10_000 == pytest.approx(0.1, abs=0.01)
 
     def test_reproducible_stream(self):
         world = pursuit_world()
-        a = [l2_policy(world, 1, np.random.default_rng(9)) for _ in range(20)]
-        b = [l2_policy(world, 1, np.random.default_rng(9)) for _ in range(20)]
+        a = [l2_policy(world, 1, np.random.default_rng(9), ScriptConfig())
+             for _ in range(20)]
+        b = [l2_policy(world, 1, np.random.default_rng(9), ScriptConfig())
+             for _ in range(20)]
         assert a == b
 
 
 class TestL3:
     def test_dead_ahead_no_correction(self):
         world = pursuit_world(opp_pos=(15, 15), opp_heading=0.0, agent_pos=(15, 25))
-        action, target = l3_policy(world, 1, np.random.default_rng(0),
-                                   ScriptConfig(flee_probability=0.0),
-                                   r_override=1.0)
+        action, target = l3_policy(world, 1, FullTurn(),
+                                   ScriptConfig(flee_probability=0.0), {})
         assert action.h == 0
         assert target == 0
 
     def test_target_right_commands_positive(self):
         world = pursuit_world(opp_pos=(15, 15), opp_heading=0.0, agent_pos=(25, 15))
-        action, _ = l3_policy(world, 1, np.random.default_rng(0),
-                              ScriptConfig(flee_probability=0.0), r_override=1.0)
+        action, _ = l3_policy(world, 1, FullTurn(),
+                              ScriptConfig(flee_probability=0.0), {})
         assert action.h == 6
 
     def test_target_left_commands_negative(self):
         world = pursuit_world(opp_pos=(15, 15), opp_heading=0.0, agent_pos=(5, 15))
-        action, _ = l3_policy(world, 1, np.random.default_rng(0),
-                              ScriptConfig(flee_probability=0.0), r_override=1.0)
+        action, _ = l3_policy(world, 1, FullTurn(),
+                              ScriptConfig(flee_probability=0.0), {})
         assert action.h == -6
 
     def test_command_never_exceeds_90(self):
@@ -107,15 +108,15 @@ class TestL3:
                 opp_pos=(15, 15), opp_heading=rng.uniform(0, 360),
                 agent_pos=(rng.uniform(2, 28), rng.uniform(2, 28)))
             action, _ = l3_policy(world, 1, rng,
-                                  ScriptConfig(flee_probability=0.0))
+                                  ScriptConfig(flee_probability=0.0), {})
             assert -6 <= action.h <= 6
 
     def test_speed_drops_when_close(self):
         cfg = ScriptConfig(flee_probability=0.0)
         far = pursuit_world(opp_pos=(15, 2), agent_pos=(15, 25))
         near = pursuit_world(opp_pos=(15, 24), agent_pos=(15, 25))
-        act_far, _ = l3_policy(far, 1, np.random.default_rng(0), cfg, r_override=1.0)
-        act_near, _ = l3_policy(near, 1, np.random.default_rng(0), cfg, r_override=1.0)
+        act_far, _ = l3_policy(far, 1, FullTurn(), cfg, {})
+        act_near, _ = l3_policy(near, 1, FullTurn(), cfg, {})
         assert act_far.v == 8
         assert act_near.v < act_far.v
 
@@ -125,7 +126,7 @@ class TestL3:
         rng = np.random.default_rng(3)
         world = pursuit_world()
         for _ in range(100):
-            action, _ = l3_policy(world, 1, rng, cfg)
+            action, _ = l3_policy(world, 1, rng, cfg, {})
             assert action.c == 0 and action.r == 0
 
     def test_fire_probability_rises_with_alignment(self):
@@ -136,9 +137,9 @@ class TestL3:
                                agent_pos=(15, 20))
         rng = np.random.default_rng(8)
         fires_aligned = sum(
-            l3_policy(aligned, 1, rng, cfg)[0].c for _ in range(2000))
+            l3_policy(aligned, 1, rng, cfg, {})[0].c for _ in range(2000))
         fires_offset = sum(
-            l3_policy(offset, 1, rng, cfg)[0].c for _ in range(2000))
+            l3_policy(offset, 1, rng, cfg, {})[0].c for _ in range(2000))
         assert fires_aligned > 1900  # ata 0 -> certain fire
         assert fires_offset == 0  # ata 90 > scale 45 -> never
 
@@ -183,7 +184,7 @@ class TestL3:
                 continue
             tried += 1
             for _ in range(30):
-                action, _ = l3_policy(world, 1, rng, cfg, r_override=1.0)
+                action, _ = l3_policy(world, 1, FullTurn(), cfg, {})
                 apply_action(world, 1, action)
                 for _ in range(10):
                     from dogfight.simcore import step_round
@@ -201,7 +202,7 @@ class TestController:
     def test_l3_controller_round_trip(self):
         scenario = ScenarioConfig(horizon=30, seed=3)
         env = CombatEnv(scenario, opponent_controller=ScriptedController(
-            "L3", np.random.default_rng(4)))
+            "L3", np.random.default_rng(4), ScriptConfig()))
         env.reset(seed=5)
         for _ in range(10):
             result = env.step({aid: LowLevelAction(h=0, v=4)
@@ -212,7 +213,7 @@ class TestController:
                 break
 
     def test_unknown_level_raises(self):
-        controller = ScriptedController("L9", np.random.default_rng(0))
+        controller = ScriptedController("L9", np.random.default_rng(0), ScriptConfig())
         world = pursuit_world()
         with pytest.raises(ValueError):
             controller(world, [1])

@@ -377,7 +377,7 @@ class TestTrajectoryDigest:
         from dogfight.geometry import bearing_to
 
         world = generate_world(ScenarioConfig(**scenario),
-                               np.random.default_rng(seed))
+                               np.random.default_rng(seed), SimConfig())
         control = np.random.default_rng(seed + 1000)
         events = []
         for rnd in range(rounds):

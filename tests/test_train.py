@@ -150,12 +150,14 @@ def fill_buffer(policy, scenario, n, seed=0):
 
         def observe_step(self, env, result):
             for t in self.transitions:
-                t.reward = reward_fight(env.world, result.events, t.agent_id)
+                t.reward = reward_fight(env.world, result.events, t.agent_id,
+                                        "base", 0.5)
                 t.done = result.terminal or not env.world.get(t.agent_id).alive
                 buffer.add(t)
 
     driver = Recorder(policy, "fight", np.random.default_rng(seed))
-    env = CombatEnv(scenario, ScriptedController("L1", np.random.default_rng(seed + 1)))
+    env = CombatEnv(scenario, ScriptedController(
+        "L1", np.random.default_rng(seed + 1), ScriptConfig()))
     driver.episode = 0
     while len(buffer) < n:
         play_episodes([env], driver, [seed + driver.episode])
@@ -323,7 +325,9 @@ class TestTrainerLoops:
         from dogfight.scripted import ScriptedController
 
         trainer.train_level(
-            "L1", ScriptedController("L1", trainer.opponent_rng), env_steps=80)
+            "L1",
+            ScriptedController("L1", trainer.opponent_rng, trainer.script),
+            env_steps=80)
         records = run.read_metrics()
         assert records, "no metrics logged"
         assert records[0]["level"] == "L1"
@@ -336,7 +340,8 @@ class TestTrainerLoops:
                                   TrainMode(), seed=6)
         from dogfight.scripted import ScriptedController
 
-        env = trainer.make_env(ScriptedController("L1", trainer.opponent_rng))
+        env = trainer.make_env(ScriptedController(
+            "L1", trainer.opponent_rng, trainer.script))
         trainer.run_episode(env)
         assert set(t.instance for t in trainer.buffer.transitions) <= {"ac1", "ac2"}
 
@@ -346,7 +351,9 @@ class TestTrainerLoops:
         from dogfight.scripted import ScriptedController
 
         trainer.train_level(
-            "L1", ScriptedController("L1", trainer.opponent_rng), env_steps=40)
+            "L1",
+            ScriptedController("L1", trainer.opponent_rng, trainer.script),
+            env_steps=40)
         assert len(trainer.policies) == 2
         checksums = {aid: p.store.checksum() for aid, p in trainer.policies.items()}
         assert checksums[0] != checksums[1]  # independent parameter stores
@@ -358,7 +365,9 @@ class TestTrainerLoops:
         from dogfight.scripted import ScriptedController
 
         trainer.train_level(
-            "L1", ScriptedController("L1", trainer.opponent_rng), env_steps=40)
+            "L1",
+            ScriptedController("L1", trainer.opponent_rng, trainer.script),
+            env_steps=40)
         records = run.read_metrics()
         assert records
         for rec in records:
@@ -379,7 +388,9 @@ class TestTrainerLoops:
         trainer = LowLevelTrainer(small_scenario(), small_ppo(32),
                                   TrainMode(framework="dtde"), seed=7)
         trainer.train_level(
-            "L1", ScriptedController("L1", trainer.opponent_rng), env_steps=40)
+            "L1",
+            ScriptedController("L1", trainer.opponent_rng, trainer.script),
+            env_steps=40)
         assert updates
         for policy, agents in updates:
             assert [trainer.policies[aid] for aid in agents] == [policy]
@@ -410,7 +421,9 @@ class TestTrainerLoops:
         from dogfight.scripted import ScriptedController
 
         trainer.train_level(
-            "L1", ScriptedController("L1", trainer.opponent_rng), env_steps=40)
+            "L1",
+            ScriptedController("L1", trainer.opponent_rng, trainer.script),
+            env_steps=40)
         joint = [t for t in trainer.buffer.transitions] or None
         assert trainer.updates >= 1
 
@@ -533,7 +546,8 @@ class TestTrainerLoops:
                                   TrainMode(kind="escape"), seed=12)
         from dogfight.scripted import ScriptedController
 
-        env = trainer.make_env(ScriptedController("L3", trainer.opponent_rng))
+        env = trainer.make_env(ScriptedController(
+            "L3", trainer.opponent_rng, trainer.script))
         for _ in range(3):
             trainer.run_episode(env)
         assert all(t.reward <= 0.0 for t in trainer.buffer.transitions)
@@ -557,7 +571,9 @@ class TestDeterminism:
         from dogfight.scripted import ScriptedController
 
         trainer.train_level(
-            "L2", ScriptedController("L2", trainer.opponent_rng), env_steps=120)
+            "L2",
+            ScriptedController("L2", trainer.opponent_rng, trainer.script),
+            env_steps=120)
         return run.metrics_path.read_bytes()
 
     def test_identical_seeds_identical_logs(self, tmp_path):
@@ -717,7 +733,7 @@ def _low_level(framework, float64=False):
     if float64:
         _float64_networks(trainer)
     return trainer, trainer.make_env(
-        ScriptedController("L3", trainer.opponent_rng))
+        ScriptedController("L3", trainer.opponent_rng, trainer.script))
 
 
 FRAMEWORKS = ["ctde", "dtde", "ctce"]
@@ -735,7 +751,8 @@ class TestCriticInputReuse:
             trainer = LowLevelTrainer(small_scenario(horizon=12),
                                       small_ppo(4096), TrainMode(kind=kind),
                                       seed=31)
-            env = trainer.make_env(ScriptedController("L3", trainer.opponent_rng))
+            env = trainer.make_env(ScriptedController(
+                "L3", trainer.opponent_rng, trainer.script))
             trainer.run_episode(env)
             return [t.critic_input for t in trainer.buffer.transitions]
 
@@ -753,7 +770,8 @@ class TestCriticInputReuse:
         from dogfight.train.policies import CTCEDriver, CTDEDriver
 
         scenario = small_scenario()
-        env = CombatEnv(scenario, ScriptedController("L1", np.random.default_rng(0)))
+        env = CombatEnv(scenario, ScriptedController(
+            "L1", np.random.default_rng(0), ScriptConfig()))
         env.reset(seed=3)
         low = make_low_level_policy("fight", "ctde", scenario, 0)
         joint = make_low_level_policy("fight", "ctce", scenario, 0)
