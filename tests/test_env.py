@@ -253,7 +253,8 @@ class TestEnvStep:
                          for aid in env.agent_ids()} for env in envs]
 
         scenario = ScenarioConfig(seed=0, horizon=1)
-        env = CombatEnv(scenario, Recording("L3", np.random.default_rng(4), ScriptConfig()))
+        env = CombatEnv(scenario, Recording("L3", np.random.default_rng(4),
+                                            ScriptConfig()))
         play_episodes([env], Holding(), [5])
         critic = build_critic_input("fight", env.world, scenario,
                                     env.prev_actions, {})
