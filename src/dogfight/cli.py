@@ -1,5 +1,5 @@
-"""Command-line entry points: training, evaluation, sweeps, trajectory
-export, gradient checking.
+"""Command-line entry points: training, evaluation, sweeps, gradient
+checking.
 
 Configuration comes from an optional JSON file (--config) with sections
 "scenario", "script", "sim", "ppo"; individual keys are overridable with
@@ -35,7 +35,7 @@ from .config import ScenarioConfig, ScriptConfig, apply_overrides, parse_config
 from .evaluation import (
     HierarchyEvalActor,
     RandomActor,
-    TrajectoryRecorder,
+    TrajectoryLog,
     evaluate,
     export_trajectory,
     scenario_sweep,
@@ -115,7 +115,7 @@ def _reads(args) -> dict[str, set[str]]:
     elif args.command == "sweep":
         scenario |= _OPTION_KEYS | {"opponent_fight_prob"}
         scenario -= set.intersection(*map(set, _sweep_cells(args.cells)))
-    else:  # evaluate and export-traj
+    else:  # evaluate
         if args.agent == "hierarchy":
             scenario |= _OPTION_KEYS
         if args.opponent.startswith("scripted:"):
@@ -285,29 +285,25 @@ def _make_actor(args, seed: int):
     raise ValueError(f"unknown agent kind {args.agent!r}")
 
 
-def _eval_setup(args):
-    """The config, actor and opponents of `evaluate` and `export-traj`."""
-    cfg = _load_config(args)
-    actor = _make_actor(args, args.seed)
-    return cfg, actor, _make_opponents(args.opponent, cfg["scenario"],
-                                       cfg["script"], args.seed + 1)
-
-
 def cmd_evaluate(args) -> int:
-    cfg, actor, opponents = _eval_setup(args)
-    recorder = None
+    cfg = _load_config(args)
+    scenario = cfg["scenario"]
+    actor = _make_actor(args, args.seed)
+    opponents = _make_opponents(args.opponent, scenario, cfg["script"],
+                                args.seed + 1)
+    trajectory = None
     if args.trajectory_out:
-        recorder = TrajectoryRecorder(args.trajectory_episode,
-                                      header={"agent": args.agent,
-                                              "opponent": args.opponent})
-    report = evaluate(actor, opponents, cfg["scenario"], args.episodes,
-                      seed=args.seed, trajectory_recorder=recorder,
-                      sim_cfg=cfg["sim"])
+        trajectory = TrajectoryLog(header={
+            "agent": args.agent, "opponent": args.opponent,
+            "episode": args.trajectory_episode,
+            "scenario": dataclasses.asdict(scenario)})
+    report = evaluate(actor, opponents, scenario, args.episodes,
+                      seed=args.seed, trajectory=trajectory, sim_cfg=cfg["sim"])
     if args.out:
         report.save(args.out)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    if recorder is not None and recorder.log is not None:
-        export_trajectory(recorder.log, args.trajectory_out)
+    if trajectory:
+        export_trajectory(trajectory, args.trajectory_out)
     return 0
 
 
@@ -336,17 +332,6 @@ def cmd_sweep(args) -> int:
         report.save(out_dir / f"{name}.json")
         print(f"{name}: win {report.win_rate:.1%} / draw {report.draw_rate:.1%}"
               f" / loss {report.loss_rate:.1%}")
-    return 0
-
-
-def cmd_export_traj(args) -> int:
-    cfg, actor, opponents = _eval_setup(args)
-    recorder = TrajectoryRecorder(0, header={"agent": args.agent,
-                                             "opponent": args.opponent})
-    evaluate(actor, opponents, cfg["scenario"], 1, seed=args.seed,
-             trajectory_recorder=recorder, sim_cfg=cfg["sim"])
-    export_trajectory(recorder.log, args.out)
-    print(f"wrote {args.out}")
     return 0
 
 
@@ -405,22 +390,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run-dir", required=True)
     p.set_defaults(func=cmd_train_commander)
 
-    def eval_common(p):
-        common(p)
-        p.add_argument("--agent", required=True,
-                       choices=["fight", "escape", "standard", "hierarchy",
-                                "random"])
-        p.add_argument("--agent-ckpt")
-        p.add_argument("--commander-ckpt")
-        p.add_argument("--fight-ckpt")
-        p.add_argument("--escape-ckpt")
-        p.add_argument("--opponent", default="scripted:L3", type=_opponent,
-                       help="scripted:<level> or snapshot:<fight>[:<escape>[:p]]")
-        p.add_argument("--stochastic", action="store_true",
-                       help="sample instead of argmax at evaluation")
-
     p = sub.add_parser("evaluate", help="run evaluation episodes")
-    eval_common(p)
+    common(p)
+    p.add_argument("--agent", required=True,
+                   choices=["fight", "escape", "standard", "hierarchy", "random"])
+    p.add_argument("--agent-ckpt")
+    p.add_argument("--commander-ckpt")
+    p.add_argument("--fight-ckpt")
+    p.add_argument("--escape-ckpt")
+    p.add_argument("--opponent", default="scripted:L3", type=_opponent,
+                   help="scripted:<level> or snapshot:<fight>[:<escape>[:p]]")
+    p.add_argument("--stochastic", action="store_true",
+                   help="sample instead of argmax at evaluation")
     p.add_argument("--episodes", type=int, default=1000)
     p.add_argument("--out", help="write the EvalReport JSON here")
     p.add_argument("--trajectory-out", help="record one episode's trajectory")
@@ -439,15 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("export-traj", help="simulate one episode and export it")
-    eval_common(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_export_traj)
-
     return parser
 
 
-# the checkpoint flags each `--agent` of evaluate and export-traj reads
+# the checkpoint flags each `--agent` of evaluate reads
 _AGENT_CHECKPOINTS = {"fight": ["agent_ckpt"], "escape": ["agent_ckpt"],
                       "standard": ["agent_ckpt"], "random": [], "hierarchy": [
                           "commander_ckpt", "fight_ckpt", "escape_ckpt"]}
@@ -467,7 +443,7 @@ def _usage_problem(args) -> str | None:
         if sources not in (["fight_ckpt", "escape_ckpt"], ["league_dir"]):
             return ("train-commander needs --fight-ckpt and --escape-ckpt, "
                     "or --league-dir alone")
-    if args.command in ("evaluate", "export-traj"):
+    if args.command == "evaluate":
         for dest in ("agent_ckpt", "commander_ckpt", "fight_ckpt",
                      "escape_ckpt"):
             given = getattr(args, dest) is not None

@@ -180,7 +180,7 @@ class AlwaysFightActor(HierarchyEvalActor):
 
 def evaluate(actor, opponent_controller, scenario: ScenarioConfig,
              episodes: int, seed: int = 0,
-             episode_hook=None, trajectory_recorder=None,
+             episode_hook=None, trajectory: TrajectoryLog | None = None,
              sim_cfg: SimConfig | None = None) -> EvalReport:
     """Run `episodes` evaluation episodes and aggregate counters.
 
@@ -191,8 +191,8 @@ def evaluate(actor, opponent_controller, scenario: ScenarioConfig,
     streams, the report does not depend on how many run at once.
     `episode_hook(events, outcome, world)` receives each finished episode's
     full event log, in episode order (the bookkeeping replayer uses this).
-    A trajectory recorder captures round-level state for the requested
-    episode index. Command counts cover this call's episodes only.
+    `trajectory` records every round of the episode its header names
+    (`episode`). Command counts cover this call's episodes only.
     """
     report = EvalReport(seed=seed)
     master = np.random.default_rng(seed)
@@ -203,10 +203,8 @@ def evaluate(actor, opponent_controller, scenario: ScenarioConfig,
         batch = envs[:episodes - first]
         for k, env in enumerate(batch):
             env.round_listener = None
-            if (trajectory_recorder is not None
-                    and trajectory_recorder.episode_index == first + k):
-                trajectory_recorder.begin(env, first + k)
-                env.round_listener = trajectory_recorder.on_round
+            if trajectory and trajectory.header["episode"] == first + k:
+                env.round_listener = trajectory.record_round
         seeds = [int(master.integers(1 << 62)) for _ in batch]
         for env, events in zip(batch, play_episodes(batch, actor, seeds)):
             # the counters read only team and aircraft type, which no
@@ -314,24 +312,6 @@ class TrajectoryLog:
                     "id": victim.id, "round": world.round_idx,
                     "x": victim.x, "y": victim.y,
                 })
-
-
-class TrajectoryRecorder:
-    """Plugs into CombatEnv's round listener for one chosen episode."""
-
-    def __init__(self, episode_index: int, header: dict | None = None):
-        self.episode_index = episode_index
-        self.header = header or {}
-        self.log: TrajectoryLog | None = None
-
-    def begin(self, env: CombatEnv, episode: int):
-        header = dict(self.header)
-        header["episode"] = episode
-        header["scenario"] = dataclasses.asdict(env.scenario)
-        self.log = TrajectoryLog(header=header)
-
-    def on_round(self, world: World, events: list[SimEvent]):
-        self.log.record_round(world, events)
 
 
 def export_trajectory(log: TrajectoryLog, path: str | Path):

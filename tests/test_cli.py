@@ -23,7 +23,7 @@ from dogfight.nn import (
 from dogfight.nn.params import load_checkpoint, save_arrays
 from dogfight.observations import critic_input_width
 from dogfight.simcore import SimConfig
-from dogfight.train import CommanderVariant, PPOConfig, SnapshotController
+from dogfight.train import CommanderVariant, PPOConfig
 
 
 @pytest.fixture
@@ -64,10 +64,11 @@ COMMANDER_KEYS = {"commander_senses": 3, "opponent_fight_prob": 0.1,
 
 
 def expand(command, tmp_path, fight_ckpt, escape_ckpt, out):
-    """`command` with its checkpoint placeholders filled in (`{fight}`,
-    `{escape}`, and `{hierarchy}` for a commander's three checkpoint flags)
-    and its outputs under `out`; evaluate and sweep play one episode."""
-    paths = {"fight": str(fight_ckpt), "escape": str(escape_ckpt)}
+    """`command` with its placeholders filled in (`{fight}`, `{escape}`,
+    `{out}`, and `{hierarchy}` for a commander's three checkpoint flags) and
+    its outputs under `out`; evaluate and sweep play one episode."""
+    paths = {"fight": str(fight_ckpt), "escape": str(escape_ckpt),
+             "out": str(out)}
     args = []
     for arg in command:
         if arg == "{hierarchy}":
@@ -79,7 +80,6 @@ def expand(command, tmp_path, fight_ckpt, escape_ckpt, out):
             args.append(arg.format(**paths))
     outputs = {"evaluate": ["--out", out / "report.json"],
                "sweep": ["--out", out / "sweep"],
-               "export-traj": ["--out", out / "t.jsonl"],
                "train-commander": ["--run-dir", out / "run"],
                "train-low": ["--run-dir", out / "run"]}
     return args + list(map(str, outputs[command[0]])) + ["--episodes", "1"] * (
@@ -114,14 +114,15 @@ class TestUsage:
     @pytest.mark.parametrize("argv, flag", [
         (["evaluate", "--agent", "fight"], "--agent-ckpt"),
         (["evaluate", "--agent", "escape"], "--agent-ckpt"),
-        (["export-traj", "--agent", "standard", "--out", "t.jsonl"],
-         "--agent-ckpt"),
+        (["evaluate", "--agent", "standard", "--episodes", "1",
+          "--trajectory-out", "t.jsonl"], "--agent-ckpt"),
         (["evaluate", "--agent", "hierarchy", "--fight-ckpt", "f",
           "--escape-ckpt", "e"], "--commander-ckpt"),
         (["evaluate", "--agent", "hierarchy", "--commander-ckpt", "c",
           "--escape-ckpt", "e"], "--fight-ckpt"),
-        (["export-traj", "--agent", "hierarchy", "--commander-ckpt", "c",
-          "--fight-ckpt", "f", "--out", "t.jsonl"], "--escape-ckpt"),
+        (["evaluate", "--agent", "hierarchy", "--commander-ckpt", "c",
+          "--fight-ckpt", "f", "--episodes", "1", "--trajectory-out",
+          "t.jsonl"], "--escape-ckpt"),
     ])
     def test_missing_checkpoint_flag_is_usage_error(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -147,8 +148,9 @@ class TestUsage:
          "--agent random does not read --agent-ckpt"),
         (["evaluate", "--agent", "random", "--commander-ckpt", "c"],
          "--agent random does not read --commander-ckpt"),
-        (["export-traj", "--agent", "fight", "--agent-ckpt", "a",
-          "--escape-ckpt", "e", "--out", "t.jsonl"],
+        (["evaluate", "--agent", "fight", "--agent-ckpt", "a",
+          "--escape-ckpt", "e", "--episodes", "1", "--trajectory-out",
+          "t.jsonl"],
          "--agent fight does not read --escape-ckpt"),
         (["evaluate", "--agent", "hierarchy", "--commander-ckpt", "c",
           "--fight-ckpt", "f", "--escape-ckpt", "e", "--agent-ckpt", "a"],
@@ -194,7 +196,7 @@ class TestUsage:
     @pytest.mark.parametrize("command", [
         ["evaluate", "--out", "{out}/report.json", "--trajectory-out",
          "{out}/t.jsonl"],
-        ["export-traj", "--out", "{out}/t.jsonl"],
+        ["evaluate", "--episodes", "1", "--trajectory-out", "{out}/t.jsonl"],
     ])
     @pytest.mark.parametrize("opponent", [
         "scripted:L9", "scripted:L4", "scripted:", "scripted:L1:x", "bogus",
@@ -456,14 +458,16 @@ class TestConfigRejected:
             horizon=4, commander_senses=3).__dict__)
         assert (scenario["n_agents"], scenario["map_size"]) == (3, 50.0)
 
-    # (command, its arguments by checkpoint, the unread key set on it)
+    # (command, its arguments by checkpoint, the unread key set on it); an
+    # "export-traj" case writes its one episode's trajectory
     UNREAD = {
         "evaluate-ppo": (["evaluate", "--agent", "random", "--opponent",
                           "scripted:L1"], "ppo.batch_size=0"),
         "sweep-ppo": (["sweep", "{hierarchy}", "--cells", "2v2"],
                       "ppo.batch_size=0"),
-        "export-traj-ppo": (["export-traj", "--agent", "random", "--opponent",
-                             "scripted:L1"], "ppo.batch_size=0"),
+        "export-traj-ppo": (["evaluate", "--agent", "random", "--opponent",
+                             "scripted:L1", "--trajectory-out",
+                             "{out}/t.jsonl"], "ppo.batch_size=0"),
         "sweep-script": (["sweep", "{hierarchy}", "--cells", "2v2"],
                          "script.flee_probability=0.5"),
         "train-commander-script": (["train-commander", "--fight-ckpt", "{fight}",
@@ -472,8 +476,9 @@ class TestConfigRejected:
         "evaluate-snapshot-script": (["evaluate", "--agent", "random",
                                       "--opponent", "snapshot:{fight}"],
                                      "script.flee_probability=0.5"),
-        "export-traj-snapshot-script": (["export-traj", "--agent", "random",
-                                         "--opponent", "snapshot:{fight}"],
+        "export-traj-snapshot-script": (["evaluate", "--agent", "random",
+                                         "--opponent", "snapshot:{fight}",
+                                         "--trajectory-out", "{out}/t.jsonl"],
                                         "script.flee_probability=0.5"),
         "evaluate-hierarchy-senses": (["evaluate", "--agent", "hierarchy",
                                        "{hierarchy}", "--opponent",
@@ -481,17 +486,19 @@ class TestConfigRejected:
                                       "scenario.commander_senses=3"),
         "sweep-senses": (["sweep", "{hierarchy}", "--cells", "2v2"],
                          "scenario.commander_senses=3"),
-        "export-traj-hierarchy-senses": (["export-traj", "--agent", "hierarchy",
+        "export-traj-hierarchy-senses": (["evaluate", "--agent", "hierarchy",
                                           "{hierarchy}", "--opponent",
-                                          "scripted:L1"],
+                                          "scripted:L1", "--trajectory-out",
+                                          "{out}/t.jsonl"],
                                          "scenario.commander_senses=3"),
         # every command takes its seed from --seed
         "evaluate-seed": (["evaluate", "--agent", "random", "--opponent",
                            "scripted:L1"], "scenario.seed=1"),
         "sweep-seed": (["sweep", "{hierarchy}", "--cells", "2v2"],
                        "scenario.seed=1"),
-        "export-traj-seed": (["export-traj", "--agent", "random", "--opponent",
-                              "scripted:L1"], "scenario.seed=1"),
+        "export-traj-seed": (["evaluate", "--agent", "random", "--opponent",
+                              "scripted:L1", "--trajectory-out",
+                              "{out}/t.jsonl"], "scenario.seed=1"),
         "train-commander-seed": (["train-commander", "--fight-ckpt", "{fight}",
                                   "--escape-ckpt", "{escape}", "--steps", "4"],
                                  "scenario.seed=1"),
@@ -516,7 +523,8 @@ class TestConfigRejected:
         if key == "scenario.seed":
             assert "--seed sets the seed" in err
 
-    # command shapes, each with its outputs written under one directory
+    # command shapes, each with its outputs written under one directory; an
+    # "export-traj" shape writes its one episode's trajectory
     SHAPES = {
         "fight-L1": ["train-low", "--policy", "fight", "--level", "L1",
                      "--steps", "4"],
@@ -538,8 +546,9 @@ class TestConfigRejected:
                               "{fight}", "--opponent", "scripted:L3"],
         "evaluate-hierarchy-L1": ["evaluate", "--agent", "hierarchy",
                                   "{hierarchy}", "--opponent", "scripted:L1"],
-        "export-traj-random-L2": ["export-traj", "--agent", "random",
-                                  "--opponent", "scripted:L2"],
+        "export-traj-random-L2": ["evaluate", "--agent", "random",
+                                  "--opponent", "scripted:L2",
+                                  "--trajectory-out", "{out}/t.jsonl"],
         "sweep-2v2": ["sweep", "{hierarchy}", "--cells", "2v2"],
         "sweep-10v10": ["sweep", "{hierarchy}", "--cells", "10v10"],
         "sweep-3v3-PF": ["sweep", "{hierarchy}", "--cells", "3v3-PF"],
@@ -632,8 +641,9 @@ class TestConfigRejected:
             ScenarioConfig(horizon=20), None, EPISODE + ["horizon", *OPTION],
             ["l2_fire_prob"], False),
         "export-traj-random-L3": (
-            ["export-traj", "--agent", "random", "--opponent", "scripted:L3",
-             "--set", "scenario.horizon=20"], ScenarioConfig(horizon=20),
+            ["evaluate", "--agent", "random", "--opponent", "scripted:L3",
+             "--trajectory-out", "{out}/t.jsonl", "--set",
+             "scenario.horizon=20"], ScenarioConfig(horizon=20),
             None, EPISODE + ["horizon"], L3, False),
         "sweep-2v2": (
             ["sweep", "{hierarchy}", "--cells", "2v2", "--set",
@@ -717,8 +727,8 @@ class TestConfigRejected:
          "near_distance", False),
         (["sweep", "--commander-ckpt", "c", "--fight-ckpt", "f",
           "--escape-ckpt", "e", "--out", "o"], "fast_speed", False),
-        (["export-traj", "--agent", "random", "--out", "t.jsonl"],
-         "share_fraction", False),
+        (["evaluate", "--agent", "random", "--episodes", "1",
+          "--trajectory-out", "t.jsonl"], "share_fraction", False),
     ]
 
     @pytest.mark.parametrize("argv, key, read", REWARD_KEYS)
@@ -843,10 +853,10 @@ class TestTrainLow:
 class TestExportTraj:
     def test_writes_readable_trajectory(self, tmp_path):
         out = tmp_path / "traj.jsonl"
-        code = main(["export-traj", "--agent", "random",
+        code = main(["evaluate", "--agent", "random",
                      "--opponent", "scripted:L2",
                      "--config", str(small_config(tmp_path, ppo=False)),
-                     "--out", str(out)])
+                     "--episodes", "1", "--trajectory-out", str(out)])
         assert code == 0
         log = import_trajectory(out)
         assert log.rounds
@@ -855,35 +865,13 @@ class TestExportTraj:
     def test_sim_override_changes_trajectory(self, tmp_path):
         def rounds(name, *overrides):
             out = tmp_path / name
-            assert main(["export-traj", "--agent", "random",
+            assert main(["evaluate", "--agent", "random",
                          "--opponent", "scripted:L2", "--seed", "3",
                          "--config", str(small_config(tmp_path, ppo=False)),
-                         "--out", str(out), *overrides]) == 0
+                         "--episodes", "1", "--trajectory-out", str(out),
+                         *overrides]) == 0
             return import_trajectory(out).rounds
 
         base = rounds("a.jsonl")
         assert rounds("b.jsonl") == base
         assert rounds("c.jsonl", "--set", "sim.round_seconds=0.2") != base
-
-    def test_hierarchy_rerolls_snapshot_opponents_as_evaluate_does(
-            self, tmp_path, fight_ckpt, escape_ckpt, monkeypatch):
-        calls = []
-        reassign = SnapshotController.reassign
-
-        def counted(self, world):
-            calls.append(world.round_idx)
-            return reassign(self, world)
-
-        monkeypatch.setattr(SnapshotController, "reassign", counted)
-        args = ["--agent", "hierarchy",
-                "--commander-ckpt", str(save_commander(tmp_path / "c.ckpt")),
-                "--fight-ckpt", str(fight_ckpt),
-                "--escape-ckpt", str(escape_ckpt),
-                "--opponent", f"snapshot:{fight_ckpt}:{escape_ckpt}:0.0",
-                "--set", "scenario.horizon=30", "--seed", "2"]
-        assert main(["evaluate", *args, "--episodes", "1"]) == 0
-        evaluated = list(calls)
-        calls.clear()
-        assert main(["export-traj", *args,
-                     "--out", str(tmp_path / "traj.jsonl")]) == 0
-        assert calls == evaluated and len(evaluated) > 1

@@ -12,7 +12,7 @@ from dogfight.evaluation import (
     EvalReport,
     HierarchyEvalActor,
     RandomActor,
-    TrajectoryRecorder,
+    TrajectoryLog,
     count_events,
     evaluate,
     event_from_dict,
@@ -137,30 +137,30 @@ class TestCounters:
 
 class TestTrajectory:
     def test_round_trip(self, tmp_path):
-        recorder = TrajectoryRecorder(0, header={"agent": "random"})
+        log = TrajectoryLog(header={"agent": "random", "episode": 0})
         evaluate(RandomActor(np.random.default_rng(1)), scripted("L2", seed=2),
                  small_scenario(horizon=5), episodes=1, seed=5,
-                 trajectory_recorder=recorder)
+                 trajectory=log)
         path = tmp_path / "episode.jsonl"
-        export_trajectory(recorder.log, path)
+        export_trajectory(log, path)
         loaded = import_trajectory(path)
         assert loaded.header["agent"] == "random"
-        assert loaded.rounds == json.loads(json.dumps(recorder.log.rounds))
-        assert loaded.landmarks == json.loads(json.dumps(recorder.log.landmarks))
+        assert loaded.rounds == json.loads(json.dumps(log.rounds))
+        assert loaded.landmarks == json.loads(json.dumps(log.landmarks))
         rounds = [r["round"] for r in loaded.rounds]
         assert rounds == sorted(rounds)
 
     def test_landmark_positions_match_victims(self, tmp_path):
         # force a quick kill: L3 opponents vs passive agents
-        recorder = TrajectoryRecorder(0)
+        log = TrajectoryLog(header={"episode": 0})
         report = evaluate(
             RandomActor(np.random.default_rng(3)),
             scripted("L3", seed=7, flee_probability=0.0),
             small_scenario(horizon=60), episodes=1, seed=11,
-            trajectory_recorder=recorder)
-        if recorder.log.landmarks:
-            landmark = recorder.log.landmarks[0]
-            in_round = [r for r in recorder.log.rounds
+            trajectory=log)
+        if log.landmarks:
+            landmark = log.landmarks[0]
+            in_round = [r for r in log.rounds
                         if r["round"] == landmark["round"]][0]
             craft = [a for a in in_round["aircraft"] if a["id"] == landmark["id"]][0]
             assert craft["x"] == landmark["x"]
@@ -168,8 +168,6 @@ class TestTrajectory:
             assert not craft["alive"]
 
     def test_header_only_for_empty_episode(self, tmp_path):
-        from dogfight.evaluation import TrajectoryLog
-
         log = TrajectoryLog(header={"note": "empty"})
         path = tmp_path / "empty.jsonl"
         export_trajectory(log, path)
@@ -193,8 +191,6 @@ class TestTrajectory:
                                       '{"round": 1, "events": []}'],
                              ids=["malformed-json", "no-type"])
     def test_corrupt_line_names_file_and_line(self, tmp_path, line):
-        from dogfight.evaluation import TrajectoryLog
-
         path = tmp_path / "corrupt.jsonl"
         export_trajectory(TrajectoryLog(header={"note": "ok"}), path)
         with open(path, "a") as fh:
