@@ -77,7 +77,8 @@ _EPISODE_KEYS = {"n_agents", "n_opponents", "map_size", "agent_cannon",
 _OPTION_KEYS = {"option_horizon", "boundary_margin", "favorable_distance",
                 "favorable_ata"}
 # an `--opponent`: a scripted level, or fight[, escape[, p]] snapshots
-_OPPONENT = re.compile(r"scripted:L[123]|snapshot:[^:]+(?::[^:]*(?::(?P<p>.*))?)?")
+_OPPONENT = re.compile(
+    r"scripted:L[123]|snapshot:[^:]+(?::(?P<escape>[^:]*)(?::(?P<p>.*))?)?")
 
 
 class UsageError(ValueError):
@@ -106,7 +107,7 @@ def _reads(args) -> dict[str, set[str]]:
         scenario |= set(REWARD_VARIANTS[args.policy][args.variant])
         if args.policy != "standard":
             scenario.remove("horizon")
-        levels = {"fight": LOW_LEVELS if args.level == "curriculum"
+        levels = {"fight": LOW_LEVELS if args.level in (None, "curriculum")
                   else [args.level]}.get(args.policy, ["L3"])
     elif args.command == "train-commander":
         scenario |= _OPTION_KEYS | {"opponent_fight_prob", "commander_senses"}
@@ -181,7 +182,14 @@ def cmd_gradcheck(args) -> int:
 def cmd_train_low(args) -> int:
     cfg = _load_config(args, _standard_scenario if args.policy == "standard"
                        else ScenarioConfig)
-    ppo = _ppo(cfg)  # a refused value exits before any directory is made
+    # a refused ppo value, mode or level exits before any directory is made
+    ppo = _ppo(cfg)
+    if args.policy == "fight":
+        level = args.level or "curriculum"
+        mode = TrainMode(framework=args.framework or "ctde", kind="fight",
+                         reward_variant=args.variant,
+                         fc_baseline=args.fc_baseline)
+        check_levels(mode, LOW_LEVELS if level == "curriculum" else [level])
     run = RunDir(args.run_dir)
     scenario, script, sim, seed = (cfg["scenario"], cfg["script"], cfg["sim"],
                                    args.seed)
@@ -199,21 +207,17 @@ def cmd_train_low(args) -> int:
                      variant=args.variant, script=script, sim_cfg=sim)
         return 0
 
-    mode = TrainMode(framework=args.framework, kind="fight",
-                     reward_variant=args.variant,
-                     fc_baseline=args.fc_baseline)
-    if args.level == "curriculum":
+    if level == "curriculum":
         run_curriculum(scenario, ppo, mode, run, archive, seed,
                        steps_per_level=args.steps, script=script, sim_cfg=sim)
         return 0
 
-    check_levels(mode, [args.level])
     trainer = LowLevelTrainer(scenario, ppo, mode, run, seed, script, sim)
-    trainer.write_config(mode=mode.__dict__, level=args.level, steps=args.steps)
-    controller = controller_for_level(args.level, trainer, archive)
-    trainer.train_level(args.level, controller, args.steps,
-                        horizon=curriculum_horizon(args.level))
-    archive.save("fight", args.level, trainer.policy)
+    trainer.write_config(mode=mode.__dict__, level=level, steps=args.steps)
+    controller = controller_for_level(level, trainer, archive)
+    trainer.train_level(level, controller, args.steps,
+                        horizon=curriculum_horizon(level))
+    archive.save("fight", level, trainer.policy)
     return 0
 
 
@@ -356,15 +360,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--policy", choices=["fight", "escape", "standard"],
                    required=True)
-    p.add_argument("--level", default="curriculum",
+    p.add_argument("--level", help="fight only (default: curriculum)",
                    choices=["L1", "L2", "L3", "L4", "L5", "curriculum"])
-    p.add_argument("--framework", default="ctde",
+    p.add_argument("--framework", help="fight only (default: ctde)",
                    choices=["ctde", "ctce", "dtde"])
     p.add_argument("--variant", default="base",
                    help="reward variant: " + ", ".join(
                        f"{'|'.join(v)} ({k})" for k, v in REWARD_VARIANTS.items()))
     p.add_argument("--fc-baseline", action="store_true",
-                   help="ctde only: two 500-wide layers instead of the "
+                   help="ctde fight only: two 500-wide layers instead of the "
                         "attention net")
     p.add_argument("--steps", type=int, required=True,
                    help="env steps (per level for the curriculum), a minimum: "
@@ -373,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps-phase2", type=int, default=None,
                    help="escape: env steps vs the frozen L5 fight policy")
     p.add_argument("--run-dir", required=True)
-    p.add_argument("--league-dir", default=None)
+    p.add_argument("--league-dir", default=None, help="fight and escape")
     p.set_defaults(func=cmd_train_low)
 
     p = sub.add_parser("train-commander", help="train the option commander")
@@ -423,6 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the policy flags each `train-low --policy` reads
+_POLICY_FLAGS = {"fight": ["framework", "fc_baseline", "level", "league_dir"],
+                 "escape": ["steps_phase2", "league_dir"], "standard": []}
 # the checkpoint flags each `--agent` of evaluate reads
 _AGENT_CHECKPOINTS = {"fight": ["agent_ckpt"], "escape": ["agent_ckpt"],
                       "standard": ["agent_ckpt"], "random": [], "hierarchy": [
@@ -430,13 +437,20 @@ _AGENT_CHECKPOINTS = {"fight": ["agent_ckpt"], "escape": ["agent_ckpt"],
 
 
 def _usage_problem(args) -> str | None:
-    """What argparse cannot check: a low-level policy's reward variant, the
-    checkpoint flags each command reads, the sweep's cells, and the episode
-    counts."""
-    if (args.command == "train-low"
-            and args.variant not in REWARD_VARIANTS[args.policy]):
-        return (f"--variant {args.variant}: the {args.policy} policy takes "
-                f"{'|'.join(REWARD_VARIANTS[args.policy])}")
+    """What argparse cannot check: a low-level policy's reward variant and
+    flags, the checkpoint flags each command reads, the parts of a snapshot
+    opponent the agent reads, the sweep's cells, and the episode counts."""
+    if args.command == "train-low":
+        if args.variant not in REWARD_VARIANTS[args.policy]:
+            return (f"--variant {args.variant}: the {args.policy} policy "
+                    f"takes {'|'.join(REWARD_VARIANTS[args.policy])}")
+        for dest in ("framework", "fc_baseline", "level", "steps_phase2",
+                     "league_dir"):
+            value = getattr(args, dest)  # given whatever its value
+            if (value is not None and value is not False
+                    and dest not in _POLICY_FLAGS[args.policy]):
+                return (f"--policy {args.policy} does not read "
+                        f"--{dest.replace('_', '-')}")
     if args.command == "train-commander":
         sources = [dest for dest in ("fight_ckpt", "escape_ckpt", "league_dir")
                    if getattr(args, dest) is not None]
@@ -451,6 +465,17 @@ def _usage_problem(args) -> str | None:
                 return (f"--agent {args.agent} "
                         f"{'does not read' if given else 'needs'} "
                         f"--{dest.replace('_', '-')}")
+        # only the hierarchy's option loop re-rolls snapshot opponents, and
+        # with p = 1 every one fights
+        snapshot = _OPPONENT.fullmatch(args.opponent)
+        escape, p = snapshot["escape"], snapshot["p"]
+        if args.agent != "hierarchy" and (escape or p is not None):
+            return (f"--agent {args.agent} does not read the escape "
+                    f"checkpoint or p of --opponent {args.opponent}")
+        if (args.agent == "hierarchy"
+                and bool(escape) != (p is not None and float(p) < 1)):
+            return (f"--opponent {args.opponent}: a snapshot escape "
+                    f"checkpoint needs p below 1, and p below 1 needs one")
     if args.command == "sweep":
         known = [c["name"] for c in standard_sweep_cells()]
         for name in args.cells.split(",") if args.cells else ():

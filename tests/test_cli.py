@@ -12,7 +12,12 @@ import pytest
 import dogfight
 from dogfight.cli import main
 from dogfight.config import ScenarioConfig, ScriptConfig
-from dogfight.evaluation import EvalReport, import_trajectory
+from dogfight.evaluation import (
+    EvalReport,
+    evaluate,
+    event_to_dict,
+    import_trajectory,
+)
 from dogfight.nn import (
     PolicyNetwork,
     commander_config,
@@ -22,7 +27,7 @@ from dogfight.nn import (
 )
 from dogfight.nn.params import load_checkpoint, save_arrays
 from dogfight.observations import critic_input_width
-from dogfight.simcore import SimConfig
+from dogfight.simcore import RocketLaunch, SimConfig
 from dogfight.train import CommanderVariant, PPOConfig
 
 
@@ -193,6 +198,49 @@ class TestUsage:
         assert "batch_size must be at least 1" in capsys.readouterr().err
         assert not run_dir.exists() and not league.exists()
 
+    @pytest.mark.parametrize("flags, words", [
+        (["--framework", "dtde", "--fc-baseline", "--level", "L1"],
+         "fc_baseline replaces the attention network"),
+        (["--framework", "ctce", "--fc-baseline"],
+         "fc_baseline replaces the attention network"),
+        (["--framework", "dtde", "--level", "L4"], "dtde cannot train L4 or L5"),
+        (["--framework", "dtde"], "dtde cannot train L4 or L5"),
+    ])
+    def test_refused_mode_or_level_writes_nothing(self, flags, words, tmp_path,
+                                                  capsys):
+        # the fight mode and its levels are checked before any run or league
+        # directory is made; a refused one is a runtime error
+        run_dir, league = tmp_path / "run", tmp_path / "league"
+        code = main(["train-low", "--policy", "fight", *flags, "--steps", "4",
+                     "--run-dir", str(run_dir), "--league-dir", str(league)])
+        assert code == 1
+        assert words in capsys.readouterr().err
+        assert not run_dir.exists() and not league.exists()
+
+    @pytest.mark.parametrize("policy, flags", [
+        ("escape", ["--framework", "ctde"]),
+        ("escape", ["--fc-baseline"]),
+        ("escape", ["--level", "L3"]),
+        ("standard", ["--framework", "ctce"]),
+        ("standard", ["--fc-baseline"]),
+        ("standard", ["--level", "curriculum"]),
+        ("fight", ["--steps-phase2", "0"]),
+        ("standard", ["--steps-phase2", "4"]),
+        ("standard", ["--league-dir", "{league}"]),
+    ])
+    def test_unread_policy_flag_is_usage_error(self, policy, flags, tmp_path,
+                                               capsys):
+        # a flag counts as given whatever its value, the default's included
+        run_dir, league = tmp_path / "run", tmp_path / "league"
+        with pytest.raises(SystemExit) as exc:
+            main(["train-low", "--policy", policy, "--steps", "4",
+                  "--run-dir", str(run_dir), "--set", "ppo.batch_size=16",
+                  *[flag.format(league=league) for flag in flags]])
+        assert exc.value.code == 2
+        assert (f"--policy {policy} does not read {flags[0]}"
+                in capsys.readouterr().err)
+        assert not run_dir.exists() and not league.exists()
+
     @pytest.mark.parametrize("command", [
         ["evaluate", "--out", "{out}/report.json", "--trajectory-out",
          "{out}/t.jsonl"],
@@ -223,20 +271,56 @@ class TestUsage:
         assert loads == []  # rejected before any checkpoint loads
         assert not out.exists()
 
-    @pytest.mark.parametrize("opponent", [
-        "scripted:L1", "scripted:L2", "scripted:L3", "snapshot:{fight}",
-        "snapshot:{fight}:", "snapshot:{fight}:{escape}",
-        "snapshot:{fight}:{escape}:0", "snapshot:{fight}:{escape}:0.25",
-        "snapshot:{fight}:{escape}:1", "snapshot:{fight}::1.0",
-    ])
-    def test_every_opponent_shape_runs(self, opponent, tmp_path, fight_ckpt,
-                                       escape_ckpt):
+    # (agent, opponent): a snapshot's escape checkpoint and p are read by
+    # the hierarchy's option loop alone
+    SHAPES = [("random", "scripted:L1"), ("random", "scripted:L2"),
+              ("random", "scripted:L3"), ("random", "snapshot:{fight}"),
+              ("random", "snapshot:{fight}:"),
+              ("hierarchy", "snapshot:{fight}:{escape}:0"),
+              ("hierarchy", "snapshot:{fight}:{escape}:0.25"),
+              ("hierarchy", "snapshot:{fight}::1.0")]
+
+    @pytest.mark.parametrize("agent, opponent", SHAPES,
+                             ids=[opponent for _, opponent in SHAPES])
+    def test_every_opponent_shape_runs(self, agent, opponent, tmp_path,
+                                       fight_ckpt, escape_ckpt):
         out = tmp_path / "report.json"
-        assert main(["evaluate", "--agent", "random", "--opponent",
-                     opponent.format(fight=fight_ckpt, escape=escape_ckpt),
-                     "--config", str(small_config(tmp_path, ppo=False)),
-                     "--episodes", "1", "--out", str(out)]) == 0
+        command = ["evaluate", "--agent", agent, "--opponent", opponent,
+                   *["{hierarchy}"] * (agent == "hierarchy")]
+        assert main(expand(command, tmp_path, fight_ckpt, escape_ckpt, tmp_path)
+                    + ["--config", str(small_config(tmp_path, ppo=False))]) == 0
         assert EvalReport.load(out).episodes == 1
+
+    @pytest.mark.parametrize("agent, opponent", [
+        ("random", "snapshot:{fight}:{escape}"),
+        ("random", "snapshot:{fight}::1.0"),
+        ("fight", "snapshot:{fight}:{escape}:0.25"),
+        ("hierarchy", "snapshot:{fight}:{escape}"),
+        ("hierarchy", "snapshot:{fight}:{escape}:1"),
+        ("hierarchy", "snapshot:{fight}::0.5"),
+    ], ids=lambda value: value)
+    def test_unread_snapshot_part_is_usage_error(self, agent, opponent,
+                                                 tmp_path, fight_ckpt,
+                                                 escape_ckpt, monkeypatch,
+                                                 capsys):
+        # p is read by the hierarchy's re-roll alone, and with p = 1 every
+        # opponent fights, so an escape checkpoint goes with p below 1
+        import dogfight.cli
+
+        loads = []
+        monkeypatch.setattr(dogfight.cli, "load_policy", loads.append)
+        monkeypatch.setattr(dogfight.cli, "load_checkpoint", loads.append)
+        out = tmp_path / "out"
+        command = ["evaluate", "--agent", agent, "--opponent", opponent,
+                   "--trajectory-out", "{out}/t.jsonl",
+                   *{"random": [], "fight": ["--agent-ckpt", "{fight}"],
+                     "hierarchy": ["{hierarchy}"]}[agent]]
+        with pytest.raises(SystemExit) as exc:
+            main(expand(command, tmp_path, fight_ckpt, escape_ckpt, out))
+        assert exc.value.code == 2
+        assert "--opponent" in capsys.readouterr().err
+        assert loads == []  # rejected before any checkpoint loads
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, words", [
         (["evaluate", "--agent", "random", "--episodes", "-3"],
@@ -840,7 +924,8 @@ class TestTrainLow:
     @pytest.mark.parametrize("policy", ["fight", "escape"])
     def test_level_or_phase_sets_the_horizon(self, policy, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["train-low", "--policy", policy, "--level", "L1",
+            main(["train-low", "--policy", policy,
+                  *["--level", "L1"] * (policy == "fight"),
                   "--steps", "1", "--run-dir", str(tmp_path / "run"),
                   "--set", "scenario.horizon=5"])
         err = capsys.readouterr().err
@@ -875,3 +960,39 @@ class TestExportTraj:
         base = rounds("a.jsonl")
         assert rounds("b.jsonl") == base
         assert rounds("c.jsonl", "--set", "sim.round_seconds=0.2") != base
+
+    @pytest.mark.parametrize("episode", [0, 3, 9])
+    def test_records_the_episode_it_names(self, episode, tmp_path,
+                                          monkeypatch):
+        # ten episodes play as a lockstep batch of eight and one of two: the
+        # first episode, a middle one and one of the second batch
+        import dogfight.cli
+
+        hooked = []
+
+        def hooked_evaluate(*args, **kwargs):
+            return evaluate(*args, **kwargs, episode_hook=lambda events, *_:
+                            hooked.append(events))
+
+        monkeypatch.setattr(dogfight.cli, "evaluate", hooked_evaluate)
+        out = tmp_path / "t.jsonl"
+        assert main(["evaluate", "--agent", "random", "--opponent",
+                     "scripted:L3", "--config",
+                     str(small_config(tmp_path, ppo=False, horizon=40)),
+                     "--episodes", "10", "--trajectory-episode", str(episode),
+                     "--trajectory-out", str(out)]) == 0
+        log = import_trajectory(out)
+        assert log.header["episode"] == episode
+        assert log.header["scenario"] == dataclasses.asdict(ScenarioConfig(
+            n_agents=2, n_opponents=2, horizon=40, map_size=20.0))
+
+        def round_events(events):
+            # a rocket launches as its action applies, before the step's
+            # rounds; every other event is a round's
+            return json.loads(json.dumps([event_to_dict(e) for e in events
+                                          if not isinstance(e, RocketLaunch)]))
+
+        recorded = [event for r in log.rounds for event in r["events"]]
+        assert len(hooked) == 10 and recorded
+        assert [k for k, events in enumerate(hooked)
+                if round_events(events) == recorded] == [episode]
