@@ -142,25 +142,6 @@ class TestUsage:
          "--variant bogus: the fight policy takes base|fripun|shfrac"),
         (["train-low", "--policy", "escape", "--variant", "fripun"],
          "--variant fripun: the escape policy takes base|dist|dist_speed"),
-        # a train-low flag counts as given whatever its value
-        (["train-low", "--policy", "escape", "--framework", "ctde"],
-         "--policy escape does not read --framework"),
-        (["train-low", "--policy", "escape", "--fc-baseline"],
-         "--policy escape does not read --fc-baseline"),
-        (["train-low", "--policy", "escape", "--level", "L3"],
-         "--policy escape does not read --level"),
-        (["train-low", "--policy", "standard", "--framework", "ctce"],
-         "--policy standard does not read --framework"),
-        (["train-low", "--policy", "standard", "--fc-baseline"],
-         "--policy standard does not read --fc-baseline"),
-        (["train-low", "--policy", "standard", "--level", "curriculum"],
-         "--policy standard does not read --level"),
-        (["train-low", "--policy", "fight", "--steps-phase2", "0"],
-         "--policy fight does not read --steps-phase2"),
-        (["train-low", "--policy", "standard", "--steps-phase2", "4"],
-         "--policy standard does not read --steps-phase2"),
-        (["train-low", "--policy", "standard", "--league-dir", "league"],
-         "--policy standard does not read --league-dir"),
         (["train-commander", "--fight-ckpt", "nope.ckpt"],
          "needs --fight-ckpt and --escape-ckpt, or --league-dir alone"),
         (["train-commander", "--league-dir", "league", "--fight-ckpt", "f"],
@@ -185,6 +166,25 @@ class TestUsage:
         (["sweep", "--commander-ckpt", "c", "--fight-ckpt", "f",
           "--escape-ckpt", "e", "--out", "o", "--cells", "2v2,3V3"],
          "--cells: '3V3' is not one of 2v2,3v3,"),
+        # a train-low flag counts as given whatever its value
+        (["train-low", "--policy", "escape", "--framework", "ctde"],
+         "--policy escape does not read --framework"),
+        (["train-low", "--policy", "escape", "--fc-baseline"],
+         "--policy escape does not read --fc-baseline"),
+        (["train-low", "--policy", "escape", "--level", "L3"],
+         "--policy escape does not read --level"),
+        (["train-low", "--policy", "standard", "--framework", "ctce"],
+         "--policy standard does not read --framework"),
+        (["train-low", "--policy", "standard", "--fc-baseline"],
+         "--policy standard does not read --fc-baseline"),
+        (["train-low", "--policy", "standard", "--level", "curriculum"],
+         "--policy standard does not read --level"),
+        (["train-low", "--policy", "fight", "--steps-phase2", "0"],
+         "--policy fight does not read --steps-phase2"),
+        (["train-low", "--policy", "standard", "--steps-phase2", "4"],
+         "--policy standard does not read --steps-phase2"),
+        (["train-low", "--policy", "standard", "--league-dir", "league"],
+         "--policy standard does not read --league-dir"),
     ])
     def test_unread_input_is_usage_error(self, argv, words, tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -294,10 +294,9 @@ class TestUsage:
         ("hierarchy", "snapshot:{fight}:{escape}:1"),
         ("hierarchy", "snapshot:{fight}::0.5"),
     ], ids=lambda value: value)
-    def test_unread_snapshot_part_is_usage_error(self, agent, opponent,
-                                                 tmp_path, fight_ckpt,
-                                                 escape_ckpt, monkeypatch,
-                                                 capsys):
+    def test_unread_snapshot_part_refused(self, agent, opponent, tmp_path,
+                                          fight_ckpt, escape_ckpt,
+                                          monkeypatch, capsys):
         # p is read by the hierarchy's re-roll alone, and with p = 1 every
         # opponent fights, so an escape checkpoint goes with p below 1
         import dogfight.cli
