@@ -219,7 +219,9 @@ class CombatEnv:
         self.outcome = OUTCOME_ONGOING
         self.attack_targets: dict[int, int | None] = {}
         self.prev_actions: dict[int, list[float]] = {}
-        self.round_listener = None  # called (world, events) after each sim round
+        # called (world, events) after each sim round; the step's rocket
+        # launches come first among its first round's events
+        self.round_listener = None
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -273,11 +275,13 @@ class CombatEnv:
             if launch is not None:
                 events.append(launch)
 
+        heard = events[:]  # the launches reach the listener with round one
         for _ in range(self.scenario.rounds_per_step):
             round_events = step_round(world)
             events.extend(round_events)
             if self.round_listener is not None:
-                self.round_listener(world, round_events)
+                self.round_listener(world, heard + round_events)
+            heard = []
 
         self.step_count += 1
         self.outcome = classify_outcome(world, self.step_count, self.scenario.horizon)

@@ -1,21 +1,16 @@
 """Minimal reverse-mode automatic differentiation on dense numpy arrays.
 
-Covers exactly the operations the three policy architectures and the PPO
-loss need: elementwise add and multiply (with broadcasting), matmul (batched,
-or a batched operand against a 2-D weight folded into one 2-D product),
-transpose, tanh/sigmoid/exp, the attention softmax, sum and mean, column
-slices and stacking, the clipped minimum of the PPO objective, and
-`head_log_prob_entropy`, the log-probability and entropy of every categorical
-head from the fused heads output. Gradients are exact analytic expressions;
-the finite difference suite in gradcheck.py verifies every op in situ.
+Covers exactly what the PPO loss and the gradient audit need: elementwise
+add and multiply (with broadcasting), exp, sum and mean, the clipped minimum
+of the PPO objective, `head_log_prob_entropy`, the log-probability and
+entropy of every categorical head from the fused heads output, and `node`,
+which records one network block of `blocks` (a dense layer, the attention
+embed, a GRU step) with the block's own analytic backward. The finite
+difference suite in gradcheck.py verifies every op in situ.
 
 A gradient handed to `_accumulate` becomes the tensor's own: no gradient
 array is changed in place after that, so one array may be the gradient of
 several tensors.
-
-An op none of whose operands is a Tensor returns a plain ndarray and builds
-no backward closure, so a network body run on raw parameter arrays is a
-graph-free forward with the same arithmetic as the recorded one.
 """
 
 from __future__ import annotations
@@ -134,8 +129,7 @@ def backward_from(outputs: list[Tensor], output_grads: list[np.ndarray]):
 
 def _make(data, parents, backward_fn):
     """The op's Tensor result, recording `backward_fn` when some operand
-    carries gradient. Ops whose operands hold no Tensor return their plain
-    array before building `backward_fn` (the graph-free forward)."""
+    carries gradient."""
     out = Tensor(data)
     if any(_tracks_grad(p) for p in parents):
         out._parents = tuple(p for p in parents if _tracks_grad(p))
@@ -144,16 +138,27 @@ def _make(data, parents, backward_fn):
     return out
 
 
+def node(kernel, operands, **static):
+    """`kernel` (a block of `blocks`) run on the operands' arrays, as one
+    node whose backward hands every operand that carries gradient its
+    part."""
+    out, backward = kernel(*[_data(v) for v in operands], **static)
+    needs = [_tracks_grad(v) for v in operands]
+
+    def backward_fn(grad):
+        for v, g in zip(operands, backward(grad, needs)):
+            _accumulate(v, g)
+
+    return _make(out, operands, backward_fn)
+
+
 # --- primitive operations --------------------------------------------------
 #
-# Operands may be Tensors, ndarrays or scalars. An op with no Tensor operand
-# returns its plain array; otherwise see `_make`.
+# Operands may be Tensors, ndarrays or scalars (see `_make`).
 
 def add(a, b):
     da, db = _data(a), _data(b)
     data = da + db
-    if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
-        return data
 
     def backward(grad):
         if _tracks_grad(a):
@@ -167,8 +172,6 @@ def add(a, b):
 def mul(a, b):
     da, db = _data(a), _data(b)
     data = da * db
-    if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
-        return data
 
     def backward(grad):
         if _tracks_grad(a):
@@ -179,86 +182,11 @@ def mul(a, b):
     return _make(data, (a, b), backward)
 
 
-def matmul(a, b):
-    da, db = _data(a), _data(b)
-    batched = None
-    if db.ndim == 2 and da.ndim > 2:
-        # a batched operand against a 2-D weight: one 2-D product over its
-        # rows, not one product per batch entry
-        batched, da = da.shape, da.reshape(-1, da.shape[-1])
-    data = da @ db
-    if batched is not None:
-        data = data.reshape(*batched[:-1], -1)
-    if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
-        return data
-
-    def backward(grad):
-        if batched is not None:
-            grad = grad.reshape(-1, grad.shape[-1])
-        if _tracks_grad(a):
-            ga = _unbroadcast(grad @ np.swapaxes(db, -1, -2), da)
-            _accumulate(a, ga if batched is None else ga.reshape(batched))
-        if _tracks_grad(b):
-            _accumulate(b, _unbroadcast(np.swapaxes(da, -1, -2) @ grad, db))
-
-    return _make(data, (a, b), backward)
-
-
-def transpose_last2(a):
-    data = np.swapaxes(_data(a), -1, -2)
-    if not isinstance(a, Tensor):
-        return data
-
-    def backward(grad):
-        _accumulate(a, np.swapaxes(grad, -1, -2))
-
-    return _make(data, (a,), backward)
-
-
-def tanh(a):
-    data = np.tanh(_data(a))
-    if not isinstance(a, Tensor):
-        return data
-
-    def backward(grad):
-        _accumulate(a, grad * (1.0 - data * data))
-
-    return _make(data, (a,), backward)
-
-
-def sigmoid(a):
-    data = 1.0 / (1.0 + np.exp(-_data(a)))
-    if not isinstance(a, Tensor):
-        return data
-
-    def backward(grad):
-        _accumulate(a, grad * data * (1.0 - data))
-
-    return _make(data, (a,), backward)
-
-
 def exp(a):
     data = np.exp(_data(a))
-    if not isinstance(a, Tensor):
-        return data
 
     def backward(grad):
         _accumulate(a, grad * data)
-
-    return _make(data, (a,), backward)
-
-
-def softmax(a, axis: int = -1):
-    da = _data(a)
-    shifted = da - da.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
-    if not isinstance(a, Tensor):
-        return data
-
-    def backward(grad):
-        inner = (grad * data).sum(axis=axis, keepdims=True)
-        _accumulate(a, data * (grad - inner))
 
     return _make(data, (a,), backward)
 
@@ -304,8 +232,6 @@ def head_log_prob_entropy(z, arities, actions: np.ndarray, mask=None):
 def tsum(a, axis=None, keepdims: bool = False):
     da = _data(a)
     data = da.sum(axis=axis, keepdims=keepdims)
-    if not isinstance(a, Tensor):
-        return data
 
     def backward(grad):
         g = grad
@@ -320,8 +246,6 @@ def tmean(a, axis=None, keepdims: bool = False):
     da = _data(a)
     data = da.mean(axis=axis, keepdims=keepdims)
     count = da.size if axis is None else da.shape[axis]
-    if not isinstance(a, Tensor):
-        return data
 
     def backward(grad):
         g = grad
@@ -332,40 +256,10 @@ def tmean(a, axis=None, keepdims: bool = False):
     return _make(data, (a,), backward)
 
 
-def slice_cols(a, start: int, stop: int):
-    """Columns `start:stop` of the last axis; a view of a plain array."""
-    da = _data(a)
-    data = da[..., start:stop]
-    if not isinstance(a, Tensor):
-        return data
-
-    def backward(grad):
-        full = np.zeros_like(da)
-        full[..., start:stop] = grad
-        _accumulate(a, full)
-
-    return _make(data, (a,), backward)
-
-
-def stack(tensors: list, axis: int = 1):
-    data = np.stack([_data(t) for t in tensors], axis=axis)
-    if not any(isinstance(t, Tensor) for t in tensors):
-        return data
-
-    def backward(grad):
-        pieces = np.split(grad, len(tensors), axis=axis)
-        for t, piece in zip(tensors, pieces):
-            _accumulate(t, piece.squeeze(axis=axis))
-
-    return _make(data, tuple(tensors), backward)
-
-
 def minimum(a, b):
     da, db = _data(a), _data(b)
     take_a = da <= db
     data = np.where(take_a, da, db)
-    if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
-        return data
 
     def backward(grad):
         if _tracks_grad(a):
@@ -380,8 +274,6 @@ def clip(a, lo: float, hi: float):
     da = _data(a)
     inside = (da >= lo) & (da <= hi)
     data = np.clip(da, lo, hi)
-    if not isinstance(a, Tensor):
-        return data
 
     def backward(grad):
         _accumulate(a, grad * inside)

@@ -1,16 +1,18 @@
 """Central finite-difference verification of the analytic gradients.
 
 Runs the real architectures (fight with attention, escape MLP, commander
-GRU over a multi-step sequence) at float64, perturbs sampled parameter
-coordinates by +/-h, and compares the numeric slope against the backward
-pass of every op their bodies use, the column slices of the fused layers
-included. The scalar probe loss mixes every actor head, the PPO
-log-probabilities and entropies of drawn actions, and the critic so every
-parameter influences the output.
+GRU over a multi-step sequence, commander attention, the wide tanh
+baseline) at float64, perturbs sampled parameter coordinates by +/-h, and
+compares the numeric slope against the backward pass of every node their
+bodies use: the dense, attention and GRU blocks and the heads' log-softmax.
+The scalar probe loss mixes every actor head, the PPO log-probabilities and
+entropies of drawn actions, and the critic so every parameter influences
+the output.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,9 +56,7 @@ def _probe_loss(net: PolicyNetwork, instance: str, obs: np.ndarray,
         hidden = out.hidden
         log_prob, entropy = head_log_prob_entropy(out.heads, arities,
                                                   actions[t])
-        step_term = tmean(log_prob) + tmean(entropy)
-        for logits in out.logits:
-            step_term = step_term + tmean(logits)
+        step_term = tmean(log_prob) + tmean(entropy) + tmean(out.heads)
         total = step_term if total is None else total + step_term
     value = tsum(net.forward_critic(instance, critic_in))
     return total + value
@@ -119,17 +119,24 @@ def check_network(config: NetworkConfig, instance: str, *, draws: int = 100,
 
 
 def run_standard_suite(draws: int = 100, seed: int = 0) -> list[GradCheckReport]:
-    """Gradient checks for the three production architectures at float64.
+    """Gradient checks for the production architectures at float64: fight
+    attention, escape, commander GRU, commander attention (`sa`) and the
+    wide tanh fight baseline (fc).
 
-    The commander check runs the GRU over a five-step sequence so gradients
+    The commander GRU check runs over a five-step sequence so gradients
     flow through time.
     """
-    reports = []
-    fight = fight_config(critic_width=40, dtype="float64")
-    reports.append(check_network(fight, "ac1", draws=draws, seed=seed))
-    escape = escape_config(critic_width=40, dtype="float64")
-    reports.append(check_network(escape, "ac2", draws=draws, seed=seed + 1))
-    commander = commander_config(senses=2, critic_width=40, dtype="float64")
-    reports.append(check_network(commander, "cmd", draws=draws, seq_len=5,
-                                 seed=seed + 2))
-    return reports
+    suite = [
+        ("fight", fight_config(critic_width=40, dtype="float64"), "ac1", 1),
+        ("escape", escape_config(critic_width=40, dtype="float64"), "ac2", 1),
+        ("commander-gru", commander_config(senses=2, critic_width=40,
+                                           dtype="float64"), "cmd", 5),
+        ("commander-sa", commander_config(senses=2, critic_width=40, arch="sa",
+                                          dtype="float64"), "cmd", 1),
+        ("fight-fc", fight_config(critic_width=40, fc_baseline=True,
+                                  dtype="float64"), "ac1", 1),
+    ]
+    return [dataclasses.replace(
+        check_network(config, instance, draws=draws, seq_len=seq_len,
+                      seed=seed + k), name=f"{label}/{instance}")
+            for k, (label, config, instance, seq_len) in enumerate(suite)]

@@ -9,10 +9,11 @@ on). The fight actor tokenizes its observation into entity blocks and runs
 single-head scaled dot-product self-attention over them; the commander actor
 carries a GRU hidden state across its invocations.
 
-Every architecture's layers are written once, in terms of the autodiff
-ops. `grad=True` runs them on the store's Tensors and records the graph
-that PPO and the gradient check differentiate; `grad=False` runs the same
-body on the store's raw arrays, which is how rollouts and evaluation make
+Every architecture is written once, from the numpy kernels of `blocks`:
+dense layers, the attention embed and the GRU step. `grad=True` runs each
+kernel as one autodiff node on the store's Tensors and records the graph
+that PPO and the gradient check differentiate; `grad=False` calls the same
+kernels on the store's arrays, which is how rollouts and evaluation make
 their decisions: batched, and without building a single Tensor.
 """
 
@@ -20,9 +21,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,20 +32,8 @@ from ..observations import (
     commander_block_widths,
     fight_token_splits,
 )
-from .autodiff import (
-    Tensor,
-    add,
-    head_log_prob_entropy,
-    matmul,
-    mul,
-    sigmoid,
-    slice_cols,
-    softmax,
-    stack,
-    tanh,
-    tmean,
-    transpose_last2,
-)
+from .autodiff import Tensor, head_log_prob_entropy, node
+from .blocks import attention, dense, gru
 from .params import ParamStore, load_checkpoint, orthogonal_init
 
 EMBED_WIDTH = 100
@@ -162,7 +150,6 @@ def ctce_config(kind: str, obs_width: int, head_arities: tuple[int, ...],
 @dataclass
 class ActorOutput:
     heads: Tensor | np.ndarray  # [B, sum of arities], every head's logits
-    logits: list  # one [B, arity] column slice of `heads` per head
     hidden: Tensor | np.ndarray | None  # [B, H] for recurrent actors
 
 
@@ -222,13 +209,18 @@ class PolicyNetwork:
 
     # -- forward helpers ------------------------------------------------------
 
-    def _params(self, grad: bool) -> dict:
-        """Parameter name -> Tensor (graph recorded) or its array."""
-        return self.store.params if grad else self.store.state_arrays()
+    def _block(self, grad: bool, kernel, inputs: tuple, names, **static):
+        """`kernel` on `inputs` and the named parameters: one autodiff node
+        on the store's Tensors with `grad`, else the kernel's output on
+        their arrays."""
+        params = self.store.params
+        if grad:
+            return node(kernel, (*inputs, *(params[n] for n in names)), **static)
+        return kernel(*inputs, *(params[n].data for n in names), **static)[0]
 
-    @staticmethod
-    def _affine(p: dict, name: str, x):
-        return matmul(x, p[f"{name}.W"]) + p[f"{name}.b"]
+    def _dense(self, grad: bool, x, name: str, squash: bool = True):
+        return self._block(grad, dense, (x,), (f"{name}.W", f"{name}.b"),
+                           squash=squash)
 
     def _input(self, obs: np.ndarray, width: int, what: str) -> np.ndarray:
         x = np.asarray(obs, dtype=self.store.dtype)
@@ -239,34 +231,6 @@ class PolicyNetwork:
                              f"got {x.shape[-1]}")
         return x
 
-    def _embed(self, p: dict, inst: InstanceSpec, x: np.ndarray):
-        cfg = self.config
-        if cfg.fc_baseline or not inst.token_splits:
-            return tanh(self._affine(p, f"{inst.name}.embed", x))
-        tokens = []
-        offset = 0
-        for i, width in enumerate(inst.token_splits):
-            block = x[:, offset:offset + width]
-            tokens.append(tanh(self._affine(p, f"{inst.name}.embed{i}", block)))
-            offset += width
-        seq = stack(tokens, axis=1)  # [B, T, E]
-        width = cfg.embed_width
-        qkv = matmul(seq, p[f"{inst.name}.attn.qkv"])  # [B, T, 3E]
-        q, k, v = (slice_cols(qkv, i * width, (i + 1) * width) for i in range(3))
-        scores = mul(matmul(q, transpose_last2(k)), 1.0 / math.sqrt(width))
-        attended = matmul(softmax(scores, axis=-1), v)  # [B, T, E]
-        return tmean(attended, axis=1)  # pool over entity tokens
-
-    def _gru_step(self, p: dict, prefix: str, x, h):
-        width = self.config.hidden_width
-        gx = self._affine(p, f"{prefix}.gru", x)  # [B, 3H]: z, r, n inputs
-        gh = matmul(h, p[f"{prefix}.gru.U"])
-        zr = sigmoid(slice_cols(gx, 0, 2 * width) + slice_cols(gh, 0, 2 * width))
-        z, r = slice_cols(zr, 0, width), slice_cols(zr, width, 2 * width)
-        n = tanh(slice_cols(gx, 2 * width, 3 * width)
-                 + mul(r, slice_cols(gh, 2 * width, 3 * width)))
-        return add(mul(add(1.0, mul(-1.0, z)), n), mul(z, h))
-
     def initial_hidden(self, batch: int = 1) -> np.ndarray:
         return np.zeros((batch, self.config.hidden_width), dtype=self.store.dtype)
 
@@ -276,37 +240,39 @@ class PolicyNetwork:
         """Head logits for a batch of observations. Recurrent actors consume
         and return a hidden state; others ignore it. With `grad=False` the
         logits and hidden state are plain arrays and no graph is built."""
-        inst = self.config.instance(instance)
-        p = self._params(grad)
-        features = self._embed(p, inst, self._input(obs, inst.obs_width, inst.name))
+        cfg, inst = self.config, self.config.instance(instance)
+        x = self._input(obs, inst.obs_width, inst.name)
+        if inst.token_splits and not cfg.fc_baseline:
+            names = [f"{inst.name}.embed{i}.{w}"
+                     for i in range(len(inst.token_splits)) for w in "Wb"]
+            features = self._block(grad, attention, (x,),
+                                   names + [f"{inst.name}.attn.qkv"])
+        else:
+            features = self._dense(grad, x, f"{inst.name}.embed")
         new_hidden = None
-        if self.config.recurrent:
+        if cfg.recurrent:
             if hidden is None:
-                hidden = self.initial_hidden(features.shape[0])
+                hidden = self.initial_hidden(len(x))
             if not isinstance(hidden, Tensor):
                 hidden = np.asarray(hidden, dtype=self.store.dtype)
-            new_hidden = self._gru_step(p, inst.name, features, hidden)
-            features = new_hidden
-        core = tanh(self._affine(p, "shared.core", features))
-        heads = self._affine(p, f"{inst.name}.heads", core)  # [B, sum of arities]
+            features = new_hidden = self._block(
+                grad, gru, (features, hidden),
+                [f"{inst.name}.gru.{w}" for w in "WUb"])
+        core = self._dense(grad, features, "shared.core")
+        heads = self._dense(grad, core, f"{inst.name}.heads", squash=False)
         if not np.isfinite(heads.data if grad else heads).all():
             raise FloatingPointError("non-finite actor logits")
-        logits, start = [], 0
-        for arity in inst.head_arities:
-            logits.append(slice_cols(heads, start, start + arity))
-            start += arity
-        return ActorOutput(heads=heads, logits=logits, hidden=new_hidden)
+        return ActorOutput(heads=heads, hidden=new_hidden)
 
     def forward_critic(self, instance: str, critic_input: np.ndarray, *,
                        grad: bool = True):
         """State value [B, 1] from the global (observations + actions)
         concatenation; a plain array with `grad=False`."""
         inst = self.config.instance(instance)
-        p = self._params(grad)
         x = self._input(critic_input, inst.critic_width, f"{instance} critic")
-        features = tanh(self._affine(p, f"{inst.name}.critic.embed", x))
-        core = tanh(self._affine(p, "shared.core", features))
-        return self._affine(p, f"{inst.name}.critic.value", core)
+        features = self._dense(grad, x, f"{inst.name}.critic.embed")
+        core = self._dense(grad, features, "shared.core")
+        return self._dense(grad, core, f"{inst.name}.critic.value", squash=False)
 
     # -- action selection ------------------------------------------------------
 
@@ -340,48 +306,57 @@ def policy_from_checkpoint(arrays: dict, config: dict,
     return policy
 
 
-def sample_action(logits_per_head: list[np.ndarray], u: np.ndarray,
-                  greedy=False) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=None)
+def _padding(arities: tuple[int, ...]) -> np.ndarray:
+    """Column indices [heads, widest arity] that lay the heads of a
+    [B, sum of arities] table side by side, past a head's arity the index
+    of one column after the table's last."""
+    starts = np.cumsum((0,) + arities[:-1])[:, None]
+    cols = np.arange(max(arities))
+    return np.where(cols < np.asarray(arities)[:, None], starts + cols,
+                    sum(arities))
+
+
+def sample_action(table: np.ndarray, arities: tuple[int, ...], u, greedy=False
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """Sample one categorical action per row and head from raw logits.
 
-    `logits_per_head` holds one [B, arity] array per head. Sampling inverts
-    each row's CDF at the uniform draws `u` [B, heads]: the arithmetic of
-    `Generator.choice(arity, p=probs)`, so draws made as `rng.random((B,
+    `table` [B, sum of arities] holds the heads' logits side by side.
+    Sampling inverts each row's CDF at the uniform draws `u`: the arithmetic
+    of `Generator.choice(arity, p=probs)`, so draws made as `rng.random((B,
     heads))` sample what per-head `choice` calls made row by row would.
-    `greedy`, one flag or one per row, takes the argmax; when every row is
-    greedy `u` is not read.
+    `greedy`, one flag or one per row, takes the argmax; `u` holds draws for
+    the other rows only, in order, and is not read when every row is greedy.
 
     Returns the samples [B, heads] and the summed log-probabilities [B] of
     the samples.
     """
-    heads = [np.asarray(head, dtype=np.float64) for head in logits_per_head]
-    for head in heads:
-        if not np.isfinite(head).all():
-            raise FloatingPointError("non-finite logits in sample_action")
-    rows = len(heads[0])
-    if len(heads) == 1:
-        logits = heads[0][:, None, :]
-    else:
-        # heads padded to the widest with -inf logits: a padded entry has
-        # probability 0, so it adds exact zeros to the normalizing sums, and
-        # its CDF value is 1, above every draw
-        logits = np.full((rows, len(heads), max(h.shape[-1] for h in heads)),
-                         -np.inf)
-        for j, head in enumerate(heads):
-            logits[:, j, :head.shape[-1]] = head
+    logits = np.asarray(table, dtype=np.float64)
+    if not np.isfinite(logits).all():
+        raise FloatingPointError("non-finite logits in sample_action")
+    # heads padded to the widest with -inf logits: a padded entry has
+    # probability 0, so it adds exact zeros to the normalizing sums, and its
+    # CDF value is 1, above every draw. `take` gives a C-contiguous array, so
+    # each head's sums run as on its own row.
+    logits = np.take(np.concatenate(
+        [logits, np.full((len(logits), 1), -np.inf)], axis=1),
+        _padding(tuple(arities)), axis=1)
     probs = np.exp(logits - logits.max(axis=2, keepdims=True))
     probs /= probs.sum(axis=2, keepdims=True)
-    if np.all(greedy):
+    greedy = np.broadcast_to(greedy, len(probs))
+    if greedy.all():
         samples = probs.argmax(axis=2)
     else:
-        cdf = probs.cumsum(axis=2)
+        some = greedy.any()
+        cdf = (probs[~greedy] if some else probs).cumsum(axis=2)
         cdf /= cdf[:, :, -1:]
         samples = (cdf <= u[:, :, None]).sum(axis=2)  # searchsorted "right"
-        if np.any(greedy):
-            samples[greedy] = probs[greedy].argmax(axis=2)
+        if some:
+            samples, drawn = probs.argmax(axis=2), samples
+            samples[~greedy] = drawn
     picked = np.log(np.take_along_axis(probs, samples[:, :, None], axis=2)[:, :, 0])
-    log_prob = np.zeros(rows)
-    for j in range(len(heads)):  # heads summed in order
+    log_prob = np.zeros(len(probs))
+    for j in range(len(arities)):  # heads summed in order
         log_prob += picked[:, j]
     return samples, log_prob
 
@@ -456,15 +431,12 @@ def decide(decisions: list[Decision]):
                   else place[row:row + len(d.rows)])
         row += len(d.rows)
     counts = [len(d.ids) for d in decisions]
-    draws = [np.zeros((n, len(arities))) if d.rng is None
-             else d.rng.random((n, len(arities)))
-             for d, n in zip(decisions, counts)]
+    draws = [d.rng.random((n, len(arities)))
+             for d, n in zip(decisions, counts) if d.rng is not None]
     greedy = [d.rng is None for d in decisions]
-    bounds = list(accumulate(arities, initial=0))
-    table = np.concatenate(blocks)[picks]
     samples, log_probs = sample_action(
-        [table[:, a:b] for a, b in zip(bounds[:-1], bounds[1:])],
-        draws[0] if len(draws) == 1 else np.concatenate(draws),
+        np.concatenate(blocks)[picks], arities,
+        np.concatenate(draws) if len(draws) > 1 else (draws or [None])[0],
         np.repeat(greedy, counts) if any(greedy) else False)
     start = row = 0
     for d, n in zip(decisions, counts):

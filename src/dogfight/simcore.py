@@ -251,11 +251,16 @@ def fire_cannon(world: World, shooter_id: int) -> CannonKill | None:
         return None
     shooter.cannon_ammo -= 1
     p_round = shooter.spec.hit_prob / world.cfg.hit_prob_divisor
+    reach = shooter.spec.wez_range
     targets = []
     for a in world.aircraft:
-        gap = _wez_gap(shooter, a) if a.alive and a.id != shooter_id else None
-        if gap is not None:
-            targets.append((gap, a.id))
+        # an aircraft farther than the WEZ range along x or y is out of it,
+        # since the distance is at least each of |dx| and |dy|
+        if (a.alive and a.id != shooter_id and abs(a.x - shooter.x) <= reach
+                and abs(a.y - shooter.y) <= reach):
+            gap = _wez_gap(shooter, a)
+            if gap is not None:
+                targets.append((gap, a.id))
     for _, target_id in sorted(targets):  # nearest first, ties by id
         if world.rng.random() < p_round:
             target = world.get(target_id)
@@ -271,12 +276,13 @@ def _advance_aircraft(world: World) -> None:
             continue
         if a.rocket_cooldown > 0:
             a.rocket_cooldown -= 1
-        delta = signed_heading_delta(a.heading, a.target_heading)
-        max_step = a.spec.max_turn_rate * dt
-        if abs(delta) <= max_step:
-            a.heading = a.target_heading
-        else:
-            a.heading = wrap_heading(a.heading + math.copysign(max_step, delta))
+        if a.heading != a.target_heading:  # else the turn changes nothing
+            delta = signed_heading_delta(a.heading, a.target_heading)
+            max_step = a.spec.max_turn_rate * dt
+            if abs(delta) <= max_step:
+                a.heading = a.target_heading
+            else:
+                a.heading = wrap_heading(a.heading + math.copysign(max_step, delta))
         step_km = a.speed * KNOTS_TO_KM_PER_S * dt
         rad = math.radians(a.heading)
         a.x += math.sin(rad) * step_km

@@ -67,7 +67,7 @@ def test_criterion_1_gradient_oracle():
     assert elapsed < 60.0, f"gradcheck took {elapsed:.1f}s"
     worst = max(r.max_rel_error for r in reports)
     report("criterion-1",
-           f"three architectures, {sum(r.checks for r in reports)} coordinate "
+           f"five architectures, {sum(r.checks for r in reports)} coordinate "
            f"checks, max relative error {worst:.2e} < 1e-4 in {elapsed:.1f}s")
 
 

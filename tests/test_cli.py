@@ -27,7 +27,7 @@ from dogfight.nn import (
 )
 from dogfight.nn.params import load_checkpoint, save_arrays
 from dogfight.observations import critic_input_width
-from dogfight.simcore import RocketLaunch, SimConfig
+from dogfight.simcore import SimConfig
 from dogfight.train import CommanderVariant, PPOConfig
 
 
@@ -416,7 +416,7 @@ class TestGradcheck:
     def test_passes_quickly_with_few_draws(self, capsys):
         assert main(["gradcheck", "--draws", "2"]) == 0
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == 3
+        assert out.count("[PASS]") == 5
 
 
 class TestEvaluate:
@@ -981,10 +981,7 @@ class TestExportTraj:
             n_agents=2, n_opponents=2, horizon=40, map_size=20.0))
 
         def round_events(events):
-            # a rocket launches as its action applies, before the step's
-            # rounds; every other event is a round's
-            return json.loads(json.dumps([event_to_dict(e) for e in events
-                                          if not isinstance(e, RocketLaunch)]))
+            return json.loads(json.dumps([event_to_dict(e) for e in events]))
 
         recorded = [event for r in log.rounds for event in r["events"]]
         assert len(hooked) == 10 and recorded

@@ -93,15 +93,15 @@ LEDGER = {
     "evaluate-ctce-greedy/report.json":
         "3cc265e02c3b6c2b4a0a6d04ff176cb59a1d0c93495f047dac30082983a22a98",
     "evaluate-ctce-greedy/trajectory.jsonl":
-        "a315ca460e2ce2bdd200ffd4be8d63c22169360014feca7584bdd67b48688f6e",
+        "2c1b1cc15f5fb216b4d46b9809a2090834ad8393169f4761e5b4638350218b72",
     "evaluate-ctde-greedy/report.json":
         "ecd7849b162420906c44ad53bb9e964ce73f99e3409402c75f81914a1127df4c",
     "evaluate-ctde-greedy/trajectory.jsonl":
-        "7c6ad39e55453935c49c6da33d53a0ab42bc15e7b2b3e9f4b2a2b04ae1612615",
+        "80810615e28b636a3ba3aad5eb31239a6168ceeb6a50226cef3205d317c3465a",
     "evaluate-hierarchy-l3/report.json":
         "b69ebdd515851f86fa141dc5dc3400d62ca28c82bd2f1268fd5d26ae282f2283",
     "evaluate-hierarchy-l3/trajectory.jsonl":
-        "cb82717cae355d3535c8c1ce3d93b38182b751aed625a3f517584f2c4ddbc08b",
+        "7b7563e7598b20a46bdbf540fd34325db538338f1496cb5a4cd3b6dfff8e7f2c",
     "evaluate-hierarchy-snapshot/report.json":
         "134147ed29b568f99035f88b5d47b7d27fd6533ae4af991188451732973b90b3",
     "evaluate-hierarchy-stochastic/report.json":
@@ -109,7 +109,7 @@ LEDGER = {
     "evaluate-random/report.json":
         "36b8012203f79163ff155f3026249a4dca6925dd68cd892cba21dd50db673fb5",
     "evaluate-random/trajectory.jsonl":
-        "86519d4a7e211c4133aaa58e70ca8a1d7ec722e44c57a0ae9435b57708c77d70",
+        "c73fa0525e08825e694d0967ab7e8011807bdc65af2ce9be44eea9cf25afe12e",
     "fight-ctde/config.json":
         "b2f731d24a129d5cc574da26be2e973ef90e272a2a90049653446e68a9896266",
     "fight-ctde/league/fight_L3.ckpt":

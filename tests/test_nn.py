@@ -23,21 +23,27 @@ from dogfight.nn import (
 )
 from dogfight.nn.networks import Decision, decide
 from dogfight.nn.params import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
+from dogfight.nn import blocks
 from dogfight.nn.autodiff import (
     add,
     clip,
     head_log_prob_entropy,
-    matmul,
     minimum,
+    node,
+    tmean,
+    tsum,
+)
+from dogfight.nn.gradcheck import check_network, run_standard_suite
+
+import reference_ops
+from reference_ops import (
+    matmul,
     slice_cols,
     softmax,
     stack,
     tanh,
-    tmean,
-    tsum,
     transpose_last2,
 )
-from dogfight.nn.gradcheck import check_network, run_standard_suite
 
 
 def numeric_grad(fn, x, h=1e-6):
@@ -164,26 +170,25 @@ class TestAutodiffOps:
 class TestNetworks:
     def test_fight_head_shapes(self):
         net = PolicyNetwork(fight_config(critic_width=124), seed=0)
-        out = net.forward_actor("ac1", np.zeros(27))
-        assert [l.shape[-1] for l in out.logits] == [13, 9, 2, 2]
-        out2 = net.forward_actor("ac2", np.zeros(25))
-        assert [l.shape[-1] for l in out2.logits] == [13, 9, 2, 2]
+        for instance, width in (("ac1", 27), ("ac2", 25)):
+            assert net.config.instance(instance).head_arities == (13, 9, 2, 2)
+            out = net.forward_actor(instance, np.zeros(width))
+            assert out.heads.shape == (1, 26)
 
     def test_commander_variants(self):
         n2 = PolicyNetwork(commander_config(2, critic_width=105), seed=0)
-        assert n2.forward_actor("cmd", np.zeros(34)).logits[0].shape[-1] == 3
+        assert n2.forward_actor("cmd", np.zeros(34)).heads.shape[-1] == 3
         n3 = PolicyNetwork(commander_config(3, critic_width=135), seed=0)
-        assert n3.forward_actor("cmd", np.zeros(44)).logits[0].shape[-1] == 4
+        assert n3.forward_actor("cmd", np.zeros(44)).heads.shape[-1] == 4
 
     def test_zero_params_uniform_distribution(self):
         net = PolicyNetwork(fight_config(critic_width=124), seed=0)
         for t in net.store.params.values():
             t.data = np.zeros_like(t.data)
         out = net.forward_actor("ac1", np.zeros(27))
-        for logits in out.logits:
-            assert np.allclose(logits.data, 0.0)
+        assert np.allclose(out.heads.data, 0.0)
         samples, log_prob = sample_action(
-            [l.data for l in out.logits], np.random.default_rng(0).random((1, 4)))
+            out.heads.data, (13, 9, 2, 2), np.random.default_rng(0).random((1, 4)))
         assert log_prob[0] == pytest.approx(
             math.log(1 / 13) + math.log(1 / 9) + 2 * math.log(1 / 2))
 
@@ -215,7 +220,7 @@ class TestNetworks:
         critic_before = net.forward_critic("ac2", np.ones(124)).item()
         net.store.zero_grad()
         out = net.forward_actor("ac1", np.ones(27))
-        tmean(out.logits[0]).backward()
+        tmean(out.heads).backward()
         assert net.store["shared.core.W"].grad is not None
         adam_step(net.store, lr=0.05)
         critic_after = net.forward_critic("ac2", np.ones(124)).item()
@@ -226,8 +231,7 @@ class TestNetworks:
         obs = np.random.default_rng(5).uniform(0, 1, 27)
         a = net.forward_actor("ac1", obs)
         b = net.forward_actor("ac1", obs)
-        for la, lb in zip(a.logits, b.logits):
-            assert np.array_equal(la.data, lb.data)
+        assert np.array_equal(a.heads.data, b.heads.data)
 
     def test_forward_deterministic(self):
         cfg = commander_config(2, critic_width=105)
@@ -236,7 +240,7 @@ class TestNetworks:
         h = net.initial_hidden()
         o1 = net.forward_actor("cmd", obs, h)
         o2 = net.forward_actor("cmd", obs, h)
-        assert np.array_equal(o1.logits[0].data, o2.logits[0].data)
+        assert np.array_equal(o1.heads.data, o2.heads.data)
         assert np.array_equal(o1.hidden.data, o2.hidden.data)
 
     def test_gru_hidden_evolves(self):
@@ -246,33 +250,45 @@ class TestNetworks:
         out1 = net.forward_actor("cmd", obs, h0)
         out2 = net.forward_actor("cmd", obs, out1.hidden.data)
         assert not np.array_equal(out1.hidden.data, out2.hidden.data)
-        assert not np.array_equal(out1.logits[0].data, out2.logits[0].data)
+        assert not np.array_equal(out1.heads.data, out2.heads.data)
 
     def test_fc_baseline_dimensions(self):
         net = PolicyNetwork(fight_config(critic_width=124, fc_baseline=True), seed=0)
         assert net.store["ac1.embed.W"].shape == (27, 500)
         assert net.store["shared.core.W"].shape == (500, 500)
         out = net.forward_actor("ac1", np.zeros(27))
-        assert out.logits[0].shape[-1] == 13
+        assert out.heads.shape[-1] == 26
 
     def test_ctce_joint_heads(self):
         cfg = ctce_config("fight", obs_width=27 * 3,
                           head_arities=(13, 9, 2, 2) * 3, critic_width=31 * 6)
         net = PolicyNetwork(cfg, seed=0)
         out = net.forward_actor("joint", np.zeros(81))
-        assert len(out.logits) == 12
+        assert out.heads.shape[-1] == 3 * 26
 
     def test_nan_logits_rejected(self):
         with pytest.raises(FloatingPointError):
-            sample_action([np.array([[np.nan, 0.0]])],
+            sample_action(np.array([[np.nan, 0.0]]), (2,),
                           np.random.default_rng(0).random((1, 1)))
 
 
 def draws(rng, logits_per_head, greedy):
     """The uniform draws `decide` hands `sample_action`: one
-    `random((rows, heads))` call, or zeros for a greedy decision."""
+    `random((rows, heads))` call, or none for a greedy decision."""
     shape = (len(logits_per_head[0]), len(logits_per_head))
-    return np.zeros(shape) if greedy else rng.random(shape)
+    return None if greedy else rng.random(shape)
+
+
+def sample(logits_per_head, u, greedy=False):
+    """`sample_action` on per-head logits laid side by side in one table."""
+    return sample_action(np.concatenate(logits_per_head, axis=1),
+                         tuple(head.shape[-1] for head in logits_per_head),
+                         u, greedy)
+
+
+def split_heads(heads, arities):
+    """One [B, arity] column block of `heads` per head."""
+    return np.split(heads, np.cumsum(arities)[:-1], axis=1)
 
 
 def choice_reference(logits_per_head, rng, greedy=False):
@@ -300,7 +316,7 @@ def choice_reference(logits_per_head, rng, greedy=False):
 
 class TestSampling:
     def test_two_way_uniform(self):
-        samples, log_prob = sample_action([np.zeros((1, 2))],
+        samples, log_prob = sample_action(np.zeros((1, 2)), (2,),
                                           np.random.default_rng(0).random((1, 1)))
         assert log_prob[0] == pytest.approx(math.log(0.5))
         # the PPO loss's entropy of the same distribution: a noOpt commander
@@ -314,7 +330,7 @@ class TestSampling:
         assert entropy.data[0] == pytest.approx(math.log(2))
 
     def test_peaked_logits_prefer_argmax(self):
-        samples, _ = sample_action([np.tile([10.0, 0.0, 0.0], (1000, 1))],
+        samples, _ = sample_action(np.tile([10.0, 0.0, 0.0], (1000, 1)), (3,),
                                    np.random.default_rng(1).random((1000, 1)))
         assert (samples[:, 0] == 0).sum() > 990
 
@@ -323,8 +339,7 @@ class TestSampling:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             state = rng.bit_generator.state
-            samples, _ = sample_action(logits, draws(rng, logits, True),
-                                       greedy=True)
+            samples, _ = sample(logits, draws(rng, logits, True), greedy=True)
             assert samples.tolist() == [[1]]
             assert rng.bit_generator.state == state  # greedy draws nothing
 
@@ -333,7 +348,7 @@ class TestSampling:
         logits = rng.normal(size=7)
         probs = np.exp(logits - logits.max())
         probs /= probs.sum()
-        samples, log_prob = sample_action([logits[None, :]], rng.random((1, 1)))
+        samples, log_prob = sample_action(logits[None, :], (7,), rng.random((1, 1)))
         assert log_prob[0] == pytest.approx(math.log(probs[samples[0, 0]]))
 
     @pytest.mark.parametrize("greedy", [False, True])
@@ -346,8 +361,8 @@ class TestSampling:
             scale = (0.1, 1.0, 8.0)[trial % 3]
             logits = [gen.normal(0.0, scale, (rows, k)) for k in arities]
             rng, ref_rng = np.random.default_rng(trial), np.random.default_rng(trial)
-            samples, log_prob = sample_action(logits, draws(rng, logits, greedy),
-                                              greedy=greedy)
+            samples, log_prob = sample(logits, draws(rng, logits, greedy),
+                                       greedy=greedy)
             want, want_lp, _ = choice_reference(logits, ref_rng, greedy=greedy)
             assert np.array_equal(samples, want)
             assert np.array_equal(log_prob, want_lp)
@@ -355,18 +370,33 @@ class TestSampling:
 
     @pytest.mark.parametrize("greedy", [False, True])
     def test_one_head_matches_per_head_choice(self, greedy):
-        # one head builds no padded array and still draws as `choice` does
+        # one head, as the commander has, draws as `choice` does
         gen = np.random.default_rng(12)
         for trial in range(200):
             rows = int(gen.integers(1, 16))
             logits = [gen.normal(0.0, (0.1, 1.0, 8.0)[trial % 3], (rows, 3))]
             rng, ref_rng = np.random.default_rng(trial), np.random.default_rng(trial)
-            samples, log_prob = sample_action(logits, draws(rng, logits, greedy),
-                                              greedy=greedy)
+            samples, log_prob = sample(logits, draws(rng, logits, greedy),
+                                       greedy=greedy)
             want, want_lp, _ = choice_reference(logits, ref_rng, greedy=greedy)
             assert np.array_equal(samples, want)
             assert np.array_equal(log_prob, want_lp)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_greedy_rows_read_no_draws(self):
+        # draws come for the sampled rows only; the greedy rows take the
+        # argmax, and the sampled ones sample as they would alone
+        gen = np.random.default_rng(13)
+        logits = [gen.normal(0.0, 1.0, (5, k)) for k in (13, 9, 2, 2)]
+        greedy = np.array([True, False, False, True, False])
+        u = gen.random((3, 4))
+        samples, log_prob = sample(logits, u, greedy)
+        alone, alone_lp = sample([h[~greedy] for h in logits], u)
+        argmax, argmax_lp = sample([h[greedy] for h in logits], None, True)
+        assert np.array_equal(samples[~greedy], alone)
+        assert np.array_equal(log_prob[~greedy], alone_lp)
+        assert np.array_equal(samples[greedy], argmax)
+        assert np.array_equal(log_prob[greedy], argmax_lp)
 
     def test_decide_draws_in_row_order(self):
         # rows of two instances interleaved: one forward per instance, then
@@ -380,7 +410,8 @@ class TestSampling:
         decide([decision])
         samples, log_prob = decision.samples, decision.log_probs
         for b, (policy, inst, obs) in enumerate(rows):
-            logits = policy.forward_actor(inst, obs, grad=False).logits
+            logits = split_heads(policy.forward_actor(inst, obs, grad=False).heads,
+                                 policy.config.instance(inst).head_arities)
             want, want_lp, want_ent = choice_reference(logits, ref_rng)
             assert np.array_equal(samples[b], want[0])
             assert log_prob[b] == pytest.approx(want_lp[0], abs=1e-12)
@@ -434,6 +465,17 @@ ARCHITECTURES = {
                    "ac2"),
     "commander-gru": (lambda dtype: commander_config(2, critic_width=40,
                                                      dtype=dtype), "cmd"),
+    "fight-fc": (lambda dtype: fight_config(critic_width=40, fc_baseline=True,
+                                            dtype=dtype), "ac1"),
+    "commander-sa": (lambda dtype: commander_config(3, critic_width=40,
+                                                    arch="sa", dtype=dtype),
+                     "cmd"),
+    "commander-fc": (lambda dtype: commander_config(2, critic_width=40,
+                                                    arch="fc", dtype=dtype),
+                     "cmd"),
+    "ctce-joint": (lambda dtype: ctce_config(
+        "fight", obs_width=27 * 2, head_arities=(13, 9, 2, 2) * 2,
+        critic_width=40, dtype=dtype), "joint"),
 }
 # batched BLAS may sum in another order than one-row products
 ROW_TOLERANCE = {"float32": 1e-5, "float64": 1e-12}
@@ -457,7 +499,7 @@ class TestGraphFreeForward:
         obs, hidden, critic = _batch(net, instance)
         graph = net.forward_actor(instance, obs, hidden)
         free = net.forward_actor(instance, obs, hidden, grad=False)
-        for g, f in zip(graph.logits + [graph.hidden], free.logits + [free.hidden]):
+        for g, f in ((graph.heads, free.heads), (graph.hidden, free.hidden)):
             if g is None:
                 assert f is None
                 continue
@@ -477,8 +519,8 @@ class TestGraphFreeForward:
             one = net.forward_actor(instance, obs[b],
                                     None if hidden is None else hidden[b:b + 1],
                                     grad=False)
-            for lb, lo in zip(batched.logits + [batched.hidden],
-                              one.logits + [one.hidden]):
+            for lb, lo in ((batched.heads, one.heads),
+                           (batched.hidden, one.hidden)):
                 if lb is None:
                     continue
                 assert np.max(np.abs(lb[b] - lo[0])) <= ROW_TOLERANCE[dtype]
@@ -497,10 +539,57 @@ class TestGraphFreeForward:
             net = PolicyNetwork(config, seed=0)
             width = config.instance(instance).obs_width
             out = net.forward_actor(instance, np.ones((2, width)), grad=grad)
-            arrays = out.logits + ([out.hidden] if config.recurrent else [])
+            arrays = [out.heads] + ([out.hidden] if config.recurrent else [])
             for array in arrays:
                 data = array.data if grad else array
                 assert data.dtype == np.float32, (config.kind, instance)
+
+
+# each block's operand shapes [B=5, E=H=6] and whether each operand carries
+# gradient; an attention embed's input is the observation, which does not
+BLOCKS = {
+    "dense-tanh": ("dense", {"squash": True}, [(5, 4), (4, 6), (6,)],
+                   [True, True, True]),
+    "dense-affine": ("dense", {"squash": False}, [(5, 4), (4, 6), (6,)],
+                     [True, True, True]),
+    "attention": ("attention", {}, [(5, 7), (3, 6), (6,), (4, 6), (6,), (6, 18)],
+                  [False] + [True] * 5),
+    "gru": ("gru", {}, [(5, 4), (5, 6), (4, 18), (6, 18), (18,)], [True] * 5),
+}
+
+
+class TestBlockNodes:
+    @pytest.mark.parametrize("block", sorted(BLOCKS))
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_node_matches_composed_ops(self, block, dtype):
+        # one node with the block's analytic backward gives the values and
+        # gradients of the same block composed of small ops, to the bit
+        name, static, shapes, tracked = BLOCKS[block]
+        gen = np.random.default_rng(0)
+        arrays = [gen.normal(0.0, 0.7, shape).astype(dtype) for shape in shapes]
+        weights = gen.normal(size=(5, 6)).astype(dtype)
+        results = []
+        for build in (lambda ops: node(getattr(blocks, name), ops, **static),
+                      lambda ops: getattr(reference_ops, name)(*ops, **static)):
+            ops = [Tensor(a, requires_grad=True) if t else a
+                   for a, t in zip(arrays, tracked)]
+            out = build(ops)
+            tsum(out * weights).backward()
+            results.append([out.data] + [op.grad for op in ops
+                                         if isinstance(op, Tensor)])
+        assert len(results[0]) == 1 + sum(tracked)
+        for got, want in zip(*results):
+            assert got.dtype == np.dtype(dtype)
+            np.testing.assert_array_equal(got, want)
+
+    def test_kernels_run_on_arrays(self):
+        # a decision calls a kernel on plain arrays: no Tensor, same values
+        shapes = BLOCKS["gru"][2]
+        gen = np.random.default_rng(1)
+        arrays = [gen.normal(size=shape) for shape in shapes]
+        out, _ = blocks.gru(*arrays)
+        assert type(out) is np.ndarray
+        assert np.array_equal(out, reference_ops.gru(*arrays).data)
 
 
 def _per_block_draws(config, seed):
@@ -635,7 +724,7 @@ class TestCheckpoint:
         obs = np.random.default_rng(0).uniform(0, 1, 34)
         a = net.forward_actor("cmd", obs, net.initial_hidden())
         b = other.forward_actor("cmd", obs, other.initial_hidden())
-        assert np.array_equal(a.logits[0].data, b.logits[0].data)
+        assert np.array_equal(a.heads.data, b.heads.data)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
@@ -701,7 +790,21 @@ class TestGradCheckSuite:
                                "cmd", draws=10, seq_len=5, seed=2)
         assert report.passed, report
 
+    def test_commander_attention(self):
+        report = check_network(commander_config(2, critic_width=40, arch="sa",
+                                                dtype="float64"),
+                               "cmd", draws=10, seed=3)
+        assert report.passed, report
+
+    def test_fc_baseline(self):
+        report = check_network(fight_config(critic_width=40, fc_baseline=True,
+                                            dtype="float64"),
+                               "ac1", draws=10, seed=4)
+        assert report.passed, report
+
     def test_suite_runner(self):
         reports = run_standard_suite(draws=3, seed=7)
-        assert len(reports) == 3
+        assert [r.name for r in reports] == [
+            "fight/ac1", "escape/ac2", "commander-gru/cmd", "commander-sa/cmd",
+            "fight-fc/ac1"]
         assert all(r.passed for r in reports)
