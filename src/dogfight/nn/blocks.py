@@ -39,13 +39,12 @@ def attention(x, *weights):
     q/k/v projection [E, 3E]."""
     *embeds, qkv_w = weights
     width = qkv_w.shape[0]
+    seq = np.empty((len(x), len(embeds) // 2, width), dtype=qkv_w.dtype)
     blocks, start = [], 0
-    for w in embeds[0::2]:
-        blocks.append(x[:, start:start + w.shape[0]])
-        start += w.shape[0]
-    tokens = [np.tanh(block @ w + b)
-              for block, w, b in zip(blocks, embeds[0::2], embeds[1::2])]
-    seq = np.stack(tokens, axis=1)  # [B, T, E]
+    for i, (w, b) in enumerate(zip(embeds[0::2], embeds[1::2])):
+        blocks.append(x[:, start:start + len(w)])
+        start += len(w)
+        seq[:, i] = np.tanh(blocks[-1] @ w + b)  # token i [B, E]
     flat = seq.reshape(-1, width)  # one 2-D product over every token
     qkv = (flat @ qkv_w).reshape(*seq.shape[:-1], -1)
     q, k, v = (qkv[..., i * width:(i + 1) * width] for i in range(3))
@@ -56,7 +55,7 @@ def attention(x, *weights):
     attended = probs @ v
 
     def backward(grad, needs):
-        g_att = np.broadcast_to(grad[:, None], attended.shape) / len(tokens)
+        g_att = np.broadcast_to(grad[:, None], attended.shape) / len(blocks)
         g_probs = g_att @ np.swapaxes(v, -1, -2)
         g_scores = probs * (g_probs - (g_probs * probs).sum(
             axis=-1, keepdims=True)) * scale
@@ -68,12 +67,12 @@ def attention(x, *weights):
         g_flat = g_qkv.reshape(flat.shape[0], -1)
         g_seq = (g_flat @ qkv_w.T).reshape(seq.shape)
         grads = [None]
-        for i, (block, token) in enumerate(zip(blocks, tokens)):
-            g = g_seq[:, i] * (1.0 - token * token)
+        for i, block in enumerate(blocks):
+            g = g_seq[:, i] * (1.0 - seq[:, i] * seq[:, i])
             grads += [block.T @ g, g.sum(axis=0)]
         return grads + [flat.T @ g_flat]
 
-    return attended.mean(axis=1), backward
+    return attended.sum(axis=1) / len(blocks), backward  # the mean pool
 
 
 def gru(x, h, W, U, b):

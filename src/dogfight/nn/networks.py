@@ -215,8 +215,8 @@ class PolicyNetwork:
         their arrays."""
         params = self.store.params
         if grad:
-            return node(kernel, (*inputs, *(params[n] for n in names)), **static)
-        return kernel(*inputs, *(params[n].data for n in names), **static)[0]
+            return node(kernel, (*inputs, *[params[n] for n in names]), **static)
+        return kernel(*inputs, *[params[n].data for n in names], **static)[0]
 
     def _dense(self, grad: bool, x, name: str, squash: bool = True):
         return self._block(grad, dense, (x,), (f"{name}.W", f"{name}.b"),
