@@ -40,11 +40,11 @@ def attention(x, *weights):
     *embeds, qkv_w = weights
     width = qkv_w.shape[0]
     seq = np.empty((len(x), len(embeds) // 2, width), dtype=qkv_w.dtype)
-    blocks, start = [], 0
+    parts, start = [], 0
     for i, (w, b) in enumerate(zip(embeds[0::2], embeds[1::2])):
-        blocks.append(x[:, start:start + len(w)])
+        parts.append(x[:, start:start + len(w)])
         start += len(w)
-        seq[:, i] = np.tanh(blocks[-1] @ w + b)  # token i [B, E]
+        seq[:, i] = np.tanh(parts[-1] @ w + b)  # token i [B, E]
     flat = seq.reshape(-1, width)  # one 2-D product over every token
     qkv = (flat @ qkv_w).reshape(*seq.shape[:-1], -1)
     q, k, v = (qkv[..., i * width:(i + 1) * width] for i in range(3))
@@ -55,7 +55,7 @@ def attention(x, *weights):
     attended = probs @ v
 
     def backward(grad, needs):
-        g_att = np.broadcast_to(grad[:, None], attended.shape) / len(blocks)
+        g_att = np.broadcast_to(grad[:, None], attended.shape) / len(parts)
         g_probs = g_att @ np.swapaxes(v, -1, -2)
         g_scores = probs * (g_probs - (g_probs * probs).sum(
             axis=-1, keepdims=True)) * scale
@@ -67,12 +67,12 @@ def attention(x, *weights):
         g_flat = g_qkv.reshape(flat.shape[0], -1)
         g_seq = (g_flat @ qkv_w.T).reshape(seq.shape)
         grads = [None]
-        for i, block in enumerate(blocks):
+        for i, part in enumerate(parts):
             g = g_seq[:, i] * (1.0 - seq[:, i] * seq[:, i])
-            grads += [block.T @ g, g.sum(axis=0)]
+            grads += [part.T @ g, g.sum(axis=0)]
         return grads + [flat.T @ g_flat]
 
-    return attended.sum(axis=1) / len(blocks), backward  # the mean pool
+    return attended.sum(axis=1) / len(parts), backward  # the mean pool
 
 
 def gru(x, h, W, U, b):

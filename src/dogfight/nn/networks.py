@@ -389,9 +389,10 @@ def decide(decisions: list[Decision]):
     """Decide every row of `decisions` at once: one graph-free forward per
     (policy, instance) over its rows, then one `sample_action` call. Every
     sampled row must have the same head arities, and either every decision
-    or none carries a hidden state. Each decision's draws come from its own
-    generator, one `random((ids, heads))` call in list order, so a decision
-    draws exactly what it would decided alone."""
+    or none carries a hidden state. Each sampled decision's draws come from
+    its own generator, one `random((ids, heads))` call in list order, so a
+    decision draws exactly what it would decided alone; a greedy decision
+    draws nothing."""
     flat = [row for d in decisions for row in d.rows]
     if not flat:
         return
