@@ -371,9 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ctde fight only: two 500-wide layers instead of the "
                         "attention net")
     p.add_argument("--steps", type=int, required=True,
-                   help="env steps (per level for the curriculum), a minimum: "
-                        "each collect plays 8 lockstep episodes, and an update "
-                        "can hold up to 8 episodes past ppo.batch_size")
+                   help="env steps (per level for the curriculum): no episode "
+                        "starts once they are taken; the running ones finish")
     p.add_argument("--steps-phase2", type=int, default=None,
                    help="escape: env steps vs the frozen L5 fight policy")
     p.add_argument("--run-dir", required=True)

@@ -106,14 +106,14 @@ def decode_speed(spec, v: int) -> float:
 
 def speed_to_bin(spec, speed: float) -> int:
     frac = (speed - spec.min_speed) / (spec.max_speed - spec.min_speed)
-    return int(np.clip(round(frac * SPEED_BINS), 0, SPEED_BINS))
+    return min(max(round(frac * SPEED_BINS), 0), SPEED_BINS)
 
 
 def heading_delta_to_bin(delta_deg: float) -> int:
     """Nearest action bin for a desired relative heading change, clamped to
     the +/-90 degree command envelope."""
-    clamped = float(np.clip(delta_deg, -90.0, 90.0))
-    return int(np.clip(round(clamped / HEADING_STEP_DEG), -6, 6))
+    clamped = min(max(float(delta_deg), -90.0), 90.0)
+    return min(max(round(clamped / HEADING_STEP_DEG), -6), 6)
 
 
 def apply_action(world: World, agent_id: int, action: LowLevelAction,

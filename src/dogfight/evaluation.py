@@ -184,42 +184,43 @@ def evaluate(actor, opponent_controller, scenario: ScenarioConfig,
              sim_cfg: SimConfig | None = None) -> EvalReport:
     """Run `episodes` evaluation episodes and aggregate counters.
 
-    Episodes run `LOCKSTEP_EPISODES` at a time in lockstep on
-    `lockstep_envs`: the first env, and so a one-episode evaluation, plays
-    on `opponent_controller` itself, every other env on a fresh controller
-    built from its fields. Since every decision-maker draws from per-episode
-    streams, the report does not depend on how many run at once.
-    `episode_hook(events, outcome, world)` receives each finished episode's
-    full event log, in episode order (the bookkeeping replayer uses this).
-    `trajectory` records every round of the episode its header names
-    (`episode`). Command counts cover this call's episodes only.
+    Episodes run on the `LOCKSTEP_EPISODES` env slots of `lockstep_envs`
+    (see `play_episodes`): the first env, and so a one-episode evaluation,
+    plays on `opponent_controller` itself, every other env on a fresh
+    controller built from its fields. Since every decision-maker draws
+    from per-episode streams, the report does not depend on how many run
+    at once. `episode_hook(events, outcome, world)` receives each finished
+    episode's full event log, in episode order (the bookkeeping replayer
+    uses this). `trajectory` records every round of the episode its header
+    names (`episode`). Command counts cover this call's episodes only.
     """
     report = EvalReport(seed=seed)
     master = np.random.default_rng(seed)
+    seeds = [int(master.integers(1 << 62)) for _ in range(episodes)]
+    recorded = trajectory.header["episode"] if trajectory else None
     envs = lockstep_envs(CombatEnv(scenario, opponent_controller, sim_cfg),
                          max(1, min(LOCKSTEP_EPISODES, episodes)))
+
+    def seed_for(env: CombatEnv, index: int) -> int | None:
+        env.round_listener = trajectory.record_round if index == recorded else None
+        return seeds[index] if index < episodes else None
+
     counts = _command_counts(actor)
-    for first in range(0, episodes, len(envs)):
-        batch = envs[:episodes - first]
-        for k, env in enumerate(batch):
-            env.round_listener = None
-            if trajectory and trajectory.header["episode"] == first + k:
-                env.round_listener = trajectory.record_round
-        seeds = [int(master.integers(1 << 62)) for _ in batch]
-        for env, events in zip(batch, play_episodes(batch, actor, seeds)):
+    finished = {}  # episode index -> what it left, until the ones before it end
+    for index, env, events in play_episodes(envs, actor, seed_for):
+        finished[index] = (events, env.outcome, env.world, env.step_count)
+        while report.episodes in finished:
+            events, outcome, world, steps = finished.pop(report.episodes)
             # the counters read only team and aircraft type, which no
             # episode changes, so the end-of-episode world serves every event
-            count_events(env.world, events, report)
+            count_events(world, events, report)
             report.episodes += 1
-            report.total_steps += env.step_count
-            if env.outcome == OUTCOME_WIN:
-                report.wins += 1
-            elif env.outcome == OUTCOME_LOSS:
-                report.losses += 1
-            else:
-                report.draws += 1
+            report.total_steps += steps
+            report.wins += outcome == OUTCOME_WIN
+            report.losses += outcome == OUTCOME_LOSS
+            report.draws += outcome not in (OUTCOME_WIN, OUTCOME_LOSS)
             if episode_hook is not None:
-                episode_hook(events, env.outcome, env.world)
+                episode_hook(events, outcome, world)
     report.fight_commands, report.escape_commands, selection = (
         now - before for now, before in zip(_command_counts(actor), counts))
     report.opponent_selection = selection.tolist()
@@ -330,9 +331,7 @@ def export_trajectory(log: TrajectoryLog, path: str | Path):
 def import_trajectory(path: str | Path) -> TrajectoryLog:
     """Read a file `export_trajectory` wrote; a line that is not a typed
     record raises a ValueError naming the file and the line."""
-    header = None
-    rounds = []
-    landmarks = []
+    header, rounds, landmarks = None, [], []
     for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line:
             continue
@@ -353,7 +352,4 @@ def import_trajectory(path: str | Path) -> TrajectoryLog:
                              f"record type {kind!r}")
     if header is None:
         raise ValueError(f"{path}: trajectory file has no header record")
-    log = TrajectoryLog(header=header)
-    log.rounds = rounds
-    log.landmarks = landmarks
-    return log
+    return TrajectoryLog(header, rounds, landmarks)

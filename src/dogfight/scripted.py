@@ -51,7 +51,7 @@ def _pursuit_speed_bin(aircraft: AircraftState, target_distance: float,
                        cfg: ScriptConfig) -> int:
     """Full speed far out, slowing linearly to a fraction of max up close."""
     span = cfg.full_speed_distance - cfg.close_distance
-    frac_along = np.clip((target_distance - cfg.close_distance) / span, 0.0, 1.0)
+    frac_along = min(max((target_distance - cfg.close_distance) / span, 0.0), 1.0)
     speed_frac = cfg.min_speed_fraction + (1.0 - cfg.min_speed_fraction) * frac_along
     return speed_to_bin(aircraft.spec, speed_frac * aircraft.spec.max_speed)
 

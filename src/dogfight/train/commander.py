@@ -236,8 +236,8 @@ class CommanderTrainer(TrainerCore):
     assessment reward, the previous commands in the critic input, and one
     transition per decision (per agent, or one for a joint commander), read
     from the actor's `commanded` in the step that makes it. Each
-    `run_episode` plays `LOCKSTEP_EPISODES` episodes in lockstep, one per
-    env, each env with its own snapshot opponents."""
+    `run_episode` is one collect over `LOCKSTEP_EPISODES` env slots, each
+    slot with its own snapshot opponents."""
 
     SEED_LABEL = "commander"
     STREAMS = ("episode", "action", "lowlevel", "opponent", "update")
@@ -274,9 +274,9 @@ class CommanderTrainer(TrainerCore):
             "escape": escape.store.checksum(),
         }
 
-    def run_episode(self):
-        """`LOCKSTEP_EPISODES` training episodes, in lockstep."""
-        self._play(self.envs)
+    def run_episode(self, budget: int | None = None):
+        """One collect (see `TrainerCore`) on the trainer's env slots."""
+        self._play(self.envs, budget)
 
     def begin_episode(self, env: CombatEnv):
         super().begin_episode(env)

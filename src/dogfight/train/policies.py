@@ -12,12 +12,12 @@ and every living slot samples its own heads. `CTCEDriver`, a `CTDEDriver`
 whose one row is joint, flies the low-level team that way, and the Glob
 commander decides that way.
 
-Every episode, in training and in evaluation, runs through `play_episodes`,
-which steps E envs in lockstep (E = 1 plays a single episode); training and
-`evaluate` batch an env with its siblings from `lockstep_envs`. At each
-lockstep step every network-driven aircraft of both teams in every
-unfinished env is decided in one `decide` call: one graph-free forward per
-(network, instance) and one sampling call. A driver's `actions(envs)`
+Every episode, in training and in evaluation, runs through `play_episodes`
+over E env slots in lockstep (an env and its siblings, `lockstep_envs`),
+each slot taking the next episode when its own ends. At each lockstep step
+every network-driven aircraft of both teams in every busy slot is decided
+in one `decide` call: one graph-free forward per (network, instance) and
+one sampling call. A driver's `actions(envs)`
 returns each env's `Decision`; the loop decides them and hands them back
 through `decided(envs, decisions)`. In training, `act(envs, decisions,
 episodes)` turns them into reward-less transitions (`decision_transitions`,
@@ -33,6 +33,7 @@ whatever E is, so the outcome of each episode does not depend on E.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -59,7 +60,7 @@ from ..simcore import TEAM_OPPONENT, World
 from .buffer import Transition
 
 LOW_ACTION_HEADS = len(FIGHT_HEADS)
-# episodes a training collect or an `evaluate` batch plays in lockstep
+# env slots a training collect or an `evaluate` call plays in lockstep
 LOCKSTEP_EPISODES = 8
 
 
@@ -205,21 +206,34 @@ def low_level_actions(decided) -> dict[int, LowLevelAction]:
 
 
 def play_episodes(envs: list[CombatEnv], actor: EpisodeActor,
-                  seeds: list[int]) -> list[list]:
-    """The one episode loop, over `envs` in lockstep. Resets env k from
-    `seeds[k]` and starts `actor` on it, in index order. Then, while an
-    episode runs, every unfinished env takes one step: `actor` gives its
-    agents' decisions and each env's opponent controller those of its
-    living opponents, all decided in one `decide` call before any action is
-    applied; `actor` is handed its decided ones, then each env steps on
-    both teams' actions and `actor` observes the result. Returns each
-    episode's events in order."""
-    for env, seed in zip(envs, seeds):
-        env.reset(seed=seed)
-        actor.begin_episode(env)
-    events = [[] for _ in envs]
-    live = list(range(len(envs)))
-    while live:
+                  seed_for: Callable[[CombatEnv, int], int | None]
+                  ) -> Iterator[tuple[int, CombatEnv, list]]:
+    """The one episode loop: a queue of episodes over the env slots `envs`
+    in lockstep, numbered in the order they begin. Each free slot, in slot
+    order, asks `seed_for(env, index)` for the next episode's seed, resets
+    from it and starts `actor` on it; once it gives None, no slot starts
+    another. Every busy slot then steps: `actor` gives its agents'
+    decisions and each env's opponent controller those of its living
+    opponents, all decided in one `decide` call; `actor` is handed its
+    decided ones, each env steps on both teams' actions and `actor`
+    observes the result. Yields `(index, env, events)` as an episode ends,
+    before its slot starts the next."""
+    playing: list[int | None] = [None] * len(envs)  # slot -> its episode
+    events: list[list] = [[] for _ in envs]
+    free, started, wanted = list(range(len(envs))), 0, True
+    while True:
+        for k in free:
+            seed = seed_for(envs[k], started) if wanted else None
+            if seed is None:
+                wanted = False
+                continue
+            envs[k].reset(seed=seed)
+            actor.begin_episode(envs[k])
+            playing[k], events[k] = started, []
+            started += 1
+        live = [k for k, episode in enumerate(playing) if episode is not None]
+        if not live:
+            return
         stepping = [envs[k] for k in live]
         agents = actor.actions(stepping)
         opponents = [{} if env.opponent_controller is None else
@@ -227,15 +241,16 @@ def play_episodes(envs: list[CombatEnv], actor: EpisodeActor,
                      for env in stepping]
         decide([d for d in agents + opponents if isinstance(d, Decision)])
         actor.decided(stepping, agents)
-        still = []
+        free = []
         for k, env, own, theirs in zip(live, stepping, agents, opponents):
             result = env.step(low_level_actions(own), low_level_actions(theirs))
             actor.observe_step(env, result)
             events[k] += result.events
-            if not result.terminal:
-                still.append(k)
-        live = still
-    return events
+            if result.terminal:
+                free.append(k)
+        for k in free:
+            yield playing[k], envs[k], events[k]
+            playing[k] = None
 
 
 @dataclass

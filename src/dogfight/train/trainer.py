@@ -88,17 +88,21 @@ class TrainerCore(EpisodeActor):
     transitions of its key, the rest go to network 0) and sets `actor` and
     `reward(world, events, agent_id)`, its one reward function.
 
-    `play_episodes` drives the core, which forwards the hooks to `actor` and
-    records each episode of the lockstep batch apart: its own episode
-    index, open option and return. Once the loop has decided the step, a
-    trainer's `_decide(envs, decisions)`, handed the actor's decisions,
-    gives, per env, the transitions of a decision taken at the step, or
-    None. Each decision is an option that closes at the next decision or at
-    the end of the episode (a low-level decision is a one-step option), and
-    `_close` credits each acting agent with `reward` over the events of the
-    steps the option flew, on the world as the last of them left it.
-    Finished episodes reach the buffer, the counters and the episode window
-    in episode-index order."""
+    A collect (`_play`) starts episodes on the trainer's env slots while
+    its closed transitions and the buffer number fewer than `batch_size`
+    and its env steps are below its budget, if given; the running episodes
+    then finish, so an update's episodes all ran on its weights.
+    `play_episodes` drives the core, which forwards the hooks to `actor`
+    and keeps a record per episode, by running episode index: its open
+    option, length, outcome and return. Once the loop has decided the step,
+    a trainer's `_decide(envs, decisions)` gives, per env, the transitions
+    of a decision taken at the step, or None. Each decision is an option
+    that closes at the next decision or at the end of the episode (a
+    low-level decision is a one-step option), and `_close` credits each
+    acting agent with `reward` over the events of the steps the option
+    flew, on the world as the last of them left it. When the collect ends,
+    its episodes reach the buffer, the counters and the episode window in
+    episode-index order."""
 
     SEED_LABEL: str
     STREAMS: tuple[str, ...]
@@ -119,9 +123,9 @@ class TrainerCore(EpisodeActor):
         self.env_steps = 0
         self.episodes = 0
         self.updates = 0
-        self._returns: list[float] = []  # per agent, since the last update
-        self._lengths: list[int] = []
-        self._wins: list[bool] = []
+        self._window: list = []  # episode records since the last update
+        self._open = {}  # env -> the record of the episode its slot plays
+        self._collect: list = []  # the collect's records, by episode index
 
     def write_config(self, **extras):
         """The run's `config.json`: scenario, PPO settings, seed, `extras`."""
@@ -131,29 +135,34 @@ class TrainerCore(EpisodeActor):
 
     # -- the transition recorder ---------------------------------------------
 
-    def _play(self, envs: list[CombatEnv]):
-        """One training episode on each of `envs`, in lockstep, from the
-        next episode seeds."""
-        self._open = {}  # env -> its episode's record, in episode-index order
-        play_episodes(envs, self, [int(self.episode_rng.integers(1 << 62))
-                                   for _ in envs])
-        for env, slot in self._open.items():
-            for t in slot.closed:
-                self.buffer.add(t)
-            self.env_steps += env.step_count
-            self.episodes += 1
-            self._returns.append(slot.ret / max(1, self.scenario.n_agents))
-            self._lengths.append(env.step_count)
-            self._wins.append(env.outcome == OUTCOME_WIN)
+    def _play(self, envs: list[CombatEnv], budget: int | None = None):
+        """One collect on the slots `envs` (see the class docstring), then
+        its episodes into the buffer, the counters and the episode window."""
+        self._collect = []
+
+        def seed_for(env: CombatEnv, index: int) -> int | None:
+            closed = sum(len(record.closed) for record in self._collect)
+            steps = sum(record.length for record in self._collect)
+            if (closed + len(self.buffer) < self.ppo.batch_size
+                    and (budget is None or steps < budget)):
+                return int(self.episode_rng.integers(1 << 62))
+
+        for _ in play_episodes(envs, self, seed_for):
+            pass
+        self.buffer.transitions += [t for r in self._collect for t in r.closed]
+        self.env_steps += sum(record.length for record in self._collect)
+        self.episodes += len(self._collect)
+        self._window += self._collect
 
     def begin_episode(self, env: CombatEnv):
         self.actor.begin_episode(env)
-        self._open[env] = SimpleNamespace(
-            index=self.episodes + len(self._open),
+        self._open[env] = record = SimpleNamespace(
+            index=self.episodes + len(self._collect),
             option=[],  # the decision being flown
             steps=0, events=[],  # the steps it has flown and their events
             closed=[],  # transitions of the options flown
-            ret=0.0)
+            length=0, won=False, ret=0.0)
+        self._collect.append(record)
 
     def actions(self, envs: list[CombatEnv]):
         return self.actor.actions(envs)
@@ -161,35 +170,37 @@ class TrainerCore(EpisodeActor):
     def decided(self, envs: list[CombatEnv], decisions: list):
         for env, transitions in zip(envs, self._decide(envs, decisions)):
             if transitions is not None:
-                slot = self._open[env]
-                self._close(slot, env.world, terminal=False)
-                slot.option = transitions
+                record = self._open[env]
+                self._close(record, env.world, terminal=False)
+                record.option = transitions
 
     def observe_step(self, env: CombatEnv, result: StepResult):
         self.actor.observe_step(env, result)
-        slot = self._open[env]
-        slot.steps += 1
-        slot.events += result.events
+        record = self._open[env]
+        record.steps += 1
+        record.length += 1
+        record.events += result.events
         if result.terminal:
-            self._close(slot, env.world, terminal=True)
+            self._close(record, env.world, terminal=True)
+            record.won = env.outcome == OUTCOME_WIN
 
-    def _close(self, slot, world: World, terminal: bool):
+    def _close(self, record, world: World, terminal: bool):
         """Closes the decision an episode is flying, in decision order, with
         each transition's reward over the option, its duration and `done`:
         the episode ended or, for one agent's transition, the agent is gone.
         A joint transition's agents are the slots whose heads acted."""
-        for t in slot.option:
+        for t in record.option:
             joint = t.head_mask is not None
             agents = (np.flatnonzero(t.head_mask.reshape(
                           self.scenario.n_agents, -1).any(axis=1)).tolist()
                       if joint else [t.agent_id])
-            t.reward += sum(self.reward(world, slot.events, aid)
+            t.reward += sum(self.reward(world, record.events, aid)
                             for aid in agents)
             t.done = terminal or (not joint and not world.get(t.agent_id).alive)
-            t.duration = slot.steps
-            slot.ret += t.reward
-            slot.closed.append(t)
-        slot.steps, slot.events = 0, []
+            t.duration = record.steps
+            record.ret += t.reward
+            record.closed.append(t)
+        record.steps, record.events = 0, []
 
     def _update_policies(self) -> UpdateStats:
         own: dict[int, list] = {key: [] for key in self.policies}
@@ -217,32 +228,32 @@ class TrainerCore(EpisodeActor):
                 "episodes": self.episodes,
                 "grad_norm": stats.grad_norm,
                 "level": self.level if level is None else level,
-                "mean_length": _mean(self._lengths),
+                "mean_length": _mean([r.length for r in self._window]),
                 "mean_ratio_first_epoch": stats.mean_ratio_first_epoch,
-                "mean_reward": _mean(self._returns),
+                "mean_reward": _mean([r.ret / max(1, self.scenario.n_agents)
+                                      for r in self._window]),
                 "policy_loss": stats.policy_loss,
                 "update": self.updates,
                 "value_loss": stats.value_loss,
-                "win_rate": _mean(self._wins),
+                "win_rate": _mean([r.won for r in self._window]),
             })
-        self._returns.clear()
-        self._lengths.clear()
-        self._wins.clear()
+        self._window.clear()
         return True
 
     def train_for(self, env_steps: int, *episode_args):
         """Runs collects (`run_episode`), updating after each once a batch
-        is full, until `env_steps` more env steps have been taken."""
-        start = self.env_steps
-        while self.env_steps - start < env_steps:
-            self.run_episode(*episode_args)
+        is full, until `env_steps` more env steps have been taken; each
+        collect's budget is the steps left."""
+        end = self.env_steps + env_steps
+        while self.env_steps < end:
+            self.run_episode(*episode_args, budget=end - self.env_steps)
             self.maybe_update()
 
 
 class LowLevelTrainer(TrainerCore):
     """Episode collection + PPO updates for one low-level policy. `policy`,
     the network with key 0, is the one archived. Each `run_episode(env)`
-    plays `LOCKSTEP_EPISODES` episodes in lockstep, on `env` and its
+    is one collect over `LOCKSTEP_EPISODES` env slots: `env` and its
     siblings (`lockstep_envs`, built at the first call on `env`)."""
 
     SEED_LABEL = "trainer"
@@ -277,7 +288,7 @@ class LowLevelTrainer(TrainerCore):
             "fight": partial(reward_fight, variant=variant, rho=rho),
             "escape": partial(reward_escape, variant=variant, scenario=scenario),
             "standard": partial(reward_standard, scenario=scenario)}[mode.kind]
-        self.envs: list[CombatEnv] = []  # the last collect's env and siblings
+        self.envs: list[CombatEnv] = []  # the last collect's env slots
 
     # -- environment plumbing -------------------------------------------------
 
@@ -287,12 +298,11 @@ class LowLevelTrainer(TrainerCore):
         return CombatEnv(scenario, opponent_controller, sim_cfg=self.sim_cfg,
                          agent_types=self.agent_types)
 
-    def run_episode(self, env: CombatEnv):
-        """`LOCKSTEP_EPISODES` training episodes, in lockstep, on `env` and
-        its siblings."""
+    def run_episode(self, env: CombatEnv, budget: int | None = None):
+        """One collect (see `TrainerCore`) on `env` and its siblings."""
         if not self.envs or self.envs[0] is not env:
             self.envs = lockstep_envs(env)
-        self._play(self.envs)
+        self._play(self.envs, budget)
 
     def _decide(self, envs: list[CombatEnv], decisions: list):
         return self.actor.act(envs, decisions,
@@ -374,10 +384,9 @@ def run_curriculum(scenario: ScenarioConfig, ppo: PPOConfig, mode: TrainMode,
                    sim_cfg: SimConfig | None = None) -> LeagueArchive:
     """Five-level fight curriculum: scripted opponents through L3, the frozen
     L3 snapshot at L4, per-episode league sampling at L5. The episode horizon
-    grows by 50 env steps per level from 200. `steps_per_level` is a
-    minimum: each collect plays `LOCKSTEP_EPISODES` episodes in lockstep,
-    so a level ends with its last collect, and an update can hold up to 8
-    episodes past `batch_size`. Completed levels found in the
+    grows by 50 env steps per level from 200. A level starts no episode
+    once its `steps_per_level` are taken, and the episodes already running
+    finish, so it can run a little past them. Completed levels found in the
     archive are skipped, so interrupted runs resume at level granularity:
     from the run directory's `trainer_state_<level>.ckpt` of the last
     completed level (every network with its Adam moments), or, without one,

@@ -69,3 +69,13 @@ def count_tensors(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(Tensor, "__init__", counted)
     return count
+
+
+def play(envs, actor, seeds):
+    """One episode per seed of `seeds`, in order, on the env slots `envs`
+    through `play_episodes`; returns their events by episode index."""
+    from dogfight.train.policies import play_episodes
+
+    ended = {index: events for index, _, events in play_episodes(
+        envs, actor, lambda env, k: seeds[k] if k < len(seeds) else None)}
+    return [ended[k] for k in range(len(seeds))]

@@ -955,11 +955,12 @@ class TestExportTraj:
         assert rounds("b.jsonl") == base
         assert rounds("c.jsonl", "--set", "sim.round_seconds=0.2") != base
 
-    @pytest.mark.parametrize("episode", [0, 3, 9])
+    @pytest.mark.parametrize("episode", [0, 3, 8, 9])
     def test_records_the_episode_it_names(self, episode, tmp_path,
                                           monkeypatch):
-        # ten episodes play as a lockstep batch of eight and one of two: the
-        # first episode, a middle one and one of the second batch
+        # ten episodes play over eight lockstep slots, and a slot takes the
+        # next episode when its own ends: the first episode, a middle one,
+        # and the two that refill slots
         import dogfight.cli
 
         hooked = []

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import make_aircraft, make_world
+from helpers import make_aircraft, make_world, play
 
 from dogfight.config import ScenarioConfig, ScriptConfig
 from dogfight.env import (
@@ -24,7 +24,7 @@ from dogfight.observations import (
 from dogfight.rewards import reward_fight
 from dogfight.scripted import ScriptedController
 from dogfight.simcore import TEAM_AGENT, TEAM_OPPONENT, SimConfig, make_spec
-from dogfight.train.policies import EpisodeActor, play_episodes
+from dogfight.train.policies import EpisodeActor
 
 
 class TestActions:
@@ -198,7 +198,7 @@ class TestEnvStep:
                          for aid in env.agent_ids()} for env in envs]
 
         env = CombatEnv(ScenarioConfig(seed=0, horizon=1), Recorder())
-        play_episodes([env], FullSpeed(), [3])
+        play([env], FullSpeed(), [3])
         assert calls == [([2, 3], speeds)]
         assert env.world.get(2).speed == decode_speed(env.world.get(2).spec, 0)
         assert env.world.get(0).speed == decode_speed(env.world.get(0).spec, 8)
@@ -224,8 +224,7 @@ class TestEnvStep:
         envs = [CombatEnv(scenario, ScriptedController(
                     "L1", np.random.default_rng(k), ScriptConfig()))
                 for k in range(2)]
-        play_episodes(envs, Watching(policy, "fight", np.random.default_rng(2)),
-                      [3, 4])
+        play(envs, Watching(policy, "fight", np.random.default_rng(2)), [3, 4])
         assert len(handed) == len(made) == max(e.step_count for e in envs)
         for step, (given, (decisions, samples, counts)) in enumerate(
                 zip(made, handed)):
@@ -255,7 +254,7 @@ class TestEnvStep:
         scenario = ScenarioConfig(seed=0, horizon=1)
         env = CombatEnv(scenario, Recording("L3", np.random.default_rng(4),
                                             ScriptConfig()))
-        play_episodes([env], Holding(), [5])
+        play([env], Holding(), [5])
         critic = build_critic_input("fight", env.world, scenario,
                                     env.prev_actions, {})
         slots = critic.reshape(scenario.n_agents + scenario.n_opponents, -1)

@@ -483,13 +483,14 @@ def test_report_does_not_depend_on_the_lockstep_width(monkeypatch, build):
         monkeypatch.setattr(evaluation, "LOCKSTEP_EPISODES", width)
         actor, opponents, scenario = build()
         hooked = []
-        report = evaluate(actor, opponents, scenario, episodes=9, seed=8,
+        report = evaluate(actor, opponents, scenario, episodes=20, seed=8,
                           episode_hook=lambda events, outcome, world:
                           hooked.append((list(events), outcome)))
         return report, hooked
 
+    # 20 episodes, so the slots refill at widths 4 and 8
     reference = run(1)
-    assert reference[0].episodes == 9 and reference[0].total_steps > 9
+    assert reference[0].episodes == 20 and reference[0].total_steps > 20
     for width in (4, 8):
         assert run(width) == reference
 

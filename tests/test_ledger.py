@@ -6,8 +6,9 @@ Each run goes through `cli.main` as the command line runs it, except
 directly, and the curriculum stopped after L2 and resumed, which
 `run_curriculum` runs as a command would with its `levels` cut short.
 Training runs set `ppo.batch_size` small enough for an update per collect,
-and step budgets that take two or more collects (a collect plays 8
-episodes in lockstep). A change that moves a seeded output on purpose
+and step budgets that take two or more collects (a collect starts its 8
+lockstep env slots together and starts no more episodes once its batch
+fills or its budget is spent; the episodes already running finish). A change that moves a seeded output on purpose
 updates the table below: the failure message prints every actual digest.
 Trajectories are hashed only against scripted opponents, since a
 `snapshot:` header holds checkpoint paths.

@@ -137,8 +137,10 @@ class TestClipRule:
 
 def fill_buffer(policy, scenario, n, seed=0):
     """Roll genuine transitions through the policy so log-probs are honest."""
+    from helpers import play
+
     from dogfight.scripted import ScriptedController
-    from dogfight.train.policies import CTDEDriver, play_episodes
+    from dogfight.train.policies import CTDEDriver
     from dogfight.env import CombatEnv
     from dogfight.rewards import reward_fight
 
@@ -160,7 +162,7 @@ def fill_buffer(policy, scenario, n, seed=0):
         "L1", np.random.default_rng(seed + 1), ScriptConfig()))
     driver.episode = 0
     while len(buffer) < n:
-        play_episodes([env], driver, [seed + driver.episode])
+        play([env], driver, [seed + driver.episode])
         driver.episode += 1
     return buffer
 
@@ -581,7 +583,7 @@ class TestDeterminism:
 
 
 class TestCommanderTrainer:
-    def _trainer(self, variant=None, seed=20, run_dir=None):
+    def _trainer(self, variant=None, seed=20, run_dir=None, batch_size=8):
         variant = variant or CommanderVariant()
         scenario = ScenarioConfig.commander_training(
             horizon=12, n_agents=2, n_opponents=2, map_size=30.0,
@@ -592,8 +594,8 @@ class TestCommanderTrainer:
 
         escape = PolicyNetwork(escape_config(critic_width=4 * 32), seed=2)
         return CommanderTrainer(
-            scenario, PPOConfig(batch_size=8, update_epochs=2, minibatches=2,
-                                gamma=0.95),
+            scenario, PPOConfig(batch_size=batch_size, update_epochs=2,
+                                minibatches=2, gamma=0.95),
             variant, fight, escape, run_dir=run_dir, seed=seed)
 
     def test_episode_produces_option_transitions(self):
@@ -662,26 +664,19 @@ class TestCommanderTrainer:
         assert all(t.head_mask is not None for t in trainer.buffer.transitions)
 
     def test_concurrent_episodes_keep_their_own_streams(self):
-        # a collect plays LOCKSTEP_EPISODES episodes at once: each has its
-        # own episode index, and every (episode, agent) stream holds one
-        # episode's options, closed once, spanning at most its length
+        # a collect plays its episodes over LOCKSTEP_EPISODES slots, each
+        # taking the next episode when its own ends: each has its own
+        # episode index, and every (episode, agent) stream holds one
+        # episode's options, closed once, spanning at most its length; an
+        # episode closes at most 24 options, so 200 need more than 8
         from dogfight.train.policies import LOCKSTEP_EPISODES
 
-        trainer = self._trainer()
+        trainer = self._trainer(batch_size=200)
         trainer.run_episode()
-        transitions = trainer.buffer.transitions
-        episodes = [t.episode for t in transitions]
-        assert episodes == sorted(episodes)  # buffered in episode order
-        assert set(episodes) == set(range(LOCKSTEP_EPISODES))
-        streams = {}
-        for t in transitions:
-            streams.setdefault((t.episode, t.agent_id), []).append(t)
-        for stream in streams.values():
-            assert [t.done for t in stream] == [False] * (len(stream) - 1) + [True]
-        for k, env in enumerate(trainer.envs):
-            spans = [sum(t.duration for t in stream)
-                     for (episode, _), stream in streams.items() if episode == k]
-            assert max(spans) == env.step_count
+        assert len(trainer.buffer) >= trainer.ppo.batch_size
+        assert trainer.episodes > LOCKSTEP_EPISODES
+        _assert_episodes_apart(trainer.buffer.transitions,
+                               range(trainer.episodes), _lengths(trainer))
 
     def test_commander_update_runs(self):
         trainer = self._trainer()
@@ -725,10 +720,12 @@ def _float64_networks(trainer):
                                 else nets[0])
 
 
-def _low_level(framework, float64=False):
+def _low_level(framework, float64=False, batch=200):
+    # a 2v2 episode of 12 steps closes at most 24 transitions, so a collect
+    # of 200 plays more episodes than it has slots
     from dogfight.scripted import ScriptedController
 
-    trainer = LowLevelTrainer(small_scenario(horizon=12), small_ppo(4096),
+    trainer = LowLevelTrainer(small_scenario(horizon=12), small_ppo(batch),
                               TrainMode(framework=framework), seed=31)
     if float64:
         _float64_networks(trainer)
@@ -749,7 +746,7 @@ class TestCriticInputReuse:
 
         def collect():
             trainer = LowLevelTrainer(small_scenario(horizon=12),
-                                      small_ppo(4096), TrainMode(kind=kind),
+                                      small_ppo(200), TrainMode(kind=kind),
                                       seed=31)
             env = trainer.make_env(ScriptedController(
                 "L3", trainer.opponent_rng, trainer.script))
@@ -788,56 +785,73 @@ class TestCriticInputReuse:
         assert ctce._critic_observations(env, d) == {}
 
 
+def _lengths(trainer) -> list[int]:
+    """The lengths of the episodes since the trainer's last update."""
+    return [record.length for record in trainer._window]
+
+
+def _assert_episodes_apart(transitions, episodes, lengths):
+    """The collect's transitions come from `episodes`, each buffered whole
+    and in order; every (episode, agent) stream is closed once, at its end,
+    and the longest spans its episode's length."""
+    order = [t.episode for t in transitions]
+    assert order == sorted(order) and sorted(set(order)) == list(episodes)
+    streams = {}
+    for t in transitions:
+        streams.setdefault((t.episode, t.agent_id), []).append(t)
+    for stream in streams.values():
+        assert [t.done for t in stream] == [False] * (len(stream) - 1) + [True]
+    for episode, length in zip(episodes, lengths):
+        assert max(sum(t.duration for t in stream)
+                   for (k, _), stream in streams.items() if k == episode) == length
+
+
 class TestLockstepCollects:
     @pytest.mark.parametrize("framework", FRAMEWORKS)
     def test_low_level_collect_keeps_each_episode_apart(self, framework):
-        # one run_episode plays LOCKSTEP_EPISODES episodes, on the env and
-        # its siblings: each has its own episode index, and every (episode,
+        # one run_episode fills a batch over LOCKSTEP_EPISODES slots, the
+        # env and its siblings, each taking the next episode when its own
+        # ends: the episode indices run on without a gap, each (episode,
         # agent) stream holds one episode's steps, closed once
         from dogfight.train.policies import LOCKSTEP_EPISODES
 
         trainer, env = _low_level(framework)
         trainer.run_episode(env)
-        transitions = trainer.buffer.transitions
-        episodes = [t.episode for t in transitions]
-        assert episodes == sorted(episodes)  # buffered in episode order
-        assert set(episodes) == set(range(LOCKSTEP_EPISODES))
-        streams = {}
-        for t in transitions:
-            streams.setdefault((t.episode, t.agent_id), []).append(t)
-        for stream in streams.values():
-            assert [t.done for t in stream] == [False] * (len(stream) - 1) + [True]
+        assert len(trainer.buffer) >= trainer.ppo.batch_size
+        assert trainer.episodes > LOCKSTEP_EPISODES
+        _assert_episodes_apart(trainer.buffer.transitions,
+                               range(trainer.episodes), _lengths(trainer))
+        assert trainer.env_steps == sum(_lengths(trainer))
         assert len(trainer.envs) == LOCKSTEP_EPISODES and trainer.envs[0] is env
-        for k, sibling in enumerate(trainer.envs):
-            spans = [sum(t.duration for t in stream)
-                     for (episode, _), stream in streams.items() if episode == k]
-            assert max(spans) == sibling.step_count
-        assert trainer.env_steps == sum(e.step_count for e in trainer.envs)
-        siblings = list(trainer.envs)
+        siblings, first = list(trainer.envs), trainer.episodes
+        trainer.buffer.clear()
         trainer.run_episode(env)  # the next collect reuses the siblings
         assert trainer.envs == siblings
-        assert {t.episode for t in trainer.buffer.transitions} == set(
-            range(2 * LOCKSTEP_EPISODES))
+        _assert_episodes_apart(trainer.buffer.transitions,
+                               range(first, trainer.episodes),
+                               _lengths(trainer)[first:])
 
     @pytest.mark.parametrize("framework", FRAMEWORKS)
     def test_lockstep_collect_equals_episodes_one_at_a_time(self, framework):
         # with no update in between, the lockstep episodes act, draw and
-        # judge as the same episodes played one after another; a batched
+        # judge as the same episodes played one after another on one slot,
+        # which starts no more of them than the batch needs; a batched
         # product rounds unlike a one-row one, which float64 networks keep
         # far below 1e-12
-        from dogfight.train.policies import LOCKSTEP_EPISODES
-
         def collect(lockstep):
             trainer, env = _low_level(framework, float64=True)
             if lockstep:
                 trainer.run_episode(env)
             else:
-                for _ in range(LOCKSTEP_EPISODES):
-                    trainer._play([env])
-            return trainer.env_steps, trainer.buffer.transitions
+                trainer._play([env])
+            return trainer.episodes, _lengths(trainer), trainer.buffer.transitions
 
-        (steps, lockstep), (steps_alone, alone) = collect(True), collect(False)
-        assert steps == steps_alone and len(lockstep) == len(alone)
+        (played, lengths, lockstep), (alone_played, alone_lengths, alone) = (
+            collect(True), collect(False))
+        assert played >= alone_played
+        assert lengths[:alone_played] == alone_lengths
+        lockstep = [t for t in lockstep if t.episode < alone_played]
+        assert len(lockstep) == len(alone)
         for a, b in zip(lockstep, alone):
             assert (a.episode, a.agent_id, a.instance, a.done, a.reward) == \
                 (b.episode, b.agent_id, b.instance, b.done, b.reward)
@@ -847,6 +861,32 @@ class TestLockstepCollects:
             np.testing.assert_allclose([getattr(t, field) for t in lockstep],
                                        [getattr(t, field) for t in alone],
                                        rtol=0, atol=1e-12)
+
+    def test_budget_stops_new_episodes(self, monkeypatch):
+        # a collect given a step budget starts episodes while its env steps
+        # are below it, then lets the running ones finish
+        from dogfight.train.policies import LOCKSTEP_EPISODES
+
+        trainer, env = _low_level("ctde", batch=4096)
+        taken, at_start = [0], []
+        begin, observe = trainer.begin_episode, trainer.observe_step
+
+        def counted_begin(env):
+            at_start.append(taken[0])
+            begin(env)
+
+        def counted_observe(env, result):
+            taken[0] += 1
+            observe(env, result)
+
+        monkeypatch.setattr(trainer, "begin_episode", counted_begin)
+        monkeypatch.setattr(trainer, "observe_step", counted_observe)
+        budget = 150
+        trainer.run_episode(env, budget=budget)
+        assert len(at_start) > LOCKSTEP_EPISODES
+        assert max(at_start) < budget <= trainer.env_steps == taken[0]
+        assert trainer.env_steps < budget + LOCKSTEP_EPISODES * 12
+        assert len(trainer.buffer) < trainer.ppo.batch_size
 
     @pytest.mark.parametrize("float64", [False, True], ids=["float32", "float64"])
     @pytest.mark.parametrize("path", FRAMEWORKS + ["commander", "commander-glob"])
@@ -872,7 +912,11 @@ class TestLockstepCollects:
             calls.append((id(self), instance))
             return forward_critic(self, instance, critic_input, **kwargs)
 
+        steps = []  # one entry per lockstep step
+        decided = trainer.decided
         monkeypatch.setattr(PolicyNetwork, "forward_critic", counted)
+        monkeypatch.setattr(trainer, "decided", lambda envs, decisions: (
+            steps.append(len(envs)), decided(envs, decisions)))
         collect()
         monkeypatch.undo()
         transitions = trainer.buffer.transitions
@@ -884,8 +928,7 @@ class TestLockstepCollects:
         np.testing.assert_allclose([t.value for t in transitions], alone,
                                    rtol=0, atol=1e-12 if float64 else 1e-6)
         groups = len(set(calls))  # (network, instance) pairs judged
-        lockstep_steps = max(e.step_count for e in trainer.envs)
-        assert len(calls) <= groups * lockstep_steps
+        assert len(calls) <= groups * len(steps)
 
 
 class TestGraphFreeDecisions:
