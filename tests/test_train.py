@@ -550,8 +550,7 @@ class TestTrainerLoops:
 
         env = trainer.make_env(ScriptedController(
             "L3", trainer.opponent_rng, trainer.script))
-        for _ in range(3):
-            trainer.run_episode(env)
+        trainer.run_episode(env)  # one collect fills the batch
         assert all(t.reward <= 0.0 for t in trainer.buffer.transitions)
 
     def test_standard_baseline(self, tmp_path):
@@ -617,9 +616,8 @@ class TestCommanderTrainer:
             trainer.frozen_checksums["fight"]
 
     def test_option_duration_bounded_by_events(self):
-        trainer = self._trainer()
-        for _ in range(3):
-            trainer.run_episode()
+        trainer = self._trainer(batch_size=64)
+        trainer.run_episode()  # one collect fills the batch
         durations = [t.duration for t in trainer.buffer.transitions]
         assert max(durations) <= trainer.scenario.option_horizon
 
