@@ -214,10 +214,10 @@ def play_episodes(envs: list[CombatEnv], actor: EpisodeActor,
     from it and starts `actor` on it; once it gives None, no slot starts
     another. Every busy slot then steps: `actor` gives its agents'
     decisions and each env's opponent controller those of its living
-    opponents, all decided in one `decide` call; `actor` is handed its
-    decided ones, each env steps on both teams' actions and `actor`
-    observes the result. Yields `(index, env, events)` as an episode ends,
-    before its slot starts the next."""
+    opponents, decided in one `decide` call before any env steps; `actor`
+    is handed its decided ones, each env steps on both teams' actions and
+    `actor` observes the result. Yields `(index, env, events)` as an
+    episode ends, before its slot starts the next."""
     playing: list[int | None] = [None] * len(envs)  # slot -> its episode
     events: list[list] = [[] for _ in envs]
     free, started, wanted = list(range(len(envs))), 0, True
