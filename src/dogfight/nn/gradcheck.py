@@ -43,24 +43,24 @@ class GradCheckReport:
         return self.max_rel_error < TOLERANCE
 
 
-def _probe_loss(net: PolicyNetwork, instance: str, obs: np.ndarray,
-                critic_in: np.ndarray, actions: np.ndarray,
-                seq_len: int = 1) -> Tensor:
-    """Scalar loss touching every parameter: mean of all head logits and the
-    log-probabilities and entropies of `actions`, chained through the
-    observation sequence, plus the critic value."""
+def _probe_loss(net: PolicyNetwork, instance: str, batches: list,
+                critic_in: np.ndarray, seq_len: int = 1) -> Tensor:
+    """Scalar loss touching every parameter: for each batch of
+    observations and `actions`, the mean of all head logits and the
+    log-probabilities and entropies of the actions, chained through the
+    observation sequence; plus the critic value."""
     arities = net.config.instance(instance).head_arities
-    hidden = None
-    total = None
-    for t in range(seq_len):
-        out = net.forward_actor(instance, obs[t], hidden)
-        hidden = out.hidden
-        log_prob, entropy = head_log_prob_entropy(out.heads, arities,
-                                                  actions[t])
-        step_term = tmean(log_prob) + tmean(entropy) + tmean(out.heads)
-        total = step_term if total is None else total + step_term
-    value = tsum(net.forward_critic(instance, critic_in))
-    return total + value
+    total = tsum(net.forward_critic(instance, critic_in))
+    for obs, actions in batches:
+        hidden = None
+        for t in range(seq_len):
+            out = net.forward_actor(instance, obs[t], hidden)
+            hidden = out.hidden
+            log_prob, entropy = head_log_prob_entropy(out.heads, arities,
+                                                      actions[t])
+            total = total + (tmean(log_prob) + tmean(entropy)
+                             + tmean(out.heads))
+    return total
 
 
 def _relative_error(analytic: float, numeric: float) -> float:
@@ -72,12 +72,14 @@ def _relative_error(analytic: float, numeric: float) -> float:
 
 
 def check_network(config: NetworkConfig, instance: str, *, draws: int = 100,
-                  seq_len: int = 1, seed: int = 0) -> GradCheckReport:
+                  seq_len: int = 1, rows: tuple[int, ...] = (2,),
+                  seed: int = 0) -> GradCheckReport:
     """Compare analytic and central-difference gradients on random draws.
 
     Every draw re-randomizes parameters and inputs; per draw a set of
     parameter coordinates is sampled such that each named array is hit at
-    least once across the run.
+    least once across the run. The actor runs on one batch of each size in
+    `rows`.
     """
     rng = np.random.default_rng(seed)
     max_err = 0.0
@@ -88,12 +90,13 @@ def check_network(config: NetworkConfig, instance: str, *, draws: int = 100,
         for tensor in store.params.values():
             tensor.data = rng.normal(0.0, 0.5, tensor.data.shape)
         inst = config.instance(instance)
-        obs = rng.uniform(0.0, 1.0, (seq_len, 2, inst.obs_width))
         critic_in = rng.uniform(0.0, 1.0, (2, inst.critic_width))
-        actions = rng.integers(0, inst.head_arities,
-                               (seq_len, 2, len(inst.head_arities)))
+        batches = [(rng.uniform(0.0, 1.0, (seq_len, n, inst.obs_width)),
+                    rng.integers(0, inst.head_arities,
+                                 (seq_len, n, len(inst.head_arities))))
+                   for n in rows]
 
-        probe = (net, instance, obs, critic_in, actions, seq_len)
+        probe = (net, instance, batches, critic_in, seq_len)
         store.zero_grad()
         _probe_loss(*probe).backward()
 
@@ -125,22 +128,34 @@ def run_standard_suite(draws: int = 100, seed: int = 0) -> list[GradCheckReport]
     attention (`sa`) and the tanh fight baseline (fc).
 
     The commander GRU check runs over a five-step sequence so gradients
-    flow through time.
+    flow through time. The two attention networks also run a batch whose
+    tokens outnumber the embed width, so both bodies of the attention
+    block are checked.
     """
+    fight = fight_config(critic_width=40, dtype="float64")
+    sa = commander_config(senses=2, critic_width=40, arch="sa",
+                          dtype="float64")
     suite = [
-        ("fight", fight_config(critic_width=40, dtype="float64"), "ac1", 1),
-        ("escape", escape_config(critic_width=40, dtype="float64"), "ac2", 1),
+        ("fight", fight, "ac1", 1, (2, _folded_rows(fight, "ac1"))),
+        ("escape", escape_config(critic_width=40, dtype="float64"), "ac2", 1,
+         (2,)),
         ("commander-gru", commander_config(senses=2, critic_width=40,
-                                           dtype="float64"), "cmd", 5),
-        ("commander-sa", commander_config(senses=2, critic_width=40, arch="sa",
-                                          dtype="float64"), "cmd", 1),
+                                           dtype="float64"), "cmd", 5, (2,)),
+        ("commander-sa", sa, "cmd", 1, (2, _folded_rows(sa, "cmd"))),
         # the fc layers at the embed width: at 500 a float64 central
         # difference of that saturated net is itself off by up to ~1e-4
         ("fight-fc", dataclasses.replace(fight_config(
             critic_width=40, fc_baseline=True, dtype="float64"),
-            fc_width=EMBED_WIDTH), "ac1", 1),
+            fc_width=EMBED_WIDTH), "ac1", 1, (2,)),
     ]
     return [dataclasses.replace(
         check_network(config, instance, draws=draws, seq_len=seq_len,
-                      seed=seed + k), name=f"{label}/{instance}")
-            for k, (label, config, instance, seq_len) in enumerate(suite)]
+                      rows=rows, seed=seed + k), name=f"{label}/{instance}")
+            for k, (label, config, instance, seq_len, rows)
+            in enumerate(suite)]
+
+
+def _folded_rows(config: NetworkConfig, instance: str) -> int:
+    """The fewest rows whose attention tokens outnumber the embed width:
+    the smallest batch that takes the folded attention body."""
+    return config.embed_width // len(config.instance(instance).token_splits) + 1

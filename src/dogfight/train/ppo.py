@@ -162,7 +162,9 @@ def ppo_update(policy: PolicyNetwork, buffer: RolloutBuffer, config: PPOConfig,
             grad_norm = policy.store.clip_grad_norm(config.max_grad_norm)
             adam_step(policy.store, config.lr)
             if epoch == 0 and not first_epoch_ratios:
-                # ratio before any parameter movement: identically 1
+                # ratio before any parameter movement: 1 up to rounding, as
+                # a minibatch may take the other attention body than the
+                # decisions did (see `nn.blocks`)
                 first_epoch_ratios += [i["mean_ratio"] for i in infos]
             stats.merge(UpdateStats(
                 policy_loss=float(np.mean([i["policy_loss"] for i in infos])),

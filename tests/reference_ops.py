@@ -121,19 +121,39 @@ def dense(x, W, b, squash=True):
     return tanh(out) if squash else out
 
 
-def attention(x, *weights):
-    *embeds, qkv_w = weights
+def _tokens(x, embeds):
     tokens, offset = [], 0
     for W, b in zip(embeds[0::2], embeds[1::2]):
         width = _data(W).shape[0]
         tokens.append(dense(_data(x)[:, offset:offset + width], W, b))
         offset += width
-    seq = stack(tokens, axis=1)  # [B, T, E]
+    return stack(tokens, axis=1)  # [B, T, E]
+
+
+def attention(x, *weights):
+    """The textbook body: q, k and v of every token."""
+    *embeds, qkv_w = weights
+    seq = _tokens(x, embeds)
     width = _data(qkv_w).shape[0]
     qkv = matmul(seq, qkv_w)  # [B, T, 3E]
     q, k, v = (slice_cols(qkv, i * width, (i + 1) * width) for i in range(3))
     scores = mul(matmul(q, transpose_last2(k)), 1.0 / math.sqrt(width))
     return tmean(matmul(softmax(scores, axis=-1), v), axis=1)
+
+
+def attention_folded(x, *weights):
+    """The folded body: scores `seq (Wq Wkᵀ / √E) seqᵀ`, and the value
+    projection after the pool, `(p̄ seq) Wv`, with p̄ the attention each
+    token receives averaged over the queries."""
+    *embeds, qkv_w = weights
+    seq = _tokens(x, embeds)
+    width = _data(qkv_w).shape[0]
+    wq, wk, wv = (slice_cols(qkv_w, i * width, (i + 1) * width)
+                  for i in range(3))
+    fold = mul(matmul(wq, transpose_last2(wk)), 1.0 / math.sqrt(width))
+    scores = matmul(matmul(seq, fold), transpose_last2(seq))  # [B, T, T]
+    received = tmean(softmax(scores, axis=-1), axis=1, keepdims=True)
+    return matmul(tmean(matmul(received, seq), axis=1), wv)  # [B, E]
 
 
 def gru(x, h, W, U, b):

@@ -48,11 +48,11 @@ LEDGER = {
     "commander-glob/metrics.jsonl":
         "1fc8e573e197b2cc0d5999b42f64c5dfa4dfe3a798a4a607f769bf49afbaecdd",
     "commander-n3-sa/checkpoints/commander_Shared-N3-Opt-Assess.ckpt":
-        "215b428c7d6985732cdf698bed5f46055bfe9a304e9bf6a72074d233e90f086c",
+        "6b8599b8ba22f544c97408a5f23ab8b755b4d216c6d0683f1f4175c9ea2d2fef",
     "commander-n3-sa/config.json":
         "8ff5da2256049ccab74998127e8c8dff00e23f43b073c5b3a3d5c6d50862f285",
     "commander-n3-sa/metrics.jsonl":
-        "0e53d569d2d169d94a003d23b634820cbabc867cc8a698c5bf58bd03b38a3ce6",
+        "45bdab0f8b1290bee1fe283e198a5a9bc8e536674771ca568013543a62015b77",
     "commander-noopt/checkpoints/commander_Shared-N2-noOpt-Assess.ckpt":
         "a28e988cd64f2bb54e1dba298d5b368b43aec9e881abcf18b34964c1c8eedb19",
     "commander-noopt/config.json":
@@ -68,9 +68,9 @@ LEDGER = {
     "curriculum-resumed/config.json":
         "95eaa9c54d1bfde3ed3a39c7bf620d3e2527db21ce7a7ea01108a1a59de9cf78",
     "curriculum-resumed/league/fight_L5.ckpt":
-        "35a76ec047a07cb17933f59322317ba90b4e09bf8a7a2b053ba7e42bdc06341d",
+        "59342931ab379a4e38addc5346799c4d88afc566e7c08b3368b3f583cbb1ab5d",
     "curriculum-resumed/metrics.jsonl":
-        "cc05aebc3a7e041dce5b427dffc6314162877c90b5239976f36d825db1cb0ee9",
+        "9cd1714e6eee98b7d99cfd445c047ac0b0d4e55aadc8a38a425097e903b37315",
     "escape-dist-speed/config.json":
         "0acb27836aa3eb37dcca2972531f6ad42aded64bf027452271514e3ee2fb2df7",
     "escape-dist-speed/league/escape.ckpt":
@@ -114,21 +114,21 @@ LEDGER = {
     "fight-ctde/config.json":
         "b2f731d24a129d5cc574da26be2e973ef90e272a2a90049653446e68a9896266",
     "fight-ctde/league/fight_L3.ckpt":
-        "35c7c0d0c0094afa4fae4ea4283f060850a4d5636c89b3c7b864a784647b87fb",
+        "711b01ef96a5b0d54cbe4f0e5492e749a162eea501f396589868bd840c17b2d6",
     "fight-ctde/metrics.jsonl":
-        "1aa38a60f0cd3ef42be1c8714bfe919180d0a9a6b126f0585a3bb31623942f7c",
+        "79f3b3e031eb7a5ff52747fe6ba7f900ad1edd54650291f3e59288f1227d2d8d",
     "fight-dtde/config.json":
         "c67c8f60d5102673839e254fe903f44c80b5fc59239f0cf47a51254daed7550e",
     "fight-dtde/league/fight_L3.ckpt":
-        "979914d3527b2432a5557442da08dd62d3cef7ae66b073fa24b6a687acd772ac",
+        "f68742a606cc686f14f6f9cb6928523001d76b692ca7b74c962b448607057b57",
     "fight-dtde/metrics.jsonl":
-        "4809a50aaeb9061eef1174651fec78f1386ba6cfbe2e606b62d117b636a1dd77",
+        "f1400141160cb865c59c88ece139a4db8e5b4f20832a405d91dbb073ea290e92",
     "fight-shfrac/config.json":
         "4f72dfe4d6a668ffe9d468a872494991cb1ccda35bcd93421171b2676ce4301a",
     "fight-shfrac/league/fight_L3.ckpt":
-        "aa5b58a0645c6ddb46653872af14ea947491e17b94e959ee181daeb2618455e2",
+        "a7190932206fa25aa64477e75763deca03cc3c095ae32dbb58cb94f71a6688c7",
     "fight-shfrac/metrics.jsonl":
-        "4a87e5c828d049661695a220fe08075da2013ca1aede083ec6e8cf5c62f16063",
+        "0d0dd3b1fc0fb21caea4be6cf25647bb39094194f060d8917748bbfadc395c0e",
     "standard/checkpoints/standard.ckpt":
         "923f3a3352fa85d6f837c9ea825368c52ea74c217bd0c0ff145b654ca64b7ffa",
     "standard/config.json":

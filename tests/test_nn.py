@@ -526,6 +526,20 @@ class TestGraphFreeForward:
                     continue
                 assert np.max(np.abs(lb[b] - lo[0])) <= ROW_TOLERANCE[dtype]
 
+    def test_learner_batch_matches_one_row_decisions(self):
+        # a 40-row fight batch (120 token rows) takes the folded attention
+        # body, as PPO minibatches do; one row takes the textbook body, as
+        # decisions do. They compute the same function.
+        net = PolicyNetwork(fight_config(critic_width=40, dtype="float64"),
+                            seed=4)
+        obs, _, _ = _batch(net, "ac1", rows=40, seed=1)
+        tokens = len(net.config.instance("ac1").token_splits)
+        assert len(obs) * tokens > net.config.embed_width >= tokens
+        batched = net.forward_actor("ac1", obs).heads.data
+        for b in range(len(obs)):
+            one = net.forward_actor("ac1", obs[b], grad=False).heads
+            assert np.max(np.abs(batched[b] - one[0])) <= 1e-12
+
     @pytest.mark.parametrize("grad", [True, False], ids=["graph", "graph-free"])
     def test_float32_networks_compute_in_float32(self, grad):
         # the Python-float constants of the attention and GRU bodies take
@@ -546,17 +560,36 @@ class TestGraphFreeForward:
                 assert data.dtype == np.float32, (config.kind, instance)
 
 
-# each block's operand shapes [B=5, E=H=6] and whether each operand carries
-# gradient; an attention embed's input is the observation, which does not
+# each block's kernel, the reference composition it is checked against,
+# its static arguments, its operand shapes [B=5, E=H=6] and whether each
+# operand carries gradient; an attention embed's input is the observation,
+# which does not. Attention at B=5 has 10 token rows, above the width, so
+# its node runs the folded body; at B=2 and three tokens it has 6, the
+# textbook body's largest batch.
 BLOCKS = {
-    "dense-tanh": ("dense", {"squash": True}, [(5, 4), (4, 6), (6,)],
+    "dense-tanh": ("dense", "dense", {"squash": True}, [(5, 4), (4, 6), (6,)],
                    [True, True, True]),
-    "dense-affine": ("dense", {"squash": False}, [(5, 4), (4, 6), (6,)],
-                     [True, True, True]),
-    "attention": ("attention", {}, [(5, 7), (3, 6), (6,), (4, 6), (6,), (6, 18)],
+    "dense-affine": ("dense", "dense", {"squash": False},
+                     [(5, 4), (4, 6), (6,)], [True, True, True]),
+    "attention": ("attention", "attention_folded", {},
+                  [(5, 7), (3, 6), (6,), (4, 6), (6,), (6, 18)],
                   [False] + [True] * 5),
-    "gru": ("gru", {}, [(5, 4), (5, 6), (4, 18), (6, 18), (18,)], [True] * 5),
+    "attention-textbook": ("attention", "attention", {},
+                           [(2, 9), (3, 6), (6,), (4, 6), (6,), (2, 6), (6,),
+                            (6, 18)], [False] + [True] * 7),
+    "gru": ("gru", "gru", {}, [(5, 4), (5, 6), (4, 18), (6, 18), (18,)],
+            [True] * 5),
 }
+
+
+def _block_results(kernel, arrays, tracked, weights, **static):
+    """The output and the tracked operands' gradients of `kernel` on
+    `arrays`, under the loss `sum(out * weights)`."""
+    ops = [Tensor(a, requires_grad=True) if t else a
+           for a, t in zip(arrays, tracked)]
+    out = kernel(ops)
+    tsum(out * weights).backward()
+    return [out.data] + [op.grad for op in ops if isinstance(op, Tensor)]
 
 
 class TestBlockNodes:
@@ -565,23 +598,36 @@ class TestBlockNodes:
     def test_node_matches_composed_ops(self, block, dtype):
         # one node with the block's analytic backward gives the values and
         # gradients of the same block composed of small ops, to the bit
-        name, static, shapes, tracked = BLOCKS[block]
+        name, reference, static, shapes, tracked = BLOCKS[block]
         gen = np.random.default_rng(0)
         arrays = [gen.normal(0.0, 0.7, shape).astype(dtype) for shape in shapes]
-        weights = gen.normal(size=(5, 6)).astype(dtype)
-        results = []
-        for build in (lambda ops: node(getattr(blocks, name), ops, **static),
-                      lambda ops: getattr(reference_ops, name)(*ops, **static)):
-            ops = [Tensor(a, requires_grad=True) if t else a
-                   for a, t in zip(arrays, tracked)]
-            out = build(ops)
-            tsum(out * weights).backward()
-            results.append([out.data] + [op.grad for op in ops
-                                         if isinstance(op, Tensor)])
+        weights = gen.normal(size=(shapes[0][0], 6)).astype(dtype)
+        results = [_block_results(build, arrays, tracked, weights)
+                   for build in (
+                       lambda ops: node(getattr(blocks, name), ops, **static),
+                       lambda ops: getattr(reference_ops, reference)(
+                           *ops, **static))]
         assert len(results[0]) == 1 + sum(tracked)
         for got, want in zip(*results):
             assert got.dtype == np.dtype(dtype)
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("rows", [2, 5, 40])
+    def test_folded_attention_is_the_textbook_function(self, rows):
+        # the two compositions regroup the same sums: at float64 their
+        # outputs and every gradient agree to rounding, on either side of
+        # the switch
+        shapes = [(rows, 7), (3, 6), (6,), (4, 6), (6,), (6, 18)]
+        gen = np.random.default_rng(1)
+        arrays = [gen.normal(0.0, 0.7, shape) for shape in shapes]
+        weights = gen.normal(size=(rows, 6))
+        textbook, folded = (
+            _block_results(lambda ops: compose(*ops), arrays,
+                           [False] + [True] * 5, weights)
+            for compose in (reference_ops.attention,
+                            reference_ops.attention_folded))
+        for a, b in zip(textbook, folded):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
 
 
 def _per_block_draws(config, seed):

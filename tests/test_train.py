@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dogfight.config import ScenarioConfig, ScriptConfig
-from dogfight.nn import PolicyNetwork, fight_config
+from dogfight.nn import PolicyNetwork, blocks, fight_config, networks
 from dogfight.nn.autodiff import Tensor, clip, minimum
 from dogfight.train import (
     CommanderTrainer,
@@ -372,6 +372,33 @@ class TestTrainerLoops:
             env_steps=40)
         records = run.read_metrics()
         assert records
+        for rec in records:
+            assert abs(rec["mean_ratio_first_epoch"] - 1.0) <= 1e-6
+
+    def test_ctde_first_epoch_ratio_one_across_the_attention_switch(
+            self, tmp_path, monkeypatch):
+        # decisions (at most 8 rows, 24 tokens) take the textbook attention
+        # body and PPO minibatches (about 75 rows) the folded one; the two
+        # compute one function, so the first minibatch's ratio stays 1
+        rows = []
+
+        def attention(x, *weights):
+            rows.append(len(x))
+            return blocks.attention(x, *weights)
+
+        monkeypatch.setattr(networks, "attention", attention)
+        run = RunDir(tmp_path / "run")
+        trainer = LowLevelTrainer(small_scenario(), small_ppo(300),
+                                  TrainMode(), run, seed=5)
+        from dogfight.scripted import ScriptedController
+
+        trainer.train_level(
+            "L1",
+            ScriptedController("L1", trainer.opponent_rng, trainer.script),
+            env_steps=320)
+        records = run.read_metrics()
+        assert len(records) >= 2
+        assert min(rows) <= 8 and max(rows) > 100 // 3
         for rec in records:
             assert abs(rec["mean_ratio_first_epoch"] - 1.0) <= 1e-6
 
