@@ -158,4 +158,5 @@ def run_standard_suite(draws: int = 100, seed: int = 0) -> list[GradCheckReport]
 def _folded_rows(config: NetworkConfig, instance: str) -> int:
     """The fewest rows whose attention tokens outnumber the embed width:
     the smallest batch that takes the folded attention body."""
-    return config.embed_width // len(config.instance(instance).token_splits) + 1
+    tokens = len(config.instance(instance).token_splits)
+    return config.embed_width // tokens + 1

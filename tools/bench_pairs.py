@@ -88,17 +88,18 @@ def main(argv=None) -> int:
         runs = {w: {"parent": [], "change": []} for w in workloads}
         for i in range(args.pairs):
             seed = args.first_seed + i
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            order = ("parent", "change")[::1 if i % 2 == 0 else -1]
             for workload in workloads:
                 for side in order:
-                    run = run_bench(sides[side], workload, seed, args.seconds, 0)
+                    run = run_bench(sides[side], workload, seed,
+                                    args.seconds, 0)
                     run["seed"] = seed
                     runs[workload][side].append(run)
+                speeds = {side: runs[workload][side][-1]["metrics"]
+                          ["aircraft_steps_per_s"]["value"] for side in order}
                 print(f"pair {i + 1}/{args.pairs} (seed {seed}) {workload}: "
-                      + ", ".join(
-                          f"{side} {runs[workload][side][-1]['metrics']['aircraft_steps_per_s']['value']:.0f}"
-                          for side in ("parent", "change")),
-                      file=sys.stderr)
+                      f"parent {speeds['parent']:.0f}, "
+                      f"change {speeds['change']:.0f}", file=sys.stderr)
     report = {"parent": args.parent, "change": args.change or "working tree",
               "seconds": args.seconds, "workloads": {}}
     for workload, sided in runs.items():
