@@ -195,21 +195,19 @@ def cmd_train_low(args) -> int:
                                    args.seed)
 
     if args.policy == "standard":
-        train_standard_baseline(scenario, ppo, run, seed, args.steps,
-                                script=script, sim_cfg=sim)
+        train_standard_baseline(scenario, ppo, run, seed, args.steps, script, sim)
         return 0
 
     archive = LeagueArchive(args.league_dir or (Path(args.run_dir) / "league"))
     if args.policy == "escape":
         phase2 = args.steps_phase2 if args.steps_phase2 is not None else args.steps // 2
-        train_escape(scenario, ppo, run, archive, seed,
-                     steps_phase1=args.steps - phase2, steps_phase2=phase2,
-                     variant=args.variant, script=script, sim_cfg=sim)
+        train_escape(scenario, ppo, run, archive, seed, args.steps - phase2,
+                     phase2, args.variant, script, sim)
         return 0
 
     if level == "curriculum":
-        run_curriculum(scenario, ppo, mode, run, archive, seed,
-                       steps_per_level=args.steps, script=script, sim_cfg=sim)
+        run_curriculum(scenario, ppo, mode, run, archive, seed, args.steps,
+                       script, sim)
         return 0
 
     trainer = LowLevelTrainer(scenario, ppo, mode, run, seed, script, sim)
@@ -301,8 +299,8 @@ def cmd_evaluate(args) -> int:
             "agent": args.agent, "opponent": args.opponent,
             "episode": args.trajectory_episode,
             "scenario": dataclasses.asdict(scenario)})
-    report = evaluate(actor, opponents, scenario, args.episodes,
-                      seed=args.seed, trajectory=trajectory, sim_cfg=cfg["sim"])
+    report = evaluate(actor, opponents, scenario, args.episodes, args.seed,
+                      trajectory=trajectory, sim_cfg=cfg["sim"])
     if args.out:
         report.save(args.out)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -329,7 +327,7 @@ def cmd_sweep(args) -> int:
             fight_prob=scenario.opponent_fight_prob, scenario=scenario)
 
     results = scenario_sweep(cells, actor_factory, opponent_factory, base,
-                             args.episodes, seed=args.seed, sim_cfg=cfg["sim"])
+                             args.episodes, args.seed, cfg["sim"])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, report in results:
@@ -352,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
-    p.add_argument("--draws", type=int, default=100)
+    p.add_argument("--draws", type=int, default=100,
+                   help="random draws per architecture, at least 1")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
@@ -371,10 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ctde fight only: two 500-wide layers instead of the "
                         "attention net")
     p.add_argument("--steps", type=int, required=True,
-                   help="env steps (per level for the curriculum): no episode "
-                        "starts once they are taken; the running ones finish")
+                   help="env steps, at least 1 (per level for the curriculum):"
+                        " no episode starts once they are taken")
     p.add_argument("--steps-phase2", type=int, default=None,
-                   help="escape: env steps vs the frozen L5 fight policy")
+                   help="escape: the env steps of --steps, from 0 to --steps, "
+                        "that play the frozen L5 fight policy (default: half)")
     p.add_argument("--run-dir", required=True)
     p.add_argument("--league-dir", default=None, help="fight and escape")
     p.set_defaults(func=cmd_train_low)
@@ -389,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--glob", action="store_true",
                    help="joint CTCE commander network")
     p.add_argument("--arch", default="gru", choices=["gru", "sa", "fc"])
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=int, required=True,
+                   help="env steps, at least 1")
     p.add_argument("--run-dir", required=True)
     p.set_defaults(func=cmd_train_commander)
 
@@ -438,7 +439,8 @@ _AGENT_CHECKPOINTS = {"fight": ["agent_ckpt"], "escape": ["agent_ckpt"],
 def _usage_problem(args) -> str | None:
     """What argparse cannot check: a low-level policy's reward variant and
     flags, the checkpoint flags each command reads, the parts of a snapshot
-    opponent the agent reads, the sweep's cells, and the episode counts."""
+    opponent the agent reads, the sweep's cells, and the counts: steps,
+    draws and episodes at least 1, escape's phase-two steps within --steps."""
     if args.command == "train-low":
         if args.variant not in REWARD_VARIANTS[args.policy]:
             return (f"--variant {args.variant}: the {args.policy} policy "
@@ -450,6 +452,10 @@ def _usage_problem(args) -> str | None:
                     and dest not in _POLICY_FLAGS[args.policy]):
                 return (f"--policy {args.policy} does not read "
                         f"--{dest.replace('_', '-')}")
+        if (args.steps_phase2 is not None
+                and not 0 <= args.steps_phase2 <= args.steps):
+            return (f"--steps-phase2 {args.steps_phase2} is not between 0 "
+                    f"and --steps {args.steps}")
     if args.command == "train-commander":
         sources = [dest for dest in ("fight_ckpt", "escape_ckpt", "league_dir")
                    if getattr(args, dest) is not None]
@@ -480,9 +486,10 @@ def _usage_problem(args) -> str | None:
         for name in args.cells.split(",") if args.cells else ():
             if name not in known:
                 return f"--cells: {name!r} is not one of {','.join(known)}"
+    for flag in ("steps", "draws", "episodes"):
+        if getattr(args, flag, 1) < 1:
+            return f"--{flag} must be at least 1, not {getattr(args, flag)}"
     episodes = getattr(args, "episodes", 1)
-    if episodes < 1:
-        return f"--episodes must be at least 1, not {episodes}"
     if (getattr(args, "trajectory_out", None)
             and not 0 <= args.trajectory_episode < episodes):
         return (f"--trajectory-episode {args.trajectory_episode} is not one "

@@ -70,10 +70,11 @@ class ScenarioConfig:
         return cls(**base)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScriptConfig:
     """Knobs for the rule-based opponents (constants not fixed anywhere
-    authoritative; these defaults are the shipped baseline)."""
+    authoritative; these defaults are the shipped baseline). Frozen, as
+    SimConfig is, so one instance can serve as a default."""
 
     flee_probability: float = 0.05  # per decision
     flee_duration: int = 5  # decisions
@@ -89,7 +90,7 @@ class ScriptConfig:
                 raise ValueError(f"{name} must be in [0, 1]")
 
 
-def parse_config(raw: dict, scenario=ScenarioConfig) -> dict:
+def parse_config(raw: dict, scenario) -> dict:
     """Typed sections from a raw config dict, a missing one at its defaults.
     `scenario` builds the scenario section: ScenarioConfig, or a recipe such
     as ScenarioConfig.commander_training whose defaults the section's keys

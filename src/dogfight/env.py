@@ -82,7 +82,8 @@ class StepResult:
 
 class OpponentController(Protocol):
     def reset(self, world: World) -> None:
-        """Start an episode; called by `CombatEnv.reset` on the new world."""
+        """Start an episode; called by `CombatEnv.reset` on the new world:
+        every env has a controller, which decides its opponents."""
         ...
 
     def __call__(self, world: World, opponent_ids: list[int]):
@@ -203,16 +204,17 @@ def classify_outcome(world: World, step_count: int, horizon: int) -> str:
 
 
 class CombatEnv:
-    """Decision-step environment over the round-level simulator. It scores
-    nothing: each trainer rewards its options (`train.trainer.TrainerCore`)."""
+    """Decision-step environment over the round-level simulator, with the
+    run's simulator settings and the opponent controller that decides for
+    the other team. It scores nothing: each trainer rewards its options
+    (`train.trainer.TrainerCore`)."""
 
     def __init__(self, scenario: ScenarioConfig,
-                 opponent_controller: OpponentController | None = None,
-                 sim_cfg: SimConfig | None = None,
+                 opponent_controller: OpponentController, sim_cfg: SimConfig,
                  agent_types: list[str] | None = None):
         self.scenario = scenario
         self.opponent_controller = opponent_controller
-        self.sim_cfg = sim_cfg or SimConfig()
+        self.sim_cfg = sim_cfg
         self.agent_types = agent_types
         self.world: World | None = None
         self.step_count = 0
@@ -233,8 +235,7 @@ class CombatEnv:
         self.outcome = OUTCOME_ONGOING
         self.attack_targets = {}
         self.prev_actions = {}
-        if self.opponent_controller is not None:
-            self.opponent_controller.reset(self.world)
+        self.opponent_controller.reset(self.world)
 
     def agent_ids(self) -> list[int]:
         return [a.id for a in self.world.alive(TEAM_AGENT)]

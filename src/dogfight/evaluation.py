@@ -179,20 +179,22 @@ class AlwaysFightActor(HierarchyEvalActor):
 
 
 def evaluate(actor, opponent_controller, scenario: ScenarioConfig,
-             episodes: int, seed: int = 0,
+             episodes: int, seed: int,
              episode_hook=None, trajectory: TrajectoryLog | None = None,
-             sim_cfg: SimConfig | None = None) -> EvalReport:
-    """Run `episodes` evaluation episodes and aggregate counters.
+             sim_cfg: SimConfig = SimConfig()) -> EvalReport:
+    """Run `episodes` evaluation episodes, seeded from `seed`, and aggregate
+    counters. The benchmark's sweep plays at the default `sim_cfg`.
 
     Episodes run on the `LOCKSTEP_EPISODES` env slots of `lockstep_envs`
     (see `play_episodes`): the first env, and so a one-episode evaluation,
-    plays on `opponent_controller` itself, every other env on a fresh
-    controller built from its fields. Since every decision-maker draws
-    from per-episode streams, the report does not depend on how many run
-    at once. `episode_hook(events, outcome, world)` receives each finished
-    episode's full event log, in episode order (the bookkeeping replayer
-    uses this). `trajectory` records every round of the episode its header
-    names (`episode`). Command counts cover this call's episodes only.
+    plays on `opponent_controller` itself (every env has one), every other
+    env on a fresh controller built from its fields. Since every
+    decision-maker draws from per-episode streams, the report does not
+    depend on how many run at once. `episode_hook(events, outcome, world)`
+    receives each finished episode's full event log, in episode order (the
+    bookkeeping replayer uses this). `trajectory` records every round of
+    the episode its header names (`episode`). Command counts cover this
+    call's episodes only.
     """
     report = EvalReport(seed=seed)
     master = np.random.default_rng(seed)
@@ -236,9 +238,8 @@ def _command_counts(actor) -> tuple[int, int, np.ndarray]:
 
 
 def scenario_sweep(cells: list[dict], actor_factory, opponent_factory,
-                   base_scenario: ScenarioConfig, episodes: int,
-                   seed: int = 0, sim_cfg: SimConfig | None = None
-                   ) -> list[tuple[str, EvalReport]]:
+                   base_scenario: ScenarioConfig, episodes: int, seed: int,
+                   sim_cfg: SimConfig) -> list[tuple[str, EvalReport]]:
     """One evaluation per grid cell. A cell dict carries a name plus
     ScenarioConfig overrides (team sizes, horizon, opponent fight
     probability). Large cells (10v10, 15v15) should set horizon=1000."""
@@ -248,7 +249,7 @@ def scenario_sweep(cells: list[dict], actor_factory, opponent_factory,
         scenario = dataclasses.replace(base_scenario, **overrides)
         actor = actor_factory(scenario, seed + i)
         controller = opponent_factory(scenario, seed + 1000 + i)
-        report = evaluate(actor, controller, scenario, episodes, seed=seed + i,
+        report = evaluate(actor, controller, scenario, episodes, seed + i,
                           sim_cfg=sim_cfg)
         results.append((cell["name"], report))
     return results

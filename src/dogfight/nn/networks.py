@@ -139,12 +139,12 @@ def commander_config(senses: int, critic_width: int, arch: str = "gru",
 
 
 def ctce_config(kind: str, obs_width: int, head_arities: tuple[int, ...],
-                critic_width: int, dtype: str = "float32") -> NetworkConfig:
+                critic_width: int) -> NetworkConfig:
     """Single joint network consuming team-concatenated observations and
     emitting every agent's heads."""
     spec = InstanceSpec(name="joint", obs_width=obs_width,
                         head_arities=head_arities, critic_width=critic_width)
-    return NetworkConfig(kind=kind, instances=(spec,), dtype=dtype)
+    return NetworkConfig(kind=kind, instances=(spec,))
 
 
 @dataclass
@@ -297,8 +297,7 @@ def load_policy(path) -> PolicyNetwork:
     return policy_from_checkpoint(*load_checkpoint(path), source=path)
 
 
-def policy_from_checkpoint(arrays: dict, config: dict,
-                           source="arrays") -> PolicyNetwork:
+def policy_from_checkpoint(arrays: dict, config: dict, source) -> PolicyNetwork:
     """The network of a checkpoint already read (`load_checkpoint`'s
     arrays and config blob); `source` names the file in errors."""
     policy = PolicyNetwork(NetworkConfig.from_dict(config))
@@ -317,7 +316,7 @@ def _padding(arities: tuple[int, ...]) -> np.ndarray:
                     sum(arities))
 
 
-def sample_action(table: np.ndarray, arities: tuple[int, ...], u, greedy=False
+def sample_action(table: np.ndarray, arities: tuple[int, ...], u, greedy
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Sample one categorical action per row and head from raw logits.
 

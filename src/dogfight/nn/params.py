@@ -30,7 +30,7 @@ ADAM_EPS = 1e-8
 class ParamStore:
     """Named parameter tensors with paired gradients and Adam moments."""
 
-    def __init__(self, dtype=np.float32, seed: int = 0):
+    def __init__(self, dtype, seed: int):
         self.dtype = np.dtype(dtype)
         self.params: dict[str, Tensor] = {}
         self.moment1: dict[str, np.ndarray] = {}

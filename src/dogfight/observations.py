@@ -220,8 +220,7 @@ def build_obs_commander(world: World, agent_id: int, senses: int) -> np.ndarray:
     return np.asarray(vec, dtype=np.float64)
 
 
-def build_obs(kind: str, world: World, agent_id: int,
-              scenario: ScenarioConfig | None = None,
+def build_obs(kind: str, world: World, agent_id: int, scenario: ScenarioConfig,
               target_id: int | None = None) -> np.ndarray:
     if kind == "fight":
         return build_obs_fight(world, agent_id, target_id)

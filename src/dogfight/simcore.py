@@ -169,7 +169,7 @@ class World:
     aircraft: list[AircraftState]
     map_size: float  # km per axis, square [0, map_size]^2
     rng: np.random.Generator
-    cfg: SimConfig = field(default_factory=SimConfig)
+    cfg: SimConfig
     rockets: list[Rocket] = field(default_factory=list)
     round_idx: int = 0
 
@@ -183,9 +183,8 @@ class World:
     def get(self, aircraft_id: int) -> AircraftState:
         return self._by_id[aircraft_id]
 
-    def alive(self, team: str | None = None) -> list[AircraftState]:
-        return [a for a in self.aircraft
-                if a.alive and (team is None or a.team == team)]
+    def alive(self, team: str) -> list[AircraftState]:
+        return [a for a in self.aircraft if a.alive and a.team == team]
 
 
 def _wez_gap(shooter: AircraftState, target: AircraftState) -> float | None:
@@ -197,11 +196,6 @@ def _wez_gap(shooter: AircraftState, target: AircraftState) -> float | None:
         shooter.heading, wrap_heading(math.degrees(math.atan2(dx, dy))))
         <= shooter.spec.wez_angle)
     return gap if inside else None
-
-
-def in_wez(shooter: AircraftState, target: AircraftState) -> bool:
-    """True when `target` sits inside `shooter`'s weapon engagement zone."""
-    return _wez_gap(shooter, target) is not None
 
 
 def fire_rocket(world: World, shooter_id: int, target_id: int) -> RocketLaunch | None:

@@ -36,9 +36,6 @@ class Transition:
 class RolloutBuffer:
     transitions: list[Transition] = field(default_factory=list)
 
-    def add(self, transition: Transition):
-        self.transitions.append(transition)
-
     def __len__(self) -> int:
         return len(self.transitions)
 
@@ -53,12 +50,13 @@ class RolloutBuffer:
                          if t.instance == instance], dtype=int)
 
 
-def compute_gae(buffer: RolloutBuffer, gamma: float, lam: float,
-                normalize: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def compute_gae(buffer: RolloutBuffer, gamma: float, lam: float
+                ) -> tuple[np.ndarray, np.ndarray]:
     """Advantages and return targets for every buffered transition.
 
-    Returns are advantages + values before normalization; advantages are then
-    normalized to zero mean and unit variance across the whole buffer.
+    Returns are advantages + values before normalization, so the raw
+    advantages are `returns - values`; advantages are always normalized to
+    zero mean and unit variance across the whole buffer.
     """
     if not buffer.transitions:
         raise ValueError("cannot compute advantages for an empty buffer")
@@ -86,7 +84,5 @@ def compute_gae(buffer: RolloutBuffer, gamma: float, lam: float,
 
     values = np.array([t.value for t in buffer.transitions])
     returns = advantages + values
-    if normalize:
-        std = advantages.std()
-        advantages = (advantages - advantages.mean()) / (std + 1e-8)
-    return advantages, returns
+    std = advantages.std()
+    return (advantages - advantages.mean()) / (std + 1e-8), returns

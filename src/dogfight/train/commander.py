@@ -121,7 +121,7 @@ class HierarchyEvalActor(EpisodeActor):
 
     def __init__(self, commander: PolicyNetwork, fight: PolicyNetwork,
                  escape: PolicyNetwork, rng: np.random.Generator,
-                 senses: int = 2, opt: bool = True, greedy: bool = True):
+                 senses: int, opt: bool, greedy: bool = True):
         arities = commander.config.instances[0].head_arities
         if set(arities) != {senses + 1 if opt else 2}:
             raise ValueError(f"{'Opt' if opt else 'noOpt'}-N{senses} does not "
@@ -237,7 +237,8 @@ class CommanderTrainer(TrainerCore):
     transition per decision (per agent, or one for a joint commander), read
     from the actor's `commanded` in the step that makes it. Each
     `run_episode` is one collect over `LOCKSTEP_EPISODES` env slots, each
-    slot with its own snapshot opponents."""
+    slot with its own snapshot opponents. The benchmark trains at the
+    default `sim_cfg`."""
 
     SEED_LABEL = "commander"
     STREAMS = ("episode", "action", "lowlevel", "opponent", "update")
@@ -245,8 +246,7 @@ class CommanderTrainer(TrainerCore):
     def __init__(self, scenario: ScenarioConfig, ppo: PPOConfig,
                  variant: CommanderVariant,
                  fight: PolicyNetwork, escape: PolicyNetwork,
-                 run_dir: RunDir | None = None, seed: int = 0,
-                 sim_cfg: SimConfig | None = None):
+                 run_dir: RunDir, seed: int, sim_cfg: SimConfig = SimConfig()):
         if variant.senses != scenario.commander_senses:
             raise ValueError(
                 f"the variant senses {variant.senses} opponents but "
@@ -327,8 +327,7 @@ class CommanderTrainer(TrainerCore):
 def train_commander(scenario: ScenarioConfig, ppo: PPOConfig,
                     variant: CommanderVariant, fight: PolicyNetwork,
                     escape: PolicyNetwork, run_dir: RunDir, seed: int,
-                    env_steps: int, sim_cfg: SimConfig | None = None
-                    ) -> CommanderTrainer:
+                    env_steps: int, sim_cfg: SimConfig) -> CommanderTrainer:
     trainer = CommanderTrainer(scenario, ppo, variant, fight, escape,
                                run_dir, seed, sim_cfg)
     trainer.write_config(variant=variant.__dict__, env_steps=env_steps)

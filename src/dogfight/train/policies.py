@@ -155,9 +155,8 @@ def lockstep_envs(env: CombatEnv, count: int = LOCKSTEP_EPISODES
     scenario, simulator settings and agent types, each with a fresh opponent
     controller that `dataclasses.replace` builds from the fields of `env`'s
     (its generator among them, so episode streams spawn in episode order)."""
-    return [env] + [CombatEnv(env.scenario, env.opponent_controller
-                              and replace(env.opponent_controller),
-                              sim_cfg=env.sim_cfg, agent_types=env.agent_types)
+    return [env] + [CombatEnv(env.scenario, replace(env.opponent_controller),
+                              env.sim_cfg, agent_types=env.agent_types)
                     for _ in range(count - 1)]
 
 
@@ -213,11 +212,11 @@ def play_episodes(envs: list[CombatEnv], actor: EpisodeActor,
     order, asks `seed_for(env, index)` for the next episode's seed, resets
     from it and starts `actor` on it; once it gives None, no slot starts
     another. Every busy slot then steps: `actor` gives its agents'
-    decisions and each env's opponent controller those of its living
-    opponents, decided in one `decide` call before any env steps; `actor`
-    is handed its decided ones, each env steps on both teams' actions and
-    `actor` observes the result. Yields `(index, env, events)` as an
-    episode ends, before its slot starts the next."""
+    decisions and the env's opponent controller (every env has one) those
+    of its living opponents, decided in one `decide` call before any env
+    steps; `actor` is handed its decided ones, each env steps on both
+    teams' actions and `actor` observes the result. Yields `(index, env,
+    events)` as an episode ends, before its slot starts the next."""
     playing: list[int | None] = [None] * len(envs)  # slot -> its episode
     events: list[list] = [[] for _ in envs]
     free, started, wanted = list(range(len(envs))), 0, True
@@ -236,8 +235,7 @@ def play_episodes(envs: list[CombatEnv], actor: EpisodeActor,
             return
         stepping = [envs[k] for k in live]
         agents = actor.actions(stepping)
-        opponents = [{} if env.opponent_controller is None else
-                     env.opponent_controller(env.world, env.opponent_ids())
+        opponents = [env.opponent_controller(env.world, env.opponent_ids())
                      for env in stepping]
         decide([d for d in agents + opponents if isinstance(d, Decision)])
         actor.decided(stepping, agents)
@@ -266,10 +264,10 @@ class SnapshotController:
 
     fight: PolicyNetwork | None
     rng: np.random.Generator
+    scenario: ScenarioConfig
     escape: PolicyNetwork | None = None
     fight_prob: float = 1.0
     greedy: bool = False
-    scenario: ScenarioConfig | None = None
     assignments: dict[int, str] = field(default_factory=dict, init=False)
     stream: np.random.Generator = field(init=False)
 

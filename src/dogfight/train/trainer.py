@@ -109,7 +109,7 @@ class TrainerCore(EpisodeActor):
     level: str | None = None  # the metrics record's level by default
 
     def __init__(self, scenario: ScenarioConfig, ppo: PPOConfig,
-                 run_dir: RunDir | None, seed: int):
+                 run_dir: RunDir, seed: int):
         self.scenario = scenario
         self.ppo = ppo
         self.run_dir = run_dir
@@ -135,7 +135,7 @@ class TrainerCore(EpisodeActor):
 
     # -- the transition recorder ---------------------------------------------
 
-    def _play(self, envs: list[CombatEnv], budget: int | None = None):
+    def _play(self, envs: list[CombatEnv], budget: int | None):
         """One collect on the slots `envs` (see the class docstring), then
         its episodes into the buffer, the counters and the episode window."""
         self._collect = []
@@ -221,22 +221,21 @@ class TrainerCore(EpisodeActor):
         stats = self._update_policies()
         self.buffer.clear()
         self.updates += 1
-        if self.run_dir is not None:
-            self.run_dir.log_metrics({
-                "entropy": stats.entropy,
-                "env_steps": self.env_steps,
-                "episodes": self.episodes,
-                "grad_norm": stats.grad_norm,
-                "level": self.level if level is None else level,
-                "mean_length": _mean([r.length for r in self._window]),
-                "mean_ratio_first_epoch": stats.mean_ratio_first_epoch,
-                "mean_reward": _mean([r.ret / max(1, self.scenario.n_agents)
-                                      for r in self._window]),
-                "policy_loss": stats.policy_loss,
-                "update": self.updates,
-                "value_loss": stats.value_loss,
-                "win_rate": _mean([r.won for r in self._window]),
-            })
+        self.run_dir.log_metrics({
+            "entropy": stats.entropy,
+            "env_steps": self.env_steps,
+            "episodes": self.episodes,
+            "grad_norm": stats.grad_norm,
+            "level": self.level if level is None else level,
+            "mean_length": _mean([r.length for r in self._window]),
+            "mean_ratio_first_epoch": stats.mean_ratio_first_epoch,
+            "mean_reward": _mean([r.ret / max(1, self.scenario.n_agents)
+                                  for r in self._window]),
+            "policy_loss": stats.policy_loss,
+            "update": self.updates,
+            "value_loss": stats.value_loss,
+            "win_rate": _mean([r.won for r in self._window]),
+        })
         self._window.clear()
         return True
 
@@ -254,19 +253,20 @@ class LowLevelTrainer(TrainerCore):
     """Episode collection + PPO updates for one low-level policy. `policy`,
     the network with key 0, is the one archived. Each `run_episode(env)`
     is one collect over `LOCKSTEP_EPISODES` env slots: `env` and its
-    siblings (`lockstep_envs`, built at the first call on `env`)."""
+    siblings (`lockstep_envs`, built at the first call on `env`). The
+    benchmark trains at the default `script` and `sim_cfg`."""
 
     SEED_LABEL = "trainer"
     STREAMS = ("episode", "action", "opponent", "update")
 
     def __init__(self, scenario: ScenarioConfig, ppo: PPOConfig, mode: TrainMode,
-                 run_dir: RunDir | None = None, seed: int = 0,
-                 script: ScriptConfig | None = None,
-                 sim_cfg: SimConfig | None = None):
+                 run_dir: RunDir, seed: int,
+                 script: ScriptConfig = ScriptConfig(),
+                 sim_cfg: SimConfig = SimConfig()):
         super().__init__(scenario, ppo, run_dir, seed)
         self.mode = mode
-        self.script = script or ScriptConfig()
-        self.sim_cfg = sim_cfg or SimConfig()
+        self.script = script
+        self.sim_cfg = sim_cfg
 
         self.agent_types = None
         if mode.framework == "dtde":
@@ -295,7 +295,7 @@ class LowLevelTrainer(TrainerCore):
     def make_env(self, opponent_controller, horizon: int | None = None) -> CombatEnv:
         scenario = self.scenario if horizon is None else replace(
             self.scenario, horizon=horizon)
-        return CombatEnv(scenario, opponent_controller, sim_cfg=self.sim_cfg,
+        return CombatEnv(scenario, opponent_controller, self.sim_cfg,
                          agent_types=self.agent_types)
 
     def run_episode(self, env: CombatEnv, budget: int | None = None):
@@ -379,9 +379,8 @@ class LeagueOpponentController:
 def run_curriculum(scenario: ScenarioConfig, ppo: PPOConfig, mode: TrainMode,
                    run_dir: RunDir, archive: LeagueArchive, seed: int,
                    steps_per_level: dict[str, int] | int,
-                   script: ScriptConfig | None = None,
-                   levels: tuple[str, ...] = LOW_LEVELS,
-                   sim_cfg: SimConfig | None = None) -> LeagueArchive:
+                   script: ScriptConfig, sim_cfg: SimConfig,
+                   levels: tuple[str, ...] = LOW_LEVELS) -> LeagueArchive:
     """Five-level fight curriculum: scripted opponents through L3, the frozen
     L3 snapshot at L4, per-episode league sampling at L5. The episode horizon
     grows by 50 env steps per level from 200. A level starts no episode
@@ -454,10 +453,8 @@ ESCAPE_HORIZON = 300
 
 def train_escape(scenario: ScenarioConfig, ppo: PPOConfig, run_dir: RunDir,
                  archive: LeagueArchive, seed: int,
-                 steps_phase1: int, steps_phase2: int,
-                 variant: str = "base",
-                 script: ScriptConfig | None = None,
-                 sim_cfg: SimConfig | None = None) -> LowLevelTrainer:
+                 steps_phase1: int, steps_phase2: int, variant: str,
+                 script: ScriptConfig, sim_cfg: SimConfig) -> LowLevelTrainer:
     """Escape policy: phase one against scripted L3, phase two against the
     frozen L5 fight snapshot, both at the L3 horizon."""
     if steps_phase2 > 0 and not archive.has("fight", "L5"):
@@ -482,8 +479,8 @@ def train_escape(scenario: ScenarioConfig, ppo: PPOConfig, run_dir: RunDir,
 
 def train_standard_baseline(scenario: ScenarioConfig, ppo: PPOConfig,
                             run_dir: RunDir, seed: int, env_steps: int,
-                            script: ScriptConfig | None = None,
-                            sim_cfg: SimConfig | None = None) -> LowLevelTrainer:
+                            script: ScriptConfig, sim_cfg: SimConfig
+                            ) -> LowLevelTrainer:
     """Single-policy baseline: one joint CTCE network with the combined
     fight/escape reward, trained directly against scripted L3 at the
     scenario's horizon (no curriculum, no league archive)."""

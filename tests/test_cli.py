@@ -12,6 +12,7 @@ import pytest
 import dogfight
 from dogfight.cli import main
 from dogfight.config import ScenarioConfig, ScriptConfig
+from dogfight.env import CombatEnv
 from dogfight.evaluation import (
     EvalReport,
     evaluate,
@@ -27,6 +28,7 @@ from dogfight.nn import (
 )
 from dogfight.nn.params import load_checkpoint, save_arrays
 from dogfight.observations import critic_input_width
+from dogfight.scripted import ScriptedController
 from dogfight.simcore import SimConfig
 from dogfight.train import CommanderVariant, PPOConfig
 
@@ -89,6 +91,17 @@ def expand(command, tmp_path, fight_ckpt, escape_ckpt, out):
                "train-low": ["--run-dir", out / "run"]}
     return args + list(map(str, outputs[command[0]])) + ["--episodes", "1"] * (
         command[0] in ("evaluate", "sweep"))
+
+
+def record_init(monkeypatch, cls, attr, into):
+    """Appends to `into` the `attr` of every `cls` built from now on."""
+    init = cls.__init__
+
+    def recording(obj, *args, **kwargs):
+        init(obj, *args, **kwargs)
+        into.append(getattr(obj, attr))
+
+    monkeypatch.setattr(cls, "__init__", recording)
 
 
 def small_config(tmp_path, ppo=True, **scenario_kw):
@@ -330,12 +343,30 @@ class TestUsage:
         (["evaluate", "--agent", "random", "--episodes", "2",
           "--trajectory-out", "t.jsonl", "--trajectory-episode", "-1"],
          "--trajectory-episode -1 is not one of the 2 episodes"),
+        (["train-low", "--policy", "fight", "--level", "L1", "--steps", "0"],
+         "--steps must be at least 1, not 0"),
+        (["train-low", "--policy", "standard", "--steps", "-4"],
+         "--steps must be at least 1, not -4"),
+        (["train-low", "--policy", "escape", "--steps", "8",
+          "--steps-phase2", "-3"], "--steps-phase2 -3 is not between 0 and "
+                                   "--steps 8"),
+        (["train-low", "--policy", "escape", "--steps", "8",
+          "--steps-phase2", "9"], "--steps-phase2 9 is not between 0 and "
+                                  "--steps 8"),
+        (["train-commander", "--fight-ckpt", "f", "--escape-ckpt", "e",
+          "--steps", "0"], "--steps must be at least 1, not 0"),
+        (["gradcheck", "--draws", "0"], "--draws must be at least 1, not 0"),
     ])
-    def test_count_out_of_range_is_usage_error(self, argv, words, capsys):
+    def test_count_out_of_range_is_usage_error(self, argv, words, tmp_path,
+                                               capsys):
+        run_dir = tmp_path / "run"
+        if argv[0].startswith("train-"):
+            argv = argv + ["--run-dir", str(run_dir)]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert words in capsys.readouterr().err
+        assert not run_dir.exists()  # rejected before any output
 
     def test_missing_checkpoint_is_runtime_error(self, tmp_path, capsys):
         code = main(["evaluate", "--agent", "fight",
@@ -733,9 +764,11 @@ class TestConfigRejected:
 
     @pytest.mark.parametrize("case", sorted(READ))
     def test_reads_the_keys_of_its_table(self, case, tmp_path, fight_ckpt,
-                                         escape_ckpt, capsys):
+                                         escape_ckpt, capsys, monkeypatch):
         # every key the command reads, set to the value it runs with, leaves
-        # its outputs byte-equal; any other scenario, script or ppo key is
+        # its outputs byte-equal; a run's own sim config, and script config
+        # where it reads script keys, reaches every env and scripted
+        # controller it builds; any other scenario, script or ppo key is
         # rejected before any output
         command, scenario, ppo, scenario_keys, script_keys, trains = \
             self.READ[case]
@@ -764,6 +797,19 @@ class TestConfigRejected:
 
         unset = outputs("unset", small)
         assert outputs("defaults", read) == unset
+        sim = SimConfig(rocket_speed=1100.0)
+        script = ScriptConfig(**{k: 2 * getattr(ScriptConfig(), k)
+                                 for k in script_keys[:1]})
+        sims, scripts = [], []
+        with monkeypatch.context() as m:
+            record_init(m, CombatEnv, "sim_cfg", sims)
+            record_init(m, ScriptedController, "script", scripts)
+            outputs("non-default", {
+                **small, "sim.rocket_speed": sim.rocket_speed,
+                **{f"script.{k}": getattr(script, k) for k in script_keys[:1]}})
+        assert sims and set(sims) == {sim}
+        if script_keys:
+            assert scripts and set(scripts) == {script}
         if trains:  # an update ran
             assert b"policy_loss" in unset["run/metrics.jsonl"]
         for section, cls in (("scenario", ScenarioConfig),

@@ -152,10 +152,8 @@ class TestOutcome:
 class TestEnvStep:
     def _env(self, level="L1", seed=0, **kw):
         scenario = ScenarioConfig(seed=seed, **kw)
-        return CombatEnv(scenario,
-                         opponent_controller=ScriptedController(
-                             level, np.random.default_rng(seed + 1),
-                             ScriptConfig()))
+        return CombatEnv(scenario, ScriptedController(
+            level, np.random.default_rng(seed + 1), ScriptConfig()), SimConfig())
 
     def test_step_runs_rounds(self):
         env = self._env()
@@ -197,7 +195,8 @@ class TestEnvStep:
                 return [{aid: LowLevelAction(h=0, v=8)
                          for aid in env.agent_ids()} for env in envs]
 
-        env = CombatEnv(ScenarioConfig(seed=0, horizon=1), Recorder())
+        env = CombatEnv(ScenarioConfig(seed=0, horizon=1), Recorder(),
+                        SimConfig())
         play([env], FullSpeed(), [3])
         assert calls == [([2, 3], speeds)]
         assert env.world.get(2).speed == decode_speed(env.world.get(2).spec, 0)
@@ -222,7 +221,7 @@ class TestEnvStep:
         scenario = ScenarioConfig(seed=0, horizon=4)
         policy = make_low_level_policy("fight", "ctde", scenario, seed=1)
         envs = [CombatEnv(scenario, ScriptedController(
-                    "L1", np.random.default_rng(k), ScriptConfig()))
+                    "L1", np.random.default_rng(k), ScriptConfig()), SimConfig())
                 for k in range(2)]
         play(envs, Watching(policy, "fight", np.random.default_rng(2)), [3, 4])
         assert len(handed) == len(made) == max(e.step_count for e in envs)
@@ -253,7 +252,7 @@ class TestEnvStep:
 
         scenario = ScenarioConfig(seed=0, horizon=1)
         env = CombatEnv(scenario, Recording("L3", np.random.default_rng(4),
-                                            ScriptConfig()))
+                                            ScriptConfig()), SimConfig())
         play([env], Holding(), [5])
         critic = build_critic_input("fight", env.world, scenario,
                                     env.prev_actions, {})

@@ -221,7 +221,7 @@ class TestPolicyActors:
             fight=fight, escape=escape, rng=np.random.default_rng(4),
             fight_prob=0.75, scenario=scenario)
         actor = HierarchyEvalActor(commander, fight, escape,
-                                   np.random.default_rng(5))
+                                   np.random.default_rng(5), senses=2, opt=True)
         report = evaluate(actor, opponents, scenario, episodes=2, seed=6)
         assert report.fight_commands + report.escape_commands > 0
         assert sum(report.opponent_selection) == report.fight_commands
@@ -238,7 +238,7 @@ class TestPolicyActors:
         with pytest.raises(ValueError, match=r"noOpt-N2 does not match the "
                                              r"commander's head arities \(3,\)"):
             HierarchyEvalActor(commander, fight, escape,
-                               np.random.default_rng(5), opt=False)
+                               np.random.default_rng(5), senses=2, opt=False)
 
     def test_option_termination_checked_once_per_step(self, monkeypatch):
         from dogfight.train import commander as commander_module
@@ -259,7 +259,7 @@ class TestPolicyActors:
         escape = PolicyNetwork(escape_config(
             critic_width=critic_input_width("escape", 3, 3)), seed=3)
         actor = HierarchyEvalActor(commander, fight, escape,
-                                   np.random.default_rng(5))
+                                   np.random.default_rng(5), senses=2, opt=True)
         report = evaluate(actor, scripted("L1"), scenario, episodes=2, seed=6)
         # every step but an episode's first, which always decides
         assert calls[0] == report.total_steps - report.episodes > 0
@@ -273,7 +273,7 @@ class TestPolicyActors:
         commander = PolicyNetwork(commander_config(
             2, critic_input_width("commander", 2, 2)), seed=4)
         actor = AlwaysFightActor(commander, fight, escape,
-                                 np.random.default_rng(5))
+                                 np.random.default_rng(5), senses=2, opt=True)
         report = evaluate(actor, scripted("L1"), scenario, episodes=2, seed=7)
         assert report.escape_commands == 0
 
@@ -303,7 +303,7 @@ class TestPolicyActors:
             fight=fight, escape=escape, rng=np.random.default_rng(6),
             fight_prob=0.5, scenario=scenario)
         actor = AlwaysFightActor(commander, fight, escape,
-                                 np.random.default_rng(5))
+                                 np.random.default_rng(5), senses=2, opt=True)
         report = evaluate(actor, opponents, scenario, episodes=2, seed=7)
         assert 0 < counts["reassign"] == counts["decide"] < report.total_steps
 
@@ -332,7 +332,8 @@ class TestSweep:
             actor_factory=lambda scenario, seed: RandomActor(
                 np.random.default_rng(seed)),
             opponent_factory=lambda scenario, seed: scripted("L1", seed),
-            base_scenario=small_scenario(horizon=3), episodes=2, seed=0)
+            base_scenario=small_scenario(horizon=3), episodes=2, seed=0,
+            sim_cfg=SimConfig())
         assert [name for name, _ in results] == ["2v2", "2v4", "1v1"]
         assert all(r.episodes == 2 for _, r in results)
 
@@ -353,11 +354,12 @@ class TestSweep:
             (_, report), = scenario_sweep(
                 [cells[name]],
                 actor_factory=lambda scenario, seed: HierarchyEvalActor(
-                    commander, fight, escape, np.random.default_rng(seed)),
+                    commander, fight, escape, np.random.default_rng(seed),
+                    senses=2, opt=True),
                 opponent_factory=lambda scenario, seed: SnapshotController(
                     fight=fight, escape=escape, rng=np.random.default_rng(seed),
                     fight_prob=scenario.opponent_fight_prob, scenario=scenario),
-                base_scenario=base, episodes=2, seed=1)
+                base_scenario=base, episodes=2, seed=1, sim_cfg=SimConfig())
             return report
 
         assert run("3v3-PF") != run("3v3-PE")
@@ -387,18 +389,25 @@ def test_hierarchy_evaluation_builds_no_tensors(monkeypatch):
                                    rng=np.random.default_rng(4),
                                    fight_prob=0.5, scenario=scenario)
     actor = HierarchyEvalActor(commander, fight, escape,
-                               np.random.default_rng(5), greedy=False)
+                               np.random.default_rng(5), senses=2, opt=True,
+                               greedy=False)
     count = count_tensors(monkeypatch)
     report = evaluate(actor, opponents, scenario, episodes=2, seed=6)
     assert report.total_steps > 0 and count[0] == 0
 
 
-def test_snapshot_opponents_see_the_same_first_step_as_in_training(monkeypatch):
+def test_snapshot_opponents_see_the_same_first_step_as_in_training(monkeypatch,
+                                                                   tmp_path):
     # commander training and evaluate ask their snapshot opponents from the
     # world as it was before the step, so for equal episode seeds the first
     # step hands them the same observations
     from dogfight.observations import build_obs
-    from dogfight.train import CommanderTrainer, CommanderVariant, PPOConfig
+    from dogfight.train import (
+        CommanderTrainer,
+        CommanderVariant,
+        PPOConfig,
+        RunDir,
+    )
 
     scenario = ScenarioConfig.commander_training(horizon=3)
     fight = PolicyNetwork(fight_config(
@@ -415,7 +424,7 @@ def test_snapshot_opponents_see_the_same_first_step_as_in_training(monkeypatch):
 
     monkeypatch.setattr(SnapshotController, "__call__", recording)
     trainer = CommanderTrainer(scenario, PPOConfig(), CommanderVariant(),
-                               fight, escape, seed=1)
+                               fight, escape, RunDir(tmp_path / "run"), seed=1)
     trainer.episode_rng = np.random.default_rng(9)  # as evaluate(seed=9) draws
     trainer.run_episode()
     training = seen[0]
@@ -424,7 +433,7 @@ def test_snapshot_opponents_see_the_same_first_step_as_in_training(monkeypatch):
                                    rng=np.random.default_rng(4),
                                    fight_prob=0.75, scenario=scenario)
     actor = HierarchyEvalActor(trainer.policy, fight, escape,
-                               np.random.default_rng(5))
+                               np.random.default_rng(5), senses=2, opt=True)
     evaluate(actor, opponents, scenario, episodes=1, seed=9)
     np.testing.assert_array_equal(seen[0], training)
 
@@ -439,7 +448,7 @@ def test_command_counts_cover_the_call_only():
                       seed=2),
         PolicyNetwork(escape_config(critic_width=critic_input_width("escape", 2, 2)),
                       seed=3),
-        np.random.default_rng(5))
+        np.random.default_rng(5), senses=2, opt=True)
     counts = [(r.fight_commands, r.escape_commands, r.opponent_selection)
               for r in (evaluate(actor, scripted("L1"), scenario, 1, seed=6)
                         for _ in range(3))]
@@ -456,7 +465,8 @@ def _float64_hierarchy(greedy):
     commander = PolicyNetwork(commander_config(
         2, critic_input_width("commander", 3, 3), dtype="float64"), seed=1)
     actor = HierarchyEvalActor(commander, fight, escape,
-                               np.random.default_rng(5), greedy=greedy)
+                               np.random.default_rng(5), senses=2, opt=True,
+                               greedy=greedy)
     opponents = SnapshotController(fight=fight, escape=escape,
                                    rng=np.random.default_rng(4),
                                    fight_prob=0.5, scenario=scenario)

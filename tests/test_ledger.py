@@ -23,11 +23,12 @@ import numpy as np
 import pytest
 
 from dogfight.cli import main
-from dogfight.config import ScenarioConfig
+from dogfight.config import ScenarioConfig, ScriptConfig
 from dogfight.evaluation import AlwaysFightActor, evaluate
 from dogfight.nn import PolicyNetwork, commander_config, save_checkpoint
 from dogfight.nn.networks import load_policy as _load
 from dogfight.observations import critic_input_width
+from dogfight.simcore import SimConfig
 from dogfight.train import (
     CommanderVariant,
     LeagueArchive,
@@ -245,7 +246,7 @@ def _collect(root) -> dict[str, str]:
         run_curriculum(ScenarioConfig(map_size=12.0),
                        PPOConfig(batch_size=16, update_epochs=1, minibatches=2),
                        TrainMode(), run, archive, seed=11, steps_per_level=32,
-                       levels=levels)
+                       script=ScriptConfig(), sim_cfg=SimConfig(), levels=levels)
     for rel in ("metrics.jsonl", "config.json", "league/fight_L5.ckpt"):
         record(f"curriculum-resumed/{rel}", root / "curriculum" / rel)
 
@@ -279,7 +280,8 @@ def _collect(root) -> dict[str, str]:
 
     scenario = ScenarioConfig(map_size=12.0)
     always = AlwaysFightActor(_load(ckpt["commander"]), _load(ckpt["fight"]),
-                              _load(ckpt["escape"]), np.random.default_rng(7))
+                              _load(ckpt["escape"]), np.random.default_rng(7),
+                              senses=2, opt=True)
     opponents = SnapshotController(
         fight=_load(ckpt["fight"]), escape=_load(ckpt["escape"]),
         rng=np.random.default_rng(8), fight_prob=0.5, scenario=scenario)

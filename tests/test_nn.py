@@ -189,7 +189,8 @@ class TestNetworks:
         out = net.forward_actor("ac1", np.zeros(27))
         assert np.allclose(out.heads.data, 0.0)
         samples, log_prob = sample_action(
-            out.heads.data, (13, 9, 2, 2), np.random.default_rng(0).random((1, 4)))
+            out.heads.data, (13, 9, 2, 2), np.random.default_rng(0).random((1, 4)),
+            False)
         assert log_prob[0] == pytest.approx(
             math.log(1 / 13) + math.log(1 / 9) + 2 * math.log(1 / 2))
 
@@ -270,7 +271,7 @@ class TestNetworks:
     def test_nan_logits_rejected(self):
         with pytest.raises(FloatingPointError):
             sample_action(np.array([[np.nan, 0.0]]), (2,),
-                          np.random.default_rng(0).random((1, 1)))
+                          np.random.default_rng(0).random((1, 1)), False)
 
 
 def draws(rng, logits_per_head, greedy):
@@ -318,7 +319,8 @@ def choice_reference(logits_per_head, rng, greedy=False):
 class TestSampling:
     def test_two_way_uniform(self):
         samples, log_prob = sample_action(np.zeros((1, 2)), (2,),
-                                          np.random.default_rng(0).random((1, 1)))
+                                          np.random.default_rng(0).random((1, 1)),
+                                          False)
         assert log_prob[0] == pytest.approx(math.log(0.5))
         # the PPO loss's entropy of the same distribution: a noOpt commander
         # head with every weight zero
@@ -332,7 +334,8 @@ class TestSampling:
 
     def test_peaked_logits_prefer_argmax(self):
         samples, _ = sample_action(np.tile([10.0, 0.0, 0.0], (1000, 1)), (3,),
-                                   np.random.default_rng(1).random((1000, 1)))
+                                   np.random.default_rng(1).random((1000, 1)),
+                                   False)
         assert (samples[:, 0] == 0).sum() > 990
 
     def test_greedy_deterministic(self):
@@ -349,7 +352,8 @@ class TestSampling:
         logits = rng.normal(size=7)
         probs = np.exp(logits - logits.max())
         probs /= probs.sum()
-        samples, log_prob = sample_action(logits[None, :], (7,), rng.random((1, 1)))
+        samples, log_prob = sample_action(logits[None, :], (7,), rng.random((1, 1)),
+                                          False)
         assert log_prob[0] == pytest.approx(math.log(probs[samples[0, 0]]))
 
     @pytest.mark.parametrize("greedy", [False, True])
@@ -428,9 +432,9 @@ class TestSampling:
         # decision does on its own and leave each generator where it would
         fight = PolicyNetwork(fight_config(critic_width=124, dtype="float64"),
                               seed=4)
-        joint = PolicyNetwork(ctce_config(
+        joint = PolicyNetwork(dataclasses.replace(ctce_config(
             "fight", obs_width=27 * 3, head_arities=(13, 9, 2, 2) * 3,
-            critic_width=31 * 6, dtype="float64"), seed=5)
+            critic_width=31 * 6), dtype="float64"), seed=5)
         gen = np.random.default_rng(7)
 
         def decisions(seed):
@@ -474,9 +478,9 @@ ARCHITECTURES = {
     "commander-fc": (lambda dtype: commander_config(2, critic_width=40,
                                                     arch="fc", dtype=dtype),
                      "cmd"),
-    "ctce-joint": (lambda dtype: ctce_config(
+    "ctce-joint": (lambda dtype: dataclasses.replace(ctce_config(
         "fight", obs_width=27 * 2, head_arities=(13, 9, 2, 2) * 2,
-        critic_width=40, dtype=dtype), "joint"),
+        critic_width=40), dtype=dtype), "joint"),
 }
 # batched BLAS may sum in another order than one-row products
 ROW_TOLERANCE = {"float32": 1e-5, "float64": 1e-12}
@@ -691,14 +695,14 @@ class TestFusedLayers:
 
 class TestAdam:
     def test_zero_gradient_no_change(self):
-        store = ParamStore(dtype="float64")
+        store = ParamStore(dtype="float64", seed=0)
         t = store.add("w", np.ones(4))
         t.grad = np.zeros(4)
         adam_step(store, lr=0.1)
         assert np.array_equal(t.data, np.ones(4))
 
     def test_constant_gradient_reaches_lr_magnitude(self):
-        store = ParamStore(dtype="float64")
+        store = ParamStore(dtype="float64", seed=0)
         t = store.add("w", np.zeros(1))
         lr = 0.01
         for _ in range(500):
@@ -711,7 +715,7 @@ class TestAdam:
         assert abs(before[0] - t.data[0]) == pytest.approx(lr, rel=1e-3)
 
     def test_first_step_bias_correction(self):
-        store = ParamStore(dtype="float64")
+        store = ParamStore(dtype="float64", seed=0)
         t = store.add("w", np.zeros(1))
         g = 0.3
         t.grad = np.array([g])
@@ -723,7 +727,7 @@ class TestAdam:
     def test_shared_gradient_clipped_once(self):
         # `add` hands one gradient array to both leaves; clipping must
         # scale each leaf's gradient once, not the shared array twice
-        store = ParamStore(dtype="float64")
+        store = ParamStore(dtype="float64", seed=0)
         a, b = store.add("a", np.zeros(3)), store.add("b", np.ones(3))
         w = np.array([3.0, 4.0, 0.0])
         tsum(add(a, b) * w).backward()
@@ -734,7 +738,7 @@ class TestAdam:
             assert np.allclose(t.grad, w / norm)
 
     def test_grad_norm_clipping(self):
-        store = ParamStore(dtype="float64")
+        store = ParamStore(dtype="float64", seed=0)
         t = store.add("w", np.zeros(3))
         t.grad = np.array([3.0, 4.0, 0.0])
         norm = store.clip_grad_norm(1.0)

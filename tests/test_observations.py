@@ -18,7 +18,7 @@ from dogfight.observations import (
     obs_layout,
 )
 from dogfight.scripted import ScriptedController
-from dogfight.simcore import TEAM_AGENT, TEAM_OPPONENT
+from dogfight.simcore import TEAM_AGENT, TEAM_OPPONENT, SimConfig
 
 
 def two_vs_two():
@@ -125,9 +125,8 @@ class TestCommanderObs:
 class TestNormalization:
     def test_bounds_over_random_episodes(self):
         scenario = ScenarioConfig(n_agents=2, n_opponents=2, horizon=60, seed=5)
-        env = CombatEnv(scenario,
-                        opponent_controller=ScriptedController(
-                            "L3", np.random.default_rng(9), ScriptConfig()))
+        env = CombatEnv(scenario, ScriptedController(
+            "L3", np.random.default_rng(9), ScriptConfig()), SimConfig())
         rng = np.random.default_rng(123)
         for episode in range(3):
             env.reset(seed=100 + episode)

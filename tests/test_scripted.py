@@ -8,7 +8,7 @@ from dogfight.config import ScriptConfig, ScenarioConfig
 from dogfight.env import CombatEnv, LowLevelAction
 from dogfight.geometry import ata, distance
 from dogfight.scripted import ScriptedController, l1_policy, l2_policy, l3_policy
-from dogfight.simcore import TEAM_AGENT, TEAM_OPPONENT
+from dogfight.simcore import TEAM_AGENT, TEAM_OPPONENT, SimConfig
 
 
 def pursuit_world(opp_pos=(15, 15), opp_heading=0.0, agent_pos=(15, 25),
@@ -32,8 +32,8 @@ class TestL1:
 
     def test_min_speed_drift_only(self):
         scenario = ScenarioConfig(n_agents=1, n_opponents=1, horizon=100)
-        env = CombatEnv(scenario, opponent_controller=ScriptedController(
-            "L1", np.random.default_rng(0), ScriptConfig()))
+        env = CombatEnv(scenario, ScriptedController(
+            "L1", np.random.default_rng(0), ScriptConfig()), SimConfig())
         env.reset(seed=21)
         opp = env.world.alive(TEAM_OPPONENT)[0]
         start = XY(opp.x, opp.y)
@@ -201,8 +201,8 @@ class TestL3:
 class TestController:
     def test_l3_controller_round_trip(self):
         scenario = ScenarioConfig(horizon=30, seed=3)
-        env = CombatEnv(scenario, opponent_controller=ScriptedController(
-            "L3", np.random.default_rng(4), ScriptConfig()))
+        env = CombatEnv(scenario, ScriptedController(
+            "L3", np.random.default_rng(4), ScriptConfig()), SimConfig())
         env.reset(seed=5)
         for _ in range(10):
             result = env.step({aid: LowLevelAction(h=0, v=4)

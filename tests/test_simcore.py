@@ -24,7 +24,6 @@ from dogfight.simcore import (
     World,
     fire_cannon,
     fire_rocket,
-    in_wez,
     make_spec,
     step_round,
 )
@@ -111,6 +110,13 @@ class TestKinematics:
         assert events == [OutOfBounds(aircraft=0)]
         assert (events[0].victim, events[0].shooter) == (0, None)
         assert not a.alive
+
+
+def in_wez(shooter, target) -> bool:
+    """Whether one round of `shooter`'s cannon, at a hit probability above 1
+    per round, destroys `target`: whether `target` sits in its WEZ."""
+    world = make_world([shooter, target], cfg=SimConfig(hit_prob_divisor=0.5))
+    return fire_cannon(world, shooter.id) is not None
 
 
 class TestWez:
@@ -382,8 +388,9 @@ class TestTrajectoryDigest:
         events = []
         for rnd in range(rounds):
             if rnd % 10 == 0:  # one decision per simulated second
-                for a in world.alive():
-                    foes = [b for b in world.alive() if b.team != a.team]
+                for a in [b for b in world.aircraft if b.alive]:
+                    foes = [b for b in world.aircraft
+                            if b.alive and b.team != a.team]
                     if not foes:
                         continue
                     foe = min(foes, key=lambda b: (distance(a, b), b.id))

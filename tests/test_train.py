@@ -1,12 +1,15 @@
 """Training-stack tests: GAE oracles, PPO mechanics, league wiring,
 curriculum and commander smoke runs, determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dogfight.config import ScenarioConfig, ScriptConfig
 from dogfight.nn import PolicyNetwork, blocks, fight_config, networks
 from dogfight.nn.autodiff import Tensor, clip, minimum
+from dogfight.simcore import SimConfig
 from dogfight.train import (
     CommanderTrainer,
     CommanderVariant,
@@ -36,22 +39,28 @@ def make_transition(value, reward, done, duration=1, episode=0, agent=0,
         critic_input=np.zeros(critic_w), duration=duration)
 
 
+def raw_advantages(buffer, gamma, lam):
+    """The advantages before normalization: returns less values."""
+    _, returns = compute_gae(buffer, gamma, lam)
+    return returns - np.array([t.value for t in buffer.transitions])
+
+
 class TestGAE:
     def test_terminal_one_step(self):
-        buffer = RolloutBuffer()
-        buffer.add(make_transition(value=0.0, reward=1.0, done=True))
-        adv, ret = compute_gae(buffer, gamma=0.95, lam=0.95, normalize=False)
+        buffer = RolloutBuffer([make_transition(value=0.0, reward=1.0, done=True)])
+        adv = raw_advantages(buffer, gamma=0.95, lam=0.95)
+        _, ret = compute_gae(buffer, gamma=0.95, lam=0.95)
         assert adv[0] == pytest.approx(1.0)
         assert ret[0] == pytest.approx(1.0)
 
     def test_lambda_zero_is_td_error(self):
-        buffer = RolloutBuffer()
         values = [0.3, -0.2, 0.5]
         rewards = [1.0, 0.0, -1.0]
-        for t in range(3):
-            buffer.add(make_transition(values[t], rewards[t], done=(t == 2)))
+        buffer = RolloutBuffer([make_transition(values[t], rewards[t],
+                                                done=(t == 2))
+                                for t in range(3)])
         gamma = 0.9
-        adv, _ = compute_gae(buffer, gamma, lam=0.0, normalize=False)
+        adv = raw_advantages(buffer, gamma, lam=0.0)
         assert adv[0] == pytest.approx(rewards[0] + gamma * values[1] - values[0])
         assert adv[1] == pytest.approx(rewards[1] + gamma * values[2] - values[1])
         assert adv[2] == pytest.approx(rewards[2] - values[2])
@@ -60,10 +69,10 @@ class TestGAE:
         gamma, lam = 0.95, 0.9
         T = 12
         r, v = 0.5, 1.25
-        buffer = RolloutBuffer()
-        for t in range(T):
-            buffer.add(make_transition(v, r, done=(t == T - 1)))
-        adv, ret = compute_gae(buffer, gamma, lam, normalize=False)
+        buffer = RolloutBuffer([make_transition(v, r, done=(t == T - 1))
+                                for t in range(T)])
+        adv = raw_advantages(buffer, gamma, lam)
+        _, ret = compute_gae(buffer, gamma, lam)
         # independent oracle: direct double sum over TD errors
         deltas = [r + gamma * v - v] * (T - 1) + [r - v]
         for t in range(T):
@@ -74,31 +83,30 @@ class TestGAE:
 
     def test_semi_mdp_duration_discount(self):
         gamma = 0.95
-        buffer = RolloutBuffer()
-        buffer.add(make_transition(value=0.2, reward=1.0, done=False,
-                                   duration=10, instance="cmd"))
-        buffer.add(make_transition(value=0.7, reward=0.0, done=True,
-                                   duration=3, instance="cmd"))
-        adv, _ = compute_gae(buffer, gamma, lam=0.5, normalize=False)
+        buffer = RolloutBuffer([
+            make_transition(value=0.2, reward=1.0, done=False, duration=10,
+                            instance="cmd"),
+            make_transition(value=0.7, reward=0.0, done=True, duration=3,
+                            instance="cmd")])
+        adv = raw_advantages(buffer, gamma, lam=0.5)
         delta1 = 0.0 - 0.7
         delta0 = 1.0 + gamma ** 10 * 0.7 - 0.2
         assert adv[1] == pytest.approx(delta1)
         assert adv[0] == pytest.approx(delta0 + gamma ** 10 * 0.5 * delta1)
 
     def test_normalization(self):
-        buffer = RolloutBuffer()
-        for t in range(50):
-            buffer.add(make_transition(0.0, float(t % 5), done=(t % 10 == 9),
-                                       episode=t // 10))
+        buffer = RolloutBuffer([make_transition(0.0, float(t % 5),
+                                                done=(t % 10 == 9),
+                                                episode=t // 10)
+                                for t in range(50)])
         adv, _ = compute_gae(buffer, 0.95, 0.95)
         assert abs(adv.mean()) < 1e-9
         assert adv.std() == pytest.approx(1.0, abs=1e-6)
 
     def test_streams_are_independent_per_agent(self):
-        buffer = RolloutBuffer()
-        buffer.add(make_transition(0.0, 1.0, done=True, agent=0))
-        buffer.add(make_transition(0.0, -1.0, done=True, agent=1))
-        adv, _ = compute_gae(buffer, 0.95, 0.95, normalize=False)
+        buffer = RolloutBuffer([make_transition(0.0, 1.0, done=True, agent=0),
+                                make_transition(0.0, -1.0, done=True, agent=1)])
+        adv = raw_advantages(buffer, 0.95, 0.95)
         assert adv[0] == pytest.approx(1.0)
         assert adv[1] == pytest.approx(-1.0)
 
@@ -155,11 +163,11 @@ def fill_buffer(policy, scenario, n, seed=0):
                 t.reward = reward_fight(env.world, result.events, t.agent_id,
                                         "base", 0.5)
                 t.done = result.terminal or not env.world.get(t.agent_id).alive
-                buffer.add(t)
+                buffer.transitions.append(t)
 
     driver = Recorder(policy, "fight", np.random.default_rng(seed))
     env = CombatEnv(scenario, ScriptedController(
-        "L1", np.random.default_rng(seed + 1), ScriptConfig()))
+        "L1", np.random.default_rng(seed + 1), ScriptConfig()), SimConfig())
     driver.episode = 0
     while len(buffer) < n:
         play([env], driver, [seed + driver.episode])
@@ -241,8 +249,9 @@ class TestUpdateDtype:
             "fight": (fight_config(critic_width=40, dtype=dtype), "ac1"),
             "commander-gru": (commander_config(2, critic_width=40,
                                                dtype=dtype), "cmd"),
-            "ctce": (ctce_config("fight", 27 * 2, (13, 9, 2, 2) * 2,
-                                 critic_width=40, dtype=dtype), "joint"),
+            "ctce": (dataclasses.replace(ctce_config(
+                "fight", 27 * 2, (13, 9, 2, 2) * 2, critic_width=40),
+                dtype=dtype), "joint"),
         }[kind]
         net = PolicyNetwork(config, seed=0)
         loss, _ = _minibatch_loss(net, _update_batch(net, instance),
@@ -339,7 +348,7 @@ class TestTrainerLoops:
 
     def test_instances_limited_to_types(self, tmp_path):
         trainer = LowLevelTrainer(small_scenario(), small_ppo(512),
-                                  TrainMode(), seed=6)
+                                  TrainMode(), RunDir(tmp_path / "run"), seed=6)
         from dogfight.scripted import ScriptedController
 
         env = trainer.make_env(ScriptedController(
@@ -347,9 +356,10 @@ class TestTrainerLoops:
         trainer.run_episode(env)
         assert set(t.instance for t in trainer.buffer.transitions) <= {"ac1", "ac2"}
 
-    def test_dtde_framework(self):
+    def test_dtde_framework(self, tmp_path):
         trainer = LowLevelTrainer(small_scenario(), small_ppo(32),
-                                  TrainMode(framework="dtde"), seed=7)
+                                  TrainMode(framework="dtde"),
+                                  RunDir(tmp_path / "run"), seed=7)
         from dogfight.scripted import ScriptedController
 
         trainer.train_level(
@@ -402,7 +412,8 @@ class TestTrainerLoops:
         for rec in records:
             assert abs(rec["mean_ratio_first_epoch"] - 1.0) <= 1e-6
 
-    def test_dtde_networks_update_on_their_own_transitions(self, monkeypatch):
+    def test_dtde_networks_update_on_their_own_transitions(self, monkeypatch,
+                                                            tmp_path):
         from dogfight.scripted import ScriptedController
         from dogfight.train import trainer as trainer_module
 
@@ -415,7 +426,8 @@ class TestTrainerLoops:
 
         monkeypatch.setattr(trainer_module, "ppo_update", recording)
         trainer = LowLevelTrainer(small_scenario(), small_ppo(32),
-                                  TrainMode(framework="dtde"), seed=7)
+                                  TrainMode(framework="dtde"),
+                                  RunDir(tmp_path / "run"), seed=7)
         trainer.train_level(
             "L1",
             ScriptedController("L1", trainer.opponent_rng, trainer.script),
@@ -435,18 +447,20 @@ class TestTrainerLoops:
             inst = nets[aid].config.instance(type_id.lower())
             assert inst.critic_width == OBS_LAYOUTS[f"fight-{type_id}"] + 4
 
-    def test_fc_baseline_only_for_ctde_fight(self):
+    def test_fc_baseline_only_for_ctde_fight(self, tmp_path):
         trainer = LowLevelTrainer(small_scenario(), small_ppo(),
-                                  TrainMode(fc_baseline=True), seed=1)
+                                  TrainMode(fc_baseline=True),
+                                  RunDir(tmp_path / "run"), seed=1)
         assert trainer.policy.config.fc_baseline
         for mode in (dict(framework="ctce"), dict(framework="dtde"),
                      dict(kind="escape")):
             with pytest.raises(ValueError, match="fc_baseline"):
                 TrainMode(fc_baseline=True, **mode)
 
-    def test_ctce_framework(self):
+    def test_ctce_framework(self, tmp_path):
         trainer = LowLevelTrainer(small_scenario(), small_ppo(16),
-                                  TrainMode(framework="ctce"), seed=8)
+                                  TrainMode(framework="ctce"),
+                                  RunDir(tmp_path / "run"), seed=8)
         from dogfight.scripted import ScriptedController
 
         trainer.train_level(
@@ -466,7 +480,8 @@ class TestTrainerLoops:
         scenario = small_scenario(horizon=6)
         run_curriculum(scenario, small_ppo(24), TrainMode(), run, archive,
                        seed=9, steps_per_level=12,
-                       script=ScriptConfig(flee_probability=0.0))
+                       script=ScriptConfig(flee_probability=0.0),
+                       sim_cfg=SimConfig())
         for level in ("L1", "L2", "L3", "L4", "L5"):
             assert archive.has("fight", level)
         records = run.read_metrics()
@@ -480,12 +495,12 @@ class TestTrainerLoops:
         run_curriculum(scenario, small_ppo(24), TrainMode(), run, archive,
                        seed=10, steps_per_level=12,
                        script=ScriptConfig(flee_probability=0.0),
-                       levels=("L1", "L2"))
+                       sim_cfg=SimConfig(), levels=("L1", "L2"))
         hash_l1 = archive.sha256("fight", "L1")
         run_curriculum(scenario, small_ppo(24), TrainMode(), run, archive,
                        seed=10, steps_per_level=12,
                        script=ScriptConfig(flee_probability=0.0),
-                       levels=("L1", "L2", "L3"))
+                       sim_cfg=SimConfig(), levels=("L1", "L2", "L3"))
         assert archive.sha256("fight", "L1") == hash_l1  # untouched
         assert archive.has("fight", "L3")
 
@@ -512,7 +527,7 @@ class TestTrainerLoops:
                                TrainMode(framework="dtde"), run, archive,
                                seed=10, steps_per_level=24,
                                script=ScriptConfig(flee_probability=0.0),
-                               levels=levels)
+                               sim_cfg=SimConfig(), levels=levels)
         whole, resumed = starts
         assert sorted(whole) == sorted(resumed) == [0, 1]
         for key in whole:
@@ -534,7 +549,8 @@ class TestTrainerLoops:
                                              "the league archives agent 0"):
             run_curriculum(small_scenario(horizon=6), small_ppo(24),
                            TrainMode(framework="dtde"), run, archive, seed=10,
-                           steps_per_level=12, levels=levels)
+                           steps_per_level=12, script=ScriptConfig(),
+                           sim_cfg=SimConfig(), levels=levels)
         assert not run.read_metrics()
         assert not any(archive.has("fight", level) for level in levels)
 
@@ -542,7 +558,8 @@ class TestTrainerLoops:
         from dogfight.nn.params import save_arrays
 
         trainer = LowLevelTrainer(small_scenario(), small_ppo(),
-                                  TrainMode(framework="dtde"), seed=1)
+                                  TrainMode(framework="dtde"),
+                                  RunDir(tmp_path / "run"), seed=1)
         path = tmp_path / "trainer_state_L1.ckpt"
         store = trainer.policy.store
         save_arrays(path, {f"adam.m.{n}": m for n, m in store.moment1.items()},
@@ -555,7 +572,9 @@ class TestTrainerLoops:
         archive = LeagueArchive(tmp_path / "league")
         with pytest.raises(FileNotFoundError):
             train_escape(small_scenario(), small_ppo(16), run, archive,
-                         seed=0, steps_phase1=10, steps_phase2=10)
+                         seed=0, steps_phase1=10, steps_phase2=10,
+                         variant="base", script=ScriptConfig(),
+                         sim_cfg=SimConfig())
 
     def test_escape_two_phases(self, tmp_path):
         run = RunDir(tmp_path / "run")
@@ -564,15 +583,18 @@ class TestTrainerLoops:
                      PolicyNetwork(fight_config(critic_width=124), seed=1))
         trainer = train_escape(small_scenario(), small_ppo(24), run, archive,
                                seed=11, steps_phase1=20, steps_phase2=20,
-                               script=ScriptConfig(flee_probability=0.0))
+                               variant="base",
+                               script=ScriptConfig(flee_probability=0.0),
+                               sim_cfg=SimConfig())
         assert archive.has("escape")
         levels = {r["level"] for r in run.read_metrics()}
         # both phases logged (tiny runs may only reach an update in one)
         assert levels <= {"escape-L3", "escape-vs-L5"} and levels
 
-    def test_escape_rewards_non_positive(self):
+    def test_escape_rewards_non_positive(self, tmp_path):
         trainer = LowLevelTrainer(small_scenario(), small_ppo(512),
-                                  TrainMode(kind="escape"), seed=12)
+                                  TrainMode(kind="escape"),
+                                  RunDir(tmp_path / "run"), seed=12)
         from dogfight.scripted import ScriptedController
 
         env = trainer.make_env(ScriptedController(
@@ -584,7 +606,8 @@ class TestTrainerLoops:
         run = RunDir(tmp_path / "run")
         trainer = train_standard_baseline(
             small_scenario(n_agents=3, n_opponents=3), small_ppo(8), run,
-            seed=13, env_steps=30, script=ScriptConfig(flee_probability=0.0))
+            seed=13, env_steps=30, script=ScriptConfig(flee_probability=0.0),
+            sim_cfg=SimConfig())
         assert trainer.mode.framework == "ctce"
         assert (run.path / "checkpoints" / "standard.ckpt").exists()
         records = run.read_metrics()
@@ -609,7 +632,7 @@ class TestDeterminism:
 
 
 class TestCommanderTrainer:
-    def _trainer(self, variant=None, seed=20, run_dir=None, batch_size=8):
+    def _trainer(self, run_dir, variant=None, seed=20, batch_size=8):
         variant = variant or CommanderVariant()
         scenario = ScenarioConfig.commander_training(
             horizon=12, n_agents=2, n_opponents=2, map_size=30.0,
@@ -624,8 +647,8 @@ class TestCommanderTrainer:
                                 minibatches=2, gamma=0.95),
             variant, fight, escape, run_dir=run_dir, seed=seed)
 
-    def test_episode_produces_option_transitions(self):
-        trainer = self._trainer()
+    def test_episode_produces_option_transitions(self, tmp_path):
+        trainer = self._trainer(RunDir(tmp_path / "run"))
         before = trainer.actor.fight_commands + trainer.actor.escape_commands
         trainer.run_episode()
         assert trainer.buffer.transitions
@@ -635,60 +658,64 @@ class TestCommanderTrainer:
             assert t.hidden is not None
         assert trainer.actor.fight_commands + trainer.actor.escape_commands > before
 
-    def test_frozen_opponents_unchanged(self):
-        trainer = self._trainer()
+    def test_frozen_opponents_unchanged(self, tmp_path):
+        trainer = self._trainer(RunDir(tmp_path / "run"))
         trainer.train(env_steps=30)
         # train() asserts checksums internally; assert again for clarity
         assert trainer.fight_actor.policy.store.checksum() == \
             trainer.frozen_checksums["fight"]
 
-    def test_option_duration_bounded_by_events(self):
-        trainer = self._trainer(batch_size=64)
+    def test_option_duration_bounded_by_events(self, tmp_path):
+        trainer = self._trainer(RunDir(tmp_path / "run"), batch_size=64)
         trainer.run_episode()  # one collect fills the batch
         durations = [t.duration for t in trainer.buffer.transitions]
         assert max(durations) <= trainer.scenario.option_horizon
 
-    def test_noopt_action_space(self):
-        trainer = self._trainer(CommanderVariant(opt=False))
+    def test_noopt_action_space(self, tmp_path):
+        trainer = self._trainer(RunDir(tmp_path / "run"),
+                                CommanderVariant(opt=False))
         assert trainer.policy.config.instance("cmd").head_arities == (2,)
         trainer.run_episode()
         assert all(t.action[0] in (0, 1) for t in trainer.buffer.transitions)
 
     @pytest.mark.parametrize("arch", ["sa", "fc"])
-    def test_feedforward_commander_trains(self, arch):
-        trainer = self._trainer(CommanderVariant(arch=arch))
+    def test_feedforward_commander_trains(self, arch, tmp_path):
+        trainer = self._trainer(RunDir(tmp_path / "run"),
+                                CommanderVariant(arch=arch))
         trainer.train(env_steps=30)
         assert trainer.updates >= 1
 
-    def test_n3_action_space(self):
-        trainer = self._trainer(CommanderVariant(senses=3))
+    def test_n3_action_space(self, tmp_path):
+        trainer = self._trainer(RunDir(tmp_path / "run"),
+                                CommanderVariant(senses=3))
         assert trainer.policy.config.instance("cmd").head_arities == (4,)
         trainer.run_episode()
         assert all(t.action[0] in range(4) for t in trainer.buffer.transitions)
 
-    def test_senses_must_match_the_scenario(self):
+    def test_senses_must_match_the_scenario(self, tmp_path):
         scenario = ScenarioConfig.commander_training()
         fight = PolicyNetwork(fight_config(critic_width=6 * 31), seed=1)
         with pytest.raises(ValueError, match=r"senses 3 .*commander_senses is 2"):
             CommanderTrainer(scenario, PPOConfig(), CommanderVariant(senses=3),
-                             fight, fight)
+                             fight, fight, RunDir(tmp_path / "run"), seed=0)
 
     def test_metrics_records(self, tmp_path):
         run = RunDir(tmp_path / "run")
-        trainer = self._trainer(run_dir=run)
+        trainer = self._trainer(run)
         trainer.train(env_steps=60)
         records = run.read_metrics()
         assert len(records) == trainer.updates >= 1
         assert all(set(record) == METRICS_KEYS for record in records)
         assert records[-1]["level"] == "commander-Shared-N2-Opt-Assess"
 
-    def test_glob_variant_joint_transitions(self):
-        trainer = self._trainer(CommanderVariant(shared=False))
+    def test_glob_variant_joint_transitions(self, tmp_path):
+        trainer = self._trainer(RunDir(tmp_path / "run"),
+                                CommanderVariant(shared=False))
         trainer.run_episode()
         assert all(t.instance == "joint" for t in trainer.buffer.transitions)
         assert all(t.head_mask is not None for t in trainer.buffer.transitions)
 
-    def test_concurrent_episodes_keep_their_own_streams(self):
+    def test_concurrent_episodes_keep_their_own_streams(self, tmp_path):
         # a collect plays its episodes over LOCKSTEP_EPISODES slots, each
         # taking the next episode when its own ends: each has its own
         # episode index, and every (episode, agent) stream holds one
@@ -696,19 +723,19 @@ class TestCommanderTrainer:
         # episode closes at most 24 options, so 200 need more than 8
         from dogfight.train.policies import LOCKSTEP_EPISODES
 
-        trainer = self._trainer(batch_size=200)
+        trainer = self._trainer(RunDir(tmp_path / "run"), batch_size=200)
         trainer.run_episode()
         assert len(trainer.buffer) >= trainer.ppo.batch_size
         assert trainer.episodes > LOCKSTEP_EPISODES
         _assert_episodes_apart(trainer.buffer.transitions,
                                range(trainer.episodes), _lengths(trainer))
 
-    def test_commander_update_runs(self):
-        trainer = self._trainer()
+    def test_commander_update_runs(self, tmp_path):
+        trainer = self._trainer(RunDir(tmp_path / "run"))
         trainer.train(env_steps=60)
         assert trainer.updates >= 1
 
-    def test_each_commander_observation_built_once(self, monkeypatch):
+    def test_each_commander_observation_built_once(self, monkeypatch, tmp_path):
         # the critic input takes the decision's row observations, so no
         # agent's commander observation is built twice for one world state
         from dogfight import observations
@@ -723,7 +750,7 @@ class TestCommanderTrainer:
 
         for module in (observations, commander):
             monkeypatch.setattr(module, "build_obs_commander", counted)
-        trainer = self._trainer()
+        trainer = self._trainer(RunDir(tmp_path / "run"))
         trainer.run_episode()
         assert trainer.buffer.transitions
         assert len(built) == len(set(built)) > 0
@@ -745,13 +772,14 @@ def _float64_networks(trainer):
                                 else nets[0])
 
 
-def _low_level(framework, float64=False, batch=200):
+def _low_level(framework, run_dir, float64=False, batch=200):
     # a 2v2 episode of 12 steps closes at most 24 transitions, so a collect
     # of 200 plays more episodes than it has slots
     from dogfight.scripted import ScriptedController
 
     trainer = LowLevelTrainer(small_scenario(horizon=12), small_ppo(batch),
-                              TrainMode(framework=framework), seed=31)
+                              TrainMode(framework=framework), RunDir(run_dir),
+                              seed=31)
     if float64:
         _float64_networks(trainer)
     return trainer, trainer.make_env(
@@ -763,7 +791,8 @@ FRAMEWORKS = ["ctde", "dtde", "ctce"]
 
 class TestCriticInputReuse:
     @pytest.mark.parametrize("kind", ["fight", "escape"])
-    def test_row_observations_give_the_rebuilt_input(self, kind, monkeypatch):
+    def test_row_observations_give_the_rebuilt_input(self, kind, monkeypatch,
+                                                      tmp_path):
         # critic inputs built from the decision's row observations are
         # byte-equal to ones that build every observation again
         from dogfight.scripted import ScriptedController
@@ -772,7 +801,7 @@ class TestCriticInputReuse:
         def collect():
             trainer = LowLevelTrainer(small_scenario(horizon=12),
                                       small_ppo(200), TrainMode(kind=kind),
-                                      seed=31)
+                                      RunDir(tmp_path / "run"), seed=31)
             env = trainer.make_env(ScriptedController(
                 "L3", trainer.opponent_rng, trainer.script))
             trainer.run_episode(env)
@@ -793,7 +822,7 @@ class TestCriticInputReuse:
 
         scenario = small_scenario()
         env = CombatEnv(scenario, ScriptedController(
-            "L1", np.random.default_rng(0), ScriptConfig()))
+            "L1", np.random.default_rng(0), ScriptConfig()), SimConfig())
         env.reset(seed=3)
         low = make_low_level_policy("fight", "ctde", scenario, 0)
         joint = make_low_level_policy("fight", "ctce", scenario, 0)
@@ -833,14 +862,15 @@ def _assert_episodes_apart(transitions, episodes, lengths):
 
 class TestLockstepCollects:
     @pytest.mark.parametrize("framework", FRAMEWORKS)
-    def test_low_level_collect_keeps_each_episode_apart(self, framework):
+    def test_low_level_collect_keeps_each_episode_apart(self, framework,
+                                                         tmp_path):
         # one run_episode fills a batch over LOCKSTEP_EPISODES slots, the
         # env and its siblings, each taking the next episode when its own
         # ends: the episode indices run on without a gap, each (episode,
         # agent) stream holds one episode's steps, closed once
         from dogfight.train.policies import LOCKSTEP_EPISODES
 
-        trainer, env = _low_level(framework)
+        trainer, env = _low_level(framework, tmp_path)
         trainer.run_episode(env)
         assert len(trainer.buffer) >= trainer.ppo.batch_size
         assert trainer.episodes > LOCKSTEP_EPISODES
@@ -857,18 +887,20 @@ class TestLockstepCollects:
                                _lengths(trainer)[first:])
 
     @pytest.mark.parametrize("framework", FRAMEWORKS)
-    def test_lockstep_collect_equals_episodes_one_at_a_time(self, framework):
+    def test_lockstep_collect_equals_episodes_one_at_a_time(self, framework,
+                                                             tmp_path):
         # with no update in between, the lockstep episodes act, draw and
         # judge as the same episodes played one after another on one slot,
         # which starts no more of them than the batch needs; a batched
         # product rounds unlike a one-row one, which float64 networks keep
         # far below 1e-12
         def collect(lockstep):
-            trainer, env = _low_level(framework, float64=True)
+            trainer, env = _low_level(framework, tmp_path / str(lockstep),
+                                      float64=True)
             if lockstep:
                 trainer.run_episode(env)
             else:
-                trainer._play([env])
+                trainer._play([env], None)
             return trainer.episodes, _lengths(trainer), trainer.buffer.transitions
 
         (played, lengths, lockstep), (alone_played, alone_lengths, alone) = (
@@ -887,12 +919,12 @@ class TestLockstepCollects:
                                        [getattr(t, field) for t in alone],
                                        rtol=0, atol=1e-12)
 
-    def test_budget_stops_new_episodes(self, monkeypatch):
+    def test_budget_stops_new_episodes(self, monkeypatch, tmp_path):
         # a collect given a step budget starts episodes while its env steps
         # are below it, then lets the running ones finish
         from dogfight.train.policies import LOCKSTEP_EPISODES
 
-        trainer, env = _low_level("ctde", batch=4096)
+        trainer, env = _low_level("ctde", tmp_path, batch=4096)
         taken, at_start = [0], []
         begin, observe = trainer.begin_episode, trainer.observe_step
 
@@ -916,19 +948,20 @@ class TestLockstepCollects:
     @pytest.mark.parametrize("float64", [False, True], ids=["float32", "float64"])
     @pytest.mark.parametrize("path", FRAMEWORKS + ["commander", "commander-glob"])
     def test_batched_critic_equals_one_call_per_env(self, monkeypatch, path,
-                                                     float64):
+                                                     float64, tmp_path):
         # every recorded value is the one a critic call on its own input
         # gives (to the rounding of a batched product against a one-row
         # one), while a lockstep step makes one critic forward per
         # (network, instance) for all its envs
         if path.startswith("commander"):
             trainer = TestCommanderTrainer()._trainer(
+                RunDir(tmp_path / "run"),
                 CommanderVariant(shared=path == "commander"))
             if float64:
                 _float64_networks(trainer)
             collect = trainer.run_episode
         else:
-            trainer, env = _low_level(path, float64)
+            trainer, env = _low_level(path, tmp_path, float64)
             collect = lambda: trainer.run_episode(env)  # noqa: E731
         calls = []
         forward_critic = PolicyNetwork.forward_critic
@@ -1028,10 +1061,10 @@ class TestGraphFreeDecisions:
         buffer = fill_buffer(policy, scenario, 30)
         assert len(buffer) >= 30 and count[0] == 0
 
-    def test_commander_rollout_builds_no_tensors(self, monkeypatch):
+    def test_commander_rollout_builds_no_tensors(self, monkeypatch, tmp_path):
         from helpers import count_tensors
 
-        trainer = TestCommanderTrainer()._trainer()
+        trainer = TestCommanderTrainer()._trainer(RunDir(tmp_path / "run"))
         count = count_tensors(monkeypatch)
         trainer.run_episode()
         assert trainer.buffer.transitions and count[0] == 0

@@ -7,14 +7,15 @@ once per seed (seeds 1..N, one after another) and once traced at seed 1,
 then writes `BENCH_<short sha>.json` at the root of the checkout it
 measures. The file holds, per workload, the median, quartiles and range of
 every end-to-end metric over the untraced runs, each run's `correct` flag
-and raw values, and the traced run's per-layer metrics; plus the git SHA
-and the line count of `src/`. It needs the standard library only; the runs
+and raw values, and the traced run's per-layer metrics; plus the git SHA,
+the line count of `src/` and its count of defaulted parameters. It needs the standard library only; the runs
 import numpy themselves.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import statistics
 import subprocess
@@ -46,12 +47,24 @@ def src_lines(repo: Path) -> int:
                for path in (repo / "src").rglob("*.py"))
 
 
+def defaulted_params(repo: Path) -> int:
+    """The parameters with a default of every `def` and `lambda` in `src/`:
+    its positional defaults and its keyword-only ones that have one."""
+    return sum(len(node.args.defaults)
+               + sum(d is not None for d in node.args.kw_defaults)
+               for path in (repo / "src").rglob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.Lambda)))
+
+
 def record(repo: Path, seeds: int, seconds: float) -> dict:
     bench = json.loads((repo / "BENCHMARK.json").read_text())
     sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo,
                          capture_output=True, text=True,
                          check=True).stdout.strip()
-    out = {"sha": sha, "src_lines": src_lines(repo), "seeds": seeds,
+    out = {"sha": sha, "src_lines": src_lines(repo),
+           "defaulted_params": defaulted_params(repo), "seeds": seeds,
            "seconds": seconds, "workloads": {}}
     for workload in (w["name"] for w in bench["workloads"]):
         runs = [run_bench(repo, workload, seed, seconds, 0)
