@@ -319,7 +319,8 @@ def cmd_sweep(args) -> int:
 
     def actor_factory(scenario, seed):
         rng = np.random.default_rng(seed)
-        return HierarchyEvalActor(commander, fight, escape, rng, **options)
+        return HierarchyEvalActor(commander, fight, escape, rng,
+                                  greedy=not args.stochastic, **options)
 
     def opponent_factory(scenario, seed):
         return SnapshotController(
@@ -420,6 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cells", default="",
                    help="comma list from: " + ",".join(
                        c["name"] for c in standard_sweep_cells()))
+    p.add_argument("--stochastic", action="store_true",
+                   help="sample instead of argmax in every cell")
     p.add_argument("--episodes", type=int, default=100)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)

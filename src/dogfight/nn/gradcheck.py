@@ -20,7 +20,6 @@ import numpy as np
 
 from .autodiff import Tensor, head_log_prob_entropy, tmean, tsum
 from .networks import (
-    EMBED_WIDTH,
     NetworkConfig,
     PolicyNetwork,
     commander_config,
@@ -143,12 +142,8 @@ def run_standard_suite(draws: int, seed: int) -> list[GradCheckReport]:
         ("commander-gru", commander_config(senses=2, critic_width=40,
                                            dtype="float64"), "cmd", 5, (2,)),
         ("commander-sa", sa, "cmd", 1, (2, _folded_rows(sa, "cmd"))),
-        # the fc layers at the embed width: at 500 a float64 central
-        # difference (H = 1e-4) of that saturated net was itself off by up
-        # to ~1e-4
-        ("fight-fc", dataclasses.replace(fight_config(
-            critic_width=40, fc_baseline=True, dtype="float64"),
-            fc_width=EMBED_WIDTH), "ac1", 1, (2,)),
+        ("fight-fc", fight_config(critic_width=40, fc_baseline=True,
+                                  dtype="float64"), "ac1", 1, (2,)),
     ]
     return [dataclasses.replace(
         check_network(config, instance, draws=draws, seq_len=seq_len,

@@ -306,14 +306,10 @@ def policy_from_checkpoint(arrays: dict, config: dict, source) -> PolicyNetwork:
 
 
 @lru_cache(maxsize=None)
-def _padding(arities: tuple[int, ...]) -> np.ndarray:
-    """Column indices [heads, widest arity] that lay the heads of a
-    [B, sum of arities] table side by side, past a head's arity the index
-    of one column after the table's last."""
-    starts = np.cumsum((0,) + arities[:-1])[:, None]
-    cols = np.arange(max(arities))
-    return np.where(cols < np.asarray(arities)[:, None], starts + cols,
-                    sum(arities))
+def _head_mask(arities: tuple[int, ...]) -> np.ndarray:
+    """[heads, widest arity], True where a head has that column: the cells
+    that a [B, sum of arities] table fills, in its column order."""
+    return np.arange(max(arities)) < np.asarray(arities)[:, None]
 
 
 def sample_action(table: np.ndarray, arities: tuple[int, ...], u, greedy
@@ -324,8 +320,9 @@ def sample_action(table: np.ndarray, arities: tuple[int, ...], u, greedy
     Sampling inverts each row's CDF at the uniform draws `u`: the arithmetic
     of `Generator.choice(arity, p=probs)`, so draws made as `rng.random((B,
     heads))` sample what per-head `choice` calls made row by row would.
-    `greedy`, one flag or one per row, takes the argmax; `u` holds draws for
-    the other rows only, in order, and is not read when every row is greedy.
+    `greedy`, one bool or one flag per row, takes the argmax; `u` holds
+    draws for the other rows only, in order, and is not read when every row
+    is greedy.
 
     Returns the samples [B, heads] and the summed log-probabilities [B] of
     the samples.
@@ -335,28 +332,29 @@ def sample_action(table: np.ndarray, arities: tuple[int, ...], u, greedy
         raise FloatingPointError("non-finite logits in sample_action")
     # heads padded to the widest with -inf logits: a padded entry has
     # probability 0, so it adds exact zeros to the normalizing sums, and its
-    # CDF value is 1, above every draw. `take` gives a C-contiguous array, so
-    # each head's sums run as on its own row.
-    logits = np.take(np.concatenate(
-        [logits, np.full((len(logits), 1), -np.inf)], axis=1),
-        _padding(tuple(arities)), axis=1)
-    probs = np.exp(logits - logits.max(axis=2, keepdims=True))
+    # CDF value is 1, above every draw. The array is C-contiguous, so each
+    # head's sums run as on its own row.
+    mask = _head_mask(tuple(arities))
+    padded = np.full((len(logits),) + mask.shape, -np.inf)
+    padded[:, mask] = logits
+    probs = np.exp(padded - padded.max(axis=2, keepdims=True))
     probs /= probs.sum(axis=2, keepdims=True)
-    greedy = np.broadcast_to(greedy, len(probs))
-    if greedy.all():
+    every, some = ((greedy, False) if isinstance(greedy, bool)
+                   else (greedy.all(), greedy.any()))
+    if every:
         samples = probs.argmax(axis=2)
     else:
-        some = greedy.any()
         cdf = (probs[~greedy] if some else probs).cumsum(axis=2)
         cdf /= cdf[:, :, -1:]
         samples = (cdf <= u[:, :, None]).sum(axis=2)  # searchsorted "right"
         if some:
             samples, drawn = probs.argmax(axis=2), samples
             samples[~greedy] = drawn
-    picked = np.log(np.take_along_axis(probs, samples[:, :, None], axis=2)[:, :, 0])
-    log_prob = np.zeros(len(probs))
-    for j in range(len(arities)):  # heads summed in order
-        log_prob += picked[:, j]
+    width = mask.shape[1]
+    picked = probs.reshape(-1)[np.arange(0, probs.size, width)
+                               + samples.reshape(-1)]
+    # below 8 heads numpy sums each row in column order, as a loop would
+    log_prob = np.log(picked).reshape(samples.shape).sum(axis=1)
     return samples, log_prob
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import angle_off, ata, distance, signed_heading_delta, wrap_heading
+from .geometry import angle_off, ata, signed_heading_delta, wrap_heading
 
 KNOTS_TO_KM_PER_S = 0.000514444
 
@@ -270,15 +270,17 @@ def _advance_aircraft(world: World) -> None:
             continue
         if a.rocket_cooldown > 0:
             a.rocket_cooldown -= 1
-        if a.heading != a.target_heading:  # else the turn changes nothing
-            delta = signed_heading_delta(a.heading, a.target_heading)
+        heading = a.heading
+        if heading != a.target_heading:  # else the turn changes nothing
+            delta = signed_heading_delta(heading, a.target_heading)
             max_step = a.spec.max_turn_rate * dt
             if abs(delta) <= max_step:
-                a.heading = a.target_heading
+                heading = a.target_heading
             else:
-                a.heading = wrap_heading(a.heading + math.copysign(max_step, delta))
+                heading = wrap_heading(heading + math.copysign(max_step, delta))
+            a.heading = heading
         step_km = a.speed * KNOTS_TO_KM_PER_S * dt
-        rad = math.radians(a.heading)
+        rad = math.radians(heading)
         a.x += math.sin(rad) * step_km
         a.y += math.cos(rad) * step_km
 
@@ -286,26 +288,31 @@ def _advance_aircraft(world: World) -> None:
 def _advance_rockets(world: World) -> list[SimEvent]:
     events: list[SimEvent] = []
     surviving: list[Rocket] = []
+    by_id, cfg = world._by_id, world.cfg
+    dt, kill_radius, expiry = (cfg.round_seconds, cfg.rocket_kill_radius,
+                               cfg.rocket_expiry_rounds)
     for rocket in world.rockets:
-        target = world.get(rocket.target_id)
+        target = by_id[rocket.target_id]
         if not target.alive:
             # target already destroyed by another weapon; rocket is spent
             events.append(RocketExpired(shooter=rocket.shooter_id))
             continue
-        step_km = rocket.speed * KNOTS_TO_KM_PER_S * world.cfg.round_seconds
-        dx, dy = target.x - rocket.x, target.y - rocket.y
+        step_km = rocket.speed * KNOTS_TO_KM_PER_S * dt
+        tx, ty, x, y = target.x, target.y, rocket.x, rocket.y
+        dx, dy = tx - x, ty - y
         gap = math.hypot(dx, dy)
         if gap <= step_km:
-            rocket.x, rocket.y = target.x, target.y
+            x, y = tx, ty
         else:  # a step along the unit line of sight
-            rocket.x += dx / gap * step_km
-            rocket.y += dy / gap * step_km
+            x += dx / gap * step_km
+            y += dy / gap * step_km
+        rocket.x, rocket.y = x, y
         rocket.age += 1
-        if distance(rocket, target) <= world.cfg.rocket_kill_radius:
+        if math.hypot(tx - x, ty - y) <= kill_radius:  # `distance`
             target.alive = False
-            shooter = world.get(rocket.shooter_id)
+            shooter = by_id[rocket.shooter_id]
             events.append(RocketKill(**_kill_snapshot(world, shooter, target)))
-        elif rocket.age >= world.cfg.rocket_expiry_rounds:
+        elif rocket.age >= expiry:
             events.append(RocketExpired(shooter=rocket.shooter_id))
         else:
             surviving.append(rocket)

@@ -121,7 +121,7 @@ class HierarchyEvalActor(EpisodeActor):
 
     def __init__(self, commander: PolicyNetwork, fight: PolicyNetwork,
                  escape: PolicyNetwork, rng: np.random.Generator,
-                 senses: int, opt: bool, greedy: bool = True):
+                 senses: int, opt: bool, greedy: bool):
         arities = commander.config.instances[0].head_arities
         if set(arities) != {senses + 1 if opt else 2}:
             raise ValueError(f"{'Opt' if opt else 'noOpt'}-N{senses} does not "

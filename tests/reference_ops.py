@@ -5,12 +5,15 @@ backward. Here the same blocks are written as chains of small ops (matmul,
 transpose, tanh, sigmoid, softmax, column slices, stacking, mean), each
 with its own textbook backward and each checked by finite differences in
 `test_nn.py`. The node tests compare values and gradients against these
-chains.
+chains. `sample_action` is the earlier body of
+`dogfight.nn.networks.sample_action`, the reference for its samples and
+log-probability bits.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -165,3 +168,47 @@ def gru(x, h, W, U, b):
     n = tanh(slice_cols(gx, 2 * width, 3 * width)
              + mul(r, slice_cols(gh, 2 * width, 3 * width)))
     return add(mul(add(1.0, mul(-1.0, z)), n), mul(z, h))
+
+
+# -- action sampling -----------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _padding(arities: tuple[int, ...]) -> np.ndarray:
+    """Column indices [heads, widest arity] that lay the heads of a
+    [B, sum of arities] table side by side, past a head's arity the index
+    of one column after the table's last."""
+    starts = np.cumsum((0,) + arities[:-1])[:, None]
+    cols = np.arange(max(arities))
+    return np.where(cols < np.asarray(arities)[:, None], starts + cols,
+                    sum(arities))
+
+
+def sample_action(table, arities, u, greedy):
+    """Heads padded by `take` over an extra -inf column, the greedy flags
+    broadcast to one per row, the samples' probabilities picked by
+    `take_along_axis` and the heads summed in a loop."""
+    logits = np.asarray(table, dtype=np.float64)
+    if not np.isfinite(logits).all():
+        raise FloatingPointError("non-finite logits in sample_action")
+    logits = np.take(np.concatenate(
+        [logits, np.full((len(logits), 1), -np.inf)], axis=1),
+        _padding(tuple(arities)), axis=1)
+    probs = np.exp(logits - logits.max(axis=2, keepdims=True))
+    probs /= probs.sum(axis=2, keepdims=True)
+    greedy = np.broadcast_to(greedy, len(probs))
+    if greedy.all():
+        samples = probs.argmax(axis=2)
+    else:
+        some = greedy.any()
+        cdf = (probs[~greedy] if some else probs).cumsum(axis=2)
+        cdf /= cdf[:, :, -1:]
+        samples = (cdf <= u[:, :, None]).sum(axis=2)  # searchsorted "right"
+        if some:
+            samples, drawn = probs.argmax(axis=2), samples
+            samples[~greedy] = drawn
+    picked = np.log(np.take_along_axis(probs, samples[:, :, None], axis=2)[:, :, 0])
+    log_prob = np.zeros(len(probs))
+    for j in range(len(arities)):  # heads summed in order
+        log_prob += picked[:, j]
+    return samples, log_prob

@@ -15,6 +15,7 @@ from dogfight.config import ScenarioConfig, ScriptConfig
 from dogfight.env import CombatEnv
 from dogfight.evaluation import (
     EvalReport,
+    HierarchyEvalActor,
     evaluate,
     event_to_dict,
     import_trajectory,
@@ -522,6 +523,35 @@ class TestSweep:
                      "--set", "scenario.horizon=5", "--out", str(out)])
         assert code == 0
         assert EvalReport.load(out / "2v2.json").episodes == 1
+
+    @pytest.mark.parametrize("stochastic", [True, False])
+    def test_stochastic_draws_from_the_actor_streams(
+            self, tmp_path, fight_ckpt, escape_ckpt, monkeypatch, stochastic):
+        # each decision's generator next to the actor's stream for it: the
+        # env's low-level stream, and its commander stream at a boundary
+        actions, seen = HierarchyEvalActor.actions, []
+
+        def recording(actor, envs):
+            flown = actions(actor, envs)
+            seen.append((
+                [d.rng for d in flown] + [d.rng for d in actor.commanded.values()],
+                [actor.fight_actor.streams[env] for env in envs]
+                + [actor.slots[env].rng for env in actor.commanded]))
+            return flown
+
+        monkeypatch.setattr(HierarchyEvalActor, "actions", recording)
+        code = main(["sweep", "--commander-ckpt",
+                     str(save_commander(tmp_path / "commander.ckpt")),
+                     "--fight-ckpt", str(fight_ckpt),
+                     "--escape-ckpt", str(escape_ckpt),
+                     "--cells", "2v2", "--episodes", "2",
+                     "--set", "scenario.horizon=5", "--out",
+                     str(tmp_path / "sweep")] + ["--stochastic"] * stochastic)
+        assert code == 0 and seen
+        for used, streams in seen:
+            assert len(used) == len(streams)
+            assert all((rng is stream) if stochastic else (rng is None)
+                       for rng, stream in zip(used, streams))
 
     def test_commander_without_variant_rejected(self, tmp_path):
         from dogfight.cli import _load_commander

@@ -221,7 +221,8 @@ class TestPolicyActors:
             fight=fight, escape=escape, rng=np.random.default_rng(4),
             fight_prob=0.75, scenario=scenario)
         actor = HierarchyEvalActor(commander, fight, escape,
-                                   np.random.default_rng(5), senses=2, opt=True)
+                                   np.random.default_rng(5), senses=2, opt=True,
+                                   greedy=True)
         report = evaluate(actor, opponents, scenario, episodes=2, seed=6)
         assert report.fight_commands + report.escape_commands > 0
         assert sum(report.opponent_selection) == report.fight_commands
@@ -238,7 +239,8 @@ class TestPolicyActors:
         with pytest.raises(ValueError, match=r"noOpt-N2 does not match the "
                                              r"commander's head arities \(3,\)"):
             HierarchyEvalActor(commander, fight, escape,
-                               np.random.default_rng(5), senses=2, opt=False)
+                               np.random.default_rng(5), senses=2, opt=False,
+                               greedy=True)
 
     def test_option_termination_checked_once_per_step(self, monkeypatch):
         from dogfight.train import commander as commander_module
@@ -259,7 +261,8 @@ class TestPolicyActors:
         escape = PolicyNetwork(escape_config(
             critic_width=critic_input_width("escape", 3, 3)), seed=3)
         actor = HierarchyEvalActor(commander, fight, escape,
-                                   np.random.default_rng(5), senses=2, opt=True)
+                                   np.random.default_rng(5), senses=2, opt=True,
+                                   greedy=True)
         report = evaluate(actor, scripted("L1"), scenario, episodes=2, seed=6)
         # every step but an episode's first, which always decides
         assert calls[0] == report.total_steps - report.episodes > 0
@@ -273,7 +276,8 @@ class TestPolicyActors:
         commander = PolicyNetwork(commander_config(
             2, critic_input_width("commander", 2, 2)), seed=4)
         actor = AlwaysFightActor(commander, fight, escape,
-                                 np.random.default_rng(5), senses=2, opt=True)
+                                 np.random.default_rng(5), senses=2, opt=True,
+                                 greedy=True)
         report = evaluate(actor, scripted("L1"), scenario, episodes=2, seed=7)
         assert report.escape_commands == 0
 
@@ -303,7 +307,8 @@ class TestPolicyActors:
             fight=fight, escape=escape, rng=np.random.default_rng(6),
             fight_prob=0.5, scenario=scenario)
         actor = AlwaysFightActor(commander, fight, escape,
-                                 np.random.default_rng(5), senses=2, opt=True)
+                                 np.random.default_rng(5), senses=2, opt=True,
+                                 greedy=True)
         report = evaluate(actor, opponents, scenario, episodes=2, seed=7)
         assert 0 < counts["reassign"] == counts["decide"] < report.total_steps
 
@@ -355,7 +360,7 @@ class TestSweep:
                 [cells[name]],
                 actor_factory=lambda scenario, seed: HierarchyEvalActor(
                     commander, fight, escape, np.random.default_rng(seed),
-                    senses=2, opt=True),
+                    senses=2, opt=True, greedy=True),
                 opponent_factory=lambda scenario, seed: SnapshotController(
                     fight=fight, escape=escape, rng=np.random.default_rng(seed),
                     fight_prob=scenario.opponent_fight_prob, scenario=scenario),
@@ -433,7 +438,8 @@ def test_snapshot_opponents_see_the_same_first_step_as_in_training(monkeypatch,
                                    rng=np.random.default_rng(4),
                                    fight_prob=0.75, scenario=scenario)
     actor = HierarchyEvalActor(trainer.policy, fight, escape,
-                               np.random.default_rng(5), senses=2, opt=True)
+                               np.random.default_rng(5), senses=2, opt=True,
+                               greedy=True)
     evaluate(actor, opponents, scenario, episodes=1, seed=9)
     np.testing.assert_array_equal(seen[0], training)
 
@@ -448,7 +454,8 @@ def test_command_counts_cover_the_call_only():
                       seed=2),
         PolicyNetwork(escape_config(critic_width=critic_input_width("escape", 2, 2)),
                       seed=3),
-        np.random.default_rng(5), senses=2, opt=True)
+        np.random.default_rng(5), senses=2, opt=True,
+        greedy=True)
     counts = [(r.fight_commands, r.escape_commands, r.opponent_selection)
               for r in (evaluate(actor, scripted("L1"), scenario, 1, seed=6)
                         for _ in range(3))]

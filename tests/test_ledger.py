@@ -281,7 +281,7 @@ def _collect(root) -> dict[str, str]:
     scenario = ScenarioConfig(map_size=12.0)
     always = AlwaysFightActor(_load(ckpt["commander"]), _load(ckpt["fight"]),
                               _load(ckpt["escape"]), np.random.default_rng(7),
-                              senses=2, opt=True)
+                              senses=2, opt=True, greedy=True)
     opponents = SnapshotController(
         fight=_load(ckpt["fight"]), escape=_load(ckpt["escape"]),
         rng=np.random.default_rng(8), fight_prob=0.5, scenario=scenario)

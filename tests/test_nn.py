@@ -403,6 +403,27 @@ class TestSampling:
         assert np.array_equal(samples[greedy], argmax)
         assert np.array_equal(log_prob[greedy], argmax_lp)
 
+    def test_matches_the_reference_bits(self):
+        # the padded-take, broadcast and per-head-loop body of
+        # `reference_ops.sample_action`: equal samples and log-probability
+        # bytes over arities, dtypes and greedy, sampled and mixed rows
+        gen = np.random.default_rng(14)
+        for trial in range(600):
+            heads = int(gen.integers(1, 5))
+            arities = tuple(int(k) for k in gen.integers(1, 14, heads))
+            rows = int(gen.integers(1, 12))
+            table = gen.normal(0.0, (0.1, 1.0, 8.0, 40.0)[trial % 4],
+                               (rows, sum(arities))).astype(
+                (np.float32, np.float64)[trial % 2])
+            greedy = (True, False, gen.random(rows) < 0.5)[trial % 3]
+            sampled = rows if greedy is False else (
+                0 if greedy is True else int((~greedy).sum()))
+            u = gen.random((sampled, heads))
+            samples, log_prob = sample_action(table, arities, u, greedy)
+            want, want_lp = reference_ops.sample_action(table, arities, u, greedy)
+            assert np.array_equal(samples, want)
+            assert log_prob.tobytes() == want_lp.tobytes()
+
     def test_decide_draws_in_row_order(self):
         # rows of two instances interleaved: one forward per instance, then
         # the same draws as row-by-row sampling in the given order

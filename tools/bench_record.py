@@ -8,8 +8,10 @@ then writes `BENCH_<short sha>.json` at the root of the checkout it
 measures. The file holds, per workload, the median, quartiles and range of
 every end-to-end metric over the untraced runs, each run's `correct` flag
 and raw values, and the traced run's per-layer metrics; plus the git SHA,
-the line count of `src/` and its count of defaulted parameters. It needs the standard library only; the runs
-import numpy themselves.
+the line count of `src/`, its count of defaulted parameters and the wall
+seconds of one tier-1 test run (`tier1_s`, run first; a failing suite
+stops the recording). It needs the standard library only; the runs import
+numpy themselves.
 """
 
 from __future__ import annotations
@@ -17,9 +19,11 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,13 +62,25 @@ def defaulted_params(repo: Path) -> int:
                                     ast.Lambda)))
 
 
+def tier1_seconds(repo: Path) -> float:
+    """Wall seconds of one run of the tier-1 tests (ROADMAP.md) in `repo`."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": "src" + (f":{path}" if path else "")}
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-m", "pytest", "-q",
+                    "--continue-on-collection-errors"], cwd=repo, env=env,
+                   capture_output=True, check=True)
+    return round(time.perf_counter() - start, 1)
+
+
 def record(repo: Path, seeds: int, seconds: float) -> dict:
     bench = json.loads((repo / "BENCHMARK.json").read_text())
     sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo,
                          capture_output=True, text=True,
                          check=True).stdout.strip()
     out = {"sha": sha, "src_lines": src_lines(repo),
-           "defaulted_params": defaulted_params(repo), "seeds": seeds,
+           "defaulted_params": defaulted_params(repo),
+           "tier1_s": tier1_seconds(repo), "seeds": seeds,
            "seconds": seconds, "workloads": {}}
     for workload in (w["name"] for w in bench["workloads"]):
         runs = [run_bench(repo, workload, seed, seconds, 0)
