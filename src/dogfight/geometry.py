@@ -18,12 +18,6 @@ class Point(Protocol):
     y: float
 
 
-class Pose(Point, Protocol):
-    """A point with a compass `heading` in degrees, such as an aircraft."""
-
-    heading: float
-
-
 def wrap_heading(deg: float) -> float:
     """Wrap an angle in degrees into compass range [0, 360)."""
     wrapped = math.fmod(deg, 360.0)
@@ -87,20 +81,6 @@ def aspect_angle(pos_a: Point, pos_b: Point, heading_b: float) -> float:
         return 0.0
     # Angle between b's reversed heading and the LOS from b to a.
     return angle_off(wrap_heading(heading_b + 180.0), bearing_to(pos_b, pos_a))
-
-
-def pair_geometry(a: Pose, b: Pose) -> tuple[float, float, float, float, float]:
-    """`distance(a, b)`, the ATAs of a toward b and of b toward a, and the
-    aspect angles from a's tail to b and from b's tail to a: the values of
-    `distance`, `ata` and `aspect_angle`, bit for bit, from one bearing each
-    way."""
-    dist = distance(a, b)
-    if a.x == b.x and a.y == b.y:
-        return dist, 0.0, 0.0, 0.0, 0.0
-    ab, ba = bearing_to(a, b), bearing_to(b, a)
-    return (dist, angle_off(a.heading, ab), angle_off(b.heading, ba),
-            angle_off(wrap_heading(a.heading + 180.0), ab),
-            angle_off(wrap_heading(b.heading + 180.0), ba))
 
 
 def turn_sign(a: Point, b: Point, c: Point) -> int:

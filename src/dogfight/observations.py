@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .config import ScenarioConfig
-from .geometry import angle_off, distance, pair_geometry
+from .geometry import angle_off, aspect_angle, ata, distance
 from .simcore import TEAM_AGENT, TEAM_OPPONENT, AircraftState, World
 
 FIGHT_HEADS = (13, 9, 2, 2)  # h, v, c, r action arities
@@ -84,14 +84,13 @@ def _rocket_ammo(a: AircraftState) -> float:
 
 def _pair(a: AircraftState, b: AircraftState, diag: float) -> dict[str, float]:
     """Normalized relative metrics between two aircraft, both directions."""
-    dist, ata_a_to_b, ata_b_to_a, aa_of_a, aa_of_b = pair_geometry(a, b)
     return {
         "off": angle_off(a.heading, b.heading) / 180.0,
-        "aa_of_a": aa_of_a / 180.0,  # from a's tail to b
-        "aa_of_b": aa_of_b / 180.0,  # from b's tail to a
-        "ata_a_to_b": ata_a_to_b / 180.0,
-        "ata_b_to_a": ata_b_to_a / 180.0,
-        "dist": dist / diag,
+        "aa_of_a": aspect_angle(b, a, a.heading) / 180.0,  # from a's tail to b
+        "aa_of_b": aspect_angle(a, b, b.heading) / 180.0,  # from b's tail to a
+        "ata_a_to_b": ata(a, a.heading, b) / 180.0,
+        "ata_b_to_a": ata(b, b.heading, a) / 180.0,
+        "dist": distance(a, b) / diag,
     }
 
 
@@ -149,8 +148,11 @@ def _friend_block(agent: AircraftState, friend: AircraftState | None,
     block = [friend.x / map_size, friend.y / map_size]
     if with_speed:
         block.append(friend.speed / friend.spec.max_speed)
-    dist, ata_to_friend, ata_to_agent, _, _ = pair_geometry(agent, friend)
-    block += [ata_to_agent / 180.0, ata_to_friend / 180.0, dist / diag]
+    block += [
+        ata(friend, friend.heading, agent) / 180.0,  # friend toward agent
+        ata(agent, agent.heading, friend) / 180.0,  # agent toward friend
+        distance(agent, friend) / diag,
+    ]
     return block
 
 

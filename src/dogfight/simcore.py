@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import angle_off, ata, signed_heading_delta, wrap_heading
+from .geometry import angle_off, ata, distance, signed_heading_delta, wrap_heading
 
 KNOTS_TO_KM_PER_S = 0.000514444
 
@@ -270,17 +270,15 @@ def _advance_aircraft(world: World) -> None:
             continue
         if a.rocket_cooldown > 0:
             a.rocket_cooldown -= 1
-        heading = a.heading
-        if heading != a.target_heading:  # else the turn changes nothing
-            delta = signed_heading_delta(heading, a.target_heading)
+        if a.heading != a.target_heading:  # else the turn changes nothing
+            delta = signed_heading_delta(a.heading, a.target_heading)
             max_step = a.spec.max_turn_rate * dt
             if abs(delta) <= max_step:
-                heading = a.target_heading
+                a.heading = a.target_heading
             else:
-                heading = wrap_heading(heading + math.copysign(max_step, delta))
-            a.heading = heading
+                a.heading = wrap_heading(a.heading + math.copysign(max_step, delta))
         step_km = a.speed * KNOTS_TO_KM_PER_S * dt
-        rad = math.radians(heading)
+        rad = math.radians(a.heading)
         a.x += math.sin(rad) * step_km
         a.y += math.cos(rad) * step_km
 
@@ -288,31 +286,26 @@ def _advance_aircraft(world: World) -> None:
 def _advance_rockets(world: World) -> list[SimEvent]:
     events: list[SimEvent] = []
     surviving: list[Rocket] = []
-    by_id, cfg = world._by_id, world.cfg
-    dt, kill_radius, expiry = (cfg.round_seconds, cfg.rocket_kill_radius,
-                               cfg.rocket_expiry_rounds)
     for rocket in world.rockets:
-        target = by_id[rocket.target_id]
+        target = world.get(rocket.target_id)
         if not target.alive:
             # target already destroyed by another weapon; rocket is spent
             events.append(RocketExpired(shooter=rocket.shooter_id))
             continue
-        step_km = rocket.speed * KNOTS_TO_KM_PER_S * dt
-        tx, ty, x, y = target.x, target.y, rocket.x, rocket.y
-        dx, dy = tx - x, ty - y
+        step_km = rocket.speed * KNOTS_TO_KM_PER_S * world.cfg.round_seconds
+        dx, dy = target.x - rocket.x, target.y - rocket.y
         gap = math.hypot(dx, dy)
         if gap <= step_km:
-            x, y = tx, ty
+            rocket.x, rocket.y = target.x, target.y
         else:  # a step along the unit line of sight
-            x += dx / gap * step_km
-            y += dy / gap * step_km
-        rocket.x, rocket.y = x, y
+            rocket.x += dx / gap * step_km
+            rocket.y += dy / gap * step_km
         rocket.age += 1
-        if math.hypot(tx - x, ty - y) <= kill_radius:  # `distance`
+        if distance(rocket, target) <= world.cfg.rocket_kill_radius:
             target.alive = False
-            shooter = by_id[rocket.shooter_id]
+            shooter = world.get(rocket.shooter_id)
             events.append(RocketKill(**_kill_snapshot(world, shooter, target)))
-        elif rocket.age >= expiry:
+        elif rocket.age >= world.cfg.rocket_expiry_rounds:
             events.append(RocketExpired(shooter=rocket.shooter_id))
         else:
             surviving.append(rocket)

@@ -2,7 +2,6 @@
 
 import math
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -13,7 +12,6 @@ from dogfight.geometry import (
     bearing_to,
     clockwise_sign_to,
     distance,
-    pair_geometry,
     turn_sign,
     wrap_heading,
 )
@@ -213,47 +211,3 @@ class TestDistance:
 
     def test_translation_invariant(self):
         assert distance(XY(1, 1), XY(4, 5)) == pytest.approx(5.0)
-
-
-class TestPairGeometry:
-    """`pair_geometry` gives `distance`, both ATAs and both aspect angles
-    with the bits of the single-direction functions."""
-
-    @staticmethod
-    def _reference(a, b):
-        return (distance(a, b), ata(a, a.heading, b), ata(b, b.heading, a),
-                aspect_angle(b, a, a.heading), aspect_angle(a, b, b.heading))
-
-    @staticmethod
-    def _bits(values):
-        return [v.hex() for v in values]
-
-    def _check(self, a, b):
-        assert self._bits(pair_geometry(a, b)) == self._bits(
-            self._reference(a, b))
-
-    def test_random_pairs(self):
-        rng = random.Random(30)
-        for _ in range(5000):
-            a, b = (SimpleNamespace(x=rng.uniform(-50.0, 50.0),
-                                    y=rng.uniform(-50.0, 50.0),
-                                    heading=rng.uniform(0.0, 360.0))
-                    for _ in range(2))
-            self._check(a, b)
-
-    @pytest.mark.parametrize("heading", [0.0, 180.0, math.nextafter(360.0, 0.0)])
-    def test_coincident_axis_aligned_and_edge_headings(self, heading):
-        headings = (0.0, 90.0, 180.0, 270.0, math.nextafter(360.0, 0.0))
-        offsets = ((0.0, 0.0), (0.0, 3.0), (0.0, -3.0), (3.0, 0.0),
-                   (-3.0, 0.0), (2.0, 2.0), (-1e-300, 0.0))
-        for dx, dy in offsets:
-            for other in headings:
-                a = SimpleNamespace(x=0.0, y=0.0, heading=heading)
-                b = SimpleNamespace(x=dx, y=dy, heading=other)
-                self._check(a, b)
-                self._check(b, a)
-
-    def test_coincident_is_zero(self):
-        a = SimpleNamespace(x=1.0, y=1.0, heading=359.0)
-        assert pair_geometry(a, SimpleNamespace(x=1.0, y=1.0, heading=3.0)) == (
-            0.0, 0.0, 0.0, 0.0, 0.0)
