@@ -1,12 +1,11 @@
 """Minimal reverse-mode automatic differentiation on dense numpy arrays.
 
-Covers exactly what the PPO loss and the gradient audit need: elementwise
-add and multiply (with broadcasting), exp, sum and mean, the clipped minimum
-of the PPO objective, `head_log_prob_entropy`, the log-probability and
-entropy of every categorical head from the fused heads output, and `node`,
-which records one network block of `blocks` (a dense layer, the attention
-embed, a GRU step) with the block's own analytic backward. The finite
-difference suite in gradcheck.py verifies every op in situ.
+The tape holds kernel nodes. `node` records one kernel of `blocks` (a
+dense layer, the attention embed, a GRU step, the PPO objective) with the
+kernel's own analytic backward; `head_log_prob_entropy` gives the
+log-probability and entropy of every categorical head from the fused heads
+output; `add` sums two losses of one shape. The finite-difference audit in
+gradcheck.py checks every node in situ, on the PPO objective.
 
 A gradient handed to `_accumulate` becomes the tensor's own: no gradient
 array is changed in place after that, so one array may be the gradient of
@@ -55,21 +54,10 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
 
 def _data(value):
-    """An operand's array. A Python scalar stays a Python scalar: numpy
-    treats it as weak, so it takes the dtype of the array it meets and a
-    float32 network computes in float32."""
-    if isinstance(value, Tensor):
-        return value.data
-    return value if isinstance(value, (int, float)) else np.asarray(value)
+    """An operand's array: a Tensor's data, or the array itself."""
+    return value.data if isinstance(value, Tensor) else value
 
 
 def _tracks_grad(value) -> bool:
@@ -84,21 +72,6 @@ def _accumulate(tensor, grad: np.ndarray):
         tensor.grad = grad  # owned from here on, never written in place
     else:
         tensor.grad = tensor.grad + grad
-
-
-def _unbroadcast(grad: np.ndarray, operand) -> np.ndarray:
-    """Sum a broadcast gradient back down to the shape of `operand`'s
-    data (an array or a scalar)."""
-    shape = np.shape(operand)
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
 
 
 def backward_from(outputs: list[Tensor], output_grads: list[np.ndarray]):
@@ -141,54 +114,29 @@ def _make(data, parents, backward_fn):
 def node(kernel, operands, **static):
     """`kernel` (a block of `blocks`) run on the operands' arrays, as one
     node whose backward hands every operand that carries gradient its
-    part."""
-    out, backward = kernel(*[_data(v) for v in operands], **static)
+    part. Figures a kernel returns after its backward (the PPO
+    objective's) come back beside the node."""
+    out, backward, *figures = kernel(*[_data(v) for v in operands], **static)
     needs = [_tracks_grad(v) for v in operands]
 
     def backward_fn(grad):
         for v, g in zip(operands, backward(grad, needs)):
             _accumulate(v, g)
 
-    return _make(out, operands, backward_fn)
+    result = _make(out, operands, backward_fn)
+    return (result, *figures) if figures else result
 
-
-# --- primitive operations --------------------------------------------------
-#
-# Operands may be Tensors, ndarrays or scalars (see `_make`).
 
 def add(a, b):
-    da, db = _data(a), _data(b)
-    data = da + db
+    """The sum of two Tensors of one shape, as PPO adds the losses of its
+    network instances."""
+    data = a.data + b.data
 
     def backward(grad):
-        if _tracks_grad(a):
-            _accumulate(a, _unbroadcast(grad, da))
-        if _tracks_grad(b):
-            _accumulate(b, _unbroadcast(grad, db))
+        _accumulate(a, grad)
+        _accumulate(b, grad)
 
     return _make(data, (a, b), backward)
-
-
-def mul(a, b):
-    da, db = _data(a), _data(b)
-    data = da * db
-
-    def backward(grad):
-        if _tracks_grad(a):
-            _accumulate(a, _unbroadcast(grad * db, da))
-        if _tracks_grad(b):
-            _accumulate(b, _unbroadcast(grad * da, db))
-
-    return _make(data, (a, b), backward)
-
-
-def exp(a):
-    data = np.exp(_data(a))
-
-    def backward(grad):
-        _accumulate(a, grad * data)
-
-    return _make(data, (a,), backward)
 
 
 def head_log_prob_entropy(z, arities, actions: np.ndarray, mask=None):
@@ -227,55 +175,3 @@ def head_log_prob_entropy(z, arities, actions: np.ndarray, mask=None):
 
     return (_make(log_prob, (z,), lp_backward),
             _make(entropy, (z,), ent_backward))
-
-
-def tsum(a, axis=None, keepdims: bool = False):
-    da = _data(a)
-    data = da.sum(axis=axis, keepdims=keepdims)
-
-    def backward(grad):
-        g = grad
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, da.shape))
-
-    return _make(data, (a,), backward)
-
-
-def tmean(a, axis=None, keepdims: bool = False):
-    da = _data(a)
-    data = da.mean(axis=axis, keepdims=keepdims)
-    count = da.size if axis is None else da.shape[axis]
-
-    def backward(grad):
-        g = grad
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, da.shape) / count)
-
-    return _make(data, (a,), backward)
-
-
-def minimum(a, b):
-    da, db = _data(a), _data(b)
-    take_a = da <= db
-    data = np.where(take_a, da, db)
-
-    def backward(grad):
-        if _tracks_grad(a):
-            _accumulate(a, _unbroadcast(grad * take_a, da))
-        if _tracks_grad(b):
-            _accumulate(b, _unbroadcast(grad * ~take_a, db))
-
-    return _make(data, (a, b), backward)
-
-
-def clip(a, lo: float, hi: float):
-    da = _data(a)
-    inside = (da >= lo) & (da <= hi)
-    data = np.clip(da, lo, hi)
-
-    def backward(grad):
-        _accumulate(a, grad * inside)
-
-    return _make(data, (a,), backward)

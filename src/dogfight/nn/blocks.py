@@ -1,13 +1,16 @@
-"""The network blocks, each one plain numpy kernel with its analytic backward.
+"""The network blocks and the PPO objective, each one plain numpy kernel
+with its analytic backward.
 
 A kernel takes its operands' arrays and returns its output and a function
 `backward(grad, needs)` that gives every operand's gradient, or None for an
-operand `needs` marks as carrying none. Decisions call a kernel on the
-parameter arrays and drop its backward; `autodiff.node` records the kernel
-as one node of the PPO graph. Each backward makes the float operations, in
-their order and on arrays of the same layout, of the elementwise, product,
-softmax, slice, stack and mean ops the block is made of (the reference ops
-of `tests/reference_ops.py`), so a float32 gradient is theirs to the bit.
+operand `needs` marks as carrying none; `ppo_objective` also returns the
+figures the update logs. Decisions call a kernel on the parameter arrays
+and drop its backward; `autodiff.node` records the kernel as one node of
+the PPO graph. Each backward makes the float operations, in their order
+and on arrays of the same layout, of the elementwise, product, softmax,
+slice, stack, mean, clip and minimum ops the kernel is made of (the
+reference ops of `tests/reference_ops.py`), so a float32 gradient is
+theirs to the bit.
 
 The attention block has two bodies, chosen by the input's shape alone.
 With N = B·T token rows of width E, the textbook body projects q, k and v
@@ -160,3 +163,36 @@ def gru(x, h, W, U, b):
                 x.T @ g_gx, h.T @ g_gh, g_gx.sum(axis=0))
 
     return (1.0 - z) * n + z * h, backward
+
+
+def ppo_objective(values, log_prob, entropy, *, log_prob_old, advantages,
+                  returns, clip_eps, value_coef, entropy_coef):
+    """The PPO loss of one minibatch: the negated clipped surrogate, plus
+    `value_coef` times the squared error of `values` [B, 1] against
+    `returns`, less `entropy_coef` times the mean entropy [B]. Returned
+    with its backward and the figures the update logs: the policy loss,
+    value loss, mean entropy and mean ratio."""
+    ratio = np.exp(log_prob - log_prob_old)
+    lo, hi = 1.0 - clip_eps, 1.0 + clip_eps
+    inside = (ratio >= lo) & (ratio <= hi)
+    unclipped = ratio * advantages
+    clipped = np.clip(ratio, lo, hi) * advantages
+    take = unclipped <= clipped  # the minimum's branch
+    policy_loss = -np.where(take, unclipped, clipped).mean()
+    diff = values - returns[:, None]
+    value_loss = (diff * diff).mean()
+    entropy_mean = entropy.mean()
+    total = policy_loss + value_loss * value_coef + entropy_mean * -entropy_coef
+    info = {"policy_loss": float(policy_loss), "value_loss": float(value_loss),
+            "entropy": float(entropy_mean), "mean_ratio": float(ratio.mean())}
+
+    def backward(grad, needs):
+        rows = len(ratio)
+        g_surr = np.broadcast_to(-grad, ratio.shape) / rows
+        g_ratio = (g_surr * take * advantages
+                   + g_surr * ~take * advantages * inside)
+        g_sq = np.broadcast_to(grad * value_coef, diff.shape) / rows
+        g_entropy = np.broadcast_to(grad * -entropy_coef, entropy.shape) / rows
+        return g_sq * diff + g_sq * diff, g_ratio * ratio, g_entropy
+
+    return total, backward, info

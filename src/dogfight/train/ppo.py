@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn.autodiff import Tensor, clip, exp, minimum, tmean
+from ..nn.autodiff import Tensor, node
+from ..nn.blocks import ppo_objective
 from ..nn.networks import PolicyNetwork
 from ..nn.params import adam_step
 from .buffer import RolloutBuffer, compute_gae
@@ -64,24 +65,12 @@ def _minibatch_loss(policy: PolicyNetwork, batch: dict, clip_eps: float,
     log_prob, entropy = policy.log_prob_entropy(
         batch["instance"], batch["obs"], batch["actions"],
         hidden_batch=batch["hidden"], head_mask=batch["head_mask"])
-    ratio = exp(log_prob + Tensor(-batch["log_probs_old"]))
-    adv = Tensor(batch["advantages"])
-    surrogate = minimum(ratio * adv, clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps) * adv)
-    policy_loss = -1.0 * tmean(surrogate)
-
     values = policy.forward_critic(batch["instance"], batch["critic_inputs"])
-    diff = values + Tensor(-batch["returns"][:, None])
-    value_loss = tmean(diff * diff)
-
-    entropy_mean = tmean(entropy)
-    total = policy_loss + value_coef * value_loss + (-entropy_coef) * entropy_mean
-    info = {
-        "policy_loss": policy_loss.item(),
-        "value_loss": value_loss.item(),
-        "entropy": entropy_mean.item(),
-        "mean_ratio": float(ratio.data.mean()),
-    }
-    return total, info
+    return node(ppo_objective, (values, log_prob, entropy),
+                log_prob_old=batch["log_probs_old"],
+                advantages=batch["advantages"], returns=batch["returns"],
+                clip_eps=clip_eps, value_coef=value_coef,
+                entropy_coef=entropy_coef)
 
 
 def _gather_batch(buffer: RolloutBuffer, idx: np.ndarray, instance: str,

@@ -329,25 +329,41 @@ class LowLevelTrainer(TrainerCore):
         save_arrays(path, arrays, {"step_count": steps})
 
     def load_state(self, path: Path):
+        """Restore what `save_state` wrote. A file that lacks an array or a
+        step count, or holds one of another shape or type, raises a
+        ValueError naming it before any network changes."""
         arrays, config = load_checkpoint(path)
-        if not isinstance(config.get("step_count"), dict):
+        steps = config.get("step_count")
+        if not isinstance(steps, dict):
             raise ValueError(f"{path} holds the trainer state of an older "
                              f"format (the first network's Adam moments "
                              f"only); remove it to resume from the archived "
                              f"snapshot")
-        missing = sorted({str(key) for key in self.policies}
-                         - set(config["step_count"]))
+        missing = sorted({str(key) for key in self.policies} - set(steps))
         if missing:
             raise ValueError(f"{path} holds no state for networks {missing}")
         for key, policy in self.policies.items():
+            count = steps[str(key)]
+            if type(count) is not int or count < 0:
+                raise ValueError(f"{path}: step_count of network {key} is "
+                                 f"{count!r}, not a count")
+            for group in ("param", "adam.m", "adam.v"):
+                for name, tensor in policy.store.params.items():
+                    entry = f"{key}.{group}.{name}"
+                    if entry not in arrays:
+                        raise ValueError(f"{path} holds no {entry}")
+                    if arrays[entry].shape != tensor.data.shape:
+                        raise ValueError(f"{path}: {entry} has shape "
+                                         f"{arrays[entry].shape}, not "
+                                         f"{tensor.data.shape}")
+        for key, policy in self.policies.items():
             store = policy.store
             store.load_arrays({name: arrays[f"{key}.param.{name}"]
-                               for name in store.params
-                               if f"{key}.param.{name}" in arrays}, source=path)
+                               for name in store.params}, source=path)
             for name in store.params:
                 store.moment1[name][...] = arrays[f"{key}.adam.m.{name}"]
                 store.moment2[name][...] = arrays[f"{key}.adam.v.{name}"]
-            store.step_count = config["step_count"][str(key)]
+            store.step_count = steps[str(key)]
 
 
 @dataclass

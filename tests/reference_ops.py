@@ -1,11 +1,13 @@
-"""Reference autodiff ops and the network blocks composed from them.
+"""Reference autodiff ops and the kernels composed from them.
 
-The blocks of `dogfight.nn.blocks` are each one node with an analytic
-backward. Here the same blocks are written as chains of small ops (matmul,
-transpose, tanh, sigmoid, softmax, column slices, stacking, mean), each
-with its own textbook backward and each checked by finite differences in
+The kernels of `dogfight.nn.blocks` are each one node with an analytic
+backward. Here the same kernels are written as chains of small ops
+(broadcasting add and multiply, exp, sum, mean, minimum, clip, matmul,
+transpose, tanh, sigmoid, softmax, column slices, stacking), each with its
+own textbook backward and each checked by finite differences in
 `test_nn.py`. The node tests compare values and gradients against these
-chains. `sample_action` is the earlier body of
+chains: the network blocks, and `ppo_objective`, the PPO loss as a chain
+of elementwise ops. `sample_action` is the earlier body of
 `dogfight.nn.networks.sample_action`, the reference for its samples and
 log-probability bits.
 """
@@ -17,16 +19,113 @@ from functools import lru_cache
 
 import numpy as np
 
-from dogfight.nn.autodiff import (
-    _accumulate,
-    _data,
-    _make,
-    _tracks_grad,
-    _unbroadcast,
-    add,
-    mul,
-    tmean,
-)
+from dogfight.nn.autodiff import Tensor, _accumulate, _data, _make, _tracks_grad
+
+
+def _unbroadcast(grad: np.ndarray, operand) -> np.ndarray:
+    """Sum a broadcast gradient back down to the shape of `operand`'s
+    data (an array or a scalar)."""
+    shape = np.shape(operand)
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad
+
+
+# Operands may be Tensors, ndarrays or Python scalars: numpy treats a
+# Python scalar as weak, so a float32 chain computes in float32.
+
+
+def add(a, b):
+    da, db = _data(a), _data(b)
+    data = da + db
+
+    def backward(grad):
+        if _tracks_grad(a):
+            _accumulate(a, _unbroadcast(grad, da))
+        if _tracks_grad(b):
+            _accumulate(b, _unbroadcast(grad, db))
+
+    return _make(data, (a, b), backward)
+
+
+def mul(a, b):
+    da, db = _data(a), _data(b)
+    data = da * db
+
+    def backward(grad):
+        if _tracks_grad(a):
+            _accumulate(a, _unbroadcast(grad * db, da))
+        if _tracks_grad(b):
+            _accumulate(b, _unbroadcast(grad * da, db))
+
+    return _make(data, (a, b), backward)
+
+
+def exp(a):
+    data = np.exp(_data(a))
+
+    def backward(grad):
+        _accumulate(a, grad * data)
+
+    return _make(data, (a,), backward)
+
+
+def tsum(a, axis=None, keepdims: bool = False):
+    da = _data(a)
+    data = da.sum(axis=axis, keepdims=keepdims)
+
+    def backward(grad):
+        g = grad
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accumulate(a, np.broadcast_to(g, da.shape))
+
+    return _make(data, (a,), backward)
+
+
+def tmean(a, axis=None, keepdims: bool = False):
+    da = _data(a)
+    data = da.mean(axis=axis, keepdims=keepdims)
+    count = da.size if axis is None else da.shape[axis]
+
+    def backward(grad):
+        g = grad
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accumulate(a, np.broadcast_to(g, da.shape) / count)
+
+    return _make(data, (a,), backward)
+
+
+def minimum(a, b):
+    da, db = _data(a), _data(b)
+    take_a = da <= db
+    data = np.where(take_a, da, db)
+
+    def backward(grad):
+        if _tracks_grad(a):
+            _accumulate(a, _unbroadcast(grad * take_a, da))
+        if _tracks_grad(b):
+            _accumulate(b, _unbroadcast(grad * ~take_a, db))
+
+    return _make(data, (a, b), backward)
+
+
+def clip(a, lo: float, hi: float):
+    da = _data(a)
+    inside = (da >= lo) & (da <= hi)
+    data = np.clip(da, lo, hi)
+
+    def backward(grad):
+        _accumulate(a, grad * inside)
+
+    return _make(data, (a,), backward)
 
 
 def matmul(a, b):
@@ -120,7 +219,7 @@ def stack(tensors: list, axis: int = 1):
 
 
 def dense(x, W, b, squash=True):
-    out = matmul(x, W) + b
+    out = add(matmul(x, W), b)
     return tanh(out) if squash else out
 
 
@@ -161,13 +260,33 @@ def attention_folded(x, *weights):
 
 def gru(x, h, W, U, b):
     width = _data(U).shape[0]
-    gx = matmul(x, W) + b  # [B, 3H]: z, r, n inputs
+    gx = add(matmul(x, W), b)  # [B, 3H]: z, r, n inputs
     gh = matmul(h, U)
-    zr = sigmoid(slice_cols(gx, 0, 2 * width) + slice_cols(gh, 0, 2 * width))
+    zr = sigmoid(add(slice_cols(gx, 0, 2 * width),
+                     slice_cols(gh, 0, 2 * width)))
     z, r = slice_cols(zr, 0, width), slice_cols(zr, width, 2 * width)
-    n = tanh(slice_cols(gx, 2 * width, 3 * width)
-             + mul(r, slice_cols(gh, 2 * width, 3 * width)))
+    n = tanh(add(slice_cols(gx, 2 * width, 3 * width),
+                 mul(r, slice_cols(gh, 2 * width, 3 * width))))
     return add(mul(add(1.0, mul(-1.0, z)), n), mul(z, h))
+
+
+# -- the PPO objective, chained ------------------------------------------------
+
+
+def ppo_objective(values, log_prob, entropy, *, log_prob_old, advantages,
+                  returns, clip_eps, value_coef, entropy_coef):
+    """The clipped surrogate, value loss and entropy bonus as separate
+    ops, each with its own backward."""
+    ratio = exp(add(log_prob, Tensor(-log_prob_old)))
+    adv = Tensor(advantages)
+    surrogate = minimum(mul(ratio, adv),
+                        mul(clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps), adv))
+    policy_loss = mul(tmean(surrogate), -1.0)
+    diff = add(values, Tensor(-returns[:, None]))
+    value_loss = tmean(mul(diff, diff))
+    entropy_mean = tmean(entropy)
+    return add(add(policy_loss, mul(value_loss, value_coef)),
+               mul(entropy_mean, -entropy_coef))
 
 
 # -- action sampling -----------------------------------------------------------

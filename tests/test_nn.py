@@ -25,25 +25,25 @@ from dogfight.nn import (
 from dogfight.nn import blocks
 from dogfight.nn.networks import Decision, decide
 from dogfight.nn.params import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
-from dogfight.nn.autodiff import (
-    add,
-    clip,
-    head_log_prob_entropy,
-    minimum,
-    node,
-    tmean,
-    tsum,
-)
+from dogfight.nn import autodiff
+from dogfight.nn.autodiff import head_log_prob_entropy, node
+from dogfight.nn import gradcheck
 from dogfight.nn.gradcheck import check_network, run_standard_suite
 
 import reference_ops
 from reference_ops import (
+    add,
+    clip,
     matmul,
+    minimum,
+    mul,
     slice_cols,
     softmax,
     stack,
     tanh,
+    tmean,
     transpose_last2,
+    tsum,
 )
 
 
@@ -78,7 +78,7 @@ class TestAutodiffOps:
         x = rng.normal(size=(3, 4))
         w = rng.normal(size=(4, 5))
         b = rng.normal(size=5)
-        self._check(lambda X, W, B: tsum(tanh(matmul(X, W) + B)), x, w, b)
+        self._check(lambda X, W, B: tsum(tanh(add(matmul(X, W), B))), x, w, b)
 
     def test_outer_product_identity(self):
         # single-sample linear layer: dL/dW = outer(input, grad_out)
@@ -102,7 +102,7 @@ class TestAutodiffOps:
     def test_softmax_gradient(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 5))
-        self._check(lambda X: tsum(softmax(X) * np.arange(5.0)), x)
+        self._check(lambda X: tsum(mul(softmax(X), np.arange(5.0))), x)
 
     @pytest.mark.parametrize("masked", [False, True], ids=["all", "masked"])
     @pytest.mark.parametrize("output", [0, 1], ids=["log_prob", "entropy"])
@@ -114,8 +114,8 @@ class TestAutodiffOps:
         mask = (rng.integers(0, 2, size=(4, 3)).astype(float) if masked
                 else None)
         weights = rng.normal(size=4)
-        self._check(lambda Z: tsum(head_log_prob_entropy(
-            Z, arities, actions, mask)[output] * weights), z)
+        self._check(lambda Z: tsum(mul(head_log_prob_entropy(
+            Z, arities, actions, mask)[output], weights)), z)
 
     def test_head_log_prob_entropy_per_head_reference(self):
         # each head's log-softmax on its own columns, summed in head order
@@ -139,33 +139,35 @@ class TestAutodiffOps:
         rng = np.random.default_rng(5)
         a = rng.normal(size=(8,))
         b = rng.normal(size=(8,))
-        self._check(lambda A, B: tsum(minimum(A * 2.0, clip(B, -0.5, 0.5))), a, b)
+        self._check(lambda A, B: tsum(minimum(mul(A, 2.0), clip(B, -0.5, 0.5))),
+                    a, b)
 
     def test_stack_mean(self):
         rng = np.random.default_rng(6)
         a = rng.normal(size=(2, 3))
         b = rng.normal(size=(2, 3))
         weights = np.arange(6.0).reshape(2, 3)
-        self._check(lambda A, B: tsum(tmean(stack([A, B], axis=1), axis=1)
-                                      * weights), a, b)
+        self._check(lambda A, B: tsum(mul(tmean(stack([A, B], axis=1), axis=1),
+                                          weights)), a, b)
 
     def test_slice_cols_gradient(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(2, 3, 7))
         weights = rng.normal(size=(3, 4))
-        self._check(lambda X: tsum(slice_cols(X, 1, 4) * weights[:, :3])
-                    + tsum(tanh(slice_cols(X, 3, 7)) * weights), x)
+        self._check(lambda X: add(tsum(mul(slice_cols(X, 1, 4), weights[:, :3])),
+                                  tsum(mul(tanh(slice_cols(X, 3, 7)), weights))),
+                    x)
 
     def test_broadcast_add_bias(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(4, 3))
         b = rng.normal(size=(3,))
-        self._check(lambda X, B: tsum(X + B), x, b)
+        self._check(lambda X, B: tsum(add(X, B)), x, b)
 
     def test_backward_requires_scalar(self):
         t = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(ValueError):
-            (t * 2.0).backward()
+            mul(t, 2.0).backward()
 
 
 class TestNetworks:
@@ -613,7 +615,7 @@ def _block_results(kernel, arrays, tracked, weights, **static):
     ops = [Tensor(a, requires_grad=True) if t else a
            for a, t in zip(arrays, tracked)]
     out = kernel(ops)
-    tsum(out * weights).backward()
+    tsum(mul(out, weights)).backward()
     return [out.data] + [op.grad for op in ops if isinstance(op, Tensor)]
 
 
@@ -653,6 +655,80 @@ class TestBlockNodes:
                             reference_ops.attention_folded))
         for a, b in zip(textbook, folded):
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
+
+
+COEFFICIENTS = {"clip_eps": 0.2, "value_coef": 0.5, "entropy_coef": 0.01}
+# a row on either side of each clip bound, once with a positive advantage
+# and once with a negative one
+RATIOS = [0.5, 0.79, 0.81, 1.0, 1.05, 1.19, 1.21, 1.6] * 2
+
+
+def _objective_inputs(dtype, masked):
+    """The operands (values, log-probabilities, entropies) and targets of a
+    16-row minibatch whose ratios are `RATIOS`."""
+    gen = np.random.default_rng(11)
+    arities = (5, 3, 2)
+    rows = len(RATIOS)
+    z = gen.normal(size=(rows, sum(arities)))
+    actions = gen.integers(0, arities, size=(rows, len(arities)))
+    mask = (gen.integers(0, 2, size=(rows, len(arities))).astype(float)
+            if masked else None)
+    log_prob, entropy = head_log_prob_entropy(z, arities, actions, mask)
+    operands = [gen.normal(size=(rows, 1)), log_prob, entropy]
+    targets = {"log_prob_old": log_prob - np.log(RATIOS),
+               "advantages": np.abs(gen.normal(size=rows))
+               * np.repeat([1.0, -1.0], rows // 2),
+               "returns": gen.normal(size=rows)}
+    return ([a.astype(dtype) for a in operands],
+            {k: v.astype(dtype) for k, v in targets.items()})
+
+
+class TestPPOObjective:
+    @pytest.mark.parametrize("masked", [False, True], ids=["all", "masked"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_node_matches_the_chain(self, dtype, masked):
+        # the kernel's loss and the gradients of values, log-probabilities
+        # and entropies are the bits of the op chain it replaces
+        operands, targets = _objective_inputs(dtype, masked)
+        results = []
+        for build in (lambda ops: node(blocks.ppo_objective, ops, **targets,
+                                       **COEFFICIENTS)[0],
+                      lambda ops: reference_ops.ppo_objective(
+                          *ops, **targets, **COEFFICIENTS)):
+            leaves = [Tensor(a, requires_grad=True) for a in operands]
+            loss = build(leaves)
+            loss.backward()
+            results.append([loss.data] + [t.grad for t in leaves])
+        for got, want in zip(*results):
+            assert got.dtype == np.dtype(dtype)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_figures(self):
+        operands, targets = _objective_inputs("float64", True)
+        values, log_prob, entropy = operands
+        loss, _, info = blocks.ppo_objective(*operands, **targets,
+                                             **COEFFICIENTS)
+        ratio = np.exp(log_prob - targets["log_prob_old"])
+        adv = targets["advantages"]
+        surrogate = np.minimum(ratio * adv, np.clip(ratio, 0.8, 1.2) * adv)
+        value_loss = np.mean((values[:, 0] - targets["returns"]) ** 2)
+        assert info["policy_loss"] == pytest.approx(-surrogate.mean())
+        assert info["value_loss"] == pytest.approx(value_loss)
+        assert info["entropy"] == pytest.approx(entropy.mean())
+        assert info["mean_ratio"] == pytest.approx(np.mean(RATIOS))
+        assert loss == pytest.approx(-surrogate.mean() + 0.5 * value_loss
+                                     - 0.01 * entropy.mean())
+
+    def test_gradient_matches_finite_differences(self):
+        operands, targets = _objective_inputs("float64", True)
+        leaves = [Tensor(a, requires_grad=True) for a in operands]
+        node(blocks.ppo_objective, leaves, **targets,
+             **COEFFICIENTS)[0].backward()
+        for leaf, array in zip(leaves, operands):
+            numeric = numeric_grad(lambda: float(blocks.ppo_objective(
+                *operands, **targets, **COEFFICIENTS)[0]), array)
+            assert np.allclose(leaf.grad, numeric, rtol=0.0, atol=1e-8)
 
 
 def _per_block_draws(config, seed):
@@ -751,7 +827,7 @@ class TestAdam:
         store = ParamStore(dtype="float64", seed=0)
         a, b = store.add("a", np.zeros(3)), store.add("b", np.ones(3))
         w = np.array([3.0, 4.0, 0.0])
-        tsum(add(a, b) * w).backward()
+        tsum(mul(autodiff.add(a, b), w)).backward()
         assert a.grad is b.grad
         norm = store.clip_grad_norm(1.0)
         assert norm == pytest.approx(5.0 * math.sqrt(2.0))
@@ -864,6 +940,17 @@ class TestGradCheckSuite:
         report = check_network(dataclasses.replace(config, fc_width=100),
                                "ac1", draws=10, seed=4)
         assert report.passed, report
+
+    @pytest.mark.parametrize("k", range(5), ids=[
+        "fight", "escape", "commander-gru", "commander-sa", "fight-fc"])
+    def test_graph_free_probe_is_the_graph_probe(self, k):
+        # the stencil's graph-free losses are the graph's to the bit
+        _, config, instance, seq_len, rows = gradcheck.standard_suite()[k]
+        net = PolicyNetwork(config, seed=0)
+        probe = gradcheck._draw(np.random.default_rng(k), net, instance,
+                                seq_len, rows)
+        graph = gradcheck._probe_loss(*probe, grad=True).item()
+        assert graph.hex() == gradcheck._probe_loss(*probe, grad=False).hex()
 
     def test_suite_runner(self):
         reports = run_standard_suite(draws=3, seed=7)

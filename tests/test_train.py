@@ -8,7 +8,7 @@ import pytest
 
 from dogfight.config import ScenarioConfig, ScriptConfig
 from dogfight.nn import PolicyNetwork, blocks, fight_config, networks
-from dogfight.nn.autodiff import Tensor, clip, minimum
+from dogfight.nn.autodiff import Tensor
 from dogfight.simcore import SimConfig
 from dogfight.train import (
     CommanderTrainer,
@@ -116,28 +116,38 @@ class TestGAE:
 
 
 class TestClipRule:
-    # hand evaluations of the clipped surrogate used by the update
+    # hand evaluations of the clipped surrogate, through the update's kernel
     def _surrogate(self, ratio, adv, eps=0.2):
-        r = Tensor(np.array([ratio]))
-        a = Tensor(np.array([adv]))
-        return minimum(r * a, clip(r, 1 - eps, 1 + eps) * a).data[0]
+        """One row's surrogate and its slope in the log-probability."""
+        total, backward, _ = blocks.ppo_objective(
+            np.zeros((1, 1)), np.log([ratio]), np.zeros(1),
+            log_prob_old=np.zeros(1), advantages=np.array([adv]),
+            returns=np.zeros(1), clip_eps=eps, value_coef=0.5,
+            entropy_coef=0.01)
+        return -total, -backward(np.float64(1.0), [True] * 3)[1][0]
 
     def test_positive_advantage_clips_high_ratio(self):
-        assert self._surrogate(1.5, 2.0) == pytest.approx(1.2 * 2.0)
+        surr, slope = self._surrogate(1.5, 2.0)
+        assert surr == pytest.approx(1.2 * 2.0)
+        assert slope == 0.0  # the clipped branch passes no gradient
 
     def test_negative_advantage_takes_more_negative_branch(self):
         # min(0.5*A, 0.8*A) with A = -1: the clipped term is more negative
-        assert self._surrogate(0.5, -1.0) == pytest.approx(0.8 * -1.0)
+        surr, slope = self._surrogate(0.5, -1.0)
+        assert surr == pytest.approx(0.8 * -1.0)
+        assert slope == 0.0
 
     def test_ratio_one_inside_band(self):
-        assert self._surrogate(1.0, 3.0) == pytest.approx(3.0)
+        surr, slope = self._surrogate(1.0, 3.0)
+        assert surr == pytest.approx(3.0)
+        assert slope == pytest.approx(3.0)  # d(r A)/d log r = r A
 
     def test_bounded_magnitude(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             ratio = rng.uniform(0.0, 3.0)
             adv = rng.normal()
-            surr = self._surrogate(ratio, adv)
+            surr, _ = self._surrogate(ratio, adv)
             assert abs(surr) <= max(ratio, 1.2) * abs(adv) + 1e-12
             if adv > 0:
                 assert surr <= 1.2 * adv + 1e-12
@@ -188,6 +198,27 @@ class TestPPOUpdate:
         config = PPOConfig(batch_size=32, update_epochs=2, minibatches=2)
         stats = ppo_update(policy, buffer, config, np.random.default_rng(3))
         assert stats.mean_ratio_first_epoch == pytest.approx(1.0, abs=1e-5)
+
+    def test_update_calls_the_traced_layers(self, monkeypatch):
+        # perfbench times the update through these two methods (its
+        # `nn.networks.log_prob_entropy` and `nn.autodiff.backward`): one
+        # log-probability pass per instance and minibatch, one backward
+        # per minibatch
+        policy, buffer = self._setup()
+        config = PPOConfig(batch_size=32, update_epochs=2, minibatches=3)
+        calls = {}
+        for owner, attr in ((PolicyNetwork, "log_prob_entropy"),
+                            (Tensor, "backward")):
+            def counted(*args, _original=getattr(owner, attr), _attr=attr,
+                        **kwargs):
+                calls[_attr] = calls.get(_attr, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counted)
+        sizes = [len(buffer.indices_for(name)) for name in buffer.instances()]
+        assert len(sizes) == 2 and min(sizes) >= config.minibatches
+        ppo_update(policy, buffer, config, np.random.default_rng(3))
+        assert calls == {"log_prob_entropy": 2 * 3 * 2, "backward": 2 * 3}
 
     def test_parameters_move(self):
         policy, buffer = self._setup()
@@ -566,6 +597,39 @@ class TestTrainerLoops:
                     {"step_count": 3})  # one network's moments, no weights
         with pytest.raises(ValueError, match="trainer_state_L1.ckpt"):
             trainer.load_state(path)
+
+    @pytest.mark.parametrize("corrupt", ["missing-moment", "moment-row",
+                                         "step-count"])
+    def test_corrupt_trainer_state_rejected(self, tmp_path, corrupt):
+        # each corruption of the second network's state names the file,
+        # and neither network has changed
+        from dogfight.nn.params import load_checkpoint, save_arrays
+
+        trainer = LowLevelTrainer(small_scenario(), small_ppo(),
+                                  TrainMode(framework="dtde"),
+                                  RunDir(tmp_path / "run"), seed=1)
+        path = tmp_path / "trainer_state_L1.ckpt"
+        trainer.save_state(path)
+        arrays, config = load_checkpoint(path)
+        arrays = {name: value + 1.0 for name, value in arrays.items()}
+        name = "shared.core.W"
+        entry = f"1.adam.m.{name}"
+        if corrupt == "missing-moment":
+            del arrays[entry]
+        elif corrupt == "moment-row":
+            arrays[entry] = arrays[entry][:1]  # broadcasts over the rows
+        else:
+            config["step_count"]["1"] = "x"
+        save_arrays(path, arrays, config)
+        stores = [policy.store for policy in trainer.policies.values()]
+        assert len(stores) == 2
+        before = [(s.checksum(), s.step_count, s.moment1[name].copy())
+                  for s in stores]
+        with pytest.raises(ValueError, match="trainer_state_L1.ckpt"):
+            trainer.load_state(path)
+        for store, (checksum, steps, moment) in zip(stores, before):
+            assert (store.checksum(), store.step_count) == (checksum, steps)
+            np.testing.assert_array_equal(store.moment1[name], moment)
 
     def test_escape_requires_l5(self, tmp_path):
         run = RunDir(tmp_path / "run")
