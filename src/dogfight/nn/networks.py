@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from ..observations import (
 )
 from .autodiff import Tensor, head_log_prob_entropy, node
 from .blocks import attention, dense, gru
-from .params import ParamStore, load_checkpoint, orthogonal_init
+from .params import ParamStore, check_arrays, load_checkpoint, orthogonal_init
 
 EMBED_WIDTH = 100
 
@@ -157,25 +157,35 @@ class PolicyNetwork:
     """Forward passes for one policy's actor/critic instances."""
 
     def __init__(self, config: NetworkConfig, seed: int = 0):
-        self.config = config
-        self.store = ParamStore(dtype=config.dtype, seed=seed)
-        self._build()
+        """A network whose weights are drawn from `seed`: one
+        `orthogonal_init` draw per weight block, every bias zero."""
+        rng = np.random.default_rng(seed)
+        self._build(config, lambda name, shape, draw: draw(rng))
 
     # -- parameter construction ---------------------------------------------
 
-    def _build(self):
-        """Create every parameter. A fused weight (attention q/k/v, GRU
-        gates, heads) holds its blocks' `orthogonal_init` draws side by side
-        along the columns, drawn in the order of one weight per block."""
-        cfg, store = self.config, self.store
+    def _build(self, config: NetworkConfig, weight):
+        """Create every parameter, in the store's order, from
+        `weight(name, shape, draw)`: the array to store for `name`, whose
+        initial value `draw(rng)` would give. A fused weight (attention
+        q/k/v, GRU gates, heads) holds its blocks' `orthogonal_init` draws
+        side by side along the columns, drawn in the order of one weight per
+        block; a bias is zeros."""
+        self.config = cfg = config
+        self.store = store = ParamStore(config.dtype)
+
+        def add(name, shape, blocks):
+            store.add(name, weight(name, shape, lambda rng: np.concatenate(
+                blocks(rng), axis=-1)))
 
         def draws(*shapes):
-            return [orthogonal_init(store.init_rng, shape) for shape in shapes]
+            return lambda rng: [orthogonal_init(rng, s) for s in shapes]
 
         def linear(name, fan_in, *fan_outs):
-            store.add(f"{name}.W", np.concatenate(
-                draws(*[(fan_in, n) for n in fan_outs]), axis=1))
-            store.add(f"{name}.b", np.zeros(sum(fan_outs)))
+            width = sum(fan_outs)
+            add(f"{name}.W", (fan_in, width),
+                draws(*[(fan_in, n) for n in fan_outs]))
+            add(f"{name}.b", (width,), lambda rng: [np.zeros(width)])
 
         embed, hidden = cfg.embed_width, cfg.hidden_width
         core_width = cfg.fc_width if cfg.fc_baseline else (
@@ -190,16 +200,20 @@ class PolicyNetwork:
             elif inst.token_splits:
                 for i, width in enumerate(inst.token_splits):
                     linear(f"{prefix}.embed{i}", width, embed)
-                store.add(f"{prefix}.attn.qkv", np.concatenate(
-                    draws(*[(embed, embed)] * 3), axis=1))
+                add(f"{prefix}.attn.qkv", (embed, 3 * embed),
+                    draws(*[(embed, embed)] * 3))
             else:
                 linear(f"{prefix}.embed", inst.obs_width, embed)
             if cfg.recurrent:
-                # drawn per gate z, r, n: input weight, then recurrent weight
-                gates = draws(*[(embed, hidden), (hidden, hidden)] * 3)
-                store.add(f"{prefix}.gru.W", np.concatenate(gates[0::2], axis=1))
-                store.add(f"{prefix}.gru.U", np.concatenate(gates[1::2], axis=1))
-                store.add(f"{prefix}.gru.b", np.zeros(3 * hidden))
+                # drawn per gate z, r, n: input weight, then recurrent
+                # weight; U takes the blocks that W's draw left
+                gates = cache(draws(*[(embed, hidden), (hidden, hidden)] * 3))
+                add(f"{prefix}.gru.W", (embed, 3 * hidden),
+                    lambda rng: gates(rng)[0::2])
+                add(f"{prefix}.gru.U", (hidden, 3 * hidden),
+                    lambda rng: gates(rng)[1::2])
+                add(f"{prefix}.gru.b", (3 * hidden,),
+                    lambda rng: [np.zeros(3 * hidden)])
             linear(f"{prefix}.heads", core_width, *inst.head_arities)
             critic_embed = cfg.fc_width if cfg.fc_baseline else embed
             if cfg.recurrent:
@@ -299,9 +313,18 @@ def load_policy(path) -> PolicyNetwork:
 
 def policy_from_checkpoint(arrays: dict, config: dict, source) -> PolicyNetwork:
     """The network of a checkpoint already read (`load_checkpoint`'s
-    arrays and config blob); `source` names the file in errors."""
-    policy = PolicyNetwork(NetworkConfig.from_dict(config))
-    policy.store.load_arrays(arrays, source=source)
+    arrays and config blob), built from its arrays: no initial weight is
+    drawn. Names or shapes that differ from the network's raise a
+    ValueError naming `source`, the file read."""
+    shapes = {}
+
+    def weight(name, shape, draw):
+        shapes[name] = shape  # a missing name is reported after the walk
+        return arrays[name] if name in arrays else np.zeros(shape)
+
+    policy = PolicyNetwork.__new__(PolicyNetwork)
+    policy._build(NetworkConfig.from_dict(config), weight)
+    check_arrays(arrays, shapes, source)
     return policy
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -30,13 +31,12 @@ ADAM_EPS = 1e-8
 class ParamStore:
     """Named parameter tensors with paired gradients and Adam moments."""
 
-    def __init__(self, dtype, seed: int):
+    def __init__(self, dtype):
         self.dtype = np.dtype(dtype)
         self.params: dict[str, Tensor] = {}
         self.moment1: dict[str, np.ndarray] = {}
         self.moment2: dict[str, np.ndarray] = {}
         self.step_count = 0
-        self.init_rng = np.random.default_rng(seed)
 
     def add(self, name: str, data: np.ndarray) -> Tensor:
         if name in self.params:
@@ -75,19 +75,12 @@ class ParamStore:
         return {name: t.data for name, t in self.params.items()}
 
     def load_arrays(self, arrays: dict[str, np.ndarray], source="arrays"):
-        """Replace every parameter's data. Names that differ from the
-        store's raise a ValueError naming `source`, the file read."""
-        if set(arrays) != set(self.params):
-            missing = sorted(set(self.params) - set(arrays))
-            extra = sorted(set(arrays) - set(self.params))
-            raise ValueError(f"{source}: parameters do not match the network: "
-                             f"missing {missing}, unexpected {extra}")
+        """Replace every parameter's data. Names or shapes that differ from
+        the store's raise a ValueError naming `source`, the file read."""
+        check_arrays(arrays, {name: t.data.shape
+                              for name, t in self.params.items()}, source)
         for name, data in arrays.items():
-            tensor = self.params[name]
-            if tensor.data.shape != data.shape:
-                raise ValueError(f"shape mismatch for {name}: "
-                                 f"{tensor.data.shape} vs {data.shape}")
-            tensor.data = np.ascontiguousarray(data, dtype=self.dtype)
+            self.params[name].data = np.ascontiguousarray(data, dtype=self.dtype)
 
     def checksum(self) -> str:
         digest = hashlib.sha256()
@@ -96,6 +89,21 @@ class ParamStore:
             digest.update(np.ascontiguousarray(
                 self.params[name].data, dtype="<f8").tobytes())
         return digest.hexdigest()
+
+
+def check_arrays(arrays: dict[str, np.ndarray], shapes: dict[str, tuple],
+                 source):
+    """Raise a ValueError naming `source` unless `arrays` holds exactly the
+    names of `shapes`, each array of its shape."""
+    if set(arrays) != set(shapes):
+        missing = sorted(set(shapes) - set(arrays))
+        extra = sorted(set(arrays) - set(shapes))
+        raise ValueError(f"{source}: parameters do not match the network: "
+                         f"missing {missing}, unexpected {extra}")
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise ValueError(f"{source}: shape mismatch for {name}: "
+                             f"{shape} vs {arrays[name].shape}")
 
 
 def adam_step(store: ParamStore, lr: float):
@@ -186,18 +194,23 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         arrays = {}
         for i, meta in enumerate(metas):
             try:
+                name, shape = meta["name"], meta["shape"]
                 dtype = np.dtype(meta["dtype"]).newbyteorder("<")
-                count = int(np.prod(meta["shape"])) if meta["shape"] else 1
+                if not isinstance(name, str) or name in arrays:
+                    raise ValueError(f"name {name!r} is not a new string")
+                if not (isinstance(shape, list) and all(
+                        type(n) is int and n >= 0 for n in shape)):
+                    raise ValueError(f"shape {shape!r} is not a list of sizes")
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: malformed array entry {i} "
                                  f"{meta!r}: {exc!r}") from exc
-            buffer = fh.read(count * dtype.itemsize)
-            if len(buffer) != count * dtype.itemsize:
+            size = math.prod(shape) * dtype.itemsize
+            buffer = fh.read(size)
+            if len(buffer) != size:
                 raise ValueError(f"{path}: truncated checkpoint: array "
-                                 f"{meta['name']!r} has {len(buffer)} of "
-                                 f"{count * dtype.itemsize} bytes")
-            arrays[meta["name"]] = np.frombuffer(
-                buffer, dtype=dtype).reshape(meta["shape"]).astype(meta["dtype"])
+                                 f"{name!r} has {len(buffer)} of {size} bytes")
+            arrays[name] = np.frombuffer(
+                buffer, dtype=dtype).reshape(shape).astype(meta["dtype"])
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last array")
     return arrays, config

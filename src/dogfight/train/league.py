@@ -25,7 +25,18 @@ class LeagueArchive:
         self.index_path = self.root / "index.json"
         self.index: dict[str, dict] = {}
         if self.index_path.exists():
-            self.index = json.loads(self.index_path.read_text())
+            try:
+                self.index = json.loads(self.index_path.read_text())
+                entries = self.index.items()
+            except (ValueError, AttributeError) as exc:
+                raise ValueError(f"{self.index_path}: unreadable league index: "
+                                 f"{exc!r}") from exc
+            for name, entry in entries:
+                if not (isinstance(entry, dict) and all(
+                        isinstance(entry.get(key), str)
+                        for key in ("file", "sha256"))):
+                    raise ValueError(f"{self.index_path}: entry {name!r} "
+                                     f"{entry!r} names no file and sha256")
 
     def _entry_name(self, kind: str, level: str) -> str:
         return f"{kind}_{level}" if level else kind

@@ -71,6 +71,16 @@ def count_tensors(monkeypatch) -> list[int]:
     return count
 
 
+def no_draws(monkeypatch):
+    """Make every initial weight draw (`orthogonal_init`) raise."""
+    from dogfight.nn import networks
+
+    def refuse(*args):
+        raise AssertionError("orthogonal_init drew an initial weight")
+
+    monkeypatch.setattr(networks, "orthogonal_init", refuse)
+
+
 def play(envs, actor, seeds):
     """One episode per seed of `seeds`, in order, on the env slots `envs`
     through `play_episodes`; returns their events by episode index."""

@@ -560,6 +560,19 @@ class TestSweep:
         with pytest.raises(ValueError, match=str(path)):
             _load_commander(str(path))
 
+    def test_commander_load_draws_no_initial_weight(self, tmp_path,
+                                                    monkeypatch):
+        from dogfight.cli import _load_commander
+        from helpers import no_draws
+
+        path = save_commander(tmp_path / "cmd.ckpt", senses=3)
+        arrays = load_checkpoint(path)[0]
+        no_draws(monkeypatch)
+        policy, read = _load_commander(str(path))
+        assert read == {"senses": 3, "opt": True}
+        for name, data in arrays.items():
+            assert np.array_equal(policy.store[name].data, data), name
+
 
 class TestConfigRejected:
     def _error(self, capsys, *args):

@@ -22,15 +22,17 @@ from dogfight.nn import (
     sample_action,
     save_checkpoint,
 )
-from dogfight.nn import blocks
-from dogfight.nn.networks import Decision, decide
-from dogfight.nn.params import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
+from dogfight.nn import blocks, networks
+from dogfight.nn.networks import Decision, decide, load_policy
+from dogfight.nn.params import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, save_arrays
+from dogfight.observations import FIGHT_HEADS, OBS_LAYOUTS
 from dogfight.nn import autodiff
 from dogfight.nn.autodiff import head_log_prob_entropy, node
 from dogfight.nn import gradcheck
 from dogfight.nn.gradcheck import check_network, run_standard_suite
 
 import reference_ops
+from helpers import no_draws
 from reference_ops import (
     add,
     clip,
@@ -792,14 +794,14 @@ class TestFusedLayers:
 
 class TestAdam:
     def test_zero_gradient_no_change(self):
-        store = ParamStore(dtype="float64", seed=0)
+        store = ParamStore(dtype="float64")
         t = store.add("w", np.ones(4))
         t.grad = np.zeros(4)
         adam_step(store, lr=0.1)
         assert np.array_equal(t.data, np.ones(4))
 
     def test_constant_gradient_reaches_lr_magnitude(self):
-        store = ParamStore(dtype="float64", seed=0)
+        store = ParamStore(dtype="float64")
         t = store.add("w", np.zeros(1))
         lr = 0.01
         for _ in range(500):
@@ -812,7 +814,7 @@ class TestAdam:
         assert abs(before[0] - t.data[0]) == pytest.approx(lr, rel=1e-3)
 
     def test_first_step_bias_correction(self):
-        store = ParamStore(dtype="float64", seed=0)
+        store = ParamStore(dtype="float64")
         t = store.add("w", np.zeros(1))
         g = 0.3
         t.grad = np.array([g])
@@ -824,7 +826,7 @@ class TestAdam:
     def test_shared_gradient_clipped_once(self):
         # `add` hands one gradient array to both leaves; clipping must
         # scale each leaf's gradient once, not the shared array twice
-        store = ParamStore(dtype="float64", seed=0)
+        store = ParamStore(dtype="float64")
         a, b = store.add("a", np.zeros(3)), store.add("b", np.ones(3))
         w = np.array([3.0, 4.0, 0.0])
         tsum(mul(autodiff.add(a, b), w)).backward()
@@ -835,7 +837,7 @@ class TestAdam:
             assert np.allclose(t.grad, w / norm)
 
     def test_grad_norm_clipping(self):
-        store = ParamStore(dtype="float64", seed=0)
+        store = ParamStore(dtype="float64")
         t = store.add("w", np.zeros(3))
         t.grad = np.array([3.0, 4.0, 0.0])
         norm = store.clip_grad_norm(1.0)
@@ -893,16 +895,23 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="corrupt.ckpt"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("entry", [
-        {"name": "w", "shape": [2]},
-        {"name": "w", "shape": [2], "dtype": "nonsense"},
-    ], ids=["missing-dtype", "unknown-dtype"])
-    def test_malformed_array_entry_names_the_file(self, tmp_path, entry):
-        header = json.dumps({"config": {}, "arrays": [entry]}).encode()
+    @pytest.mark.parametrize("entries, index", [
+        ([{"name": "w", "shape": [2]}], 0),
+        ([{"name": "w", "shape": [2], "dtype": "nonsense"}], 0),
+        ([{"shape": [2], "dtype": "<f4"}], 0),
+        ([{"name": ["w"], "shape": [2], "dtype": "<f4"}], 0),
+        ([{"name": "w", "shape": [2.5], "dtype": "<f4"}], 0),
+        ([{"name": "w", "shape": [-1], "dtype": "<f4"}], 0),
+        ([{"name": "w", "shape": [2], "dtype": "<f4"}] * 2, 1),
+    ], ids=["missing-dtype", "unknown-dtype", "missing-name", "list-name",
+            "fractional-shape", "negative-shape", "repeated-name"])
+    def test_malformed_array_entry_names_the_file(self, tmp_path, entries,
+                                                  index):
+        header = json.dumps({"config": {}, "arrays": entries}).encode()
         path = tmp_path / "entry.ckpt"
         path.write_bytes(CHECKPOINT_MAGIC + struct.pack(
             "<II", CHECKPOINT_VERSION, len(header)) + header + b"\x00" * 16)
-        with pytest.raises(ValueError, match="entry.ckpt.*entry 0"):
+        with pytest.raises(ValueError, match=f"entry.ckpt.*entry {index}"):
             load_checkpoint(path)
 
     def test_checksum_tracks_content(self):
@@ -910,6 +919,101 @@ class TestCheckpoint:
         c1 = net.store.checksum()
         net.store["shared.core.W"].data += 1.0
         assert net.store.checksum() != c1
+
+
+# one config of each architecture a checkpoint can hold
+CHECKPOINT_CONFIGS = {
+    "fight-attention": fight_config(critic_width=40),
+    "fight-fc": fight_config(critic_width=40, fc_baseline=True),
+    "escape": escape_config(critic_width=40),
+    "commander-gru": commander_config(2, critic_width=40),
+    "commander-sa": commander_config(3, critic_width=40, arch="sa"),
+    "commander-fc": commander_config(2, critic_width=40, arch="fc"),
+    "ctce-joint": ctce_config("fight", obs_width=2 * OBS_LAYOUTS["fight-AC1"],
+                              head_arities=FIGHT_HEADS * 2, critic_width=40),
+    "commander-glob": dataclasses.replace(ctce_config(
+        "commander", obs_width=3 * OBS_LAYOUTS["commander-n2"],
+        head_arities=(3,) * 3, critic_width=40), recurrent=True),
+}
+
+
+def _saved(tmp_path, config, seed=11):
+    """A checkpoint of `config`'s network drawn from `seed`."""
+    net = PolicyNetwork(config, seed=seed)
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(path, net.store, config.to_dict())
+    return path
+
+
+class TestCheckpointBuild:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("name", CHECKPOINT_CONFIGS)
+    def test_is_the_seeded_network_with_the_files_weights(
+            self, tmp_path, name, dtype):
+        config = dataclasses.replace(CHECKPOINT_CONFIGS[name], dtype=dtype)
+        path = _saved(tmp_path, config)
+        old = PolicyNetwork(config)
+        old.store.load_arrays(load_checkpoint(path)[0], source=path)
+        new = load_policy(path)
+        assert new.config == old.config
+        assert list(new.store.params) == list(old.store.params)
+        assert new.store.step_count == old.store.step_count == 0
+        for key, tensor in old.store.params.items():
+            for got, want in [(new.store[key].data, tensor.data),
+                              (new.store.moment1[key], old.store.moment1[key]),
+                              (new.store.moment2[key], old.store.moment2[key])]:
+                assert got.dtype == want.dtype and got.shape == want.shape, key
+                assert got.flags.c_contiguous, key
+                assert got.tobytes() == want.tobytes(), key
+        rng = np.random.default_rng(3)
+        for inst in config.instances:
+            obs = rng.uniform(-1, 1, (4, inst.obs_width))
+            hidden = rng.uniform(-1, 1, (4, config.hidden_width))
+            critic = rng.uniform(-1, 1, (4, inst.critic_width))
+            a, b = (net.forward_actor(inst.name, obs, hidden, grad=False)
+                    for net in (old, new))
+            assert a.heads.tobytes() == b.heads.tobytes()
+            if config.recurrent:
+                assert a.hidden.tobytes() == b.hidden.tobytes()
+            assert (old.forward_critic(inst.name, critic, grad=False).tobytes()
+                    == new.forward_critic(inst.name, critic,
+                                          grad=False).tobytes())
+
+    @pytest.mark.parametrize("name", CHECKPOINT_CONFIGS)
+    def test_draws_no_initial_weight(self, tmp_path, name, monkeypatch):
+        path = _saved(tmp_path, CHECKPOINT_CONFIGS[name])
+        arrays = load_checkpoint(path)[0]
+        no_draws(monkeypatch)
+        net = load_policy(path)
+        for key, data in arrays.items():
+            assert np.array_equal(net.store[key].data, data), key
+
+    def test_names_that_differ_are_reported_as_load_arrays_reports_them(
+            self, tmp_path):
+        config = CHECKPOINT_CONFIGS["escape"]
+        arrays, blob = load_checkpoint(_saved(tmp_path, config))
+        arrays["ac1.extra.W"] = arrays.pop("ac2.heads.b")
+        with pytest.raises(ValueError) as seeded:
+            PolicyNetwork(config).store.load_arrays(arrays, source="f.ckpt")
+        with pytest.raises(ValueError) as built:
+            networks.policy_from_checkpoint(arrays, blob, source="f.ckpt")
+        assert str(built.value) == str(seeded.value)
+        assert str(built.value) == (
+            "f.ckpt: parameters do not match the network: missing "
+            "['ac2.heads.b'], unexpected ['ac1.extra.W']")
+
+    def test_wrong_shape_names_the_file(self, tmp_path):
+        config = CHECKPOINT_CONFIGS["fight-attention"]
+        path = _saved(tmp_path, config)
+        arrays, blob = load_checkpoint(path)
+        arrays["shared.core.W"] = arrays["shared.core.W"][:3]
+        save_arrays(path, arrays, blob)
+        with pytest.raises(ValueError, match="net.ckpt: shape mismatch for "
+                                             "shared.core.W"):
+            load_policy(path)
+        with pytest.raises(ValueError, match="net.ckpt: shape mismatch for "
+                                             "shared.core.W"):
+            PolicyNetwork(config).store.load_arrays(arrays, source=path)
 
 
 class TestGradCheckSuite:

@@ -46,3 +46,43 @@ def test_workload_runs_one_checked_operation(name, tmp_path, monkeypatch):
     workload.op(state)
     assert workload.env_steps(state) > 0
     assert workload.check(state) == []
+
+
+@pytest.mark.parametrize("name", ["train-commander-3v3", "sweep-15v15"])
+def test_set_up_draws_weights_only_for_the_networks_it_seeds(
+        name, tmp_path, monkeypatch):
+    # every `orthogonal_init` call of the set-up comes from a seeded
+    # PolicyNetwork, and the two league loads read their networks back
+    # without drawing
+    monkeypatch.syspath_prepend(str(ROOT))
+    from dogfight.nn import networks
+    from dogfight.train.league import LeagueArchive
+    from perfbench.workloads import WORKLOADS as BY_NAME
+
+    inside = {"seeded": 0, "load": 0}
+    draws, loads = [], []
+
+    def within(key, fn):
+        def wrapped(*args, **kwargs):
+            inside[key] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside[key] -= 1
+        return wrapped
+
+    draw = networks.orthogonal_init
+
+    def counted(rng, shape):
+        draws.append((inside["seeded"], inside["load"]))
+        return draw(rng, shape)
+
+    load = LeagueArchive.load
+    monkeypatch.setattr(networks, "orthogonal_init", counted)
+    monkeypatch.setattr(networks.PolicyNetwork, "__init__",
+                        within("seeded", networks.PolicyNetwork.__init__))
+    monkeypatch.setattr(LeagueArchive, "load", within(
+        "load", lambda *args: loads.append(args[1:]) or load(*args)))
+    BY_NAME[name].build(1, tmp_path)
+    assert loads == [("fight", "L5"), ("escape",)]
+    assert draws and all(seeded and not loading for seeded, loading in draws)

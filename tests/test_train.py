@@ -341,6 +341,31 @@ class TestLeague:
         with pytest.raises(FileNotFoundError):
             archive.sample_opponent_level(np.random.default_rng(0), "L4")
 
+    def test_load_draws_no_initial_weight(self, tmp_path, monkeypatch):
+        from helpers import no_draws
+
+        archive = LeagueArchive(tmp_path / "league")
+        policy = PolicyNetwork(fight_config(critic_width=124), seed=2)
+        archive.save("fight", "L3", policy)
+        no_draws(monkeypatch)
+        loaded = LeagueArchive(tmp_path / "league").load("fight", "L3")
+        assert loaded.store.checksum() == policy.store.checksum()
+
+    @pytest.mark.parametrize("index, entry", [
+        ("{not json", "unreadable"),
+        ('{"fight_L3": {"sha256": "00"}}', "fight_L3"),
+        ('{"fight_L3": {"file": "fight_L3.ckpt"}}', "fight_L3"),
+        ('{"escape": "escape.ckpt"}', "escape"),
+        ('["fight_L3"]', "unreadable"),
+    ], ids=["not-json", "no-file", "no-sha256", "entry-not-a-dict",
+            "not-a-dict"])
+    def test_malformed_index_names_the_file(self, tmp_path, index, entry):
+        root = tmp_path / "league"
+        root.mkdir()
+        (root / "index.json").write_text(index)
+        with pytest.raises(ValueError, match=f"index.json.*{entry}"):
+            LeagueArchive(root)
+
 
 # the keys of every metrics.jsonl record (docs/formats.md)
 METRICS_KEYS = {"entropy", "env_steps", "episodes", "grad_norm", "level",
